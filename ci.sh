@@ -42,12 +42,19 @@ stage_guard() {
         results/bench_baseline.json results/optimizer_profile.json
 }
 
+# benchmark/ is a package of its own (not a workspace member) that may
+# not be edited to follow the crates: building and testing it here makes
+# API drift in crates/* fail CI rather than the benchmark pipeline.
+BENCHMARK_PKG=(--offline --manifest-path benchmark/Cargo.toml)
+
 stage_build() {
     cargo build --release --offline
+    cargo build -q --release "${BENCHMARK_PKG[@]}"
 }
 
 stage_test() {
     cargo test -q --offline
+    cargo test -q "${BENCHMARK_PKG[@]}"
 }
 
 stage_bench_smoke() {

@@ -7,22 +7,51 @@
 
 use crate::reader::BitReader;
 use crate::writer::BitWriter;
-use vr_base::Result;
+use vr_base::{Error, Result};
+
+/// Longest zero prefix [`read_ue`] accepts. 32 zeros already cover
+/// every value up to `2^33 - 2`, which is every `se(v)` of an `i32`;
+/// a longer prefix is damage, and failing here keeps the shift and the
+/// suffix width below in range whatever the input.
+pub const MAX_UE_ZEROS: u32 = 32;
 
 /// Write an unsigned Exp-Golomb code (`ue(v)`).
 pub fn put_ue(w: &mut BitWriter, value: u64) {
     let v = value + 1;
     let bits = 64 - v.leading_zeros();
-    w.put_bits(0, bits - 1);
-    w.put_bits(v, bits);
+    // `v` fits `bits` bits, so written `2·bits − 1` wide it carries
+    // its own zero prefix.
+    if bits <= 32 {
+        w.put_bits(v, 2 * bits - 1);
+    } else {
+        w.put_bits(0, bits - 1);
+        w.put_bits(v, bits);
+    }
 }
 
-/// Read an unsigned Exp-Golomb code.
+/// Read an unsigned Exp-Golomb code. Fails closed on a zero prefix
+/// longer than [`MAX_UE_ZEROS`] and on running out of bits.
 pub fn read_ue(r: &mut BitReader<'_>) -> Result<u64> {
-    let mut zeros = 0u32;
-    while !r.read_bit()? {
-        zeros += 1;
+    let (window, real) = r.peek();
+    // Bits past the end of the data read as zero, so both checks are
+    // needed: the first bounds the shift and the suffix width below
+    // whatever the input, the second catches data that ends inside a
+    // prefix of legal length.
+    let zeros = window.leading_zeros();
+    if zeros > MAX_UE_ZEROS {
+        return Err(Error::Corrupt(format!("exp-golomb prefix longer than {MAX_UE_ZEROS} zeros")));
     }
+    if zeros >= real {
+        return Err(Error::Corrupt("bitstream exhausted".into()));
+    }
+    let len = 2 * zeros + 1;
+    if len <= real {
+        // The whole code is in the window: its top `len` bits are the
+        // zero prefix followed by `value + 1`.
+        r.consume(len);
+        return Ok((window >> (64 - len)) - 1);
+    }
+    r.consume(zeros + 1);
     let rest = r.read_bits(zeros)?;
     Ok(((1u64 << zeros) | rest) - 1)
 }
@@ -88,7 +117,7 @@ mod tests {
 
     #[test]
     fn sequence_round_trip() {
-        let values: Vec<u64> = vec![0, 1, 2, 3, 100, 65535, 1 << 40];
+        let values: Vec<u64> = vec![0, 1, 2, 3, 100, 65535, 1 << 32, (1 << 33) - 2];
         let mut w = BitWriter::new();
         for &v in &values {
             put_ue(&mut w, v);
@@ -105,7 +134,7 @@ mod tests {
     fn prop_ue_round_trip() {
         let mut rng = VrRng::seed_from(0xe960_0001);
         for _ in 0..512 {
-            let v = rng.below(1 << 48);
+            let v = rng.below((1 << 33) - 1);
             let mut w = BitWriter::new();
             put_ue(&mut w, v);
             let bytes = w.finish();
@@ -118,12 +147,45 @@ mod tests {
     fn prop_se_round_trip() {
         let mut rng = VrRng::seed_from(0xe960_0002);
         for _ in 0..512 {
-            let v = rng.range_i64(-(1i64 << 40), 1i64 << 40);
+            let v = rng.range_i64(-(1i64 << 32) + 1, (1i64 << 32) - 1);
             let mut w = BitWriter::new();
             put_se(&mut w, v);
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
             assert_eq!(read_se(&mut r).unwrap(), v);
+        }
+    }
+
+    /// Fail closed: 33 or more leading zeros is an error, not a shift
+    /// by 64 or a 65-bit field, and running out mid-code is an error.
+    #[test]
+    fn overlong_prefix_and_truncation_are_errors() {
+        for zeros in [33usize, 40, 63, 64, 65, 100, 200] {
+            let mut w = BitWriter::new();
+            for _ in 0..zeros {
+                w.put_bit(false);
+            }
+            w.put_bits(u64::MAX, 64);
+            w.put_bits(u64::MAX, 64);
+            let bytes = w.finish();
+            assert!(read_ue(&mut BitReader::new(&bytes)).is_err(), "{zeros} zeros");
+        }
+        assert!(read_ue(&mut BitReader::new(&[])).is_err());
+        assert!(read_ue(&mut BitReader::new(&[0, 0])).is_err());
+        assert!(read_ue(&mut BitReader::new(&[0; 16])).is_err());
+        // The widest accepted code: 32 zeros, then 33 bits.
+        let mut w = BitWriter::new();
+        put_ue(&mut w, (1 << 33) - 2);
+        assert_eq!(w.bit_len(), 65);
+        let bytes = w.finish();
+        assert_eq!(read_ue(&mut BitReader::new(&bytes)).unwrap(), (1 << 33) - 2);
+        assert!(read_ue(&mut BitReader::new(&bytes[..8])).is_err(), "suffix cut short");
+        // The widest se() of an i32 is inside that.
+        for v in [i32::MIN as i64, i32::MAX as i64] {
+            let mut w = BitWriter::new();
+            put_se(&mut w, v);
+            let bytes = w.finish();
+            assert_eq!(read_se(&mut BitReader::new(&bytes)).unwrap(), v);
         }
     }
 

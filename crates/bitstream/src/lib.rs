@@ -8,6 +8,8 @@
 pub mod bytesio;
 pub mod crc;
 pub mod expgolomb;
+#[cfg(test)]
+mod oracle;
 pub mod reader;
 pub mod writer;
 pub mod zigzag;

@@ -3,6 +3,10 @@
 use vr_base::{Error, Result};
 
 /// Reads bits most-significant-first from a byte slice.
+///
+/// Fields are cut out of a 64-bit big-endian window loaded at the
+/// cursor's byte, so a field costs one load and two shifts however
+/// wide it is; the only state is the bit cursor.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -31,19 +35,44 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
+    /// The upcoming bits, left-aligned in a `u64`, and how many of
+    /// them are real: at least 57 unless fewer remain. Bits past the
+    /// end of the data read as zero.
+    #[inline]
+    pub(crate) fn peek(&self) -> (u64, u32) {
+        let tail = self.data.get(self.pos / 8..).unwrap_or(&[]);
+        let word = match tail.first_chunk::<8>() {
+            Some(bytes) => u64::from_be_bytes(*bytes),
+            None => {
+                let mut bytes = [0u8; 8];
+                bytes[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(bytes)
+            }
+        };
+        let skew = (self.pos % 8) as u32;
+        (word << skew, self.remaining().min(64 - skew as usize) as u32)
+    }
+
+    /// Advance past `n` bits that [`peek`](Self::peek) reported real.
+    #[inline]
+    pub(crate) fn consume(&mut self, n: u32) {
+        debug_assert!(n as usize <= self.remaining());
+        self.pos += n as usize;
+    }
+
     /// Read one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool> {
-        if self.pos >= self.bit_len() {
+        let (window, real) = self.peek();
+        if real == 0 {
             return Err(Error::Corrupt("bitstream exhausted".into()));
         }
-        let byte = self.data[self.pos / 8];
-        let bit = (byte >> (7 - (self.pos % 8))) & 1;
         self.pos += 1;
-        Ok(bit == 1)
+        Ok(window >> 63 == 1)
     }
 
     /// Read an `n`-bit unsigned field, MSB first (`n <= 64`).
+    #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u64> {
         debug_assert!(n <= 64);
         if self.remaining() < n as usize {
@@ -52,11 +81,22 @@ impl<'a> BitReader<'a> {
                 self.remaining()
             )));
         }
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        // A window holds 57 real bits at the worst skew; wider fields
+        // take their low 32 bits from a second window.
+        if n > 57 {
+            let hi = self.take(n - 32);
+            return Ok(hi << 32 | self.take(32));
         }
-        Ok(v)
+        Ok(self.take(n))
+    }
+
+    /// Cut an `n <= 57`-bit field known to be available.
+    #[inline]
+    fn take(&mut self, n: u32) -> u64 {
+        let (window, _) = self.peek();
+        self.pos += n as usize;
+        // Two shifts, so that `n == 0` does not shift by 64.
+        window >> 1 >> (63 - n)
     }
 
     /// Skip to the next byte boundary.

@@ -2,15 +2,17 @@
 
 /// Accumulates bits most-significant-first into a byte buffer.
 ///
-/// The final partial byte (if any) is zero-padded when the buffer is
-/// taken with [`finish`](BitWriter::finish), matching the reader's
+/// Fields are shifted into a 64-bit accumulator that is flushed eight
+/// bytes at a time, so a field costs a shift and an OR however wide it
+/// is. The final partial byte (if any) is zero-padded when the buffer
+/// is taken with [`finish`](BitWriter::finish), matching the reader's
 /// expectation that trailing pad bits are zero.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits currently staged in `acc` (0..8).
+    /// Bits currently staged in the low end of `acc` (0..64).
     nbits: u32,
-    acc: u8,
+    acc: u64,
 }
 
 impl BitWriter {
@@ -27,22 +29,31 @@ impl BitWriter {
     /// Write a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {
-        self.acc = (self.acc << 1) | bit as u8;
-        self.nbits += 1;
-        if self.nbits == 8 {
-            self.buf.push(self.acc);
-            self.acc = 0;
-            self.nbits = 0;
-        }
+        self.put_bits(bit as u64, 1);
     }
 
     /// Write the `n` least-significant bits of `value`, MSB first.
     /// `n` may be 0 (no-op) up to 64.
+    #[inline]
     pub fn put_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.put_bit((value >> i) & 1 == 1);
+        if n == 0 {
+            return;
         }
+        let value = value & (u64::MAX >> (64 - n));
+        let free = 64 - self.nbits;
+        if n < free {
+            self.acc = self.acc << n | value;
+            self.nbits += n;
+            return;
+        }
+        // The field fills the accumulator: flush it with the field's
+        // top `free` bits and stage the remaining `spill` bits.
+        let spill = n - free;
+        let head = if free == 64 { 0 } else { self.acc << free };
+        self.buf.extend_from_slice(&(head | value >> spill).to_be_bytes());
+        self.acc = if spill == 0 { 0 } else { value & (u64::MAX >> (64 - spill)) };
+        self.nbits = spill;
     }
 
     /// Number of bits written so far.
@@ -52,14 +63,17 @@ impl BitWriter {
 
     /// Pad to a byte boundary with zero bits.
     pub fn align(&mut self) {
-        while self.nbits != 0 {
-            self.put_bit(false);
-        }
+        self.put_bits(0, (8 - self.nbits % 8) % 8);
     }
 
     /// Finish writing: pad to a byte boundary and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         self.align();
+        let staged = (self.nbits / 8) as usize;
+        if staged > 0 {
+            let bytes = (self.acc << (64 - self.nbits)).to_be_bytes();
+            self.buf.extend_from_slice(&bytes[..staged]);
+        }
         self.buf
     }
 }

@@ -1,13 +1,13 @@
 //! The video decoder: the exact mirror of the encoder's
 //! reconstruction path.
 
-use crate::blocks::{scatter, PlaneRef};
-use crate::common::{chroma_mv, intra_flat_pred, mb_grid, MB};
+use crate::blocks::{PlaneMut, PlaneRef};
+use crate::common::{chroma_mv, intra_flat_pred, mb_blocks, mb_grid, quadrant, reconstruct, MB};
 use crate::entropy::{read_block, read_mv};
 use crate::motion::MotionVector;
 use crate::packet::{FrameType, VideoInfo};
-use crate::quant::dequantize;
-use crate::transform::{idct, BLOCK, N};
+use crate::quant::qstep;
+use crate::transform::N;
 use std::sync::Arc;
 use vr_base::{Error, FramePool, Result};
 use vr_bitstream::BitReader;
@@ -69,20 +69,14 @@ impl Decoder {
 
     fn decode_intra(&self, r: &mut BitReader<'_>, recon: &mut Frame, qp: u8) -> Result<()> {
         let dc_pred = self.info.profile.intra_dc_prediction();
-        let (w, h) = (self.info.width, self.info.height);
-        let (mb_cols, mb_rows) = mb_grid(w, h);
-        let (cw, ch) = recon.chroma_dims();
+        let (mb_cols, mb_rows) = mb_grid(self.info.width, self.info.height);
+        let step = qstep(qp);
+        let mut recon = PlaneMut::of(recon);
         for mby in 0..mb_rows {
             for mbx in 0..mb_cols {
                 let bx = (mbx as i32) * MB as i32;
                 let by = (mby as i32) * MB as i32;
-                for sub in 0..4 {
-                    let sx = bx + (sub % 2) * N as i32;
-                    let sy = by + (sub / 2) * N as i32;
-                    decode_intra_block(&mut recon.y, w, h, sx, sy, qp, dc_pred, r)?;
-                }
-                decode_intra_block(&mut recon.u, cw, ch, bx / 2, by / 2, qp, dc_pred, r)?;
-                decode_intra_block(&mut recon.v, cw, ch, bx / 2, by / 2, qp, dc_pred, r)?;
+                decode_intra_mb(&mut recon, bx, by, step, dc_pred, r)?;
             }
         }
         Ok(())
@@ -97,9 +91,10 @@ impl Decoder {
     ) -> Result<()> {
         let profile = self.info.profile;
         let dc_pred = profile.intra_dc_prediction();
-        let (w, h) = (self.info.width, self.info.height);
-        let (mb_cols, mb_rows) = mb_grid(w, h);
-        let (cw, ch) = recon.chroma_dims();
+        let (mb_cols, mb_rows) = mb_grid(self.info.width, self.info.height);
+        let step = qstep(qp);
+        let refs = PlaneRef::of(reference);
+        let mut recon = PlaneMut::of(recon);
         for mby in 0..mb_rows {
             let mut mv_pred = MotionVector::default();
             for mbx in 0..mb_cols {
@@ -111,23 +106,24 @@ impl Decoder {
                         if profile.predictive_mv() { mv_pred } else { MotionVector::default() };
                     let mv = read_mv(r, pred)?;
                     mv_pred = mv;
-                    for sub in 0..4 {
-                        let sx = bx + (sub % 2) * N as i32;
-                        let sy = by + (sub / 2) * N as i32;
-                        decode_inter_block(&reference.y, &mut recon.y, w, h, sx, sy, mv, qp, r)?;
-                    }
+                    let inside = refs[0].contains(bx, by, MB);
+                    let (rx, ry) = (bx + mv.dx as i32, by + mv.dy as i32);
+                    let luma_pred = refs[0].gather::<MB>(rx, ry, refs[0].contains(rx, ry, MB));
                     let cmv = chroma_mv(mv);
-                    decode_inter_block(&reference.u, &mut recon.u, cw, ch, bx / 2, by / 2, cmv, qp, r)?;
-                    decode_inter_block(&reference.v, &mut recon.v, cw, ch, bx / 2, by / 2, cmv, qp, r)?;
+                    let (cx, cy) = (bx / 2 + cmv.dx as i32, by / 2 + cmv.dy as i32);
+                    let chroma_inside = refs[1].contains(cx, cy, N);
+                    for (i, &(p, x0, y0)) in mb_blocks(bx, by).iter().enumerate() {
+                        let pred = if p == 0 {
+                            quadrant(&luma_pred, i)
+                        } else {
+                            refs[p].gather(cx, cy, chroma_inside)
+                        };
+                        let block = reconstruct(&read_block(r)?, step, &pred);
+                        recon[p].scatter(x0, y0, inside, &block);
+                    }
                 } else {
                     mv_pred = MotionVector::default();
-                    for sub in 0..4 {
-                        let sx = bx + (sub % 2) * N as i32;
-                        let sy = by + (sub / 2) * N as i32;
-                        decode_intra_block(&mut recon.y, w, h, sx, sy, qp, dc_pred, r)?;
-                    }
-                    decode_intra_block(&mut recon.u, cw, ch, bx / 2, by / 2, qp, dc_pred, r)?;
-                    decode_intra_block(&mut recon.v, cw, ch, bx / 2, by / 2, qp, dc_pred, r)?;
+                    decode_intra_mb(&mut recon, bx, by, step, dc_pred, r)?;
                 }
             }
         }
@@ -135,48 +131,22 @@ impl Decoder {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn decode_intra_block(
-    recon: &mut [u8],
-    width: u32,
-    height: u32,
-    x0: i32,
-    y0: i32,
-    qp: u8,
+/// Decode the six blocks of an intra macroblock, each against the flat
+/// predictor taken from what `recon` holds so far.
+fn decode_intra_mb(
+    recon: &mut [PlaneMut<'_>; 3],
+    bx: i32,
+    by: i32,
+    step: f32,
     dc_pred: bool,
     r: &mut BitReader<'_>,
 ) -> Result<()> {
-    let pred = intra_flat_pred(recon, width, height, x0, y0, N, dc_pred);
-    let levels = read_block(r)?;
-    let mut rec = idct(&dequantize(&levels, qp));
-    for v in &mut rec {
-        *v += pred;
+    let inside = recon[0].as_ref().contains(bx, by, MB);
+    for &(p, x0, y0) in &mb_blocks(bx, by) {
+        let pred = [[intra_flat_pred(&recon[p].as_ref(), x0, y0, dc_pred); N]; N];
+        let block = reconstruct(&read_block(r)?, step, &pred);
+        recon[p].scatter(x0, y0, inside, &block);
     }
-    scatter(recon, width, height, x0, y0, N, &rec);
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decode_inter_block(
-    reference: &[u8],
-    recon: &mut [u8],
-    width: u32,
-    height: u32,
-    x0: i32,
-    y0: i32,
-    mv: MotionVector,
-    qp: u8,
-    r: &mut BitReader<'_>,
-) -> Result<()> {
-    let rplane = PlaneRef::new(reference, width, height);
-    let mut pred = [0.0f32; BLOCK];
-    rplane.gather(x0 + mv.dx as i32, y0 + mv.dy as i32, N, &mut pred);
-    let levels = read_block(r)?;
-    let mut rec = idct(&dequantize(&levels, qp));
-    for (v, p) in rec.iter_mut().zip(&pred) {
-        *v += p;
-    }
-    scatter(recon, width, height, x0, y0, N, &rec);
     Ok(())
 }
 
@@ -305,64 +275,141 @@ mod tests {
 mod robustness_tests {
     use super::*;
     use crate::packet::Profile;
-    use vr_base::{FrameRate, VrRng};
+    use crate::testutil::moving_square_sequence;
+    use crate::{encode_sequence, EncodedVideo, EncoderConfig};
+    use vr_base::VrRng;
 
-    fn info() -> VideoInfo {
-        VideoInfo {
-            profile: Profile::H264Like,
-            width: 64,
-            height: 64,
-            frame_rate: FrameRate(30),
-            gop: 8,
-        }
+    /// A short real stream per profile: packet 0 is the keyframe, the
+    /// rest are P-frames carrying inter macroblocks and motion vectors.
+    fn streams() -> Vec<EncodedVideo> {
+        let frames = moving_square_sequence(64, 64, 4, 5);
+        [Profile::H264Like, Profile::HevcLike]
+            .into_iter()
+            .map(|p| {
+                encode_sequence(&EncoderConfig::constant_qp(24).with_profile(p), &frames).unwrap()
+            })
+            .collect()
     }
 
-    /// Arbitrary bytes must never panic the decoder — they decode
-    /// or they error. Seeded randomized sweep (the former proptest
-    /// case).
+    /// A decoder that has decoded `video`'s keyframe, so it holds the
+    /// reference a P-frame needs and `decode_inter`/`read_mv` run.
+    fn primed(video: &EncodedVideo) -> Decoder {
+        let mut dec = Decoder::new(video.info);
+        dec.decode(&video.packets[0].data).unwrap();
+        dec
+    }
+
+    /// Feed `data` both as a first packet and after a real keyframe.
+    /// Returns whether the primed decode was an error.
+    fn decode_both_ways(video: &EncodedVideo, data: &[u8]) -> bool {
+        let _ = Decoder::new(video.info).decode(data);
+        primed(video).decode(data).is_err()
+    }
+
+    /// Arbitrary bytes must never panic the decoder — they decode or
+    /// they error — whether they claim to be an I-frame or a P-frame.
+    /// Seeded randomized sweep (the former proptest case).
     #[test]
     fn prop_garbage_never_panics() {
+        let videos = streams();
         let mut rng = VrRng::seed_from(0xdec0_0001);
-        for _ in 0..256 {
+        let mut inter_errors = 0;
+        for case in 0..512 {
             let len = rng.range(0, 511);
-            let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
-            let mut dec = Decoder::new(info());
-            let _ = dec.decode(&data);
+            let mut data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+            // Half the cases carry a valid P-frame header, so the
+            // garbage is parsed as macroblock modes, vectors and blocks.
+            if case % 2 == 1 && data.len() >= 2 {
+                data[0] = FrameType::Inter.to_u8();
+                data[1] %= crate::quant::MAX_QP + 1;
+                inter_errors += decode_both_ways(&videos[case / 2 % 2], &data) as u32;
+            } else {
+                decode_both_ways(&videos[case / 2 % 2], &data);
+            }
+        }
+        assert!(inter_errors > 0, "the sweep must reach the inter error paths");
+    }
+
+    /// Randomly truncating or flipping bits of a real packet — the
+    /// keyframe or a P-frame — must never panic (errors are fine;
+    /// silent wrong output is fine too — corruption detection is the
+    /// container's CRC's job).
+    #[test]
+    fn prop_mutated_packets_never_panic() {
+        let videos = streams();
+        let mut rng = VrRng::seed_from(0xdec0_0002);
+        for case in 0..512 {
+            let video = &videos[case % 2];
+            let packet = &video.packets[case / 2 % video.packets.len()];
+            let (cut, flip) = (rng.range(0, 999), rng.range(0, 999));
+            let mut data = packet.data.clone();
+            data.truncate((cut % data.len()).max(1));
+            let f = flip % data.len();
+            data[f] ^= 0x55;
+            decode_both_ways(video, &data);
+            // Bit flips alone keep the length, so damage lands deep in
+            // the macroblock stream rather than at its truncated end.
+            let mut data = packet.data.clone();
+            for _ in 0..rng.range(1, 4) {
+                let bit = rng.range(16, data.len() * 8 - 1);
+                data[bit / 8] ^= 0x80 >> (bit % 8);
+            }
+            decode_both_ways(video, &data);
         }
     }
 
-    /// Randomly truncating or flipping bits of a real packet must
-    /// never panic (errors are fine; silent wrong output is fine
-    /// too — corruption detection is the container's CRC's job).
+    /// Motion vectors that run the predictor out of `i16`, and zero
+    /// prefixes longer than any code, are errors in a P-frame — not an
+    /// overflow panic, a wrapped vector or a shift by 64. Each packet
+    /// is otherwise complete, so the hostile field is the only thing
+    /// there is to reject.
     #[test]
-    fn prop_mutated_packets_never_panic() {
-        let frames = crate::testutil::moving_square_sequence(64, 64, 2, 5);
-        let video =
-            crate::encode_sequence(&crate::EncoderConfig::constant_qp(24), &frames).unwrap();
-        let mut rng = VrRng::seed_from(0xdec0_0002);
-        for _ in 0..256 {
-            let (cut, flip) = (rng.range(0, 999), rng.range(0, 999));
-            let mut data = video.packets[0].data.clone();
-            if !data.is_empty() {
-                let c = cut % data.len();
-                data.truncate(c.max(1));
-                let f = flip % data.len();
-                data[f] ^= 0x55;
+    fn hostile_p_frames_are_errors() {
+        use vr_bitstream::expgolomb::put_se;
+        use vr_bitstream::BitWriter;
+        let video = &streams()[1]; // HEVC-like: predictive MVs
+                                   // A 64×64 P-frame of 16 macroblocks with empty blocks: the
+                                   // first `mvs.len()` inter with the given `dx` differences, the
+                                   // rest intra.
+        let packet = |mvs: &[i64]| {
+            let mut w = BitWriter::new();
+            w.put_bits(FrameType::Inter.to_u8() as u64, 8);
+            w.put_bits(24, 8);
+            for mb in 0..16 {
+                w.put_bit(mb < mvs.len());
+                if let Some(&dx) = mvs.get(mb) {
+                    put_se(&mut w, dx);
+                    put_se(&mut w, 0);
+                }
+                w.put_bits(0b11_1111, 6); // six ue(0): empty blocks
             }
-            let mut dec = Decoder::new(info());
-            let _ = dec.decode(&data);
-        }
+            w.finish()
+        };
+        let rejected = |data: &[u8], why: &str| {
+            let err = primed(video).decode(data).expect_err(why).to_string();
+            assert!(err.contains(why), "{err}");
+        };
+        primed(video).decode(&packet(&[20_000, -20_000, 7])).unwrap();
+        // Two differences whose running sum passes i16::MAX.
+        rejected(&packet(&[20_000, 20_000]), "motion vector");
+        // A difference that does not fit i16 at all.
+        rejected(&packet(&[1 << 20]), "motion vector");
+        // A 40-zero prefix with a well-formed suffix behind it.
+        let mut data = packet(&[]);
+        data.truncate(2);
+        data.extend_from_slice(&[0x80, 0, 0, 0, 0, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
+        rejected(&data, "prefix");
     }
 
     /// Deterministic spot-check on many seeds (cheap, not proptest).
     #[test]
     fn random_bytes_mass_test() {
+        let video = &streams()[0];
         let mut rng = VrRng::seed_from(77);
         for _ in 0..200 {
             let len = rng.range(0, 300);
             let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
-            let mut dec = Decoder::new(info());
-            let _ = dec.decode(&data);
+            decode_both_ways(video, &data);
         }
     }
 }

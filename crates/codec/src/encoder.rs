@@ -1,13 +1,13 @@
 //! The video encoder.
 
-use crate::blocks::{scatter, PlaneRef};
-use crate::common::{chroma_mv, intra_flat_pred, mb_grid, MB};
+use crate::blocks::{Block, PlaneMut, PlaneRef};
+use crate::common::{chroma_mv, intra_flat_pred, mb_blocks, mb_grid, quadrant, reconstruct, MB};
 use crate::entropy::{put_block, put_mv};
 use crate::motion::{diamond_search, MotionVector};
 use crate::packet::{FrameType, Packet, Profile, RateControlMode, VideoInfo};
-use crate::quant::{dequantize, quantize, qstep};
+use crate::quant::{qstep, quantize, Levels};
 use crate::ratecontrol::RateController;
-use crate::transform::{dct, idct, BLOCK, N};
+use crate::transform::{dct, BLOCK, N};
 use std::sync::Arc;
 use vr_base::{Error, FramePool, FrameRate, Result};
 use vr_bitstream::BitWriter;
@@ -174,22 +174,16 @@ impl Encoder {
     fn encode_intra(&self, frame: &Frame, recon: &mut Frame, qp: u8, w: &mut BitWriter) {
         let dc_pred = self.cfg.profile.intra_dc_prediction();
         let (mb_cols, mb_rows) = mb_grid(self.width, self.height);
+        let step = qstep(qp);
+        let src = PlaneRef::of(frame);
+        let mut recon = PlaneMut::of(recon);
         for mby in 0..mb_rows {
             for mbx in 0..mb_cols {
                 let bx = (mbx as i32) * MB as i32;
                 let by = (mby as i32) * MB as i32;
-                // Four 8x8 luma blocks.
-                for sub in 0..4 {
-                    let sx = bx + (sub % 2) * N as i32;
-                    let sy = by + (sub / 2) * N as i32;
-                    encode_intra_block(
-                        &frame.y, &mut recon.y, self.width, self.height, sx, sy, qp, dc_pred, w,
-                    );
-                }
-                // One 8x8 block per chroma plane.
-                let (cw, ch) = frame.chroma_dims();
-                encode_intra_block(&frame.u, &mut recon.u, cw, ch, bx / 2, by / 2, qp, dc_pred, w);
-                encode_intra_block(&frame.v, &mut recon.v, cw, ch, bx / 2, by / 2, qp, dc_pred, w);
+                let inside = src[0].contains(bx, by, MB);
+                let cur = src[0].gather::<MB>(bx, by, inside);
+                encode_intra_mb(&src, &mut recon, &cur, bx, by, inside, step, dc_pred, w);
             }
         }
     }
@@ -205,25 +199,30 @@ impl Encoder {
         let profile = self.cfg.profile;
         let dc_pred = profile.intra_dc_prediction();
         let (mb_cols, mb_rows) = mb_grid(self.width, self.height);
-        let lambda = qstep(qp) * 6.0;
-        let (cw, ch) = frame.chroma_dims();
+        let step = qstep(qp);
+        let lambda = step * 6.0;
+        let src = PlaneRef::of(frame);
+        let refs = PlaneRef::of(reference);
+        let mut recon = PlaneMut::of(recon);
         for mby in 0..mb_rows {
             // MV predictor resets at each row (decoder does the same).
             let mut mv_pred = MotionVector::default();
             for mbx in 0..mb_cols {
                 let bx = (mbx as i32) * MB as i32;
                 let by = (mby as i32) * MB as i32;
-                let cur = PlaneRef::new(&frame.y, self.width, self.height);
-                let refp = PlaneRef::new(&reference.y, self.width, self.height);
+                let inside = src[0].contains(bx, by, MB);
+                let cur = src[0].gather::<MB>(bx, by, inside);
                 let seed = if profile.predictive_mv() { mv_pred } else { MotionVector::default() };
-                let me = diamond_search(&cur, &refp, bx, by, MB, seed, profile.search_range());
+                let me = diamond_search(&cur, &refs[0], bx, by, seed, profile.search_range());
 
                 // Intra cost: SAD against the block's own mean (a
                 // proxy for how well flat intra prediction will do).
-                let mut block = [0.0f32; MB * MB];
-                cur.gather(bx, by, MB, &mut block);
-                let mean: f32 = block.iter().sum::<f32>() / (MB * MB) as f32;
-                let intra_sad: f32 = block.iter().map(|&p| (p - mean).abs()).sum();
+                // Both sums feed the mode decision below, so they stay
+                // sequential f32 sums in raster order.
+                let mean: f32 =
+                    cur.as_flattened().iter().map(|&p| p as f32).sum::<f32>() / (MB * MB) as f32;
+                let intra_sad: f32 =
+                    cur.as_flattened().iter().map(|&p| (p as f32 - mean).abs()).sum();
                 let mv_cost = ((me.mv.dx - seed.dx).unsigned_abs() as f32
                     + (me.mv.dy - seed.dy).unsigned_abs() as f32)
                     * lambda
@@ -232,119 +231,77 @@ impl Encoder {
 
                 if inter_cost <= intra_sad {
                     w.put_bit(true); // inter MB
-                    let pred = if profile.predictive_mv() { mv_pred } else { MotionVector::default() };
-                    put_mv(w, me.mv, pred);
+                    put_mv(w, me.mv, seed);
                     mv_pred = me.mv;
-                    // Luma residual blocks against motion-compensated
+                    // Residual blocks against motion-compensated
                     // prediction from the reconstructed reference.
-                    for sub in 0..4 {
-                        let sx = bx + (sub % 2) * N as i32;
-                        let sy = by + (sub / 2) * N as i32;
-                        encode_inter_block(
-                            &frame.y,
-                            &reference.y,
-                            &mut recon.y,
-                            self.width,
-                            self.height,
-                            sx,
-                            sy,
-                            me.mv,
-                            qp,
-                            w,
-                        );
-                    }
+                    let (dx, dy) = (me.mv.dx as i32, me.mv.dy as i32);
+                    let luma_pred = refs[0].gather::<MB>(
+                        bx + dx,
+                        by + dy,
+                        refs[0].contains(bx + dx, by + dy, MB),
+                    );
                     let cmv = chroma_mv(me.mv);
-                    encode_inter_block(
-                        &frame.u, &reference.u, &mut recon.u, cw, ch, bx / 2, by / 2, cmv, qp, w,
-                    );
-                    encode_inter_block(
-                        &frame.v, &reference.v, &mut recon.v, cw, ch, bx / 2, by / 2, cmv, qp, w,
-                    );
+                    let (cx, cy) = (bx / 2 + cmv.dx as i32, by / 2 + cmv.dy as i32);
+                    let chroma_inside = refs[1].contains(cx, cy, N);
+                    for (i, &(p, x0, y0)) in mb_blocks(bx, by).iter().enumerate() {
+                        let (block, pred) = if p == 0 {
+                            (quadrant(&cur, i), quadrant(&luma_pred, i))
+                        } else {
+                            (src[p].gather(x0, y0, inside), refs[p].gather(cx, cy, chroma_inside))
+                        };
+                        recon[p].scatter(x0, y0, inside, &encode_block(&block, &pred, step, w));
+                    }
                 } else {
                     w.put_bit(false); // intra MB
                     mv_pred = MotionVector::default();
-                    for sub in 0..4 {
-                        let sx = bx + (sub % 2) * N as i32;
-                        let sy = by + (sub / 2) * N as i32;
-                        encode_intra_block(
-                            &frame.y, &mut recon.y, self.width, self.height, sx, sy, qp, dc_pred,
-                            w,
-                        );
-                    }
-                    encode_intra_block(
-                        &frame.u, &mut recon.u, cw, ch, bx / 2, by / 2, qp, dc_pred, w,
-                    );
-                    encode_intra_block(
-                        &frame.v, &mut recon.v, cw, ch, bx / 2, by / 2, qp, dc_pred, w,
-                    );
+                    encode_intra_mb(&src, &mut recon, &cur, bx, by, inside, step, dc_pred, w);
                 }
             }
         }
     }
 }
 
-/// Encode one 8×8 intra block: subtract the flat predictor, transform,
-/// quantize, entropy-code, and reconstruct into `recon`.
+/// Encode the six blocks of an intra macroblock, each against the flat
+/// predictor taken from what `recon` holds so far. `cur` is the luma
+/// macroblock, `inside` whether it lies wholly inside the frame.
 #[allow(clippy::too_many_arguments)]
-fn encode_intra_block(
-    src: &[u8],
-    recon: &mut [u8],
-    width: u32,
-    height: u32,
-    x0: i32,
-    y0: i32,
-    qp: u8,
+fn encode_intra_mb(
+    src: &[PlaneRef<'_>; 3],
+    recon: &mut [PlaneMut<'_>; 3],
+    cur: &Block<MB>,
+    bx: i32,
+    by: i32,
+    inside: bool,
+    step: f32,
     dc_pred: bool,
     w: &mut BitWriter,
 ) {
-    let pred = intra_flat_pred(recon, width, height, x0, y0, N, dc_pred);
-    let plane = PlaneRef::new(src, width, height);
-    let mut block = [0.0f32; BLOCK];
-    plane.gather(x0, y0, N, &mut block);
-    for v in &mut block {
-        *v -= pred;
+    for (i, &(p, x0, y0)) in mb_blocks(bx, by).iter().enumerate() {
+        let block = if p == 0 { quadrant(cur, i) } else { src[p].gather(x0, y0, inside) };
+        let pred = [[intra_flat_pred(&recon[p].as_ref(), x0, y0, dc_pred); N]; N];
+        recon[p].scatter(x0, y0, inside, &encode_block(&block, &pred, step, w));
     }
-    let levels = quantize(&dct(&block), qp);
-    put_block(w, &levels);
-    // Closed-loop reconstruction.
-    let mut rec = idct(&dequantize(&levels, qp));
-    for v in &mut rec {
-        *v += pred;
-    }
-    scatter(recon, width, height, x0, y0, N, &rec);
 }
 
-/// Encode one 8×8 inter block: motion-compensated prediction from the
-/// reference, residual transform, and reconstruction.
-#[allow(clippy::too_many_arguments)]
-fn encode_inter_block(
-    src: &[u8],
-    reference: &[u8],
-    recon: &mut [u8],
-    width: u32,
-    height: u32,
-    x0: i32,
-    y0: i32,
-    mv: MotionVector,
-    qp: u8,
-    w: &mut BitWriter,
-) {
-    let splane = PlaneRef::new(src, width, height);
-    let rplane = PlaneRef::new(reference, width, height);
-    let mut block = [0.0f32; BLOCK];
-    let mut pred = [0.0f32; BLOCK];
-    splane.gather(x0, y0, N, &mut block);
-    rplane.gather(x0 + mv.dx as i32, y0 + mv.dy as i32, N, &mut pred);
-    for (b, p) in block.iter_mut().zip(&pred) {
-        *b -= p;
-    }
-    let levels = quantize(&dct(&block), qp);
+/// Encode one 8×8 block against its prediction — transform the
+/// residual, quantize, entropy-code — and return the closed-loop
+/// reconstruction.
+fn encode_block(src: &Block<N>, pred: &Block<N>, step: f32, w: &mut BitWriter) -> Block<N> {
+    // A block equal to its prediction has an all `+0.0` residual, whose
+    // DCT is all `+0.0` and quantizes to all-zero levels: skip to that.
+    let levels = if src == pred {
+        Levels::ZERO
+    } else {
+        let mut residual = [0.0f32; BLOCK];
+        let samples = src.as_flattened().iter().zip(pred.as_flattened());
+        for (r, (&s, &p)) in residual.iter_mut().zip(samples) {
+            *r = s as f32 - p as f32;
+        }
+        quantize(&dct(&residual), step)
+    };
     put_block(w, &levels);
-    let mut rec = idct(&dequantize(&levels, qp));
-    for (r, p) in rec.iter_mut().zip(&pred) {
-        *r += p;
-    }
-    scatter(recon, width, height, x0, y0, N, &rec);
+    reconstruct(&levels, step, pred)
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! adaptive VLC tables.
 
 use crate::motion::MotionVector;
+use crate::quant::Levels;
 use crate::transform::{BLOCK, N};
-use vr_base::Result;
+use vr_base::{Error, Result};
 use vr_bitstream::expgolomb::{put_se, put_ue, read_se, read_ue};
 use vr_bitstream::zigzag;
 use vr_bitstream::{BitReader, BitWriter};
@@ -25,7 +26,12 @@ fn scan() -> &'static [usize; BLOCK] {
 }
 
 /// Encode one quantized 8×8 block.
-pub fn put_block(w: &mut BitWriter, levels: &[i32; BLOCK]) {
+pub fn put_block(w: &mut BitWriter, block: &Levels) {
+    if block.is_zero() {
+        put_ue(w, 0);
+        return;
+    }
+    let levels = &block.levels;
     let order = scan();
     // Collect (run, level) pairs in scan order. A block holds at most
     // BLOCK nonzero coefficients, so a fixed stack array suffices —
@@ -51,25 +57,33 @@ pub fn put_block(w: &mut BitWriter, levels: &[i32; BLOCK]) {
 }
 
 /// Decode one quantized 8×8 block.
-pub fn read_block(r: &mut BitReader<'_>) -> Result<[i32; BLOCK]> {
-    let order = scan();
-    let mut levels = [0i32; BLOCK];
+pub fn read_block(r: &mut BitReader<'_>) -> Result<Levels> {
     let nnz = read_ue(r)? as usize;
-    if nnz > BLOCK {
-        return Err(vr_base::Error::Corrupt(format!("block nnz {nnz} > {BLOCK}")));
+    if nnz == 0 {
+        return Ok(Levels::ZERO);
     }
+    if nnz > BLOCK {
+        return Err(Error::Corrupt(format!("block nnz {nnz} > {BLOCK}")));
+    }
+    let order = scan();
+    let mut block = Levels::ZERO;
     let mut pos = 0usize;
     for _ in 0..nnz {
         let run = read_ue(r)? as usize;
         pos += run;
         if pos >= BLOCK {
-            return Err(vr_base::Error::Corrupt("coefficient run overflows block".into()));
+            return Err(Error::Corrupt("coefficient run overflows block".into()));
         }
-        let level = read_se(r)?;
-        levels[order[pos]] = level as i32;
+        let level = read_se(r)? as i32;
+        let idx = order[pos];
+        block.levels[idx] = level;
+        if level != 0 {
+            block.rows |= 1 << (idx / N);
+            block.cols |= 1 << (idx % N);
+        }
         pos += 1;
     }
-    Ok(levels)
+    Ok(block)
 }
 
 /// Encode a motion vector differentially against a predictor.
@@ -78,11 +92,16 @@ pub fn put_mv(w: &mut BitWriter, mv: MotionVector, pred: MotionVector) {
     put_se(w, (mv.dy - pred.dy) as i64);
 }
 
-/// Decode a motion vector coded against a predictor.
+/// Decode a motion vector coded against a predictor. A difference or
+/// a sum outside `i16` is damage: no encoder writes one.
 pub fn read_mv(r: &mut BitReader<'_>, pred: MotionVector) -> Result<MotionVector> {
-    let dx = read_se(r)? as i16 + pred.dx;
-    let dy = read_se(r)? as i16 + pred.dy;
-    Ok(MotionVector { dx, dy })
+    let mut component = |pred: i16| -> Result<i16> {
+        i16::try_from(read_se(r)?)
+            .ok()
+            .and_then(|d| d.checked_add(pred))
+            .ok_or_else(|| Error::Corrupt("motion vector out of range".into()))
+    };
+    Ok(MotionVector { dx: component(pred.dx)?, dy: component(pred.dy)? })
 }
 
 #[cfg(test)]
@@ -93,11 +112,11 @@ mod tests {
     #[test]
     fn empty_block_costs_one_symbol() {
         let mut w = BitWriter::new();
-        put_block(&mut w, &[0i32; BLOCK]);
+        put_block(&mut w, &Levels::ZERO);
         assert_eq!(w.bit_len(), 1, "all-zero block must cost one bit (ue(0))");
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(read_block(&mut r).unwrap(), [0i32; BLOCK]);
+        assert_eq!(read_block(&mut r).unwrap(), Levels::ZERO);
     }
 
     #[test]
@@ -105,10 +124,10 @@ mod tests {
         let mut levels = [0i32; BLOCK];
         levels[0] = -17;
         let mut w = BitWriter::new();
-        put_block(&mut w, &levels);
+        put_block(&mut w, &Levels::new(levels));
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(read_block(&mut r).unwrap(), levels);
+        assert_eq!(read_block(&mut r).unwrap(), Levels::new(levels));
     }
 
     #[test]
@@ -121,9 +140,9 @@ mod tests {
             *l = (i as i32 % 7) - 3;
         }
         let mut ws = BitWriter::new();
-        put_block(&mut ws, &sparse);
+        put_block(&mut ws, &Levels::new(sparse));
         let mut wd = BitWriter::new();
-        put_block(&mut wd, &dense);
+        put_block(&mut wd, &Levels::new(dense));
         assert!(ws.bit_len() * 4 < wd.bit_len());
     }
 
@@ -141,6 +160,26 @@ mod tests {
         let mut w2 = BitWriter::new();
         put_mv(&mut w2, mv, MotionVector::default());
         assert!(near_bits < w2.bit_len());
+    }
+
+    #[test]
+    fn mv_overflow_is_rejected() {
+        let code = |d: i64| {
+            let mut w = BitWriter::new();
+            put_se(&mut w, d);
+            put_se(&mut w, 0);
+            w.finish()
+        };
+        let pred = MotionVector { dx: i16::MAX, dy: 0 };
+        assert!(read_mv(&mut BitReader::new(&code(1)), pred).is_err(), "sum overflows");
+        assert!(read_mv(&mut BitReader::new(&code(-1)), pred).is_ok());
+        let zero = MotionVector::default();
+        assert!(read_mv(&mut BitReader::new(&code(i16::MAX as i64 + 1)), zero).is_err());
+        assert!(read_mv(&mut BitReader::new(&code(i16::MIN as i64 - 1)), zero).is_err());
+        assert_eq!(
+            read_mv(&mut BitReader::new(&code(i16::MIN as i64)), zero).unwrap(),
+            MotionVector { dx: i16::MIN, dy: 0 }
+        );
     }
 
     #[test]
@@ -175,10 +214,15 @@ mod tests {
                     levels[idx] = rng.range_i64(-200, 200) as i32;
                 }
                 let mut w = BitWriter::new();
-                put_block(&mut w, &levels);
+                put_block(&mut w, &Levels::new(levels));
                 let bytes = w.finish();
                 let mut r = BitReader::new(&bytes);
-                assert_eq!(read_block(&mut r).unwrap(), levels, "seed {seed} density {density}");
+                // Equality covers the row/column masks too.
+                assert_eq!(
+                    read_block(&mut r).unwrap(),
+                    Levels::new(levels),
+                    "seed {seed} density {density}"
+                );
             }
         }
     }

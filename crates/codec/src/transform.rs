@@ -89,16 +89,41 @@ pub fn dct(block: &[f32; BLOCK]) -> [f32; BLOCK] {
     out
 }
 
-/// Inverse DCT of an 8×8 coefficient block.
-pub fn idct(coeffs: &[f32; BLOCK]) -> [f32; BLOCK] {
+/// The indices of the set bits of `mask`, ascending, and their count.
+#[inline]
+fn set_bits(mask: u8) -> ([usize; N], usize) {
+    let mut idx = [0usize; N];
+    let mut n = 0;
+    for i in 0..N {
+        idx[n] = i;
+        n += (mask >> i & 1) as usize;
+    }
+    (idx, n)
+}
+
+/// Inverse DCT of an 8×8 coefficient block whose nonzero coefficients
+/// all lie in the rows of `rows` and the columns of `cols` (bit masks,
+/// as [`crate::quant::Levels`] reports them; supersets are fine).
+///
+/// Bit-identical to the dense transform. Every accumulator starts at
+/// `+0.0` and takes its products in ascending index order; a product
+/// with a zero coefficient is `±0.0`, and adding `±0.0` to `+0.0` or
+/// to a nonzero value returns it unchanged — and an accumulator is
+/// never `-0.0`, since exact cancellation rounds to `+0.0` and the
+/// products here are far from underflow. So the terms of an all-zero
+/// coefficient row (column pass) or column (row pass) can be left out
+/// without moving any other term, and the sums are the same bits.
+pub fn idct(coeffs: &[f32; BLOCK], rows: u8, cols: u8) -> [f32; BLOCK] {
     let b = basis();
-    let mut tmp = [0.0f32; BLOCK];
+    let (coeffs, _) = coeffs.as_chunks::<N>();
+    let (rows, nrows) = set_bits(rows);
+    let (cols, ncols) = set_bits(cols);
     // Column pass: tmp = Bᵀ · coeffs.
-    for k in 0..N {
-        let acc = &mut tmp[k * N..(k + 1) * N];
-        for u in 0..N {
+    let mut tmp = [[0.0f32; N]; N];
+    for (k, acc) in tmp.iter_mut().enumerate() {
+        for &u in &rows[..nrows] {
             let s = b[u][k];
-            let crow = &coeffs[u * N..(u + 1) * N];
+            let crow = &coeffs[u];
             for c in 0..N {
                 acc[c] += crow[c] * s;
             }
@@ -106,10 +131,8 @@ pub fn idct(coeffs: &[f32; BLOCK]) -> [f32; BLOCK] {
     }
     // Row pass: out = tmp · B.
     let mut out = [0.0f32; BLOCK];
-    for r in 0..N {
-        let trow = &tmp[r * N..(r + 1) * N];
-        let acc = &mut out[r * N..(r + 1) * N];
-        for u in 0..N {
+    for (trow, acc) in tmp.iter().zip(out.as_chunks_mut::<N>().0) {
+        for &u in &cols[..ncols] {
             let s = trow[u];
             let bu = &b[u];
             for k in 0..N {
@@ -120,10 +143,102 @@ pub fn idct(coeffs: &[f32; BLOCK]) -> [f32; BLOCK] {
     out
 }
 
+/// Every sample of the inverse DCT of a block whose only nonzero
+/// coefficient is the DC term `dc`: the two passes each multiply by
+/// `basis[0][·]`, which is one value, `√(1/8)`, in all eight places.
+#[inline]
+pub fn idct_dc(dc: f32) -> f32 {
+    let b0 = basis()[0][0];
+    (dc * b0) * b0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use vr_base::VrRng;
+
+    /// The dense inverse transform the pruned one replaced.
+    fn idct_dense(coeffs: &[f32; BLOCK]) -> [f32; BLOCK] {
+        let b = basis();
+        let mut tmp = [0.0f32; BLOCK];
+        // Column pass: tmp = Bᵀ · coeffs.
+        for k in 0..N {
+            let acc = &mut tmp[k * N..(k + 1) * N];
+            for u in 0..N {
+                let s = b[u][k];
+                let crow = &coeffs[u * N..(u + 1) * N];
+                for c in 0..N {
+                    acc[c] += crow[c] * s;
+                }
+            }
+        }
+        // Row pass: out = tmp · B.
+        let mut out = [0.0f32; BLOCK];
+        for r in 0..N {
+            let trow = &tmp[r * N..(r + 1) * N];
+            let acc = &mut out[r * N..(r + 1) * N];
+            for u in 0..N {
+                let s = trow[u];
+                let bu = &b[u];
+                for k in 0..N {
+                    acc[k] += s * bu[k];
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(block: &[f32; BLOCK]) -> Vec<u32> {
+        block.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Pruned, DC-only and all-zero reconstruction against the dense
+    /// transform, to the bit, on dequantized sparse blocks of every
+    /// density — with the exact masks and with supersets of them.
+    #[test]
+    fn pruned_idct_is_bit_identical_to_dense() {
+        use crate::quant::{dequantize, qstep, Levels};
+        let mut rng = VrRng::seed_from(0xdc70_0002);
+        for case in 0..3000 {
+            let step = qstep(rng.range(0, 51) as u8);
+            let mut levels = [0i32; BLOCK];
+            // Low-frequency-heavy, like real blocks: case 0 mod 4 is
+            // DC-only, the rest hold 0..=12 levels in a random corner.
+            let corner = rng.range(1, N);
+            if case % 4 == 0 {
+                levels[0] = rng.range_i64(-400, 400) as i32;
+            } else {
+                for _ in 0..rng.range(0, 12) {
+                    let (u, c) = (rng.range(0, corner - 1), rng.range(0, corner - 1));
+                    levels[u * N + c] = rng.range_i64(-60, 60) as i32;
+                }
+            }
+            let q = Levels::new(levels);
+            let coeffs = dequantize(&q.levels, step);
+            let dense = bits(&idct_dense(&coeffs));
+            assert_eq!(bits(&idct(&coeffs, q.rows, q.cols)), dense, "exact masks");
+            let (more_rows, more_cols) = (rng.next_u32() as u8, rng.next_u32() as u8);
+            assert_eq!(
+                bits(&idct(&coeffs, q.rows | more_rows, q.cols | more_cols)),
+                dense,
+                "superset masks"
+            );
+            assert_eq!(bits(&idct(&coeffs, 0xFF, 0xFF)), dense, "full masks");
+            if q.is_dc_only() {
+                let dc = idct_dc(coeffs[0]).to_bits();
+                assert!(dense.iter().all(|&v| v == dc), "DC-only block is one value");
+            }
+            if q.is_zero() {
+                assert!(dense.iter().all(|&v| v == 0.0f32.to_bits()), "zero block is +0.0");
+            }
+        }
+    }
+
+    #[test]
+    fn dc_basis_row_is_one_value() {
+        let b = basis();
+        assert!(b[0].iter().all(|v| v.to_bits() == b[0][0].to_bits()));
+    }
 
     #[test]
     fn flat_block_is_pure_dc() {
@@ -144,7 +259,7 @@ mod tests {
             for v in &mut block {
                 *v = rng.range_f32(-255.0, 255.0);
             }
-            let back = idct(&dct(&block));
+            let back = idct(&dct(&block), 0xFF, 0xFF);
             for (a, b) in block.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-2, "{a} vs {b}");
             }
@@ -191,7 +306,7 @@ mod tests {
             for v in &mut block {
                 *v = rng.range_f32(-255.0, 255.0);
             }
-            let back = idct(&dct(&block));
+            let back = idct(&dct(&block), 0xFF, 0xFF);
             for (a, b) in block.iter().zip(&back) {
                 assert!((a - b).abs() < 2e-2, "{a} vs {b}");
             }
@@ -205,7 +320,7 @@ mod tests {
         for i in 0..BLOCK {
             let mut block = [0.0f32; BLOCK];
             block[i] = 255.0;
-            let back = idct(&dct(&block));
+            let back = idct(&dct(&block), 0xFF, 0xFF);
             for (a, b) in block.iter().zip(&back) {
                 assert!((a - b).abs() < 2e-2, "impulse {i}: {a} vs {b}");
             }

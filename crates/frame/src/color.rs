@@ -71,6 +71,26 @@ fn clamp(v: i32) -> u8 {
     v.clamp(0, 255) as u8
 }
 
+/// Round a float sample to the nearest `u8`, halves away from zero,
+/// saturating: bit-for-bit `x.round().clamp(0.0, 255.0) as u8`, but
+/// without the libm `roundf` call that `f32::round` is on the baseline
+/// x86-64 target, so per-sample loops around it vectorize.
+///
+/// Exactness: after the clamp `c` is in `[0, 255]` (or NaN). `c as i32`
+/// truncates, which is `floor` there, and `c - floor(c)` is exact for
+/// every float, so `frac >= 0.5` is the true comparison and `t + 1`
+/// is exactly `round(c)`; `t == 255` only for `c == 255.0`, where
+/// `frac == 0`. Clamping first is the same as clamping last because
+/// `round` is monotone and fixes 0 and 255. NaN survives the clamp,
+/// casts to 0 and compares false, as `NaN as u8 == 0` did.
+#[inline]
+pub fn round_u8(x: f32) -> u8 {
+    let c = x.clamp(0.0, 255.0);
+    let t = c as i32;
+    let frac = c - t as f32;
+    (t + (frac >= 0.5) as i32) as u8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,5 +144,48 @@ mod tests {
         for c in [Rgb::new(10, 200, 30), Rgb::new(255, 128, 0), Rgb::new(3, 3, 250)] {
             assert!(c.luma().abs_diff(rgb_to_yuv(c).y) <= 1);
         }
+    }
+
+    /// The libm form `round_u8` replaces.
+    fn round_u8_oracle(x: f32) -> u8 {
+        x.round().clamp(0.0, 255.0) as u8
+    }
+
+    #[test]
+    fn round_u8_matches_libm_round_everywhere_it_matters() {
+        // Every k/256 from -2 to 258, which covers every sum of a u8
+        // and an 8-fractional-bit residual.
+        for k in -512i32..=66_048 {
+            let x = k as f32 / 256.0;
+            assert_eq!(round_u8(x), round_u8_oracle(x), "x = {x}");
+        }
+        // One ulp either side of every tie.
+        for k in -2i32..=257 {
+            let tie = k as f32 + 0.5;
+            for bits in [tie.to_bits() - 1, tie.to_bits(), tie.to_bits() + 1] {
+                let x = f32::from_bits(bits);
+                assert_eq!(round_u8(x), round_u8_oracle(x), "x = {x:e} ({bits:#x})");
+            }
+        }
+        for x in [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            0.49999997,
+            254.99998,
+            255.00002,
+        ] {
+            assert_eq!(round_u8(x), round_u8_oracle(x), "x = {x:e}");
+        }
+        assert_eq!(round_u8(f32::NAN), 0);
+        assert_eq!(round_u8(0.5), 1);
+        assert_eq!(round_u8(254.5), 255);
     }
 }

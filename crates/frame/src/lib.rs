@@ -23,7 +23,7 @@ pub mod metrics;
 pub mod ops;
 pub mod tile;
 
-pub use color::{rgb_to_yuv, yuv_to_rgb, Rgb, Yuv};
+pub use color::{rgb_to_yuv, round_u8, yuv_to_rgb, Rgb, Yuv};
 pub use frame::{Frame, Plane, RgbImage};
 pub use metrics::{mse_y, psnr, psnr_y, PSNR_LOSSLESS_DB, VALIDATION_THRESHOLD_DB};
 

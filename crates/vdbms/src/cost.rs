@@ -123,18 +123,21 @@ pub struct CalibrationProfile {
 
 impl CalibrationProfile {
     /// The built-in seed table: per-unit costs derived from the
-    /// committed bench anchors (BENCH_engines.json: decode p50 500us
-    /// per 256x144 frame, Q2(c) reference 109.6ms/12 frames at 120
-    /// MACs/pixel over the 416x416 network input, ...). Cold runs use
-    /// it directly so plan choices are reproducible on any machine.
+    /// committed bench anchors (Q2(c) reference 109.6ms/12 frames at
+    /// 120 MACs/pixel over the 416x416 network input, ...) and, for
+    /// the codec's two per-pixel costs, from `visualroad calibrate` on
+    /// the CI host (reference Q2(a) at 192x108: decode 3.5-4.0 ns/px,
+    /// encode 11.2-13.0 ns/px; re-seed both whenever the codec's hot
+    /// path changes). Cold runs use it directly so plan choices are
+    /// reproducible on any machine.
     pub fn builtin() -> Self {
         Self {
             version: PROFILE_VERSION,
             samples: 0,
             observed_error: 0.0,
             scale: 1.0,
-            decode_ns_per_pixel: 13.5,
-            encode_ns_per_pixel: 24.0,
+            decode_ns_per_pixel: 3.8,
+            encode_ns_per_pixel: 12.5,
             scan_ns_per_frame: 2_000.0,
             sink_ns_per_frame: 2_000.0,
             kernel_ns_per_pixel: 1.6,
@@ -753,7 +756,7 @@ mod tests {
     fn profile_parse_rejects_corruption() {
         let good = CalibrationProfile::builtin().to_json();
         assert!(CalibrationProfile::parse("not json").is_err());
-        assert!(CalibrationProfile::parse(&good.replace("13.5", "\"fast\"")).is_err());
+        assert!(CalibrationProfile::parse(&good.replace("12.5", "\"fast\"")).is_err());
         assert!(
             CalibrationProfile::parse(&good.replace("nn_ns_per_mac", "nn_ns_per_flop"))
                 .err()

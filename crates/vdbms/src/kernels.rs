@@ -16,7 +16,7 @@ use vr_codec::{
 };
 use vr_container::TrackKind;
 use vr_frame::tile::TileGrid;
-use vr_frame::{draw, ops, Frame, Yuv};
+use vr_frame::{draw, ops, round_u8, Frame, Yuv};
 use vr_geom::{Camera, Equirect, Vec3};
 use vr_scene::ObjectClass;
 use vr_vision::Detection;
@@ -453,8 +453,10 @@ pub fn stitch_equirect(
 pub fn sample_bilinear(f: &Frame, x: f32, y: f32) -> Yuv {
     let xf = (x - 0.5).clamp(0.0, f.width() as f32 - 1.0);
     let yf = (y - 0.5).clamp(0.0, f.height() as f32 - 1.0);
-    let x0 = xf.floor() as u32;
-    let y0 = yf.floor() as u32;
+    // Clamped non-negative, where the cast's truncation is `floor`
+    // (and NaN casts to 0 either way) without the libm call.
+    let x0 = xf as u32;
+    let y0 = yf as u32;
     let x1 = (x0 + 1).min(f.width() - 1);
     let y1 = (y0 + 1).min(f.height() - 1);
     let tx = xf - x0 as f32;
@@ -470,7 +472,7 @@ pub fn sample_bilinear(f: &Frame, x: f32, y: f32) -> Yuv {
     ) -> u8 {
         let top = blend(getter(x0, y0), getter(x1, y0), tx);
         let bot = blend(getter(x0, y1), getter(x1, y1), tx);
-        (top + (bot - top) * ty).round().clamp(0.0, 255.0) as u8
+        round_u8(top + (bot - top) * ty)
     }
     Yuv {
         y: sample_one(|x, y| f.get_y(x, y), (x0, x1, tx), (y0, y1, ty), blend),
@@ -566,6 +568,51 @@ mod tests {
         f.set_y(1, 0, 100);
         let mid = sample_bilinear(&f, 1.0, 0.5);
         assert!((mid.y as i32 - 50).abs() <= 2, "got {}", mid.y);
+    }
+
+    /// The sampler with the libm `floor`/`round` calls it used to make.
+    fn sample_bilinear_oracle(f: &Frame, x: f32, y: f32) -> Yuv {
+        let xf = (x - 0.5).clamp(0.0, f.width() as f32 - 1.0);
+        let yf = (y - 0.5).clamp(0.0, f.height() as f32 - 1.0);
+        let (x0, y0) = (xf.floor() as u32, yf.floor() as u32);
+        let (x1, y1) = ((x0 + 1).min(f.width() - 1), (y0 + 1).min(f.height() - 1));
+        let (tx, ty) = (xf - x0 as f32, yf - y0 as f32);
+        let one = |get: &dyn Fn(u32, u32) -> u8| {
+            let blend = |a: u8, b: u8| a as f32 + (b as f32 - a as f32) * tx;
+            let (top, bot) = (blend(get(x0, y0), get(x1, y0)), blend(get(x0, y1), get(x1, y1)));
+            (top + (bot - top) * ty).round().clamp(0.0, 255.0) as u8
+        };
+        Yuv {
+            y: one(&|x, y| f.get_y(x, y)),
+            u: one(&|x, y| f.get_u(x / 2, y / 2)),
+            v: one(&|x, y| f.get_v(x / 2, y / 2)),
+        }
+    }
+
+    #[test]
+    fn bilinear_sampling_matches_the_libm_form() {
+        let mut rng = vr_base::VrRng::seed_from(0xb111_0001);
+        let mut f = Frame::new(16, 12);
+        for y in 0..12 {
+            for x in 0..16 {
+                f.set_y(x, y, rng.next_u32() as u8);
+                f.set_u(x / 2, y / 2, rng.next_u32() as u8);
+                f.set_v(x / 2, y / 2, rng.next_u32() as u8);
+            }
+        }
+        for case in 0..20_000 {
+            // Inside, on the half-pixel grid (exact ties), and outside.
+            let (x, y) = match case % 3 {
+                0 => (rng.range_f32(-2.0, 18.0), rng.range_f32(-2.0, 14.0)),
+                1 => (rng.range(0, 33) as f32 * 0.5, rng.range(0, 25) as f32 * 0.5),
+                _ => (rng.range(0, 65) as f32 * 0.25, rng.range_f32(0.0, 12.0)),
+            };
+            assert_eq!(sample_bilinear(&f, x, y), sample_bilinear_oracle(&f, x, y), "({x}, {y})");
+        }
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(sample_bilinear(&f, bad, 3.0), sample_bilinear_oracle(&f, bad, 3.0));
+            assert_eq!(sample_bilinear(&f, 3.0, bad), sample_bilinear_oracle(&f, 3.0, bad));
+        }
     }
 
     #[test]

@@ -194,3 +194,29 @@ fn optimizer_off_records_no_decisions() {
         "optimizer table rendered with the optimizer off"
     );
 }
+
+/// The server seeds its optimizer from the builtin profile, and the
+/// benchmark's `serve_semantic` workload requires `route=index` for
+/// S1-S3. The route weighs an index probe against a metadata rescan —
+/// neither side decodes a pixel — so re-seeding the codec's per-pixel
+/// costs must leave it where it was. Pinned on the benchmark's dataset.
+#[test]
+fn semantic_queries_take_the_index_route_under_the_builtin_profile() {
+    use visual_road::semantic::{decide_route, ingest_dataset};
+    use visual_road::vdbms::{CalibrationProfile, Optimizer};
+    let hyper =
+        Hyperparameters::new(1, Resolution::new(192, 108), Duration::from_secs(1.0), 42).unwrap();
+    let dataset = Vcg::new(GenConfig::default()).generate(&hyper).unwrap();
+    let (index, _) = ingest_dataset(&dataset).unwrap();
+    let opt = Optimizer::new(CalibrationProfile::builtin());
+    for label in ["s1", "s2", "s3"] {
+        let key = format!("semantic/{label}");
+        assert!(
+            decide_route(&opt, &key, &dataset, Some(index.len() as u64)),
+            "{label} must be index-served:\n{}",
+            opt.decision(&key).map(|d| d.render_text()).unwrap_or_default()
+        );
+    }
+    // With no index the only candidate is the rescan.
+    assert!(!decide_route(&opt, "semantic/unindexed", &dataset, None));
+}
