@@ -40,6 +40,12 @@ stage_guard() {
     cargo build -q --release --offline -p vr-bench --bin bench_gate
     ./target/release/bench_gate --verify \
         results/bench_baseline.json results/optimizer_profile.json
+    echo "-- request-path lines of code (vr_bench::loc, the Figure 7 counter)"
+    # Informational: the doors every request comes in through, counted
+    # by the repo's own instrument so a refactor's size is a number.
+    cargo build -q --release --offline -p vr-bench --bin loc_report
+    ./target/release/loc_report crates/core/src/{server,vcd,semantic}.rs \
+        crates/core/src/bin/visualroad.rs | tee "$ART/loc.txt"
 }
 
 # benchmark/ is a package of its own (not a workspace member) that may

@@ -8,14 +8,22 @@
 //! visualroad run --engine all --full-suite --scale 1
 //! ```
 
+use std::sync::Arc;
+use std::time::Instant;
+
 use visual_road::base::fault::{self, FaultInjector};
+use visual_road::base::obs::serve::MetricsServer;
 use visual_road::prelude::*;
 use visual_road::storage::FlatStore;
-use visual_road::vdbms::QueryKind;
+use visual_road::vdbms::{CalibrationProfile, QueryKind};
+
+/// Every subcommand returns its exit code, or the message of the error
+/// that stopped it; `main` is the only place an error becomes an exit.
+type Exit = Result<i32, String>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let exit = match args.first().map(String::as_str) {
         Some("presets") => cmd_presets(),
         Some("generate") => cmd_generate(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
@@ -25,10 +33,13 @@ fn main() {
         Some("calibrate") => cmd_calibrate(&args[1..]),
         _ => {
             print_usage();
-            2
+            Ok(2)
         }
     };
-    std::process::exit(code);
+    std::process::exit(exit.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        1
+    }));
 }
 
 fn print_usage() {
@@ -227,6 +238,32 @@ impl Flags {
             Some(v) => v.parse().map_err(|_| format!("bad value for --{name}: {v:?}")),
         }
     }
+
+    /// `--name`'s value if the flag was given, parsed and accepted by
+    /// `ok`; a value that does not parse or is not accepted is the
+    /// error `complaint`.
+    fn checked<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        ok: impl Fn(&T) -> bool,
+        complaint: &str,
+    ) -> Result<Option<T>, String> {
+        match self.get(name).map(str::parse::<T>) {
+            None => Ok(None),
+            Some(Ok(v)) if ok(&v) => Ok(Some(v)),
+            Some(_) => Err(complaint.to_string()),
+        }
+    }
+}
+
+/// [`Flags::checked`] predicates: any value that parses, and counts
+/// that must be at least one.
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+fn positive<T: PartialOrd + From<u8>>(v: &T) -> bool {
+    *v >= T::from(1)
 }
 
 fn parse_res(flags: &Flags, default: Resolution) -> Result<Resolution, String> {
@@ -250,7 +287,103 @@ fn hyper_from(flags: &Flags) -> Result<Hyperparameters, String> {
     Hyperparameters::new(scale, res, duration, seed).map_err(|e| e.to_string())
 }
 
-fn cmd_presets() -> i32 {
+/// `--density` / `--nodes`, for the two commands whose product is the
+/// dataset itself (`generate`, `ingest`).
+fn gen_config(flags: &Flags) -> Result<GenConfig, String> {
+    Ok(GenConfig {
+        density_scale: flags.parsed("density", 0.15f64)?,
+        nodes: flags.parsed("nodes", 1usize)?,
+        ..Default::default()
+    })
+}
+
+/// Say `note` on stderr, then generate the dataset.
+fn generate_dataset(
+    note: &str,
+    cfg: GenConfig,
+    hyper: &Hyperparameters,
+) -> Result<Dataset, String> {
+    eprintln!("{note}");
+    Vcg::new(cfg).generate(hyper).map_err(|e| e.to_string())
+}
+
+/// `--profile FILE`: a calibration profile written by `calibrate`.
+fn load_profile(flags: &Flags) -> Result<Option<CalibrationProfile>, String> {
+    flags
+        .get("profile")
+        .map(|path| {
+            CalibrationProfile::load(std::path::Path::new(path))
+                .map_err(|e| format!("cannot load calibration profile {path}: {e}"))
+        })
+        .transpose()
+}
+
+/// Install the fault plan — `--faults SPEC [--fault-seed S]`, else the
+/// `VR_FAULTS` environment — and announce it. Callers do this only
+/// after dataset generation, so chaos runs exercise the query path
+/// against a pristine dataset.
+fn install_fault_plan(flags: &Flags) -> Result<Option<Arc<FaultInjector>>, String> {
+    let injector = match flags.get("faults") {
+        Some(spec) => {
+            let seed = flags.parsed("fault-seed", 0u64)?;
+            let inj = Arc::new(FaultInjector::from_spec(spec, seed).map_err(|e| e.to_string())?);
+            fault::install(Some(Arc::clone(&inj)));
+            Some(inj)
+        }
+        None => fault::init_from_env().map_err(|e| e.to_string())?,
+    };
+    if let Some(inj) = &injector {
+        eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
+    }
+    Ok(injector)
+}
+
+/// `--serve-metrics PORT`: the loopback, read-only metrics endpoint.
+/// It serves registry snapshots and must never perturb results (the
+/// obs-gate CI leg diffs a served vs. unserved run byte for byte).
+fn start_metrics_endpoint(flags: &Flags) -> Result<Option<MetricsServer>, String> {
+    let complaint = "--serve-metrics wants a port number (0 = ephemeral)";
+    let Some(port) = flags.checked("serve-metrics", any::<u16>, complaint)? else {
+        return Ok(None);
+    };
+    let server =
+        MetricsServer::start(port).map_err(|e| format!("cannot bind metrics endpoint: {e}"))?;
+    eprintln!("serving metrics on http://{}", server.addr());
+    Ok(Some(server))
+}
+
+/// Write `body` to `path`, creating the directory it goes in. `what`
+/// names the content in the error message ("cannot write <what><path>").
+fn write_creating_parent(path: &str, what: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
+    let parent = std::path::Path::new(path).parent().filter(|d| !d.as_os_str().is_empty());
+    if let Some(dir) = parent {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, body).map_err(|e| format!("cannot write {what}{path}: {e}"))
+}
+
+/// Write the process-global metrics registry to `path`: flat text when
+/// it ends in `.txt`, JSON otherwise.
+fn write_metrics_snapshot(path: &str, what: &str) -> Result<(), String> {
+    let snap = vr_base::obs::metrics::snapshot();
+    let body = if path.ends_with(".txt") { snap.to_text() } else { snap.to_json() };
+    std::fs::write(path, body).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
+    eprintln!("wrote {what} to {path}");
+    Ok(())
+}
+
+/// `--explain-out FILE`, if given.
+fn write_plans(flags: &Flags, body: impl FnOnce(&str) -> String) -> Result<(), String> {
+    if let Some(path) = flags.get("explain-out") {
+        std::fs::write(path, body(path))
+            .map_err(|e| format!("cannot write plans to {path}: {e}"))?;
+        eprintln!("wrote plans to {path}");
+    }
+    Ok(())
+}
+
+fn cmd_presets() -> Exit {
     println!("{:<10} {:>3} {:>12} {:>10}", "name", "L", "resolution", "duration");
     for p in &visual_road::base::presets::PRESETS {
         println!(
@@ -261,32 +394,19 @@ fn cmd_presets() -> i32 {
             p.duration_mins
         );
     }
-    0
+    Ok(0)
 }
 
-fn cmd_generate(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let hyper = match hyper_from(&flags) {
-        Ok(h) => h,
-        Err(e) => return fail(&e),
-    };
-    let cfg = GenConfig {
-        density_scale: flags.parsed("density", 0.15f64).unwrap_or(0.15),
-        nodes: flags.parsed("nodes", 1usize).unwrap_or(1),
-        ..Default::default()
-    };
-    eprintln!(
+fn cmd_generate(args: &[String]) -> Exit {
+    let flags = Flags::parse(args)?;
+    let hyper = hyper_from(&flags)?;
+    let cfg = gen_config(&flags)?;
+    let note = format!(
         "generating L={} R={} t={} seed={} ...",
         hyper.scale, hyper.resolution, hyper.duration, hyper.seed
     );
-    let t0 = std::time::Instant::now();
-    let dataset = match Vcg::new(cfg).generate(&hyper) {
-        Ok(d) => d,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let t0 = Instant::now();
+    let dataset = generate_dataset(&note, cfg, &hyper)?;
     println!(
         "generated {} videos / {} frames / {:.1} KiB in {:.2}s",
         dataset.videos.len(),
@@ -295,16 +415,11 @@ fn cmd_generate(args: &[String]) -> i32 {
         t0.elapsed().as_secs_f64()
     );
     if let Some(dir) = flags.get("out") {
-        let store = match FlatStore::open(dir) {
-            Ok(s) => s,
-            Err(e) => return fail(&e.to_string()),
-        };
-        if let Err(e) = dataset.write_to_store(&store) {
-            return fail(&e.to_string());
-        }
+        let store = FlatStore::open(dir).map_err(|e| e.to_string())?;
+        dataset.write_to_store(&store).map_err(|e| e.to_string())?;
         println!("wrote {} files to {dir}", dataset.videos.len());
     }
-    0
+    Ok(0)
 }
 
 fn parse_queries(flags: &Flags) -> Result<Vec<QueryKind>, String> {
@@ -316,15 +431,8 @@ fn parse_queries(flags: &Flags) -> Result<Vec<QueryKind>, String> {
     };
     spec.split(',')
         .map(|q| {
-            let q = q.trim().to_ascii_uppercase();
-            QueryKind::ALL
-                .iter()
-                .find(|k| {
-                    k.label().replace(['(', ')'], "").to_ascii_uppercase() == q
-                        || k.label().to_ascii_uppercase() == q
-                })
-                .copied()
-                .ok_or_else(|| format!("unknown query {q:?}"))
+            QueryKind::parse(q)
+                .ok_or_else(|| format!("unknown query {:?}", q.trim().to_ascii_uppercase()))
         })
         .collect()
 }
@@ -345,69 +453,31 @@ fn engines_from(name: &str) -> Result<Vec<Box<dyn Vdbms>>, String> {
     })
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let hyper = match hyper_from(&flags) {
-        Ok(h) => h,
-        Err(e) => return fail(&e),
-    };
-    let queries = match parse_queries(&flags) {
-        Ok(q) => q,
-        Err(e) => return fail(&e),
-    };
-    let mut engines = match engines_from(flags.get("engine").unwrap_or("reference")) {
-        Ok(e) => e,
-        Err(e) => return fail(&e),
-    };
-
-    eprintln!("generating dataset ...");
-    let dataset = match Vcg::new(GenConfig::default()).generate(&hyper) {
-        Ok(d) => d,
-        Err(e) => return fail(&e.to_string()),
-    };
+fn cmd_run(args: &[String]) -> Exit {
+    let flags = Flags::parse(args)?;
+    let hyper = hyper_from(&flags)?;
+    let queries = parse_queries(&flags)?;
+    let mut engines = engines_from(flags.get("engine").unwrap_or("reference"))?;
+    let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
 
     let mut cfg = VcdConfig {
         validate: !flags.has("no-validate"),
+        batch_size: flags.checked("batch", any::<usize>, "--batch wants a number")?,
         ..Default::default()
     };
-    if let Some(n) = flags.get("batch") {
-        match n.parse() {
-            Ok(n) => cfg.batch_size = Some(n),
-            Err(_) => return fail("--batch wants a number"),
-        }
-    }
-    if let Some(s) = flags.get("online") {
-        match s.parse() {
-            Ok(speedup) => cfg.mode = ExecutionMode::Online { speedup },
-            Err(_) => return fail("--online wants a speedup factor"),
-        }
+    if let Some(speedup) = flags.checked("online", any::<f64>, "--online wants a speedup factor")? {
+        cfg.mode = ExecutionMode::Online { speedup };
     }
     if let Some(dir) = flags.get("write") {
-        match FlatStore::open(dir) {
-            Ok(store) => cfg.write_store = Some(store),
-            Err(e) => return fail(&e.to_string()),
-        }
+        cfg.write_store = Some(FlatStore::open(dir).map_err(|e| e.to_string())?);
     }
-    if let Some(w) = flags.get("workers") {
-        match w.parse::<usize>() {
-            Ok(w) if w >= 1 => {
-                cfg.pipeline_workers = Some(w);
-                cfg.batch_workers = Some(w);
-            }
-            _ => return fail("--workers wants a positive integer"),
-        }
-    }
-    if let Some(ms) = flags.get("deadline-ms") {
-        match ms.parse::<u64>() {
-            Ok(ms) if ms >= 1 => {
-                cfg.instance_deadline = Some(std::time::Duration::from_millis(ms))
-            }
-            _ => return fail("--deadline-ms wants a positive integer"),
-        }
-    }
+    let workers =
+        flags.checked("workers", positive::<usize>, "--workers wants a positive integer")?;
+    cfg.pipeline_workers = workers;
+    cfg.batch_workers = workers;
+    cfg.instance_deadline = flags
+        .checked("deadline-ms", positive::<u64>, "--deadline-ms wants a positive integer")?
+        .map(std::time::Duration::from_millis);
     // Allocator scope tracking: VR_ALLOC_TRACK, or implied by
     // --explain-analyze (whose plan nodes report peak memory).
     vr_base::obs::alloc::init_from_env();
@@ -417,44 +487,12 @@ fn cmd_run(args: &[String]) -> i32 {
         vr_base::obs::alloc::set_tracking(true);
     }
     if let Some(mode) = flags.get("optimizer") {
-        match mode.parse::<visual_road::vdbms::OptimizerMode>() {
-            Ok(mode) => cfg.optimizer = mode,
-            Err(e) => return fail(&e),
-        }
+        cfg.optimizer = mode.parse()?;
     }
-    if let Some(path) = flags.get("profile") {
-        match visual_road::vdbms::CalibrationProfile::load(std::path::Path::new(path)) {
-            Ok(profile) => cfg.profile = Some(profile),
-            Err(e) => return fail(&format!("cannot load calibration profile {path}: {e}")),
-        }
-    }
+    cfg.profile = load_profile(&flags)?;
     let optimizer_mode = cfg.optimizer;
 
-    // The fault plan is installed only after dataset generation, so
-    // chaos runs exercise the query path against a pristine dataset.
-    let injector = match flags.get("faults") {
-        Some(spec) => {
-            let seed = match flags.parsed("fault-seed", 0u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            match FaultInjector::from_spec(spec, seed) {
-                Ok(inj) => {
-                    let inj = std::sync::Arc::new(inj);
-                    fault::install(Some(std::sync::Arc::clone(&inj)));
-                    Some(inj)
-                }
-                Err(e) => return fail(&e.to_string()),
-            }
-        }
-        None => match fault::init_from_env() {
-            Ok(inj) => inj,
-            Err(e) => return fail(&e.to_string()),
-        },
-    };
-    if let Some(inj) = &injector {
-        eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
-    }
+    let injector = install_fault_plan(&flags)?;
 
     // Tracing is opt-in: `--trace-out FILE`, or VR_TRACE as the
     // destination path (any value but empty/0; `VR_TRACE=1` defaults
@@ -474,23 +512,7 @@ fn cmd_run(args: &[String]) -> i32 {
         vr_base::obs::trace::set_enabled(true);
     }
 
-    // The live endpoint is read-only over registry snapshots and must
-    // never perturb results (the obs-gate CI leg diffs a served vs.
-    // unserved run byte for byte).
-    let server = match flags.get("serve-metrics") {
-        Some(port) => match port.parse::<u16>() {
-            Ok(port) => match vr_base::obs::serve::MetricsServer::start(port) {
-                Ok(server) => {
-                    eprintln!("serving metrics on http://{}", server.addr());
-                    Some(server)
-                }
-                Err(e) => return fail(&format!("cannot bind metrics endpoint: {e}")),
-            },
-            Err(_) => return fail("--serve-metrics wants a port number (0 = ephemeral)"),
-        },
-        None => None,
-    };
-
+    let server = start_metrics_endpoint(&flags)?;
     let vcd = Vcd::new(&dataset, cfg);
 
     // EXPLAIN without execution: print (and optionally save) each
@@ -498,23 +520,13 @@ fn cmd_run(args: &[String]) -> i32 {
     if explain_only {
         let mut doc = String::new();
         for engine in &engines {
-            match vcd.explain(engine.as_ref(), &queries) {
-                Ok(plans) => {
-                    for (kind, text) in plans {
-                        doc.push_str(&format!("== {} {} ==\n{text}", engine.name(), kind.label()));
-                    }
-                }
-                Err(e) => return fail(&e.to_string()),
+            for (kind, text) in vcd.explain(engine.as_ref(), &queries).map_err(|e| e.to_string())? {
+                doc.push_str(&format!("== {} {} ==\n{text}", engine.name(), kind.label()));
             }
         }
         print!("{doc}");
-        if let Some(path) = flags.get("explain-out") {
-            if let Err(e) = std::fs::write(path, &doc) {
-                return fail(&format!("cannot write plans to {path}: {e}"));
-            }
-            eprintln!("wrote plans to {path}");
-        }
-        return 0;
+        write_plans(&flags, |_| doc)?;
+        return Ok(0);
     }
 
     let mut explain_doc = String::new();
@@ -522,47 +534,38 @@ fn cmd_run(args: &[String]) -> i32 {
     let mut explain_violations = 0usize;
     let mut metrics_mid_out = flags.get("metrics-mid-out");
     for engine in engines.iter_mut() {
-        match vcd.run_queries(engine.as_mut(), &queries) {
-            Ok(report) => {
-                println!("{report}");
-                for q in &report.queries {
-                    let QueryStatus::Completed { explain: Some(info), .. } = &q.status else {
-                        continue;
-                    };
-                    explain_doc.push_str(&format!(
-                        "== {} {} ==\n{}",
-                        report.engine,
-                        q.kind.label(),
-                        info.text
-                    ));
-                    explain_json.push(format!(
-                        "{{\"engine\": \"{}\", \"query\": \"{}\", \"plan\": {}}}",
-                        visual_road::base::obs::json_escape(&report.engine),
-                        q.kind.label(),
-                        info.json.trim_end()
-                    ));
-                    if let Some(err) = &info.verify_error {
-                        eprintln!(
-                            "explain verify FAILED ({} {}): {err}",
-                            report.engine,
-                            q.kind.label()
-                        );
-                        explain_violations += 1;
-                    }
-                }
+        let report = vcd.run_queries(engine.as_mut(), &queries).map_err(|e| e.to_string())?;
+        println!("{report}");
+        for q in &report.queries {
+            let QueryStatus::Completed { explain: Some(info), .. } = &q.status else {
+                continue;
+            };
+            explain_doc.push_str(&format!(
+                "== {} {} ==\n{}",
+                report.engine,
+                q.kind.label(),
+                info.text
+            ));
+            explain_json.push(format!(
+                "{{\"engine\": \"{}\", \"query\": \"{}\", \"plan\": {}}}",
+                visual_road::base::obs::json_escape(&report.engine),
+                q.kind.label(),
+                info.json.trim_end()
+            ));
+            if let Some(err) = &info.verify_error {
+                eprintln!(
+                    "explain verify FAILED ({} {}): {err}",
+                    report.engine,
+                    q.kind.label()
+                );
+                explain_violations += 1;
             }
-            Err(e) => return fail(&e.to_string()),
         }
         // A mid-run registry snapshot after the first engine: paired
         // with the final --metrics-out it gives validators a true
         // before/after monotonicity fixture from one process.
         if let Some(path) = metrics_mid_out.take() {
-            let snap = vr_base::obs::metrics::snapshot();
-            let body = if path.ends_with(".txt") { snap.to_text() } else { snap.to_json() };
-            if let Err(e) = std::fs::write(path, body) {
-                return fail(&format!("cannot write metrics to {path}: {e}"));
-            }
-            eprintln!("wrote mid-run metrics snapshot to {path}");
+            write_metrics_snapshot(path, "mid-run metrics snapshot")?;
         }
     }
     // `--optimizer explain`: dump every cached chosen-vs-rejected
@@ -575,17 +578,13 @@ fn cmd_run(args: &[String]) -> i32 {
             }
         }
     }
-    if let Some(path) = flags.get("explain-out") {
-        let body = if path.ends_with(".json") {
+    write_plans(&flags, |path| {
+        if path.ends_with(".json") {
             format!("[{}]\n", explain_json.join(",\n "))
         } else {
-            explain_doc.clone()
-        };
-        if let Err(e) = std::fs::write(path, body) {
-            return fail(&format!("cannot write plans to {path}: {e}"));
+            explain_doc
         }
-        eprintln!("wrote plans to {path}");
-    }
+    })?;
 
     if trace_out.is_some() || folded_out.is_some() {
         vr_base::obs::trace::set_enabled(false);
@@ -593,189 +592,97 @@ fn cmd_run(args: &[String]) -> i32 {
     // Fold before the chrome-trace export: `trace::save` drains the
     // buffer the fold reads.
     if let Some(path) = &folded_out {
-        match vr_base::obs::folded::save(path) {
-            Ok(n) => eprintln!("wrote {n} folded stacks to {path}"),
-            Err(e) => return fail(&format!("cannot write folded stacks to {path}: {e}")),
-        }
+        let n = vr_base::obs::folded::save(path)
+            .map_err(|e| format!("cannot write folded stacks to {path}: {e}"))?;
+        eprintln!("wrote {n} folded stacks to {path}");
     }
     if let Some(path) = &trace_out {
-        match vr_base::obs::trace::save(path) {
-            Ok(n) => eprintln!("wrote {n} trace events to {path}"),
-            Err(e) => return fail(&format!("cannot write trace to {path}: {e}")),
-        }
+        let n = vr_base::obs::trace::save(path)
+            .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+        eprintln!("wrote {n} trace events to {path}");
     }
     if let Some(path) = flags.get("metrics-out") {
-        let snap = vr_base::obs::metrics::snapshot();
-        let body = if path.ends_with(".txt") { snap.to_text() } else { snap.to_json() };
-        if let Err(e) = std::fs::write(path, body) {
-            return fail(&format!("cannot write metrics to {path}: {e}"));
-        }
-        eprintln!("wrote metrics snapshot to {path}");
+        write_metrics_snapshot(path, "metrics snapshot")?;
     }
 
     // Stop the endpoint before verdicts so nothing polls a dead run.
     drop(server);
-    let fault_code = match &injector {
-        Some(inj) => verify_fault_accounting(inj),
-        None => 0,
-    };
+    let fault_code = injector.as_deref().map_or(0, verify_fault_accounting);
     if explain_violations > 0 {
         eprintln!("error: {explain_violations} plan(s) failed EXPLAIN ANALYZE verification");
-        return 1;
+        return Ok(1);
     }
-    fault_code
+    Ok(fault_code)
 }
 
 /// `visualroad serve`: the long-lived multi-tenant query server.
 /// Generates the dataset, pregenerates per-query instance pools,
 /// loads the engines, binds loopback TCP, and serves until a
 /// `SHUTDOWN` request (or stdin EOF) drains it gracefully.
-fn cmd_serve(args: &[String]) -> i32 {
+fn cmd_serve(args: &[String]) -> Exit {
+    use std::time::Duration;
     use visual_road::base::admission::AdmissionConfig;
+    use visual_road::base::obs::slo::SloConfig;
     use visual_road::server::{QueryServer, ServerConfig};
 
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let hyper = match hyper_from(&flags) {
-        Ok(h) => h,
-        Err(e) => return fail(&e),
-    };
-    let queries = match parse_queries(&flags) {
-        Ok(q) => q,
-        Err(e) => return fail(&e),
-    };
-    let engines = match engines_from(flags.get("engine").unwrap_or("batch")) {
-        Ok(e) => e,
-        Err(e) => return fail(&e),
-    };
+    let flags = Flags::parse(args)?;
+    let hyper = hyper_from(&flags)?;
+    let queries = parse_queries(&flags)?;
+    let engines = engines_from(flags.get("engine").unwrap_or("batch"))?;
 
-    let admission_defaults = AdmissionConfig::default();
+    let count = |name: &str| {
+        flags.checked(name, positive::<usize>, &format!("--{name} wants a positive integer"))
+    };
+    let load = |name: &str| {
+        let complaint = format!("--{name} wants a positive saturation fraction");
+        flags.checked(name, |&f: &f64| f > 0.0, &complaint)
+    };
+    let millis = |name: &str, ok: fn(&u64) -> bool, wants: &str| {
+        flags
+            .checked(name, ok, &format!("--{name} wants {wants}"))
+            .map(|ms| ms.map(Duration::from_millis))
+    };
+    let defaults = AdmissionConfig::default();
     let admission = AdmissionConfig {
-        max_concurrent: match flags.parsed("max-concurrent", admission_defaults.max_concurrent) {
-            Ok(n) if n >= 1 => n,
-            _ => return fail("--max-concurrent wants a positive integer"),
-        },
-        queue_depth: match flags.parsed("queue-depth", admission_defaults.queue_depth) {
-            Ok(n) => n,
-            _ => return fail("--queue-depth wants an integer"),
-        },
-        tenant_quota: match flags.parsed("tenant-quota", admission_defaults.tenant_quota) {
-            Ok(n) if n >= 1 => n,
-            _ => return fail("--tenant-quota wants a positive integer"),
-        },
-        degrade_load: match flags.parsed("degrade-load", admission_defaults.degrade_load) {
-            Ok(f) if f > 0.0 => f,
-            _ => return fail("--degrade-load wants a positive saturation fraction"),
-        },
-        shed_load: match flags.parsed("shed-load", admission_defaults.shed_load) {
-            Ok(f) if f > 0.0 => f,
-            _ => return fail("--shed-load wants a positive saturation fraction"),
-        },
-        breaker_trip: match flags.parsed("breaker-trip", admission_defaults.breaker_trip) {
-            Ok(n) if n >= 1 => n,
-            _ => return fail("--breaker-trip wants a positive integer"),
-        },
-        breaker_cooldown: match flags.parsed(
-            "breaker-cooldown-ms",
-            admission_defaults.breaker_cooldown.as_millis() as u64,
-        ) {
-            Ok(ms) => std::time::Duration::from_millis(ms),
-            _ => return fail("--breaker-cooldown-ms wants an integer"),
-        },
+        max_concurrent: count("max-concurrent")?.unwrap_or(defaults.max_concurrent),
+        queue_depth: flags
+            .checked("queue-depth", any::<usize>, "--queue-depth wants an integer")?
+            .unwrap_or(defaults.queue_depth),
+        tenant_quota: count("tenant-quota")?.unwrap_or(defaults.tenant_quota),
+        degrade_load: load("degrade-load")?.unwrap_or(defaults.degrade_load),
+        shed_load: load("shed-load")?.unwrap_or(defaults.shed_load),
+        breaker_trip: flags
+            .checked("breaker-trip", positive::<u32>, "--breaker-trip wants a positive integer")?
+            .unwrap_or(defaults.breaker_trip),
+        breaker_cooldown: millis("breaker-cooldown-ms", any, "an integer")?
+            .unwrap_or(defaults.breaker_cooldown),
     };
     let cfg = ServerConfig {
-        port: match flags.parsed("port", 0u16) {
-            Ok(p) => p,
-            _ => return fail("--port wants a port number (0 = ephemeral)"),
-        },
+        port: flags
+            .checked("port", any::<u16>, "--port wants a port number (0 = ephemeral)")?
+            .unwrap_or(0),
         admission,
-        workers: match flags.parsed("workers", vr_base::sync::worker_budget()) {
-            Ok(n) if n >= 1 => n,
-            _ => return fail("--workers wants a positive integer"),
-        },
-        degraded_workers: match flags.parsed("degraded-workers", 1usize) {
-            Ok(n) if n >= 1 => n,
-            _ => return fail("--degraded-workers wants a positive integer"),
-        },
-        default_deadline: match flags.get("deadline-ms").map(str::parse::<u64>) {
-            Some(Ok(ms)) if ms >= 1 => Some(std::time::Duration::from_millis(ms)),
-            Some(_) => return fail("--deadline-ms wants a positive integer"),
-            None => None,
-        },
-        drain_timeout: match flags.parsed("drain-timeout-ms", 10_000u64) {
-            Ok(ms) => std::time::Duration::from_millis(ms),
-            _ => return fail("--drain-timeout-ms wants an integer"),
-        },
+        workers: count("workers")?.unwrap_or_else(vr_base::sync::worker_budget),
+        degraded_workers: count("degraded-workers")?.unwrap_or(1),
+        default_deadline: millis("deadline-ms", positive, "a positive integer")?,
+        drain_timeout: millis("drain-timeout-ms", any, "an integer")?
+            .unwrap_or(Duration::from_secs(10)),
         queries,
         use_index: flags.has("use-index"),
         index_path: flags.get("index").map(str::to_string),
         qlog_path: flags.get("qlog-out").map(str::to_string),
-        slow_query: match flags.get("slow-query-ms").map(str::parse::<u64>) {
-            Some(Ok(ms)) if ms >= 1 => Some(std::time::Duration::from_millis(ms)),
-            Some(_) => return fail("--slow-query-ms wants a positive integer"),
-            None => None,
-        },
+        slow_query: millis("slow-query-ms", positive, "a positive integer")?,
         slo: match flags.get("slo") {
-            Some(spec) => match visual_road::base::obs::slo::SloConfig::parse(spec) {
-                Ok(cfg) => cfg,
-                Err(e) => return fail(&format!("--slo: {e}")),
-            },
-            None => visual_road::base::obs::slo::SloConfig::default(),
+            Some(spec) => SloConfig::parse(spec).map_err(|e| format!("--slo: {e}"))?,
+            None => SloConfig::default(),
         },
     };
 
-    eprintln!("generating dataset ...");
-    let dataset = match Vcg::new(GenConfig::default()).generate(&hyper) {
-        Ok(d) => d,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
+    install_fault_plan(&flags)?;
+    let metrics_server = start_metrics_endpoint(&flags)?;
 
-    // Fault plan after dataset generation, exactly like `run`: chaos
-    // serving exercises the query path against a pristine dataset.
-    let injector = match flags.get("faults") {
-        Some(spec) => {
-            let seed = match flags.parsed("fault-seed", 0u64) {
-                Ok(s) => s,
-                Err(e) => return fail(&e),
-            };
-            match FaultInjector::from_spec(spec, seed) {
-                Ok(inj) => {
-                    let inj = std::sync::Arc::new(inj);
-                    fault::install(Some(std::sync::Arc::clone(&inj)));
-                    Some(inj)
-                }
-                Err(e) => return fail(&e.to_string()),
-            }
-        }
-        None => match fault::init_from_env() {
-            Ok(inj) => inj,
-            Err(e) => return fail(&e.to_string()),
-        },
-    };
-    if let Some(inj) = &injector {
-        eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
-    }
-
-    let metrics_server = match flags.get("serve-metrics") {
-        Some(port) => match port.parse::<u16>() {
-            Ok(port) => match vr_base::obs::serve::MetricsServer::start(port) {
-                Ok(server) => {
-                    eprintln!("serving metrics on http://{}", server.addr());
-                    Some(server)
-                }
-                Err(e) => return fail(&format!("cannot bind metrics endpoint: {e}")),
-            },
-            Err(_) => return fail("--serve-metrics wants a port number (0 = ephemeral)"),
-        },
-        None => None,
-    };
-
-    let server = match QueryServer::start(dataset, engines, cfg) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let server = QueryServer::start(dataset, engines, cfg).map_err(|e| e.to_string())?;
     // The bound address goes to stdout so drivers can scrape it even
     // with --port 0.
     println!("serving on {}", server.addr());
@@ -813,10 +720,10 @@ fn cmd_serve(args: &[String]) -> i32 {
     }
     if report.clean {
         eprintln!("drained cleanly");
-        0
+        Ok(0)
     } else {
         eprintln!("drain timed out with work still in flight");
-        1
+        Ok(1)
     }
 }
 
@@ -826,23 +733,13 @@ fn cmd_serve(args: &[String]) -> i32 {
 /// JSON. Scheduling constants (thread spawn, parallel efficiency,
 /// gate cost) keep their built-in seeds — they need contended
 /// multi-core probes this single pass cannot provide.
-fn cmd_calibrate(args: &[String]) -> i32 {
-    use visual_road::vdbms::{CalibrationProfile, PipelineSnapshot, StageKind, StageSnapshot};
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let hyper = match hyper_from(&flags) {
-        Ok(h) => h,
-        Err(e) => return fail(&e),
-    };
+fn cmd_calibrate(args: &[String]) -> Exit {
+    use visual_road::vdbms::{PipelineSnapshot, StageKind, StageSnapshot};
+    let flags = Flags::parse(args)?;
+    let hyper = hyper_from(&flags)?;
     let out = flags.get("out").unwrap_or("results/optimizer_profile.json");
-
-    eprintln!("generating calibration dataset ...");
-    let dataset = match Vcg::new(GenConfig::default()).generate(&hyper) {
-        Ok(d) => d,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let dataset =
+        generate_dataset("generating calibration dataset ...", GenConfig::default(), &hyper)?;
     let px = (hyper.resolution.width as u64 * hyper.resolution.height as u64).max(1) as f64;
 
     // Probes run without validation (the oracle's reference pipelines
@@ -872,20 +769,12 @@ fn cmd_calibrate(args: &[String]) -> i32 {
 
     eprintln!("probing per-pixel stages (reference Q2a) ...");
     let mut reference = ReferenceEngine::new();
-    let pixel_probe = match probe(&mut reference, QueryKind::Q2aGrayscale) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let pixel_probe = probe(&mut reference, QueryKind::Q2aGrayscale)?;
     eprintln!("probing NN inference (reference Q2c) ...");
-    let nn_probe = match probe(&mut reference, QueryKind::Q2cBoxes) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let nn_probe = probe(&mut reference, QueryKind::Q2cBoxes)?;
     eprintln!("probing cascade skip rate (cascade Q2c) ...");
     let mut cascade = CascadeEngine::new();
-    if let Err(e) = probe(&mut cascade, QueryKind::Q2cBoxes) {
-        return fail(&e);
-    }
+    probe(&mut cascade, QueryKind::Q2cBoxes)?;
     let (cheap, full) = cascade.cascade_stats();
 
     let mut profile = CalibrationProfile::builtin();
@@ -921,61 +810,25 @@ fn cmd_calibrate(args: &[String]) -> i32 {
     profile.observed_error = 0.0;
     profile.scale = 1.0;
 
-    if let Some(dir) = std::path::Path::new(out).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                return fail(&format!("cannot create {}: {e}", dir.display()));
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(out, profile.to_json()) {
-        return fail(&format!("cannot write profile to {out}: {e}"));
-    }
+    write_creating_parent(out, "profile to ", profile.to_json())?;
     eprintln!("wrote calibration profile to {out}");
     print!("{}", profile.to_json());
-    0
+    Ok(0)
 }
 
 /// `visualroad ingest`: the ingest-once pass. Generate the dataset,
 /// scan its metadata box tracks, and persist the tracklet side index.
-fn cmd_ingest(args: &[String]) -> i32 {
+fn cmd_ingest(args: &[String]) -> Exit {
     use visual_road::semantic::{ingest_dataset, IngestStats};
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let hyper = match hyper_from(&flags) {
-        Ok(h) => h,
-        Err(e) => return fail(&e),
-    };
-    let cfg = GenConfig {
-        density_scale: flags.parsed("density", 0.15f64).unwrap_or(0.15),
-        nodes: flags.parsed("nodes", 1usize).unwrap_or(1),
-        ..Default::default()
-    };
+    let flags = Flags::parse(args)?;
+    let hyper = hyper_from(&flags)?;
+    let cfg = gen_config(&flags)?;
     let out = flags.get("out").unwrap_or("results/index/dataset.vrsx");
-
-    eprintln!("generating dataset ...");
-    let dataset = match Vcg::new(cfg).generate(&hyper) {
-        Ok(d) => d,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let t0 = std::time::Instant::now();
-    let (index, bytes) = match ingest_dataset(&dataset) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let dataset = generate_dataset("generating dataset ...", cfg, &hyper)?;
+    let t0 = Instant::now();
+    let (index, bytes) = ingest_dataset(&dataset).map_err(|e| e.to_string())?;
     let stats = IngestStats::of(&index, bytes.len());
-    if let Some(dir) = std::path::Path::new(out).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                return fail(&format!("cannot create {}: {e}", dir.display()));
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(out, &bytes) {
-        return fail(&format!("cannot write side index to {out}: {e}"));
-    }
+    write_creating_parent(out, "side index to ", &bytes)?;
     println!(
         "ingested {} videos / {} frames / {} tracklets / {} B in {:.2}s",
         stats.videos,
@@ -985,137 +838,89 @@ fn cmd_ingest(args: &[String]) -> i32 {
         t0.elapsed().as_secs_f64()
     );
     println!("wrote {out}");
-    0
+    Ok(0)
 }
 
 /// `visualroad search`: answer one semantic query, via the side index
 /// or via full rescan, with latency quantiles and (for top-k) recall
 /// against VCG scene geometry.
-fn cmd_search(args: &[String]) -> i32 {
+fn cmd_search(args: &[String]) -> Exit {
+    use visual_road::base::Error;
+    use visual_road::scene::entity::ObjectClass;
     use visual_road::semantic::{
-        answer_with_index, answer_with_rescan, decide_route, ingest_dataset, recall_at_k,
-        truth_top_segments, validate_index, SemanticAnswer, SemanticQuery,
+        acquire_index, recall_at_k, truth_top_segments, SemanticAnswer, SemanticQuery,
+        SemanticRouter,
     };
-    use visual_road::vdbms::{CalibrationProfile, Optimizer, Workload};
-    use vr_index::SemanticIndex;
 
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    let hyper = match hyper_from(&flags) {
-        Ok(h) => h,
-        Err(e) => return fail(&e),
-    };
+    let flags = Flags::parse(args)?;
+    let hyper = hyper_from(&flags)?;
     let class = match flags.get("class").unwrap_or("any") {
-        "vehicle" => Some(visual_road::scene::entity::ObjectClass::Vehicle),
-        "pedestrian" => Some(visual_road::scene::entity::ObjectClass::Pedestrian),
+        "vehicle" => Some(ObjectClass::Vehicle),
+        "pedestrian" => Some(ObjectClass::Pedestrian),
         "any" => None,
-        other => return fail(&format!("unknown class {other:?} (vehicle|pedestrian|any)")),
+        other => return Err(format!("unknown class {other:?} (vehicle|pedestrian|any)")),
     };
-    let window = match flags.parsed("window", 8u32) {
-        Ok(w) if w >= 1 => w,
-        _ => return fail("--window wants a positive integer"),
-    };
-    let k = match flags.parsed("k", 10usize) {
-        Ok(k) if k >= 1 => k,
-        _ => return fail("--k wants a positive integer"),
-    };
-    let video = match flags.get("video").map(str::parse::<u32>) {
-        None => None,
-        Some(Ok(v)) => Some(v),
-        Some(Err(_)) => return fail("--video wants a video index"),
-    };
-    let track = match flags.parsed("track", 0u32) {
-        Ok(t) => t,
-        _ => return fail("--track wants a tracklet id"),
-    };
+    let window = flags
+        .checked("window", positive::<u32>, "--window wants a positive integer")?
+        .unwrap_or(8);
+    let k = flags.checked("k", positive::<usize>, "--k wants a positive integer")?.unwrap_or(10);
+    let video = flags.checked("video", any::<u32>, "--video wants a video index")?;
+    let track = flags.checked("track", any::<u32>, "--track wants a tracklet id")?.unwrap_or(0);
     let kind = flags.get("kind").unwrap_or("topk");
     let query = match kind {
         "count" => SemanticQuery::Count { class, video },
         "topk" => SemanticQuery::TopK { class, window, k },
         "similar" => SemanticQuery::Similar { track, k },
-        other => return fail(&format!("unknown kind {other:?} (count|topk|similar)")),
+        other => return Err(format!("unknown kind {other:?} (count|topk|similar)")),
     };
-    let repeat = match flags.parsed("repeat", 5usize) {
-        Ok(r) if r >= 1 => r,
-        _ => return fail("--repeat wants a positive integer"),
-    };
-
-    eprintln!("generating dataset ...");
-    let dataset = match Vcg::new(GenConfig::default()).generate(&hyper) {
-        Ok(d) => d,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let repeat = flags
+        .checked("repeat", positive::<usize>, "--repeat wants a positive integer")?
+        .unwrap_or(5);
+    let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
 
     // Acquire the index: load + validate a side-index file, build one
     // in memory, or skip entirely under --rescan. Unusable files fail
     // CLOSED into the rescan route — a warning, never a wrong answer.
-    let index: Option<SemanticIndex> = if flags.has("rescan") {
+    let index = if flags.has("rescan") {
         None
-    } else if let Some(path) = flags.get("index") {
-        match std::fs::read(path) {
-            Err(e) => return fail(&format!("cannot read side index {path}: {e}")),
-            Ok(bytes) => match SemanticIndex::from_sidecar_bytes(&bytes)
-                .and_then(|idx| validate_index(&idx, &dataset).map(|()| idx))
-            {
-                Ok(idx) => Some(idx),
-                Err(e) => {
-                    eprintln!("warning: side index {path} unusable ({e}); falling back to full rescan");
-                    None
-                }
-            },
-        }
     } else {
-        eprintln!("no --index given; ingesting in memory ...");
-        match ingest_dataset(&dataset) {
-            Ok((idx, _)) => Some(idx),
-            Err(e) => return fail(&e.to_string()),
+        let path = flags.get("index");
+        if path.is_none() {
+            eprintln!("no --index given; ingesting in memory ...");
+        }
+        match (acquire_index(&dataset, path), path) {
+            (Ok(index), _) => Some(index),
+            (Err(Error::Io(e)), Some(path)) => {
+                return Err(format!("cannot read side index {path}: {e}"));
+            }
+            (Err(e), Some(path)) => {
+                eprintln!("warning: side index {path} unusable ({e}); falling back to full rescan");
+                None
+            }
+            (Err(e), None) => return Err(e.to_string()),
         }
     };
 
     // Cost-based route decision, recorded for EXPLAIN. With no usable
     // index the IndexScan policy is not a candidate at all.
-    let profile = match flags.get("profile") {
-        Some(path) => match CalibrationProfile::load(std::path::Path::new(path)) {
-            Ok(p) => p,
-            Err(e) => return fail(&format!("cannot load calibration profile {path}: {e}")),
-        },
-        None => CalibrationProfile::builtin(),
-    };
-    let frames: u64 = dataset
-        .traffic_indices()
-        .iter()
-        .map(|&vi| dataset.videos[vi].frame_count() as u64)
-        .sum();
-    let opt = Optimizer::new(profile).with_workload(Workload {
-        width: hyper.resolution.width,
-        height: hyper.resolution.height,
-        frames,
-    });
-    let key = format!("semantic/{}", query.kind());
-    let use_index =
-        decide_route(&opt, &key, &dataset, index.as_ref().map(|i| i.len() as u64));
+    let profile = load_profile(&flags)?.unwrap_or_else(CalibrationProfile::builtin);
+    let router = SemanticRouter::new(&dataset, index, profile);
+    let plan = router.plan(&dataset, &format!("semantic/{}", query.kind()));
     if flags.has("explain") {
-        if let Some(decision) = opt.decision(&key) {
-            print!("{}", decision.render_text());
-        }
+        print!("{}", plan.text);
     }
 
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(repeat);
-    let mut answer: Option<SemanticAnswer> = None;
-    for _ in 0..repeat {
-        let t0 = std::time::Instant::now();
-        let a = if use_index {
-            answer_with_index(index.as_ref().expect("index route implies index"), &query)
-        } else {
-            answer_with_rescan(&dataset, &query)
-        };
+    let mut timed_answer = || {
+        let t0 = Instant::now();
+        let answer = plan.answer(&dataset, &query);
         latencies_ns.push(t0.elapsed().as_nanos() as u64);
-        match a {
-            Ok(a) => answer = Some(a),
-            Err(e) => return fail(&e.to_string()),
-        }
+        answer.map_err(|e| e.to_string())
+    };
+    // `repeat` is at least one: the first run supplies the answer.
+    let mut answer = timed_answer()?;
+    for _ in 1..repeat {
+        answer = timed_answer()?;
     }
     latencies_ns.sort_unstable();
     let pct = |q: f64| -> f64 {
@@ -1123,17 +928,14 @@ fn cmd_search(args: &[String]) -> i32 {
         latencies_ns[idx.min(latencies_ns.len() - 1)] as f64 / 1000.0
     };
     let (p50_us, p95_us) = (pct(0.50), pct(0.95));
-    let answer = answer.expect("repeat >= 1");
-    let route = if use_index { "index" } else { "rescan" };
+    let route = plan.route();
 
     // Top-k answers are graded against scene geometry, not against the
     // scan that produced them.
     let recall = match (&query, &answer) {
         (SemanticQuery::TopK { class, window, k }, SemanticAnswer::Segments(got)) => {
-            match truth_top_segments(&dataset, *class, *window) {
-                Ok(truth) => Some(recall_at_k(&truth, got, *k)),
-                Err(e) => return fail(&e.to_string()),
-            }
+            let truth = truth_top_segments(&dataset, *class, *window).map_err(|e| e.to_string())?;
+            Some(recall_at_k(&truth, got, *k))
         }
         _ => None,
     };
@@ -1148,13 +950,6 @@ fn cmd_search(args: &[String]) -> i32 {
     println!("{}", answer.render());
 
     if let Some(path) = flags.get("out") {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    return fail(&format!("cannot create {}: {e}", dir.display()));
-                }
-            }
-        }
         let recall_field = match recall {
             Some(r) => format!("\"recall\": {r:.6}, "),
             None => String::new(),
@@ -1165,12 +960,10 @@ fn cmd_search(args: &[String]) -> i32 {
              \"answer\": \"{}\"}}\n",
             visual_road::base::obs::json_escape(&answer.render())
         );
-        if let Err(e) = std::fs::write(path, doc) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        write_creating_parent(path, "", doc)?;
         eprintln!("wrote {path}");
     }
-    0
+    Ok(0)
 }
 
 /// Cross-check what the injector says it injected against what the
@@ -1234,9 +1027,4 @@ fn verify_fault_accounting(inj: &FaultInjector) -> i32 {
         }
         1
     }
-}
-
-fn fail(msg: &str) -> i32 {
-    eprintln!("error: {msg}");
-    1
 }

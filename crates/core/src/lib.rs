@@ -50,8 +50,9 @@ pub mod vcg;
 
 pub use dataset::{Dataset, VideoMeta, VideoRole};
 pub use semantic::{
-    answer_with_index, answer_with_rescan, decide_route, ingest_dataset, recall_at_k,
-    truth_top_segments, validate_index, IngestStats, SemanticAnswer, SemanticQuery,
+    acquire_index, answer_with_index, answer_with_rescan, decide_route, ingest_dataset,
+    recall_at_k, truth_top_segments, validate_index, IngestStats, SemanticAnswer, SemanticPlan,
+    SemanticQuery, SemanticRouter,
 };
 pub use report::{
     BenchmarkReport, DegradationStats, ExplainInfo, QueryReport, QueryStatus, SchedulerStats,

@@ -40,7 +40,9 @@ use vr_index::{
 use vr_scene::entity::ObjectClass;
 use vr_scene::groundtruth::frame_truth;
 use vr_vdbms::kernels::box_track;
-use vr_vdbms::{CandidateSpace, KernelClass, Optimizer, Policy, QueryWork};
+use vr_vdbms::{
+    CalibrationProfile, CandidateSpace, KernelClass, Optimizer, Policy, QueryWork, Workload,
+};
 use vr_vision::{associate, embed_tracklet, TrackerConfig, TRACK_EMBED_DIM};
 
 use crate::dataset::Dataset;
@@ -148,6 +150,21 @@ pub fn validate_index(index: &SemanticIndex, dataset: &Dataset) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// The side index a door serves `dataset` from: the `.vrsx` file at
+/// `path`, parsed and validated against the dataset, or — with no path
+/// — a fresh in-memory ingest. A file that cannot be read is
+/// [`Error::Io`]; any other error means the bytes are unusable (corrupt
+/// or stale). Either way the caller fails closed: it hands
+/// [`SemanticRouter::new`] `None` and every query rescans.
+pub fn acquire_index(dataset: &Dataset, path: Option<&str>) -> Result<SemanticIndex> {
+    let Some(path) = path else {
+        return ingest_dataset(dataset).map(|(index, _)| index);
+    };
+    let index = SemanticIndex::from_sidecar_bytes(&std::fs::read(path).map_err(Error::Io)?)?;
+    validate_index(&index, dataset)?;
+    Ok(index)
 }
 
 /// The semantic query class served by the index (or its rescan twin).
@@ -266,13 +283,8 @@ pub fn decide_route(
     dataset: &Dataset,
     indexed_vectors: Option<u64>,
 ) -> bool {
-    let frames: u64 = dataset
-        .traffic_indices()
-        .iter()
-        .map(|&vi| dataset.videos[vi].frame_count() as u64)
-        .sum();
     let work = QueryWork {
-        frames,
+        frames: traffic_frames(dataset),
         in_pixels: 0,
         out_pixels: 0,
         kernel: KernelClass::PerPixel { factor: 0.0 },
@@ -284,6 +296,74 @@ pub fn decide_route(
     }
     let choice = opt.decide(key, work, &CandidateSpace { policies, max_fanout: 1 });
     choice.policy == Policy::IndexScan
+}
+
+/// Frames a metadata rescan walks: every traffic video, start to end.
+fn traffic_frames(dataset: &Dataset) -> u64 {
+    let frames = |&vi: &usize| dataset.videos[vi].frame_count() as u64;
+    dataset.traffic_indices().iter().map(frames).sum()
+}
+
+/// The one place a semantic query is routed. `visualroad serve` and
+/// `visualroad search` both hold a router — an optional side index plus
+/// the optimizer that prices it against a rescan — and ask it for a
+/// [`SemanticPlan`] per query.
+pub struct SemanticRouter {
+    index: Option<SemanticIndex>,
+    optimizer: Optimizer,
+}
+
+impl SemanticRouter {
+    /// `index: None` (no index wanted, or an unusable one) removes the
+    /// index route from every decision.
+    pub fn new(
+        dataset: &Dataset,
+        index: Option<SemanticIndex>,
+        profile: CalibrationProfile,
+    ) -> Self {
+        let res = dataset.hyper.resolution;
+        let optimizer = Optimizer::new(profile).with_workload(Workload {
+            width: res.width,
+            height: res.height,
+            frames: traffic_frames(dataset),
+        });
+        Self { index, optimizer }
+    }
+
+    /// Route the query filed under the decision `key` (the optimizer
+    /// decides once per key and caches the table).
+    pub fn plan(&self, dataset: &Dataset, key: &str) -> SemanticPlan<'_> {
+        let vectors = self.index.as_ref().map(|i| i.len() as u64);
+        let use_index = decide_route(&self.optimizer, key, dataset, vectors);
+        SemanticPlan {
+            index: self.index.as_ref().filter(|_| use_index),
+            text: self.optimizer.decision(key).map(|d| d.render_text()).unwrap_or_default(),
+        }
+    }
+}
+
+/// A routed semantic query: the route it takes and the optimizer's
+/// chosen-vs-rejected table, which is its EXPLAIN text, the input of
+/// its plan digest and its slow-query exemplar.
+pub struct SemanticPlan<'r> {
+    /// `Some` exactly when the index route was chosen.
+    index: Option<&'r SemanticIndex>,
+    pub text: String,
+}
+
+impl SemanticPlan<'_> {
+    /// `"index"` or `"rescan"`, as reported on the wire and in logs.
+    pub fn route(&self) -> &'static str {
+        if self.index.is_some() { "index" } else { "rescan" }
+    }
+
+    /// Answer along the chosen route.
+    pub fn answer(&self, dataset: &Dataset, q: &SemanticQuery) -> Result<SemanticAnswer> {
+        match self.index {
+            Some(index) => answer_with_index(index, q),
+            None => answer_with_rescan(dataset, q),
+        }
+    }
 }
 
 /// VCG-exact top segments: distinct ground-truth entities visible

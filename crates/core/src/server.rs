@@ -59,6 +59,7 @@
 //! the drain timeout — the listener closes. [`QueryServer::wait`]
 //! reports whether the drain was clean.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -72,18 +73,15 @@ use vr_base::obs::slo::{SloConfig, SloTracker};
 use vr_base::obs::{metrics, serve, trace};
 use vr_base::sync::CancelToken;
 use vr_base::Error;
-use vr_index::SemanticIndex;
 use vr_vdbms::{
-    CalibrationProfile, ExecContext, Optimizer, PipelineMetrics, QueryInstance, QueryKind, Vdbms,
-    Workload,
+    CalibrationProfile, ExecContext, PipelineMetrics, QueryInstance, QueryKind, Vdbms,
 };
 
 use crate::dataset::Dataset;
 use crate::semantic::{
-    answer_with_index, answer_with_rescan, decide_route, ingest_dataset, validate_index,
-    SemanticQuery,
+    acquire_index, SemanticAnswer, SemanticPlan, SemanticQuery, SemanticRouter,
 };
-use crate::vcd::{ingest_online, Vcd, VcdConfig};
+use crate::vcd::{ingest_inputs_online, Vcd, VcdConfig};
 
 /// Server configuration: the admission policy plus execution defaults.
 #[derive(Debug, Clone)]
@@ -165,13 +163,10 @@ struct Shared {
     default_engine: String,
     pools: BTreeMap<QueryKind, Pool>,
     admission: Arc<AdmissionController>,
-    /// Loaded semantic side index, when one ingested/validated cleanly
-    /// at startup. `None` means semantic queries run by rescan.
-    index: Option<SemanticIndex>,
-    /// Cost-based router for the semantic query class (decisions are
-    /// cached per query label, so the probe-vs-rescan comparison runs
-    /// once and EXPLAIN can render it).
-    optimizer: Optimizer,
+    /// Routes the semantic query class: the side index, when one
+    /// ingested/validated cleanly at startup, and the optimizer that
+    /// prices it against a rescan (one cached decision per label).
+    router: SemanticRouter,
     /// Structured query log: one record per request that reached
     /// admission, appended at settlement (before the response line is
     /// written, so drivers can reconcile log vs ledger exactly).
@@ -239,39 +234,21 @@ impl QueryServer {
         // Semantic side index: ingest at startup (--use-index) or load
         // a prebuilt file (--index). Unusable files fail closed into
         // rescan — a warning, never a refused start or a wrong answer.
-        let index = if cfg.use_index || cfg.index_path.is_some() {
-            let loaded = match &cfg.index_path {
-                Some(path) => std::fs::read(path)
-                    .map_err(Error::Io)
-                    .and_then(|bytes| SemanticIndex::from_sidecar_bytes(&bytes))
-                    .and_then(|idx| validate_index(&idx, &dataset).map(|()| idx)),
-                None => ingest_dataset(&dataset).map(|(idx, _)| idx),
-            };
-            match loaded {
-                Ok(idx) => {
-                    eprintln!("semantic index ready: {} tracklets", idx.len());
-                    Some(idx)
-                }
-                Err(e) => {
-                    eprintln!(
-                        "warning: semantic index unusable ({e}); serving semantic queries by rescan"
-                    );
-                    None
-                }
+        let wanted = cfg.use_index || cfg.index_path.is_some();
+        let index = match wanted.then(|| acquire_index(&dataset, cfg.index_path.as_deref())) {
+            Some(Ok(idx)) => {
+                eprintln!("semantic index ready: {} tracklets", idx.len());
+                Some(idx)
             }
-        } else {
-            None
+            Some(Err(e)) => {
+                eprintln!(
+                    "warning: semantic index unusable ({e}); serving semantic queries by rescan"
+                );
+                None
+            }
+            None => None,
         };
-        let frames: u64 = dataset
-            .traffic_indices()
-            .iter()
-            .map(|&vi| dataset.videos[vi].frame_count() as u64)
-            .sum();
-        let optimizer = Optimizer::new(CalibrationProfile::builtin()).with_workload(Workload {
-            width: dataset.hyper.resolution.width,
-            height: dataset.hyper.resolution.height,
-            frames,
-        });
+        let router = SemanticRouter::new(&dataset, index, CalibrationProfile::builtin());
 
         let qlog = Arc::new(
             QueryLog::open(cfg.qlog_path.as_deref(), cfg.slow_query).map_err(Error::Io)?,
@@ -299,8 +276,7 @@ impl QueryServer {
             default_engine,
             pools,
             admission: Arc::new(AdmissionController::new(cfg.admission.clone())),
-            index,
-            optimizer,
+            router,
             qlog,
             slo,
             next_request: AtomicU64::new(0),
@@ -329,12 +305,7 @@ impl QueryServer {
     /// Begin a graceful drain from the owning process (equivalent to
     /// a `SHUTDOWN` request).
     pub fn shutdown(&self) {
-        let shared = Arc::clone(&self.shared);
-        std::thread::Builder::new()
-            .name("vr-query-drain".to_string())
-            .spawn(move || drain(&shared))
-            .map(|_| ())
-            .unwrap_or_else(|_| drain(&self.shared));
+        spawn_drain(&self.shared);
     }
 
     /// A cloneable trigger another thread can use to start the drain
@@ -369,12 +340,7 @@ pub struct ShutdownHandle(Arc<Shared>);
 impl ShutdownHandle {
     /// Begin the graceful drain.
     pub fn shutdown(&self) {
-        let shared = Arc::clone(&self.0);
-        std::thread::Builder::new()
-            .name("vr-query-drain".to_string())
-            .spawn(move || drain(&shared))
-            .map(|_| ())
-            .unwrap_or_else(|_| drain(&self.0));
+        spawn_drain(&self.0);
     }
 }
 
@@ -396,6 +362,22 @@ fn drain(shared: &Shared) {
     let clean = shared.admission.await_idle(shared.cfg.drain_timeout);
     shared.drained_clean.store(clean, Ordering::Relaxed);
     shared.shutdown.store(true, Ordering::Relaxed);
+}
+
+/// Start the drain on a thread of its own, so whoever asked — a
+/// session answering `SHUTDOWN`, the CLI's stdin watcher, the owning
+/// process — is not held for the drain timeout. The thread is left
+/// detached: its last act is the `shutdown` flag the accept loop, and so
+/// [`QueryServer::wait`], exits on. If it cannot be spawned the drain
+/// runs on the caller.
+fn spawn_drain(shared: &Arc<Shared>) {
+    let on_thread = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name("vr-query-drain".to_string())
+        .spawn(move || drain(&on_thread));
+    if spawned.is_err() {
+        drain(shared);
+    }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -481,7 +463,7 @@ fn handle_request(request: &str, shared: &Arc<Shared>) -> String {
     let kv: BTreeMap<&str, &str> =
         tokens.filter_map(|t| t.split_once('=')).collect();
     match verb.as_str() {
-        "EXEC" => handle_exec(&kv, shared),
+        "EXEC" => exec(&kv, shared),
         "STATS" => {
             let json = shared
                 .admission
@@ -499,76 +481,215 @@ fn handle_request(request: &str, shared: &Arc<Shared>) -> String {
             )
         }
         "SHUTDOWN" => {
-            let drain_shared = Arc::clone(shared);
-            let spawned = std::thread::Builder::new()
-                .name("vr-query-drain".to_string())
-                .spawn(move || drain(&drain_shared))
-                .is_ok();
-            if !spawned {
-                drain(shared);
-            }
+            spawn_drain(shared);
             "OK draining".to_string()
         }
         other => format!("ERR unknown request {other:?}"),
     }
 }
 
-/// Everything about how one admitted-or-shed request settled; turned
-/// into an SLO sample plus a query-log record by [`settle`].
-struct Settled<'a> {
+/// One `EXEC` line with every field checked: from here on only
+/// admission and the work itself can refuse or fail it.
+struct Request<'a> {
+    tenant: &'a str,
+    priority: Priority,
+    /// The query as the client spelled it — what the log records.
     query: &'a str,
+    /// Its canonical label — what responses, spans and fault specs use.
+    label: &'a str,
+    /// What responses and log records call the engine.
     engine: &'a str,
-    outcome: Outcome,
-    shed_reason: Option<&'static str>,
-    degraded: bool,
-    route: Option<&'static str>,
-    queue_wait: Duration,
-    latency: Duration,
     deadline: Option<Duration>,
-    plan_digest: String,
-    exemplar: Option<String>,
+    online: Option<f64>,
+    work: Work<'a>,
 }
 
-/// Record a settled request into the SLO tracker and the query log.
-/// Called for every request that reached admission — admitted or shed
-/// — and before its response line is written, so the log's per-tenant
-/// totals reconcile exactly with the admission ledger at any `STATS`
-/// the client observes after its own requests.
-fn settle(shared: &Shared, req: &RequestCtx, s: Settled<'_>) {
-    shared.slo.record(&req.tenant, req.priority, s.outcome, s.latency);
-    shared.qlog.append(&RequestRecord {
-        req: req.id,
-        tenant: req.tenant.clone(),
-        priority: req.priority,
-        query: s.query.to_string(),
-        engine: s.engine.to_string(),
-        outcome: s.outcome,
-        shed_reason: s.shed_reason,
-        degraded: s.degraded,
-        route: s.route,
-        queue_wait: s.queue_wait,
-        latency: s.latency,
-        deadline: s.deadline,
-        plan_digest: s.plan_digest,
-        exemplar: s.exemplar,
-    });
+/// The part of a request that depends on its query class.
+enum Work<'a> {
+    /// An instance from a pregenerated pool, executed by a loaded engine.
+    Pixel { engine: &'a dyn Vdbms, pool: &'a Pool },
+    /// S1/S2/S3: answered from the side index or by a metadata rescan,
+    /// whichever the optimizer priced cheaper.
+    Semantic(SemanticQuery),
 }
 
-fn handle_exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
+/// An admitted request's work, planned: it can explain itself, run,
+/// and say which route it took.
+enum Planned<'a> {
+    Pixel { engine: &'a dyn Vdbms, instance: &'a QueryInstance, ctx: ExecContext },
+    Semantic { query: SemanticQuery, plan: SemanticPlan<'a> },
+}
+
+/// Why an admitted request has no answer.
+enum Failure {
+    /// Its deadline fired mid-flight.
+    Cancelled,
+    Ingest(Error),
+    Exec(Error),
+}
+
+/// Check an `EXEC` line. The order of the checks is the order of the
+/// `ERR` messages a line with several mistakes gets, and is pinned by
+/// `tests/server.rs::wire_and_log_are_pinned`.
+fn parse_exec<'a>(
+    kv: &BTreeMap<&'a str, &'a str>,
+    shared: &'a Shared,
+) -> Result<Request<'a>, String> {
     let tenant = match kv.get("tenant") {
         Some(t) if !t.is_empty() => *t,
-        _ => return "ERR EXEC needs tenant=<id>".to_string(),
+        _ => return Err("EXEC needs tenant=<id>".to_string()),
     };
-    let priority = match kv.get("priority").unwrap_or(&"low").parse::<Priority>() {
-        Ok(p) => p,
-        Err(e) => return format!("ERR {e}"),
+    let priority = kv.get("priority").unwrap_or(&"low").parse::<Priority>()?;
+    let query = *kv.get("query").ok_or("EXEC needs query=<Q1|Q2a|...>")?;
+    // The semantic class bypasses the engine pools (and ignores
+    // `engine=` and `online=`: it has no engine and streams nothing).
+    let (label, engine, work) = if let Some(semantic) = SemanticQuery::parse_label(query) {
+        (query, "semantic", Work::Semantic(semantic))
+    } else {
+        let pooled = QueryKind::parse(query).and_then(|k| Some((k, shared.pools.get(&k)?)));
+        let (kind, pool) = pooled.ok_or_else(|| {
+            let pools: Vec<_> = shared.pools.keys().map(|k| k.label()).collect();
+            format!("no pool for query {query:?} (server pools: {pools:?})")
+        })?;
+        let name = kv.get("engine").copied().unwrap_or(&shared.default_engine);
+        let engine = shared.engines.get(name).ok_or_else(|| {
+            let loaded: Vec<_> = shared.engines.keys().collect();
+            format!("unknown engine {name:?} (loaded: {loaded:?})")
+        })?;
+        if !engine.supports(kind) {
+            return Err(format!("engine {name} does not support {}", kind.label()));
+        }
+        (kind.short_label(), name, Work::Pixel { engine: engine.as_ref(), pool })
     };
-    let Some(query) = kv.get("query") else {
-        return "ERR EXEC needs query=<Q1|Q2a|...>".to_string();
+    let deadline = match kv.get("deadline_ms").map(|v| v.parse::<u64>()) {
+        Some(Ok(ms)) => Some(Duration::from_millis(ms)),
+        Some(Err(_)) => return Err("deadline_ms wants an integer".to_string()),
+        None => shared.cfg.default_deadline,
     };
-    // Mint the request's identity at arrival: protocol-level failures
-    // above never reach admission and get no id, so qlog totals stay
-    // exactly admitted + shed per tenant.
+    let online = match (&work, kv.get("online").map(|v| v.parse::<f64>())) {
+        (Work::Semantic(_), _) | (_, None) => None,
+        (_, Some(Ok(speedup))) if speedup > 0.0 => Some(speedup),
+        _ => return Err("online wants a positive speedup factor".to_string()),
+    };
+    Ok(Request { tenant, priority, query, label, engine, deadline, online, work })
+}
+
+impl<'a> Work<'a> {
+    /// Plan an admitted request. A pixel query takes the pool's next
+    /// instance — round-robin, so concurrent sessions spread across
+    /// distinct instances like a batch does; a shed request never gets
+    /// this far and takes no turn — and a context carrying the
+    /// request's identity, deadline and worker budget (the cheap
+    /// configuration when admission degraded it). A semantic query is
+    /// routed.
+    fn plan(
+        self,
+        shared: &'a Shared,
+        req: &RequestCtx,
+        label: &str,
+        degraded: bool,
+        deadline: Option<Instant>,
+    ) -> Planned<'a> {
+        match self {
+            Work::Pixel { engine, pool } => {
+                let turn = pool.next.fetch_add(1, Ordering::Relaxed);
+                let cfg = &shared.cfg;
+                let ctx = ExecContext {
+                    workers: if degraded { cfg.degraded_workers } else { cfg.workers }.max(1),
+                    query_label: label.to_string(),
+                    cancel: deadline.map_or_else(CancelToken::new, CancelToken::with_deadline),
+                    metrics: Arc::new(PipelineMetrics::default()),
+                    tenant: Some(Arc::from(req.tenant.as_str())),
+                    request_id: Some(Arc::from(format!("{}.{}", req.label(), req.tenant))),
+                    ..ExecContext::default()
+                };
+                let instance = &pool.instances[turn % pool.instances.len()];
+                Planned::Pixel { engine, instance, ctx }
+            }
+            Work::Semantic(query) => {
+                let plan = shared.router.plan(&shared.dataset, &format!("semantic/{label}"));
+                Planned::Semantic { query, plan }
+            }
+        }
+    }
+}
+
+impl Planned<'_> {
+    /// EXPLAIN, or — given the latency of a finished run — EXPLAIN
+    /// ANALYZE. For a pixel query that is the engine's plan for
+    /// (instance, context), built without executing anything and
+    /// annotated with the run's measured stage costs; for a semantic
+    /// query, either way, the optimizer's index-vs-rescan table. The
+    /// first names the plan (the log records its digest), the second is
+    /// what a slow completion embeds in its record.
+    fn explain(&self, analyze: Option<Duration>) -> Cow<'_, str> {
+        match self {
+            Planned::Pixel { engine, instance, ctx } => {
+                let mut plan = engine.plan(instance, ctx);
+                if let Some(latency) = analyze {
+                    plan.annotate(&ctx.metrics.snapshot(), latency.as_nanos() as u64);
+                }
+                plan.render_text().into()
+            }
+            Planned::Semantic { plan, .. } => plan.text.as_str().into(),
+        }
+    }
+
+    /// Do the work. `Ok` holds what the `OK` line carries after its
+    /// route: nothing for a pixel query, the answer for a semantic one.
+    fn run(
+        &self,
+        shared: &Shared,
+        online: Option<f64>,
+    ) -> Result<Option<SemanticAnswer>, Failure> {
+        let videos = &shared.dataset.videos;
+        match self {
+            Planned::Pixel { engine, instance, ctx } => {
+                // The online half of a mixed workload: pace the inputs
+                // through RTP ingest first, inside the measured latency
+                // (a live camera's frames are not free).
+                if let Some(speedup) = online {
+                    ingest_inputs_online(videos, instance, speedup).map_err(Failure::Ingest)?;
+                }
+                match engine.execute(instance, videos, ctx) {
+                    Ok(_) => Ok(None),
+                    Err(Error::Cancelled(_)) => Err(Failure::Cancelled),
+                    Err(e) => Err(Failure::Exec(e)),
+                }
+            }
+            Planned::Semantic { query, plan } => {
+                plan.answer(&shared.dataset, query).map(Some).map_err(Failure::Exec)
+            }
+        }
+    }
+
+    fn route(&self) -> &'static str {
+        match self {
+            // Pixel queries always scan/decode their inputs: in the
+            // index-vs-rescan ledger they are rescan-served, which keeps
+            // ok == index_served + rescan_served exact per tenant.
+            Planned::Pixel { .. } => "rescan",
+            Planned::Semantic { plan, .. } => plan.route(),
+        }
+    }
+}
+
+/// The one request path: parse → admit → plan → run → settle → respond.
+/// The log record is started when the request gets its identity and
+/// filled in as far as the request gets; it is settled — into the SLO
+/// tracker and the query log — exactly once, whether the request was
+/// shed or admitted, and before the response line is written, so the
+/// log's per-tenant totals reconcile exactly with the admission ledger
+/// at any `STATS` the client observes after its own requests.
+fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
+    let Request { tenant, priority, query, label, engine, deadline: deadline_ms, online, work } =
+        match parse_exec(kv, shared) {
+            Ok(request) => request,
+            Err(complaint) => return format!("ERR {complaint}"),
+        };
+    // Identity is minted last: a line rejected above never reaches
+    // admission, has no log record, and must not leave a hole in the
+    // ids that join log, spans and ledger.
     let req = RequestCtx {
         id: shared.next_request.fetch_add(1, Ordering::Relaxed) + 1,
         tenant: tenant.to_string(),
@@ -577,333 +698,89 @@ fn handle_exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
     // The per-request chrome-trace lane: admission, planning, and any
     // same-thread execution nest under it, named by id and tenant.
     let _lane = trace::span_dyn("server", || format!("request.{}.{tenant}", req.label()));
-    // The semantic query class (S1/S2/S3) bypasses the engine pools:
-    // it is answered from the side index or by metadata rescan, with
-    // the route chosen by the cost-based optimizer.
-    if let Some(sq) = SemanticQuery::parse_label(query) {
-        return handle_semantic(kv, shared, &req, query, &sq);
-    }
-    let Some((kind, pool)) = lookup_pool(shared, query) else {
-        return format!("ERR no pool for query {query:?} (server pools: {:?})",
-            shared.pools.keys().map(|k| k.label()).collect::<Vec<_>>());
+    let mut record = RequestRecord {
+        req: req.id,
+        tenant: req.tenant.clone(),
+        priority,
+        query: query.to_string(),
+        engine: engine.to_string(),
+        outcome: Outcome::Shed,
+        shed_reason: None,
+        degraded: false,
+        route: None,
+        queue_wait: Duration::ZERO,
+        latency: Duration::ZERO,
+        deadline: deadline_ms,
+        plan_digest: String::new(),
+        exemplar: None,
     };
-    let engine_name = kv.get("engine").copied().unwrap_or(&shared.default_engine);
-    let Some(engine) = shared.engines.get(engine_name) else {
-        return format!(
-            "ERR unknown engine {engine_name:?} (loaded: {:?})",
-            shared.engines.keys().collect::<Vec<_>>()
-        );
-    };
-    if !engine.supports(kind) {
-        return format!("ERR engine {engine_name} does not support {}", kind.label());
-    }
-    let deadline_ms = match kv.get("deadline_ms").map(|v| v.parse::<u64>()) {
-        Some(Ok(ms)) => Some(Duration::from_millis(ms)),
-        Some(Err(_)) => return "ERR deadline_ms wants an integer".to_string(),
-        None => shared.cfg.default_deadline,
-    };
-    let online_speedup = match kv.get("online").map(|v| v.parse::<f64>()) {
-        Some(Ok(s)) if s > 0.0 => Some(s),
-        Some(_) => return "ERR online wants a positive speedup factor".to_string(),
-        None => None,
-    };
-
+    // The clock starts at admission and stops when the work returns:
+    // bookkeeping before and rendering after are not request latency.
     let t0 = Instant::now();
     let deadline = deadline_ms.map(|d| t0 + d);
-    let permit = match shared.admission.admit_request(&req, deadline) {
-        Ok(p) => p,
+    let response = match shared.admission.admit_request(&req, deadline) {
         Err(reason) => {
-            settle(shared, &req, Settled {
-                query,
-                engine: engine_name,
-                outcome: Outcome::Shed,
-                shed_reason: Some(reason.label()),
-                degraded: false,
-                route: None,
-                queue_wait: Duration::ZERO,
-                latency: t0.elapsed(),
-                deadline: deadline_ms,
-                plan_digest: String::new(),
-                exemplar: None,
-            });
-            return format!("SHED reason={}", reason.label());
+            record.shed_reason = Some(reason.label());
+            record.latency = t0.elapsed();
+            format!("SHED reason={}", reason.label())
         }
-    };
-
-    // Round-robin over the pregenerated pool: concurrent sessions
-    // spread across distinct instances like a batch does.
-    let instance = &pool.instances[pool.next.fetch_add(1, Ordering::Relaxed) % pool.instances.len()];
-    let label = kind.label().replace(['(', ')'], "");
-    let ctx = ExecContext {
-        workers: if permit.degraded() {
-            shared.cfg.degraded_workers.max(1)
-        } else {
-            shared.cfg.workers.max(1)
-        },
-        query_label: label.clone(),
-        cancel: match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        },
-        metrics: Arc::new(PipelineMetrics::default()),
-        tenant: Some(Arc::from(tenant)),
-        request_id: Some(Arc::from(format!("{}.{tenant}", req.label()).as_str())),
-        ..ExecContext::default()
-    };
-    // The digest identifies the plan the request ran with — cheap (no
-    // execution) and deterministic for (instance, context).
-    let plan_digest = qlog::fnv64_hex(&engine.plan(instance, &ctx).render_text());
-
-    // The online half of a mixed workload: pace the instance's inputs
-    // through RTP ingest first, inside the measured latency (a live
-    // camera's frames are not free).
-    if let Some(speedup) = online_speedup {
-        if let Err(e) = ingest_instance_online(shared, instance, speedup) {
-            let queue_wait = permit.queue_wait();
-            permit.fail();
-            metrics::counter("server.exec_err").inc();
-            settle(shared, &req, Settled {
-                query,
-                engine: engine_name,
-                outcome: Outcome::Err,
-                shed_reason: None,
-                degraded: false,
-                route: None,
-                queue_wait,
-                latency: t0.elapsed(),
-                deadline: deadline_ms,
-                plan_digest,
-                exemplar: None,
-            });
-            return format!("ERR ingest: {e}");
-        }
-    }
-
-    let result = engine.execute(instance, &shared.dataset.videos, &ctx);
-    let latency = t0.elapsed();
-    metrics::histogram(&format!("server.latency.{priority}")).observe(latency.as_nanos() as u64);
-    let degraded = permit.degraded();
-    let queue_wait = permit.queue_wait();
-    match result {
-        Ok(_) => {
-            permit.succeed();
-            // Pixel queries always scan/decode their inputs — in the
-            // index-vs-rescan ledger they are rescan-served, keeping
-            // ok == index_served + rescan_served exact per tenant.
-            shared.admission.note_route(tenant, false);
-            metrics::counter("server.exec_ok").inc();
-            // A completion at or above the slow-query threshold gets
-            // the full EXPLAIN ANALYZE exemplar: the same plan shape,
-            // annotated with this run's measured stage costs.
-            let exemplar = shared
-                .qlog
-                .slow_threshold()
-                .filter(|&thr| latency >= thr)
-                .map(|_| {
-                    let mut plan = engine.plan(instance, &ctx);
-                    plan.annotate(&ctx.metrics.snapshot(), latency.as_nanos() as u64);
-                    plan.render_text()
-                });
-            settle(shared, &req, Settled {
-                query,
-                engine: engine_name,
-                outcome: Outcome::Ok,
-                shed_reason: None,
-                degraded,
-                route: Some("rescan"),
-                queue_wait,
-                latency,
-                deadline: deadline_ms,
-                plan_digest,
-                exemplar,
-            });
-            format!(
-                "OK tenant={tenant} query={label} engine={engine_name} latency_us={} degraded={} route=rescan",
-                latency.as_micros(),
-                degraded as u8
-            )
-        }
-        Err(Error::Cancelled(_)) => {
+        Ok(permit) => {
+            record.degraded = permit.degraded();
+            record.queue_wait = permit.queue_wait();
+            let planned = work.plan(shared, &req, label, record.degraded, deadline);
+            record.plan_digest = qlog::fnv64_hex(&planned.explain(None));
+            let result = planned.run(shared, online);
+            let latency = t0.elapsed();
+            record.latency = latency;
+            metrics::histogram(&format!("server.latency.{priority}"))
+                .observe(latency.as_nanos() as u64);
+            let (route, degraded, latency_us) =
+                (planned.route(), record.degraded as u8, latency.as_micros());
+            let (outcome, response) = match result {
+                Ok(answer) => (
+                    Outcome::Ok,
+                    format!(
+                        "OK tenant={tenant} query={label} engine={engine} latency_us={latency_us} \
+                         degraded={degraded} route={route}{}",
+                        answer.map(|a| format!(" {}", a.render())).unwrap_or_default()
+                    ),
+                ),
+                Err(Failure::Cancelled) => (
+                    Outcome::Cancelled,
+                    format!("CANCELLED tenant={tenant} query={label} latency_us={latency_us}"),
+                ),
+                Err(Failure::Ingest(e)) => (Outcome::Err, format!("ERR ingest: {e}")),
+                Err(Failure::Exec(e)) => {
+                    (Outcome::Err, format!("ERR tenant={tenant} query={label}: {e}"))
+                }
+            };
+            record.outcome = outcome;
             // A deadline cancellation is the client's latency bound
-            // doing its job, not an engine fault: it must not feed the
-            // tenant's breaker.
-            permit.succeed();
-            metrics::counter("server.exec_cancelled").inc();
-            settle(shared, &req, Settled {
-                query,
-                engine: engine_name,
-                outcome: Outcome::Cancelled,
-                shed_reason: None,
-                degraded,
-                route: None,
-                queue_wait,
-                latency,
-                deadline: deadline_ms,
-                plan_digest,
-                exemplar: None,
-            });
-            format!(
-                "CANCELLED tenant={tenant} query={label} latency_us={}",
-                latency.as_micros()
-            )
-        }
-        Err(e) => {
-            permit.fail();
-            metrics::counter("server.exec_err").inc();
-            settle(shared, &req, Settled {
-                query,
-                engine: engine_name,
-                outcome: Outcome::Err,
-                shed_reason: None,
-                degraded,
-                route: None,
-                queue_wait,
-                latency,
-                deadline: deadline_ms,
-                plan_digest,
-                exemplar: None,
-            });
-            format!("ERR tenant={tenant} query={label}: {e}")
-        }
-    }
-}
-
-/// Serve one semantic query (S1/S2/S3) under full admission control.
-/// The route is the optimizer's cached index-vs-rescan decision; with
-/// no usable index loaded the IndexScan policy is not a candidate and
-/// every request runs (and is accounted) as rescan.
-fn handle_semantic(
-    kv: &BTreeMap<&str, &str>,
-    shared: &Arc<Shared>,
-    req: &RequestCtx,
-    label: &str,
-    sq: &SemanticQuery,
-) -> String {
-    let tenant = req.tenant.as_str();
-    let priority = req.priority;
-    let deadline_ms = match kv.get("deadline_ms").map(|v| v.parse::<u64>()) {
-        Some(Ok(ms)) => Some(Duration::from_millis(ms)),
-        Some(Err(_)) => return "ERR deadline_ms wants an integer".to_string(),
-        None => shared.cfg.default_deadline,
-    };
-    let t0 = Instant::now();
-    let deadline = deadline_ms.map(|d| t0 + d);
-    let permit = match shared.admission.admit_request(req, deadline) {
-        Ok(p) => p,
-        Err(reason) => {
-            settle(shared, req, Settled {
-                query: label,
-                engine: "semantic",
-                outcome: Outcome::Shed,
-                shed_reason: Some(reason.label()),
-                degraded: false,
-                route: None,
-                queue_wait: Duration::ZERO,
-                latency: t0.elapsed(),
-                deadline: deadline_ms,
-                plan_digest: String::new(),
-                exemplar: None,
-            });
-            return format!("SHED reason={}", reason.label());
+            // doing its job, not an engine fault: it settles as a
+            // success, so it never feeds the tenant's breaker.
+            if outcome == Outcome::Err {
+                permit.fail();
+            } else {
+                permit.succeed();
+            }
+            metrics::counter(match outcome {
+                Outcome::Ok => "server.exec_ok",
+                Outcome::Cancelled => "server.exec_cancelled",
+                _ => "server.exec_err",
+            })
+            .inc();
+            if outcome == Outcome::Ok {
+                record.route = Some(route);
+                shared.admission.note_route(tenant, route == "index");
+                let slow = shared.qlog.slow_threshold().is_some_and(|t| latency >= t);
+                record.exemplar = slow.then(|| planned.explain(Some(latency)).into_owned());
+            }
+            response
         }
     };
-    let decision_key = format!("semantic/{label}");
-    let use_index = decide_route(
-        &shared.optimizer,
-        &decision_key,
-        &shared.dataset,
-        shared.index.as_ref().map(|i| i.len() as u64),
-    );
-    // For semantic queries the "plan" is the optimizer's cached
-    // index-vs-rescan decision; its rendering backs both the digest
-    // and any slow-query exemplar.
-    let decision_text = shared
-        .optimizer
-        .decision(&decision_key)
-        .map(|d| d.render_text())
-        .unwrap_or_else(|| format!("{decision_key}: route=rescan (no decision recorded)\n"));
-    let plan_digest = qlog::fnv64_hex(&decision_text);
-    let result = match (&shared.index, use_index) {
-        (Some(index), true) => answer_with_index(index, sq),
-        _ => answer_with_rescan(&shared.dataset, sq),
-    };
-    let latency = t0.elapsed();
-    metrics::histogram(&format!("server.latency.{priority}")).observe(latency.as_nanos() as u64);
-    let degraded = permit.degraded();
-    let queue_wait = permit.queue_wait();
-    match result {
-        Ok(answer) => {
-            permit.succeed();
-            let index_served = use_index && shared.index.is_some();
-            shared.admission.note_route(tenant, index_served);
-            metrics::counter("server.exec_ok").inc();
-            let route = if index_served { "index" } else { "rescan" };
-            let exemplar = shared
-                .qlog
-                .slow_threshold()
-                .filter(|&thr| latency >= thr)
-                .map(|_| decision_text.clone());
-            settle(shared, req, Settled {
-                query: label,
-                engine: "semantic",
-                outcome: Outcome::Ok,
-                shed_reason: None,
-                degraded,
-                route: Some(route),
-                queue_wait,
-                latency,
-                deadline: deadline_ms,
-                plan_digest,
-                exemplar,
-            });
-            format!(
-                "OK tenant={tenant} query={label} engine=semantic latency_us={} degraded={} route={route} {}",
-                latency.as_micros(),
-                degraded as u8,
-                answer.render()
-            )
-        }
-        Err(e) => {
-            permit.fail();
-            metrics::counter("server.exec_err").inc();
-            settle(shared, req, Settled {
-                query: label,
-                engine: "semantic",
-                outcome: Outcome::Err,
-                shed_reason: None,
-                degraded,
-                route: None,
-                queue_wait,
-                latency,
-                deadline: deadline_ms,
-                plan_digest,
-                exemplar: None,
-            });
-            format!("ERR tenant={tenant} query={label}: {e}")
-        }
-    }
-}
-
-fn ingest_instance_online(
-    shared: &Shared,
-    instance: &QueryInstance,
-    speedup: f64,
-) -> vr_base::Result<usize> {
-    let mut packets = 0;
-    for &i in &instance.inputs {
-        packets += ingest_online(&shared.dataset.videos[i], speedup)?;
-    }
-    Ok(packets)
-}
-
-/// Resolve a query label (`Q1`, `q2a`, `Q2(a)`, ...) to a pooled kind.
-fn lookup_pool<'s>(shared: &'s Shared, query: &str) -> Option<(QueryKind, &'s Pool)> {
-    let want = query.trim().replace(['(', ')'], "").to_ascii_uppercase();
-    shared
-        .pools
-        .iter()
-        .find(|(kind, _)| kind.label().replace(['(', ')'], "").to_ascii_uppercase() == want)
-        .map(|(&kind, pool)| (kind, pool))
+    shared.slo.record(&record.tenant, record.priority, record.outcome, record.latency);
+    shared.qlog.append(&record);
+    response
 }
 
 /// Shed reasons whose counts the stress driver treats as load shedding

@@ -23,7 +23,7 @@ use crate::report::{
     SchedulerStats, StageLatency, ValidationSummary,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use vr_base::obs::{metrics, serve, trace};
 use vr_base::rng::mix64;
@@ -309,7 +309,7 @@ impl<'d> Vcd<'d> {
             result_mode: match &self.cfg.write_store {
                 Some(store) => ResultMode::Write {
                     store: store.clone(),
-                    prefix: kind.label().replace(['(', ')'], ""),
+                    prefix: kind.short_label().to_string(),
                 },
                 None => ResultMode::Streaming,
             },
@@ -320,7 +320,7 @@ impl<'d> Vcd<'d> {
                 .pipeline_workers
                 .unwrap_or_else(vr_base::sync::worker_budget)
                 .max(1),
-            query_label: kind.label().replace(['(', ')'], ""),
+            query_label: kind.short_label().to_string(),
             cancel: CancelToken::new(),
             stage_timeout: Some(vr_vdbms::io::DEFAULT_STAGE_TIMEOUT),
             optimizer: self.optimizer.clone(),
@@ -337,12 +337,9 @@ impl<'d> Vcd<'d> {
     /// exactly like the server attributes it per request.
     fn instance_context(&self, ctx: &ExecContext, index: usize) -> ExecContext {
         let mut ictx = ctx.clone();
-        ictx.cancel = match self.cfg.instance_deadline {
-            Some(d) => CancelToken::with_deadline(Instant::now() + d),
-            None => CancelToken::new(),
-        };
-        ictx.request_id =
-            Some(std::sync::Arc::from(format!("instance.{}.{index}", ctx.query_label).as_str()));
+        let deadline = self.cfg.instance_deadline.map(|d| Instant::now() + d);
+        ictx.cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
+        ictx.request_id = Some(Arc::from(format!("instance.{}.{index}", ctx.query_label)));
         ictx
     }
 
@@ -414,11 +411,7 @@ impl<'d> Vcd<'d> {
         // `prepare_batch` needed the exclusive reference; dispatch
         // shares the engine across scheduler workers.
         let engine: &dyn Vdbms = engine;
-        let slots = if workers <= 1 {
-            self.dispatch_sequential(engine, &batch, &ctx)?
-        } else {
-            self.dispatch_concurrent(engine, &batch, &ctx, workers)?
-        };
+        let slots = self.dispatch(engine, &batch, &ctx, workers)?;
         let runtime = start.elapsed();
         let obs_delta = metrics::snapshot().since(&obs_before);
         let recovered = fault::degradation_snapshot().since(&deg_before);
@@ -589,62 +582,27 @@ impl<'d> Vcd<'d> {
         })
     }
 
-    /// Online mode: the engine may not read faster than the capture
-    /// rate; stream the instance's inputs through paced RTP first.
-    fn ingest_instance(&self, instance: &QueryInstance) -> Result<()> {
-        if let ExecutionMode::Online { speedup } = self.cfg.mode {
-            for &i in &instance.inputs {
-                ingest_online(&self.dataset.videos[i], speedup)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The classic driver loop: one instance at a time, stopping at
-    /// the first failure (trailing slots stay `None`). Each slot holds
-    /// the instance's result plus its latency in nanoseconds.
+    /// Run one batch's instances on `workers` scheduler workers and
+    /// return one slot per instance: its result plus its latency in
+    /// nanoseconds, or `None` if it was never started.
+    ///
+    /// Every worker runs the same loop: take the next instance index
+    /// from a shared counter (so an expensive instance never stalls the
+    /// rest of the batch behind it), open its span, start its clock,
+    /// pace its inputs through RTP when the driver is in online mode
+    /// (inside the worker, concurrently, the way a rack of live cameras
+    /// would), execute it under its own context, fill its slot. With
+    /// one worker the loop runs on the calling thread — the classic
+    /// sequential driver, no thread spawned.
+    ///
+    /// In degrade mode a failure costs that instance only. Otherwise
+    /// the first failure ends its worker's loop: a failed ingest is the
+    /// batch's error, a failed execution a filled slot — and since
+    /// indices are handed out in order, every slot below the lowest
+    /// failing one is filled, so the fold in `run_one` still reports
+    /// the lowest-index failure whatever the completion order.
     #[allow(clippy::type_complexity)]
-    fn dispatch_sequential(
-        &self,
-        engine: &dyn Vdbms,
-        batch: &[QueryInstance],
-        ctx: &ExecContext,
-    ) -> Result<Vec<Option<(Result<QueryOutput>, u64)>>> {
-        let degrade = self.degrade_mode();
-        let mut slots: Vec<Option<(Result<QueryOutput>, u64)>> =
-            (0..batch.len()).map(|_| None).collect();
-        for (i, instance) in batch.iter().enumerate() {
-            let _span = trace::span_dyn("scheduler", || format!("instance.{}.{i}", ctx.query_label));
-            let t0 = Instant::now();
-            if let Err(e) = self.ingest_instance(instance) {
-                // Under degrade mode an ingest failure (e.g. an
-                // exhausted retry budget) costs that instance only.
-                if degrade {
-                    slots[i] = Some((Err(e), t0.elapsed().as_nanos() as u64));
-                    continue;
-                }
-                return Err(e);
-            }
-            let ictx = self.instance_context(ctx, i);
-            let result = engine.execute(instance, &self.dataset.videos, &ictx);
-            let failed = result.is_err();
-            slots[i] = Some((result, t0.elapsed().as_nanos() as u64));
-            if failed && !degrade {
-                break;
-            }
-        }
-        Ok(slots)
-    }
-
-    /// Dispatch one batch's instances across `workers` scoped threads.
-    /// Workers pull the next instance index from a shared atomic
-    /// counter, so an expensive instance never stalls the rest of the
-    /// batch behind it; results land in per-index slots to keep the
-    /// fold deterministic regardless of completion order. Online-mode
-    /// ingest happens inside the worker job, pacing each stream
-    /// concurrently the way a rack of live cameras would.
-    #[allow(clippy::type_complexity)]
-    fn dispatch_concurrent(
+    fn dispatch(
         &self,
         engine: &dyn Vdbms,
         batch: &[QueryInstance],
@@ -652,71 +610,58 @@ impl<'d> Vcd<'d> {
         workers: usize,
     ) -> Result<Vec<Option<(Result<QueryOutput>, u64)>>> {
         let degrade = self.degrade_mode();
+        let videos = &self.dataset.videos;
         let next = AtomicUsize::new(0);
-        let per_worker: Vec<(Vec<(usize, Result<QueryOutput>, u64)>, Result<()>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(instance) = batch.get(i) else {
-                                    return (local, Ok(()));
-                                };
-                                let _span = trace::span_dyn("scheduler", || {
-                                    format!("instance.{}.{i}", ctx.query_label)
-                                });
-                                let t0 = Instant::now();
-                                if let Err(e) = self.ingest_instance(instance) {
-                                    // Under degrade mode an ingest
-                                    // failure costs that instance only;
-                                    // otherwise it is a hard failure,
-                                    // like under the sequential loop.
-                                    if degrade {
-                                        local.push((
-                                            i,
-                                            Err(e),
-                                            t0.elapsed().as_nanos() as u64,
-                                        ));
-                                        continue;
-                                    }
-                                    return (local, Err(e));
-                                }
-                                let ictx = self.instance_context(ctx, i);
-                                let result =
-                                    engine.execute(instance, &self.dataset.videos, &ictx);
-                                local.push((i, result, t0.elapsed().as_nanos() as u64));
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        // A worker that somehow panicked past the
-                        // pipeline's containment boundaries loses its
-                        // local results; surface a typed error rather
-                        // than poisoning the whole process.
-                        Err(p) => {
-                            fault::note_stage_panic();
-                            (Vec::new(), Err(Error::StagePanic(panic_message(p))))
-                        }
-                    })
-                    .collect()
-            });
-
-        let mut slots: Vec<Option<(Result<QueryOutput>, u64)>> =
-            (0..batch.len()).map(|_| None).collect();
-        for (local, status) in per_worker {
-            for (i, result, nanos) in local {
-                slots[i] = Some((result, nanos));
+        // Each index is taken by exactly one worker, so each slot is
+        // set at most once.
+        let slots: Vec<OnceLock<_>> = batch.iter().map(|_| OnceLock::new()).collect();
+        let worker = || -> Result<()> {
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(instance) = batch.get(i) else {
+                    return Ok(());
+                };
+                let _span =
+                    trace::span_dyn("scheduler", || format!("instance.{}.{i}", ctx.query_label));
+                let t0 = Instant::now();
+                let ingested = match self.cfg.mode {
+                    ExecutionMode::Online { speedup } => {
+                        ingest_inputs_online(videos, instance, speedup).map(|_| ())
+                    }
+                    ExecutionMode::Offline => Ok(()),
+                };
+                let result = match ingested {
+                    Ok(()) => engine.execute(instance, videos, &self.instance_context(ctx, i)),
+                    // An ingest failure (e.g. an exhausted retry budget).
+                    Err(e) if degrade => Err(e),
+                    Err(e) => return Err(e),
+                };
+                let stop = result.is_err() && !degrade;
+                let _ = slots[i].set((result, t0.elapsed().as_nanos() as u64));
+                if stop {
+                    return Ok(());
+                }
             }
-            status?;
-        }
-        Ok(slots)
+        };
+        let statuses: Vec<Result<()>> = if workers <= 1 {
+            vec![worker()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+                // A worker that somehow panicked past the pipeline's
+                // containment boundaries surfaces as a typed error
+                // rather than poisoning the whole process.
+                let join = |h: std::thread::ScopedJoinHandle<'_, Result<()>>| {
+                    h.join().unwrap_or_else(|p| {
+                        fault::note_stage_panic();
+                        Err(Error::StagePanic(panic_message(p)))
+                    })
+                };
+                handles.into_iter().map(join).collect()
+            })
+        };
+        statuses.into_iter().collect::<Result<()>>()?;
+        Ok(slots.into_iter().map(OnceLock::into_inner).collect())
     }
 
     /// Validate the completed (instance, output) pairs of a batch
@@ -727,23 +672,16 @@ impl<'d> Vcd<'d> {
         &self,
         completed: &[(&QueryInstance, QueryOutput)],
     ) -> Result<ValidationSummary> {
-        // The reference runs get their own metrics so validation work
-        // never pollutes the measured engine's stage aggregates.
+        // The oracle shares nothing with the measured engine's context:
+        // the defaults give it its own stage metrics (validation work
+        // must not pollute the batch's aggregates), streaming results,
+        // and no optimizer — it always runs the hand-written reference
+        // plan. One worker, because the reference defines correct
+        // output and must not depend on the host's parallelism.
         let ref_ctx = ExecContext {
-            result_mode: ResultMode::Streaming,
             output_qp: self.cfg.output_qp,
-            metrics: Arc::new(PipelineMetrics::default()),
-            // The reference implementation defines correct output;
-            // keep it on the sequential path so validation never
-            // depends on the host's parallelism.
             workers: 1,
-            query_label: String::new(),
-            cancel: CancelToken::new(),
-            stage_timeout: Some(vr_vdbms::io::DEFAULT_STAGE_TIMEOUT),
-            // The oracle always runs the hand-written reference plan.
-            optimizer: None,
-            tenant: None,
-            request_id: None,
+            ..ExecContext::default()
         };
         let mut psnr_values: Vec<f64> = Vec::new();
         let mut box_matches = 0usize;
@@ -938,6 +876,18 @@ pub fn ingest_online_pipe(input: &InputVideo, speedup: f64) -> Result<usize> {
         }
         Ok(bytes)
     })
+}
+
+/// Online ingest of one query instance: every input it reads goes
+/// through paced RTP first — an engine may not read faster than the
+/// cameras capture. The driver's online mode and the server's
+/// `online=<speedup>` are this one loop. Returns the bytes delivered.
+pub(crate) fn ingest_inputs_online(
+    videos: &[InputVideo],
+    instance: &QueryInstance,
+    speedup: f64,
+) -> Result<usize> {
+    instance.inputs.iter().map(|&i| ingest_online(&videos[i], speedup)).sum()
 }
 
 /// Stream one input's video track through paced RTP (online-mode

@@ -74,6 +74,31 @@ impl QueryKind {
             QueryKind::Q10TileEncoding => "Q10",
         }
     }
+
+    /// The label without its parentheses ("Q2c"): the one spelling used
+    /// on the wire, in CLI flags, store prefixes, span names and fault
+    /// specs.
+    pub fn short_label(&self) -> &'static str {
+        match self {
+            QueryKind::Q2aGrayscale => "Q2a",
+            QueryKind::Q2bBlur => "Q2b",
+            QueryKind::Q2cBoxes => "Q2c",
+            QueryKind::Q2dMasking => "Q2d",
+            QueryKind::Q6aUnionBoxes => "Q6a",
+            QueryKind::Q6bUnionCaptions => "Q6b",
+            unparenthesized => unparenthesized.label(),
+        }
+    }
+
+    /// The query a label names, in either spelling ("Q2c" or "Q2(c)")
+    /// and any case; surrounding whitespace is ignored.
+    pub fn parse(label: &str) -> Option<QueryKind> {
+        let label = label.trim();
+        QueryKind::ALL.into_iter().find(|kind| {
+            label.eq_ignore_ascii_case(kind.short_label())
+                || label.eq_ignore_ascii_case(kind.label())
+        })
+    }
 }
 
 /// Orientation of one panoramic-rig face, needed by engines to stitch
@@ -303,6 +328,21 @@ mod tests {
                 LicensePlate(*b"ZZ99ZZ"),
             ],
             ..Default::default()
+        }
+    }
+
+    #[test]
+    fn labels_round_trip_in_both_spellings_and_any_case() {
+        for kind in QueryKind::ALL {
+            assert_eq!(kind.short_label(), kind.label().replace(['(', ')'], ""));
+            for spelling in [kind.label(), kind.short_label()] {
+                assert_eq!(QueryKind::parse(spelling), Some(kind), "{spelling}");
+                assert_eq!(QueryKind::parse(&spelling.to_ascii_lowercase()), Some(kind));
+                assert_eq!(QueryKind::parse(&format!(" {spelling}\t")), Some(kind));
+            }
+        }
+        for junk in ["", "Q", "Q11", "Q2", "Q2(a", "Q(2a)", "S1", "Q1 Q2a"] {
+            assert_eq!(QueryKind::parse(junk), None, "{junk:?}");
         }
     }
 
