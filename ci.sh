@@ -46,6 +46,20 @@ stage_guard() {
     cargo build -q --release --offline -p vr-bench --bin loc_report
     ./target/release/loc_report crates/core/src/{server,vcd,semantic}.rs \
         crates/core/src/bin/visualroad.rs | tee "$ART/loc.txt"
+    echo "-- JSON-bearing lines of code; one writer, one escaper"
+    ./target/release/loc_report crates/base/src/{json,admission}.rs \
+        crates/base/src/obs/{mod,metrics,slo,qlog,trace}.rs \
+        crates/vdbms/src/{plan,cost}.rs crates/bench/src/{json,harness}.rs \
+        crates/bench/src/bin/{stress_test,bench_gate}.rs \
+        crates/core/src/bin/visualroad.rs | tee "$ART/loc_json.txt"
+    # Every document goes through vr_base::json; a renderer that brings
+    # its own escaper (the old helper's name, or a quote-replacing
+    # chain) fails here.
+    if grep -rnF --include='*.rs' -e 'json_escape' -e $'.replace(\'"\', "\\\\\\"")' crates \
+        | grep -v '^crates/base/src/json.rs:'; then
+        echo "FAIL: a JSON escaper outside crates/base/src/json.rs" >&2
+        return 1
+    fi
 }
 
 # benchmark/ is a package of its own (not a workspace member) that may

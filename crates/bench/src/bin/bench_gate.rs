@@ -43,7 +43,7 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use vr_bench::json;
+use vr_base::json::{self, Value};
 
 const DEFAULT_TOLERANCE: f64 = 0.30;
 const Q1_SPEEDUP_FLOOR: f64 = 1.5;
@@ -62,8 +62,7 @@ const SINGLE_CORE_OVERHEAD_CAP: f64 = 1.25;
 /// before any expensive stage spends minutes rebuilding.
 fn verify_artifacts(paths: &[String]) -> Result<(), String> {
     for path in paths {
-        let as_bench = load_medians(path);
-        match as_bench {
+        match load(path).and_then(|doc| medians(path, &doc)) {
             Ok(medians) if !medians.is_empty() => {
                 println!("verify {path}: OK ({} benchmarks)", medians.len());
                 continue;
@@ -87,10 +86,15 @@ fn verify_artifacts(paths: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load_medians(path: &str) -> Result<BTreeMap<String, f64>, String> {
+/// Read and parse one result file — once; every table below is a
+/// view of the same document.
+fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    json::parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+fn medians(path: &str, doc: &Value) -> Result<BTreeMap<String, f64>, String> {
     let benches = doc
         .get("benchmarks")
         .and_then(|b| b.as_array())
@@ -113,10 +117,7 @@ fn load_medians(path: &str) -> Result<BTreeMap<String, f64>, String> {
 /// Per-stage p95 latencies from a result file's `"stages"` section.
 /// Absent or empty sections (committed baselines rebuilt by
 /// `--seed-new` keep only the benchmark lines) yield an empty map.
-fn load_stage_p95(path: &str) -> Result<BTreeMap<String, f64>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+fn stage_p95(path: &str, doc: &Value) -> Result<BTreeMap<String, f64>, String> {
     let mut stages = BTreeMap::new();
     if let Some(map) = doc.get("stages").and_then(|s| s.as_object()) {
         for (stage, entry) in map {
@@ -132,10 +133,7 @@ fn load_stage_p95(path: &str) -> Result<BTreeMap<String, f64>, String> {
 
 /// Plan labels (`"plan"` field) per benchmark id, when a result file
 /// carries them. Ids without a plan simply stay absent.
-fn load_plans(path: &str) -> Result<BTreeMap<String, String>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+fn plans(path: &str, doc: &Value) -> Result<BTreeMap<String, String>, String> {
     let benches = doc
         .get("benchmarks")
         .and_then(|b| b.as_array())
@@ -208,8 +206,9 @@ fn run() -> Result<bool, String> {
         return Ok(true);
     }
 
-    let baseline = load_medians(baseline_path)?;
-    let current = load_medians(current_path)?;
+    let (baseline_doc, current_doc) = (load(baseline_path)?, load(current_path)?);
+    let baseline = medians(baseline_path, &baseline_doc)?;
+    let current = medians(current_path, &current_doc)?;
     if current.is_empty() {
         return Err(format!("{current_path} holds no benchmarks"));
     }
@@ -272,8 +271,8 @@ fn run() -> Result<bool, String> {
     // informational — whether it is a win or a regression is what the
     // timing rows above already judge — but it makes optimizer-driven
     // deltas attributable at a glance.
-    let baseline_plans = load_plans(baseline_path)?;
-    let current_plans = load_plans(current_path)?;
+    let baseline_plans = plans(baseline_path, &baseline_doc)?;
+    let current_plans = plans(current_path, &current_doc)?;
     for (id, cur_plan) in &current_plans {
         match baseline_plans.get(id) {
             Some(base_plan) if base_plan != cur_plan => {
@@ -288,8 +287,8 @@ fn run() -> Result<bool, String> {
     // Per-stage p95 latency columns: informational only, so a noisy
     // stage quantile can never fail the gate, but stage-level
     // regressions stay attributable from the persisted delta table.
-    let baseline_stages = load_stage_p95(baseline_path)?;
-    let current_stages = load_stage_p95(current_path)?;
+    let baseline_stages = stage_p95(baseline_path, &baseline_doc)?;
+    let current_stages = stage_p95(current_path, &current_doc)?;
     if !current_stages.is_empty() {
         table.push(format!(
             "{:<50} {:>12} {:>12} {:>8}  {}",

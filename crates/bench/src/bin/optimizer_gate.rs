@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use vr_bench::json;
+use vr_base::json;
 
 /// An optimizer-chosen plan may cost at most this ratio of the
 /// hand-tuned plan's median before the gate fails.

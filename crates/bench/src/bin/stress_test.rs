@@ -44,9 +44,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use vr_bench::json;
+use vr_base::json::{self, Fixed, Layout::{Block, Inline}, Writer};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Priority {
@@ -665,44 +665,15 @@ fn main() -> ExitCode {
 
     // Machine-readable report.
     if let Some(path) = &cfg.out {
-        let mut doc = String::from("{\n");
-        doc.push_str(&format!(
-            "  \"wall_secs\": {:.3},\n  \"sessions\": {},\n  \"requests_per_session\": {},\n",
-            wall.as_secs_f64(),
+        let doc = render_report(
+            wall,
             total_sessions,
-            cfg.requests
-        ));
-        doc.push_str(&format!(
-            "  \"high_p99_us\": {high_p99_us},\n  \"low_load_shed\": {low_load_shed},\n"
-        ));
-        doc.push_str("  \"tenants\": {\n");
-        let mut first = true;
-        for (name, obs) in &results {
-            if !first {
-                doc.push_str(",\n");
-            }
-            first = false;
-            let mut sorted = obs.latencies_us.clone();
-            sorted.sort_unstable();
-            doc.push_str(&format!(
-                "    \"{name}\": {{\"sent\": {}, \"ok\": {}, \"degraded\": {}, \"cancelled\": {}, \
-                 \"err\": {}, \"shed\": {}, \"route_index\": {}, \"route_rescan\": {}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}",
-                obs.sent,
-                obs.ok,
-                obs.degraded,
-                obs.cancelled,
-                obs.err,
-                obs.shed_total(),
-                obs.route_index,
-                obs.route_rescan,
-                percentile_us(&sorted, 0.50),
-                percentile_us(&sorted, 0.95),
-                percentile_us(&sorted, 0.99),
-            ));
-        }
-        doc.push_str("\n  },\n");
-        doc.push_str(&format!("  \"failures\": {}\n}}\n", failures.len()));
+            cfg.requests,
+            high_p99_us,
+            low_load_shed,
+            &results,
+            failures.len(),
+        );
         if let Some(dir) = std::path::Path::new(path).parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -721,5 +692,73 @@ fn main() -> ExitCode {
             eprintln!("FAIL: {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+/// The machine-readable report (`--out`): the run's totals, one line
+/// per tenant, and the failure count the gates key on.
+fn render_report(
+    wall: Duration,
+    sessions: usize,
+    requests_per_session: usize,
+    high_p99_us: u64,
+    low_load_shed: u64,
+    results: &BTreeMap<String, Observed>,
+    failures: usize,
+) -> String {
+    let mut w = Writer::new();
+    w.object(Block).member("wall_secs", Fixed(wall.as_secs_f64(), 3));
+    w.member("sessions", sessions).member("requests_per_session", requests_per_session);
+    w.member("high_p99_us", high_p99_us).member("low_load_shed", low_load_shed);
+    w.key("tenants").object(Block);
+    for (name, obs) in results {
+        let mut sorted = obs.latencies_us.clone();
+        sorted.sort_unstable();
+        w.key(name).object(Inline).member("sent", obs.sent).member("ok", obs.ok);
+        w.member("degraded", obs.degraded).member("cancelled", obs.cancelled);
+        w.member("err", obs.err).member("shed", obs.shed_total());
+        w.member("route_index", obs.route_index).member("route_rescan", obs.route_rescan);
+        w.member("p50_us", percentile_us(&sorted, 0.50));
+        w.member("p95_us", percentile_us(&sorted, 0.95));
+        w.member("p99_us", percentile_us(&sorted, 0.99)).end();
+    }
+    w.end().member("failures", failures).end();
+    w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Byte for byte what the inline `format!`s in `main` wrote
+    /// (captured on the commit before `json::Writer`).
+    #[test]
+    fn report_is_pinned() {
+        const GOLDEN: &str = "{\n  \"wall_secs\": 1.234,\n  \"sessions\": 8,\n  \"requests_per_session\": 20,\n  \"high_p99_us\": 4321,\n  \"low_load_shed\": 3,\n  \"tenants\": {\n    \"bronze\": {\"sent\": 0, \"ok\": 0, \"degraded\": 0, \"cancelled\": 0, \"err\": 0, \"shed\": 0, \"route_index\": 0, \"route_rescan\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0},\n    \"gold\": {\"sent\": 10, \"ok\": 6, \"degraded\": 1, \"cancelled\": 1, \"err\": 0, \"shed\": 3, \"route_index\": 2, \"route_rescan\": 4, \"p50_us\": 200, \"p95_us\": 400, \"p99_us\": 400}\n  },\n  \"failures\": 2\n}\n";
+        let shed = BTreeMap::from([("saturated".to_string(), 2), ("quota".to_string(), 1)]);
+        let gold = Observed {
+            sent: 10,
+            ok: 6,
+            degraded: 1,
+            cancelled: 1,
+            err: 0,
+            route_index: 2,
+            route_rescan: 4,
+            shed,
+            latencies_us: vec![300, 100, 200, 400],
+        };
+        let results =
+            BTreeMap::from([("gold".to_string(), gold), ("bronze".to_string(), Observed::default())]);
+        let doc = render_report(Duration::from_millis(1234), 8, 20, 4321, 3, &results, 2);
+        assert_eq!(doc, GOLDEN);
+        json::parse(&doc).unwrap();
+    }
+
+    /// The tenant name used to be interpolated raw.
+    #[test]
+    fn tenant_names_read_back_whatever_they_hold() {
+        let results = BTreeMap::from([("a\"b".to_string(), Observed { sent: 1, ..Default::default() })]);
+        let doc = json::parse(&render_report(Duration::ZERO, 1, 1, 0, 0, &results, 0)).unwrap();
+        assert_eq!(field(doc.get("tenants").unwrap().get("a\"b").unwrap(), "sent"), 1);
     }
 }

@@ -46,7 +46,7 @@
 //! diagnostic on the first violation.
 
 use std::process::ExitCode;
-use vr_bench::json::{self, Value};
+use vr_base::json::{self, Value};
 
 const DEFAULT_REQUIRED: &str = "scan,decode,kernel,encode,sink";
 

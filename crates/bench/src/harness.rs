@@ -18,6 +18,7 @@
 //! format `bench_gate` compares against a committed baseline in CI.
 
 use std::time::{Duration, Instant};
+use vr_base::json::{Fixed, Layout::{Block, Inline}, Writer};
 
 /// One benchmark's folded measurements, as persisted by `--save-json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,12 +116,6 @@ impl Criterion {
         &self.results
     }
 
-    /// Test support: a measured-mode context preloaded with results.
-    #[cfg(test)]
-    pub(crate) fn with_results(results: Vec<BenchResult>) -> Self {
-        Self { test_mode: false, filter: None, save_json: None, results }
-    }
-
     /// Persist recorded results as JSON. No-op in test mode (a smoke
     /// run measures nothing worth comparing against a baseline).
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
@@ -171,45 +166,27 @@ fn stage_quantiles() -> Vec<StageQuantiles> {
 /// never fails on them, and its baseline-seeding rebuild (which keeps
 /// only `{"id":` lines) drops the section from committed baselines.
 fn render_json(results: &[BenchResult], stages: &[StageQuantiles]) -> String {
-    let mut out = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        // `plan` rides on the same line as the id so the baseline
-        // seeding rebuild (which keeps only `{"id":` lines) preserves
-        // plan labels in committed baselines.
-        let plan = match &r.plan {
-            Some(p) => format!(
-                ", \"plan\": \"{}\"",
-                p.replace('\\', "\\\\").replace('"', "\\\"")
-            ),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"median_ns\": {}, \"mean_ns\": {}, \
-             \"min_ns\": {}, \"samples\": {}, \"throughput_eps\": {}{plan}}}{}\n",
-            r.id.replace('\\', "\\\\").replace('"', "\\\""),
-            r.median_ns,
-            r.mean_ns,
-            r.min_ns,
-            r.samples,
-            r.throughput_eps.map(|t| format!("{t:.3}")).unwrap_or_else(|| "null".into()),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
+    let mut w = Writer::new();
+    w.object(Block).key("benchmarks").array(Block);
+    for r in results {
+        // One result per line, `plan` included, so that rebuild
+        // preserves plan labels in committed baselines.
+        w.object(Inline).member("id", &r.id).member("median_ns", r.median_ns as u64);
+        w.member("mean_ns", r.mean_ns as u64).member("min_ns", r.min_ns as u64);
+        w.member("samples", r.samples);
+        w.member("throughput_eps", r.throughput_eps.map(|t| Fixed(t, 3)));
+        if let Some(plan) = &r.plan {
+            w.member("plan", plan);
+        }
+        w.end();
     }
-    out.push_str("  ],\n  \"stages\": {");
-    for (i, s) in stages.iter().enumerate() {
-        out.push_str(&format!(
-            "{}    \"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}{}",
-            if i == 0 { "\n" } else { "" },
-            s.stage,
-            s.count,
-            s.p50_ns,
-            s.p95_ns,
-            s.p99_ns,
-            if i + 1 == stages.len() { "\n  " } else { ",\n" }
-        ));
+    w.end().key("stages").object(Block);
+    for s in stages {
+        w.key(&s.stage).object(Inline).member("count", s.count).member("p50_ns", s.p50_ns);
+        w.member("p95_ns", s.p95_ns).member("p99_ns", s.p99_ns).end();
     }
-    out.push_str("}\n}\n");
-    out
+    w.end().end();
+    w.finish()
 }
 
 /// A group of related benchmarks sharing a name prefix and settings.
@@ -428,22 +405,6 @@ mod tests {
         assert_eq!(results[0].id, "g/work");
         assert_eq!(results[0].samples, 3);
         assert!(results[0].min_ns <= results[0].median_ns);
-        let json = render_json(
-            results,
-            &[StageQuantiles {
-                stage: "kernel".into(),
-                count: 4,
-                p50_ns: 100,
-                p95_ns: 200,
-                p99_ns: 200,
-            }],
-        );
-        assert!(json.contains("\"id\": \"g/work\""), "{json}");
-        assert!(json.contains("\"median_ns\": "), "{json}");
-        assert!(
-            json.contains("\"kernel\": {\"count\": 4, \"p50_ns\": 100, \"p95_ns\": 200, \"p99_ns\": 200}"),
-            "{json}"
-        );
     }
 
     #[test]
@@ -459,15 +420,62 @@ mod tests {
         }
         assert_eq!(c.results()[0].plan.as_deref(), Some("eager workers=1"));
         assert_eq!(c.results()[1].plan, None);
-        let json = render_json(c.results(), &[]);
-        assert!(json.contains("\"plan\": \"eager workers=1\""), "{json}");
     }
 
+    fn result(id: &str, throughput_eps: Option<f64>, plan: Option<&str>) -> BenchResult {
+        BenchResult {
+            id: id.into(),
+            median_ns: 1_234_567,
+            mean_ns: 1_300_000,
+            min_ns: 1_200_000,
+            samples: 10,
+            throughput_eps,
+            plan: plan.map(str::to_string),
+        }
+    }
+
+    /// With and without `stages` / `plan` / `throughput_eps`, byte for
+    /// byte what the hand-rolled renderer wrote (captured on the
+    /// commit before `json::Writer`) and what `bench_gate` parses.
     #[test]
-    fn render_json_with_no_stages_stays_wellformed() {
-        let json = render_json(&[], &[]);
-        assert!(json.contains("\"benchmarks\": [\n  ]"), "{json}");
-        assert!(json.contains("\"stages\": {}"), "{json}");
+    fn render_json_is_pinned() {
+        const FULL: &str = "{\n  \"benchmarks\": [\n    {\"id\": \"engines/q1\", \"median_ns\": 1234567, \"mean_ns\": 1300000, \"min_ns\": 1200000, \"samples\": 10, \"throughput_eps\": null},\n    {\"id\": \"optimizer/q1\", \"median_ns\": 1234567, \"mean_ns\": 1300000, \"min_ns\": 1200000, \"samples\": 10, \"throughput_eps\": null, \"plan\": \"eager workers=4\"},\n    {\"id\": \"index/build\", \"median_ns\": 1234567, \"mean_ns\": 1300000, \"min_ns\": 1200000, \"samples\": 10, \"throughput_eps\": 30843.509}\n  ],\n  \"stages\": {\n    \"decode\": {\"count\": 4, \"p50_ns\": 100, \"p95_ns\": 200, \"p99_ns\": 300},\n    \"kernel\": {\"count\": 4, \"p50_ns\": 100, \"p95_ns\": 200, \"p99_ns\": 300}\n  }\n}\n";
+        const NO_STAGES: &str = "{\n  \"benchmarks\": [\n    {\"id\": \"engines/q1\", \"median_ns\": 1234567, \"mean_ns\": 1300000, \"min_ns\": 1200000, \"samples\": 10, \"throughput_eps\": null}\n  ],\n  \"stages\": {}\n}\n";
+        let results = [
+            result("engines/q1", None, None),
+            result("optimizer/q1", None, Some("eager workers=4")),
+            result("index/build", Some(30843.5094), None),
+        ];
+        let stage = |stage: &str| StageQuantiles {
+            stage: stage.into(),
+            count: 4,
+            p50_ns: 100,
+            p95_ns: 200,
+            p99_ns: 300,
+        };
+        assert_eq!(render_json(&results, &[stage("decode"), stage("kernel")]), FULL);
+        assert_eq!(render_json(&results[..1], &[]), NO_STAGES);
+        // No results: the captured bytes had `[\n  ]` here; an empty
+        // block is now `[]`, as `"stages": {}` always was.
+        assert_eq!(render_json(&[], &[]), "{\n  \"benchmarks\": [],\n  \"stages\": {}\n}\n");
+        for doc in [FULL, NO_STAGES] {
+            vr_base::json::parse(doc).unwrap();
+        }
+    }
+
+    /// The hand-rolled renderer escaped only `\\` and `"` in `id` and
+    /// `plan` and nothing in a stage name, so these did not read back.
+    #[test]
+    fn ids_plans_and_stage_names_read_back_whatever_they_hold() {
+        let (id, plan, stage) = ("g/new\nline \u{1}", "eager \"quoted\" \\ \t", "ker\"nel\n");
+        let quantiles =
+            StageQuantiles { stage: stage.into(), count: 1, p50_ns: 1, p95_ns: 1, p99_ns: 1 };
+        let doc = vr_base::json::parse(&render_json(&[result(id, None, Some(plan))], &[quantiles]))
+            .expect("control characters are escaped");
+        let bench = &doc.get("benchmarks").unwrap().as_array().unwrap()[0];
+        assert_eq!(bench.get("id").unwrap().as_str(), Some(id));
+        assert_eq!(bench.get("plan").unwrap().as_str(), Some(plan));
+        assert!(doc.get("stages").unwrap().get(stage).is_some());
     }
 
     #[test]

@@ -1,354 +1,4 @@
-//! A minimal recursive-descent JSON reader — just enough to parse the
-//! benchmark-result files the harness writes (`--save-json`) without
-//! pulling a registry dependency into the workspace.
-//!
-//! Supports the full JSON value grammar (objects, arrays, strings
-//! with escapes, numbers, booleans, null); numbers are held as `f64`,
-//! which is exact for the integer nanosecond magnitudes the harness
-//! emits (well under 2^53).
+//! The workspace's JSON reader lives in `vr_base::json`; this path
+//! stays for `benchmark/`, which builds against `vr_bench::json`.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// Member of an object, if this is an object that has it.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The member map, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document. Trailing content (other than
-/// whitespace) is an error.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                byte as char,
-                self.pos,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other.map(|b| b as char), self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape")?;
-                            self.pos += 4;
-                            // Surrogates (used only for astral-plane
-                            // characters, which the harness never
-                            // emits) are replaced, not paired.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Copy a whole UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_bench_result_schema() {
-        let doc = parse(
-            r#"{
-              "benchmarks": [
-                {"id": "g/q1", "median_ns": 1200, "throughput_eps": 8.5e6},
-                {"id": "g/q2", "median_ns": 900, "throughput_eps": null}
-              ]
-            }"#,
-        )
-        .unwrap();
-        let benches = doc.get("benchmarks").unwrap().as_array().unwrap();
-        assert_eq!(benches.len(), 2);
-        assert_eq!(benches[0].get("id").unwrap().as_str(), Some("g/q1"));
-        assert_eq!(benches[0].get("median_ns").unwrap().as_f64(), Some(1200.0));
-        assert_eq!(benches[0].get("throughput_eps").unwrap().as_f64(), Some(8.5e6));
-        assert_eq!(benches[1].get("throughput_eps"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn parses_scalars_and_escapes() {
-        assert_eq!(parse("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse(" null ").unwrap(), Value::Null);
-        assert_eq!(parse("-12.5e2").unwrap(), Value::Number(-1250.0));
-        assert_eq!(
-            parse(r#""a\"b\\c\ndA""#).unwrap(),
-            Value::String("a\"b\\c\ndA".into())
-        );
-        assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
-        assert_eq!(parse("{}").unwrap(), Value::Object(BTreeMap::new()));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse(r#"{"a" 1}"#).is_err());
-        assert!(parse("12 34").is_err());
-        assert!(parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn round_trips_the_harness_writer() {
-        // What `render_json` emits must be what this parser reads.
-        let results = vec![crate::harness::BenchResult {
-            id: "engines/q1_batch_workers4".into(),
-            median_ns: 1_234_567,
-            mean_ns: 1_300_000,
-            min_ns: 1_200_000,
-            samples: 10,
-            throughput_eps: None,
-            plan: Some("eager workers=1".into()),
-        }];
-        let c = tests_support::criterion_with(results.clone());
-        let dir = std::env::temp_dir()
-            .join(format!("vr-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.json");
-        c.write_json(path.to_str().unwrap()).unwrap();
-        let doc = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let benches = doc.get("benchmarks").unwrap().as_array().unwrap();
-        assert_eq!(benches.len(), 1);
-        assert_eq!(
-            benches[0].get("id").unwrap().as_str(),
-            Some("engines/q1_batch_workers4")
-        );
-        assert_eq!(
-            benches[0].get("median_ns").unwrap().as_f64(),
-            Some(1_234_567.0)
-        );
-        assert_eq!(
-            benches[0].get("plan").unwrap().as_str(),
-            Some("eager workers=1")
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = c;
-    }
-
-    mod tests_support {
-        use crate::harness::{BenchResult, Criterion};
-
-        /// Build a measured-mode Criterion preloaded with results.
-        pub fn criterion_with(results: Vec<BenchResult>) -> Criterion {
-            Criterion::with_results(results)
-        }
-    }
-}
+pub use vr_base::json::{parse, Value};

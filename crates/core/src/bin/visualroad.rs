@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use visual_road::base::fault::{self, FaultInjector};
+use visual_road::base::json::{Fixed, Layout::Inline, Writer};
 use visual_road::base::obs::serve::MetricsServer;
 use visual_road::prelude::*;
 use visual_road::storage::FlatStore;
@@ -546,12 +547,7 @@ fn cmd_run(args: &[String]) -> Exit {
                 q.kind.label(),
                 info.text
             ));
-            explain_json.push(format!(
-                "{{\"engine\": \"{}\", \"query\": \"{}\", \"plan\": {}}}",
-                visual_road::base::obs::json_escape(&report.engine),
-                q.kind.label(),
-                info.json.trim_end()
-            ));
+            explain_json.push(explain_entry(&report.engine, q.kind.label(), &info.json));
             if let Some(err) = &info.verify_error {
                 eprintln!(
                     "explain verify FAILED ({} {}): {err}",
@@ -950,16 +946,7 @@ fn cmd_search(args: &[String]) -> Exit {
     println!("{}", answer.render());
 
     if let Some(path) = flags.get("out") {
-        let recall_field = match recall {
-            Some(r) => format!("\"recall\": {r:.6}, "),
-            None => String::new(),
-        };
-        let doc = format!(
-            "{{\"kind\": \"{kind}\", \"route\": \"{route}\", \"repeat\": {repeat}, \
-             \"p50_us\": {p50_us:.3}, \"p95_us\": {p95_us:.3}, {recall_field}\
-             \"answer\": \"{}\"}}\n",
-            visual_road::base::obs::json_escape(&answer.render())
-        );
+        let doc = search_doc(kind, route, repeat, p50_us, p95_us, recall, &answer.render());
         write_creating_parent(path, "", doc)?;
         eprintln!("wrote {path}");
     }
@@ -1026,5 +1013,57 @@ fn verify_fault_accounting(inj: &FaultInjector) -> i32 {
             eprintln!("fault accounting MISMATCH: {b}");
         }
         1
+    }
+}
+
+/// One entry of `run --explain-out plans.json`: the plan document
+/// `EXPLAIN` already rendered, spliced under the engine and query that
+/// ran it.
+fn explain_entry(engine: &str, query: &str, plan_json: &str) -> String {
+    let mut w = Writer::new();
+    w.object(Inline).member("engine", engine).member("query", query);
+    w.key("plan").raw(plan_json.trim_end()).end();
+    w.finish()
+}
+
+/// The `search --out` document the index gate greps and `sed`s.
+fn search_doc(
+    kind: &str,
+    route: &str,
+    repeat: usize,
+    p50_us: f64,
+    p95_us: f64,
+    recall: Option<f64>,
+    answer: &str,
+) -> String {
+    let mut w = Writer::new();
+    w.object(Inline).member("kind", kind).member("route", route).member("repeat", repeat);
+    w.member("p50_us", Fixed(p50_us, 3)).member("p95_us", Fixed(p95_us, 3));
+    if let Some(r) = recall {
+        w.member("recall", Fixed(r, 6));
+    }
+    w.member("answer", answer).end().raw("\n");
+    w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Byte for byte what the inline `format!`s wrote (captured on the
+    /// commit before `json::Writer`), and documents the strict parser
+    /// accepts.
+    #[test]
+    fn explain_entry_and_search_document_are_pinned() {
+        const ENTRY: &str = "{\"engine\": \"ref\\\"x\", \"query\": \"Q2(c)\", \"plan\": {\"op\": \"query\", \"children\": []}}";
+        const SEARCH: &str = "{\"kind\": \"topk\", \"route\": \"index\", \"repeat\": 5, \"p50_us\": 12.346, \"p95_us\": 20.000, \"recall\": 0.900000, \"answer\": \"seg 1..2\\n\\\"x\\\"\"}\n";
+        const NO_RECALL: &str = "{\"kind\": \"count\", \"route\": \"rescan\", \"repeat\": 1, \"p50_us\": 0.500, \"p95_us\": 0.500, \"answer\": \"count=3\"}\n";
+        let plan = "{\"op\": \"query\", \"children\": []}\n";
+        assert_eq!(explain_entry("ref\"x", "Q2(c)", plan), ENTRY);
+        assert_eq!(search_doc("topk", "index", 5, 12.3456, 20.0, Some(0.9), "seg 1..2\n\"x\""), SEARCH);
+        assert_eq!(search_doc("count", "rescan", 1, 0.5, 0.5, None, "count=3"), NO_RECALL);
+        for doc in [ENTRY, SEARCH, NO_RECALL] {
+            visual_road::base::json::parse(doc).unwrap();
+        }
     }
 }

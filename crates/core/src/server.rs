@@ -327,7 +327,7 @@ impl QueryServer {
                 .shared
                 .admission
                 .snapshot()
-                .to_json_with_slo(Some(&self.shared.slo.render_json())),
+                .to_json_with_slo(Some(&self.shared.slo)),
         }
     }
 }
@@ -465,10 +465,7 @@ fn handle_request(request: &str, shared: &Arc<Shared>) -> String {
     match verb.as_str() {
         "EXEC" => exec(&kv, shared),
         "STATS" => {
-            let json = shared
-                .admission
-                .snapshot()
-                .to_json_with_slo(Some(&shared.slo.render_json()));
+            let json = shared.admission.snapshot().to_json_with_slo(Some(&shared.slo));
             format!("STATS {}", json.replace('\n', ""))
         }
         "HEALTH" => {

@@ -41,34 +41,13 @@
 use crate::plan::Policy;
 use std::collections::BTreeMap;
 use std::fmt;
+use vr_base::json::{self, Fixed, Layout, Writer};
 use vr_base::sync::Mutex;
 use vr_vision::yolo::NETWORK_INPUT_PIXELS;
 
 /// Profile format version; [`CalibrationProfile::parse`] rejects
 /// anything else so schema drift fails fast in the CI guard stage.
 pub const PROFILE_VERSION: u64 = 2;
-
-/// Every field a serialized profile must carry, in serialization
-/// order. Parsing rejects missing *and* unknown fields: a profile
-/// written by a different schema is stale by definition.
-pub const PROFILE_FIELDS: [&str; 16] = [
-    "version",
-    "samples",
-    "observed_error",
-    "scale",
-    "decode_ns_per_pixel",
-    "encode_ns_per_pixel",
-    "scan_ns_per_frame",
-    "sink_ns_per_frame",
-    "kernel_ns_per_pixel",
-    "gate_ns_per_pixel",
-    "nn_ns_per_mac",
-    "cascade_skip_rate",
-    "thread_spawn_ns",
-    "parallel_efficiency",
-    "index_probe_ns_per_vector",
-    "index_build_ns_per_vector",
-];
 
 /// Per-unit execution costs the optimizer scores candidate plans with.
 ///
@@ -121,6 +100,78 @@ pub struct CalibrationProfile {
     pub index_build_ns_per_vector: f64,
 }
 
+/// What a serialized field's value must satisfy.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// A count: rendered as an integer, read back as a whole number.
+    Whole,
+    /// Any (finite) number.
+    Any,
+    /// A per-unit cost or factor: finite and above zero.
+    Positive,
+    /// A rate in `[0, 1)`.
+    BelowOne,
+    /// A share in `[0, 1]`.
+    UpToOne,
+}
+
+impl Rule {
+    /// What `v` must be, when it is not.
+    fn broken_by(self, v: f64) -> Option<&'static str> {
+        let (holds, wording) = match self {
+            Rule::Whole => (v >= 0.0 && v.fract() == 0.0, "a whole number"),
+            Rule::Any => (true, "a number"),
+            Rule::Positive => (v > 0.0, "positive"),
+            Rule::BelowOne => ((0.0..1.0).contains(&v), "in [0,1)"),
+            Rule::UpToOne => ((0.0..=1.0).contains(&v), "in [0,1]"),
+        };
+        (!holds).then_some(wording)
+    }
+}
+
+/// One serialized field of a [`CalibrationProfile`].
+struct Field {
+    name: &'static str,
+    rule: Rule,
+    get: fn(&CalibrationProfile) -> f64,
+    set: fn(&mut CalibrationProfile, f64),
+}
+
+macro_rules! fields {
+    ($($name:ident: $rule:ident,)*) => {
+        [$(Field {
+            name: stringify!($name),
+            rule: Rule::$rule,
+            get: |p| p.$name as f64,
+            set: |p, v| p.$name = v as _,
+        }),*]
+    };
+}
+
+/// Every field a serialized profile carries, in serialization order:
+/// the one table [`CalibrationProfile::to_json`] renders from and
+/// [`CalibrationProfile::parse`] reads and validates against. A
+/// profile with a field missing or a field not listed here was written
+/// by a different schema and is stale by definition.
+const FIELDS: [Field; 16] = fields! {
+    version: Whole,
+    samples: Whole,
+    observed_error: Any,
+    scale: Positive,
+    decode_ns_per_pixel: Positive,
+    encode_ns_per_pixel: Positive,
+    scan_ns_per_frame: Any,
+    sink_ns_per_frame: Any,
+    kernel_ns_per_pixel: Positive,
+    gate_ns_per_pixel: Positive,
+    nn_ns_per_mac: Positive,
+    cascade_skip_rate: BelowOne,
+    thread_spawn_ns: Positive,
+    parallel_efficiency: UpToOne,
+    index_probe_ns_per_vector: Positive,
+    index_build_ns_per_vector: Positive,
+};
+
 impl CalibrationProfile {
     /// The built-in seed table: per-unit costs derived from the
     /// committed bench anchors (Q2(c) reference 109.6ms/12 frames at
@@ -152,137 +203,49 @@ impl CalibrationProfile {
     }
 
     /// Serialize as deterministic flat JSON: one field per line in
-    /// [`PROFILE_FIELDS`] order, floats at fixed precision, so two
-    /// identical profiles are byte-identical on disk.
+    /// [`FIELDS`] order, floats at fixed precision, so two identical
+    /// profiles are byte-identical on disk.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let fields: [(&str, String); 16] = [
-            ("version", self.version.to_string()),
-            ("samples", self.samples.to_string()),
-            ("observed_error", format!("{:.6}", self.observed_error)),
-            ("scale", format!("{:.6}", self.scale)),
-            ("decode_ns_per_pixel", format!("{:.6}", self.decode_ns_per_pixel)),
-            ("encode_ns_per_pixel", format!("{:.6}", self.encode_ns_per_pixel)),
-            ("scan_ns_per_frame", format!("{:.6}", self.scan_ns_per_frame)),
-            ("sink_ns_per_frame", format!("{:.6}", self.sink_ns_per_frame)),
-            ("kernel_ns_per_pixel", format!("{:.6}", self.kernel_ns_per_pixel)),
-            ("gate_ns_per_pixel", format!("{:.6}", self.gate_ns_per_pixel)),
-            ("nn_ns_per_mac", format!("{:.6}", self.nn_ns_per_mac)),
-            ("cascade_skip_rate", format!("{:.6}", self.cascade_skip_rate)),
-            ("thread_spawn_ns", format!("{:.6}", self.thread_spawn_ns)),
-            ("parallel_efficiency", format!("{:.6}", self.parallel_efficiency)),
-            (
-                "index_probe_ns_per_vector",
-                format!("{:.6}", self.index_probe_ns_per_vector),
-            ),
-            (
-                "index_build_ns_per_vector",
-                format!("{:.6}", self.index_build_ns_per_vector),
-            ),
-        ];
-        for (i, (k, v)) in fields.iter().enumerate() {
-            out.push_str(&format!(
-                "  \"{k}\": {v}{}\n",
-                if i + 1 < fields.len() { "," } else { "" }
-            ));
+        let mut w = Writer::new();
+        w.object(Layout::Block);
+        for f in &FIELDS {
+            let v = (f.get)(self);
+            match f.rule {
+                Rule::Whole => w.member(f.name, v as u64),
+                _ => w.member(f.name, Fixed(v, 6)),
+            };
         }
-        out.push_str("}\n");
-        out
+        w.end();
+        w.finish()
     }
 
-    /// Parse a flat JSON profile. Strict: every [`PROFILE_FIELDS`]
-    /// entry must be present exactly once, no unknown fields, numeric
-    /// values only, version must match — so a corrupt or stale
-    /// checked-in profile fails in the CI guard stage instead of
-    /// silently steering plan choices.
+    /// Parse a flat JSON profile. Strict: every [`FIELDS`] entry must
+    /// be present exactly once, no unknown fields, numeric values
+    /// only, each within its [`Rule`], version must match — so a
+    /// corrupt or stale checked-in profile fails in the CI guard stage
+    /// instead of silently steering plan choices.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let inner = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or("calibration profile: not a JSON object")?;
-        let mut fields: BTreeMap<&str, f64> = BTreeMap::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (k, v) = part
-                .split_once(':')
-                .ok_or_else(|| format!("calibration profile: malformed entry `{part}`"))?;
-            let k = k
-                .trim()
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| format!("calibration profile: unquoted key in `{part}`"))?;
-            if !PROFILE_FIELDS.contains(&k) {
-                return Err(format!(
-                    "calibration profile: unknown field `{k}` (stale schema?)"
-                ));
-            }
-            let v: f64 = v.trim().parse().map_err(|_| {
-                format!("calibration profile: non-numeric value for `{k}`")
-            })?;
-            if fields.insert(k, v).is_some() {
-                return Err(format!("calibration profile: duplicate field `{k}`"));
-            }
+        let doc = json::parse(text).map_err(|e| format!("calibration profile: {e}"))?;
+        let map = doc.as_object().ok_or("calibration profile: not a JSON object")?;
+        if let Some(k) = map.keys().find(|k| !FIELDS.iter().any(|f| f.name == *k)) {
+            return Err(format!("calibration profile: unknown field `{k}` (stale schema?)"));
         }
-        let get = |k: &str| -> Result<f64, String> {
-            fields
-                .get(k)
-                .copied()
-                .ok_or_else(|| format!("calibration profile: missing field `{k}`"))
-        };
-        let version = get("version")? as u64;
-        if version != PROFILE_VERSION {
+        let mut p = Self::builtin();
+        for f in &FIELDS {
+            let v = map
+                .get(f.name)
+                .ok_or_else(|| format!("calibration profile: missing field `{}`", f.name))?
+                .as_f64()
+                .ok_or_else(|| format!("calibration profile: non-numeric value for `{}`", f.name))?;
+            if let Some(wording) = f.rule.broken_by(v) {
+                return Err(format!("calibration profile: `{}` must be {wording}, got {v}", f.name));
+            }
+            (f.set)(&mut p, v);
+        }
+        if p.version != PROFILE_VERSION {
             return Err(format!(
-                "calibration profile: version {version} != supported {PROFILE_VERSION}"
-            ));
-        }
-        let p = Self {
-            version,
-            samples: get("samples")? as u64,
-            observed_error: get("observed_error")?,
-            scale: get("scale")?,
-            decode_ns_per_pixel: get("decode_ns_per_pixel")?,
-            encode_ns_per_pixel: get("encode_ns_per_pixel")?,
-            scan_ns_per_frame: get("scan_ns_per_frame")?,
-            sink_ns_per_frame: get("sink_ns_per_frame")?,
-            kernel_ns_per_pixel: get("kernel_ns_per_pixel")?,
-            gate_ns_per_pixel: get("gate_ns_per_pixel")?,
-            nn_ns_per_mac: get("nn_ns_per_mac")?,
-            cascade_skip_rate: get("cascade_skip_rate")?,
-            thread_spawn_ns: get("thread_spawn_ns")?,
-            parallel_efficiency: get("parallel_efficiency")?,
-            index_probe_ns_per_vector: get("index_probe_ns_per_vector")?,
-            index_build_ns_per_vector: get("index_build_ns_per_vector")?,
-        };
-        let positive: [(&str, f64); 9] = [
-            ("scale", p.scale),
-            ("decode_ns_per_pixel", p.decode_ns_per_pixel),
-            ("encode_ns_per_pixel", p.encode_ns_per_pixel),
-            ("kernel_ns_per_pixel", p.kernel_ns_per_pixel),
-            ("gate_ns_per_pixel", p.gate_ns_per_pixel),
-            ("nn_ns_per_mac", p.nn_ns_per_mac),
-            ("thread_spawn_ns", p.thread_spawn_ns),
-            ("index_probe_ns_per_vector", p.index_probe_ns_per_vector),
-            ("index_build_ns_per_vector", p.index_build_ns_per_vector),
-        ];
-        for (k, v) in positive {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("calibration profile: `{k}` must be positive, got {v}"));
-            }
-        }
-        if !(0.0..1.0).contains(&p.cascade_skip_rate) {
-            return Err(format!(
-                "calibration profile: `cascade_skip_rate` must be in [0,1), got {}",
-                p.cascade_skip_rate
-            ));
-        }
-        if !(0.0..=1.0).contains(&p.parallel_efficiency) {
-            return Err(format!(
-                "calibration profile: `parallel_efficiency` must be in [0,1], got {}",
-                p.parallel_efficiency
+                "calibration profile: version {} != supported {PROFILE_VERSION}",
+                p.version
             ));
         }
         Ok(p)
@@ -744,30 +707,25 @@ mod tests {
     }
 
     #[test]
-    fn profile_roundtrips_through_json() {
-        let p = CalibrationProfile::builtin();
-        let parsed = CalibrationProfile::parse(&p.to_json()).unwrap();
-        assert_eq!(p, parsed);
-        // Deterministic serialization: same profile, same bytes.
-        assert_eq!(p.to_json(), parsed.to_json());
-    }
-
-    #[test]
     fn profile_parse_rejects_corruption() {
         let good = CalibrationProfile::builtin().to_json();
-        assert!(CalibrationProfile::parse("not json").is_err());
-        assert!(CalibrationProfile::parse(&good.replace("12.5", "\"fast\"")).is_err());
-        assert!(
-            CalibrationProfile::parse(&good.replace("nn_ns_per_mac", "nn_ns_per_flop"))
-                .err()
-                .map(|e| e.contains("unknown field") || e.contains("missing field"))
-                .unwrap_or(false)
-        );
-        assert!(CalibrationProfile::parse(&good.replace("\"version\": 2", "\"version\": 9"))
-            .unwrap_err()
-            .contains("version"));
+        let rejects = |text: &str, why: &str| {
+            let err = CalibrationProfile::parse(text).unwrap_err();
+            assert!(err.contains(why), "{text:?}: expected {why:?} in {err:?}");
+        };
+        rejects("not json", "calibration profile");
+        rejects("[]", "not a JSON object");
+        rejects(&good.replace("12.500000", "\"fast\""), "non-numeric");
+        rejects(&good.replace("nn_ns_per_mac", "nn_ns_per_flop"), "unknown field");
+        rejects(&good.replace("  \"scale\": 1.000000,\n", ""), "missing field `scale`");
+        rejects(&good.replace("{\n", "{\n  \"scale\": 1.0,\n"), "duplicate key");
+        rejects(&good.replace("\"version\": 2", "\"version\": 9"), "version");
+        rejects(&good.replace("\"version\": 2", "\"version\": 2.5"), "whole number");
+        rejects(&good.replace("\"scale\": 1.0", "\"scale\": -1.0"), "`scale` must be positive");
+        rejects(&good.replace("0.600000", "1.000000"), "`cascade_skip_rate` must be in [0,1)");
+        rejects(&good.replace("0.750000", "1.500000"), "`parallel_efficiency` must be in [0,1]");
         // A truncated file (corrupt checked-in artifact) fails fast.
-        assert!(CalibrationProfile::parse(&good[..good.len() / 2]).is_err());
+        rejects(&good[..good.len() / 2], "calibration profile");
     }
 
     #[test]

