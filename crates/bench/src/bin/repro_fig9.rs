@@ -13,6 +13,9 @@
 //! is coordination-free, so a node cluster's wall time is exactly the
 //! longest node's sum). The single-node wall time is also measured
 //! directly as a cross-check.
+//!
+//! Shape check, asserted (non-zero exit): two nodes finish at least
+//! 1.6× sooner than one.
 
 use std::time::Duration as WallDuration;
 use vr_base::{Duration, Hyperparameters, Resolution};
@@ -20,7 +23,7 @@ use vr_bench::args::CommonArgs;
 use vr_bench::table::TextTable;
 use visual_road::{GenConfig, Vcg};
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let args = CommonArgs::parse();
     let res = args.resolution.unwrap_or(if args.full {
         Resolution::K1
@@ -44,21 +47,22 @@ fn main() {
         direct.as_secs_f64()
     );
 
-    let mut t = TextTable::new(&["nodes", "makespan", "speedup"]);
-    let mut csv = String::from("nodes,seconds\n");
-    let mut base = None;
-    for &n in &nodes {
-        // The VCG shards cameras into contiguous chunks of
-        // ceil(len / nodes) — reproduce that partition.
+    // The VCG shards cameras into contiguous chunks of
+    // ceil(len / nodes) — reproduce that partition.
+    let makespan = |n: usize| -> f64 {
         let chunk = timings.len().div_ceil(n).max(1);
-        let makespan: WallDuration = timings
+        timings
             .chunks(chunk)
             .map(|c| c.iter().sum::<WallDuration>())
             .max()
-            .unwrap_or_default();
-        let secs = makespan.as_secs_f64();
-        let b = *base.get_or_insert(secs);
-        t.row(n.to_string(), vec![format!("{secs:.2}s"), format!("{:.2}x", b / secs)]);
+            .unwrap_or_default()
+            .as_secs_f64()
+    };
+    let mut t = TextTable::new(&["nodes", "makespan", "speedup"]);
+    let mut csv = String::from("nodes,seconds\n");
+    for &n in &nodes {
+        let secs = makespan(n);
+        t.row(n.to_string(), vec![format!("{secs:.2}s"), format!("{:.2}x", makespan(1) / secs)]);
         csv.push_str(&format!("{n},{secs:.3}\n"));
     }
     println!(
@@ -71,4 +75,12 @@ fn main() {
         direct.as_secs_f64()
     );
     println!("CSV:\n{csv}");
+    let mut checks = vr_bench::ShapeChecks::default();
+    checks.check(
+        "makespan(1 node) / makespan(2 nodes)",
+        makespan(1) / makespan(2),
+        1.6,
+        f64::INFINITY,
+    );
+    checks.finish()
 }

@@ -13,7 +13,7 @@
 use vr_base::rng::mix64;
 use vr_base::{Duration, Hyperparameters, Resolution, VrRng};
 use vr_bench::table::TextTable;
-use vr_render::render_camera_frame;
+use vr_render::CameraRenderer;
 use vr_scene::groundtruth::frame_truth;
 use vr_scene::{ObjectClass, VisualCity};
 use vr_vision::eval::{average_precision, EvalFrame, GroundTruthBox};
@@ -30,9 +30,10 @@ fn eval_city(
     for cam in city.traffic_cameras() {
         // A fresh detector per camera (temporal background resets).
         let mut det = YoloDetector::new(YoloConfig { macs_per_pixel: 0.0, ..Default::default() });
+        let renderer = CameraRenderer::new(city, cam, res.width, res.height);
         for i in 0..frames_per_cam {
             let t = i as f64 / 25.0;
-            let mut frame = render_camera_frame(city, cam, t, res.width, res.height);
+            let mut frame = renderer.frame(t);
             if sensor_noise {
                 let mut rng = VrRng::seed_from(mix64(seed, (cam.id.0 as u64) << 20 | i as u64));
                 let gain = 1.0 + (rng.next_f64() - 0.5) * 0.06;

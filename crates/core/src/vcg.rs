@@ -21,9 +21,9 @@ use vr_base::{FrameRate, Hyperparameters, Result, Timestamp, VrRng};
 use vr_codec::{Encoder, EncoderConfig, Profile, RateControlMode};
 use vr_container::{ContainerWriter, TrackKind};
 use vr_frame::Frame;
-use vr_render::render_camera_frame;
+use vr_render::CameraRenderer;
 use vr_scene::{CityCamera, VisualCity};
-use vr_vdbms::kernels::{serialize_boxes, stitch_equirect};
+use vr_vdbms::kernels::{serialize_boxes, FrameStream, StitchMap};
 use vr_vdbms::query::FaceParams;
 use vr_vdbms::{InputVideo, OutputBox};
 
@@ -87,44 +87,20 @@ impl Vcg {
         &self,
         hyper: &Hyperparameters,
     ) -> Result<(Dataset, Vec<std::time::Duration>)> {
-        let single = Vcg::new(GenConfig { nodes: 1, ..self.cfg.clone() });
-        let city = VisualCity::generate_extended(
-            hyper,
-            single.cfg.density_scale,
-            single.cfg.procedural_tile_variants,
-        );
-        let mut videos = Vec::new();
-        let mut meta = Vec::new();
-        let mut timings = Vec::new();
-        for cam in city.cameras() {
-            let t0 = std::time::Instant::now();
-            let (v, m) = generate_camera_video(&city, cam, hyper, &single.cfg)?;
-            timings.push(t0.elapsed());
-            videos.push(v);
-            meta.push(m);
-        }
-        if single.cfg.generate_panoramas {
-            for (rig, faces) in collect_rig_faces(&meta) {
-                let (video, m) =
-                    generate_panorama(&videos, &meta, rig, faces, &city, single.cfg.input_qp)?;
-                videos.push(video);
-                meta.push(m);
-            }
-        }
-        Ok((
-            Dataset {
-                hyper: *hyper,
-                city,
-                videos,
-                meta,
-                density_scale: single.cfg.density_scale,
-            },
-            timings,
-        ))
+        Vcg::new(GenConfig { nodes: 1, ..self.cfg.clone() }).generate_timed(hyper)
     }
 
     /// Generate a complete dataset.
     pub fn generate(&self, hyper: &Hyperparameters) -> Result<Dataset> {
+        Ok(self.generate_timed(hyper)?.0)
+    }
+
+    /// The generator body: the dataset, and how long each camera's
+    /// stream took (in camera order).
+    fn generate_timed(
+        &self,
+        hyper: &Hyperparameters,
+    ) -> Result<(Dataset, Vec<std::time::Duration>)> {
         let city = VisualCity::generate_extended(
             hyper,
             self.cfg.density_scale,
@@ -137,7 +113,7 @@ impl Vcg {
         // over "nodes". Results are written into a preallocated slot
         // vector so the output order (and content) is identical for
         // any node count.
-        let mut slots: Vec<Option<(InputVideo, VideoMeta)>> = Vec::new();
+        let mut slots: Vec<Option<CameraSlot>> = Vec::new();
         slots.resize_with(cameras.len(), || None);
         let slot_chunks = shard_slots(&mut slots, &cameras, nodes);
         std::thread::scope(|s| -> Result<()> {
@@ -147,7 +123,9 @@ impl Vcg {
                 let cfg = &self.cfg;
                 handles.push(s.spawn(move || -> Result<()> {
                     for (cam, slot) in cam_shard.iter().zip(slot_shard) {
-                        *slot = Some(generate_camera_video(city, cam, hyper, cfg)?);
+                        let t0 = std::time::Instant::now();
+                        let (video, meta) = generate_camera_video(city, cam, hyper, cfg)?;
+                        *slot = Some((video, meta, t0.elapsed()));
                     }
                     Ok(())
                 }));
@@ -159,10 +137,12 @@ impl Vcg {
         })?;
         let mut videos = Vec::with_capacity(slots.len());
         let mut meta = Vec::with_capacity(slots.len());
+        let mut timings = Vec::with_capacity(slots.len());
         for slot in slots {
-            let (v, m) = slot.expect("every camera slot filled");
+            let (v, m, took) = slot.expect("every camera slot filled");
             videos.push(v);
             meta.push(m);
+            timings.push(took);
         }
 
         // Derived 360° panoramas (stitched from the face videos with
@@ -177,24 +157,22 @@ impl Vcg {
             }
         }
 
-        Ok(Dataset {
-            hyper: *hyper,
-            city,
-            videos,
-            meta,
-            density_scale: self.cfg.density_scale,
-        })
+        let dataset =
+            Dataset { hyper: *hyper, city, videos, meta, density_scale: self.cfg.density_scale };
+        Ok((dataset, timings))
     }
 }
 
+/// One camera's stream, its metadata, and how long it took to generate.
+type CameraSlot = (InputVideo, VideoMeta, std::time::Duration);
+
 /// Split the slot vector into per-node shards (round-robin by
 /// contiguous chunks).
-#[allow(clippy::type_complexity)]
 fn shard_slots<'a>(
-    slots: &'a mut [Option<(InputVideo, VideoMeta)>],
+    slots: &'a mut [Option<CameraSlot>],
     cameras: &'a [CityCamera],
     nodes: usize,
-) -> Vec<(&'a [CityCamera], &'a mut [Option<(InputVideo, VideoMeta)>])> {
+) -> Vec<(&'a [CityCamera], &'a mut [Option<CameraSlot>])> {
     let chunk = cameras.len().div_ceil(nodes).max(1);
     cameras.chunks(chunk).zip(slots.chunks_mut(chunk)).collect()
 }
@@ -230,9 +208,12 @@ fn generate_camera_video(
         None
     };
 
+    // The camera's static scene layer, drawn once and dropped with
+    // this stream.
+    let renderer = CameraRenderer::new(city, cam, w, h);
     for i in 0..frames {
         let t = i as f64 * cfg.frame_rate.frame_interval_secs();
-        let frame = render_camera_frame(city, cam, t, w, h);
+        let frame = renderer.frame(t);
         let packet = encoder.encode(&frame)?;
         let ts = Timestamp::of_frame(i, cfg.frame_rate);
         writer.push_sample(video_track, &packet.data, ts, packet.keyframe);
@@ -306,15 +287,13 @@ fn generate_panorama(
         pitch: rig_cams[i].camera.pitch,
         hfov_deg: rig_cams[i].camera.hfov_deg,
     });
-    let mut decoded: Vec<Vec<Frame>> = Vec::with_capacity(4);
-    let mut info = None;
+    // The four faces decode in lockstep, one frame of each resident.
+    let mut streams = Vec::with_capacity(4);
     for &fi in &faces {
-        let (vi, frames) = vr_vdbms::kernels::decode_all(&videos[fi])?;
-        info.get_or_insert(vi);
-        decoded.push(frames);
+        streams.push(FrameStream::open(&videos[fi])?);
     }
-    let info = info.expect("four faces decoded");
-    let n = decoded.iter().map(|d| d.len()).min().unwrap_or(0);
+    let info = streams[0].info();
+    let n = streams.iter().map(|s| s.len()).min().unwrap_or(0);
     let out_w = (info.width * 2).max(4) & !1;
     let out_h = info.width.max(4) & !1;
 
@@ -327,10 +306,13 @@ fn generate_panorama(
     let mut encoder = Encoder::new(enc_cfg, out_w, out_h)?;
     let mut writer = ContainerWriter::new();
     let track = writer.add_track(TrackKind::Video, encoder.info().serialize());
+    // The rig's direction table, built once and dropped with this video.
+    let map = StitchMap::new(&params, info.width, info.height, out_w, out_h);
     for t in 0..n {
-        let face_frames: [Frame; 4] = std::array::from_fn(|i| decoded[i][t].clone());
-        let stitched = stitch_equirect(&face_frames, &params, out_w, out_h);
-        let packet = encoder.encode(&stitched)?;
+        let [a, b, c, d]: [Result<Frame>; 4] = std::array::from_fn(|i| {
+            streams[i].next_frame().expect("within the shortest face")
+        });
+        let packet = encoder.encode(&map.apply(&[a?, b?, c?, d?]))?;
         writer.push_sample(
             track,
             &packet.data,

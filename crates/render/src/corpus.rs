@@ -12,7 +12,7 @@
 //! spatial structure) — preserved by this substitution — not on the
 //! identity of the depicted cars.
 
-use crate::scene_render::render_camera;
+use crate::scene_render::CameraRenderer;
 use vr_base::rng::mix64;
 use vr_base::{Duration, Hyperparameters, Resolution, VrRng};
 use vr_frame::Frame;
@@ -60,11 +60,11 @@ pub fn recorded_sequence(frames: usize, width: u32, height: u32, seed: u64) -> V
         .next()
         .expect("city always has traffic cameras")
         .clone();
+    let renderer = CameraRenderer::new(&city, &cam, width, height);
     (0..frames)
         .map(|i| {
             let t = i as f64 / 25.0; // UA-DETRAC is 25 FPS
-            let img = render_camera(&city, &cam, t, width, height);
-            let mut frame = Frame::from_rgb(&img);
+            let mut frame = renderer.frame(t);
             apply_sensor_artifacts(&mut frame, seed, i as u64);
             frame
         })

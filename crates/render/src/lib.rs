@@ -6,7 +6,9 @@
 //! bit-identical frames on every platform — which is what lets a seed
 //! reproduce a whole dataset.
 //!
-//! Rendering pipeline per frame:
+//! Rendering pipeline per frame (steps 1–2 and the static half of 3
+//! never read the time, so a [`CameraRenderer`] draws them once per
+//! camera and each frame starts from a copy):
 //!
 //! 1. **Sky** — gradient from the pixel ray's elevation, tinted by
 //!    weather (sunset warmth, overcast gray).
@@ -27,4 +29,4 @@ pub mod raster;
 pub mod scene_render;
 pub mod shade;
 
-pub use scene_render::{render_camera, render_camera_frame};
+pub use scene_render::{render_camera, render_camera_frame, CameraRenderer};

@@ -4,6 +4,7 @@ use vr_frame::{Rgb, RgbImage};
 use vr_geom::{Camera, Vec3};
 
 /// A render target: color plus depth.
+#[derive(Clone)]
 pub struct Raster {
     pub img: RgbImage,
     /// Camera-space depth per pixel; `f32::INFINITY` = sky.

@@ -8,8 +8,125 @@ use vr_geom::{Vec2, Vec3};
 use vr_scene::road::{ROAD_WIDTH, SIDEWALK_OFFSET};
 use vr_scene::{CityCamera, VisualCity, Weather};
 
+/// One camera's renderer, split by what reads the simulation time.
+///
+/// Cameras are fixed and weather is per tile, so everything passes 1–2
+/// draw (sky, ground, buildings, trees) is the same in every frame of a
+/// stream: [`CameraRenderer::new`] rasterizes that static layer once,
+/// colour and depth, and each [`image`](CameraRenderer::image) draws
+/// the dynamic layer (passes 3–4 and rain) over a copy of it.
+pub struct CameraRenderer<'a> {
+    city: &'a VisualCity,
+    camera: &'a CityCamera,
+    /// The raster after passes 1–2.
+    static_layer: Raster,
+}
+
+impl<'a> CameraRenderer<'a> {
+    /// Rasterize the static layer of `camera`'s view at `width`×`height`.
+    pub fn new(city: &'a VisualCity, camera: &'a CityCamera, width: u32, height: u32) -> Self {
+        let tile = city.tile(camera.tile);
+        let origin = city.tile_origin(camera.tile);
+        let weather = tile.weather();
+        let cam = &camera.camera;
+        let mut raster = Raster::new(width, height);
+
+        // --- Pass 1: sky and ground ------------------------------------
+        let forward = cam.forward();
+        for py in 0..height {
+            for px in 0..width {
+                let ray = cam.pixel_ray(px as f32 + 0.5, py as f32 + 0.5, width, height);
+                if ray.z >= -1e-4 {
+                    raster.img.set(px, py, sky_color(ray.z, &weather));
+                    continue;
+                }
+                let dist = cam.position.z / -ray.z;
+                if dist > 1200.0 {
+                    raster.img.set(px, py, sky_color(0.0, &weather));
+                    continue;
+                }
+                let world = cam.position + ray * dist;
+                let depth = (world - cam.position).dot(forward);
+                let local = world.ground() - origin;
+                let color = ground_color(tile, local, &weather);
+                raster.put(px, py, depth, color);
+            }
+        }
+
+        // --- Pass 2: static geometry ------------------------------------
+        for b in &tile.buildings {
+            let w = b.aabb.translated(Vec3::from_ground(origin, 0.0));
+            draw_box(&mut raster, cam, w.min, w.max, b.color, &weather);
+        }
+        for tree in &tile.trees {
+            let p = tree.position + origin;
+            // Trunk.
+            let trunk_min = Vec3::from_ground(p - Vec2::new(0.15, 0.15), 0.0);
+            let trunk_max = Vec3::from_ground(p + Vec2::new(0.15, 0.15), tree.height * 0.4);
+            draw_box(&mut raster, cam, trunk_min, trunk_max, Rgb::new(95, 70, 45), &weather);
+            // Canopy.
+            let r = tree.height * 0.25;
+            let can_min = Vec3::from_ground(p - Vec2::new(r, r), tree.height * 0.35);
+            let can_max = Vec3::from_ground(p + Vec2::new(r, r), tree.height);
+            draw_box(&mut raster, cam, can_min, can_max, Rgb::new(40, 110, 45), &weather);
+        }
+        Self { city, camera, static_layer: raster }
+    }
+
+    /// The view at simulation time `t` seconds as an RGB image.
+    pub fn image(&self, t: f64) -> RgbImage {
+        let Self { city, camera, .. } = self;
+        let tile = city.tile(camera.tile);
+        let origin = city.tile_origin(camera.tile);
+        let weather = &tile.weather();
+        let cam = &camera.camera;
+        let mut raster = self.static_layer.clone();
+        let (width, height) = (raster.width(), raster.height());
+
+        // --- Pass 3: dynamic entities -----------------------------------
+        for v in &tile.vehicles {
+            draw_vehicle(&mut raster, cam, city, camera, v, t, weather);
+        }
+        for p in &tile.pedestrians {
+            let pose = p.pose_at(t);
+            let base = pose.position + origin;
+            // Body.
+            let body_min = Vec3::from_ground(base - Vec2::new(0.22, 0.22), 0.0);
+            let body_max = Vec3::from_ground(base + Vec2::new(0.22, 0.22), p.height * 0.82);
+            draw_box(&mut raster, cam, body_min, body_max, p.color, weather);
+            // Head.
+            let head_min = Vec3::from_ground(base - Vec2::new(0.12, 0.12), p.height * 0.82);
+            let head_max = Vec3::from_ground(base + Vec2::new(0.12, 0.12), p.height);
+            draw_box(&mut raster, cam, head_min, head_max, Rgb::new(225, 185, 155), weather);
+        }
+
+        // --- Pass 4: atmosphere -----------------------------------------
+        if weather.fog() > 0.0 {
+            for py in 0..height {
+                for px in 0..width {
+                    let z = raster.z(px, py);
+                    if z.is_finite() {
+                        let c = raster.img.get(px, py);
+                        raster.img.set(px, py, apply_fog(c, z, weather));
+                    }
+                }
+            }
+        }
+        if weather.rain() > 0.0 {
+            draw_rain(&mut raster.img, t, weather.rain(), camera.id.0);
+        }
+        raster.img
+    }
+
+    /// The view at `t` as a YUV frame (the codec's input format).
+    pub fn frame(&self, t: f64) -> Frame {
+        Frame::from_rgb(&self.image(t))
+    }
+}
+
 /// Render the view of `camera` at simulation time `t` seconds into an
-/// RGB image.
+/// RGB image. One-shot: a stream of frames from one camera should
+/// build a [`CameraRenderer`] and reuse its static layer.
 pub fn render_camera(
     city: &VisualCity,
     camera: &CityCamera,
@@ -17,85 +134,7 @@ pub fn render_camera(
     width: u32,
     height: u32,
 ) -> RgbImage {
-    let tile = city.tile(camera.tile);
-    let origin = city.tile_origin(camera.tile);
-    let weather = tile.weather();
-    let cam = &camera.camera;
-    let mut raster = Raster::new(width, height);
-
-    // --- Pass 1: sky and ground ------------------------------------
-    let forward = cam.forward();
-    for py in 0..height {
-        for px in 0..width {
-            let ray = cam.pixel_ray(px as f32 + 0.5, py as f32 + 0.5, width, height);
-            if ray.z >= -1e-4 {
-                raster.img.set(px, py, sky_color(ray.z, &weather));
-                continue;
-            }
-            let dist = cam.position.z / -ray.z;
-            if dist > 1200.0 {
-                raster.img.set(px, py, sky_color(0.0, &weather));
-                continue;
-            }
-            let world = cam.position + ray * dist;
-            let depth = (world - cam.position).dot(forward);
-            let local = world.ground() - origin;
-            let color = ground_color(tile, local, &weather);
-            raster.put(px, py, depth, color);
-        }
-    }
-
-    // --- Pass 2: static geometry ------------------------------------
-    for b in &tile.buildings {
-        let w = b.aabb.translated(Vec3::from_ground(origin, 0.0));
-        draw_box(&mut raster, cam, w.min, w.max, b.color, &weather);
-    }
-    for tree in &tile.trees {
-        let p = tree.position + origin;
-        // Trunk.
-        let trunk_min = Vec3::from_ground(p - Vec2::new(0.15, 0.15), 0.0);
-        let trunk_max = Vec3::from_ground(p + Vec2::new(0.15, 0.15), tree.height * 0.4);
-        draw_box(&mut raster, cam, trunk_min, trunk_max, Rgb::new(95, 70, 45), &weather);
-        // Canopy.
-        let r = tree.height * 0.25;
-        let can_min = Vec3::from_ground(p - Vec2::new(r, r), tree.height * 0.35);
-        let can_max = Vec3::from_ground(p + Vec2::new(r, r), tree.height);
-        draw_box(&mut raster, cam, can_min, can_max, Rgb::new(40, 110, 45), &weather);
-    }
-
-    // --- Pass 3: dynamic entities -----------------------------------
-    for v in &tile.vehicles {
-        draw_vehicle(&mut raster, cam, city, camera, v, t, &weather);
-    }
-    for p in &tile.pedestrians {
-        let pose = p.pose_at(t);
-        let base = pose.position + origin;
-        // Body.
-        let body_min = Vec3::from_ground(base - Vec2::new(0.22, 0.22), 0.0);
-        let body_max = Vec3::from_ground(base + Vec2::new(0.22, 0.22), p.height * 0.82);
-        draw_box(&mut raster, cam, body_min, body_max, p.color, &weather);
-        // Head.
-        let head_min = Vec3::from_ground(base - Vec2::new(0.12, 0.12), p.height * 0.82);
-        let head_max = Vec3::from_ground(base + Vec2::new(0.12, 0.12), p.height);
-        draw_box(&mut raster, cam, head_min, head_max, Rgb::new(225, 185, 155), &weather);
-    }
-
-    // --- Pass 4: atmosphere -----------------------------------------
-    if weather.fog() > 0.0 {
-        for py in 0..height {
-            for px in 0..width {
-                let z = raster.z(px, py);
-                if z.is_finite() {
-                    let c = raster.img.get(px, py);
-                    raster.img.set(px, py, apply_fog(c, z, &weather));
-                }
-            }
-        }
-    }
-    if weather.rain() > 0.0 {
-        draw_rain(&mut raster.img, t, weather.rain(), camera.id.0);
-    }
-    raster.img
+    CameraRenderer::new(city, camera, width, height).image(t)
 }
 
 /// Render directly to a YUV frame (the codec's input format).
@@ -106,7 +145,7 @@ pub fn render_camera_frame(
     width: u32,
     height: u32,
 ) -> Frame {
-    Frame::from_rgb(&render_camera(city, camera, t, width, height))
+    CameraRenderer::new(city, camera, width, height).frame(t)
 }
 
 /// Classify a ground point: road, lane marking, sidewalk, or terrain.
@@ -384,6 +423,126 @@ mod tests {
     fn city(seed: u64) -> VisualCity {
         let h = Hyperparameters::new(1, Resolution::K1, Duration::from_secs(5.0), seed).unwrap();
         VisualCity::generate(&h, 0.2)
+    }
+
+    /// The single-function renderer [`CameraRenderer`] replaced, kept
+    /// verbatim as the differential oracle.
+    fn render_camera_oracle(
+        city: &VisualCity,
+        camera: &CityCamera,
+        t: f64,
+        width: u32,
+        height: u32,
+    ) -> RgbImage {
+        let tile = city.tile(camera.tile);
+        let origin = city.tile_origin(camera.tile);
+        let weather = tile.weather();
+        let cam = &camera.camera;
+        let mut raster = Raster::new(width, height);
+
+        // --- Pass 1: sky and ground ------------------------------------
+        let forward = cam.forward();
+        for py in 0..height {
+            for px in 0..width {
+                let ray = cam.pixel_ray(px as f32 + 0.5, py as f32 + 0.5, width, height);
+                if ray.z >= -1e-4 {
+                    raster.img.set(px, py, sky_color(ray.z, &weather));
+                    continue;
+                }
+                let dist = cam.position.z / -ray.z;
+                if dist > 1200.0 {
+                    raster.img.set(px, py, sky_color(0.0, &weather));
+                    continue;
+                }
+                let world = cam.position + ray * dist;
+                let depth = (world - cam.position).dot(forward);
+                let local = world.ground() - origin;
+                let color = ground_color(tile, local, &weather);
+                raster.put(px, py, depth, color);
+            }
+        }
+
+        // --- Pass 2: static geometry ------------------------------------
+        for b in &tile.buildings {
+            let w = b.aabb.translated(Vec3::from_ground(origin, 0.0));
+            draw_box(&mut raster, cam, w.min, w.max, b.color, &weather);
+        }
+        for tree in &tile.trees {
+            let p = tree.position + origin;
+            // Trunk.
+            let trunk_min = Vec3::from_ground(p - Vec2::new(0.15, 0.15), 0.0);
+            let trunk_max = Vec3::from_ground(p + Vec2::new(0.15, 0.15), tree.height * 0.4);
+            draw_box(&mut raster, cam, trunk_min, trunk_max, Rgb::new(95, 70, 45), &weather);
+            // Canopy.
+            let r = tree.height * 0.25;
+            let can_min = Vec3::from_ground(p - Vec2::new(r, r), tree.height * 0.35);
+            let can_max = Vec3::from_ground(p + Vec2::new(r, r), tree.height);
+            draw_box(&mut raster, cam, can_min, can_max, Rgb::new(40, 110, 45), &weather);
+        }
+
+        // --- Pass 3: dynamic entities -----------------------------------
+        for v in &tile.vehicles {
+            draw_vehicle(&mut raster, cam, city, camera, v, t, &weather);
+        }
+        for p in &tile.pedestrians {
+            let pose = p.pose_at(t);
+            let base = pose.position + origin;
+            // Body.
+            let body_min = Vec3::from_ground(base - Vec2::new(0.22, 0.22), 0.0);
+            let body_max = Vec3::from_ground(base + Vec2::new(0.22, 0.22), p.height * 0.82);
+            draw_box(&mut raster, cam, body_min, body_max, p.color, &weather);
+            // Head.
+            let head_min = Vec3::from_ground(base - Vec2::new(0.12, 0.12), p.height * 0.82);
+            let head_max = Vec3::from_ground(base + Vec2::new(0.12, 0.12), p.height);
+            draw_box(&mut raster, cam, head_min, head_max, Rgb::new(225, 185, 155), &weather);
+        }
+
+        // --- Pass 4: atmosphere -----------------------------------------
+        if weather.fog() > 0.0 {
+            for py in 0..height {
+                for px in 0..width {
+                    let z = raster.z(px, py);
+                    if z.is_finite() {
+                        let c = raster.img.get(px, py);
+                        raster.img.set(px, py, apply_fog(c, z, &weather));
+                    }
+                }
+            }
+        }
+        if weather.rain() > 0.0 {
+            draw_rain(&mut raster.img, t, weather.rain(), camera.id.0);
+        }
+        raster.img
+    }
+
+    #[test]
+    fn renderer_matches_the_single_function_oracle() {
+        // Seeds picked so that one tile is fogged but dry (cloudy) and
+        // one is in hard rain: both atmosphere passes run, each over a
+        // copy of the static layer.
+        let cities = [city(6), city(16)];
+        let weather = |c: &VisualCity| c.tile(c.cameras()[0].tile).weather();
+        let (fogged, rainy) = (weather(&cities[0]), weather(&cities[1]));
+        assert!(fogged.fog() > 0.0 && fogged.rain() == 0.0, "no fog-only tile covered");
+        assert!(rainy.rain() > 0.0, "no rainy tile covered");
+        for c in &cities {
+            for cam in c.cameras() {
+                for (w, h) in [(160, 90), (96, 54)] {
+                    // One renderer across all four times: a frame must
+                    // not leak into the static layer of the next.
+                    let renderer = CameraRenderer::new(c, cam, w, h);
+                    for t in [0.0, 1.0 / 30.0, 0.5, 4.0] {
+                        let want = render_camera_oracle(c, cam, t, w, h);
+                        assert!(
+                            renderer.image(t) == want,
+                            "camera {} at t={t}, {w}x{h} differs from the oracle",
+                            cam.id
+                        );
+                        assert_eq!(renderer.frame(t), Frame::from_rgb(&want));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -395,90 +395,181 @@ pub fn subquery_reencode(
     Ok(out)
 }
 
+/// Q9's direction table for one rig and one pair of sizes: for every
+/// output pixel, the face that supplies it and the point in that face
+/// to sample. Rig orientation and sizes are fixed for a whole video,
+/// so the trigonometry, face choice and projection are done once here
+/// and [`StitchMap::apply`] only samples. Planar, 9 bytes per output
+/// pixel.
+pub struct StitchMap {
+    face_dims: (u32, u32),
+    out_w: u32,
+    out_h: u32,
+    face: Vec<u8>,
+    x: Vec<f32>,
+    y: Vec<f32>,
+}
+
+impl StitchMap {
+    /// Map an `out_w`×`out_h` equirectangular frame onto four
+    /// `face_w`×`face_h` faces oriented by `params`.
+    ///
+    /// Each output pixel's direction is mapped into each face camera's
+    /// space; the face whose optical axis is closest supplies the
+    /// sample. Face cameras share a position, so only orientation
+    /// matters.
+    pub fn new(
+        params: &[crate::query::FaceParams; 4],
+        face_w: u32,
+        face_h: u32,
+        out_w: u32,
+        out_h: u32,
+    ) -> Self {
+        let cams = params.map(|p| Camera::new(Vec3::ZERO, p.yaw, p.pitch, p.hfov_deg));
+        let forwards = cams.map(|c| c.forward());
+        let eq = Equirect::new(out_w, out_h);
+        let n = (out_w * out_h) as usize;
+        let (mut face, mut xs, mut ys) =
+            (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+        for py in 0..out_h {
+            for px in 0..out_w {
+                let dir = eq.pixel_to_dir(px as f32 + 0.5, py as f32 + 0.5);
+                // Pick the face with the largest forward component.
+                let mut best = 0usize;
+                let mut best_dot = f32::MIN;
+                for (i, forward) in forwards.iter().enumerate() {
+                    let d = forward.dot(dir);
+                    if d > best_dot {
+                        best_dot = d;
+                        best = i;
+                    }
+                }
+                let cam = &cams[best];
+                // Project the direction through the face camera.
+                let target = cam.position + dir * 100.0;
+                let (x, y) = match cam.project(target, face_w, face_h) {
+                    Some((x, y, _)) => (x, y),
+                    // Above/below every face's FOV: approximate with
+                    // the nearest row of the best face.
+                    None => {
+                        (face_w as f32 / 2.0, if dir.z > 0.0 { 0.0 } else { face_h as f32 - 1.0 })
+                    }
+                };
+                face.push(best as u8);
+                xs.push(x);
+                ys.push(y);
+            }
+        }
+        Self { face_dims: (face_w, face_h), out_w, out_h, face, x: xs, y: ys }
+    }
+
+    /// Stitch one set of face frames.
+    pub fn apply(&self, faces: &[Frame; 4]) -> Frame {
+        assert_eq!(
+            (faces[0].width(), faces[0].height()),
+            self.face_dims,
+            "stitch map built for other face dimensions"
+        );
+        let (out_w, out_h) = (self.out_w as usize, self.out_h as usize);
+        let mut out = Frame::new(self.out_w, self.out_h);
+        let sources = self.face.iter().zip(&self.x).zip(&self.y);
+        for (oy, ((&face, &x), &y)) in out.y.as_mut_slice().iter_mut().zip(sources) {
+            *oy = sample_bilinear_luma(&faces[face as usize], x, y);
+        }
+        // A chroma sample takes the direction of its 2×2 block's
+        // bottom-right pixel.
+        let (ou, ov) = (out.u.as_mut_slice(), out.v.as_mut_slice());
+        for cy in 0..out_h / 2 {
+            for cx in 0..out_w / 2 {
+                let i = (cy * 2 + 1) * out_w + cx * 2 + 1;
+                let (u, v) =
+                    sample_bilinear_chroma(&faces[self.face[i] as usize], self.x[i], self.y[i]);
+                ou[cy * (out_w / 2) + cx] = u;
+                ov[cy * (out_w / 2) + cx] = v;
+            }
+        }
+        out
+    }
+}
+
 /// Q9 core: stitch four 120°-FOV faces into an equirectangular frame.
-///
-/// For each output pixel, the direction is mapped into each face
-/// camera's space; the face whose optical axis is closest supplies a
-/// bilinear sample. Face cameras share a position, so only
-/// orientation matters.
+/// One-shot: a video's worth of frames should build one [`StitchMap`].
 pub fn stitch_equirect(
     faces: &[Frame; 4],
     params: &[crate::query::FaceParams; 4],
     out_w: u32,
     out_h: u32,
 ) -> Frame {
-    let cams: Vec<Camera> = params
-        .iter()
-        .map(|p| Camera::new(Vec3::ZERO, p.yaw, p.pitch, p.hfov_deg))
-        .collect();
-    let eq = Equirect::new(out_w, out_h);
-    let mut out = Frame::new(out_w, out_h);
-    let (fw, fh) = (faces[0].width(), faces[0].height());
-    // Resolve the copy-on-write planes once, outside the pixel loop.
-    let (oy, ou, ov) = (out.y.as_mut_slice(), out.u.as_mut_slice(), out.v.as_mut_slice());
-    for py in 0..out_h {
-        for px in 0..out_w {
-            let dir = eq.pixel_to_dir(px as f32 + 0.5, py as f32 + 0.5);
-            // Pick the face with the largest forward component.
-            let mut best = 0usize;
-            let mut best_dot = f32::MIN;
-            for (i, cam) in cams.iter().enumerate() {
-                let d = cam.forward().dot(dir);
-                if d > best_dot {
-                    best_dot = d;
-                    best = i;
-                }
-            }
-            let cam = &cams[best];
-            // Project the direction through the face camera.
-            let target = cam.position + dir * 100.0;
-            let c = if let Some((x, y, _)) = cam.project(target, fw, fh) {
-                sample_bilinear(&faces[best], x, y)
-            } else {
-                // Above/below every face's FOV: approximate with the
-                // nearest row of the best face.
-                let x = fw as f32 / 2.0;
-                let y = if dir.z > 0.0 { 0.0 } else { fh as f32 - 1.0 };
-                sample_bilinear(&faces[best], x, y)
-            };
-            oy[(py * out_w + px) as usize] = c.y;
-            ou[((py / 2) * out_w / 2 + px / 2) as usize] = c.u;
-            ov[((py / 2) * out_w / 2 + px / 2) as usize] = c.v;
+    StitchMap::new(params, faces[0].width(), faces[0].height(), out_w, out_h).apply(faces)
+}
+
+/// The four taps and two weights of a clamped bilinear sample.
+struct BilinearTaps {
+    x0: u32,
+    x1: u32,
+    y0: u32,
+    y1: u32,
+    tx: f32,
+    ty: f32,
+}
+
+impl BilinearTaps {
+    #[inline]
+    fn at(f: &Frame, x: f32, y: f32) -> Self {
+        let xf = (x - 0.5).clamp(0.0, f.width() as f32 - 1.0);
+        let yf = (y - 0.5).clamp(0.0, f.height() as f32 - 1.0);
+        // Clamped non-negative, where the cast's truncation is `floor`
+        // (and NaN casts to 0 either way) without the libm call.
+        let x0 = xf as u32;
+        let y0 = yf as u32;
+        Self {
+            x0,
+            x1: (x0 + 1).min(f.width() - 1),
+            y0,
+            y1: (y0 + 1).min(f.height() - 1),
+            tx: xf - x0 as f32,
+            ty: yf - y0 as f32,
         }
     }
-    out
+
+    /// Blend one plane. Generic over the getter (not `&dyn Fn`) so each
+    /// plane's sampling inlines into straight-line code in the
+    /// per-pixel hot loop.
+    #[inline]
+    fn sample(&self, get: impl Fn(u32, u32) -> u8) -> u8 {
+        let blend = |a: u8, b: u8, t: f32| a as f32 + (b as f32 - a as f32) * t;
+        let top = blend(get(self.x0, self.y0), get(self.x1, self.y0), self.tx);
+        let bot = blend(get(self.x0, self.y1), get(self.x1, self.y1), self.tx);
+        round_u8(top + (bot - top) * self.ty)
+    }
+
+    #[inline]
+    fn luma(&self, f: &Frame) -> u8 {
+        self.sample(|x, y| f.get_y(x, y))
+    }
+
+    #[inline]
+    fn chroma(&self, f: &Frame) -> (u8, u8) {
+        (self.sample(|x, y| f.get_u(x / 2, y / 2)), self.sample(|x, y| f.get_v(x / 2, y / 2)))
+    }
+}
+
+/// Clamped bilinear sample of a frame's luma plane.
+pub fn sample_bilinear_luma(f: &Frame, x: f32, y: f32) -> u8 {
+    BilinearTaps::at(f, x, y).luma(f)
+}
+
+/// Clamped bilinear sample of a frame's `(U, V)` planes at luma
+/// coordinates `(x, y)`.
+pub fn sample_bilinear_chroma(f: &Frame, x: f32, y: f32) -> (u8, u8) {
+    BilinearTaps::at(f, x, y).chroma(f)
 }
 
 /// Clamped bilinear sample of a frame.
 pub fn sample_bilinear(f: &Frame, x: f32, y: f32) -> Yuv {
-    let xf = (x - 0.5).clamp(0.0, f.width() as f32 - 1.0);
-    let yf = (y - 0.5).clamp(0.0, f.height() as f32 - 1.0);
-    // Clamped non-negative, where the cast's truncation is `floor`
-    // (and NaN casts to 0 either way) without the libm call.
-    let x0 = xf as u32;
-    let y0 = yf as u32;
-    let x1 = (x0 + 1).min(f.width() - 1);
-    let y1 = (y0 + 1).min(f.height() - 1);
-    let tx = xf - x0 as f32;
-    let ty = yf - y0 as f32;
-    let blend = |a: u8, b: u8, t: f32| a as f32 + (b as f32 - a as f32) * t;
-    // Generic over the getter (not `&dyn Fn`) so each plane's sampling
-    // inlines into straight-line code in this per-pixel hot loop.
-    fn sample_one(
-        getter: impl Fn(u32, u32) -> u8,
-        (x0, x1, tx): (u32, u32, f32),
-        (y0, y1, ty): (u32, u32, f32),
-        blend: impl Fn(u8, u8, f32) -> f32,
-    ) -> u8 {
-        let top = blend(getter(x0, y0), getter(x1, y0), tx);
-        let bot = blend(getter(x0, y1), getter(x1, y1), tx);
-        round_u8(top + (bot - top) * ty)
-    }
-    Yuv {
-        y: sample_one(|x, y| f.get_y(x, y), (x0, x1, tx), (y0, y1, ty), blend),
-        u: sample_one(|x, y| f.get_u(x / 2, y / 2), (x0, x1, tx), (y0, y1, ty), blend),
-        v: sample_one(|x, y| f.get_v(x / 2, y / 2), (x0, x1, tx), (y0, y1, ty), blend),
-    }
+    let taps = BilinearTaps::at(f, x, y);
+    let (u, v) = taps.chroma(f);
+    Yuv { y: taps.luma(f), u, v }
 }
 
 #[cfg(test)]
@@ -587,6 +678,101 @@ mod tests {
             u: one(&|x, y| f.get_u(x / 2, y / 2)),
             v: one(&|x, y| f.get_v(x / 2, y / 2)),
         }
+    }
+
+    /// The per-pixel stitcher [`StitchMap`] replaced (direction, face
+    /// choice and projection recomputed for every pixel of every
+    /// frame; chroma written by all four pixels of a block, the last
+    /// one winning), sampling with the libm-form sampler. Also counts
+    /// the pixels no face can project, `[above, below]`.
+    fn stitch_equirect_oracle(
+        faces: &[Frame; 4],
+        params: &[FaceParams; 4],
+        out_w: u32,
+        out_h: u32,
+    ) -> (Frame, [usize; 2]) {
+        let cams: Vec<Camera> = params
+            .iter()
+            .map(|p| Camera::new(Vec3::ZERO, p.yaw, p.pitch, p.hfov_deg))
+            .collect();
+        let eq = Equirect::new(out_w, out_h);
+        let mut out = Frame::new(out_w, out_h);
+        let mut outside = [0usize; 2];
+        let (fw, fh) = (faces[0].width(), faces[0].height());
+        let (oy, ou, ov) = (out.y.as_mut_slice(), out.u.as_mut_slice(), out.v.as_mut_slice());
+        for py in 0..out_h {
+            for px in 0..out_w {
+                let dir = eq.pixel_to_dir(px as f32 + 0.5, py as f32 + 0.5);
+                let mut best = 0usize;
+                let mut best_dot = f32::MIN;
+                for (i, cam) in cams.iter().enumerate() {
+                    let d = cam.forward().dot(dir);
+                    if d > best_dot {
+                        best_dot = d;
+                        best = i;
+                    }
+                }
+                let cam = &cams[best];
+                let target = cam.position + dir * 100.0;
+                let c = if let Some((x, y, _)) = cam.project(target, fw, fh) {
+                    sample_bilinear_oracle(&faces[best], x, y)
+                } else {
+                    outside[(dir.z <= 0.0) as usize] += 1;
+                    let x = fw as f32 / 2.0;
+                    let y = if dir.z > 0.0 { 0.0 } else { fh as f32 - 1.0 };
+                    sample_bilinear_oracle(&faces[best], x, y)
+                };
+                oy[(py * out_w + px) as usize] = c.y;
+                ou[((py / 2) * out_w / 2 + px / 2) as usize] = c.u;
+                ov[((py / 2) * out_w / 2 + px / 2) as usize] = c.v;
+            }
+        }
+        (out, outside)
+    }
+
+    #[test]
+    fn stitch_map_matches_the_per_pixel_oracle() {
+        let mut rng = vr_base::VrRng::seed_from(0x5717_c4ed);
+        let mut noise = |w: u32, h: u32| -> [Frame; 4] {
+            std::array::from_fn(|_| {
+                let mut f = Frame::new(w, h);
+                for plane in [&mut f.y, &mut f.u, &mut f.v] {
+                    plane.iter_mut().for_each(|s| *s = rng.next_u32() as u8);
+                }
+                f
+            })
+        };
+        let mut rig_rng = vr_base::VrRng::seed_from(0x5717_0002);
+        let mut outside = [0usize; 2];
+        let sizes = [((64, 36), (128, 64)), ((48, 48), (64, 32)), ((96, 54), (100, 50))];
+        for case in 0..12 {
+            let ((fw, fh), (ow, oh)) = sizes[case % 3];
+            // A level rig, rigs tilted as a whole (so a polar cap lies
+            // behind every face) and rigs whose faces each tilt their
+            // own way.
+            let tilt = [0.0, 0.7, -0.7, 0.35][case % 4];
+            let yaw0 = rig_rng.range_f32(-3.0, 3.0);
+            let params: [FaceParams; 4] = std::array::from_fn(|i| FaceParams {
+                yaw: yaw0 + i as f32 * std::f32::consts::FRAC_PI_2,
+                pitch: if case >= 8 { rig_rng.range_f32(-0.9, 0.9) } else { tilt },
+                hfov_deg: rig_rng.range_f32(90.0, 130.0),
+            });
+            let map = StitchMap::new(&params, fw, fh, ow, oh);
+            // Two frames through one map: nothing of the first may
+            // reach the second.
+            for _ in 0..2 {
+                let faces = noise(fw, fh);
+                let (want, n) = stitch_equirect_oracle(&faces, &params, ow, oh);
+                assert!(map.apply(&faces) == want, "case {case}: map differs from the oracle");
+                assert!(stitch_equirect(&faces, &params, ow, oh) == want, "case {case}: wrapper");
+                outside[0] += n[0];
+                outside[1] += n[1];
+            }
+        }
+        assert!(
+            outside[0] > 0 && outside[1] > 0,
+            "no output pixel above/below every face's view: {outside:?}"
+        );
     }
 
     #[test]

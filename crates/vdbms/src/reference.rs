@@ -11,8 +11,7 @@
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
 use crate::kernels::{
-    boxes_frame, caption_track, encode_output, filter_class, stitch_equirect,
-    subquery_reencode,
+    boxes_frame, caption_track, encode_output, filter_class, subquery_reencode, StitchMap,
 };
 use crate::pipeline::{self, DetectBoxes, FrameKernel, FrameSource, KernelOut, Pipeline};
 use crate::plan::PlanNode;
@@ -491,12 +490,10 @@ pub fn q9_stitch(
     let out_w = output.width.max(4) & !1;
     let out_h = output.height.max(4) & !1;
     let out = pl.kernel_span(n as u64, || {
-        let mut out = Vec::with_capacity(n);
-        for t in 0..n {
-            let frames: [Frame; 4] = std::array::from_fn(|i| decoded[i][t].clone());
-            out.push(stitch_equirect(&frames, params, out_w, out_h));
-        }
-        out
+        let map = StitchMap::new(params, info.width, info.height, out_w, out_h);
+        (0..n)
+            .map(|t| map.apply(&std::array::from_fn(|i| decoded[i][t].clone())))
+            .collect::<Vec<Frame>>()
     });
     pl.encode_frames(&out, VideoInfo { width: out_w, height: out_h, ..info })
 }

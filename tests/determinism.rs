@@ -42,6 +42,42 @@ fn node_count_does_not_change_output() {
     }
 }
 
+/// The benchmark dataset (`benchmark/src/workload.rs`: L = 1, 192×108,
+/// 1 s, seed 42, `GenConfig::default()`), pinned container by container
+/// to CRCs captured before the renderer and stitcher hoisted their
+/// time-invariant work out of the frame loop. Any byte a renderer,
+/// stitcher, encoder or muxer change moves fails here, for every node
+/// count; the failure prints the new table.
+const BENCH_DATASET_GOLDEN: [(&str, u32); 9] = [
+    ("cam-0-traffic.vrmf", 0x9279bff9),
+    ("cam-1-traffic.vrmf", 0x8d683371),
+    ("cam-2-traffic.vrmf", 0x0e7ea3b5),
+    ("cam-3-traffic.vrmf", 0xd097ecff),
+    ("cam-4-pano-f0.vrmf", 0x8596d077),
+    ("cam-5-pano-f1.vrmf", 0x6312be65),
+    ("cam-6-pano-f2.vrmf", 0xc9841ee4),
+    ("cam-7-pano-f3.vrmf", 0x4fb41615),
+    ("pano360-rig0.vrmf", 0x7238ab51),
+];
+
+#[test]
+fn benchmark_dataset_matches_golden_crcs() {
+    let hyper =
+        Hyperparameters::new(1, Resolution::new(192, 108), Duration::from_secs(1.0), 42).unwrap();
+    for nodes in [1, 2, 4] {
+        let ds = Vcg::new(GenConfig { nodes, ..Default::default() }).generate(&hyper).unwrap();
+        let actual: Vec<(&str, u32)> = ds
+            .videos
+            .iter()
+            .map(|v| (v.name.as_str(), vr_bitstream::crc32(v.container.raw_bytes())))
+            .collect();
+        let table: String =
+            actual.iter().map(|(n, c)| format!("    (\"{n}\", {c:#010x}),\n")).collect();
+        assert!(actual == BENCH_DATASET_GOLDEN, "nodes={nodes}: dataset bytes moved; actual:\n{table}");
+        assert_eq!(ds.total_bytes(), 386_483, "nodes={nodes}");
+    }
+}
+
 /// Different seeds produce different cities and different video bytes.
 #[test]
 fn seeds_differentiate_datasets() {
