@@ -52,6 +52,17 @@ stage_guard() {
         crates/vdbms/src/{plan,cost}.rs crates/bench/src/{json,harness}.rs \
         crates/bench/src/bin/{stress_test,bench_gate}.rs \
         crates/core/src/bin/visualroad.rs | tee "$ART/loc_json.txt"
+    echo "-- the executor's lines of code; one streaming executor"
+    ./target/release/loc_report crates/vdbms/src/pipeline.rs | tee "$ART/loc_pipeline.txt"
+    # The threads, channels and hang-up order under the streaming
+    # policies are written once; a second scoped-thread block above the
+    # test module is a second executor.
+    local scopes
+    scopes=$(sed '/^#\[cfg(test)\]/,$d' crates/vdbms/src/pipeline.rs | grep -c 'std::thread::scope' || true)
+    if [[ "$scopes" -gt 1 ]]; then
+        echo "FAIL: $scopes std::thread::scope blocks in pipeline.rs above its tests (want one)" >&2
+        return 1
+    fi
     # Every document goes through vr_base::json; a renderer that brings
     # its own escaper (the old helper's name, or a quote-replacing
     # chain) fails here.

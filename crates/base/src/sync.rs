@@ -11,13 +11,13 @@
 //!   that return guards directly instead of a poison `Result` (a
 //!   poisoned lock means a panicked holder; propagating the panic is
 //!   the only sane response in this codebase),
-//! * a small [`WorkerPool`] plus a [`parallel_chunks`] helper for the
-//!   batch engine's data-parallel frame maps.
+//! * a [`parallel_chunks`] helper for the batch engine's
+//!   data-parallel frame maps.
 //!
 //! Everything here is built from `std::sync` + `std::thread` only.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -351,65 +351,8 @@ impl<T> Drop for Receiver<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool
+// Data-parallel map
 // ---------------------------------------------------------------------------
-
-/// A fixed-size pool of worker threads executing boxed closures.
-///
-/// Jobs are `'static`; for borrowed data-parallel maps use
-/// [`parallel_chunks`], which runs on scoped threads instead.
-pub struct WorkerPool {
-    tx: Option<Sender<Box<dyn FnOnce() + Send + 'static>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawn `workers` threads (at least one) pulling from a shared
-    /// queue of `queue_depth` pending jobs.
-    pub fn new(workers: usize, queue_depth: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = channel::<Box<dyn FnOnce() + Send + 'static>>(queue_depth.max(1));
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("vr-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Self { tx: Some(tx), handles }
-    }
-
-    /// Enqueue a job, blocking while the queue is full.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.tx
-            .as_ref()
-            .expect("worker pool already shut down")
-            .send(Box::new(job))
-            .ok()
-            .expect("worker pool threads exited early");
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Disconnect the queue; workers drain outstanding jobs and exit.
-        self.tx.take();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
 
 /// Apply `f` to every element of `items` in place, splitting the slice
 /// across `workers` scoped threads. `f` receives `(global_index,
@@ -527,28 +470,6 @@ impl CancelToken {
     /// The deadline, if this token carries one.
     pub fn deadline(&self) -> Option<std::time::Instant> {
         self.deadline
-    }
-}
-
-/// A monotonically increasing counter usable across threads; used for
-/// cheap instrumentation where a full lock is overkill.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicUsize);
-
-impl Counter {
-    /// Zero-initialized counter.
-    pub const fn new() -> Self {
-        Self(AtomicUsize::new(0))
-    }
-
-    /// Add `n`, returning the previous value.
-    pub fn add(&self, n: usize) -> usize {
-        self.0.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// Current value.
-    pub fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -710,23 +631,6 @@ mod tests {
         assert_eq!(rw.read().len(), 2);
         rw.write().push(3);
         assert_eq!(rw.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn worker_pool_runs_every_job() {
-        let counter = Arc::new(Counter::new());
-        {
-            let pool = WorkerPool::new(3, 4);
-            assert_eq!(pool.workers(), 3);
-            for _ in 0..20 {
-                let c = Arc::clone(&counter);
-                pool.execute(move || {
-                    c.add(1);
-                });
-            }
-            // Drop joins the pool, draining the queue.
-        }
-        assert_eq!(counter.get(), 20);
     }
 
     #[test]

@@ -473,11 +473,10 @@ impl Optimizer {
     /// single-core regression this model exists to fix
     /// (`q1_batch_workers4` vs `workers1`) is exactly that case.
     pub fn new(profile: CalibrationProfile) -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Self {
             profile: Mutex::new(profile),
             workload: Workload::default(),
-            cores,
+            cores: vr_base::sync::hardware_parallelism(),
             decisions: Mutex::new(BTreeMap::new()),
             observed: Mutex::new(BTreeMap::new()),
         }

@@ -20,6 +20,12 @@
 //! [`Pipeline::run_sequence`], and multi-camera queries (Q8) under
 //! [`Pipeline::run_streaming_multi`].
 //!
+//! The streaming, multi-source and short-circuit policies share one
+//! executor: a stream of scan events, one kernel loop, the encode
+//! stage — on the calling thread at a worker budget of one, pipelined
+//! over bounded channels above it. The short-circuit gate is a kernel
+//! adaptor, not a loop of its own.
+//!
 //! Every operator records wall time, frames, and bytes into the
 //! [`PipelineMetrics`] carried by the [`ExecContext`]; the VCD
 //! snapshots them per query batch and the report prints the
@@ -157,6 +163,27 @@ impl PipelineMetrics {
         if bytes > 0 {
             self.stage_bytes[stage.idx()].add(bytes);
         }
+    }
+
+    /// Run `f` as one invocation of `stage`, inside a trace span named
+    /// after the stage, an allocator scope and a wall-clock timer.
+    /// `work` reads the `(frames, bytes)` processed off the result;
+    /// `None` (a scan at end of stream, a failed call) records nothing.
+    fn timed<T>(
+        &self,
+        stage: StageKind,
+        f: impl FnOnce() -> T,
+        work: impl FnOnce(&T) -> Option<(u64, u64)>,
+    ) -> T {
+        let _span = trace::span("pipeline", stage.label());
+        let scope = alloc::ScopeGuard::begin();
+        let t0 = Instant::now();
+        let out = f();
+        if let Some((frames, bytes)) = work(&out) {
+            self.record(stage, t0.elapsed().as_nanos() as u64, frames, bytes);
+            self.record_alloc(stage, &scope.finish());
+        }
+        out
     }
 
     /// Fold one allocator-scope delta into a stage's accounting (a
@@ -313,6 +340,12 @@ pub trait FrameSource: Send {
     fn next_frame(&mut self) -> Option<Result<Frame>>;
 }
 
+/// What a scan reports for one call: a frame of its sample count, or
+/// nothing when the decode failed.
+fn one_frame(frame: &Result<Frame>) -> Option<(u64, u64)> {
+    frame.as_ref().ok().map(|f| (1, f.sample_count() as u64))
+}
+
 /// Forward-only streaming decode of a whole video track (the lazy
 /// access path). Records Decode time per frame.
 pub struct StreamScan<'a> {
@@ -330,20 +363,11 @@ impl FrameSource for StreamScan<'_> {
     }
 
     fn next_frame(&mut self) -> Option<Result<Frame>> {
-        let _span = trace::span("pipeline", "decode");
-        let scope = alloc::ScopeGuard::begin();
-        let t0 = Instant::now();
-        let frame = self.stream.next_frame()?;
-        if let Ok(f) = &frame {
-            self.metrics.record(
-                StageKind::Decode,
-                t0.elapsed().as_nanos() as u64,
-                1,
-                f.sample_count() as u64,
-            );
-            self.metrics.record_alloc(StageKind::Decode, &scope.finish());
-        }
-        Some(frame)
+        self.metrics.timed(
+            StageKind::Decode,
+            || self.stream.next_frame(),
+            |frame| frame.as_ref().and_then(one_frame),
+        )
     }
 }
 
@@ -407,26 +431,15 @@ impl FrameSource for RangeScan<'_> {
 
     fn next_frame(&mut self) -> Option<Result<Frame>> {
         while self.next <= self.to {
-            let _span = trace::span("pipeline", "decode");
-            let scope = alloc::ScopeGuard::begin();
-            let t0 = Instant::now();
             let i = self.next;
             self.next += 1;
-            let frame = self.decoder.decode_sample(self.input, self.track, i);
-            match frame {
-                Ok(f) => {
-                    self.metrics.record(
-                        StageKind::Decode,
-                        t0.elapsed().as_nanos() as u64,
-                        1,
-                        f.sample_count() as u64,
-                    );
-                    self.metrics.record_alloc(StageKind::Decode, &scope.finish());
-                    if i >= self.from {
-                        return Some(Ok(f));
-                    }
-                }
-                Err(e) => return Some(Err(e)),
+            let frame = self.metrics.timed(
+                StageKind::Decode,
+                || self.decoder.decode_sample(self.input, self.track, i),
+                one_frame,
+            );
+            if frame.is_err() || i >= self.from {
+                return Some(frame);
             }
         }
         None
@@ -468,21 +481,12 @@ impl FrameSource for MemoryScan {
         if self.next >= self.end {
             return None;
         }
-        let _span = trace::span("pipeline", "scan");
-        let scope = alloc::ScopeGuard::begin();
-        let t0 = Instant::now();
         // O(1): planes are copy-on-write, so serving a frame from the
         // materialized table is a refcount bump, not a pixel copy.
-        let f = self.frames[self.next].clone();
+        let frame =
+            self.metrics.timed(StageKind::Scan, || Ok(self.frames[self.next].clone()), one_frame);
         self.next += 1;
-        self.metrics.record(
-            StageKind::Scan,
-            t0.elapsed().as_nanos() as u64,
-            1,
-            f.sample_count() as u64,
-        );
-        self.metrics.record_alloc(StageKind::Scan, &scope.finish());
-        Some(Ok(f))
+        Some(frame)
     }
 }
 
@@ -785,10 +789,52 @@ fn recv_guarded<T>(rx: &Receiver<T>, timeout: Option<Duration>) -> Result<Option
     }
 }
 
-/// Producer-side message of the multi-source pipelined scan.
-enum MultiMsg {
+/// What the scan side of a streaming run hands the kernel loop.
+enum ScanEvent {
     Frame(Result<Frame>),
+    /// One input of a multi-source scan is exhausted.
     EndOfSource,
+}
+
+/// The scan side of a streaming run: walks the sources in order and,
+/// when `mark_ends` is set (the multi-source form), reports each
+/// source's end.
+struct ScanEvents<'s, 'a> {
+    sources: &'s mut [&'a mut dyn FrameSource],
+    current: usize,
+    mark_ends: bool,
+}
+
+impl Iterator for ScanEvents<'_, '_> {
+    type Item = ScanEvent;
+
+    fn next(&mut self) -> Option<ScanEvent> {
+        while let Some(source) = self.sources.get_mut(self.current) {
+            if let Some(frame) = source.next_frame() {
+                return Some(ScanEvent::Frame(frame));
+            }
+            self.current += 1;
+            if self.mark_ends {
+                return Some(ScanEvent::EndOfSource);
+            }
+        }
+        None
+    }
+}
+
+/// The short-circuit policy as a kernel: the gate decides, frame by
+/// frame and in scan order, which path of the caller's closure runs.
+struct Gated<'a> {
+    gate: &'a mut DiffGate,
+    kernel: &'a mut dyn FnMut(Frame, usize, bool) -> Result<KernelOut>,
+}
+
+impl FrameKernel for Gated<'_> {
+    fn push(&mut self, frame: Frame, index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
+        let escalate = self.gate.escalate(&frame);
+        out.push((self.kernel)(frame, index, escalate)?);
+        Ok(())
+    }
 }
 
 /// The pipeline executor, bound to one execution context. Owns the
@@ -853,113 +899,12 @@ impl<'c> Pipeline<'c> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_streaming");
         self.absorb_stall("kernel");
-        if self.ctx.workers <= 1 {
-            return self.run_streaming_seq(source, kernel);
-        }
-        let info = source.info();
-        std::thread::scope(|scope| {
-            let (ftx, frx) = channel::<Result<Frame>>(PIPE_DEPTH);
-            let (ktx, krx) = channel::<KernelOut>(PIPE_DEPTH);
-            let metrics = Arc::clone(&self.ctx.metrics);
-            let cancel = self.ctx.cancel.clone();
-            scope.spawn(move || {
-                while let Some(frame) = source.next_frame() {
-                    let stop = frame.is_err() || cancel.cancelled();
-                    if send_stage(&ftx, frame, &metrics).is_err() || stop {
-                        break;
-                    }
-                }
-            });
-            let encoder = scope.spawn(move || {
-                let mut sink = EncodeStage::new(self, info);
-                while let Some(ko) = recv_guarded(&krx, self.ctx.stage_timeout)? {
-                    sink.consume(ko)?;
-                }
-                sink.into_result()
-            });
-
-            let mut result = Ok(());
-            let mut buf = Vec::new();
-            let mut index = 0usize;
-            'stream: loop {
-                let frame = match recv_guarded(&frx, self.ctx.stage_timeout) {
-                    Ok(Some(Ok(f))) => f,
-                    Ok(Some(Err(e))) | Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                    Ok(None) => break,
-                };
-                if let Err(e) = self.kernel_stage(1, index, || kernel.push(frame, index, &mut buf))
-                {
-                    result = Err(e);
-                    break;
-                }
-                index += 1;
-                for ko in buf.drain(..) {
-                    if send_stage(&ktx, ko, &self.ctx.metrics).is_err() {
-                        // The encode stage failed and hung up; its
-                        // error surfaces via join below.
-                        break 'stream;
-                    }
-                }
-            }
-            if result.is_ok() {
-                match self.kernel_stage(0, index, || kernel.finish(&mut buf)) {
-                    Ok(()) => {
-                        for ko in buf.drain(..) {
-                            if send_stage(&ktx, ko, &self.ctx.metrics).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                    Err(e) => result = Err(e),
-                }
-            }
-            // Hang up both channels: an aborted producer unblocks, and
-            // the encoder drains what it has and returns.
-            drop(frx);
-            drop(ktx);
-            let encoded = match encoder.join() {
-                Ok(r) => r,
-                Err(p) => {
-                    fault::note_stage_panic();
-                    Err(Error::StagePanic(panic_payload(p)))
-                }
-            };
-            result.and(encoded)
-        })
-    }
-
-    /// The single-thread streaming policy (`VR_WORKERS=1`).
-    fn run_streaming_seq(
-        &self,
-        source: &mut dyn FrameSource,
-        kernel: &mut dyn FrameKernel,
-    ) -> Result<StreamResult> {
-        let mut sink = EncodeStage::new(self, source.info());
-        let mut buf = Vec::new();
-        let mut index = 0usize;
-        while let Some(frame) = source.next_frame() {
-            let frame = frame?;
-            self.kernel_stage(1, index, || kernel.push(frame, index, &mut buf))?;
-            index += 1;
-            for ko in buf.drain(..) {
-                sink.consume(ko)?;
-            }
-        }
-        self.kernel_stage(0, index, || kernel.finish(&mut buf))?;
-        for ko in buf.drain(..) {
-            sink.consume(ko)?;
-        }
-        sink.into_result()
+        self.stream(&mut [source], false, kernel)
     }
 
     /// Streaming over several sources in order (Q8's multi-camera
-    /// scan); the kernel sees each source's end. Pipelined like
-    /// [`run_streaming`] when the worker budget allows: the producer
-    /// thread walks the sources in order and marks each one's end, so
-    /// the kernel observes the exact sequential event order.
+    /// scan); the kernel sees each source's end, in the same event
+    /// order whether or not the run is pipelined.
     pub fn run_streaming_multi(
         &self,
         sources: &mut [&mut dyn FrameSource],
@@ -967,129 +912,104 @@ impl<'c> Pipeline<'c> {
     ) -> Result<StreamResult> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_streaming_multi");
+        self.absorb_stall("kernel");
+        self.stream(sources, true, kernel)
+    }
+
+    /// The one streaming executor: scan events → kernel loop → encode
+    /// stage. With a worker budget of one the three run interleaved on
+    /// the calling thread; above it the scan and the encoder each get
+    /// a thread and a bounded channel, and the kernel loop stays here.
+    /// Either way the kernel's error wins over the encoder's.
+    fn stream(
+        &self,
+        sources: &mut [&mut dyn FrameSource],
+        mark_ends: bool,
+        kernel: &mut dyn FrameKernel,
+    ) -> Result<StreamResult> {
         let info = sources
             .first()
             .map(|s| s.info())
             .ok_or_else(|| Error::InvalidConfig("multi-scan needs at least one source".into()))?;
-        self.absorb_stall("kernel");
+        let events = ScanEvents { sources, current: 0, mark_ends };
         if self.ctx.workers <= 1 {
-            return self.run_streaming_multi_seq(sources, kernel, info);
+            let mut sink = EncodeStage::new(self, info);
+            let mut encoded = Ok(());
+            let driven = self.drive(events, kernel, |ko| {
+                encoded = sink.consume(ko);
+                encoded.is_ok()
+            });
+            return driven.and(encoded).and_then(|()| sink.into_result());
         }
+        let (metrics, timeout) = (&*self.ctx.metrics, self.ctx.stage_timeout);
         std::thread::scope(|scope| {
-            let (ftx, frx) = channel::<MultiMsg>(PIPE_DEPTH);
+            let (ftx, frx) = channel::<ScanEvent>(PIPE_DEPTH);
             let (ktx, krx) = channel::<KernelOut>(PIPE_DEPTH);
-            let metrics = Arc::clone(&self.ctx.metrics);
-            let cancel = self.ctx.cancel.clone();
             scope.spawn(move || {
-                'producer: for source in sources.iter_mut() {
-                    while let Some(frame) = source.next_frame() {
-                        let stop = frame.is_err() || cancel.cancelled();
-                        if send_stage(&ftx, MultiMsg::Frame(frame), &metrics).is_err() || stop {
-                            break 'producer;
-                        }
-                    }
-                    if send_stage(&ftx, MultiMsg::EndOfSource, &metrics).is_err() {
+                for event in events {
+                    let stop = matches!(event, ScanEvent::Frame(Err(_)))
+                        || self.ctx.cancel.cancelled();
+                    if send_stage(&ftx, event, metrics).is_err() || stop {
                         break;
                     }
                 }
             });
             let encoder = scope.spawn(move || {
                 let mut sink = EncodeStage::new(self, info);
-                while let Some(ko) = recv_guarded(&krx, self.ctx.stage_timeout)? {
+                while let Some(ko) = recv_guarded(&krx, timeout)? {
                     sink.consume(ko)?;
                 }
                 sink.into_result()
             });
-
-            let mut result = Ok(());
-            let mut buf = Vec::new();
-            let mut index = 0usize;
-            'stream: loop {
-                let msg = match recv_guarded(&frx, self.ctx.stage_timeout) {
-                    Ok(Some(m)) => m,
-                    Ok(None) => break,
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                };
-                let kerneled = match msg {
-                    MultiMsg::Frame(Ok(frame)) => {
-                        let r =
-                            self.kernel_stage(1, index, || kernel.push(frame, index, &mut buf));
-                        index += 1;
-                        r
-                    }
-                    MultiMsg::Frame(Err(e)) => Err(e),
-                    MultiMsg::EndOfSource => {
-                        index = 0;
-                        self.kernel_stage(0, index, || kernel.end_of_source(&mut buf))
-                    }
-                };
-                if let Err(e) = kerneled {
-                    result = Err(e);
-                    break;
-                }
-                for ko in buf.drain(..) {
-                    if send_stage(&ktx, ko, &self.ctx.metrics).is_err() {
-                        break 'stream;
-                    }
-                }
-            }
-            if result.is_ok() {
-                match self.kernel_stage(0, index, || kernel.finish(&mut buf)) {
-                    Ok(()) => {
-                        for ko in buf.drain(..) {
-                            if send_stage(&ktx, ko, &self.ctx.metrics).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                    Err(e) => result = Err(e),
-                }
-            }
+            // A scan stalled past the watchdog reads as a failed frame.
+            let scanned = std::iter::from_fn(|| {
+                recv_guarded(&frx, timeout).unwrap_or_else(|e| Some(ScanEvent::Frame(Err(e))))
+            });
+            let driven = self.drive(scanned, kernel, |ko| send_stage(&ktx, ko, metrics).is_ok());
+            // Hang up both channels: an aborted producer unblocks, and
+            // the encoder drains what it has and returns.
             drop(frx);
             drop(ktx);
-            let encoded = match encoder.join() {
-                Ok(r) => r,
-                Err(p) => {
-                    fault::note_stage_panic();
-                    Err(Error::StagePanic(panic_payload(p)))
-                }
-            };
-            result.and(encoded)
+            let encoded = encoder.join().unwrap_or_else(|p| {
+                fault::note_stage_panic();
+                Err(Error::StagePanic(panic_payload(p)))
+            });
+            driven.and(encoded)
         })
     }
 
-    /// The single-thread multi-source streaming policy.
-    fn run_streaming_multi_seq(
+    /// The kernel loop of a streaming run: push each scanned frame
+    /// with its per-source index, mark source ends, `finish` after the
+    /// last event, and hand every output to `emit` as it appears. The
+    /// first error ends the run; so does `emit` returning `false` (the
+    /// encode stage failed — its error is the run's).
+    fn drive(
         &self,
-        sources: &mut [&mut dyn FrameSource],
+        events: impl Iterator<Item = ScanEvent>,
         kernel: &mut dyn FrameKernel,
-        info: VideoInfo,
-    ) -> Result<StreamResult> {
-        let mut sink = EncodeStage::new(self, info);
+        mut emit: impl FnMut(KernelOut) -> bool,
+    ) -> Result<()> {
         let mut buf = Vec::new();
-        for source in sources.iter_mut() {
-            let mut index = 0usize;
-            while let Some(frame) = source.next_frame() {
-                let frame = frame?;
-                self.kernel_stage(1, index, || kernel.push(frame, index, &mut buf))?;
-                index += 1;
-                for ko in buf.drain(..) {
-                    sink.consume(ko)?;
+        let mut index = 0usize;
+        for event in events {
+            match event {
+                ScanEvent::Frame(frame) => {
+                    let frame = frame?;
+                    self.kernel_stage(1, index, || kernel.push(frame, index, &mut buf))?;
+                    index += 1;
+                }
+                ScanEvent::EndOfSource => {
+                    index = 0;
+                    self.kernel_stage(0, index, || kernel.end_of_source(&mut buf))?;
                 }
             }
-            self.kernel_stage(0, 0, || kernel.end_of_source(&mut buf))?;
-            for ko in buf.drain(..) {
-                sink.consume(ko)?;
+            if !buf.drain(..).all(&mut emit) {
+                return Ok(());
             }
         }
-        self.kernel_stage(0, 0, || kernel.finish(&mut buf))?;
-        for ko in buf.drain(..) {
-            sink.consume(ko)?;
-        }
-        sink.into_result()
+        self.kernel_stage(0, index, || kernel.finish(&mut buf))?;
+        buf.drain(..).all(emit);
+        Ok(())
     }
 
     /// Eager policy: materialize every frame, run a stateless kernel
@@ -1125,25 +1045,7 @@ impl<'c> Pipeline<'c> {
         let first_err: vr_base::sync::Mutex<Option<Error>> = vr_base::sync::Mutex::new(None);
         self.kernel_span(n, || {
             parallel_chunks(&mut frames, workers, |i, f| {
-                if self.ctx.cancel.cancelled() {
-                    first_err.lock().get_or_insert_with(|| {
-                        Error::Cancelled(format!(
-                            "query {} at frame {i}",
-                            self.ctx.query_label
-                        ))
-                    });
-                    return;
-                }
-                let due = fault::global()
-                    .map(|inj| inj.kernel_panic_due(&self.ctx.query_label, i as u64))
-                    .unwrap_or(false);
-                let r = contain_panic(|| {
-                    if due {
-                        panic!("injected kernel panic (frame {i})");
-                    }
-                    Ok(kernel(f))
-                });
-                match r {
+                match self.guarded(i, || Ok(kernel(f))).and_then(|call| call()) {
                     Ok(nf) => *f = nf,
                     Err(e) => {
                         first_err.lock().get_or_insert(e);
@@ -1190,91 +1092,7 @@ impl<'c> Pipeline<'c> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_short_circuit");
         self.absorb_stall("kernel");
-        if self.ctx.workers <= 1 {
-            return self.run_short_circuit_seq(source, gate, kernel);
-        }
-        let info = source.info();
-        std::thread::scope(|scope| {
-            let (ftx, frx) = channel::<Result<Frame>>(PIPE_DEPTH);
-            let (ktx, krx) = channel::<KernelOut>(PIPE_DEPTH);
-            let metrics = Arc::clone(&self.ctx.metrics);
-            let cancel = self.ctx.cancel.clone();
-            scope.spawn(move || {
-                while let Some(frame) = source.next_frame() {
-                    let stop = frame.is_err() || cancel.cancelled();
-                    if send_stage(&ftx, frame, &metrics).is_err() || stop {
-                        break;
-                    }
-                }
-            });
-            let encoder = scope.spawn(move || {
-                let mut sink = EncodeStage::new(self, info);
-                while let Some(ko) = recv_guarded(&krx, self.ctx.stage_timeout)? {
-                    sink.consume(ko)?;
-                }
-                sink.into_result()
-            });
-
-            let mut result = Ok(());
-            let mut index = 0usize;
-            loop {
-                let frame = match recv_guarded(&frx, self.ctx.stage_timeout) {
-                    Ok(Some(Ok(f))) => f,
-                    Ok(Some(Err(e))) | Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                    Ok(None) => break,
-                };
-                let ko = self.kernel_stage(1, index, || {
-                    let escalate = gate.escalate(&frame);
-                    kernel(frame, index, escalate)
-                });
-                index += 1;
-                match ko {
-                    Ok(ko) => {
-                        if send_stage(&ktx, ko, &self.ctx.metrics).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-            drop(frx);
-            drop(ktx);
-            let encoded = match encoder.join() {
-                Ok(r) => r,
-                Err(p) => {
-                    fault::note_stage_panic();
-                    Err(Error::StagePanic(panic_payload(p)))
-                }
-            };
-            result.and(encoded)
-        })
-    }
-
-    /// The single-thread short-circuit policy.
-    fn run_short_circuit_seq(
-        &self,
-        source: &mut dyn FrameSource,
-        gate: &mut DiffGate,
-        kernel: &mut dyn FnMut(Frame, usize, bool) -> Result<KernelOut>,
-    ) -> Result<StreamResult> {
-        let mut sink = EncodeStage::new(self, source.info());
-        let mut index = 0usize;
-        while let Some(frame) = source.next_frame() {
-            let frame = frame?;
-            let ko = self.kernel_stage(1, index, || {
-                let escalate = gate.escalate(&frame);
-                kernel(frame, index, escalate)
-            })?;
-            index += 1;
-            sink.consume(ko)?;
-        }
-        sink.into_result()
+        self.stream(&mut [source], false, &mut Gated { gate, kernel })
     }
 
     /// Drain a source into a vector (Scan/Decode time recorded by the
@@ -1290,30 +1108,24 @@ impl<'c> Pipeline<'c> {
 
     /// Time a closure as Kernel-stage work over `frames` frames.
     pub fn kernel_span<T>(&self, frames: u64, f: impl FnOnce() -> T) -> T {
-        let _span = trace::span("pipeline", "kernel");
-        let scope = alloc::ScopeGuard::begin();
-        let t0 = Instant::now();
-        let out = f();
-        self.ctx.metrics.record(StageKind::Kernel, t0.elapsed().as_nanos() as u64, frames, 0);
-        self.ctx.metrics.record_alloc(StageKind::Kernel, &scope.finish());
-        out
+        self.ctx.metrics.timed(StageKind::Kernel, f, |_| Some((frames, 0)))
     }
 
-    /// One guarded kernel invocation: cooperative cancellation is
-    /// checked first, an injected kernel panic fires inside the
-    /// containment scope, and any panic (injected or organic) becomes
-    /// a typed error at the stage boundary. Timed as Kernel work.
-    fn kernel_stage<T>(
+    /// The guard around every kernel call. Cooperative cancellation is
+    /// checked now; the call that comes back runs `f` with an injected
+    /// kernel panic firing inside the containment scope, so any panic
+    /// (injected or organic) becomes a typed error at the stage
+    /// boundary.
+    fn guarded<T>(
         &self,
-        frames: u64,
         index: usize,
         f: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
+    ) -> Result<impl FnOnce() -> Result<T>> {
         self.check_cancelled(index)?;
         let due = fault::global()
             .map(|inj| inj.kernel_panic_due(&self.ctx.query_label, index as u64))
             .unwrap_or(false);
-        self.kernel_span(frames, || {
+        Ok(move || {
             contain_panic(|| {
                 if due {
                     panic!("injected kernel panic (frame {index})");
@@ -1321,6 +1133,17 @@ impl<'c> Pipeline<'c> {
                 f()
             })
         })
+    }
+
+    /// One guarded kernel invocation, timed as Kernel work.
+    fn kernel_stage<T>(
+        &self,
+        frames: u64,
+        index: usize,
+        f: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let call = self.guarded(index, f)?;
+        self.kernel_span(frames, call)
     }
 
     /// Error out if the context's cancellation token has fired (the
@@ -1335,9 +1158,6 @@ impl<'c> Pipeline<'c> {
         Ok(())
     }
 
-    /// Sleep out an injected stall at a named stage entry (the
-    /// watchdog's budget is far above any plan's stall, so an absorbed
-    /// stall degrades latency without tripping anything).
     /// Open the enclosing request-lane span when the context carries a
     /// request id (`None` — the batch CLI default — costs nothing).
     /// Every `run_*` entry point holds one, so in chrome-trace each
@@ -1346,6 +1166,9 @@ impl<'c> Pipeline<'c> {
         self.ctx.request_id.as_ref().map(|r| trace::span_dyn("request", || r.to_string()))
     }
 
+    /// Sleep out an injected stall at a named stage entry (the
+    /// watchdog's budget is far above any plan's stall, so an absorbed
+    /// stall degrades latency without tripping anything).
     fn absorb_stall(&self, stage: &str) {
         if let Some(inj) = fault::global() {
             if let Some(d) = inj.stall(stage) {
@@ -1369,19 +1192,13 @@ impl<'c> Pipeline<'c> {
     /// Sink stage: apply the context's result mode (persist or
     /// discard), recording Sink time and persisted bytes.
     pub fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
-        let _span = trace::span("pipeline", "sink");
         self.absorb_stall("sink");
-        let scope = alloc::ScopeGuard::begin();
-        let t0 = Instant::now();
-        let bytes = self.ctx.result_mode.sink(instance_index, output)?;
         let frames = output.primary_video().map(|v| v.len() as u64).unwrap_or(0);
-        self.ctx.metrics.record(
+        let bytes = self.ctx.metrics.timed(
             StageKind::Sink,
-            t0.elapsed().as_nanos() as u64,
-            frames,
-            bytes as u64,
-        );
-        self.ctx.metrics.record_alloc(StageKind::Sink, &scope.finish());
+            || self.ctx.result_mode.sink(instance_index, output),
+            |sunk| sunk.as_ref().ok().map(|&bytes| (frames, bytes as u64)),
+        )?;
         // Multi-tenant attribution: when the server tagged this
         // context with a tenant, credit the delivered volume to it so
         // /metrics can apportion data-plane throughput per tenant.
@@ -1418,30 +1235,11 @@ impl<'p, 'c> EncodeStage<'p, 'c> {
                 self.pl.ctx.query_label
             )));
         }
-        let _span = trace::span("pipeline", "encode");
-        let scope = alloc::ScopeGuard::begin();
-        let t0 = Instant::now();
-        if self.encoder.is_none() {
-            let cfg = EncoderConfig {
-                profile: self.info.profile,
-                rate: RateControlMode::ConstantQp(self.pl.ctx.output_qp),
-                gop: self.info.gop,
-                frame_rate: self.info.frame_rate,
-            };
-            self.encoder = Some(Encoder::new(cfg, ko.frame.width(), ko.frame.height())?);
-        }
-        let packet = self
-            .encoder
-            .as_mut()
-            .ok_or_else(|| Error::InvalidConfig("encode stage has no encoder".into()))?
-            .encode(&ko.frame)?;
-        self.pl.ctx.metrics.record(
+        let packet = self.pl.ctx.metrics.timed(
             StageKind::Encode,
-            t0.elapsed().as_nanos() as u64,
-            1,
-            packet.data.len() as u64,
-        );
-        self.pl.ctx.metrics.record_alloc(StageKind::Encode, &scope.finish());
+            || self.encode(&ko.frame),
+            |packet| packet.as_ref().ok().map(|p| (1, p.data.len() as u64)),
+        )?;
         self.packets.push(packet);
         match ko.boxes {
             Some(b) => {
@@ -1451,6 +1249,23 @@ impl<'p, 'c> EncodeStage<'p, 'c> {
             None => self.boxes.push(Vec::new()),
         }
         Ok(())
+    }
+
+    /// Encode one frame, creating the encoder at the first frame's size.
+    fn encode(&mut self, frame: &Frame) -> Result<vr_codec::Packet> {
+        let encoder = match &mut self.encoder {
+            Some(encoder) => encoder,
+            None => {
+                let cfg = EncoderConfig {
+                    profile: self.info.profile,
+                    rate: RateControlMode::ConstantQp(self.pl.ctx.output_qp),
+                    gop: self.info.gop,
+                    frame_rate: self.info.frame_rate,
+                };
+                self.encoder.insert(Encoder::new(cfg, frame.width(), frame.height())?)
+            }
+        };
+        encoder.encode(frame)
     }
 
     fn into_result(self) -> Result<StreamResult> {
@@ -1702,6 +1517,208 @@ mod tests {
         let mut scan = pl.stream_scan(&input).unwrap();
         let mut kernel = filter_map(|_f, _i| None);
         assert!(pl.run_streaming(&mut scan, &mut kernel).is_err());
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Policy {
+        Streaming,
+        Multi,
+        ShortCircuit,
+    }
+
+    /// What goes wrong, and at which frame (counted across sources).
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        Clean,
+        KernelErr(usize),
+        DecodeErr(usize),
+        CancelAfter(usize),
+        KernelPanic(usize),
+        EncoderReject(usize),
+    }
+
+    /// A run's packets and per-frame boxes.
+    type Encoded = (Vec<Vec<u8>>, Option<Vec<Vec<OutputBox>>>);
+
+    /// Everything one run exposes: the encoded packets and boxes (or
+    /// the error's variant name), the kernel's view of the event
+    /// stream, and the stage counters.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        result: std::result::Result<Encoded, String>,
+        trail: Vec<String>,
+        counts: [(u64, u64, u64); 5],
+    }
+
+    /// A grayscale kernel that fails on cue and logs every call it
+    /// receives with the per-source index it was given.
+    struct Faulty {
+        fault: Fault,
+        cancel: vr_base::sync::CancelToken,
+        seen: usize,
+        trail: Vec<String>,
+    }
+
+    impl Faulty {
+        fn step(&mut self, frame: Frame, index: usize) -> Result<Frame> {
+            let n = self.seen;
+            self.seen += 1;
+            self.trail.push(format!("push {index}"));
+            match self.fault {
+                Fault::KernelErr(k) if n == k => {
+                    return Err(Error::ResourceExhausted(format!("kernel refused frame {n}")))
+                }
+                Fault::KernelPanic(k) if n == k => panic!("kernel blew up at frame {n}"),
+                Fault::EncoderReject(k) if n == k => return Ok(Frame::new(16, 16)),
+                Fault::CancelAfter(k) if n + 1 == k => self.cancel.cancel(),
+                _ => {}
+            }
+            Ok(ops::grayscale(&frame))
+        }
+    }
+
+    impl FrameKernel for Faulty {
+        fn push(&mut self, frame: Frame, index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
+            out.push(KernelOut::from(self.step(frame, index)?));
+            Ok(())
+        }
+
+        fn end_of_source(&mut self, _out: &mut Vec<KernelOut>) -> Result<()> {
+            self.trail.push("end of source".into());
+            Ok(())
+        }
+
+        fn finish(&mut self, _out: &mut Vec<KernelOut>) -> Result<()> {
+            self.trail.push("finish".into());
+            Ok(())
+        }
+    }
+
+    /// `tiny_input` with the frame-type byte of sample `k` made invalid.
+    fn corrupt_input(name: &str, k: usize) -> InputVideo {
+        let clean = tiny_input(name);
+        let raw = clean.container.raw_bytes();
+        let sample = clean.container.sample(0, k).unwrap();
+        let at = sample.as_ptr() as usize - raw.as_ptr() as usize;
+        let mut bytes = raw.to_vec();
+        bytes[at] ^= 0xff;
+        InputVideo::from_bytes(name, bytes).unwrap()
+    }
+
+    fn run_case(policy: Policy, fault: Fault, workers: usize) -> Outcome {
+        let ctx = ctx_workers(workers);
+        let pl = Pipeline::new(&ctx);
+        let n_inputs = if policy == Policy::Multi { 2 } else { 1 };
+        // `tiny_input` holds four frames, so frame `k` of the run is
+        // sample `k % 4` of input `k / 4`.
+        let inputs: Vec<InputVideo> = (0..n_inputs)
+            .map(|i| match fault {
+                Fault::DecodeErr(k) if k / 4 == i => corrupt_input("pipe-table.vrmf", k % 4),
+                _ => tiny_input("pipe-table.vrmf"),
+            })
+            .collect();
+        let mut scans: Vec<StreamScan> =
+            inputs.iter().map(|input| pl.stream_scan(input).unwrap()).collect();
+        let mut kernel =
+            Faulty { fault, cancel: ctx.cancel.clone(), seen: 0, trail: Vec::new() };
+        let result = match policy {
+            Policy::Streaming => pl.run_streaming(&mut scans[0], &mut kernel),
+            Policy::Multi => {
+                let mut sources: Vec<&mut dyn FrameSource> =
+                    scans.iter_mut().map(|s| s as &mut dyn FrameSource).collect();
+                pl.run_streaming_multi(&mut sources, &mut kernel)
+            }
+            Policy::ShortCircuit => {
+                let mut gate = DiffGate::new(12.0, 1);
+                let mut gated = |f: Frame, i: usize, escalate: bool| {
+                    let rect = vr_geom::Rect { x0: 0, y0: 0, x1: 1, y1: 1 };
+                    let boxes = vec![OutputBox { class: ObjectClass::Vehicle, rect }];
+                    Ok(KernelOut {
+                        frame: kernel.step(f, i)?,
+                        boxes: Some(if escalate { boxes } else { Vec::new() }),
+                    })
+                };
+                pl.run_short_circuit(&mut scans[0], &mut gate, &mut gated)
+            }
+        };
+        let snap = ctx.metrics.snapshot();
+        Outcome {
+            result: result
+                .map(|r| (r.video.packets.into_iter().map(|p| p.data.to_vec()).collect(), r.boxes))
+                .map_err(|e| format!("{e:?}").split('(').next().unwrap_or_default().to_string()),
+            trail: kernel.trail,
+            counts: snap.stages.map(|s| (s.frames, s.bytes, s.invocations)),
+        }
+    }
+
+    /// Run a case on its own thread and fail instead of hanging.
+    fn run_case_within(limit: Duration, policy: Policy, fault: Fault, workers: usize) -> Outcome {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_case(policy, fault, workers));
+        });
+        rx.recv_timeout(limit)
+            .unwrap_or_else(|e| panic!("{policy:?} {fault:?} workers={workers}: {e}"))
+    }
+
+    /// Every streaming policy, at both arms of the executor, through a
+    /// clean run and each way a run can fail: the same packets and
+    /// boxes or the same error variant, and never a hang.
+    #[test]
+    fn policies_agree_across_worker_counts_on_every_failure_path() {
+        let limit = Duration::from_secs(10);
+        for policy in [Policy::Streaming, Policy::Multi, Policy::ShortCircuit] {
+            // Past the first end-of-source in the two-source form.
+            let k = if policy == Policy::Multi { 5 } else { 2 };
+            let faults = [
+                (Fault::Clean, None),
+                (Fault::KernelErr(k), Some("ResourceExhausted")),
+                (Fault::DecodeErr(k), Some("Corrupt")),
+                (Fault::CancelAfter(k), Some("Cancelled")),
+                (Fault::KernelPanic(k), Some("StagePanic")),
+                (Fault::EncoderReject(k), Some("InvalidConfig")),
+            ];
+            for (fault, expect) in faults {
+                let seq = run_case_within(limit, policy, fault, 1);
+                let par = run_case_within(limit, policy, fault, 4);
+                let what = format!("{policy:?} {fault:?}");
+                assert_eq!(seq.result.as_ref().err().map(String::as_str), expect, "{what}");
+                assert_eq!(seq.result, par.result, "{what}");
+                if expect.is_some() {
+                    continue;
+                }
+                assert_eq!(seq.trail, par.trail, "{what}");
+                assert_eq!(seq.counts, par.counts, "{what}");
+                let frames = seq.result.as_ref().unwrap().0.len() as u64;
+                let (trail, kernel_invocations): (Vec<&str>, u64) = match policy {
+                    Policy::Streaming => {
+                        (vec!["push 0", "push 1", "push 2", "push 3", "finish"], frames + 1)
+                    }
+                    Policy::Multi => (
+                        vec![
+                            "push 0", "push 1", "push 2", "push 3", "end of source",
+                            "push 0", "push 1", "push 2", "push 3", "end of source", "finish",
+                        ],
+                        frames + 3,
+                    ),
+                    // The gate runs the caller's closure, which has no
+                    // finish of its own to log; the executor still
+                    // records the call, as for every streaming plan.
+                    Policy::ShortCircuit => {
+                        (vec!["push 0", "push 1", "push 2", "push 3"], frames + 1)
+                    }
+                };
+                assert_eq!(seq.trail, trail, "{what}");
+                let kernel = seq.counts[StageKind::Kernel.idx()];
+                assert_eq!((kernel.0, kernel.2), (frames, kernel_invocations), "{what}");
+                assert_eq!(seq.counts[StageKind::Decode.idx()].0, frames, "{what}");
+                assert_eq!(seq.counts[StageKind::Encode.idx()].0, frames, "{what}");
+                if policy == Policy::ShortCircuit {
+                    let boxes = seq.result.as_ref().unwrap().1.as_ref().unwrap();
+                    assert_eq!(boxes[0].len(), 1, "the first frame always escalates");
+                }
+            }
+        }
     }
 
     #[test]
