@@ -2,20 +2,19 @@
 # Tier-1 verification, structured as a staged harness.
 #
 #   ./ci.sh            run every stage in order, print a summary table
-#   ./ci.sh <stage>    run one stage (guard|build|test|bench-smoke|
-#                      determinism|chaos|bench-gate|optimizer-gate|
+#   ./ci.sh <stage>    run one stage (guard|build|test|determinism|chaos|
 #                      alloc-gate|obs-gate|server-gate|index-gate)
 #
 # Must pass with zero network access: the workspace is std-only, so a
 # cold crates.io cache resolves offline. Gate artifacts (determinism
-# output dirs, chaos logs, bench JSON + delta table, traces and metric
-# snapshots) are collected under results/ci/ and survive failures so a
-# red gate can be diagnosed offline.
+# output dirs, chaos logs, traces and metric snapshots) are collected
+# under results/ci/ and survive failures so a red gate can be diagnosed
+# offline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 ART="results/ci"
-STAGES=(guard build test bench-smoke determinism chaos bench-gate optimizer-gate alloc-gate obs-gate server-gate index-gate)
+STAGES=(guard build test determinism chaos alloc-gate obs-gate server-gate index-gate)
 
 # Shared query-path invocation for the determinism and obs gates: small
 # enough to run in seconds, wide enough to cross every engine and both
@@ -34,12 +33,6 @@ stage_guard() {
     fi
     echo "-- warnings are errors across every target"
     RUSTFLAGS="-D warnings" cargo check -q --release --offline --all-targets
-    echo "-- committed gate artifacts parse cleanly"
-    # Fail fast on a corrupt baseline or calibration profile before any
-    # expensive stage spends minutes to trip over it.
-    cargo build -q --release --offline -p vr-bench --bin bench_gate
-    ./target/release/bench_gate --verify \
-        results/bench_baseline.json results/optimizer_profile.json
     echo "-- request-path lines of code (vr_bench::loc, the Figure 7 counter)"
     # Informational: the doors every request comes in through, counted
     # by the repo's own instrument so a refactor's size is a number.
@@ -49,8 +42,8 @@ stage_guard() {
     echo "-- JSON-bearing lines of code; one writer, one escaper"
     ./target/release/loc_report crates/base/src/{json,admission}.rs \
         crates/base/src/obs/{mod,metrics,slo,qlog,trace}.rs \
-        crates/vdbms/src/{plan,cost}.rs crates/bench/src/{json,harness}.rs \
-        crates/bench/src/bin/{stress_test,bench_gate}.rs \
+        crates/vdbms/src/{plan,cost}.rs crates/bench/src/json.rs \
+        crates/bench/src/bin/stress_test.rs \
         crates/core/src/bin/visualroad.rs | tee "$ART/loc_json.txt"
     echo "-- the executor's lines of code; one streaming executor"
     ./target/release/loc_report crates/vdbms/src/pipeline.rs | tee "$ART/loc_pipeline.txt"
@@ -86,11 +79,6 @@ stage_build() {
 stage_test() {
     cargo test -q --offline
     cargo test -q "${BENCHMARK_PKG[@]}"
-}
-
-stage_bench_smoke() {
-    # Every benchmark body still runs (single-iteration test mode).
-    cargo bench -q --offline -- --test
 }
 
 stage_determinism() {
@@ -149,42 +137,6 @@ stage_chaos() {
         --scale 1 --res 128x72 --duration 0.4 --batch 2 --no-validate \
         --online 1000 --faults "drop_rtp=0.2" --fault-seed 11 | tee "$chaos/online.log"
     echo "chaos gate OK"
-}
-
-stage_bench_gate() {
-    # Warm-up pass (populates caches, warms the page cache), then the
-    # measured pass whose medians land in BENCH_engines.json. A
-    # benchmark that is new this revision is seeded into the committed
-    # baseline (bench_gate --seed-new) instead of failing the gate.
-    # Tracing stays off: the baseline was recorded untraced.
-    cargo bench -q --offline -p vr-bench --bench engines >/dev/null
-    cargo bench -q --offline -p vr-bench --bench engines
-    mkdir -p results "$ART"
-    ./target/release/bench_gate results/bench_baseline.json BENCH_engines.json \
-        --seed-new --deltas-out "$ART/bench_deltas.txt"
-    cp BENCH_engines.json "$ART/bench_current.json"
-}
-
-stage_optimizer_gate() {
-    # Run the bench suite twice — hand-tuned defaults (VR_OPTIMIZER=off)
-    # and cost-based plans (VR_OPTIMIZER=on) — then compare. The gate
-    # fails when any optimizer-chosen plan is >=10% slower than the
-    # hand-tuned one, or when a known-bad pick survives (Q2c must
-    # short-circuit the cascade; Q1@48f must not fan out while the
-    # measured worker sweep shows fan-out losing). Plan labels travel
-    # inside the bench JSON, so flips are visible in the delta table.
-    # cargo bench runs with the package dir as cwd: --save-json paths
-    # must be absolute.
-    local opt="$ART/optimizer"
-    rm -rf "$opt"
-    mkdir -p "$opt"
-    cargo build -q --release --offline -p vr-bench --bin optimizer_gate
-    VR_OPTIMIZER=off cargo bench -q --offline -p vr-bench --bench engines -- \
-        --save-json "$(pwd)/$opt/off.json" | tee "$opt/off.log"
-    VR_OPTIMIZER=on cargo bench -q --offline -p vr-bench --bench engines -- \
-        --save-json "$(pwd)/$opt/on.json" | tee "$opt/on.log"
-    ./target/release/optimizer_gate "$opt/off.json" "$opt/on.json" \
-        --deltas-out "$opt/deltas.txt"
 }
 
 stage_alloc_gate() {
@@ -734,8 +686,6 @@ artifact_of() {
     case "$1" in
         determinism)    echo "$ART/determinism" ;;
         chaos)          echo "$ART/chaos" ;;
-        bench-gate)     echo "$ART/bench_deltas.txt" ;;
-        optimizer-gate) echo "$ART/optimizer" ;;
         alloc-gate)     echo "$ART/alloc/metrics.json" ;;
         obs-gate)       echo "$ART/obs" ;;
         server-gate)    echo "$ART/server" ;;

@@ -8,7 +8,6 @@
 
 pub mod args;
 pub mod corpus_input;
-pub mod harness;
 pub mod json;
 pub mod loc;
 pub mod table;

@@ -232,24 +232,23 @@ mod tests {
 
     #[test]
     fn bitrate_mode_tracks_target() {
-        let frames = moving_square_sequence(96, 96, 45, 6);
-        let target_bps = 400_000u32;
-        let cfg = EncoderConfig {
-            rate: crate::packet::RateControlMode::Bitrate(target_bps),
-            gop: 15,
-            ..Default::default()
-        };
-        let video = encode_sequence(&cfg, &frames).unwrap();
-        let seconds = frames.len() as f64 / 30.0;
-        let actual_bps = video.size_bytes() as f64 * 8.0 / seconds;
-        let ratio = actual_bps / target_bps as f64;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "bitrate off target: {actual_bps:.0} vs {target_bps} (ratio {ratio:.2})"
-        );
-        // And it still decodes.
-        let decoded = video.decode_all().unwrap();
-        assert_eq!(decoded.len(), frames.len());
+        // A 96x96 clip saturates near 245 kbit/s, so the 500 kbit/s
+        // target gets a clip with room to spend it.
+        for (target_bps, side) in [(400_000u32, 96), (500_000, 128)] {
+            let frames = moving_square_sequence(side, side, 45, 6);
+            let cfg = EncoderConfig::bitrate(target_bps).with_gop(15);
+            let video = encode_sequence(&cfg, &frames).unwrap();
+            let seconds = frames.len() as f64 / 30.0;
+            let actual_bps = video.size_bytes() as f64 * 8.0 / seconds;
+            let ratio = actual_bps / target_bps as f64;
+            assert!(
+                (0.5..2.0).contains(&ratio),
+                "bitrate off target: {actual_bps:.0} vs {target_bps} (ratio {ratio:.2})"
+            );
+            // And it still decodes.
+            let decoded = video.decode_all().unwrap();
+            assert_eq!(decoded.len(), frames.len());
+        }
     }
 
     #[test]

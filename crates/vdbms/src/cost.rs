@@ -17,13 +17,14 @@
 //! and the advertised workload (frame count, resolution) and the
 //! per-unit costs come from the profile. That keeps decisions
 //! deterministic — the same profile and query always choose the same
-//! plan — which the CI optimizer gate and the snapshot tests rely on.
+//! plan — which `tests/optimizer.rs` and the snapshot tests rely on.
 //!
 //! Calibration lifecycle:
 //!
 //! 1. **Cold start**: [`CalibrationProfile::builtin`] seeds the table
-//!    from measured per-stage figures (BENCH_engines.json anchors), so
-//!    a fresh checkout makes reproducible choices.
+//!    from measured per-stage figures (the `visualroad calibrate`
+//!    probe on the CI host), so a fresh checkout makes reproducible
+//!    choices.
 //! 2. **Refresh**: `visualroad calibrate` runs probe queries, derives
 //!    per-unit costs from the per-stage metrics, and persists the
 //!    profile as deterministic flat JSON.
@@ -34,9 +35,7 @@
 //!
 //! A *stale* profile (calibrated on different hardware or an older
 //! kernel set) does not break correctness — every candidate plan is a
-//! valid execution — but it can mis-rank them; the `optimizer-gate` CI
-//! stage bounds the damage by failing when an optimizer-chosen plan
-//! runs ≥10% slower than the hand-tuned default.
+//! valid execution — but it can mis-rank them.
 
 use crate::plan::Policy;
 use std::collections::BTreeMap;
@@ -173,8 +172,8 @@ const FIELDS: [Field; 16] = fields! {
 };
 
 impl CalibrationProfile {
-    /// The built-in seed table: per-unit costs derived from the
-    /// committed bench anchors (Q2(c) reference 109.6ms/12 frames at
+    /// The built-in seed table: per-unit costs derived from measured
+    /// engine anchors (Q2(c) reference 109.6ms/12 frames at
     /// 120 MACs/pixel over the 416x416 network input, ...) and, for
     /// the codec's two per-pixel costs, from `visualroad calibrate` on
     /// the CI host (reference Q2(a) at 192x108: decode 3.5-4.0 ns/px,
@@ -470,8 +469,8 @@ impl Optimizer {
     /// Create an optimizer over a profile. Physical parallelism is
     /// read from the machine (not `VR_WORKERS`): a worker budget above
     /// the core count cannot speed a compute-bound kernel up, and the
-    /// single-core regression this model exists to fix
-    /// (`q1_batch_workers4` vs `workers1`) is exactly that case.
+    /// single-core regression this model exists to fix (batch Q1
+    /// slower at four workers than at one) is exactly that case.
     pub fn new(profile: CalibrationProfile) -> Self {
         Self {
             profile: Mutex::new(profile),

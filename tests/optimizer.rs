@@ -113,10 +113,12 @@ fn explain_renders_chosen_and_rejected_plans() {
     assert!(chosen_line.ends_with("chosen"), "chosen tail missing: {chosen_line}");
 }
 
-/// The known-good pick the CI gate also enforces end-to-end: on
-/// temporally-coherent generated video, the batch engine's Q2(c) plan
-/// must take the short-circuit cascade order, and Q1 must not fan out
-/// on a machine without the cores to pay for it.
+/// The two known-good picks: on temporally-coherent generated video,
+/// the batch engine's Q2(c) plan must take the short-circuit cascade
+/// order, and Q1 must not fan out on a machine without the cores to
+/// pay for it — on `tiny_dataset`, and at the 256x144 shape the old
+/// optimizer gate benchmarked (Q2(c) over 12 frames, Q1 over 48 at
+/// four workers), decided through `plan` as an engine does.
 #[test]
 fn optimizer_picks_cascade_skip_order_for_q2c() {
     let dataset = tiny_dataset(64);
@@ -136,6 +138,34 @@ fn optimizer_picks_cascade_skip_order_for_q2c() {
         q1.chosen.workers <= cores.max(1),
         "Q1 fanned out to {} workers on a {cores}-core machine",
         q1.chosen.workers
+    );
+
+    use std::sync::Arc;
+    use visual_road::base::Timestamp;
+    use visual_road::vdbms::{
+        CalibrationProfile, ExecContext, Optimizer, QueryInstance, QuerySpec, Workload,
+    };
+    let pick = |frames: u64, spec: QuerySpec| {
+        let opt = Arc::new(
+            Optimizer::new(CalibrationProfile::builtin())
+                .with_workload(Workload { width: 256, height: 144, frames }),
+        );
+        let ctx = ExecContext { workers: 4, optimizer: Some(opt.clone()), ..Default::default() };
+        let q = QueryInstance { index: 0, spec, inputs: vec![0] };
+        let engine = BatchEngine::new();
+        let _ = engine.plan(&q, &ctx);
+        opt.decision(&engine.plan_key(&q)).expect("plan records a decision").chosen
+    };
+    let vehicle = visual_road::scene::ObjectClass::Vehicle;
+    let q2c = pick(12, QuerySpec::Q2c { class: vehicle });
+    assert!(q2c.label().contains("short-circuit"), "Q2(c) at 12 frames chose [{}]", q2c.label());
+    let rect = visual_road::geom::Rect::new(10, 10, 200, 120);
+    let t2 = Timestamp::from_micros(1_400_000);
+    let q1 = pick(48, QuerySpec::Q1 { rect, t1: Timestamp::ZERO, t2 });
+    assert!(
+        q1.workers <= cores.max(1),
+        "Q1 at 48 frames fanned out to {} workers on a {cores}-core machine",
+        q1.workers
     );
 }
 
