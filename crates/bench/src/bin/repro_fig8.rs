@@ -4,7 +4,8 @@
 //!
 //! Paper configuration: 60-minute datasets at 1κ/2κ/4κ. Default here:
 //! short datasets at three proportionally-spaced resolutions
-//! (`--full` uses the real 1κ/2κ/4κ ladder).
+//! (`--full` uses the real 1κ/2κ/4κ ladder). "Single node" is one
+//! machine with all its cores: the generator's default worker count.
 //!
 //! Each default-configuration cell is the fastest of three runs.
 //! Shape check, asserted (non-zero exit): at every resolution each
@@ -60,7 +61,9 @@ fn main() -> std::process::ExitCode {
         seconds.push(row);
     }
     println!(
-        "\nFigure 8 reproduction — single-node dataset generation time ({duration} of video):\n"
+        "\nFigure 8 reproduction — single-node dataset generation time ({duration} of video, \
+         {} generator threads):\n",
+        GenConfig::default().nodes
     );
     println!("{}", t.render());
     println!("CSV:\n{csv}");

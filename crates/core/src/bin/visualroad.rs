@@ -54,6 +54,8 @@ USAGE:
   visualroad generate [--scale L] [--res WxH] [--duration SECS] [--seed S]
                       [--density D] [--nodes N] [--out DIR]
       Generate a dataset; with --out, write the .vrmf containers there.
+      --nodes is the number of generator threads (default: the
+      VR_WORKERS environment variable, else all cores).
 
   visualroad run [--engine NAME|all] [--queries Q1,Q2a,...|--full-suite]
                  [--scale L] [--res WxH] [--duration SECS] [--seed S]
@@ -293,7 +295,7 @@ fn hyper_from(flags: &Flags) -> Result<Hyperparameters, String> {
 fn gen_config(flags: &Flags) -> Result<GenConfig, String> {
     Ok(GenConfig {
         density_scale: flags.parsed("density", 0.15f64)?,
-        nodes: flags.parsed("nodes", 1usize)?,
+        nodes: flags.parsed("nodes", visual_road::base::sync::worker_budget())?,
         ..Default::default()
     })
 }

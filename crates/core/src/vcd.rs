@@ -825,7 +825,7 @@ impl<'d> Vcd<'d> {
 }
 
 /// Best-effort text from a propagated panic payload.
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

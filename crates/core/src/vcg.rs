@@ -9,15 +9,20 @@
 //! * **metadata track** — one sample per frame holding the serialized
 //!   reference bounding boxes (the precomputed `B` of Q6a).
 //!
-//! Generation supports single-node and "distributed" modes; in
-//! distributed mode tiles are rendered by a pool of worker threads
-//! (the EC2-node analogue — per-tile generation is embarrassingly
-//! parallel, which is exactly what Figure 9 measures). Output is
-//! bit-identical across node counts.
+//! Each camera's stream is one job, and `GenConfig::nodes` worker
+//! threads (the EC2-node analogue; every core by default) take camera
+//! jobs from one shared queue — per-camera generation needs no
+//! coordination, which is exactly what Figure 9 measures. The 360°
+//! panoramas are a second phase, one job per rig, once every face
+//! stream exists. Output is bit-identical across node counts.
 
 use crate::captions::generate_captions;
 use crate::dataset::{Dataset, VideoMeta, VideoRole};
-use vr_base::{FrameRate, Hyperparameters, Result, Timestamp, VrRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
+use vr_base::{Error, FrameRate, Hyperparameters, Result, Timestamp, VrRng};
 use vr_codec::{Encoder, EncoderConfig, Profile, RateControlMode};
 use vr_container::{ContainerWriter, TrackKind};
 use vr_frame::Frame;
@@ -35,7 +40,10 @@ pub struct GenConfig {
     /// Entity-density scale (1.0 = the paper's per-tile populations;
     /// in-session runs default lighter).
     pub density_scale: f64,
-    /// Worker "nodes" for distributed generation (1 = single node).
+    /// Worker "nodes" for distributed generation (1 = sequential, on
+    /// the calling thread). Defaults to
+    /// [`worker_budget`](vr_base::sync::worker_budget), so `VR_WORKERS`
+    /// applies.
     pub nodes: usize,
     /// Codec profile for input videos.
     pub profile: Profile,
@@ -55,7 +63,7 @@ impl Default for GenConfig {
     fn default() -> Self {
         Self {
             density_scale: 0.15,
-            nodes: 1,
+            nodes: vr_base::sync::worker_budget(),
             profile: Profile::H264Like,
             input_qp: 20,
             frame_rate: FrameRate::STANDARD,
@@ -81,8 +89,8 @@ impl Vcg {
     /// reproduction to compute per-node-count makespans on machines
     /// without enough cores to run the worker threads truly in
     /// parallel (per-camera generation is fully independent, so the
-    /// makespan of a partition is exactly what a node cluster would
-    /// take).
+    /// makespan of the job schedule is exactly what a node cluster
+    /// would take).
     pub fn generate_with_timings(
         &self,
         hyper: &Hyperparameters,
@@ -106,53 +114,48 @@ impl Vcg {
             self.cfg.density_scale,
             self.cfg.procedural_tile_variants,
         );
-        let cameras: Vec<CityCamera> = city.cameras().to_vec();
-        let nodes = self.cfg.nodes.max(1).min(cameras.len().max(1));
+        let cameras = city.cameras();
+        let nodes = self.cfg.nodes;
 
-        // Per-camera video generation is independent; shard cameras
-        // over "nodes". Results are written into a preallocated slot
-        // vector so the output order (and content) is identical for
-        // any node count.
-        let mut slots: Vec<Option<CameraSlot>> = Vec::new();
-        slots.resize_with(cameras.len(), || None);
-        let slot_chunks = shard_slots(&mut slots, &cameras, nodes);
-        std::thread::scope(|s| -> Result<()> {
-            let mut handles = Vec::new();
-            for (cam_shard, slot_shard) in slot_chunks {
-                let city = &city;
-                let cfg = &self.cfg;
-                handles.push(s.spawn(move || -> Result<()> {
-                    for (cam, slot) in cam_shard.iter().zip(slot_shard) {
-                        let t0 = std::time::Instant::now();
-                        let (video, meta) = generate_camera_video(city, cam, hyper, cfg)?;
-                        *slot = Some((video, meta, t0.elapsed()));
-                    }
-                    Ok(())
-                }));
-            }
-            for h in handles {
-                h.join().expect("generator worker panicked")?;
-            }
-            Ok(())
-        })?;
-        let mut videos = Vec::with_capacity(slots.len());
-        let mut meta = Vec::with_capacity(slots.len());
-        let mut timings = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let (v, m, took) = slot.expect("every camera slot filled");
+        // Phase 1: one job per camera stream.
+        let streams = run_jobs(
+            cameras.len(),
+            nodes,
+            |i| cameras[i].id.to_string(),
+            |i| {
+                let t0 = Instant::now();
+                let (video, meta) = generate_camera_video(&city, &cameras[i], hyper, &self.cfg)?;
+                Ok((video, meta, t0.elapsed()))
+            },
+        )?;
+        let mut videos = Vec::with_capacity(streams.len());
+        let mut meta = Vec::with_capacity(streams.len());
+        let mut timings = Vec::with_capacity(streams.len());
+        for (v, m, took) in streams {
             videos.push(v);
             meta.push(m);
             timings.push(took);
         }
 
-        // Derived 360° panoramas (stitched from the face videos with
-        // the reference stitcher).
+        // Phase 2: the derived 360° panoramas (stitched from the face
+        // videos with the reference stitcher), one job per rig. Kept
+        // apart from phase 1: a rig's job holds the most memory of any
+        // (its stitch table, four face decoders and an encoder), and
+        // overlapping it with camera jobs would raise the high-water
+        // mark.
         if self.cfg.generate_panoramas {
-            let rig_faces = collect_rig_faces(&meta);
-            for (rig, face_indices) in rig_faces {
-                let (video, m) =
-                    generate_panorama(&videos, &meta, rig, face_indices, &city, self.cfg.input_qp)?;
-                videos.push(video);
+            let rigs = collect_rig_faces(&meta);
+            let panoramas = run_jobs(
+                rigs.len(),
+                nodes,
+                |r| format!("pano360-rig{}", rigs[r].0),
+                |r| {
+                    let (rig, faces) = rigs[r];
+                    generate_panorama(&videos, &meta, rig, faces, &city, self.cfg.input_qp)
+                },
+            )?;
+            for (v, m) in panoramas {
+                videos.push(v);
                 meta.push(m);
             }
         }
@@ -163,18 +166,54 @@ impl Vcg {
     }
 }
 
-/// One camera's stream, its metadata, and how long it took to generate.
-type CameraSlot = (InputVideo, VideoMeta, std::time::Duration);
-
-/// Split the slot vector into per-node shards (round-robin by
-/// contiguous chunks).
-fn shard_slots<'a>(
-    slots: &'a mut [Option<CameraSlot>],
-    cameras: &'a [CityCamera],
-    nodes: usize,
-) -> Vec<(&'a [CityCamera], &'a mut [Option<CameraSlot>])> {
-    let chunk = cameras.len().div_ceil(nodes).max(1);
-    cameras.chunks(chunk).zip(slots.chunks_mut(chunk)).collect()
+/// Run `job(i)` for every `i < n` and return the results in index
+/// order, whatever order the jobs finished in.
+///
+/// In the shape of the VCD's batch dispatch: each of `workers` threads
+/// takes the next index from one shared counter, so a slow job never
+/// leaves a worker idle behind it. The calling thread is one of the
+/// workers, so with one worker (or one job) nothing is spawned; and
+/// the memory its jobs free stays with the thread that goes on to use
+/// the dataset, where a spawned thread's would sit resident and unused
+/// once it exits. A panicking job becomes [`Error::StagePanic`] naming
+/// it (`name(i)`). Workers stop taking jobs once they see a failure;
+/// since indices are handed out in order, every job below a failed one
+/// has still run, so the error returned is the lowest-index job's — the
+/// one a sequential run stops at.
+fn run_jobs<T: Send + Sync>(
+    n: usize,
+    workers: usize,
+    name: impl Fn(usize) -> String + Sync,
+    job: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let slots: Vec<OnceLock<Result<T>>> = (0..n).map(|_| OnceLock::new()).collect();
+    let worker = || {
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return;
+            }
+            let result = catch_unwind(AssertUnwindSafe(|| job(i))).unwrap_or_else(|p| {
+                Err(Error::StagePanic(format!("{}: {}", name(i), crate::vcd::panic_message(p))))
+            });
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            // Each index is taken by exactly one worker.
+            let _ = slots[i].set(result);
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(n) {
+            s.spawn(worker);
+        }
+        worker();
+    });
+    // Slots are filled up to at least the lowest failure, so reading in
+    // order meets that error before any job that never started.
+    slots.into_iter().map_while(OnceLock::into_inner).collect()
 }
 
 /// Render, encode, and mux one camera's stream.
@@ -396,6 +435,60 @@ mod tests {
                 b.container.raw_bytes(),
                 "distributed output must be bit-identical ({})",
                 a.name
+            );
+        }
+    }
+
+    /// Run `f` on its own thread and fail the test if it has not
+    /// returned within `limit` (a worker left blocked).
+    fn within<T: Send + 'static>(
+        limit: std::time::Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(limit).expect("finished within the time limit")
+    }
+
+    #[test]
+    fn a_failing_camera_fails_the_run_at_every_node_count() {
+        // QP 99 is out of range: every camera's encoder refuses it.
+        let errors: Vec<String> = [1, 3, 4]
+            .into_iter()
+            .map(|nodes| {
+                within(std::time::Duration::from_secs(60), move || {
+                    let cfg = GenConfig { input_qp: 99, nodes, ..fast_cfg() };
+                    Vcg::new(cfg).generate(&hyper(2, 12)).map(|_| ()).unwrap_err().to_string()
+                })
+            })
+            .collect();
+        assert!(errors[0].contains("QP 99"), "{}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+    }
+
+    #[test]
+    fn jobs_fill_slots_in_order_and_fail_at_the_lowest_index() {
+        for workers in [1, 2, 3, 8] {
+            let squares = run_jobs(7, workers, |i| format!("job {i}"), |i| Ok(i * i)).unwrap();
+            assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36]);
+            assert!(run_jobs(0, workers, |_| String::new(), Ok).unwrap().is_empty());
+            // Job 2 panics, job 5 errors: the lowest index wins, named.
+            let err = within(std::time::Duration::from_secs(30), move || {
+                run_jobs(
+                    8,
+                    workers,
+                    |i| format!("job {i}"),
+                    |i| match i {
+                        2 => panic!("boom"),
+                        5 => Err(Error::InvalidConfig("five".into())),
+                        _ => Ok(i),
+                    },
+                )
+                .unwrap_err()
+            });
+            assert!(
+                matches!(&err, Error::StagePanic(m) if m == "job 2: boom"),
+                "workers={workers}: {err}"
             );
         }
     }

@@ -328,28 +328,35 @@ impl Frame {
 
     /// Build a frame from a packed RGB image (dimensions must be even).
     /// Chroma is averaged over each 2×2 block.
+    ///
+    /// One pass over row pairs: each pixel is converted once, its luma
+    /// written and its chroma added to its block's sums.
     pub fn from_rgb(img: &RgbImage) -> Self {
         let mut f = Frame::new(img.width(), img.height());
-        for y in 0..img.height() {
-            for x in 0..img.width() {
-                let c = rgb_to_yuv(img.get(x, y));
-                f.set_y(x, y, c.y);
-            }
-        }
-        let (cw, ch) = f.chroma_dims();
-        for cy in 0..ch {
-            for cx in 0..cw {
-                let mut su = 0u32;
-                let mut sv = 0u32;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let c = rgb_to_yuv(img.get(cx * 2 + dx, cy * 2 + dy));
-                        su += c.u as u32;
-                        sv += c.v as u32;
-                    }
-                }
-                f.set_u(cx, cy, (su / 4) as u8);
-                f.set_v(cx, cy, (sv / 4) as u8);
+        let w = img.width() as usize;
+        let yuv = |p: &[u8]| rgb_to_yuv(Rgb { r: p[0], g: p[1], b: p[2] });
+        let rows = img
+            .data
+            .chunks_exact(6 * w)
+            .zip(f.y.as_mut_slice().chunks_exact_mut(2 * w))
+            .zip(f.u.as_mut_slice().chunks_exact_mut(w / 2))
+            .zip(f.v.as_mut_slice().chunks_exact_mut(w / 2));
+        for (((rgb, luma), u_row), v_row) in rows {
+            let (rgb_top, rgb_bottom) = rgb.split_at(3 * w);
+            let (luma_top, luma_bottom) = luma.split_at_mut(w);
+            let blocks = rgb_top
+                .chunks_exact(6)
+                .zip(rgb_bottom.chunks_exact(6))
+                .zip(luma_top.chunks_exact_mut(2).zip(luma_bottom.chunks_exact_mut(2)))
+                .zip(u_row.iter_mut().zip(v_row.iter_mut()));
+            for (((top, bottom), (y_top, y_bottom)), (u, v)) in blocks {
+                let c = [yuv(&top[..3]), yuv(&top[3..]), yuv(&bottom[..3]), yuv(&bottom[3..])];
+                y_top[0] = c[0].y;
+                y_top[1] = c[1].y;
+                y_bottom[0] = c[2].y;
+                y_bottom[1] = c[3].y;
+                *u = (c.iter().map(|c| c.u as u32).sum::<u32>() / 4) as u8;
+                *v = (c.iter().map(|c| c.v as u32).sum::<u32>() / 4) as u8;
             }
         }
         f
@@ -483,6 +490,58 @@ mod tests {
             max_err = max_err.max((img.data[i] as i32 - back.data[i] as i32).abs());
         }
         assert!(max_err <= 12, "max channel error {max_err}");
+    }
+
+    /// The two-pass conversion `from_rgb` replaced (every pixel
+    /// converted once for luma and again for its block's chroma), kept
+    /// verbatim as the differential oracle.
+    fn from_rgb_oracle(img: &RgbImage) -> Frame {
+        let mut f = Frame::new(img.width(), img.height());
+        for y in 0..img.height() {
+            for x in 0..img.width() {
+                let c = rgb_to_yuv(img.get(x, y));
+                f.set_y(x, y, c.y);
+            }
+        }
+        let (cw, ch) = f.chroma_dims();
+        for cy in 0..ch {
+            for cx in 0..cw {
+                let mut su = 0u32;
+                let mut sv = 0u32;
+                for dy in 0..2 {
+                    for dx in 0..2 {
+                        let c = rgb_to_yuv(img.get(cx * 2 + dx, cy * 2 + dy));
+                        su += c.u as u32;
+                        sv += c.v as u32;
+                    }
+                }
+                f.set_u(cx, cy, (su / 4) as u8);
+                f.set_v(cx, cy, (sv / 4) as u8);
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn from_rgb_matches_the_two_pass_oracle() {
+        let mut rng = vr_base::VrRng::seed_from(23);
+        // 2×2 up, including widths that are not multiples of 16 and
+        // tall/flat shapes; every byte random.
+        for (w, h) in [(2, 2), (4, 2), (2, 6), (6, 4), (18, 10), (34, 2), (96, 54), (130, 74)] {
+            for _ in 0..4 {
+                let mut img = RgbImage::new(w, h);
+                for b in &mut img.data {
+                    *b = rng.next_u64() as u8;
+                }
+                assert_eq!(Frame::from_rgb(&img), from_rgb_oracle(&img), "{w}x{h}");
+            }
+        }
+        // The extremes of every channel.
+        let mut img = RgbImage::new(4, 4);
+        for (i, b) in img.data.iter_mut().enumerate() {
+            *b = [0, 255][(i * 7 / 3) % 2];
+        }
+        assert_eq!(Frame::from_rgb(&img), from_rgb_oracle(&img));
     }
 
     #[test]

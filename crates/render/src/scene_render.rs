@@ -1,7 +1,9 @@
 //! The camera render pipeline.
 
 use crate::raster::Raster;
-use crate::shade::{apply_fog, lit, shade_face, sky_color};
+#[cfg(test)]
+use crate::shade::apply_fog;
+use crate::shade::{lit, shade_face, sky_color, Fog};
 use vr_base::rng::mix64;
 use vr_frame::{Frame, Rgb, RgbImage};
 use vr_geom::{Vec2, Vec3};
@@ -13,13 +15,15 @@ use vr_scene::{CityCamera, VisualCity, Weather};
 /// Cameras are fixed and weather is per tile, so everything passes 1–2
 /// draw (sky, ground, buildings, trees) is the same in every frame of a
 /// stream: [`CameraRenderer::new`] rasterizes that static layer once,
-/// colour and depth, and each [`image`](CameraRenderer::image) draws
-/// the dynamic layer (passes 3–4 and rain) over a copy of it.
+/// colour and depth, and fogs its colour; each
+/// [`image`](CameraRenderer::image) draws the dynamic layer (pass 3)
+/// over a copy of it and fogs only the pixels pass 3 drew, then rain.
 pub struct CameraRenderer<'a> {
     city: &'a VisualCity,
     camera: &'a CityCamera,
-    /// The raster after passes 1–2.
+    /// The raster after passes 1–2, its colour already fogged.
     static_layer: Raster,
+    fog: Fog,
 }
 
 impl<'a> CameraRenderer<'a> {
@@ -70,18 +74,26 @@ impl<'a> CameraRenderer<'a> {
             let can_max = Vec3::from_ground(p + Vec2::new(r, r), tree.height);
             draw_box(&mut raster, cam, can_min, can_max, Rgb::new(40, 110, 45), &weather);
         }
-        Self { city, camera, static_layer: raster }
+
+        // Fog is a function of colour, depth and weather alone, so the
+        // static pixels no frame draws over are fogged here, once.
+        let fog = Fog::new(&weather);
+        if fog.is_visible() {
+            for (px, &z) in raster.img.data.chunks_exact_mut(3).zip(&raster.depth) {
+                fog_pixel(&fog, px, z);
+            }
+        }
+        Self { city, camera, static_layer: raster, fog }
     }
 
     /// The view at simulation time `t` seconds as an RGB image.
     pub fn image(&self, t: f64) -> RgbImage {
-        let Self { city, camera, .. } = self;
+        let Self { city, camera, static_layer, fog } = self;
         let tile = city.tile(camera.tile);
         let origin = city.tile_origin(camera.tile);
         let weather = &tile.weather();
         let cam = &camera.camera;
-        let mut raster = self.static_layer.clone();
-        let (width, height) = (raster.width(), raster.height());
+        let mut raster = static_layer.clone();
 
         // --- Pass 3: dynamic entities -----------------------------------
         for v in &tile.vehicles {
@@ -101,14 +113,14 @@ impl<'a> CameraRenderer<'a> {
         }
 
         // --- Pass 4: atmosphere -----------------------------------------
-        if weather.fog() > 0.0 {
-            for py in 0..height {
-                for px in 0..width {
-                    let z = raster.z(px, py);
-                    if z.is_finite() {
-                        let c = raster.img.get(px, py);
-                        raster.img.set(px, py, apply_fog(c, z, weather));
-                    }
+        // Pass 3 writes a pixel only where it is strictly nearer, so a
+        // pixel whose depth still has the static layer's bits is the
+        // static layer's, and already fogged.
+        if fog.is_visible() {
+            let pixels = raster.img.data.chunks_exact_mut(3).zip(&raster.depth);
+            for ((px, &z), &z_static) in pixels.zip(&static_layer.depth) {
+                if z.to_bits() != z_static.to_bits() {
+                    fog_pixel(fog, px, z);
                 }
             }
         }
@@ -146,6 +158,13 @@ pub fn render_camera_frame(
     height: u32,
 ) -> Frame {
     CameraRenderer::new(city, camera, width, height).frame(t)
+}
+
+/// Fog one packed RGB pixel at depth `z`.
+#[inline]
+fn fog_pixel(fog: &Fog, px: &mut [u8], z: f32) {
+    let c = fog.apply(Rgb::new(px[0], px[1], px[2]), z);
+    px.copy_from_slice(&[c.r, c.g, c.b]);
 }
 
 /// Classify a ground point: road, lane marking, sidewalk, or terrain.

@@ -55,8 +55,44 @@ pub fn sky_color(sin_elev: f32, weather: &Weather) -> Rgb {
     )
 }
 
-/// Blend `color` toward the horizon sky color by distance fog.
-pub fn apply_fog(color: Rgb, depth: f32, weather: &Weather) -> Rgb {
+/// Distance fog for one weather: its density and horizon sky colour,
+/// computed once instead of per pixel.
+#[derive(Debug, Clone, Copy)]
+pub struct Fog {
+    density: f32,
+    sky: Rgb,
+}
+
+impl Fog {
+    /// The fog of `weather`.
+    pub fn new(weather: &Weather) -> Self {
+        Self { density: weather.fog(), sky: sky_color(0.0, weather) }
+    }
+
+    /// Whether this fog changes any colour at all.
+    pub fn is_visible(&self) -> bool {
+        self.density > 0.0
+    }
+
+    /// Blend `color` toward the horizon sky colour by distance; a
+    /// non-finite depth (the sky) is left alone.
+    #[inline]
+    pub fn apply(&self, color: Rgb, depth: f32) -> Rgb {
+        if self.density <= 0.0 || !depth.is_finite() {
+            return color;
+        }
+        // Exponential fog with weather-scaled extinction.
+        let f = 1.0 - (-depth * self.density * 0.012).exp();
+        let sky = self.sky;
+        let mix = |a: u8, b: u8| (a as f32 + (b as f32 - a as f32) * f) as u8;
+        Rgb::new(mix(color.r, sky.r), mix(color.g, sky.g), mix(color.b, sky.b))
+    }
+}
+
+/// Blend `color` toward the horizon sky color by distance fog: the
+/// per-call form [`Fog`] replaced, kept as its differential oracle.
+#[cfg(test)]
+pub(crate) fn apply_fog(color: Rgb, depth: f32, weather: &Weather) -> Rgb {
     let fog = weather.fog();
     if fog <= 0.0 || !depth.is_finite() {
         return color;
@@ -118,14 +154,52 @@ mod tests {
     #[test]
     fn fog_pulls_distant_colors_toward_sky() {
         let weather = w(Sky::HardRain, SunPosition::Noon);
+        let fog = Fog::new(&weather);
         let c = Rgb::new(0, 0, 0);
-        let near = apply_fog(c, 5.0, &weather);
-        let far = apply_fog(c, 400.0, &weather);
+        let near = fog.apply(c, 5.0);
+        let far = fog.apply(c, 400.0);
         let sky = sky_color(0.0, &weather);
         assert!(far.g > near.g);
         assert!(far.g.abs_diff(sky.g) < 40, "far fog approaches sky: {far:?} vs {sky:?}");
         // No fog in clear weather.
-        let clear = w(Sky::Clear, SunPosition::Noon);
-        assert_eq!(apply_fog(c, 400.0, &clear), c);
+        let clear = Fog::new(&w(Sky::Clear, SunPosition::Noon));
+        assert!(!clear.is_visible());
+        assert_eq!(clear.apply(c, 400.0), c);
+    }
+
+    #[test]
+    fn fog_matches_the_per_call_oracle() {
+        let mut depths = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            -3.5,
+        ];
+        // Every depth a 192×108 raster sees, and far beyond.
+        depths.extend((0..4000).map(|i| i as f32 * 0.37));
+        depths.extend((0..200).map(|i| 1.0e3 * 1.1f32.powi(i)));
+        let colors = [Rgb::new(0, 0, 0), Rgb::new(255, 255, 255), Rgb::new(17, 140, 233)];
+        for sky in [Sky::Clear, Sky::Cloudy, Sky::Wet, Sky::HardRain] {
+            for sun in [SunPosition::Noon, SunPosition::Sunset, SunPosition::Overcast] {
+                let weather = w(sky, sun);
+                let fog = Fog::new(&weather);
+                assert_eq!(fog.is_visible(), weather.fog() > 0.0);
+                for &depth in &depths {
+                    for c in colors {
+                        assert!(
+                            fog.apply(c, depth) == apply_fog(c, depth, &weather),
+                            "{sky:?}/{sun:?}: depth {depth:e} ({:#x}), {c:?}",
+                            depth.to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

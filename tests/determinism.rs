@@ -47,7 +47,9 @@ fn node_count_does_not_change_output() {
 /// to CRCs captured before the renderer and stitcher hoisted their
 /// time-invariant work out of the frame loop. Any byte a renderer,
 /// stitcher, encoder or muxer change moves fails here, for every node
-/// count; the failure prints the new table.
+/// count — sequential, fewer workers than cameras, a count that does
+/// not divide them, and more workers than jobs; the failure prints the
+/// new table.
 const BENCH_DATASET_GOLDEN: [(&str, u32); 9] = [
     ("cam-0-traffic.vrmf", 0x9279bff9),
     ("cam-1-traffic.vrmf", 0x8d683371),
@@ -64,7 +66,7 @@ const BENCH_DATASET_GOLDEN: [(&str, u32); 9] = [
 fn benchmark_dataset_matches_golden_crcs() {
     let hyper =
         Hyperparameters::new(1, Resolution::new(192, 108), Duration::from_secs(1.0), 42).unwrap();
-    for nodes in [1, 2, 4] {
+    for nodes in [1, 2, 3, 4, 16] {
         let ds = Vcg::new(GenConfig { nodes, ..Default::default() }).generate(&hyper).unwrap();
         let actual: Vec<(&str, u32)> = ds
             .videos
