@@ -35,9 +35,9 @@
 //! Each injection increments a per-kind counter on the injector
 //! ([`FaultInjector::injected`]); each *recovery* increments a global
 //! [`Degradation`] counter (concealed frames, skipped samples/packets,
-//! retries, contained panics). The CI chaos gate checks the two sides
-//! against each other — e.g. every corrupted sample must show up as a
-//! CRC-skipped sample, every injected panic as a contained one.
+//! retries, contained panics). [`accounting_mismatches`] checks the two
+//! sides against each other — e.g. every corrupted sample must show up
+//! as a CRC-skipped sample, every injected panic as a contained one.
 
 use crate::rng::{mix64, VrRng};
 use crate::{Error, Result};
@@ -377,8 +377,8 @@ pub fn suppress<T>(f: impl FnOnce() -> T) -> T {
 
 /// Build and install an injector from `VR_FAULTS` / `VR_FAULT_SEED`,
 /// returning what was installed. A missing or empty `VR_FAULTS`
-/// installs nothing; a malformed one is an error so CI cannot silently
-/// run a chaos gate with no chaos.
+/// installs nothing; a malformed one is an error so a chaos run cannot
+/// silently run with no chaos.
 pub fn init_from_env() -> Result<Option<Arc<FaultInjector>>> {
     let Ok(spec) = std::env::var("VR_FAULTS") else {
         return Ok(None);
@@ -488,6 +488,55 @@ pub fn degradation_snapshot() -> DegradationSnapshot {
         stage_panics: d.stage_panics.get(),
         stalls_absorbed: d.stalls_absorbed.get(),
     }
+}
+
+/// Cross-check what an injector says it injected against what the
+/// recovery layers say they absorbed: one line per mismatch, none when
+/// every injected fault shows up in its recovery counter. A mismatch
+/// means a fault escaped its handler, or a handler counted twice.
+pub fn accounting_mismatches(
+    injected: &FaultCounts,
+    recovered: &DegradationSnapshot,
+) -> Vec<String> {
+    let mut bad = Vec::new();
+    if injected.corrupt_bitstream != recovered.skipped_samples {
+        bad.push(format!(
+            "corrupted samples {} != skipped samples {}",
+            injected.corrupt_bitstream, recovered.skipped_samples
+        ));
+    }
+    if recovered.concealed_frames < recovered.skipped_samples {
+        bad.push(format!(
+            "concealed frames {} < skipped samples {}",
+            recovered.concealed_frames, recovered.skipped_samples
+        ));
+    }
+    if injected.drop_rtp != recovered.skipped_packets {
+        bad.push(format!(
+            "dropped rtp packets {} != skipped packets {}",
+            injected.drop_rtp, recovered.skipped_packets
+        ));
+    }
+    let io_failures = injected.io_fail_read + injected.io_fail_write;
+    if io_failures != recovered.io_retries + recovered.io_give_ups {
+        bad.push(format!(
+            "injected io failures {io_failures} != retries {} + give-ups {}",
+            recovered.io_retries, recovered.io_give_ups
+        ));
+    }
+    if injected.kernel_panics != recovered.stage_panics {
+        bad.push(format!(
+            "injected kernel panics {} != contained stage panics {}",
+            injected.kernel_panics, recovered.stage_panics
+        ));
+    }
+    if injected.stalls != recovered.stalls_absorbed {
+        bad.push(format!(
+            "injected stalls {} != absorbed stalls {}",
+            injected.stalls, recovered.stalls_absorbed
+        ));
+    }
+    bad
 }
 
 /// Record concealed frames.
@@ -807,6 +856,58 @@ mod tests {
         assert_eq!(delta.stalls_absorbed, 1);
         assert!(delta.any());
         assert!(!DegradationSnapshot::default().any());
+    }
+
+    #[test]
+    fn accounting_reports_each_kind_of_mismatch() {
+        let injected = FaultCounts {
+            corrupt_bitstream: 3,
+            drop_rtp: 2,
+            stalls: 4,
+            io_fail_read: 1,
+            io_fail_write: 2,
+            kernel_panics: 1,
+        };
+        let matched = DegradationSnapshot {
+            concealed_frames: 5,
+            skipped_samples: 3,
+            skipped_packets: 2,
+            io_retries: 2,
+            io_give_ups: 1,
+            stage_panics: 1,
+            stalls_absorbed: 4,
+        };
+        assert!(accounting_mismatches(&injected, &matched).is_empty());
+        // One broken side per case, and the line that names it.
+        let cases: [(DegradationSnapshot, &str); 6] = [
+            (
+                DegradationSnapshot { skipped_samples: 2, ..matched },
+                "corrupted samples 3 != skipped samples 2",
+            ),
+            (
+                DegradationSnapshot { concealed_frames: 2, ..matched },
+                "concealed frames 2 < skipped samples 3",
+            ),
+            (
+                DegradationSnapshot { skipped_packets: 3, ..matched },
+                "dropped rtp packets 2 != skipped packets 3",
+            ),
+            (
+                DegradationSnapshot { io_give_ups: 0, ..matched },
+                "injected io failures 3 != retries 2 + give-ups 0",
+            ),
+            (
+                DegradationSnapshot { stage_panics: 0, ..matched },
+                "injected kernel panics 1 != contained stage panics 0",
+            ),
+            (
+                DegradationSnapshot { stalls_absorbed: 5, ..matched },
+                "injected stalls 4 != absorbed stalls 5",
+            ),
+        ];
+        for (recovered, line) in cases {
+            assert_eq!(accounting_mismatches(&injected, &recovered), vec![line.to_string()]);
+        }
     }
 
     #[test]

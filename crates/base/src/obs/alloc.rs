@@ -31,7 +31,7 @@
 //!
 //! Like every other obs path, the numbers here are telemetry only:
 //! nothing downstream of a query reads them, so enabling tracking
-//! cannot perturb results (the obs-gate CI stage pins this).
+//! cannot perturb results (`tests/cli.rs` pins this).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

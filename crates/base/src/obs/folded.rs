@@ -18,8 +18,9 @@
 //! nested per thread under a monotonic clock, so the children of a
 //! span can never account for more time than the span itself. A trace
 //! that violates this (clock skew, unbalanced guards) fails the fold
-//! with a diagnostic instead of silently clamping — the CI obs-gate
-//! leg runs this check on a real trace every build.
+//! with a diagnostic instead of silently clamping —
+//! `crates/bench/tests/obs_artifacts.rs` runs this check on a real
+//! trace.
 
 use std::collections::BTreeMap;
 

@@ -661,9 +661,7 @@ mod tests {
     #[test]
     fn snapshot_is_deterministic_across_identical_runs_at_four_workers() {
         // Two registries fed by the same 4-thread workload must render
-        // byte-identical snapshots regardless of interleaving — the
-        // property the determinism CI gate relies on when tracing and
-        // metrics are live.
+        // byte-identical snapshots regardless of interleaving.
         let run = || {
             let registry = Registry::new();
             std::thread::scope(|scope| {
@@ -703,6 +701,50 @@ mod tests {
         registry.counter("delta.late").add(3);
         let delta2 = registry.snapshot().since(&before);
         assert_eq!(delta2.counters["delta.late"], 3);
+    }
+
+    /// Counters only grow: a snapshot taken while four threads still
+    /// count and one taken after they finish agree counter by counter
+    /// (earlier <= later), and the later one holds every increment.
+    #[test]
+    fn counters_are_monotonic_across_snapshots_of_a_live_registry() {
+        let registry = Registry::new();
+        let during = std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let c = registry.counter(&format!("live.items.{}", t % 2));
+                let h = registry.histogram("live.nanos");
+                scope.spawn(move || {
+                    for i in 0..20_000u64 {
+                        c.inc();
+                        h.observe(t * 1_000 + i);
+                    }
+                });
+            }
+            registry.snapshot()
+        });
+        let after = registry.snapshot();
+        assert_counters_monotonic(&during, &after);
+        assert_eq!(after.counters.values().sum::<u64>(), 80_000);
+        let h = &after.histograms["live.nanos"];
+        assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
+    }
+
+    fn assert_counters_monotonic(earlier: &MetricsSnapshot, later: &MetricsSnapshot) {
+        for (name, &was) in &earlier.counters {
+            let now = later.counters.get(name).copied().unwrap_or(0);
+            assert!(now >= was, "counter {name} went backwards: {was} -> {now}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "went backwards")]
+    fn a_counter_that_shrinks_fails_the_monotonicity_check() {
+        let registry = Registry::new();
+        registry.counter("shrinks").add(5);
+        let earlier = registry.snapshot();
+        let mut later = earlier.clone();
+        later.counters.insert("shrinks".to_string(), 4);
+        assert_counters_monotonic(&earlier, &later);
     }
 
     #[test]

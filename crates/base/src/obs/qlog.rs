@@ -7,7 +7,8 @@
 //! every field is always present (`null` where absent), so two
 //! identical seeded runs produce byte-identical logs modulo the two
 //! timing fields (`queue_wait_us`, `latency_us`) and any slow-query
-//! exemplars — the obs-gate CI leg asserts exactly that.
+//! exemplars — `server.rs`'s `qlog_is_deterministic_across_identical_runs`
+//! asserts exactly that.
 //!
 //! Two ids per record, because records are appended at *completion*
 //! time while request ids are minted at *arrival* time:

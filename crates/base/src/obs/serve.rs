@@ -27,7 +27,7 @@
 //!   wrong — anything that is not a known `GET` path is a 404.
 //! * **non-perturbing** — the server runs on its own thread, touches
 //!   only snapshots, and query results must be byte-identical with
-//!   the server on or off (the obs-gate CI leg diffs exactly that).
+//!   the server on or off (`tests/cli.rs` diffs exactly that).
 //!
 //! The server is off by default and owned by whoever calls
 //! [`MetricsServer::start`] (the CLI's `--serve-metrics <port>`);

@@ -24,8 +24,8 @@
 //! Client-deadline **cancellations are budget-neutral** (not recorded
 //! at all): the client chose the deadline, the server honoured it, and
 //! charging them would let an aggressive client burn its own budget —
-//! or, in CI, make the "zero high-priority violations" gate flaky on
-//! loaded runners. The admission ledger still counts them separately.
+//! or make the "zero high-priority violations" check of
+//! `crates/bench/tests/fleets.rs` flaky on loaded runners. The admission ledger still counts them separately.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
@@ -167,8 +167,7 @@ impl SloTracker {
     }
 
     /// Deterministic JSON document behind `/slo`: policy header plus
-    /// one line per `tenant/priority` class (BTreeMap order),
-    /// grep-able by the CI gates.
+    /// one line per `tenant/priority` class (BTreeMap order).
     pub fn render_json(&self) -> String {
         let mut w = Writer::new();
         self.write_json(&mut w);

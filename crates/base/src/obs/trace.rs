@@ -21,7 +21,7 @@
 //!
 //! Timestamps exist **only** in exporter output: nothing downstream of
 //! a query reads them, so enabling tracing cannot perturb query
-//! results (the obs-gate CI stage asserts this byte-for-byte).
+//! results (`tests/cli.rs` asserts this byte-for-byte).
 
 use std::cell::{Cell, RefCell};
 use std::io::Write as _;

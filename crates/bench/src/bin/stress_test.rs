@@ -34,7 +34,7 @@
 //!   --tenants gold:high:2,bronze:low:6 --requests 25 \
 //!   --queries Q1,Q2a --deadline-ms 2000 --online-every 5 \
 //!   --p99-bound-ms 4000 --expect-shedding --shutdown \
-//!   --out results/ci/server/stress.json
+//!   --out results/ci/stress.json
 //! ```
 //!
 //! Exits nonzero when any verification fails.
@@ -102,6 +102,11 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// `value` as a number, or the usage text naming `flag` and `kind`.
+fn parsed<T: std::str::FromStr>(flag: &str, value: String, kind: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage(&format!("{flag} wants {kind}")))
+}
+
 fn parse_config() -> Config {
     let mut cfg = Config {
         addr: String::new(),
@@ -150,37 +155,16 @@ fn parse_config() -> Config {
                     })
                     .collect();
             }
-            "--requests" => {
-                cfg.requests = val("--requests").parse().unwrap_or_else(|_| usage("--requests wants N"))
-            }
+            "--requests" => cfg.requests = parsed(&flag, val(&flag), "N"),
             "--queries" => {
                 cfg.queries = val("--queries").split(',').map(str::to_string).collect()
             }
             "--engine" => cfg.engine = Some(val("--engine")),
-            "--deadline-ms" => {
-                cfg.deadline_ms =
-                    val("--deadline-ms").parse().unwrap_or_else(|_| usage("--deadline-ms wants N"))
-            }
-            "--low-deadline-ms" => {
-                cfg.low_deadline_ms = Some(
-                    val("--low-deadline-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--low-deadline-ms wants N")),
-                )
-            }
-            "--online-every" => {
-                cfg.online_every =
-                    val("--online-every").parse().unwrap_or_else(|_| usage("--online-every wants N"))
-            }
-            "--online-speedup" => {
-                cfg.online_speedup = val("--online-speedup")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--online-speedup wants F"))
-            }
-            "--p99-bound-ms" => {
-                cfg.p99_bound_ms =
-                    val("--p99-bound-ms").parse().unwrap_or_else(|_| usage("--p99-bound-ms wants N"))
-            }
+            "--deadline-ms" => cfg.deadline_ms = parsed(&flag, val(&flag), "N"),
+            "--low-deadline-ms" => cfg.low_deadline_ms = Some(parsed(&flag, val(&flag), "N")),
+            "--online-every" => cfg.online_every = parsed(&flag, val(&flag), "N"),
+            "--online-speedup" => cfg.online_speedup = parsed(&flag, val(&flag), "F"),
+            "--p99-bound-ms" => cfg.p99_bound_ms = parsed(&flag, val(&flag), "N"),
             "--expect-shedding" => cfg.expect_shedding = true,
             "--require-high-zero-shed" => cfg.require_high_zero_shed = true,
             "--shutdown" => cfg.shutdown = true,
@@ -696,7 +680,7 @@ fn main() -> ExitCode {
 }
 
 /// The machine-readable report (`--out`): the run's totals, one line
-/// per tenant, and the failure count the gates key on.
+/// per tenant, and the failure count.
 fn render_report(
     wall: Duration,
     sessions: usize,

@@ -1,12 +1,13 @@
-//! CI obs-gate validator for the observability artifacts emitted by
-//! `visualroad run`: chrome-trace profiles (`--trace-out`), metrics
-//! snapshots (`--metrics-out`), and collapsed-stack flamegraph files
-//! (`--folded-out`).
+//! Validator for the observability artifacts: chrome-trace profiles
+//! (`visualroad run --trace-out`), metrics snapshots (`--metrics-out`),
+//! collapsed-stack flamegraph files (`--folded-out`) and query logs
+//! (`visualroad serve --qlog-out`). `crates/bench/tests/` runs it on
+//! artifacts written in-process.
 //!
 //! ```text
 //! trace_check [<trace.json>] [--require name1,name2,...]
-//!             [--metrics snap.json]... [--metrics-pair before.json after.json]
-//!             [--folded folded.txt]... [--qlog qlog.jsonl]...
+//!             [--metrics snap.json]... [--folded folded.txt]...
+//!             [--qlog qlog.jsonl]...
 //! ```
 //!
 //! Trace checks, in order:
@@ -24,11 +25,9 @@
 //!    least one scheduler instance span (`cat == "scheduler"`, name
 //!    `instance.*`) is present.
 //!
-//! Metrics checks (`--metrics`, and each side of `--metrics-pair`):
-//! the snapshot parses, every counter is a non-negative finite number,
-//! and every histogram's bucket counts sum to its `count`. A
-//! `--metrics-pair` additionally requires every counter present in
-//! both snapshots to be monotonic (after >= before).
+//! Metrics checks (`--metrics`): the snapshot parses, every counter is
+//! a non-negative finite number, and every histogram's bucket counts
+//! sum to its `count`.
 //!
 //! Folded checks (`--folded`): the file is non-empty and every line is
 //! `stack <nanos>` with a `;`-separated non-empty stack and a
@@ -94,9 +93,8 @@ fn parse_event<'a>(v: &'a Value, index: usize) -> Result<Event<'a>, String> {
     Ok(Event { name, cat, begin, ts, tid, index })
 }
 
-/// Parse and sanity-check one `--metrics-out` snapshot. Returns the
-/// parsed document so pair checks can compare counters.
-fn check_metrics(path: &str) -> Result<Value, String> {
+/// Parse and sanity-check one `--metrics-out` snapshot.
+fn check_metrics(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
     let counters = doc
@@ -137,29 +135,7 @@ fn check_metrics(path: &str) -> Result<Value, String> {
             }
         }
     }
-    Ok(doc)
-}
-
-/// Require every counter present in both snapshots to be monotonic.
-fn check_metrics_pair(before_path: &str, after_path: &str) -> Result<usize, String> {
-    let before = check_metrics(before_path)?;
-    let after = check_metrics(after_path)?;
-    let before_counters = before.get("counters").and_then(Value::as_object).unwrap();
-    let after_counters = after.get("counters").and_then(Value::as_object).unwrap();
-    let mut compared = 0;
-    for (name, b) in before_counters {
-        let Some(a) = after_counters.get(name.as_str()).and_then(Value::as_f64) else {
-            continue;
-        };
-        let b = b.as_f64().unwrap();
-        if a < b {
-            return Err(format!(
-                "counter {name:?} went backwards: {b} in {before_path} but {a} in {after_path}"
-            ));
-        }
-        compared += 1;
-    }
-    Ok(compared)
+    Ok(())
 }
 
 /// Validate one collapsed-stacks file: non-empty, every line
@@ -252,64 +228,31 @@ fn check_qlog(path: &str) -> Result<u64, String> {
 }
 
 fn run() -> Result<String, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
     let mut metrics_paths: Vec<String> = Vec::new();
-    let mut metrics_pairs: Vec<(String, String)> = Vec::new();
     let mut folded_paths: Vec<String> = Vec::new();
     let mut qlog_paths: Vec<String> = Vec::new();
     let mut required: Vec<String> =
         DEFAULT_REQUIRED.split(',').map(str::to_string).collect();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--require" {
-            i += 1;
-            required = args
-                .get(i)
-                .ok_or("--require needs a comma-separated name list")?
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-        } else if args[i] == "--metrics" {
-            i += 1;
-            metrics_paths
-                .push(args.get(i).ok_or("--metrics needs a snapshot path")?.clone());
-        } else if args[i] == "--metrics-pair" {
-            let before = args
-                .get(i + 1)
-                .ok_or("--metrics-pair needs two snapshot paths")?
-                .clone();
-            let after = args
-                .get(i + 2)
-                .ok_or("--metrics-pair needs two snapshot paths")?
-                .clone();
-            metrics_pairs.push((before, after));
-            i += 2;
-        } else if args[i] == "--folded" {
-            i += 1;
-            folded_paths
-                .push(args.get(i).ok_or("--folded needs a collapsed-stacks path")?.clone());
-        } else if args[i] == "--qlog" {
-            i += 1;
-            qlog_paths.push(args.get(i).ok_or("--qlog needs a query-log path")?.clone());
-        } else if path.is_none() {
-            path = Some(args[i].clone());
-        } else {
-            return Err(format!("unexpected argument {:?}", args[i]));
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or(format!("{arg} needs {what}"));
+        match arg.as_str() {
+            "--require" => {
+                let names = value("a comma-separated name list")?;
+                required = names.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect();
+            }
+            "--metrics" => metrics_paths.push(value("a snapshot path")?),
+            "--folded" => folded_paths.push(value("a collapsed-stacks path")?),
+            "--qlog" => qlog_paths.push(value("a query-log path")?),
+            _ if path.is_none() => path = Some(arg),
+            _ => return Err(format!("unexpected argument {arg:?}")),
         }
-        i += 1;
     }
     let mut summary: Vec<String> = Vec::new();
     for m in &metrics_paths {
         check_metrics(m)?;
         summary.push(format!("metrics OK: {m}"));
-    }
-    for (before, after) in &metrics_pairs {
-        let compared = check_metrics_pair(before, after)?;
-        summary.push(format!(
-            "metrics pair OK: {compared} counters monotonic ({before} -> {after})"
-        ));
     }
     for f in &folded_paths {
         let lines = check_folded(f)?;
@@ -323,8 +266,7 @@ fn run() -> Result<String, String> {
         if summary.is_empty() {
             return Err(
                 "usage: trace_check [<trace.json>] [--require names] [--metrics snap.json] \
-                 [--metrics-pair before.json after.json] [--folded folded.txt] \
-                 [--qlog qlog.jsonl]"
+                 [--folded folded.txt] [--qlog qlog.jsonl]"
                     .into(),
             );
         }

@@ -62,7 +62,6 @@ USAGE:
                  [--batch N] [--online SPEEDUP] [--write DIR] [--no-validate]
                  [--workers N] [--faults SPEC] [--fault-seed S]
                  [--deadline-ms N] [--trace-out FILE] [--metrics-out FILE]
-                 [--metrics-mid-out FILE]
                  [--explain | --explain-analyze] [--explain-out FILE]
                  [--folded-out FILE] [--serve-metrics PORT]
                  [--optimizer on|off|explain] [--profile FILE]
@@ -82,11 +81,8 @@ USAGE:
       Perfetto; the VR_TRACE environment variable (any value but 0)
       does the same. --metrics-out writes the process-global metrics
       registry (counters/gauges/latency histograms) as JSON, or as
-      flat text when FILE ends in .txt; --metrics-mid-out additionally
-      snapshots the registry after the first engine finishes, giving
-      validators a genuine before/after pair for counter-monotonicity
-      checks. Tracing never changes query results: timestamps exist
-      only in the exported profile.
+      flat text when FILE ends in .txt. Tracing never changes query
+      results: timestamps exist only in the exported profile.
       --explain prints each engine's plan tree per query and exits
       without executing anything; --explain-analyze executes, then
       annotates each plan node with wall/self time, frame/byte flow,
@@ -342,8 +338,8 @@ fn install_fault_plan(flags: &Flags) -> Result<Option<Arc<FaultInjector>>, Strin
 }
 
 /// `--serve-metrics PORT`: the loopback, read-only metrics endpoint.
-/// It serves registry snapshots and must never perturb results (the
-/// obs-gate CI leg diffs a served vs. unserved run byte for byte).
+/// It serves registry snapshots and must never perturb results
+/// (`tests/cli.rs` diffs a served vs. unserved run byte for byte).
 fn start_metrics_endpoint(flags: &Flags) -> Result<Option<MetricsServer>, String> {
     let complaint = "--serve-metrics wants a port number (0 = ephemeral)";
     let Some(port) = flags.checked("serve-metrics", any::<u16>, complaint)? else {
@@ -368,11 +364,11 @@ fn write_creating_parent(path: &str, what: &str, body: impl AsRef<[u8]>) -> Resu
 
 /// Write the process-global metrics registry to `path`: flat text when
 /// it ends in `.txt`, JSON otherwise.
-fn write_metrics_snapshot(path: &str, what: &str) -> Result<(), String> {
+fn write_metrics_snapshot(path: &str) -> Result<(), String> {
     let snap = vr_base::obs::metrics::snapshot();
     let body = if path.ends_with(".txt") { snap.to_text() } else { snap.to_json() };
     std::fs::write(path, body).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-    eprintln!("wrote {what} to {path}");
+    eprintln!("wrote metrics snapshot to {path}");
     Ok(())
 }
 
@@ -535,7 +531,6 @@ fn cmd_run(args: &[String]) -> Exit {
     let mut explain_doc = String::new();
     let mut explain_json: Vec<String> = Vec::new();
     let mut explain_violations = 0usize;
-    let mut metrics_mid_out = flags.get("metrics-mid-out");
     for engine in engines.iter_mut() {
         let report = vcd.run_queries(engine.as_mut(), &queries).map_err(|e| e.to_string())?;
         println!("{report}");
@@ -559,12 +554,6 @@ fn cmd_run(args: &[String]) -> Exit {
                 explain_violations += 1;
             }
         }
-        // A mid-run registry snapshot after the first engine: paired
-        // with the final --metrics-out it gives validators a true
-        // before/after monotonicity fixture from one process.
-        if let Some(path) = metrics_mid_out.take() {
-            write_metrics_snapshot(path, "mid-run metrics snapshot")?;
-        }
     }
     // `--optimizer explain`: dump every cached chosen-vs-rejected
     // table after the reports, one block per engine/query key.
@@ -587,8 +576,7 @@ fn cmd_run(args: &[String]) -> Exit {
     if trace_out.is_some() || folded_out.is_some() {
         vr_base::obs::trace::set_enabled(false);
     }
-    // Fold before the chrome-trace export: `trace::save` drains the
-    // buffer the fold reads.
+    // Both exports copy the span buffer; neither drains it.
     if let Some(path) = &folded_out {
         let n = vr_base::obs::folded::save(path)
             .map_err(|e| format!("cannot write folded stacks to {path}: {e}"))?;
@@ -600,7 +588,7 @@ fn cmd_run(args: &[String]) -> Exit {
         eprintln!("wrote {n} trace events to {path}");
     }
     if let Some(path) = flags.get("metrics-out") {
-        write_metrics_snapshot(path, "metrics snapshot")?;
+        write_metrics_snapshot(path)?;
     }
 
     // Stop the endpoint before verdicts so nothing polls a dead run.
@@ -955,10 +943,8 @@ fn cmd_search(args: &[String]) -> Exit {
     Ok(0)
 }
 
-/// Cross-check what the injector says it injected against what the
-/// recovery layers say they absorbed. Any mismatch means a fault
-/// escaped its handler (or a handler double-counted) — the chaos gate
-/// fails on it.
+/// Print the injected and recovered fault counts, then every
+/// [`fault::accounting_mismatches`] line; nonzero on any mismatch.
 fn verify_fault_accounting(inj: &FaultInjector) -> i32 {
     let injected = inj.injected();
     let recovered = fault::degradation_snapshot();
@@ -966,47 +952,7 @@ fn verify_fault_accounting(inj: &FaultInjector) -> i32 {
         "fault accounting: injected {injected:?}\n\
          fault accounting: recovered {recovered:?}"
     );
-    let mut bad = Vec::new();
-    if injected.corrupt_bitstream != recovered.skipped_samples {
-        bad.push(format!(
-            "corrupted samples {} != skipped samples {}",
-            injected.corrupt_bitstream, recovered.skipped_samples
-        ));
-    }
-    if recovered.concealed_frames < recovered.skipped_samples {
-        bad.push(format!(
-            "concealed frames {} < skipped samples {}",
-            recovered.concealed_frames, recovered.skipped_samples
-        ));
-    }
-    if injected.drop_rtp != recovered.skipped_packets {
-        bad.push(format!(
-            "dropped rtp packets {} != skipped packets {}",
-            injected.drop_rtp, recovered.skipped_packets
-        ));
-    }
-    if injected.io_fail_read + injected.io_fail_write
-        != recovered.io_retries + recovered.io_give_ups
-    {
-        bad.push(format!(
-            "injected io failures {} != retries {} + give-ups {}",
-            injected.io_fail_read + injected.io_fail_write,
-            recovered.io_retries,
-            recovered.io_give_ups
-        ));
-    }
-    if injected.kernel_panics != recovered.stage_panics {
-        bad.push(format!(
-            "injected kernel panics {} != contained stage panics {}",
-            injected.kernel_panics, recovered.stage_panics
-        ));
-    }
-    if injected.stalls != recovered.stalls_absorbed {
-        bad.push(format!(
-            "injected stalls {} != absorbed stalls {}",
-            injected.stalls, recovered.stalls_absorbed
-        ));
-    }
+    let bad = fault::accounting_mismatches(&injected, &recovered);
     if bad.is_empty() {
         println!("fault accounting: OK");
         0
@@ -1028,7 +974,7 @@ fn explain_entry(engine: &str, query: &str, plan_json: &str) -> String {
     w.finish()
 }
 
-/// The `search --out` document the index gate greps and `sed`s.
+/// The `search --out` document `tests/cli.rs` reads back.
 fn search_doc(
     kind: &str,
     route: &str,

@@ -369,8 +369,8 @@ impl SemanticPlan<'_> {
 /// VCG-exact top segments: distinct ground-truth entities visible
 /// (non-occluded) at least once in each fixed window, ranked with the
 /// same ordering as the index's `top_segments`. Returns ALL segments,
-/// best first — callers truncate. This is the reference the index-gate
-/// recall check compares against.
+/// best first — callers truncate. This is the reference every recall
+/// check compares against.
 pub fn truth_top_segments(
     dataset: &Dataset,
     class: Option<ObjectClass>,

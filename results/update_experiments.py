@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Extract the fig6 / modes / ablation numbers from results/*.txt and
+"""Extract the fig6 / fig8 / modes / ablation numbers from results/*.txt and
 print markdown fragments for EXPERIMENTS.md (helper for maintainers
 re-running the campaign)."""
 import re, pathlib
@@ -23,6 +23,7 @@ def section(path, start, end=None, n=60):
 
 for name, start in [
     ("repro_fig6.txt", "L = 1"),
+    ("repro_fig8.txt", "Figure 8 reproduction"),
     ("repro_modes.txt", "query"),
     ("ablation_cache.txt", "cache / working set"),
     ("ablation_cascade.txt", "threshold"),

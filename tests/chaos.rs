@@ -21,6 +21,9 @@ use visual_road::frame::Frame;
 use visual_road::prelude::*;
 use visual_road::report::DegradationStats;
 
+mod common;
+use common::tiny_dataset;
+
 /// Serialize tests that touch the global injector / recovery counters.
 fn injector_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -46,19 +49,6 @@ impl Drop for InstallGuard {
     fn drop(&mut self) {
         fault::install(None);
     }
-}
-
-fn tiny_dataset(seed: u64) -> Dataset {
-    let hyper = Hyperparameters::new(
-        1,
-        Resolution::new(128, 72),
-        Duration::from_secs(0.4),
-        seed,
-    )
-    .unwrap();
-    Vcg::new(GenConfig { density_scale: 0.2, ..Default::default() })
-        .generate(&hyper)
-        .unwrap()
 }
 
 /// A muxed clip (the unit the corruption loop mangles).
@@ -327,4 +317,54 @@ fn online_rtp_drops_are_skipped_and_accounted() {
         panic!("online chaos batch must complete, got {:?}", q.status);
     };
     assert_eq!(degradation.skipped_packets, inj.injected().drop_rtp);
+}
+
+/// The chaos schedule `visualroad run --faults ... --fault-seed 7`
+/// runs: every engine over the full suite at four workers, in write
+/// mode under a 30 s deadline, then an online leg losing a fifth of its
+/// RTP packets. Every injected fault is matched by its recovery counter.
+#[test]
+fn chaos_schedule_accounts_for_every_injected_fault() {
+    let dataset = tiny_dataset(48);
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos-schedule");
+    let _ = std::fs::remove_dir_all(&out);
+    let run = |spec: &str, seed: u64, cfg: VcdConfig, engines: Vec<Box<dyn Vdbms>>, queries: &[QueryKind]| {
+        // Installing takes the injector lock first: no other test's
+        // recoveries land between the two snapshots.
+        let (_guard, inj) = InstallGuard::install(FaultInjector::from_spec(spec, seed).unwrap());
+        let before = fault::degradation_snapshot();
+        let vcd = Vcd::new(&dataset, cfg);
+        for mut engine in engines {
+            vcd.run_queries(engine.as_mut(), queries).unwrap();
+        }
+        let recovered = fault::degradation_snapshot().since(&before);
+        let mismatches = fault::accounting_mismatches(&inj.injected(), &recovered);
+        assert!(mismatches.is_empty(), "{spec}: {mismatches:?}");
+        inj.injected()
+    };
+    let cfg = VcdConfig {
+        validate: false,
+        batch_size: Some(2),
+        pipeline_workers: Some(4),
+        batch_workers: Some(4),
+        ..Default::default()
+    };
+    let batch = VcdConfig {
+        write_store: Some(visual_road::storage::FlatStore::open(&out).unwrap()),
+        instance_deadline: Some(std::time::Duration::from_secs(30)),
+        ..cfg.clone()
+    };
+    let all: Vec<Box<dyn Vdbms>> = vec![
+        Box::new(ReferenceEngine::new()),
+        Box::new(BatchEngine::new()),
+        Box::new(FunctionalEngine::new()),
+        Box::new(CascadeEngine::new()),
+    ];
+    let spec = "corrupt_bitstream=0.01,stall_stage=kernel:2ms,io_fail=write:0.02,panic_kernel=q4:frame2";
+    let injected = run(spec, 7, batch, all, &QueryKind::ALL);
+    assert!(injected.stalls > 0 && injected.kernel_panics > 0, "{injected:?}");
+    let online = VcdConfig { mode: ExecutionMode::Online { speedup: 1000.0 }, ..cfg };
+    let reference: Vec<Box<dyn Vdbms>> = vec![Box::new(ReferenceEngine::new())];
+    let injected = run("drop_rtp=0.2", 11, online, reference, &[QueryKind::Q1Select, QueryKind::Q2aGrayscale]);
+    assert!(injected.drop_rtp > 0, "{injected:?}");
 }

@@ -4,22 +4,14 @@
 use visual_road::prelude::*;
 use visual_road::QueryStatus;
 
-fn dataset() -> visual_road::Dataset {
-    let hyper = Hyperparameters::new(
-        1,
-        Resolution::new(128, 72),
-        Duration::from_secs(0.4),
-        99,
-    )
-    .unwrap();
-    Vcg::new(GenConfig { density_scale: 0.2, ..Default::default() }).generate(&hyper).unwrap()
-}
+mod common;
+use common::tiny_dataset;
 
 /// Every benchmark query completes and validates on the reference
 /// engine.
 #[test]
 fn full_benchmark_on_reference_engine() {
-    let dataset = dataset();
+    let dataset = tiny_dataset(99);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
     let mut engine = ReferenceEngine::new();
     let report = vcd.run_full_benchmark(&mut engine).unwrap();
@@ -49,7 +41,7 @@ fn full_benchmark_on_reference_engine() {
 /// memory, §6.2).
 #[test]
 fn full_benchmark_on_batch_engine() {
-    let dataset = dataset();
+    let dataset = tiny_dataset(99);
     let vcd = Vcd::new(
         &dataset,
         VcdConfig { batch_size: Some(1), validate: false, ..Default::default() },
@@ -76,7 +68,7 @@ fn full_benchmark_on_batch_engine() {
 /// device pool only exhausts past 40 Q3/Q4 videos).
 #[test]
 fn full_benchmark_on_functional_engine() {
-    let dataset = dataset();
+    let dataset = tiny_dataset(99);
     let vcd = Vcd::new(
         &dataset,
         VcdConfig { batch_size: Some(1), validate: false, ..Default::default() },
@@ -97,7 +89,7 @@ fn full_benchmark_on_functional_engine() {
 /// pool — the paper's "two batches" workaround for Q3/Q4 at L=16.
 #[test]
 fn functional_device_pool_workaround() {
-    let dataset = dataset();
+    let dataset = tiny_dataset(99);
     // Batch larger than the configured pool.
     let vcd = Vcd::new(
         &dataset,
@@ -134,7 +126,7 @@ fn functional_device_pool_workaround() {
 /// resolution, duration, and mode.
 #[test]
 fn report_carries_global_elections() {
-    let dataset = dataset();
+    let dataset = tiny_dataset(99);
     let vcd = Vcd::new(
         &dataset,
         VcdConfig { batch_size: Some(1), validate: false, ..Default::default() },

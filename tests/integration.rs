@@ -9,24 +9,14 @@ use visual_road::vdbms::query::{QueryInstance, QuerySpec};
 use visual_road::vdbms::{ExecContext, QueryKind, QueryOutput, Vdbms};
 use vr_frame::metrics::psnr_y;
 
-fn small_dataset(seed: u64) -> visual_road::Dataset {
-    let hyper = Hyperparameters::new(
-        1,
-        Resolution::new(128, 72),
-        Duration::from_secs(0.4),
-        seed,
-    )
-    .unwrap();
-    Vcg::new(GenConfig { density_scale: 0.2, ..Default::default() })
-        .generate(&hyper)
-        .unwrap()
-}
+mod common;
+use common::tiny_dataset;
 
 /// Engines must produce outputs within the 40 dB frame-validation
 /// threshold of the reference implementation for the pixel queries.
 #[test]
 fn engines_agree_with_reference_within_threshold() {
-    let dataset = small_dataset(11);
+    let dataset = tiny_dataset(11);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
     let kinds = [
         QueryKind::Q1Select,
@@ -70,7 +60,7 @@ fn engines_agree_with_reference_within_threshold() {
 /// within the PASCAL VOC ε = 0.5 Jaccard threshold.
 #[test]
 fn q2c_semantic_validation_passes() {
-    let dataset = small_dataset(12);
+    let dataset = tiny_dataset(12);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
     for engine in [
         Box::new(BatchEngine::new()) as Box<dyn Vdbms>,
@@ -98,7 +88,7 @@ fn q2c_semantic_validation_passes() {
 /// (§6.2).
 #[test]
 fn q4_engine_divergence_matches_paper() {
-    let dataset = small_dataset(13);
+    let dataset = tiny_dataset(13);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
     let mut batch = BatchEngine::new();
     let r = vcd.run_queries(&mut batch, &[QueryKind::Q4Upsample]).unwrap();
@@ -120,7 +110,7 @@ fn q4_engine_divergence_matches_paper() {
 /// as unsupported, mirroring Table 1 / §6.2.
 #[test]
 fn cascade_capability_matrix() {
-    let dataset = small_dataset(14);
+    let dataset = tiny_dataset(14);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
     let mut engine = CascadeEngine::new();
     let report = vcd.run_full_benchmark(&mut engine).unwrap();
@@ -148,7 +138,7 @@ fn cascade_capability_matrix() {
 /// Write mode persists results that decode; streaming writes nothing.
 #[test]
 fn write_and_streaming_modes() {
-    let dataset = small_dataset(15);
+    let dataset = tiny_dataset(15);
     let store = FlatStore::temp("int-write").unwrap();
     let cfg = VcdConfig {
         write_store: Some(store.clone()),
@@ -170,7 +160,7 @@ fn write_and_streaming_modes() {
 /// Online-mode ingest streams all video bytes through paced RTP.
 #[test]
 fn online_ingest_delivers_every_byte() {
-    let dataset = small_dataset(16);
+    let dataset = tiny_dataset(16);
     let idx = dataset.traffic_indices()[0];
     let input = &dataset.videos[idx];
     let expected: usize = {
@@ -187,7 +177,7 @@ fn online_ingest_delivers_every_byte() {
 /// Online mode is slower than offline because ingest is paced.
 #[test]
 fn online_mode_is_throttled() {
-    let dataset = small_dataset(17);
+    let dataset = tiny_dataset(17);
     let offline = Vcd::new(
         &dataset,
         VcdConfig { batch_size: Some(1), validate: false, ..Default::default() },
@@ -223,7 +213,7 @@ fn online_mode_is_throttled() {
 /// noise.
 #[test]
 fn q1_outputs_are_mutually_consistent() {
-    let dataset = small_dataset(18);
+    let dataset = tiny_dataset(18);
     let instance = QueryInstance {
         index: 0,
         spec: QuerySpec::Q1 {
@@ -259,7 +249,7 @@ fn q1_outputs_are_mutually_consistent() {
 /// The named-pipe online transport delivers every byte, paced.
 #[test]
 fn pipe_ingest_delivers_every_byte() {
-    let dataset = small_dataset(19);
+    let dataset = tiny_dataset(19);
     let idx = dataset.traffic_indices()[0];
     let input = &dataset.videos[idx];
     let expected: usize = {
@@ -278,7 +268,7 @@ fn pipe_ingest_delivers_every_byte() {
 /// datanode failure.
 #[test]
 fn dataset_stages_on_dfs_with_failover() {
-    let dataset = small_dataset(20);
+    let dataset = tiny_dataset(20);
     let dfs = visual_road::storage::MiniDfs::new(3, 2, 32 * 1024).unwrap();
     dataset.write_to_dfs(&dfs).unwrap();
     assert_eq!(dfs.file_count(), dataset.videos.len());
@@ -294,7 +284,7 @@ fn dataset_stages_on_dfs_with_failover() {
 /// Q2(c) validation reports ground-truth F1 alongside recall.
 #[test]
 fn q2c_reports_ground_truth_f1() {
-    let dataset = small_dataset(21);
+    let dataset = tiny_dataset(21);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
     let mut engine = ReferenceEngine::new();
     let report = vcd.run_queries(&mut engine, &[QueryKind::Q2cBoxes]).unwrap();
@@ -363,7 +353,7 @@ fn procedural_tiles_run_the_benchmark() {
 /// mechanism behind the scale-factor experiment (Figure 6).
 #[test]
 fn quiesce_policy_controls_cross_batch_caching() {
-    let dataset = small_dataset(22);
+    let dataset = tiny_dataset(22);
     let queries = [QueryKind::Q2aGrayscale, QueryKind::Q2bBlur];
     let run = |quiesce: bool| -> (u64, u64) {
         let cfg = VcdConfig {

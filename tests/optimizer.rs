@@ -6,18 +6,8 @@
 use visual_road::prelude::*;
 use visual_road::vdbms::OptimizerMode;
 
-fn tiny_dataset(seed: u64) -> Dataset {
-    let hyper = Hyperparameters::new(
-        1,
-        Resolution::new(128, 72),
-        Duration::from_secs(0.4),
-        seed,
-    )
-    .unwrap();
-    Vcg::new(GenConfig { density_scale: 0.2, ..Default::default() })
-        .generate(&hyper)
-        .unwrap()
-}
+mod common;
+use common::tiny_dataset;
 
 fn optimized_config() -> VcdConfig {
     VcdConfig {

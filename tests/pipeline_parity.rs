@@ -11,18 +11,8 @@
 use visual_road::prelude::*;
 use visual_road::vdbms::StageKind;
 
-fn tiny_dataset(seed: u64) -> Dataset {
-    let hyper = Hyperparameters::new(
-        1,
-        Resolution::new(128, 72),
-        Duration::from_secs(0.4),
-        seed,
-    )
-    .unwrap();
-    Vcg::new(GenConfig { density_scale: 0.2, ..Default::default() })
-        .generate(&hyper)
-        .unwrap()
-}
+mod common;
+use common::tiny_dataset;
 
 /// Every engine, on every query it `supports()`, still validates
 /// against the reference implementation. The two paper-mandated
