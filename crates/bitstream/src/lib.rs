@@ -5,6 +5,8 @@
 //! (`vr-container`) uses the byte-oriented helpers in [`bytesio`]; both
 //! guard their payloads with [`crc32`].
 
+#![forbid(unsafe_code)]
+
 pub mod bytesio;
 pub mod crc;
 pub mod expgolomb;

@@ -14,6 +14,13 @@ use vr_frame::Frame;
 /// An `N`×`N` block of samples, row-major.
 pub type Block<const N: usize> = [[u8; N]; N];
 
+/// The borrowed rows of an `N`×`N` block: a gathered block
+/// (`block.each_ref()`), a quadrant of a macroblock, or a block read in
+/// place from a plane ([`PlaneRef::rows_at`]). The transform and
+/// reconstruction take rows, so a block is read where it already is
+/// instead of being copied into an array first.
+pub type Rows<'a, const N: usize> = [&'a [u8; N]; N];
+
 /// A borrowed view of one image plane.
 #[derive(Debug, Clone, Copy)]
 pub struct PlaneRef<'a> {
@@ -57,14 +64,39 @@ impl<'a> PlaneRef<'a> {
 
     /// Row `r` of the inside block at `(x0, y0)`.
     #[inline]
-    fn row<const N: usize>(&self, x0: i32, y0: i32, r: usize) -> &[u8; N] {
+    fn row<const N: usize>(&self, x0: i32, y0: i32, r: usize) -> &'a [u8; N] {
         let start = (y0 as usize + r) * self.width as usize + x0 as usize;
         self.data[start..].first_chunk().expect("block row inside the plane")
     }
 
+    /// The rows of the `N`×`N` block at `(x0, y0)`, clamped where it
+    /// leaves the plane: borrowed in place when `inside` (see
+    /// [`gather`](Self::gather)) or when only rows above or below the
+    /// plane are clamped, else gathered into `scratch` and borrowed
+    /// from there.
+    #[inline]
+    pub fn rows_at<'s, const N: usize>(
+        &'s self,
+        x0: i32,
+        y0: i32,
+        inside: bool,
+        scratch: &'s mut Option<Block<N>>,
+    ) -> Rows<'s, N> {
+        debug_assert!(!inside || self.contains(x0, y0, N));
+        if inside {
+            std::array::from_fn(|r| self.row(x0, y0, r))
+        } else if x0 >= 0 && x0 + N as i32 <= self.width as i32 {
+            let last = self.height as i32 - 1;
+            std::array::from_fn(|r| self.row(x0, (y0 + r as i32).clamp(0, last), 0))
+        } else {
+            scratch.insert(self.gather(x0, y0, false)).each_ref()
+        }
+    }
+
     /// Gather the `N`×`N` block with origin `(x0, y0)`. `inside`
     /// promises [`contains`](Self::contains) for that block; when false
-    /// the block may be partially outside and is clamped per sample.
+    /// the block may be partially outside and is clamped: rows once
+    /// each, columns once per block.
     pub fn gather<const N: usize>(&self, x0: i32, y0: i32, inside: bool) -> Block<N> {
         debug_assert!(!inside || self.contains(x0, y0, N));
         let mut out = [[0u8; N]; N];
@@ -73,9 +105,14 @@ impl<'a> PlaneRef<'a> {
                 *row = *self.row(x0, y0, r);
             }
         } else {
+            let width = self.width as usize;
+            let xs: [usize; N] =
+                std::array::from_fn(|c| (x0 + c as i32).clamp(0, width as i32 - 1) as usize);
             for (r, row) in out.iter_mut().enumerate() {
-                for (c, s) in row.iter_mut().enumerate() {
-                    *s = self.sample(x0 + c as i32, y0 + r as i32);
+                let y = (y0 + r as i32).clamp(0, self.height as i32 - 1) as usize;
+                let line = &self.data[y * width..(y + 1) * width];
+                for (s, &x) in row.iter_mut().zip(&xs) {
+                    *s = line[x];
                 }
             }
         }
@@ -88,12 +125,15 @@ impl<'a> PlaneRef<'a> {
     /// `early_out` the search has no use for the exact figure, and any
     /// value `>= early_out` may come back; below the bound the sum is
     /// exact.
+    #[inline]
     pub fn sad<const N: usize>(&self, cur: &Block<N>, x1: i32, y1: i32, early_out: u32) -> u32 {
+        // Inside blocks, most of a search's, skip building the rows.
         if self.contains(x1, y1, N) {
             sad_rows(cur, |r| self.row(x1, y1, r), early_out)
         } else {
-            let clamped = self.gather::<N>(x1, y1, false);
-            sad_rows(cur, |r| &clamped[r], early_out)
+            let mut scratch = None;
+            let rows = self.rows_at(x1, y1, false, &mut scratch);
+            sad_rows(cur, |r| rows[r], early_out)
         }
     }
 }
@@ -237,19 +277,29 @@ mod tests {
         assert_eq!(out, data);
     }
 
+    /// `gather` and `rows_at` agree with `sample` on inside blocks,
+    /// blocks clamped only above or below, and blocks clamped sideways.
     #[test]
     fn gather_clamps_like_sample() {
+        fn check<const N: usize>(p: &PlaneRef<'_>, x0: i32, y0: i32) {
+            let inside = p.contains(x0, y0, N);
+            let block: Block<N> = p.gather(x0, y0, inside);
+            let mut scratch = None;
+            let rows = p.rows_at::<N>(x0, y0, inside, &mut scratch);
+            for (r, row) in block.iter().enumerate() {
+                assert_eq!(rows[r], row, "row {r} of ({x0}, {y0})");
+                for (c, &s) in row.iter().enumerate() {
+                    assert_eq!(s, p.sample(x0 + c as i32, y0 + r as i32));
+                }
+            }
+        }
         let mut rng = VrRng::seed_from(0xb10c_0001);
         let data: Vec<u8> = (0..40 * 24).map(|_| rng.next_u32() as u8).collect();
         let p = PlaneRef::new(&data, 40, 24);
         for _ in 0..200 {
             let (x0, y0) = (rng.range_i64(-20, 44) as i32, rng.range_i64(-20, 28) as i32);
-            let block: Block<8> = p.gather(x0, y0, p.contains(x0, y0, 8));
-            for (r, row) in block.iter().enumerate() {
-                for (c, &s) in row.iter().enumerate() {
-                    assert_eq!(s, p.sample(x0 + c as i32, y0 + r as i32));
-                }
-            }
+            check::<8>(&p, x0, y0);
+            check::<16>(&p, x0, y0);
         }
     }
 

@@ -4,9 +4,9 @@
 //! same definitions — keeping them in one module makes drift
 //! impossible.
 
-use crate::blocks::{Block, PlaneRef};
+use crate::blocks::{Block, PlaneRef, Rows};
 use crate::motion::MotionVector;
-use crate::quant::{dequantize, Levels};
+use crate::quant::Levels;
 use crate::transform::{idct, idct_dc, N};
 use vr_frame::round_u8;
 
@@ -39,10 +39,12 @@ pub fn mb_blocks(bx: i32, by: i32) -> [(usize, i32, i32); 6] {
     ]
 }
 
-/// Quadrant `sub` (0..4, the order of [`mb_blocks`]) of a 16×16 block.
-pub fn quadrant(mb: &Block<MB>, sub: usize) -> Block<N> {
+/// Quadrant `sub` (0..4, the order of [`mb_blocks`]) of a 16×16
+/// block, borrowed in place.
+#[inline]
+pub fn quadrant<'a>(mb: &Rows<'a, MB>, sub: usize) -> Rows<'a, N> {
     let (x, y) = ((sub % 2) * N, (sub / 2) * N);
-    std::array::from_fn(|r| *mb[y + r][x..].first_chunk().expect("quadrant row"))
+    std::array::from_fn(|r| mb[y + r][x..].first_chunk().expect("quadrant row"))
 }
 
 /// Flat intra predictor for the 8×8 block at `(x0, y0)`: the mean of
@@ -90,24 +92,30 @@ pub fn intra_flat_pred(plane: &PlaneRef<'_>, x0: i32, y0: i32, enabled: bool) ->
 ///
 /// How much of the transform runs depends on where the nonzero levels
 /// are; each shortcut is the dense computation with exact no-ops left
-/// out (see [`idct`]): all-zero levels add `+0.0` to samples that are
-/// already whole, so the prediction comes back untouched; a lone DC
-/// level adds one value to every sample.
-pub fn reconstruct(block: &Levels, step: f32, pred: &Block<N>) -> Block<N> {
+/// out (see [`idct`], which dequantizes the masked rows as it goes):
+/// all-zero levels add `+0.0` to samples that are already whole, so
+/// the prediction comes back untouched; a lone DC level adds one value
+/// to every sample. The final add-and-round runs eight lanes per row
+/// through [`round_u8`], which has no libm call and no saturating cast.
+#[inline]
+pub fn reconstruct(block: &Levels, step: f32, pred: &Rows<'_, N>) -> Block<N> {
     if block.is_zero() {
-        return *pred;
+        return pred.map(|row| *row);
     }
     let mut out = [[0u8; N]; N];
-    let samples = out.as_flattened_mut().iter_mut().zip(pred.as_flattened());
     if block.is_dc_only() {
         let dc = idct_dc(block.levels[0] as f32 * step);
-        for (o, &p) in samples {
-            *o = round_u8(dc + p as f32);
+        for (o, p) in out.iter_mut().zip(pred) {
+            for k in 0..N {
+                o[k] = round_u8(dc + p[k] as f32);
+            }
         }
     } else {
-        let rec = idct(&dequantize(&block.levels, step), block.rows, block.cols);
-        for ((o, &p), r) in samples.zip(&rec) {
-            *o = round_u8(r + p as f32);
+        let rec = idct(&block.levels, step, block.rows, block.cols);
+        for ((o, p), r) in out.iter_mut().zip(pred).zip(&rec) {
+            for k in 0..N {
+                o[k] = round_u8(r[k] + p[k] as f32);
+            }
         }
     }
     out
@@ -161,22 +169,11 @@ mod tests {
         let mb: Block<MB> = std::array::from_fn(|r| std::array::from_fn(|c| (r * 16 + c) as u8));
         for (sub, &(plane, x0, y0)) in mb_blocks(32, 16)[..4].iter().enumerate() {
             assert_eq!(plane, 0);
-            let q = quadrant(&mb, sub);
+            let q = quadrant(&mb.each_ref(), sub);
             assert_eq!(q[0][0], mb[(y0 - 16) as usize][(x0 - 32) as usize]);
             assert_eq!(q[7][7], mb[(y0 - 16) as usize + 7][(x0 - 32) as usize + 7]);
         }
         assert_eq!(mb_blocks(32, 16)[4..], [(1, 16, 8), (2, 16, 8)]);
-    }
-
-    /// The reconstruction the sparsity shortcuts replaced: dense IDCT
-    /// over every level, libm rounding.
-    fn reconstruct_oracle(levels: &[i32; 64], step: f32, pred: &Block<N>) -> Block<N> {
-        let rec = idct(&dequantize(levels, step), 0xFF, 0xFF);
-        let mut out = [[0u8; N]; N];
-        for ((o, &p), r) in out.as_flattened_mut().iter_mut().zip(pred.as_flattened()).zip(&rec) {
-            *o = (r + p as f32).round().clamp(0.0, 255.0) as u8;
-        }
-        out
     }
 
     #[test]
@@ -199,8 +196,8 @@ mod tests {
                 std::array::from_fn(|_| if case % 2 == 0 { flat } else { rng.next_u32() as u8 })
             });
             assert_eq!(
-                reconstruct(&Levels::new(levels), step, &pred),
-                reconstruct_oracle(&levels, step, &pred),
+                reconstruct(&Levels::new(levels), step, &pred.each_ref()),
+                crate::oracle::reconstruct(&levels, step, &pred),
                 "case {case}"
             );
         }

@@ -108,15 +108,22 @@ impl Decoder {
                     mv_pred = mv;
                     let inside = refs[0].contains(bx, by, MB);
                     let (rx, ry) = (bx + mv.dx as i32, by + mv.dy as i32);
-                    let luma_pred = refs[0].gather::<MB>(rx, ry, refs[0].contains(rx, ry, MB));
+                    let mut luma_scratch = None;
+                    let luma_pred = refs[0].rows_at::<MB>(
+                        rx,
+                        ry,
+                        refs[0].contains(rx, ry, MB),
+                        &mut luma_scratch,
+                    );
                     let cmv = chroma_mv(mv);
                     let (cx, cy) = (bx / 2 + cmv.dx as i32, by / 2 + cmv.dy as i32);
                     let chroma_inside = refs[1].contains(cx, cy, N);
                     for (i, &(p, x0, y0)) in mb_blocks(bx, by).iter().enumerate() {
+                        let mut scratch = None;
                         let pred = if p == 0 {
                             quadrant(&luma_pred, i)
                         } else {
-                            refs[p].gather(cx, cy, chroma_inside)
+                            refs[p].rows_at(cx, cy, chroma_inside, &mut scratch)
                         };
                         let block = reconstruct(&read_block(r)?, step, &pred);
                         recon[p].scatter(x0, y0, inside, &block);
@@ -144,7 +151,7 @@ fn decode_intra_mb(
     let inside = recon[0].as_ref().contains(bx, by, MB);
     for &(p, x0, y0) in &mb_blocks(bx, by) {
         let pred = [[intra_flat_pred(&recon[p].as_ref(), x0, y0, dc_pred); N]; N];
-        let block = reconstruct(&read_block(r)?, step, &pred);
+        let block = reconstruct(&read_block(r)?, step, &pred.each_ref());
         recon[p].scatter(x0, y0, inside, &block);
     }
     Ok(())

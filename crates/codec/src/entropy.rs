@@ -9,12 +9,12 @@ use crate::motion::MotionVector;
 use crate::quant::Levels;
 use crate::transform::{BLOCK, N};
 use vr_base::{Error, Result};
-use vr_bitstream::expgolomb::{put_se, put_ue, read_se, read_ue};
+use vr_bitstream::expgolomb::{put_se, put_ue, read_se, read_ue, zigzag_encode};
 use vr_bitstream::zigzag;
 use vr_bitstream::{BitReader, BitWriter};
 
 /// The 8×8 zig-zag scan order, computed once.
-fn scan() -> &'static [usize; BLOCK] {
+pub(crate) fn scan() -> &'static [usize; BLOCK] {
     use std::sync::OnceLock;
     static SCAN: OnceLock<[usize; BLOCK]> = OnceLock::new();
     SCAN.get_or_init(|| {
@@ -25,7 +25,27 @@ fn scan() -> &'static [usize; BLOCK] {
     })
 }
 
-/// Encode one quantized 8×8 block.
+/// The number of 8×8 positions on anti-diagonals `0..=d` (`u + c <=
+/// d`): the zig-zag scan visits the diagonals in order, so these are
+/// its first `diagonal_end(d)` positions.
+fn diagonal_end(d: usize) -> usize {
+    if d < N {
+        (d + 1) * (d + 2) / 2
+    } else {
+        BLOCK - (2 * N - 2 - d) * (2 * N - 1 - d) / 2
+    }
+}
+
+/// Encode one quantized 8×8 block: the count of nonzero levels, then
+/// one (zero-run, level) pair per nonzero level in zig-zag order.
+///
+/// Every nonzero level lies in a row and a column the masks name, so
+/// on an anti-diagonal no later than the last masked row plus the last
+/// masked column, and the scan stops at the end of that diagonal. It
+/// builds a bit mask of the nonzero positions in scan order without a
+/// branch per position, then visits only the set bits: a pair's run is
+/// the gap to the previous one.
+#[inline]
 pub fn put_block(w: &mut BitWriter, block: &Levels) {
     if block.is_zero() {
         put_ue(w, 0);
@@ -33,24 +53,38 @@ pub fn put_block(w: &mut BitWriter, block: &Levels) {
     }
     let levels = &block.levels;
     let order = scan();
-    // Collect (run, level) pairs in scan order. A block holds at most
-    // BLOCK nonzero coefficients, so a fixed stack array suffices —
-    // this is the encoder's innermost loop and must not heap-allocate.
-    let mut pairs = [(0u32, 0i32); BLOCK];
-    let mut n = 0usize;
-    let mut run = 0u32;
-    for &idx in order.iter() {
-        let l = levels[idx];
-        if l == 0 {
-            run += 1;
-        } else {
-            pairs[n] = (run, l);
-            n += 1;
-            run = 0;
-        }
+    let last = (7 - block.rows.leading_zeros()) + (7 - block.cols.leading_zeros());
+    let mut nonzero = 0u64;
+    for (i, &idx) in order[..diagonal_end(last as usize)].iter().enumerate() {
+        // `idx < BLOCK` always; the mask lets the compiler see it.
+        nonzero |= ((levels[idx & (BLOCK - 1)] != 0) as u64) << i;
     }
-    put_ue(w, n as u64);
-    for &(run, level) in &pairs[..n] {
+    put_ue(w, nonzero.count_ones() as u64);
+    let mut next = 0;
+    while nonzero != 0 {
+        let pos = nonzero.trailing_zeros();
+        put_run_level(w, pos - next, levels[order[pos as usize] & (BLOCK - 1)]);
+        next = pos + 1;
+        nonzero &= nonzero - 1;
+    }
+}
+
+/// `ue(run)` then `se(level)`, as one field when the two codes fit in
+/// 64 bits together. An Exp-Golomb code of `v` is `v + 1` written
+/// `2·bits(v + 1) − 1` wide, its zero prefix implied by the width, so
+/// the two codes side by side are one `put_bits` of the two values
+/// shifted together. A run is at most 63 (a 13-bit code) and a level
+/// the encoder produces at most 3264 in magnitude (`2040 / qstep(0)`,
+/// a 25-bit code), so its pairs are at most 38 bits: the split path is
+/// for levels no DCT of byte residuals produces.
+#[inline]
+fn put_run_level(w: &mut BitWriter, run: u32, level: i32) {
+    let r = run as u64 + 1;
+    let l = zigzag_encode(level as i64) + 1;
+    let (r_len, l_len) = (2 * (64 - r.leading_zeros()) - 1, 2 * (64 - l.leading_zeros()) - 1);
+    if r_len + l_len <= 64 {
+        w.put_bits(r << l_len | l, r_len + l_len);
+    } else {
         put_ue(w, run as u64);
         put_se(w, level as i64);
     }
@@ -108,6 +142,63 @@ pub fn read_mv(r: &mut BitReader<'_>, pred: MotionVector) -> Result<MotionVector
 mod tests {
     use super::*;
     use vr_base::VrRng;
+
+    /// Encoded bytes of `blocks`, each behind a 5-bit misalignment so
+    /// the writer's word boundary falls in every position.
+    fn encode_all(blocks: &[Levels], put: fn(&mut BitWriter, &Levels)) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        for b in blocks {
+            w.put_bits(0b10110, 5);
+            put(&mut w, b);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn zigzag_visits_the_anti_diagonals_in_order() {
+        for (i, &idx) in scan().iter().enumerate() {
+            let d = idx / N + idx % N;
+            assert!(i < diagonal_end(d), "position {i} on diagonal {d}");
+            assert!(d == 0 || i >= diagonal_end(d - 1), "position {i} on diagonal {d}");
+        }
+    }
+
+    /// Byte equality with the full-scan encoder on empty, DC-only,
+    /// sparse low-frequency, dense and extreme blocks (levels whose
+    /// pair does not fit one 64-bit field take the split path).
+    #[test]
+    fn put_block_matches_the_full_scan_oracle() {
+        let mut rng = VrRng::seed_from(0xe7c0_0001);
+        let mut blocks = Vec::new();
+        for case in 0..6000 {
+            let mut levels = [0i32; BLOCK];
+            match case % 6 {
+                0 => {}
+                1 => levels[0] = rng.range_i64(-3264, 3264) as i32,
+                2 => {
+                    let corner = rng.range(1, N);
+                    for _ in 0..rng.range(1, 12) {
+                        let (u, c) = (rng.range(0, corner - 1), rng.range(0, corner - 1));
+                        levels[u * N + c] = rng.range_i64(-40, 40) as i32;
+                    }
+                }
+                3 => {
+                    for l in &mut levels {
+                        *l = rng.range_i64(-3264, 3264) as i32;
+                    }
+                }
+                4 => levels[rng.range(0, BLOCK - 1)] = rng.range_i64(-5, 5) as i32,
+                _ => {
+                    let extremes = [i32::MIN, i32::MAX, -(1 << 20), 1 << 20, 1];
+                    for _ in 0..rng.range(1, 4) {
+                        levels[rng.range(0, BLOCK - 1)] = extremes[rng.range(0, 4)];
+                    }
+                }
+            }
+            blocks.push(Levels::new(levels));
+        }
+        assert_eq!(encode_all(&blocks, put_block), encode_all(&blocks, crate::oracle::put_block));
+    }
 
     #[test]
     fn empty_block_costs_one_symbol() {

@@ -27,12 +27,16 @@
 //! dramatically better than noise), which is what the benchmark's
 //! dataset-validation experiments (Table 9) require.
 
+#![forbid(unsafe_code)]
+
 pub mod blocks;
 pub mod common;
 pub mod decoder;
 pub mod encoder;
 pub mod entropy;
 pub mod motion;
+#[cfg(test)]
+mod oracle;
 pub mod packet;
 pub mod quant;
 pub mod ratecontrol;

@@ -73,22 +73,28 @@ fn clamp(v: i32) -> u8 {
 
 /// Round a float sample to the nearest `u8`, halves away from zero,
 /// saturating: bit-for-bit `x.round().clamp(0.0, 255.0) as u8`, but
-/// without the libm `roundf` call that `f32::round` is on the baseline
-/// x86-64 target, so per-sample loops around it vectorize.
+/// with neither the libm `roundf` call that `f32::round` is on the
+/// baseline x86-64 target nor a saturating float-to-int cast, so a
+/// per-sample loop around it vectorizes end to end (compare-selects,
+/// two adds, a compare, a byte pack).
 ///
-/// Exactness: after the clamp `c` is in `[0, 255]` (or NaN). `c as i32`
-/// truncates, which is `floor` there, and `c - floor(c)` is exact for
-/// every float, so `frac >= 0.5` is the true comparison and `t + 1`
-/// is exactly `round(c)`; `t == 255` only for `c == 255.0`, where
-/// `frac == 0`. Clamping first is the same as clamping last because
-/// `round` is monotone and fixes 0 and 255. NaN survives the clamp,
-/// casts to 0 and compares false, as `NaN as u8 == 0` did.
+/// Exactness: the two selects clamp to `[0, 255]` and send NaN to 0
+/// (`x > 0.0` is false for NaN), as `NaN as u8 == 0` did. Adding 2^23
+/// to `c` lands in `[2^23, 2^23 + 256)`, where the spacing of floats is
+/// 1, so the sum is exactly `2^23 + rne(c)` (round to nearest, ties to
+/// even) and its low mantissa byte is `rne(c)`; subtracting 2^23 again
+/// is exact. `c - rne(c)` is exact (Sterbenz for `c >= 1/2`, `c - 0`
+/// below) and lies in `[-1/2, 1/2]`; it is `1/2` exactly when `c` is a
+/// tie that went down to even, the one case where halves-away-from-zero
+/// is one more. No carry: a tie that went down is at most 254.
 #[inline]
 pub fn round_u8(x: f32) -> u8 {
-    let c = x.clamp(0.0, 255.0);
-    let t = c as i32;
-    let frac = c - t as f32;
-    (t + (frac >= 0.5) as i32) as u8
+    const MAGIC: f32 = 8_388_608.0; // 2^23
+    let c = if x > 0.0 { x } else { 0.0 };
+    let c = if c < 255.0 { c } else { 255.0 };
+    let m = c + MAGIC;
+    let nearest_even = m - MAGIC;
+    m.to_bits() as u8 + (c - nearest_even >= 0.5) as u8
 }
 
 #[cfg(test)]
@@ -149,6 +155,40 @@ mod tests {
     /// The libm form `round_u8` replaces.
     fn round_u8_oracle(x: f32) -> u8 {
         x.round().clamp(0.0, 255.0) as u8
+    }
+
+    /// The clamp-and-truncate form the compare-select one replaced.
+    fn round_u8_truncating_oracle(x: f32) -> u8 {
+        let c = x.clamp(0.0, 255.0);
+        let t = c as i32;
+        let frac = c - t as f32;
+        (t + (frac >= 0.5) as i32) as u8
+    }
+
+    /// Against both older forms on every float in `[-1, 257]` that has
+    /// at most 12 fractional bits, around every tie, and on four
+    /// million random bit patterns (NaNs, infinities, subnormals and
+    /// huge values included).
+    #[test]
+    fn round_u8_matches_the_truncating_form_on_random_bits() {
+        let check = |x: f32| {
+            let want = round_u8_truncating_oracle(x);
+            assert_eq!(round_u8(x), want, "x = {x:e} ({:#x})", x.to_bits());
+            assert_eq!(round_u8_oracle(x), want, "x = {x:e} ({:#x})", x.to_bits());
+        };
+        for k in -4096i32..=257 * 4096 {
+            check(k as f32 / 4096.0);
+        }
+        for k in 0i32..=256 {
+            let tie = k as f32 + 0.5;
+            for d in -4i32..=4 {
+                check(f32::from_bits(tie.to_bits().wrapping_add_signed(d)));
+            }
+        }
+        let mut rng = vr_base::VrRng::seed_from(0x5e1e_c701);
+        for _ in 0..4_000_000 {
+            check(f32::from_bits(rng.next_u32()));
+        }
     }
 
     #[test]

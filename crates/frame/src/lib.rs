@@ -16,6 +16,8 @@
 //!   (Q6), plus drawing primitives for bounding boxes and captions.
 //! * quality metrics: MSE and PSNR (the frame-validation metric, §3.2).
 
+#![forbid(unsafe_code)]
+
 pub mod color;
 pub mod draw;
 pub mod frame;
