@@ -29,7 +29,7 @@ stage_guard() {
     ./target/release/loc_report crates/base/src/{json,admission}.rs \
         crates/base/src/obs/{mod,metrics,slo,qlog,trace}.rs \
         crates/vdbms/src/{plan,cost}.rs crates/bench/src/json.rs \
-        crates/bench/src/bin/stress_test.rs \
+        crates/bench/src/stress.rs crates/bench/src/bin/stress_test.rs \
         crates/core/src/bin/visualroad.rs | tee "$ART/loc_json.txt"
     echo "-- the executor's lines of code; one streaming executor"
     ./target/release/loc_report crates/vdbms/src/pipeline.rs | tee "$ART/loc_pipeline.txt"

@@ -33,7 +33,7 @@
 //! so the stress driver and the live `/metrics` endpoint see the same
 //! accounting the server reports.
 
-use crate::json::{Layout::{Block, Inline}, Writer};
+use crate::json::{self, Layout::{Block, Inline}, Value, Writer};
 use crate::obs::slo::SloTracker;
 use crate::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
@@ -72,6 +72,13 @@ impl Priority {
             Priority::Low => "low",
         }
     }
+
+    /// The priority whose [`label`](Self::label) is exactly `label`:
+    /// the strict reader of what `label` writes (`FromStr` is the
+    /// lenient one the wire accepts).
+    pub fn from_label(label: &str) -> Option<Priority> {
+        [Priority::High, Priority::Low].into_iter().find(|p| p.label() == label)
+    }
 }
 
 impl std::fmt::Display for Priority {
@@ -100,6 +107,17 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
+    /// Every reason, in the order the `STATS` ledger lists them.
+    pub const ALL: [ShedReason; 6] = [
+        Self::Saturated, Self::QueueFull, Self::Quota,
+        Self::BreakerOpen, Self::Draining, Self::DeadlineExpired,
+    ];
+
+    /// The reason whose [`label`](Self::label) is exactly `label`.
+    pub fn from_label(label: &str) -> Option<ShedReason> {
+        Self::ALL.into_iter().find(|r| r.label() == label)
+    }
+
     /// Stable lower-snake label used in wire responses and metrics.
     pub fn label(&self) -> &'static str {
         match self {
@@ -270,12 +288,12 @@ pub struct TenantCounters {
 impl TenantCounters {
     /// Every shed, regardless of reason.
     pub fn shed_total(&self) -> u64 {
-        self.shed_saturated
-            + self.shed_queue_full
-            + self.shed_quota
-            + self.shed_breaker
-            + self.shed_draining
-            + self.shed_deadline
+        ShedReason::ALL.iter().map(|r| self.shed(*r)).sum()
+    }
+
+    /// Sheds for one reason.
+    pub fn shed(mut self, reason: ShedReason) -> u64 {
+        *self.shed_slot(reason)
     }
 
     fn shed_slot(&mut self, reason: ShedReason) -> &mut u64 {
@@ -288,12 +306,34 @@ impl TenantCounters {
             ShedReason::DeadlineExpired => &mut self.shed_deadline,
         }
     }
+
+    /// Every counter under its `STATS` key, in the order `STATS` lists
+    /// them: the one key table the writer and the reader share.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 15] {
+        [
+            ("admitted", &mut self.admitted),
+            ("degraded", &mut self.degraded),
+            ("shed_saturated", &mut self.shed_saturated),
+            ("shed_queue_full", &mut self.shed_queue_full),
+            ("shed_quota", &mut self.shed_quota),
+            ("shed_breaker", &mut self.shed_breaker),
+            ("shed_draining", &mut self.shed_draining),
+            ("shed_deadline", &mut self.shed_deadline),
+            ("completed_ok", &mut self.completed_ok),
+            ("failed", &mut self.failed),
+            ("breaker_trips", &mut self.breaker_trips),
+            ("index_served", &mut self.index_served),
+            ("rescan_served", &mut self.rescan_served),
+            ("queue_waited", &mut self.queue_waited),
+            ("queue_wait_us", &mut self.queue_wait_us),
+        ]
+    }
 }
 
 /// Point-in-time view of the controller: live occupancy plus the
 /// per-tenant ledger. Tenants are ordered, so the JSON rendering is
 /// deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
     pub active: usize,
     pub queued: usize,
@@ -302,9 +342,19 @@ pub struct AdmissionSnapshot {
 }
 
 impl AdmissionSnapshot {
-    /// Sum of one counter across tenants.
-    fn total(&self, f: impl Fn(&TenantCounters) -> u64) -> u64 {
-        self.tenants.values().map(f).sum()
+    /// The ledger-wide sums `STATS` lists above the tenants, in order.
+    fn totals(&self) -> [(&'static str, u64); 8] {
+        let total = |f: fn(&TenantCounters) -> u64| self.tenants.values().map(f).sum();
+        [
+            ("admitted", total(|t| t.admitted)),
+            ("degraded", total(|t| t.degraded)),
+            ("shed", total(TenantCounters::shed_total)),
+            ("breaker_trips", total(|t| t.breaker_trips)),
+            ("index_served", total(|t| t.index_served)),
+            ("rescan_served", total(|t| t.rescan_served)),
+            ("queue_waited", total(|t| t.queue_waited)),
+            ("queue_wait_us", total(|t| t.queue_wait_us)),
+        ]
     }
 
     /// Deterministic JSON rendering (the server's `STATS` body).
@@ -319,29 +369,17 @@ impl AdmissionSnapshot {
         w.object(Block);
         w.member("active", self.active).member("queued", self.queued);
         w.member("draining", self.draining);
-        w.member("admitted", self.total(|t| t.admitted));
-        w.member("degraded", self.total(|t| t.degraded));
-        w.member("shed", self.total(|t| t.shed_total()));
-        w.member("breaker_trips", self.total(|t| t.breaker_trips));
-        w.member("index_served", self.total(|t| t.index_served));
-        w.member("rescan_served", self.total(|t| t.rescan_served));
-        w.member("queue_waited", self.total(|t| t.queue_waited));
-        w.member("queue_wait_us", self.total(|t| t.queue_wait_us));
+        for (key, total) in self.totals() {
+            w.member(key, total);
+        }
         w.key("tenants").object(Block);
         for (name, t) in &self.tenants {
             w.key(name).object(Inline);
-            w.member("admitted", t.admitted).member("degraded", t.degraded);
-            w.member("shed_saturated", t.shed_saturated);
-            w.member("shed_queue_full", t.shed_queue_full);
-            w.member("shed_quota", t.shed_quota).member("shed_breaker", t.shed_breaker);
-            w.member("shed_draining", t.shed_draining);
-            w.member("shed_deadline", t.shed_deadline);
-            w.member("completed_ok", t.completed_ok).member("failed", t.failed);
-            w.member("breaker_trips", t.breaker_trips);
-            w.member("index_served", t.index_served);
-            w.member("rescan_served", t.rescan_served);
-            w.member("queue_waited", t.queue_waited);
-            w.member("queue_wait_us", t.queue_wait_us).end();
+            let mut counters = *t;
+            for (key, n) in counters.fields_mut() {
+                w.member(key, *n);
+            }
+            w.end();
         }
         w.end();
         if let Some(slo) = slo {
@@ -349,6 +387,44 @@ impl AdmissionSnapshot {
         }
         w.end();
         w.finish()
+    }
+
+    /// Read a `STATS` body back: the strict reader of
+    /// [`to_json_with_slo`](Self::to_json_with_slo). Every counter, of
+    /// the ledger and of each tenant, must be present and a
+    /// non-negative integer, and each ledger-wide sum must equal its
+    /// tenants' sum; the error names the offending key. An `slo` block
+    /// is skipped.
+    pub fn parse(body: &str) -> Result<Self, String> {
+        let doc = json::parse(body)?;
+        let count = |v: &Value, key: &str| match v.get(key).and_then(Value::as_f64) {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 && n < 2f64.powi(53) => Ok(n as u64),
+            Some(n) => Err(format!("counter {key:?} is {n}, not a non-negative integer")),
+            None => Err(format!("counter {key:?} is missing or not a number")),
+        };
+        let Some(Value::Bool(draining)) = doc.get("draining") else {
+            return Err("\"draining\" is missing or not a boolean".into());
+        };
+        let listed = doc.get("tenants").and_then(Value::as_object);
+        let mut snap = AdmissionSnapshot {
+            active: count(&doc, "active")? as usize,
+            queued: count(&doc, "queued")? as usize,
+            draining: *draining,
+            tenants: BTreeMap::new(),
+        };
+        for (name, v) in listed.ok_or("\"tenants\" is missing or not an object")? {
+            let mut t = TenantCounters::default();
+            for (key, n) in t.fields_mut() {
+                *n = count(v, key).map_err(|e| format!("tenant {name:?}: {e}"))?;
+            }
+            snap.tenants.insert(name.clone(), t);
+        }
+        for (key, total) in snap.totals() {
+            if count(&doc, key)? != total {
+                return Err(format!("counter {key:?} is not the sum of its tenants' ({total})"));
+            }
+        }
+        Ok(snap)
     }
 }
 
@@ -1098,5 +1174,56 @@ mod tests {
         assert_eq!(ledger_shed, shed);
         let ok: u64 = snap.tenants.values().map(|t| t.completed_ok).sum();
         assert_eq!(ok, admitted, "every admitted request completed");
+    }
+
+    /// Two tenants whose every counter is nonzero and distinct.
+    fn busy_snapshot() -> AdmissionSnapshot {
+        let mut tenants = BTreeMap::new();
+        for (name, base) in [("gold", 1u64), ("a\"b", 100)] {
+            let mut t = TenantCounters::default();
+            for (i, (_, n)) in t.fields_mut().into_iter().enumerate() {
+                *n = base + i as u64;
+            }
+            tenants.insert(name.to_string(), t);
+        }
+        AdmissionSnapshot { active: 3, queued: 2, draining: true, tenants }
+    }
+
+    #[test]
+    fn stats_reads_back_what_it_wrote() {
+        let snap = busy_snapshot();
+        let slo = SloTracker::new(crate::obs::slo::SloConfig::default());
+        slo.record("gold", Priority::High, crate::obs::qlog::Outcome::Ok, Duration::from_millis(3));
+        for body in [snap.to_json(), snap.to_json_with_slo(Some(&slo))] {
+            assert_eq!(AdmissionSnapshot::parse(&body).unwrap(), snap);
+            // The wire form: the server folds the body onto one line.
+            assert_eq!(AdmissionSnapshot::parse(&body.replace('\n', "")).unwrap(), snap);
+        }
+        let idle = AdmissionSnapshot::default();
+        assert_eq!(AdmissionSnapshot::parse(&idle.to_json()).unwrap(), idle);
+    }
+
+    /// A body that lacks a counter, or holds a negative or fractional
+    /// one, is refused with the key named, never read as 0.
+    #[test]
+    fn stats_reader_fails_closed_naming_the_key() {
+        let body = busy_snapshot().to_json();
+        let gold = "\"index_served\": 12, ";
+        assert!(body.contains(gold));
+        let refused = |body: &str, key: &str| {
+            let err = AdmissionSnapshot::parse(body).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{err}");
+        };
+        refused(&body.replace(gold, ""), "index_served");
+        refused(&body.replace(gold, "\"index_served\": -12, "), "index_served");
+        refused(&body.replace(gold, "\"index_served\": 12.5, "), "index_served");
+        refused(&body.replace(gold, "\"index_served\": \"12\", "), "index_served");
+        refused(&body.replace("\"queued\": 2", "\"queued\": null"), "queued");
+        refused(&body.replace("\"shed\": ", "\"shed_total\": "), "shed");
+        // A ledger-wide sum that disagrees with its tenants.
+        refused(&body.replace("\"admitted\": 101,\n", "\"admitted\": 100,\n"), "admitted");
+        assert!(AdmissionSnapshot::parse("STATS {}").is_err());
+        assert!(AdmissionSnapshot::parse(&body.replace("\"draining\": true", "\"draining\": 1"))
+            .is_err());
     }
 }

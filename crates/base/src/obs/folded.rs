@@ -146,6 +146,30 @@ pub fn save(path: &str) -> Result<usize, String> {
     Ok(folded.stacks.len())
 }
 
+/// Validate a collapsed-stacks file: the reader of
+/// [`FoldedStacks::render`]. `source` names the file in diagnostics.
+/// The file must hold a stack, and every non-empty line must be
+/// `frame;frame;... <nanos>`: no empty frame, and a count that is a
+/// non-negative integer. Returns the number of stacks.
+pub fn validate(text: &str, source: &str) -> Result<usize, String> {
+    let mut lines = 0;
+    for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+        let at = |msg: String| format!("{source}:{}: {msg}", i + 1);
+        let split = line.rsplit_once(' ');
+        let (stack, count) = split.ok_or_else(|| at("no \"stack count\" separator".into()))?;
+        if stack.is_empty() || stack.split(';').any(str::is_empty) {
+            return Err(at(format!("empty frame in stack {stack:?}")));
+        }
+        let bad_count = |_| at(format!("count {count:?} is not a non-negative integer"));
+        count.parse::<u64>().map_err(bad_count)?;
+        lines += 1;
+    }
+    if lines == 0 {
+        return Err(format!("{source}: no folded stacks"));
+    }
+    Ok(lines)
+}
+
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -245,5 +269,29 @@ mod tests {
         let folded = fold(&events).unwrap();
         assert_eq!(folded.unclosed, 1);
         assert_eq!(folded.stacks.len(), 1);
+    }
+
+    #[test]
+    fn validate_reads_what_render_wrote() {
+        let events = vec![
+            ev("outer", Phase::Begin, 0, 1, None),
+            ev("inner", Phase::Begin, 10, 2, Some(1)),
+            ev("inner", Phase::End, 40, 2, None),
+            ev("outer", Phase::End, 100, 1, None),
+        ];
+        assert_eq!(validate(&fold(&events).unwrap().render(), "f.txt"), Ok(2));
+    }
+
+    /// One rejection for each of `validate`'s two checks.
+    #[test]
+    fn validate_refuses_each_broken_rule() {
+        let refused = |text: &str, why: &str| {
+            let err = validate(text, "f.txt").unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        };
+        refused("\n\n", "f.txt: no folded stacks");
+        refused("a;b 7\na;;b 3\n", "f.txt:2: empty frame in stack \"a;;b\"");
+        refused("a;b 7\na;b\n", "f.txt:2: no \"stack count\" separator");
+        refused("a;b -7\n", "f.txt:1: count \"-7\" is not a non-negative integer");
     }
 }

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::json::{Layout::{Block, Inline}, Writer};
+use crate::json::{self, Layout::{Block, Inline}, Value, Writer};
 use crate::sync::RwLock;
 
 // ---------------------------------------------------------------------------
@@ -540,6 +540,38 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Validate a [`MetricsSnapshot::to_json`] document. `source` names it
+/// in diagnostics. The snapshot must parse with a `counters` object,
+/// every counter must be a non-negative finite number, and every
+/// histogram's bucket counts must sum to its `count`.
+pub fn validate(text: &str, source: &str) -> Result<(), String> {
+    let at = |msg: String| format!("{source}: {msg}");
+    let doc = json::parse(text).map_err(|e| at(format!("invalid JSON: {e}")))?;
+    let counters = doc.get("counters").and_then(Value::as_object);
+    for (name, value) in counters.ok_or_else(|| at("no \"counters\" object".into()))? {
+        let v = value.as_f64().ok_or_else(|| at(format!("counter {name:?} is not a number")))?;
+        if !v.is_finite() || v < 0.0 {
+            return Err(at(format!("counter {name:?} is negative or non-finite ({v})")));
+        }
+    }
+    let count = |v: &Value| v.as_f64().filter(|c| c.is_finite() && *c >= 0.0);
+    for (name, hist) in doc.get("histograms").and_then(Value::as_object).into_iter().flatten() {
+        let bad = |what: String| at(format!("histogram {name:?} {what}"));
+        let total = hist.get("count").and_then(count);
+        let total = total.ok_or_else(|| bad("missing \"count\"".into()))?;
+        let buckets = hist.get("buckets").and_then(Value::as_array);
+        let buckets = buckets.ok_or_else(|| bad("missing \"buckets\"".into()))?;
+        let mut sum = 0.0;
+        for (i, b) in buckets.iter().enumerate() {
+            sum += count(b).ok_or_else(|| bad(format!("bucket {i} is invalid")))?;
+        }
+        if sum != total {
+            return Err(bad(format!("buckets sum to {sum} but count is {total}")));
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -758,5 +790,36 @@ mod tests {
         assert!(text.contains("counter a.count 2"));
         assert!(text.contains("gauge b.gauge 0.5"));
         assert!(text.contains("histogram c.nanos count=1"));
+    }
+
+    #[test]
+    fn validate_reads_what_to_json_wrote() {
+        let registry = Registry::new();
+        registry.counter("a.count").add(2);
+        registry.gauge("b.gauge").set(-0.5);
+        let h = registry.histogram("stage.kernel.nanos");
+        for nanos in [900, 1_500, 40_000, 7_000_000] {
+            h.observe(nanos);
+        }
+        assert_eq!(validate(&registry.snapshot().to_json(), "m.json"), Ok(()));
+        assert_eq!(validate(&Registry::new().snapshot().to_json(), "m.json"), Ok(()));
+    }
+
+    /// One rejection for each of `validate`'s two checks.
+    #[test]
+    fn validate_refuses_each_broken_rule() {
+        let refused = |text: &str, why: &str| {
+            let err = validate(text, "m.json").unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        };
+        refused(
+            "{\"counters\": {\"a\": -1}}",
+            "m.json: counter \"a\" is negative or non-finite (-1)",
+        );
+        refused("{\"counters\": {\"a\": \"1\"}}", "m.json: counter \"a\" is not a number");
+        refused("{\"gauges\": {}}", "m.json: no \"counters\" object");
+        let histogram =
+            "{\"counters\": {}, \"histograms\": {\"h\": {\"count\": 3, \"buckets\": [1, 1]}}}";
+        refused(histogram, "m.json: histogram \"h\" buckets sum to 2 but count is 3");
     }
 }

@@ -14,21 +14,22 @@
 //! time while request ids are minted at *arrival* time:
 //!
 //! * `seq` — assigned under the append lock; strictly increasing in
-//!   file order (what `trace_check --qlog` validates);
+//!   file order (one of the checks [`parse`] makes);
 //! * `req` — the arrival-minted id threaded through admission, the
 //!   optimizer, and the span tracer (`request.req-NNNNNN.<tenant>`
 //!   lanes in chrome-trace); unique but not ordered in the file.
 //!
 //! A bounded in-memory ring of the most recent rendered lines backs
 //! the live `/requests` view, so the log is inspectable even when no
-//! `--qlog-out` file was configured.
+//! `--qlog-out` file was configured. [`parse`] reads a log back into
+//! the records that wrote it.
 
 use std::collections::VecDeque;
 use std::io::Write;
 use std::time::Duration;
 
-use crate::admission::Priority;
-use crate::json::{Layout::Inline, Writer};
+use crate::admission::{Priority, ShedReason};
+use crate::json::{self, Layout::Inline, Value, Writer};
 use crate::sync::Mutex;
 
 /// Most recent rendered records retained for the `/requests` view.
@@ -76,11 +77,18 @@ impl Outcome {
             Outcome::Err => "err",
         }
     }
+
+    /// The outcome whose [`label`](Self::label) is exactly `label`.
+    pub(crate) fn from_label(label: &str) -> Option<Outcome> {
+        [Outcome::Ok, Outcome::Cancelled, Outcome::Shed, Outcome::Err]
+            .into_iter()
+            .find(|o| o.label() == label)
+    }
 }
 
 /// One settled request, ready to render. `seq` is assigned by
 /// [`QueryLog::append`]; everything else is filled by the server.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Arrival-minted request id ([`RequestCtx::id`]).
     pub req: u64,
@@ -224,6 +232,119 @@ impl QueryLog {
     }
 }
 
+/// A record [`parse`] read back: the server's record plus the two
+/// fields [`QueryLog`] adds to it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Logged {
+    /// Append order; strictly increasing in the file.
+    pub seq: u64,
+    /// The log's slow-query threshold in micros (0: none).
+    pub slow_us: u64,
+    pub record: RequestRecord,
+}
+
+/// Read a JSONL query log back: the strict reader of
+/// [`QueryLog::append`]. `source` names the log in diagnostics, which
+/// also give the line. The log must hold at least one record, and each
+/// line, in this order, must parse as JSON; have a `seq` above the
+/// previous line's; a `req` >= 1; a non-empty `tenant`; a `priority` of
+/// `high` or `low`; an `outcome` of `ok`, `cancelled`, `shed` or `err`;
+/// a `shed_reason` iff the outcome is `shed` and a `route` iff it is
+/// `ok`; and an `exemplar` only when `latency_us` is at or over the
+/// record's own non-zero `slow_us`. Every other field must hold what
+/// the writer puts there (a known shed reason and route, a boolean
+/// `degraded`, non-negative numbers, strings).
+pub fn parse(text: &str, source: &str) -> Result<Vec<Logged>, String> {
+    let mut records: Vec<Logged> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let at = |msg: String| format!("{source}:{}: {msg}", i + 1);
+        let value = json::parse(line).map_err(|e| at(format!("invalid JSON: {e}")))?;
+        let previous = records.last().map_or(0, |r| r.seq);
+        records.push(read_record(&value, previous).map_err(at)?);
+    }
+    if records.is_empty() {
+        return Err(format!("{source}: no query-log records"));
+    }
+    Ok(records)
+}
+
+/// One line of [`parse`], whose previous record had `seq` `previous`.
+fn read_record(rec: &Value, previous: u64) -> Result<Logged, String> {
+    let num = |key: &str| {
+        let n = rec.get(key).and_then(Value::as_f64).filter(|n| n.is_finite() && *n >= 0.0);
+        n.map(|n| n as u64).ok_or_else(|| format!("missing or negative {key:?}"))
+    };
+    let text = |key: &str| {
+        rec.get(key).and_then(Value::as_str).ok_or(format!("missing or non-string {key:?}"))
+    };
+    let nullable = |key: &str| match rec.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => v.as_str().map(Some).ok_or(format!("{key:?} is neither a string nor null")),
+    };
+    // A member the writer renders as one of `known`, or as `null`.
+    let label = |key: &str, known: &[&'static str]| match nullable(key)? {
+        Some(s) => {
+            known.iter().find(|k| **k == s).map(|k| Some(*k)).ok_or(format!("unknown {key} {s:?}"))
+        }
+        None => Ok(None),
+    };
+    let seq = num("seq")?;
+    if seq <= previous {
+        return Err(format!("seq {seq} is not strictly increasing (previous {previous})"));
+    }
+    let req = num("req")?;
+    if req < 1 {
+        return Err("req must be >= 1".into());
+    }
+    let tenant =
+        text("tenant").ok().filter(|t| !t.is_empty()).ok_or("missing or empty \"tenant\"")?;
+    let priority = rec.get("priority").and_then(Value::as_str);
+    let priority =
+        priority.and_then(Priority::from_label).ok_or(format!("bad priority {priority:?}"))?;
+    let outcome = text("outcome").map_err(|_| "missing \"outcome\"")?;
+    let outcome = Outcome::from_label(outcome).ok_or(format!("unknown outcome {outcome:?}"))?;
+    let shed = label("shed_reason", &ShedReason::ALL.map(|r| r.label()))?;
+    let route = label("route", &["index", "rescan"])?;
+    for (key, v, when) in [("shed_reason", shed, Outcome::Shed), ("route", route, Outcome::Ok)] {
+        if v.is_some() != (outcome == when) {
+            let (when, o) = (when.label(), outcome.label());
+            return Err(format!("{key} must be present iff outcome is {when} (outcome {o:?})"));
+        }
+    }
+    let slow_us = num("slow_us")?;
+    let latency_us = num("latency_us")?;
+    let exemplar = nullable("exemplar")?;
+    if exemplar.is_some() && (slow_us == 0 || latency_us < slow_us) {
+        return Err(format!(
+            "exemplar on a record that is not slow (latency {latency_us}us, threshold {slow_us}us)"
+        ));
+    }
+    let Some(&Value::Bool(degraded)) = rec.get("degraded") else {
+        return Err("missing or non-boolean \"degraded\"".into());
+    };
+    let deadline = match rec.get("deadline_ms") {
+        None | Some(Value::Null) => None,
+        Some(_) => Some(Duration::from_millis(num("deadline_ms")?)),
+    };
+    let record = RequestRecord {
+        req,
+        tenant: tenant.to_string(),
+        priority,
+        query: text("query")?.to_string(),
+        engine: text("engine")?.to_string(),
+        outcome,
+        shed_reason: shed,
+        degraded,
+        route,
+        queue_wait: Duration::from_micros(num("queue_wait_us")?),
+        latency: Duration::from_micros(latency_us),
+        deadline,
+        plan_digest: text("plan_digest")?.to_string(),
+        exemplar: exemplar.map(str::to_string),
+    };
+    Ok(Logged { seq, slow_us, record })
+}
+
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -288,5 +409,105 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"seq\": 1,"));
         assert!(lines[1].contains("\"seq\": 2,"));
+    }
+
+    /// Every outcome, a degraded record, no deadline, and an exemplar
+    /// on a record over the slow-query threshold.
+    fn settled() -> Vec<RequestRecord> {
+        let shed = RequestRecord {
+            outcome: Outcome::Shed,
+            shed_reason: Some(ShedReason::DeadlineExpired.label()),
+            route: None,
+            plan_digest: String::new(),
+            ..record(2)
+        };
+        let slow = RequestRecord {
+            tenant: "go\"ld".into(),
+            priority: Priority::Low,
+            degraded: true,
+            route: Some("index"),
+            deadline: None,
+            exemplar: Some("scan: rows=7\n  wall=3ms".into()),
+            ..record(3)
+        };
+        let cancelled = RequestRecord { outcome: Outcome::Cancelled, route: None, ..record(4) };
+        let err = RequestRecord { outcome: Outcome::Err, route: None, ..record(5) };
+        vec![record(1), shed, slow, cancelled, err]
+    }
+
+    #[test]
+    fn parse_reads_back_what_append_wrote() {
+        let log = QueryLog::open(None, Some(Duration::from_millis(1))).unwrap();
+        for r in settled() {
+            log.append(&r);
+        }
+        let logged = parse(&log.recent_jsonl(), "ring").unwrap();
+        let expected: Vec<Logged> = (1..)
+            .zip(settled())
+            .map(|(seq, record)| Logged { seq, slow_us: 1000, record })
+            .collect();
+        assert_eq!(logged, expected);
+    }
+
+    /// One rejection for each check `parse` documents, each made by
+    /// editing one field of a valid log.
+    #[test]
+    fn parse_refuses_each_broken_rule() {
+        let log = QueryLog::open(None, Some(Duration::from_millis(1))).unwrap();
+        for r in settled() {
+            log.append(&r);
+        }
+        let good = log.recent_jsonl();
+        let first = good.lines().next().unwrap();
+        let refused = |text: &str, why: &str| {
+            let err = parse(text, "q.jsonl").unwrap_err();
+            assert!(err.starts_with("q.jsonl:") && err.contains(why), "{why}: {err}");
+        };
+        let broken = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from}");
+            good.replacen(from, to, 1)
+        };
+        refused("", "no query-log records");
+        refused(&format!("{first}\n{{\"seq\": 2,"), "2: invalid JSON");
+        refused(&format!("{first}\n{first}"), "2: seq 1 is not strictly increasing (previous 1)");
+        refused(&broken("\"req\": 1,", "\"req\": 0,"), "1: req must be >= 1");
+        refused(
+            &broken("\"tenant\": \"gold\"", "\"tenant\": \"\""),
+            "1: missing or empty \"tenant\"",
+        );
+        refused(
+            &broken("\"priority\": \"high\"", "\"priority\": \"hi\""),
+            "1: bad priority Some(\"hi\")",
+        );
+        refused(
+            &broken("\"outcome\": \"ok\"", "\"outcome\": \"done\""),
+            "1: unknown outcome \"done\"",
+        );
+        refused(
+            &broken(
+                "\"outcome\": \"ok\", \"shed_reason\": null",
+                "\"outcome\": \"ok\", \"shed_reason\": \"quota\"",
+            ),
+            "1: shed_reason must be present iff outcome is shed",
+        );
+        refused(
+            &broken("\"route\": null", "\"route\": \"rescan\""),
+            "2: route must be present iff outcome is ok (outcome \"shed\")",
+        );
+        refused(
+            &broken(
+                "\"latency_us\": 3400, \"deadline_ms\": null",
+                "\"latency_us\": 999, \"deadline_ms\": null",
+            ),
+            "3: exemplar on a record that is not slow",
+        );
+        refused(
+            &broken("\"shed_reason\": \"deadline_expired\"", "\"shed_reason\": \"late\""),
+            "2: unknown shed_reason \"late\"",
+        );
+        refused(
+            &broken("\"route\": \"index\"", "\"route\": \"cache\""),
+            "3: unknown route \"cache\"",
+        );
     }
 }

@@ -24,12 +24,13 @@
 //! results (`tests/cli.rs` asserts this byte-for-byte).
 
 use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::json::{Fixed, Layout::Inline, Writer};
+use crate::json::{self, Fixed, Layout::Inline, Value, Writer};
 use crate::sync::Mutex;
 
 /// Default cap on buffered events (~2M); beyond it events are counted
@@ -270,6 +271,117 @@ pub fn save(path: &str) -> std::io::Result<usize> {
     Ok(n)
 }
 
+/// What [`validate`] counted in a profile that passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceSummary {
+    pub events: usize,
+    /// `B` events.
+    pub spans: usize,
+    /// Distinct span names.
+    pub names: usize,
+    pub tracks: usize,
+    /// Scheduler instance spans (`cat` `scheduler`, name `instance.*`).
+    pub instances: usize,
+}
+
+/// One event of a profile as [`validate`] reads it.
+struct Event<'a> {
+    name: &'a str,
+    cat: &'a str,
+    begin: bool,
+    ts: f64,
+    tid: u64,
+    index: usize,
+}
+
+fn parse_event(v: &Value, index: usize) -> Result<Event<'_>, String> {
+    let text = |key: &str| v.get(key).and_then(Value::as_str);
+    let num = |key: &str| v.get(key).and_then(Value::as_f64);
+    let missing = |what: &str| format!("event {index}: missing {what}");
+    let name =
+        text("name").filter(|n| !n.is_empty()).ok_or_else(|| missing("or empty \"name\""))?;
+    let cat = text("cat").ok_or_else(|| missing("\"cat\""))?;
+    let begin = match text("ph").ok_or_else(|| missing("\"ph\""))? {
+        "B" => true,
+        "E" => false,
+        other => return Err(format!("event {index}: unexpected phase {other:?}")),
+    };
+    let ts = num("ts")
+        .filter(|t| t.is_finite() && *t >= 0.0)
+        .ok_or_else(|| missing("or negative \"ts\""))?;
+    num("pid").ok_or_else(|| missing("\"pid\""))?;
+    let tid = num("tid").filter(|t| *t >= 0.0).ok_or_else(|| missing("\"tid\""))? as u64;
+    Ok(Event { name, cat, begin, ts, tid, index })
+}
+
+/// Validate a chrome-trace profile: the reader of
+/// [`write_chrome_trace`]. `source` names the document in diagnostics.
+/// Checks, in order:
+///
+/// 1. the document parses and holds a non-empty `traceEvents` array;
+/// 2. every event is well-formed: non-empty string `name`, string
+///    `cat`, `ph` of `"B"` or `"E"`, numeric `ts >= 0`, numeric
+///    `pid`/`tid`;
+/// 3. B/E pairs balance per track: replaying each `tid`'s events in
+///    file order, every `E` must close the innermost open `B` with the
+///    same name, timestamps must be non-decreasing within a track, and
+///    every track's stack must be empty at the end;
+/// 4. every `required` span name appears as a `B` event, and at least
+///    one scheduler instance span (`cat == "scheduler"`, name
+///    `instance.*`) is present.
+pub fn validate(text: &str, source: &str, required: &[&str]) -> Result<TraceSummary, String> {
+    let doc = json::parse(text).map_err(|e| format!("{source}: invalid JSON: {e}"))?;
+    let raw = doc.get("traceEvents").and_then(Value::as_array);
+    let raw = raw.ok_or_else(|| format!("{source}: no \"traceEvents\" array"))?;
+    if raw.is_empty() {
+        return Err(format!("{source}: traceEvents is empty"));
+    }
+    let events: Vec<Event> =
+        raw.iter().enumerate().map(|(i, v)| parse_event(v, i)).collect::<Result<_, _>>()?;
+
+    // Per-track balance: an E must close the innermost open B of the
+    // same name, and timestamps must be monotonic within the track.
+    let mut tracks: BTreeMap<u64, (Vec<&Event>, f64)> = BTreeMap::new();
+    for e in &events {
+        let Event { name, index: i, tid, ts, .. } = *e;
+        let (stack, last) = tracks.entry(tid).or_insert_with(|| (Vec::new(), 0.0));
+        if ts + 1e-9 < *last {
+            return Err(format!("event {i}: ts {ts} goes backwards on tid {tid} (previous {last})"));
+        }
+        *last = ts;
+        if e.begin {
+            stack.push(e);
+            continue;
+        }
+        let closes = stack.pop().map(|open| open.name);
+        if closes != Some(name) {
+            return Err(match closes {
+                Some(open) => format!("event {i}: E {name:?} closes B {open:?} on tid {tid}"),
+                None => format!("event {i}: E {name:?} with no open span on tid {tid}"),
+            });
+        }
+    }
+    for (tid, (stack, _)) in &tracks {
+        if let Some(Event { name, index, .. }) = stack.last() {
+            return Err(format!("tid {tid}: span {name:?} (event {index}) never closed"));
+        }
+    }
+
+    // Required span coverage.
+    let begins: Vec<&Event> = events.iter().filter(|e| e.begin).collect();
+    let names: BTreeSet<&str> = begins.iter().map(|e| e.name).collect();
+    if let Some(want) = required.iter().find(|want| !names.contains(*want)) {
+        return Err(format!("no span named {want:?} in the profile"));
+    }
+    let instances =
+        begins.iter().filter(|e| e.cat == "scheduler" && e.name.starts_with("instance.")).count();
+    if instances == 0 {
+        return Err("no scheduler instance span (cat \"scheduler\", name \"instance.*\")".into());
+    }
+    let (events, spans, names, tracks) = (events.len(), begins.len(), names.len(), tracks.len());
+    Ok(TraceSummary { events, spans, names, tracks, instances })
+}
+
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -429,5 +541,79 @@ mod tests {
         let mut empty = Vec::new();
         write_chrome_trace(&mut empty).unwrap();
         assert!(empty.starts_with(b"{\"traceEvents\": [\n], \"displayTimeUnit\": \"ms\", "));
+    }
+
+    #[test]
+    fn validate_reads_what_the_exporter_wrote() {
+        let json = with_tracer(|| {
+            {
+                let _instance = span("scheduler", "instance.q1.0");
+                let _decode = span("pipeline", "decode");
+                let _kernel = span("pipeline", "kernel");
+            }
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _sink = span("pipeline", "sink");
+                });
+            });
+            let mut buf = Vec::new();
+            write_chrome_trace(&mut buf).unwrap();
+            String::from_utf8(buf).unwrap()
+        });
+        let summary = validate(&json, "t.json", &["decode", "kernel", "sink"]).unwrap();
+        let expected = TraceSummary { events: 8, spans: 4, names: 4, tracks: 2, instances: 1 };
+        assert_eq!(summary, expected);
+    }
+
+    /// A profile of `events`, each `(name, cat, ph, ts, tid)`.
+    fn profile(events: &[(&str, &str, &str, f64, u64)]) -> String {
+        let events: Vec<String> = events
+            .iter()
+            .map(|(name, cat, ph, ts, tid)| {
+                format!(
+                    "{{\"name\": \"{name}\", \"cat\": \"{cat}\", \"ph\": \"{ph}\", \"ts\": {ts}, \
+                     \"pid\": 1, \"tid\": {tid}}}"
+                )
+            })
+            .collect();
+        format!("{{\"traceEvents\": [{}]}}", events.join(", "))
+    }
+
+    /// One rejection for each of `validate`'s four checks.
+    #[test]
+    fn validate_refuses_each_broken_rule() {
+        let refused = |text: &str, required: &[&str], why: &str| {
+            let err = validate(text, "t.json", required).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        };
+        let instance = [
+            ("instance.q1.0", "scheduler", "B", 0.0, 1),
+            ("instance.q1.0", "scheduler", "E", 9.0, 1),
+        ];
+        validate(&profile(&instance), "t.json", &[]).unwrap();
+        // 1. a document with events.
+        refused("{\"traceEvents\": []}", &[], "t.json: traceEvents is empty");
+        refused("{\"events\": []}", &[], "t.json: no \"traceEvents\" array");
+        // 2. well-formed events.
+        refused(&profile(&[("x", "c", "X", 0.0, 1)]), &[], "event 0: unexpected phase \"X\"");
+        refused(&profile(&[("x", "c", "B", -1.0, 1)]), &[], "event 0: missing or negative \"ts\"");
+        // 3. balanced, monotonic tracks.
+        let crossed = [instance[0], ("a", "c", "B", 1.0, 1), instance[1], ("a", "c", "E", 9.0, 1)];
+        refused(&profile(&crossed), &[], "event 2: E \"instance.q1.0\" closes B \"a\" on tid 1");
+        let backwards =
+            [instance[0], ("a", "c", "B", 5.0, 1), ("a", "c", "E", 4.0, 1), instance[1]];
+        refused(&profile(&backwards), &[], "event 2: ts 4 goes backwards on tid 1 (previous 5)");
+        refused(
+            &profile(&instance[..1]),
+            &[],
+            "tid 1: span \"instance.q1.0\" (event 0) never closed",
+        );
+        // 4. the required spans and a scheduler instance.
+        refused(&profile(&instance), &["decode"], "no span named \"decode\" in the profile");
+        refused(
+            &profile(&[("a", "c", "B", 0.0, 1), ("a", "c", "E", 1.0, 1)]),
+            &[],
+            "no scheduler instance span",
+        );
     }
 }

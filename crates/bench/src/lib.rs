@@ -5,11 +5,14 @@
 //! index and EXPERIMENTS.md for recorded results. The binaries run a
 //! *scaled-down* configuration by default (seconds of small video
 //! instead of hours of 1κ–4κ) and accept flags to scale up.
+//! [`stress`] is the query server's load driver, which the
+//! `stress_test` binary and `tests/fleets.rs` both call.
 
 pub mod args;
 pub mod corpus_input;
 pub mod json;
 pub mod loc;
+pub mod stress;
 pub mod table;
 
 use std::time::{Duration, Instant};

@@ -25,6 +25,20 @@ pub fn loc(source: &str) -> usize {
         .count()
 }
 
+/// `source` split at its inline test module — the first unindented
+/// `#[cfg(test)]` line followed by a `mod … {` line: the code above it,
+/// then the tests from it on (empty when the file has none). A
+/// `#[cfg(test)]` static, function or out-of-line module above it
+/// counts as code.
+pub fn split_tests(source: &str) -> (&str, &str) {
+    let opens_module = |next: &str| next.trim_end().ends_with('{') && next.contains("mod ");
+    let at = source.match_indices("#[cfg(test)]\n").map(|(at, _)| at).find(|&at| {
+        (at == 0 || source[..at].ends_with('\n'))
+            && source[at..].lines().nth(1).is_some_and(opens_module)
+    });
+    source.split_at(at.unwrap_or(source.len()))
+}
+
 /// Lines of the `QuerySpec::<arm>` match arm(s) for one query label
 /// (e.g. `"Q2c"`) in an engine source. Tracks brace/paren depth from
 /// the arm's pattern line to its closing brace.
@@ -89,6 +103,20 @@ mod tests {
     fn loc_skips_blank_and_comment_lines() {
         let src = "fn a() {\n\n    // comment\n    let x = 1;\n}\n";
         assert_eq!(loc(src), 3);
+    }
+
+    #[test]
+    fn tests_split_off_at_the_inline_test_module() {
+        let code =
+            "#[cfg(test)]\nstatic LOCK: () = ();\nfn a() {\n    #[cfg(test)]\n    mod m {}\n}\n";
+        let tests =
+            "#[cfg(test)]\nmod tests {\n    // checks\n    fn t() {}\n}\n#[cfg(test)]\nfn u() {}\n";
+        let source = format!("{code}\n{tests}");
+        let (above, below) = split_tests(&source);
+        assert_eq!((above, below), (&format!("{code}\n")[..], tests));
+        assert_eq!((loc(above), loc(below)), (6, 6));
+        assert_eq!(split_tests(code), (code, ""));
+        assert_eq!(split_tests(""), ("", ""));
     }
 
     #[test]

@@ -1,33 +1,32 @@
-//! The `stress_test` fleets against an in-process `QueryServer`, with
-//! the server and driver configuration `visualroad serve` and the
-//! driver are given on the command line: the exact ledger, shedding
-//! and query-log reconciliation under chaos, the SLO layer's burn
-//! rates, and the index/rescan route split. A driver that outlives its
-//! limit is killed and its test failed, as is a drain that never ends.
+//! The stress driver's fleets, in-process: `vr_bench::stress::run`
+//! against an in-process `QueryServer`, with the server and driver
+//! configuration `visualroad serve` and `stress_test` are given on the
+//! command line: the exact ledger, shedding and query-log
+//! reconciliation under chaos, the SLO layer's burn rates, and the
+//! index/rescan route split. A driver that outlives its limit or
+//! panics fails its test, as does a drain that never ends.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use visual_road::base::admission::AdmissionConfig;
 use visual_road::base::fault::{self, FaultInjector};
 use visual_road::base::json::{self, Value};
+use visual_road::base::obs::qlog::{self, Logged};
 use visual_road::base::obs::serve::MetricsServer;
 use visual_road::base::obs::slo::SloConfig;
 use visual_road::server::{QueryServer, ServerConfig};
 use visual_road::vdbms::{BatchEngine, QueryKind};
+use vr_bench::stress::{self, Config, Report};
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
 use common::tiny_dataset;
-#[path = "../../../tests/common/child.rs"]
-mod child;
-use child::Bounded;
 
-/// How long a `stress_test` run, and then the drain, may take.
+/// How long a driver run, and then the drain, may take.
 const FLEET_LIMIT: Duration = Duration::from_secs(600);
 
 /// A fleet's fault plan, the `/slo` and `/requests` views and the
@@ -58,19 +57,25 @@ impl Fleet {
         self.server.as_ref().unwrap().addr()
     }
 
-    /// `stress_test --addr ADDR ARGS`; panics with its output unless it
-    /// passes.
-    fn stress(&self, args: &[&str]) {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_stress_test"));
-        let (driver, _) = Bounded::spawn(cmd.arg("--addr").arg(self.addr().to_string()).args(args), FLEET_LIMIT);
-        let out = driver.finish();
-        let log = format!(
-            "{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(out.status.success(), "stress_test {args:?} failed:\n{log}");
-        assert!(!log.contains("panicked at"), "{log}");
+    /// The driver run `stress_test --addr ADDR ARGS` makes, on a thread
+    /// of its own; panics with its summary and failures unless it
+    /// passes within the limit.
+    fn stress(&self, args: &[&str]) -> Report {
+        let addr = self.addr().to_string();
+        let argv = [&["--addr", &addr][..], args].concat();
+        let cfg = Config::parse(argv.into_iter().map(str::to_string)).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let driver = cfg.clone();
+        std::thread::spawn(move || {
+            let mut summary = String::new();
+            let report = stress::run(&driver, &mut summary);
+            tx.send((report, summary))
+        });
+        let (report, summary) =
+            rx.recv_timeout(FLEET_LIMIT).expect("the driver returned in time, without a panic");
+        let report = report.unwrap_or_else(|fatal| panic!("{args:?}:\n{summary}{fatal}"));
+        assert!(report.failures.is_empty(), "{args:?}:\n{summary}{:#?}", report.failures);
+        report
     }
 
     /// Wait for the drain a `SHUTDOWN` started; it must be clean.
@@ -99,10 +104,9 @@ fn path(p: &Path) -> &str {
     p.to_str().unwrap()
 }
 
-/// `trace_check --qlog FILE` must pass.
-fn qlog_validates(qlog: &Path) {
-    let out = Command::new(env!("CARGO_BIN_EXE_trace_check")).arg("--qlog").arg(qlog).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+/// The query log reads back, every check of `qlog::parse` passing.
+fn qlog_validates(log: &Path) -> Vec<Logged> {
+    qlog::parse(&std::fs::read_to_string(log).unwrap(), path(log)).unwrap()
 }
 
 /// `serve --queries Q1,Q2a --engine batch --workers 2 --max-concurrent 2
@@ -140,7 +144,6 @@ fn chaos_fleet_keeps_an_exact_ledger() {
         "--tenants", "gold:high:2,bronze:low:6", "--requests", "20", "--queries", "Q1,Q2a",
         "--deadline-ms", "3000", "--p99-bound-ms", "6000", "--expect-shedding",
         "--require-high-zero-shed", "--shutdown", "--qlog", path(&qlog),
-        "--out", path(&dir.join("stress.json")),
     ]);
     fleet.drained();
     qlog_validates(&qlog);
@@ -175,13 +178,11 @@ fn slo_fleet_burns_the_shed_tenants_budget_and_spares_gold() {
     fleet.stress(&[
         "--tenants", "gold:high:2,bronze:low:6", "--requests", "20", "--queries", "Q1,Q2a",
         "--deadline-ms", "3000", "--p99-bound-ms", "6000", "--expect-shedding",
-        "--require-high-zero-shed", "--qlog", path(&qlog), "--out", path(&dir.join("stress.json")),
+        "--require-high-zero-shed", "--qlog", path(&qlog),
     ]);
-    qlog_validates(&qlog);
-    let records: Vec<Value> =
-        std::fs::read_to_string(&qlog).unwrap().lines().map(|l| json::parse(l).unwrap()).collect();
+    let records = qlog_validates(&qlog);
     assert!(
-        records.iter().any(|r| r.get("exemplar").and_then(Value::as_str).is_some_and(|e| e.contains("wall="))),
+        records.iter().any(|r| r.record.exemplar.as_ref().is_some_and(|e| e.contains("wall="))),
         "no slow-query exemplar with an annotated plan"
     );
 
@@ -213,7 +214,6 @@ fn slo_fleet_burns_the_shed_tenants_budget_and_spares_gold() {
 /// from the index.
 #[test]
 fn index_fleet_splits_routes_exactly() {
-    let dir = scratch("index");
     let cfg = ServerConfig {
         admission: AdmissionConfig {
             max_concurrent: 2,
@@ -227,13 +227,10 @@ fn index_fleet_splits_routes_exactly() {
         ..ServerConfig::default()
     };
     let fleet = Fleet::start(cfg, None);
-    let out = dir.join("stress.json");
-    fleet.stress(&[
+    let report = fleet.stress(&[
         "--tenants", "gold:high:2", "--requests", "10", "--queries", "Q1,S1,S2",
-        "--deadline-ms", "5000", "--p99-bound-ms", "10000", "--shutdown", "--out", path(&out),
+        "--deadline-ms", "5000", "--p99-bound-ms", "10000", "--shutdown",
     ]);
     fleet.drained();
-    let doc = json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    let gold = doc.get("tenants").and_then(|t| t.get("gold")).unwrap();
-    assert!(gold.get("route_index").and_then(Value::as_f64).unwrap() > 0.0, "nothing index-served");
+    assert!(report.tenants["gold"].route_index > 0, "nothing index-served");
 }

@@ -1,4 +1,4 @@
-//! `trace_check` over the observability artifacts of an in-process run
+//! The observability readers over the artifacts of an in-process run
 //! of every engine on Q1 and Q2(c): the chrome trace and metrics
 //! snapshot of a traced run at four workers, and the collapsed stacks
 //! of an EXPLAIN ANALYZE run at one worker, the regime where per-node
@@ -6,7 +6,6 @@
 //! checked for that). `tests/cli.rs` reads the plans the binary writes.
 
 use std::path::Path;
-use std::process::Command;
 
 use visual_road::base::obs::{alloc, folded, metrics, trace};
 use visual_road::prelude::*;
@@ -71,13 +70,10 @@ fn traces_metrics_plans_and_folded_stacks_validate() {
     folded::save(stacks.to_str().unwrap()).unwrap();
     assert!(!plans.is_empty(), "no EXPLAIN ANALYZE plans");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_trace_check"))
-        .arg(&trace_json)
-        .arg("--metrics")
-        .arg(&metrics_json)
-        .arg("--folded")
-        .arg(&stacks)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // What `trace_check` checks, with its default required spans.
+    let read = |p: &Path| std::fs::read_to_string(p).unwrap();
+    let stages = ["scan", "decode", "kernel", "encode", "sink"];
+    trace::validate(&read(&trace_json), "trace.json", &stages).unwrap();
+    metrics::validate(&read(&metrics_json), "metrics.json").unwrap();
+    folded::validate(&read(&stacks), "folded.txt").unwrap();
 }

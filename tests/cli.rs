@@ -15,6 +15,7 @@ use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use visual_road::base::json::{self, Value};
+use visual_road::base::obs::{folded, qlog, trace};
 
 #[path = "common/child.rs"]
 mod child;
@@ -126,9 +127,10 @@ fn traced_untraced_and_served_runs_write_identical_results() {
     };
     let (base, _) = run("base", &[], &[]);
     assert!(!base.is_empty(), "the plain run wrote nothing");
-    let trace = dir.join("trace.json");
-    let (traced, _) = run("traced", &["--trace-out", path(&trace)], &[]);
-    assert!(std::fs::metadata(&trace).unwrap().len() > 0, "no trace written");
+    let profile = dir.join("trace.json");
+    let (traced, _) = run("traced", &["--trace-out", path(&profile)], &[]);
+    let stages = ["scan", "decode", "kernel", "encode", "sink"];
+    trace::validate(&std::fs::read_to_string(&profile).unwrap(), path(&profile), &stages).unwrap();
     let (untraced, _) = run("untraced", &[], &[("VR_TRACE", "0")]);
     let (served, stderr) = run("served", &["--serve-metrics", "0"], &[]);
     assert!(stderr.contains("serving metrics on http://127.0.0.1:"), "{stderr}");
@@ -221,11 +223,7 @@ fn explain_analyze_annotates_every_stage_and_writes_folded_stacks() {
             "no annotated {stage:?} plan node with nonzero wall time:\n{plans}"
         );
     }
-    let stacks = std::fs::read_to_string(&stacks).unwrap();
-    let folded = |l: &str| {
-        l.rsplit_once(' ').is_some_and(|(s, n)| !s.is_empty() && n.parse::<u64>().is_ok())
-    };
-    assert!(!stacks.is_empty() && stacks.lines().all(folded), "not collapsed stacks:\n{stacks}");
+    folded::validate(&std::fs::read_to_string(&stacks).unwrap(), path(&stacks)).unwrap();
 }
 
 #[test]
@@ -393,7 +391,8 @@ fn serve_sessions_drain_cleanly_and_exit_zero() {
     }
     let (stats, _) = serve.finish();
     assert!(stats.get("tenants").and_then(|t| t.get("gold")).is_some(), "final STATS: {stats:?}");
-    assert_eq!(std::fs::read_to_string(&qlog).unwrap().lines().count(), 2, "one record a request");
+    let records = qlog::parse(&std::fs::read_to_string(&qlog).unwrap(), path(&qlog)).unwrap();
+    assert_eq!(records.len(), 2, "one record a request");
 
     // SLO tracking and the metrics endpoint, drained over the wire.
     let slo = [

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use visual_road::base::admission::AdmissionConfig;
+use visual_road::base::admission::{AdmissionConfig, AdmissionSnapshot};
 use visual_road::base::sync::CancelToken;
 use visual_road::base::{Error, Hyperparameters, Resolution};
 use visual_road::prelude::*;
@@ -203,20 +203,15 @@ fn server_ledger_accounts_staggered_deadline_sessions_exactly_once() {
     // cancellation settled as a completion (breakers see no failure).
     let mut conn = std::net::TcpStream::connect(addr).unwrap();
     let stats = request(&mut conn, "STATS");
-    let body = stats.strip_prefix("STATS ").unwrap();
+    let ledger = AdmissionSnapshot::parse(stats.strip_prefix("STATS ").unwrap()).unwrap();
     for session in 0..SESSIONS {
-        let needle = format!("\"t{session}\": {{");
-        let entry = &body[body.find(&needle).unwrap_or_else(|| panic!("t{session} in {body}"))..];
-        let entry = &entry[..entry.find('}').unwrap()];
-        assert!(
-            entry.contains(&format!("\"admitted\": {PER_SESSION}")),
-            "t{session} ledger: {entry}"
+        let t = ledger.tenants[&format!("t{session}")];
+        let per_session = PER_SESSION as u64;
+        assert_eq!(
+            (t.admitted, t.completed_ok, t.failed),
+            (per_session, per_session, 0),
+            "cancellations settle as completions — t{session} ledger: {t:?}"
         );
-        assert!(
-            entry.contains(&format!("\"completed_ok\": {PER_SESSION}")),
-            "cancellations settle as completions — t{session} ledger: {entry}"
-        );
-        assert!(entry.contains("\"failed\": 0"), "t{session} ledger: {entry}");
     }
 
     server.shutdown();
