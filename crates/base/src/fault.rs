@@ -6,12 +6,12 @@
 //! than pass/fail (§3.2's online mode tolerates engines that fall
 //! behind; §4 validates degraded output by PSNR). To prove those
 //! recovery paths in CI this module provides a **seeded, deterministic
-//! fault injector**: one [`FaultPlan`] parsed from a `VR_FAULTS` spec,
+//! fault injector**: one [`FaultPlan`] parsed from a `--faults` spec,
 //! one [`FaultInjector`] whose every decision is a pure function of
 //! `(seed, site, decision-index)`, and a process-global install point
 //! the storage readers, demuxer, decoder, and pipeline stages consult.
 //!
-//! # Spec grammar (`VR_FAULTS`)
+//! # Spec grammar (`--faults`)
 //!
 //! Comma-separated `key=value` entries:
 //!
@@ -24,7 +24,7 @@
 //! panic_kernel=q4:frame37       # panic in the kernel of query q4 at frame 37
 //! ```
 //!
-//! The seed comes from `VR_FAULT_SEED` (default 0). Decisions are made
+//! The seed comes from `--fault-seed` (default 0). Decisions are made
 //! by hashing a per-site decision counter with [`mix64`], so a plan
 //! replays identically across runs; under a multi-threaded schedule
 //! the *set* of decisions per site is identical even when the mapping
@@ -56,7 +56,7 @@ pub enum IoOp {
     Write,
 }
 
-/// A parsed `VR_FAULTS` schedule. All probabilities are in `[0, 1]`.
+/// A parsed `--faults` schedule. All probabilities are in `[0, 1]`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Probability of corrupting a demuxed sample payload.
@@ -85,7 +85,7 @@ fn parse_prob(key: &str, v: &str) -> Result<f64> {
 }
 
 impl FaultPlan {
-    /// Parse a `VR_FAULTS` spec string (see the module docs for the
+    /// Parse a `--faults` spec string (see the module docs for the
     /// grammar). An empty spec yields the empty plan.
     pub fn parse(spec: &str) -> Result<Self> {
         let mut plan = FaultPlan::default();
@@ -186,7 +186,7 @@ const SITE_SALT: [u64; SITE_COUNT] = [0xC0DE_0001, 0xC0DE_0002, 0xC0DE_0003, 0xC
 ///
 /// Every decision is a pure function of `(seed, site, n)` where `n` is
 /// that site's decision counter — no wall clock, no OS entropy — so a
-/// failing chaos run replays exactly from its `VR_FAULT_SEED`.
+/// failing chaos run replays exactly from its `--fault-seed`.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -375,29 +375,6 @@ pub fn suppress<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Build and install an injector from `VR_FAULTS` / `VR_FAULT_SEED`,
-/// returning what was installed. A missing or empty `VR_FAULTS`
-/// installs nothing; a malformed one is an error so a chaos run cannot
-/// silently run with no chaos.
-pub fn init_from_env() -> Result<Option<Arc<FaultInjector>>> {
-    let Ok(spec) = std::env::var("VR_FAULTS") else {
-        return Ok(None);
-    };
-    if spec.trim().is_empty() {
-        return Ok(None);
-    }
-    let seed = match std::env::var("VR_FAULT_SEED") {
-        Ok(raw) => raw
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| Error::InvalidConfig(format!("VR_FAULT_SEED {raw:?} is not a u64")))?,
-        Err(_) => 0,
-    };
-    let injector = Arc::new(FaultInjector::from_spec(&spec, seed)?);
-    install(Some(Arc::clone(&injector)));
-    Ok(Some(injector))
-}
-
 // ---------------------------------------------------------------------------
 // Degradation accounting (the recovery side)
 // ---------------------------------------------------------------------------
@@ -577,7 +554,7 @@ pub const RETRY_MAX_ATTEMPTS: u32 = 4;
 /// attempt number pull N distinct jitter values instead of sleeping in
 /// lockstep and re-colliding — the classic thundering herd. The
 /// counter keeps the multiset of delays for a run a pure function of
-/// `VR_FAULT_SEED` (like the injector's per-site decision streams, the
+/// `--fault-seed` (like the injector's per-site decision streams, the
 /// mapping of draws to threads may vary under a multi-threaded
 /// schedule, but the values drawn do not).
 static BACKOFF_DRAWS: AtomicU64 = AtomicU64::new(0);

@@ -15,6 +15,8 @@
 //! crate rather than borrowed from an external crate whose stream might
 //! change between releases.
 
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod buf;
 pub mod error;

@@ -1,10 +1,11 @@
 //! Process-global metrics registry: counters, gauges, and fixed-bucket
 //! latency histograms with deterministic snapshots.
 //!
-//! The registry supersedes the ad-hoc `static AtomicU64` clusters that
-//! previously lived in `fault::Degradation` and alongside the pipeline
-//! stage accounting: every long-lived telemetry value now has a name,
-//! lives in one place, and exports through one code path.
+//! Every process-wide telemetry value has a name here and exports
+//! through one code path (`--metrics-out`, the live `/metrics`
+//! endpoint). Per-query accounting is not read back from it: a query's
+//! stage record is its execution context's `PipelineMetrics`, which
+//! mirrors each record into the `stage.*` series here.
 //!
 //! Design constraints (DESIGN.md, "observability"):
 //!
@@ -18,9 +19,8 @@
 //!   series in `BTreeMap`s, so [`MetricsSnapshot::to_json`] and
 //!   [`MetricsSnapshot::to_text`] render in a stable order regardless
 //!   of registration order or thread interleaving.
-//! * **monotonic registry** — metrics are never unregistered; per-query
-//!   deltas are taken with [`MetricsSnapshot::since`] instead of
-//!   resetting shared state under concurrent writers.
+//! * **monotonic registry** — metrics are never unregistered or reset
+//!   under concurrent writers.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,7 +183,7 @@ impl Histogram {
 }
 
 /// Immutable copy of a [`Histogram`]'s state; supports quantile
-/// estimation and snapshot subtraction.
+/// estimation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -210,8 +210,7 @@ impl HistogramSnapshot {
     /// estimates: an empty histogram reports 0, and a single-sample
     /// histogram reports the sample itself (recoverable as `sum` when
     /// `count == 1`) — so p50/p95/p99 are defined for every histogram
-    /// a snapshot can contain, including one-observation `since`
-    /// deltas.
+    /// a snapshot can contain.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -254,19 +253,6 @@ impl HistogramSnapshot {
             0
         } else {
             self.sum / self.count
-        }
-    }
-
-    /// Bucket-wise difference `self - earlier` (saturating, so a
-    /// snapshot pair taken across a registry restart degrades to the
-    /// later snapshot instead of wrapping).
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            buckets: std::array::from_fn(|i| {
-                self.buckets[i].saturating_sub(earlier.buckets[i])
-            }),
         }
     }
 }
@@ -398,31 +384,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The delta accumulated between `earlier` and `self`: counters and
-    /// histograms subtract (a series absent from `earlier` keeps its
-    /// full value); gauges are last-write-wins, so the current value is
-    /// kept as-is.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, &v)| {
-                    (k.clone(), v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0)))
-                })
-                .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| match earlier.histograms.get(k) {
-                    Some(e) => (k.clone(), v.since(e)),
-                    None => (k.clone(), *v),
-                })
-                .collect(),
-        }
-    }
-
     /// Render as a single deterministic JSON document: `counters`,
     /// `gauges` and `histograms`, one instrument per line in name
     /// order, a histogram as `{"count": .., "sum_nanos": ..,
@@ -648,12 +609,6 @@ mod tests {
         assert_eq!(s.p99(), 1_500);
         assert_eq!(s.quantile(0.0), 1_500);
         assert_eq!(s.quantile(1.0), 1_500);
-        // A since-delta that isolates one observation gets the same
-        // exact treatment.
-        h.observe(9_000);
-        let delta = h.snapshot().since(&s);
-        assert_eq!(delta.count, 1);
-        assert_eq!(delta.p95(), 9_000);
     }
 
     #[test]
@@ -713,26 +668,6 @@ mod tests {
             registry.snapshot().to_json()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn snapshot_since_subtracts_counters_and_histograms() {
-        let registry = Registry::new();
-        let c = registry.counter("delta.count");
-        let h = registry.histogram("delta.nanos");
-        c.add(5);
-        h.observe(100);
-        let before = registry.snapshot();
-        c.add(7);
-        h.observe(200);
-        h.observe(2_000_000_000);
-        let delta = registry.snapshot().since(&before);
-        assert_eq!(delta.counters["delta.count"], 7);
-        assert_eq!(delta.histograms["delta.nanos"].count, 2);
-        // A series born after `before` keeps its full value.
-        registry.counter("delta.late").add(3);
-        let delta2 = registry.snapshot().since(&before);
-        assert_eq!(delta2.counters["delta.late"], 3);
     }
 
     /// Counters only grow: a snapshot taken while four threads still

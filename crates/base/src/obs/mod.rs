@@ -13,8 +13,9 @@
 //! * [`metrics`] — named counters, gauges, and fixed-bucket latency
 //!   histograms (p50/p95/p99 snapshots) in a process-global
 //!   [`metrics::Registry`], exported as deterministic JSON/text (and
-//!   Prometheus text for the live endpoint) and diffed per query with
-//!   [`metrics::MetricsSnapshot::since`].
+//!   Prometheus text for the live endpoint). It sums over the whole
+//!   process; a query's own stage record is its execution context's
+//!   `PipelineMetrics`, which mirrors every record into it.
 //!
 //! Layer 2 (EXPLAIN ANALYZE support) builds three more surfaces on the
 //! same contract:
@@ -61,6 +62,8 @@
 //! scopes `alloc.<scope>.allocs` / `alloc.<scope>.bytes` (counters)
 //! plus `alloc.<scope>.peak_bytes` (max-merged gauge).
 
+// The counting `GlobalAlloc` impl is the only `unsafe` in the workspace.
+#[allow(unsafe_code)]
 pub mod alloc;
 pub mod folded;
 pub mod metrics;

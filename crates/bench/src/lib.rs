@@ -8,6 +8,8 @@
 //! [`stress`] is the query server's load driver, which the
 //! `stress_test` binary and `tests/fleets.rs` both call.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod corpus_input;
 pub mod json;

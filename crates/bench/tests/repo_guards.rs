@@ -1,8 +1,8 @@
 //! One-of-each guards over the repository tree: no registry
 //! dependency in any manifest, one scoped-thread executor in
-//! `pipeline.rs`, one JSON escaper, and a `ci.sh` that stays a stage
-//! table. Each guard is a function over text, shown failing on a bad
-//! input below.
+//! `pipeline.rs`, one JSON escaper, `unsafe` refused by every crate
+//! root, and a `ci.sh` that stays a stage table. Each guard is a
+//! function over text, shown failing on a bad input below.
 
 use std::path::{Path, PathBuf};
 
@@ -52,6 +52,12 @@ fn brings_own_escaper(src: &str) -> bool {
     src.contains(&helper) || src.contains(&chain)
 }
 
+/// Whether a crate root makes `unsafe` a compiler error: `forbid`, or
+/// `deny` where one module needs an `allow` (`vr-base`'s allocator).
+fn refuses_unsafe(lib_rs: &str) -> bool {
+    lib_rs.lines().any(|l| l == "#![forbid(unsafe_code)]" || l == "#![deny(unsafe_code)]")
+}
+
 /// Whether a script fits the `ci.sh` line budget.
 fn within_line_budget(script: &str) -> bool {
     script.lines().count() <= CI_MAX_LINES
@@ -83,7 +89,10 @@ fn the_repository_passes_every_guard() {
     let crates = root.join("crates");
     let mut manifests = vec![root.join("Cargo.toml")];
     for entry in std::fs::read_dir(&crates).unwrap() {
-        manifests.push(entry.unwrap().path().join("Cargo.toml"));
+        let dir = entry.unwrap().path();
+        let lib = dir.join("src/lib.rs");
+        assert!(refuses_unsafe(&read(&lib)), "{} allows unsafe code", lib.display());
+        manifests.push(dir.join("Cargo.toml"));
     }
     for m in &manifests {
         let text = read(m);
@@ -121,6 +130,10 @@ fn each_guard_rejects_a_bad_input() {
     assert!(!brings_own_escaper("w.member(\"name\", name);"));
     assert!(brings_own_escaper(&format!("fn {}(s: &str) -> String {{ todo!() }}", ["json", "escape"].join("_"))));
     assert!(brings_own_escaper(&["let q = s.replace('", "\"', \"\\\\\\\"\");"].concat()));
+
+    assert!(refuses_unsafe("//! A crate.\n\n#![forbid(unsafe_code)]\n\npub mod a;\n"));
+    assert!(!refuses_unsafe("//! A crate.\n\npub mod a;\n"), "a crate root without the attribute");
+    assert!(!refuses_unsafe("// #![forbid(unsafe_code)]\npub mod a;\n"), "a commented-out attribute");
 
     assert!(within_line_budget(&"x\n".repeat(CI_MAX_LINES)));
     assert!(!within_line_budget(&"x\n".repeat(CI_MAX_LINES + 1)), "a 151-line script");

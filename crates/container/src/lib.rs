@@ -21,6 +21,8 @@
 //! Sample offsets are relative to the data section, so the index can
 //! be built before the data is positioned.
 
+#![forbid(unsafe_code)]
+
 mod demux;
 mod mux;
 pub mod sidecar;

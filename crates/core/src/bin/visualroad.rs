@@ -70,9 +70,9 @@ USAGE:
       batch scheduler and each engine's pipelined executor (default:
       the VR_WORKERS environment variable, else all cores; 1 forces
       the sequential paths). --faults installs a deterministic fault
-      plan (same grammar as the VR_FAULTS environment variable, e.g.
+      plan seeded by --fault-seed (default 0), e.g.
       corrupt_bitstream=0.01,drop_rtp=0.05,stall_stage=kernel:20ms,
-      io_fail=read:0.02,panic_kernel=q4:frame37); after the run the
+      io_fail=read:0.02,panic_kernel=q4:frame37; after the run the
       injected-fault counts are checked against the recovery counters
       and any mismatch exits nonzero. --deadline-ms enforces a
       per-instance latency deadline via cooperative cancellation.
@@ -317,24 +317,18 @@ fn load_profile(flags: &Flags) -> Result<Option<CalibrationProfile>, String> {
         .transpose()
 }
 
-/// Install the fault plan — `--faults SPEC [--fault-seed S]`, else the
-/// `VR_FAULTS` environment — and announce it. Callers do this only
-/// after dataset generation, so chaos runs exercise the query path
-/// against a pristine dataset.
+/// Install the fault plan — `--faults SPEC [--fault-seed S]` — and
+/// announce it. Callers do this only after dataset generation, so
+/// chaos runs exercise the query path against a pristine dataset.
 fn install_fault_plan(flags: &Flags) -> Result<Option<Arc<FaultInjector>>, String> {
-    let injector = match flags.get("faults") {
-        Some(spec) => {
-            let seed = flags.parsed("fault-seed", 0u64)?;
-            let inj = Arc::new(FaultInjector::from_spec(spec, seed).map_err(|e| e.to_string())?);
-            fault::install(Some(Arc::clone(&inj)));
-            Some(inj)
-        }
-        None => fault::init_from_env().map_err(|e| e.to_string())?,
+    let Some(spec) = flags.get("faults") else {
+        return Ok(None);
     };
-    if let Some(inj) = &injector {
-        eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
-    }
-    Ok(injector)
+    let seed = flags.parsed("fault-seed", 0u64)?;
+    let inj = Arc::new(FaultInjector::from_spec(spec, seed).map_err(|e| e.to_string())?);
+    fault::install(Some(Arc::clone(&inj)));
+    eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
+    Ok(Some(inj))
 }
 
 /// `--serve-metrics PORT`: the loopback, read-only metrics endpoint.

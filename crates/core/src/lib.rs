@@ -40,6 +40,8 @@
 //! println!("{report}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod captions;
 pub mod dataset;
 pub mod report;

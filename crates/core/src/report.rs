@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::time::Duration as WallDuration;
+use vr_base::fault::DegradationSnapshot;
 use vr_frame::metrics::PsnrStats;
 use vr_vdbms::{PipelineSnapshot, QueryKind, StageKind};
 
@@ -34,7 +35,8 @@ pub struct ValidationSummary {
 
 /// Per-batch accounting from the driver's instance scheduler: how
 /// many workers dispatched the batch, tail and mean per-instance
-/// latency, and how many instances blew the configured deadline.
+/// latency, how busy the workers were, and how many instances blew
+/// the configured deadline.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedulerStats {
     /// Worker threads the scheduler dispatched this batch across
@@ -50,28 +52,32 @@ pub struct SchedulerStats {
     /// Instances whose latency exceeded the configured per-instance
     /// deadline (0 when no deadline is set).
     pub deadline_misses: usize,
+    /// Busy fraction of the worker pool over the batch's `runtime`:
+    /// sum of per-instance latencies / (workers × runtime), at most 1.
+    pub worker_utilization: f64,
 }
 
 impl SchedulerStats {
-    /// Fold per-instance latencies into batch statistics.
+    /// Fold per-instance latencies of a batch that took `runtime` into
+    /// batch statistics.
     pub fn from_durations(
         workers: usize,
         nanos: &[u64],
+        runtime: WallDuration,
         deadline: Option<WallDuration>,
     ) -> Self {
         let deadline_nanos = deadline.map(|d| d.as_nanos() as u64);
+        let busy: u64 = nanos.iter().sum();
+        let capacity = workers as f64 * runtime.as_nanos().max(1) as f64;
         Self {
             workers,
             instances: nanos.len(),
             max_instance_nanos: nanos.iter().copied().max().unwrap_or(0),
-            mean_instance_nanos: if nanos.is_empty() {
-                0
-            } else {
-                nanos.iter().sum::<u64>() / nanos.len() as u64
-            },
+            mean_instance_nanos: busy.checked_div(nanos.len() as u64).unwrap_or(0),
             deadline_misses: deadline_nanos
                 .map(|d| nanos.iter().filter(|&&n| n > d).count())
                 .unwrap_or(0),
+            worker_utilization: (busy as f64 / capacity).min(1.0),
         }
     }
 }
@@ -81,21 +87,10 @@ impl SchedulerStats {
 /// of breaking. All zero / `None` on a clean run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DegradationStats {
-    /// Frames the resilient decoder concealed (repeat-last-good or
-    /// grey) instead of failing the query.
-    pub concealed_frames: u64,
-    /// Container samples skipped on payload-CRC mismatch.
-    pub skipped_samples: u64,
-    /// RTP packets declared lost by the jitter buffer at ingest.
-    pub skipped_packets: u64,
-    /// Transient storage I/O failures absorbed by retry-with-backoff.
-    pub io_retries: u64,
-    /// Retry budgets exhausted (the error surfaced after backoff).
-    pub io_give_ups: u64,
-    /// Stage panics contained at a pipeline boundary into typed errors.
-    pub stage_panics: u64,
-    /// Injected stage stalls slept out inside the watchdog budget.
-    pub stalls_absorbed: u64,
+    /// What the recovery layers absorbed during the batch: concealed
+    /// frames, skipped samples and packets, I/O retries and give-ups,
+    /// contained stage panics, absorbed stalls.
+    pub recovered: DegradationSnapshot,
     /// Instances cancelled (deadline or explicit token) and folded as
     /// degraded rows instead of failing the batch.
     pub cancelled_instances: u64,
@@ -112,15 +107,7 @@ pub struct DegradationStats {
 impl DegradationStats {
     /// Whether any degradation occurred.
     pub fn any(&self) -> bool {
-        self.concealed_frames > 0
-            || self.skipped_samples > 0
-            || self.skipped_packets > 0
-            || self.io_retries > 0
-            || self.io_give_ups > 0
-            || self.stage_panics > 0
-            || self.stalls_absorbed > 0
-            || self.cancelled_instances > 0
-            || self.failed_instances > 0
+        self.recovered.any() || self.cancelled_instances > 0 || self.failed_instances > 0
     }
 }
 
@@ -130,13 +117,13 @@ impl fmt::Display for DegradationStats {
             f,
             "concealed {} | skipped samples {} | skipped pkts {} | io retries {} \
              (gave up {}) | stage panics {} | stalls {} | cancelled {} | failed {}",
-            self.concealed_frames,
-            self.skipped_samples,
-            self.skipped_packets,
-            self.io_retries,
-            self.io_give_ups,
-            self.stage_panics,
-            self.stalls_absorbed,
+            self.recovered.concealed_frames,
+            self.recovered.skipped_samples,
+            self.recovered.skipped_packets,
+            self.recovered.io_retries,
+            self.recovered.io_give_ups,
+            self.recovered.stage_panics,
+            self.recovered.stalls_absorbed,
             self.cancelled_instances,
             self.failed_instances,
         )?;
@@ -144,42 +131,6 @@ impl fmt::Display for DegradationStats {
             write!(f, " | achieved {p:.1}dB")?;
         }
         Ok(())
-    }
-}
-
-/// One pipeline stage's latency distribution over a query batch,
-/// extracted from the global metrics registry's per-stage histograms
-/// (`stage.<name>.nanos`) as a before/after delta around the measured
-/// window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageLatency {
-    /// Stage label (`scan`/`decode`/`kernel`/`encode`/`sink`).
-    pub stage: &'static str,
-    /// Stage invocations observed during the batch.
-    pub count: u64,
-    /// Median invocation latency estimate, nanoseconds.
-    pub p50_nanos: u64,
-    /// 95th-percentile invocation latency estimate, nanoseconds.
-    pub p95_nanos: u64,
-    /// 99th-percentile invocation latency estimate, nanoseconds.
-    pub p99_nanos: u64,
-}
-
-/// Observability aggregates for one query batch: per-stage latency
-/// histograms plus the scheduler's worker-utilization gauge.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ObsStats {
-    /// Latency distribution per pipeline stage (only stages that ran).
-    pub stage_latency: Vec<StageLatency>,
-    /// Busy fraction of the scheduler's worker pool over the measured
-    /// window: sum of per-instance latencies / (workers × runtime).
-    pub worker_utilization: f64,
-}
-
-impl ObsStats {
-    /// Whether any stage-latency data was captured.
-    pub fn any(&self) -> bool {
-        !self.stage_latency.is_empty()
     }
 }
 
@@ -212,18 +163,16 @@ pub enum QueryStatus {
         fps: f64,
         /// Bytes persisted (write mode) across the batch.
         bytes_written: usize,
-        /// Per-operator (scan/decode/kernel/encode/sink) time, frame
-        /// and byte aggregates from the engine's physical pipeline.
+        /// Per-operator (scan/decode/kernel/encode/sink) time, frame,
+        /// byte and invocation-latency aggregates from the engine's
+        /// physical pipeline.
         stages: PipelineSnapshot,
         /// Batch-scheduler accounting (workers, per-instance latency,
-        /// deadline misses).
+        /// utilization, deadline misses).
         scheduler: SchedulerStats,
         validation: ValidationSummary,
         /// Fault-tolerance accounting (all zero on a clean run).
         degradation: DegradationStats,
-        /// Registry-derived stage-latency histograms and
-        /// worker-utilization for the batch.
-        obs: ObsStats,
         /// Plan tree (EXPLAIN) / annotated plan tree (EXPLAIN
         /// ANALYZE), when requested.
         explain: Option<ExplainInfo>,
@@ -310,7 +259,7 @@ impl fmt::Display for BenchmarkReport {
         for q in &self.queries {
             match &q.status {
                 QueryStatus::Completed {
-                    runtime, fps, stages, scheduler, validation, degradation, obs, explain, ..
+                    runtime, fps, stages, scheduler, validation, degradation, explain, ..
                 } => {
                     let psnr = validation
                         .psnr
@@ -356,20 +305,24 @@ impl fmt::Display for BenchmarkReport {
                         if scheduler.deadline_misses == 1 { "" } else { "es" },
                         stages.contention_nanos,
                     )?;
-                    if obs.any() {
+                    let ran = || {
+                        StageKind::ALL.into_iter().filter(|&k| stages.stage(k).latency.count > 0)
+                    };
+                    if ran().next().is_some() {
                         write!(f, "        obs:")?;
-                        for s in &obs.stage_latency {
+                        for k in ran() {
+                            let h = stages.stage(k).latency;
                             write!(
                                 f,
                                 " {} p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms ({})",
-                                s.stage,
-                                s.p50_nanos as f64 / 1e6,
-                                s.p95_nanos as f64 / 1e6,
-                                s.p99_nanos as f64 / 1e6,
-                                s.count,
+                                k.label(),
+                                h.p50() as f64 / 1e6,
+                                h.p95() as f64 / 1e6,
+                                h.p99() as f64 / 1e6,
+                                h.count,
                             )?;
                         }
-                        writeln!(f, " | util {:.0}%", obs.worker_utilization * 100.0)?;
+                        writeln!(f, " | util {:.0}%", scheduler.worker_utilization * 100.0)?;
                     }
                     if degradation.any() || degradation.faults_active {
                         writeln!(f, "        degraded: {degradation}")?;
@@ -418,6 +371,12 @@ mod tests {
     use super::*;
 
     fn sample_report() -> BenchmarkReport {
+        let decode = vr_base::obs::metrics::Histogram::new();
+        for (nanos, times) in [(400_000, 200), (1_500_000, 30), (4_000_000, 10)] {
+            (0..times).for_each(|_| decode.observe(nanos));
+        }
+        let mut stages = PipelineSnapshot::default();
+        stages.stages[1].latency = decode.snapshot();
         BenchmarkReport {
             engine: "reference".into(),
             scale: 2,
@@ -433,10 +392,11 @@ mod tests {
                         frames: 240,
                         fps: 160.0,
                         bytes_written: 0,
-                        stages: PipelineSnapshot::default(),
+                        stages,
                         scheduler: SchedulerStats::from_durations(
                             2,
                             &[700_000_000, 800_000_000],
+                            WallDuration::from_millis(1500),
                             Some(WallDuration::from_millis(750)),
                         ),
                         validation: ValidationSummary {
@@ -447,21 +407,14 @@ mod tests {
                             passed: true,
                         },
                         degradation: DegradationStats {
-                            concealed_frames: 3,
-                            skipped_samples: 2,
+                            recovered: DegradationSnapshot {
+                                concealed_frames: 3,
+                                skipped_samples: 2,
+                                ..DegradationSnapshot::default()
+                            },
                             achieved_psnr_db: Some(41.5),
                             faults_active: true,
                             ..DegradationStats::default()
-                        },
-                        obs: ObsStats {
-                            stage_latency: vec![StageLatency {
-                                stage: "decode",
-                                count: 240,
-                                p50_nanos: 500_000,
-                                p95_nanos: 2_000_000,
-                                p99_nanos: 5_000_000,
-                            }],
-                            worker_utilization: 0.5,
                         },
                         explain: Some(ExplainInfo {
                             text: "query (Q1)\n  sink (mode=stream)\n".into(),
@@ -508,7 +461,8 @@ mod tests {
     fn degradation_any_and_display() {
         let clean = DegradationStats::default();
         assert!(!clean.any());
-        let degraded = DegradationStats { io_retries: 1, ..DegradationStats::default() };
+        let recovered = DegradationSnapshot { io_retries: 1, ..DegradationSnapshot::default() };
+        let degraded = DegradationStats { recovered, ..DegradationStats::default() };
         assert!(degraded.any());
         assert!(degraded.to_string().contains("io retries 1"));
         assert!(!degraded.to_string().contains("achieved"));
@@ -519,6 +473,7 @@ mod tests {
         let s = SchedulerStats::from_durations(
             4,
             &[100, 300, 200],
+            WallDuration::from_nanos(300),
             Some(WallDuration::from_nanos(250)),
         );
         assert_eq!(s.workers, 4);
@@ -526,7 +481,8 @@ mod tests {
         assert_eq!(s.max_instance_nanos, 300);
         assert_eq!(s.mean_instance_nanos, 200);
         assert_eq!(s.deadline_misses, 1);
-        assert_eq!(SchedulerStats::from_durations(1, &[], None), SchedulerStats {
+        assert_eq!(s.worker_utilization, 0.5);
+        assert_eq!(SchedulerStats::from_durations(1, &[], WallDuration::ZERO, None), SchedulerStats {
             workers: 1,
             ..SchedulerStats::default()
         });

@@ -73,9 +73,7 @@ use vr_base::obs::slo::{SloConfig, SloTracker};
 use vr_base::obs::{metrics, serve, trace};
 use vr_base::sync::CancelToken;
 use vr_base::Error;
-use vr_vdbms::{
-    CalibrationProfile, ExecContext, PipelineMetrics, QueryInstance, QueryKind, Vdbms,
-};
+use vr_vdbms::{CalibrationProfile, ExecContext, QueryInstance, QueryKind, Vdbms};
 
 use crate::dataset::Dataset;
 use crate::semantic::{
@@ -595,7 +593,6 @@ impl<'a> Work<'a> {
                     workers: if degraded { cfg.degraded_workers } else { cfg.workers }.max(1),
                     query_label: label.to_string(),
                     cancel: deadline.map_or_else(CancelToken::new, CancelToken::with_deadline),
-                    metrics: Arc::new(PipelineMetrics::default()),
                     tenant: Some(Arc::from(req.tenant.as_str())),
                     request_id: Some(Arc::from(format!("{}.{}", req.label(), req.tenant))),
                     ..ExecContext::default()

@@ -19,8 +19,8 @@
 
 use crate::dataset::Dataset;
 use crate::report::{
-    BenchmarkReport, DegradationStats, ExplainInfo, ObsStats, QueryReport, QueryStatus,
-    SchedulerStats, StageLatency, ValidationSummary,
+    BenchmarkReport, DegradationStats, ExplainInfo, QueryReport, QueryStatus, SchedulerStats,
+    ValidationSummary,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -37,8 +37,8 @@ use vr_storage::{FlatStore, Pacer};
 use vr_vdbms::query::{QueryInstance, QuerySpec};
 use vr_vdbms::reference::execute_reference;
 use vr_vdbms::{
-    CalibrationProfile, ExecContext, InputVideo, Optimizer, OptimizerMode, PipelineMetrics,
-    QueryKind, QueryOutput, ResultMode, Vdbms, Workload,
+    CalibrationProfile, ExecContext, InputVideo, Optimizer, OptimizerMode, PipelineSnapshot,
+    PlanNode, QueryKind, QueryOutput, ResultMode, Vdbms, Workload,
 };
 
 /// Offline (random file access) vs online (rate-throttled forward-only
@@ -155,6 +155,25 @@ pub struct Vcd<'d> {
     /// it); one instance per driver so plan decisions and measured
     /// feedback accumulate across that driver's batches.
     optimizer: Option<Arc<Optimizer>>,
+}
+
+/// One instance's slot after dispatch: its result and latency in
+/// nanoseconds, or `None` if it was never started.
+type Slot = Option<(Result<QueryOutput>, u64)>;
+
+/// What the fold of a batch's slots keeps for the report.
+#[derive(Default)]
+struct Folded<'b> {
+    /// Instances that produced an output, in submission order.
+    completed: Vec<(&'b QueryInstance, QueryOutput)>,
+    /// Input frames of the completed instances.
+    frames: usize,
+    /// Bytes persisted by the completed instances (write mode).
+    bytes_written: usize,
+    /// Latency of every instance that ran, in submission order.
+    latencies: Vec<u64>,
+    cancelled_instances: u64,
+    failed_instances: u64,
 }
 
 impl<'d> Vcd<'d> {
@@ -314,18 +333,14 @@ impl<'d> Vcd<'d> {
                 None => ResultMode::Streaming,
             },
             output_qp: self.cfg.output_qp,
-            metrics: Arc::new(PipelineMetrics::default()),
             workers: self
                 .cfg
                 .pipeline_workers
                 .unwrap_or_else(vr_base::sync::worker_budget)
                 .max(1),
             query_label: kind.short_label().to_string(),
-            cancel: CancelToken::new(),
-            stage_timeout: Some(vr_vdbms::io::DEFAULT_STAGE_TIMEOUT),
             optimizer: self.optimizer.clone(),
-            tenant: None,
-            request_id: None,
+            ..ExecContext::default()
         }
     }
 
@@ -361,8 +376,6 @@ impl<'d> Vcd<'d> {
             return Ok(QueryReport { kind, batch_size, status: QueryStatus::Unsupported });
         }
         let ctx = self.exec_context(kind);
-        let inputs = &self.dataset.videos;
-        let degrade = self.degrade_mode();
         // Plan description for the batch: built (and published to the
         // live endpoint's /explain route) before the measured window
         // opens, so describing the plan never perturbs the
@@ -371,7 +384,7 @@ impl<'d> Vcd<'d> {
         // enabled the plan is always built here even without EXPLAIN:
         // planning is what caches the cost-based decision that both
         // the scheduler below and the engine's `execute` consult.
-        let mut plan = (self.cfg.explain != ExplainMode::Off || self.optimizer.is_some())
+        let plan = (self.cfg.explain != ExplainMode::Off || self.optimizer.is_some())
             .then(|| {
                 let plan = engine.plan(&batch[0], &ctx);
                 if self.cfg.explain != ExplainMode::Off {
@@ -402,63 +415,27 @@ impl<'d> Vcd<'d> {
         };
         let batch_span = trace::span_dyn("vcd", || format!("batch.{}", kind.label()));
         let deg_before = fault::degradation_snapshot();
-        // Registry state at the measured window's start; the
-        // after-snapshot is taken before validation so the reference
-        // pipelines the oracle runs never pollute this batch's deltas.
-        let obs_before = metrics::snapshot();
         let start = Instant::now();
-        engine.prepare_batch(&batch, inputs, &ctx);
+        engine.prepare_batch(&batch, &self.dataset.videos, &ctx);
         // `prepare_batch` needed the exclusive reference; dispatch
         // shares the engine across scheduler workers.
         let engine: &dyn Vdbms = engine;
         let slots = self.dispatch(engine, &batch, &ctx, workers)?;
         let runtime = start.elapsed();
-        let obs_delta = metrics::snapshot().since(&obs_before);
         let recovered = fault::degradation_snapshot().since(&deg_before);
         drop(batch_span);
 
-        // Fold the per-instance slots in submission order. Classic
-        // semantics: the first (lowest-index) failure decides the
-        // batch's status, exactly as under the sequential driver.
-        // Degrade mode (faults active or a deadline enforced):
-        // cancelled/failed instances become degraded rows and the
-        // batch always completes with the surviving outputs.
-        let mut completed: Vec<(&QueryInstance, QueryOutput)> = Vec::with_capacity(batch.len());
-        let mut frames = 0usize;
-        let mut bytes_written = 0usize;
-        let mut latencies: Vec<u64> = Vec::with_capacity(batch.len());
-        let mut cancelled_instances = 0u64;
-        let mut failed_instances = 0u64;
-        let mut failure: Option<String> = None;
-        for (slot, instance) in slots.into_iter().zip(&batch) {
-            let Some((result, nanos)) = slot else { break };
-            latencies.push(nanos);
-            match result {
-                Ok(out) => {
-                    for &i in &instance.inputs {
-                        frames += self.dataset.videos[i].frame_count();
-                    }
-                    bytes_written += match &ctx.result_mode {
-                        ResultMode::Write { .. } => out.size_bytes(),
-                        ResultMode::Streaming => 0,
-                    };
-                    completed.push((instance, out));
-                }
-                Err(Error::Cancelled(_)) if degrade => cancelled_instances += 1,
-                Err(_) if degrade => failed_instances += 1,
-                Err(e) => {
-                    failure = Some(e.to_string());
-                    break;
-                }
+        let folded = match self.fold(slots, &batch, &ctx) {
+            Ok(folded) => folded,
+            Err(error) => {
+                return Ok(QueryReport { kind, batch_size, status: QueryStatus::Failed { error } })
             }
-        }
-        if let Some(error) = failure {
-            return Ok(QueryReport { kind, batch_size, status: QueryStatus::Failed { error } });
-        }
-        let fps = frames as f64 / runtime.as_secs_f64().max(1e-9);
-        // Per-operator stage aggregates accumulated by the engine's
-        // pipeline over the whole measured batch.
+        };
+        let fps = folded.frames as f64 / runtime.as_secs_f64().max(1e-9);
+        // Everything the engine's pipeline recorded over the batch;
+        // validation below runs under its own context.
         let stages = ctx.metrics.snapshot();
+        let latencies = &folded.latencies;
         // Feedback path: fold the batch's mean measured per-instance
         // latency into the optimizer's profile (EWMA) so later batches
         // — and the persisted profile — score with observed costs.
@@ -467,72 +444,14 @@ impl<'d> Vcd<'d> {
                 opt.feedback(&plan_key, latencies.iter().sum::<u64>() / latencies.len() as u64);
             }
         }
+        let fan_out = ctx.workers.max(1) * workers;
         let explain = plan
-            .take()
             .filter(|_| self.cfg.explain != ExplainMode::Off)
-            .map(|mut plan| {
-                let verify_error = if self.cfg.explain == ExplainMode::Analyze {
-                    plan.annotate(&stages, runtime.as_nanos() as u64);
-                    // Measured stage work may legitimately exceed wall
-                    // time when pipeline stages and scheduler workers
-                    // overlap; the invariant bound scales with the total
-                    // fan-out.
-                    plan.verify(runtime.as_nanos() as u64, ctx.workers.max(1) * workers).err()
-                } else {
-                    None
-                };
-                let mut text = plan.render_text();
-                if let Some(opt) = &self.optimizer {
-                    // EXPLAIN grows the chosen-vs-rejected table; under
-                    // ANALYZE the estimate is also confronted with the
-                    // measured per-instance latency recorded above.
-                    if let Some(decision) = opt.decision(&plan_key) {
-                        text.push_str(&decision.render_text());
-                    }
-                    if self.cfg.explain == ExplainMode::Analyze {
-                        if let Some((est, measured)) = opt.observed(&plan_key) {
-                            let err = (est as f64 - measured as f64).abs()
-                                / (measured as f64).max(1.0)
-                                * 100.0;
-                            text.push_str(&format!(
-                                "optimizer: est {} vs measured {} per instance (error {err:.1}%)\n",
-                                vr_vdbms::cost::fmt_cost(est),
-                                vr_vdbms::cost::fmt_cost(measured),
-                            ));
-                        }
-                    }
-                }
-                serve::set_explain(text.clone());
-                ExplainInfo { text, json: plan.render_json(), verify_error }
-            });
+            .map(|plan| self.explain_info(plan, &plan_key, &stages, runtime, fan_out));
         let scheduler =
-            SchedulerStats::from_durations(workers, &latencies, self.cfg.instance_deadline);
-
-        // Worker-pool busy fraction over the measured window, also
-        // published as a gauge for the metrics exporters.
-        let busy_nanos: u64 = latencies.iter().sum();
-        let worker_utilization = (busy_nanos as f64
-            / (workers as f64 * runtime.as_nanos().max(1) as f64))
-            .min(1.0);
-        metrics::gauge("scheduler.worker_utilization").set(worker_utilization);
+            SchedulerStats::from_durations(workers, latencies, runtime, self.cfg.instance_deadline);
+        metrics::gauge("scheduler.worker_utilization").set(scheduler.worker_utilization);
         metrics::gauge("scheduler.workers").set(workers as f64);
-        let obs = ObsStats {
-            stage_latency: vr_vdbms::StageKind::ALL
-                .iter()
-                .filter_map(|kind| {
-                    let stage = kind.label();
-                    let h = obs_delta.histograms.get(&format!("stage.{stage}.nanos"))?;
-                    (h.count > 0).then(|| StageLatency {
-                        stage,
-                        count: h.count,
-                        p50_nanos: h.p50(),
-                        p95_nanos: h.p95(),
-                        p99_nanos: h.p99(),
-                    })
-                })
-                .collect(),
-            worker_utilization,
-        };
 
         let validation = if self.cfg.validate {
             // Validation (reference runs + PSNR) happens outside the
@@ -540,22 +459,16 @@ impl<'d> Vcd<'d> {
             // faults into the correctness oracle would make every
             // verdict meaningless.
             let _span = trace::span("vcd", "validate");
-            fault::suppress(|| self.validate_batch(&completed))?
+            fault::suppress(|| self.validate_batch(&folded.completed))?
         } else {
             ValidationSummary { passed: true, ..Default::default() }
         };
 
         let faults_active = fault::active();
         let degradation = DegradationStats {
-            concealed_frames: recovered.concealed_frames,
-            skipped_samples: recovered.skipped_samples,
-            skipped_packets: recovered.skipped_packets,
-            io_retries: recovered.io_retries,
-            io_give_ups: recovered.io_give_ups,
-            stage_panics: recovered.stage_panics,
-            stalls_absorbed: recovered.stalls_absorbed,
-            cancelled_instances,
-            failed_instances,
+            recovered,
+            cancelled_instances: folded.cancelled_instances,
+            failed_instances: folded.failed_instances,
             achieved_psnr_db: if faults_active {
                 validation.psnr.map(|p| p.mean)
             } else {
@@ -569,17 +482,94 @@ impl<'d> Vcd<'d> {
             batch_size,
             status: QueryStatus::Completed {
                 runtime,
-                frames,
+                frames: folded.frames,
                 fps,
-                bytes_written,
+                bytes_written: folded.bytes_written,
                 stages,
                 scheduler,
                 validation,
                 degradation,
-                obs,
                 explain,
             },
         })
+    }
+
+    /// Fold the per-instance slots in submission order. Classic
+    /// semantics: the first (lowest-index) failure decides the batch,
+    /// and its message is the `Err`, exactly as under the sequential
+    /// driver. Degrade mode (faults active or a deadline enforced):
+    /// cancelled/failed instances become degraded rows and the batch
+    /// always completes with the surviving outputs.
+    fn fold<'b>(
+        &self,
+        slots: Vec<Slot>,
+        batch: &'b [QueryInstance],
+        ctx: &ExecContext,
+    ) -> std::result::Result<Folded<'b>, String> {
+        let degrade = self.degrade_mode();
+        let mut folded = Folded::default();
+        for (slot, instance) in slots.into_iter().zip(batch) {
+            let Some((result, nanos)) = slot else { break };
+            folded.latencies.push(nanos);
+            match result {
+                Ok(out) => {
+                    for &i in &instance.inputs {
+                        folded.frames += self.dataset.videos[i].frame_count();
+                    }
+                    folded.bytes_written += match &ctx.result_mode {
+                        ResultMode::Write { .. } => out.size_bytes(),
+                        ResultMode::Streaming => 0,
+                    };
+                    folded.completed.push((instance, out));
+                }
+                Err(Error::Cancelled(_)) if degrade => folded.cancelled_instances += 1,
+                Err(_) if degrade => folded.failed_instances += 1,
+                Err(e) => return Err(e.to_string()),
+            }
+        }
+        Ok(folded)
+    }
+
+    /// The EXPLAIN artifact of a finished batch, also published to the
+    /// live endpoint's `/explain` route. Under ANALYZE the plan is
+    /// annotated with the batch's stage snapshot and verified against
+    /// its wall time; with the optimizer on, its chosen-vs-rejected
+    /// table follows, and under ANALYZE the estimate is confronted
+    /// with the measured per-instance latency.
+    fn explain_info(
+        &self,
+        mut plan: PlanNode,
+        plan_key: &str,
+        stages: &PipelineSnapshot,
+        runtime: Duration,
+        fan_out: usize,
+    ) -> ExplainInfo {
+        let analyze = self.cfg.explain == ExplainMode::Analyze;
+        let verify_error = if analyze {
+            plan.annotate(stages, runtime.as_nanos() as u64);
+            // Measured stage work may legitimately exceed wall time
+            // when pipeline stages and scheduler workers overlap; the
+            // invariant bound scales with the total fan-out.
+            plan.verify(runtime.as_nanos() as u64, fan_out).err()
+        } else {
+            None
+        };
+        let mut text = plan.render_text();
+        if let Some(opt) = &self.optimizer {
+            if let Some(decision) = opt.decision(plan_key) {
+                text.push_str(&decision.render_text());
+            }
+            if let Some((est, measured)) = opt.observed(plan_key).filter(|_| analyze) {
+                let err = (est as f64 - measured as f64).abs() / (measured as f64).max(1.0) * 100.0;
+                text.push_str(&format!(
+                    "optimizer: est {} vs measured {} per instance (error {err:.1}%)\n",
+                    vr_vdbms::cost::fmt_cost(est),
+                    vr_vdbms::cost::fmt_cost(measured),
+                ));
+            }
+        }
+        serve::set_explain(text.clone());
+        ExplainInfo { text, json: plan.render_json(), verify_error }
     }
 
     /// Run one batch's instances on `workers` scheduler workers and
@@ -601,14 +591,13 @@ impl<'d> Vcd<'d> {
     /// indices are handed out in order, every slot below the lowest
     /// failing one is filled, so the fold in `run_one` still reports
     /// the lowest-index failure whatever the completion order.
-    #[allow(clippy::type_complexity)]
     fn dispatch(
         &self,
         engine: &dyn Vdbms,
         batch: &[QueryInstance],
         ctx: &ExecContext,
         workers: usize,
-    ) -> Result<Vec<Option<(Result<QueryOutput>, u64)>>> {
+    ) -> Result<Vec<Slot>> {
         let degrade = self.degrade_mode();
         let videos = &self.dataset.videos;
         let next = AtomicUsize::new(0);

@@ -13,6 +13,8 @@
 //! * **Camera space** has `x` right, `y` down, `z` forward.
 //! * **Pixel space** has the origin at the top-left of the frame.
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod camera;
 pub mod path;

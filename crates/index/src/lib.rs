@@ -15,6 +15,8 @@
 //! ingests of the same dataset produce byte-identical side-index files
 //! and identical query answers.
 
+#![forbid(unsafe_code)]
+
 pub mod hnsw;
 pub mod quant;
 pub mod record;

@@ -24,6 +24,8 @@
 //! coherence and geometric consistency with the ground truth are the
 //! goals.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod raster;
 pub mod scene_render;

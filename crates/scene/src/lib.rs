@@ -17,6 +17,8 @@
 //!   can be evaluated independently and in parallel (this is what
 //!   makes distributed generation embarrassingly parallel, Figure 9).
 
+#![forbid(unsafe_code)]
+
 pub mod city;
 pub mod entity;
 pub mod groundtruth;

@@ -17,6 +17,8 @@
 //!   camera's capture rate ("the VCD blocks on attempts to read video
 //!   data beyond this rate").
 
+#![forbid(unsafe_code)]
+
 pub mod dfs;
 pub mod flat;
 pub mod pacer;

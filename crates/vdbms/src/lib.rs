@@ -21,6 +21,8 @@
 //! pick; per-stage wall time, frames, and bytes are recorded into the
 //! [`ExecContext`]'s [`pipeline::PipelineMetrics`].
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cascade;
 pub mod cost;

@@ -26,10 +26,13 @@
 //! over bounded channels above it. The short-circuit gate is a kernel
 //! adaptor, not a loop of its own.
 //!
-//! Every operator records wall time, frames, and bytes into the
-//! [`PipelineMetrics`] carried by the [`ExecContext`]; the VCD
-//! snapshots them per query batch and the report prints the
-//! per-stage breakdown.
+//! Every operator records its invocation latency, frames, and bytes
+//! into the [`PipelineMetrics`] carried by the [`ExecContext`] — the
+//! one record of what a stage did. The VCD snapshots it once per query
+//! batch; the report prints the per-stage totals and quantiles from
+//! that snapshot, and EXPLAIN ANALYZE and `calibrate` read it too. The
+//! process-global registry holds only a mirror of every record, summed
+//! over all contexts, for the exporters.
 
 use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
 use crate::kernels::{boxes_frame, filter_class, FrameStream, SampleDecoder};
@@ -91,10 +94,11 @@ impl StageKind {
 
 #[derive(Default)]
 struct AtomicStage {
-    nanos: AtomicU64,
+    /// One observation per invocation: its `sum` is the stage's wall
+    /// nanoseconds, its `count` the invocations.
+    latency: metrics::Histogram,
     frames: AtomicU64,
     bytes: AtomicU64,
-    invocations: AtomicU64,
     allocs: AtomicU64,
     alloc_bytes: AtomicU64,
     alloc_peak: AtomicU64,
@@ -103,65 +107,67 @@ struct AtomicStage {
 /// Per-stage counters shared by every operator of one execution
 /// context. Thread-safe (pipelined stages run on worker threads).
 ///
-/// Every `record` also feeds the process-global
-/// [`vr_base::obs::metrics`] registry: per-stage invocation-latency
-/// histograms (`stage.<name>.nanos`) plus frame/byte counters, so
-/// cross-query aggregates and p50/p95/p99 latencies are available from
-/// one place while this struct keeps serving per-context deltas.
+/// This is the one record of what a stage did: the report, EXPLAIN
+/// ANALYZE and `calibrate` read it through [`PipelineMetrics::snapshot`].
+/// Every record is also mirrored into the process-global
+/// [`vr_base::obs::metrics`] registry (`stage.<s>.{nanos,frames,bytes}`,
+/// `alloc.stage.<s>.*`, `pipeline.contention_nanos`) for `/metrics` and
+/// `--metrics-out`, which sum over every context in the process.
+#[derive(Default)]
 pub struct PipelineMetrics {
     stages: [AtomicStage; 5],
     contention_nanos: AtomicU64,
-    stage_latency: [Arc<metrics::Histogram>; 5],
-    stage_frames: [Arc<metrics::Counter>; 5],
-    stage_bytes: [Arc<metrics::Counter>; 5],
-    stage_allocs: [Arc<metrics::Counter>; 5],
-    stage_alloc_bytes: [Arc<metrics::Counter>; 5],
-    stage_alloc_peak: [Arc<metrics::Gauge>; 5],
-    contention_total: Arc<metrics::Counter>,
 }
 
-impl Default for PipelineMetrics {
-    fn default() -> Self {
-        Self {
-            stages: Default::default(),
-            contention_nanos: AtomicU64::new(0),
-            stage_latency: std::array::from_fn(|i| {
-                metrics::histogram(&format!("stage.{}.nanos", StageKind::ALL[i].label()))
-            }),
-            stage_frames: std::array::from_fn(|i| {
-                metrics::counter(&format!("stage.{}.frames", StageKind::ALL[i].label()))
-            }),
-            stage_bytes: std::array::from_fn(|i| {
-                metrics::counter(&format!("stage.{}.bytes", StageKind::ALL[i].label()))
-            }),
-            stage_allocs: std::array::from_fn(|i| {
-                metrics::counter(&format!("alloc.stage.{}.allocs", StageKind::ALL[i].label()))
-            }),
-            stage_alloc_bytes: std::array::from_fn(|i| {
-                metrics::counter(&format!("alloc.stage.{}.bytes", StageKind::ALL[i].label()))
-            }),
-            stage_alloc_peak: std::array::from_fn(|i| {
-                metrics::gauge(&format!("alloc.stage.{}.peak_bytes", StageKind::ALL[i].label()))
-            }),
-            contention_total: metrics::counter("pipeline.contention_nanos"),
-        }
-    }
+/// One stage's registry series.
+struct StageMirror {
+    nanos: Arc<metrics::Histogram>,
+    frames: Arc<metrics::Counter>,
+    bytes: Arc<metrics::Counter>,
+    allocs: Arc<metrics::Counter>,
+    alloc_bytes: Arc<metrics::Counter>,
+    alloc_peak: Arc<metrics::Gauge>,
+}
+
+/// The registry handles every context mirrors into, looked up once per
+/// process.
+struct Mirror {
+    stages: [StageMirror; 5],
+    contention: Arc<metrics::Counter>,
+}
+
+fn mirror() -> &'static Mirror {
+    static MIRROR: std::sync::OnceLock<Mirror> = std::sync::OnceLock::new();
+    MIRROR.get_or_init(|| Mirror {
+        stages: StageKind::ALL.map(|kind| {
+            let series = |name: &str| format!("stage.{}.{name}", kind.label());
+            StageMirror {
+                nanos: metrics::histogram(&series("nanos")),
+                frames: metrics::counter(&series("frames")),
+                bytes: metrics::counter(&series("bytes")),
+                allocs: metrics::counter(&format!("alloc.{}", series("allocs"))),
+                alloc_bytes: metrics::counter(&format!("alloc.{}", series("bytes"))),
+                alloc_peak: metrics::gauge(&format!("alloc.{}", series("peak_bytes"))),
+            }
+        }),
+        contention: metrics::counter("pipeline.contention_nanos"),
+    })
 }
 
 impl PipelineMetrics {
     /// Add one stage invocation.
     pub fn record(&self, stage: StageKind, nanos: u64, frames: u64, bytes: u64) {
         let s = &self.stages[stage.idx()];
-        s.nanos.fetch_add(nanos, Ordering::Relaxed);
+        s.latency.observe(nanos);
         s.frames.fetch_add(frames, Ordering::Relaxed);
         s.bytes.fetch_add(bytes, Ordering::Relaxed);
-        s.invocations.fetch_add(1, Ordering::Relaxed);
-        self.stage_latency[stage.idx()].observe(nanos);
+        let m = &mirror().stages[stage.idx()];
+        m.nanos.observe(nanos);
         if frames > 0 {
-            self.stage_frames[stage.idx()].add(frames);
+            m.frames.add(frames);
         }
         if bytes > 0 {
-            self.stage_bytes[stage.idx()].add(bytes);
+            m.bytes.add(bytes);
         }
     }
 
@@ -190,7 +196,7 @@ impl PipelineMetrics {
     /// no-op delta — tracking off — is dropped before touching any
     /// atomics). Counts and bytes accumulate; the peak is max-merged,
     /// so the stage reports its worst single invocation.
-    pub fn record_alloc(&self, stage: StageKind, delta: &alloc::AllocDelta) {
+    fn record_alloc(&self, stage: StageKind, delta: &alloc::AllocDelta) {
         if delta.allocs == 0 && delta.bytes == 0 && delta.peak_bytes == 0 {
             return;
         }
@@ -198,16 +204,17 @@ impl PipelineMetrics {
         s.allocs.fetch_add(delta.allocs, Ordering::Relaxed);
         s.alloc_bytes.fetch_add(delta.bytes, Ordering::Relaxed);
         s.alloc_peak.fetch_max(delta.peak_bytes, Ordering::Relaxed);
-        self.stage_allocs[stage.idx()].add(delta.allocs);
-        self.stage_alloc_bytes[stage.idx()].add(delta.bytes);
-        self.stage_alloc_peak[stage.idx()].set_max(delta.peak_bytes as f64);
+        let m = &mirror().stages[stage.idx()];
+        m.allocs.add(delta.allocs);
+        m.alloc_bytes.add(delta.bytes);
+        m.alloc_peak.set_max(delta.peak_bytes as f64);
     }
 
     /// Add time a pipelined stage spent blocked on a full channel
     /// (backpressure from the next stage).
-    pub fn record_contention(&self, nanos: u64) {
+    fn record_contention(&self, nanos: u64) {
         self.contention_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.contention_total.add(nanos);
+        mirror().contention.add(nanos);
     }
 
     /// Current totals.
@@ -215,32 +222,20 @@ impl PipelineMetrics {
         PipelineSnapshot {
             stages: std::array::from_fn(|i| {
                 let s = &self.stages[i];
+                let latency = s.latency.snapshot();
                 StageSnapshot {
-                    nanos: s.nanos.load(Ordering::Relaxed),
+                    nanos: latency.sum,
                     frames: s.frames.load(Ordering::Relaxed),
                     bytes: s.bytes.load(Ordering::Relaxed),
-                    invocations: s.invocations.load(Ordering::Relaxed),
+                    invocations: latency.count,
                     allocs: s.allocs.load(Ordering::Relaxed),
                     alloc_bytes: s.alloc_bytes.load(Ordering::Relaxed),
                     peak_alloc_bytes: s.alloc_peak.load(Ordering::Relaxed),
+                    latency,
                 }
             }),
             contention_nanos: self.contention_nanos.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zero every counter.
-    pub fn reset(&self) {
-        for s in &self.stages {
-            s.nanos.store(0, Ordering::Relaxed);
-            s.frames.store(0, Ordering::Relaxed);
-            s.bytes.store(0, Ordering::Relaxed);
-            s.invocations.store(0, Ordering::Relaxed);
-            s.allocs.store(0, Ordering::Relaxed);
-            s.alloc_bytes.store(0, Ordering::Relaxed);
-            s.alloc_peak.store(0, Ordering::Relaxed);
-        }
-        self.contention_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -262,9 +257,11 @@ pub struct StageSnapshot {
     pub allocs: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
-    /// Worst single-invocation high-water mark (max-merged, so
-    /// `since()` keeps the later absolute value rather than a delta).
+    /// Worst single-invocation high-water mark (max-merged).
     pub peak_alloc_bytes: u64,
+    /// Invocation latencies; `nanos` is its `sum`, `invocations` its
+    /// `count`.
+    pub latency: metrics::HistogramSnapshot,
 }
 
 /// All five stages' totals at a point in time.
@@ -281,27 +278,6 @@ impl PipelineSnapshot {
     /// One stage's totals.
     pub fn stage(&self, kind: StageKind) -> StageSnapshot {
         self.stages[kind.idx()]
-    }
-
-    /// Counters accumulated since `earlier` (saturating).
-    pub fn since(&self, earlier: &PipelineSnapshot) -> PipelineSnapshot {
-        PipelineSnapshot {
-            stages: std::array::from_fn(|i| StageSnapshot {
-                nanos: self.stages[i].nanos.saturating_sub(earlier.stages[i].nanos),
-                frames: self.stages[i].frames.saturating_sub(earlier.stages[i].frames),
-                bytes: self.stages[i].bytes.saturating_sub(earlier.stages[i].bytes),
-                invocations: self.stages[i]
-                    .invocations
-                    .saturating_sub(earlier.stages[i].invocations),
-                allocs: self.stages[i].allocs.saturating_sub(earlier.stages[i].allocs),
-                alloc_bytes: self.stages[i]
-                    .alloc_bytes
-                    .saturating_sub(earlier.stages[i].alloc_bytes),
-                // A peak is a high-water mark, not an accumulator.
-                peak_alloc_bytes: self.stages[i].peak_alloc_bytes,
-            }),
-            contention_nanos: self.contention_nanos.saturating_sub(earlier.contention_nanos),
-        }
     }
 }
 
@@ -1310,19 +1286,8 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("decode 150ns/3fr/96B"), "{text}");
         assert!(text.contains("kernel 0ns/0fr/0B"), "{text}");
-        m.reset();
-        assert_eq!(m.snapshot(), PipelineSnapshot::default());
-    }
-
-    #[test]
-    fn snapshot_since_subtracts() {
-        let m = PipelineMetrics::default();
-        m.record(StageKind::Scan, 10, 1, 1);
-        let before = m.snapshot();
-        m.record(StageKind::Scan, 30, 2, 2);
-        let delta = m.snapshot().since(&before);
-        assert_eq!(delta.stage(StageKind::Scan).nanos, 30);
-        assert_eq!(delta.stage(StageKind::Scan).frames, 2);
+        let decode = snap.stage(StageKind::Decode).latency;
+        assert_eq!((decode.count, decode.sum, decode.buckets[0]), (2, 150, 2));
     }
 
     #[test]

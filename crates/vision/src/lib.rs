@@ -21,6 +21,8 @@
 //! * [`eval`] — precision/recall/average-precision, used to reproduce
 //!   the §6.3.1 video-quality experiment.
 
+#![forbid(unsafe_code)]
+
 pub mod alpr;
 pub mod cost;
 pub mod detect;

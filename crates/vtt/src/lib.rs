@@ -7,6 +7,8 @@
 //! ([`render`]) so captions become pixels the ω-coalesce join can
 //! composite.
 
+#![forbid(unsafe_code)]
+
 pub mod cue;
 pub mod font;
 pub mod plate;

@@ -208,8 +208,8 @@ fn watchdog_contains_injected_stage_panics() {
         panic!("chaos batch must complete (degraded), got {:?}", q.status);
     };
     assert_eq!(degradation.failed_instances, 2, "every instance hits frame 3");
-    assert_eq!(degradation.stage_panics, inj.injected().kernel_panics);
-    assert!(degradation.stage_panics >= 2);
+    assert_eq!(degradation.recovered.stage_panics, inj.injected().kernel_panics);
+    assert!(degradation.recovered.stage_panics >= 2);
     assert!(degradation.faults_active);
 }
 
@@ -229,9 +229,9 @@ fn corrupted_bitstreams_are_concealed_not_fatal() {
     let QueryStatus::Completed { degradation, .. } = &q.status else {
         panic!("chaos batch must complete, got {:?}", q.status);
     };
-    assert_eq!(degradation.skipped_samples, inj.injected().corrupt_bitstream);
+    assert_eq!(degradation.recovered.skipped_samples, inj.injected().corrupt_bitstream);
     assert!(
-        degradation.concealed_frames >= degradation.skipped_samples,
+        degradation.recovered.concealed_frames >= degradation.recovered.skipped_samples,
         "every skipped sample is concealed: {degradation:?}"
     );
 }
@@ -316,7 +316,7 @@ fn online_rtp_drops_are_skipped_and_accounted() {
     let QueryStatus::Completed { degradation, .. } = &q.status else {
         panic!("online chaos batch must complete, got {:?}", q.status);
     };
-    assert_eq!(degradation.skipped_packets, inj.injected().drop_rtp);
+    assert_eq!(degradation.recovered.skipped_packets, inj.injected().drop_rtp);
 }
 
 /// The chaos schedule `visualroad run --faults ... --fault-seed 7`

@@ -412,3 +412,39 @@ fn hevc_profile_datasets_work() {
         visual_road::QueryStatus::Completed { .. }
     ));
 }
+
+/// Two batches driven on two threads of one process, started together
+/// so they overlap: every stage of each report describes that batch
+/// alone — its latency histogram holds exactly the batch's own
+/// invocations and nanoseconds.
+#[test]
+fn overlapping_batches_report_their_own_stage_statistics() {
+    let dataset = tiny_dataset(5);
+    let barrier = std::sync::Barrier::new(2);
+    let reports: Vec<BenchmarkReport> = std::thread::scope(|scope| {
+        let run = |kind: QueryKind| {
+            let (dataset, barrier) = (&dataset, &barrier);
+            scope.spawn(move || {
+                let cfg = VcdConfig { batch_size: Some(4), validate: false, ..Default::default() };
+                let vcd = Vcd::new(dataset, cfg);
+                let mut engine = ReferenceEngine::new();
+                barrier.wait();
+                vcd.run_queries(&mut engine, &[kind]).unwrap()
+            })
+        };
+        let handles = [run(QueryKind::Q2aGrayscale), run(QueryKind::Q2bBlur)];
+        handles.map(|h| h.join().unwrap()).into()
+    });
+    for report in &reports {
+        let visual_road::QueryStatus::Completed { stages, .. } = &report.queries[0].status else {
+            panic!("{report}");
+        };
+        for kind in visual_road::vdbms::StageKind::ALL {
+            let s = stages.stage(kind);
+            let what = format!("{} {}", report.queries[0].kind.label(), kind.label());
+            assert_eq!(s.latency.count, s.invocations, "{what}");
+            assert_eq!(s.latency.sum, s.nanos, "{what}");
+        }
+        assert!(stages.stage(visual_road::vdbms::StageKind::Decode).invocations > 0, "{report}");
+    }
+}
