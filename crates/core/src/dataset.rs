@@ -36,6 +36,18 @@ pub struct VideoMeta {
     pub role: VideoRole,
 }
 
+/// Every complete panoramic rig in `meta`, by rig index: the rig and
+/// its face video indices, ordered by face.
+pub fn rig_faces(meta: &[VideoMeta]) -> Vec<(usize, [usize; 4])> {
+    let mut rigs: std::collections::BTreeMap<usize, [usize; 4]> = Default::default();
+    for (i, m) in meta.iter().enumerate() {
+        if let VideoRole::PanoramicFace { rig, face } = m.role {
+            rigs.entry(rig).or_insert([usize::MAX; 4])[face as usize] = i;
+        }
+    }
+    rigs.into_iter().filter(|(_, faces)| faces.iter().all(|&i| i != usize::MAX)).collect()
+}
+
 /// A complete benchmark dataset.
 pub struct Dataset {
     /// The hyperparameters it was generated from.
@@ -58,20 +70,6 @@ impl Dataset {
             .enumerate()
             .filter(|(_, m)| m.role == VideoRole::Traffic)
             .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Per-rig face video indices, ordered by face.
-    pub fn rig_faces(&self) -> Vec<[usize; 4]> {
-        let mut rigs: std::collections::BTreeMap<usize, [usize; 4]> = Default::default();
-        for (i, m) in self.meta.iter().enumerate() {
-            if let VideoRole::PanoramicFace { rig, face } = m.role {
-                rigs.entry(rig).or_insert([usize::MAX; 4])[face as usize] = i;
-            }
-        }
-        rigs.values()
-            .filter(|faces| faces.iter().all(|&f| f != usize::MAX))
-            .copied()
             .collect()
     }
 

@@ -206,7 +206,7 @@ impl<'d> Vcd<'d> {
         let mut rng = VrRng::seed_from(mix64(self.dataset.hyper.seed, kind as u64 + 0xBA7C));
         let ctx = self.dataset.sample_context(self.cfg.max_upsample_exp);
         let traffic = self.dataset.traffic_indices();
-        let rigs = self.dataset.rig_faces();
+        let rigs = crate::dataset::rig_faces(&self.dataset.meta);
         let panoramas = self.dataset.panorama_indices();
         let res = self.dataset.hyper.resolution;
         let dur = self.dataset.hyper.duration;
@@ -225,7 +225,7 @@ impl<'d> Vcd<'d> {
                         faces: ctx.rigs[r],
                         output: Resolution::new(res.width * 2, res.width),
                     };
-                    (spec, rigs[r].to_vec())
+                    (spec, rigs[r].1.to_vec())
                 }
                 QueryKind::Q10TileEncoding => {
                     if panoramas.is_empty() {

@@ -14,15 +14,17 @@
 //! jobs from one shared queue — per-camera generation needs no
 //! coordination, which is exactly what Figure 9 measures. The 360°
 //! panoramas are a second phase, one job per rig, once every face
-//! stream exists. Output is bit-identical across node counts.
+//! stream exists; a rig job with a core to spare decodes and stitches
+//! on one thread while it encodes on another. Output is bit-identical
+//! across node counts.
 
 use crate::captions::generate_captions;
-use crate::dataset::{Dataset, VideoMeta, VideoRole};
+use crate::dataset::{rig_faces, Dataset, VideoMeta, VideoRole};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-use vr_base::{Error, FrameRate, Hyperparameters, Result, Timestamp, VrRng};
+use vr_base::{Error, FramePool, FrameRate, Hyperparameters, Result, Timestamp, VrRng};
 use vr_codec::{Encoder, EncoderConfig, Profile, RateControlMode};
 use vr_container::{ContainerWriter, TrackKind};
 use vr_frame::Frame;
@@ -142,16 +144,19 @@ impl Vcg {
         // apart from phase 1: a rig's job holds the most memory of any
         // (its stitch table, four face decoders and an encoder), and
         // overlapping it with camera jobs would raise the high-water
-        // mark.
+        // mark. With at least two nodes per rig, each rig job splits
+        // across two threads.
         if self.cfg.generate_panoramas {
-            let rigs = collect_rig_faces(&meta);
+            let rigs = rig_faces(&meta);
+            let spare_core = nodes >= 2 * rigs.len();
             let panoramas = run_jobs(
                 rigs.len(),
                 nodes,
                 |r| format!("pano360-rig{}", rigs[r].0),
                 |r| {
                     let (rig, faces) = rigs[r];
-                    generate_panorama(&videos, &meta, rig, faces, &city, self.cfg.input_qp)
+                    let qp = self.cfg.input_qp;
+                    generate_panorama(&videos, &meta, rig, faces, &city, qp, spare_core)
                 },
             )?;
             for (v, m) in panoramas {
@@ -300,17 +305,11 @@ fn rig_index_of(city: &VisualCity, cam: &CityCamera) -> usize {
         .expect("face camera belongs to a rig")
 }
 
-fn collect_rig_faces(meta: &[VideoMeta]) -> Vec<(usize, [usize; 4])> {
-    let mut rigs: std::collections::BTreeMap<usize, [usize; 4]> = Default::default();
-    for (i, m) in meta.iter().enumerate() {
-        if let VideoRole::PanoramicFace { rig, face } = m.role {
-            rigs.entry(rig).or_insert([usize::MAX; 4])[face as usize] = i;
-        }
-    }
-    rigs.into_iter().filter(|(_, f)| f.iter().all(|&i| i != usize::MAX)).collect()
-}
-
-/// Build the pre-stitched 360° video for one rig.
+/// Build the pre-stitched 360° video for one rig: decode the four
+/// faces in lockstep and stitch (the producer), encode and mux (the
+/// consumer). With `spare_core` the producer runs on a thread of its
+/// own, one frame ahead of the encoder; otherwise the two alternate on
+/// the calling thread.
 fn generate_panorama(
     videos: &[InputVideo],
     meta: &[VideoMeta],
@@ -318,21 +317,19 @@ fn generate_panorama(
     faces: [usize; 4],
     city: &VisualCity,
     qp: u8,
+    spare_core: bool,
 ) -> Result<(InputVideo, VideoMeta)> {
-    let rigs = city.panoramic_rigs();
-    let rig_cams = rigs[rig];
+    let rig_cams = city.panoramic_rigs()[rig];
     let params: [FaceParams; 4] = std::array::from_fn(|i| FaceParams {
         yaw: rig_cams[i].camera.yaw,
         pitch: rig_cams[i].camera.pitch,
         hfov_deg: rig_cams[i].camera.hfov_deg,
     });
-    // The four faces decode in lockstep, one frame of each resident.
-    let mut streams = Vec::with_capacity(4);
-    for &fi in &faces {
-        streams.push(FrameStream::open(&videos[fi])?);
-    }
+    // One frame of each face resident at a time.
+    let [a, b, c, d] = faces.map(|fi| FrameStream::open(&videos[fi]));
+    let mut streams = [a?, b?, c?, d?];
     let info = streams[0].info();
-    let n = streams.iter().map(|s| s.len()).min().unwrap_or(0);
+    let n = streams.iter().map(FrameStream::len).min().unwrap_or(0);
     let out_w = (info.width * 2).max(4) & !1;
     let out_h = info.width.max(4) & !1;
 
@@ -345,23 +342,71 @@ fn generate_panorama(
     let mut encoder = Encoder::new(enc_cfg, out_w, out_h)?;
     let mut writer = ContainerWriter::new();
     let track = writer.add_track(TrackKind::Video, encoder.info().serialize());
-    // The rig's direction table, built once and dropped with this video.
+    // The rig's direction table, built once per video.
     let map = StitchMap::new(&params, info.width, info.height, out_w, out_h);
-    for t in 0..n {
-        let [a, b, c, d]: [Result<Frame>; 4] = std::array::from_fn(|i| {
-            streams[i].next_frame().expect("within the shortest face")
+    // Stitched frames recycle: one being stitched, one in the channel,
+    // one being encoded.
+    let pool = FramePool::new(3);
+    // The producer owns the streams, the table and the pool, so they
+    // are freed with it, before the muxer copies the container out.
+    let stitch = move |t: usize| {
+        let [a, b, c, d] = streams.each_mut().map(|s| {
+            s.next_frame().unwrap_or_else(|| {
+                Err(Error::Corrupt(format!("pano360-rig{rig}: a face ends before frame {t}")))
+            })
         });
-        let packet = encoder.encode(&map.apply(&[a?, b?, c?, d?]))?;
-        writer.push_sample(
-            track,
-            &packet.data,
-            Timestamp::of_frame(t as u64, info.frame_rate),
-            packet.keyframe,
-        );
-    }
+        let mut out = Frame::new_pooled(out_w, out_h, &pool);
+        map.apply(&[a?, b?, c?, d?], &mut out);
+        Ok(out)
+    };
+    let encode = |t: usize, frame: Frame| {
+        let packet = encoder.encode(&frame)?;
+        let ts = Timestamp::of_frame(t as u64, info.frame_rate);
+        writer.push_sample(track, &packet.data, ts, packet.keyframe);
+        Ok(())
+    };
+    produce_consume(n, spare_core, stitch, encode)?;
     let tile = meta[faces[0]].tile;
     let input = InputVideo::from_bytes(format!("pano360-rig{rig}.vrmf"), writer.finish())?;
     Ok((input, VideoMeta { camera: None, tile, role: VideoRole::Panorama360 { rig } }))
+}
+
+/// Run `consume(t, produce(t)?)` for every `t < n` in order, stopping
+/// at the first error.
+///
+/// With `pipelined`, `produce` runs on a scoped thread and hands its
+/// items over a channel of one slot, so it works one item ahead of the
+/// calling thread, which consumes. When the consumer stops, dropping
+/// the receiver fails the producer's next send, so it stops too; a
+/// producer's panic is re-raised on the calling thread with its own
+/// payload. Otherwise both alternate on the calling thread, which
+/// spawns nothing.
+fn produce_consume<T: Send>(
+    n: usize,
+    pipelined: bool,
+    mut produce: impl FnMut(usize) -> Result<T> + Send,
+    mut consume: impl FnMut(usize, T) -> Result<()>,
+) -> Result<()> {
+    if !pipelined {
+        return (0..n).try_for_each(|t| consume(t, produce(t)?));
+    }
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
+    std::thread::scope(|s| {
+        let producer = s.spawn(move || {
+            for t in 0..n {
+                let item = produce(t);
+                let failed = item.is_err();
+                if tx.send(item).is_err() || failed {
+                    return;
+                }
+            }
+        });
+        let consumed = rx.into_iter().enumerate().try_for_each(|(t, item)| consume(t, item?));
+        if let Err(panic) = producer.join() {
+            std::panic::resume_unwind(panic);
+        }
+        consumed
+    })
 }
 
 #[cfg(test)]
@@ -383,7 +428,7 @@ mod tests {
         let ds = Vcg::new(fast_cfg()).generate(&hyper(2, 7)).unwrap();
         // Per tile: 4 traffic + 4 faces; plus 1 panorama per rig.
         assert_eq!(ds.traffic_indices().len(), 8);
-        assert_eq!(ds.rig_faces().len(), 2);
+        assert_eq!(rig_faces(&ds.meta).len(), 2);
         assert_eq!(ds.panorama_indices().len(), 2);
         assert_eq!(ds.videos.len(), 2 * 8 + 2);
         // Every video decodes and has the right frame count (0.3 s at
@@ -409,7 +454,7 @@ mod tests {
             vr_vdbms::kernels::box_track(v, 0).unwrap();
         }
         // Panoramic faces don't.
-        for faces in ds.rig_faces() {
+        for (_, faces) in rig_faces(&ds.meta) {
             for fi in faces {
                 assert!(ds.videos[fi]
                     .container
@@ -421,21 +466,26 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_across_node_counts() {
+        // Two rigs: nodes 1 stitches inline on one thread, nodes 2 runs
+        // the two rig jobs in parallel, each inline, and nodes 4 runs
+        // them in parallel, each pipelined.
         let single = Vcg::new(GenConfig { nodes: 1, ..fast_cfg() })
             .generate(&hyper(2, 9))
             .unwrap();
-        let multi = Vcg::new(GenConfig { nodes: 4, ..fast_cfg() })
-            .generate(&hyper(2, 9))
-            .unwrap();
-        assert_eq!(single.videos.len(), multi.videos.len());
-        for (a, b) in single.videos.iter().zip(&multi.videos) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(
-                a.container.raw_bytes(),
-                b.container.raw_bytes(),
-                "distributed output must be bit-identical ({})",
-                a.name
-            );
+        for nodes in [2, 4] {
+            let multi = Vcg::new(GenConfig { nodes, ..fast_cfg() })
+                .generate(&hyper(2, 9))
+                .unwrap();
+            assert_eq!(single.videos.len(), multi.videos.len());
+            for (a, b) in single.videos.iter().zip(&multi.videos) {
+                assert_eq!(a.name, b.name);
+                assert_eq!(
+                    a.container.raw_bytes(),
+                    b.container.raw_bytes(),
+                    "distributed output must be bit-identical ({}, nodes {nodes})",
+                    a.name
+                );
+            }
         }
     }
 
@@ -464,6 +514,85 @@ mod tests {
             .collect();
         assert!(errors[0].contains("QP 99"), "{}", errors[0]);
         assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+    }
+
+    /// `video` with the payload of video sample `k` cut to its first
+    /// two bytes.
+    fn with_truncated_packet(video: &InputVideo, k: usize) -> InputVideo {
+        let track = video.container.track_of_kind(TrackKind::Video).unwrap();
+        let source = &video.container.tracks()[track];
+        let mut writer = ContainerWriter::new();
+        let out = writer.add_track(TrackKind::Video, source.config.clone());
+        for (i, s) in source.samples.iter().enumerate() {
+            let data = video.container.sample(track, i).unwrap();
+            let data = if i == k { &data[..2] } else { data };
+            writer.push_sample(out, data, s.timestamp, s.keyframe);
+        }
+        InputVideo::from_bytes(video.name.clone(), writer.finish()).unwrap()
+    }
+
+    #[test]
+    fn a_corrupt_face_packet_fails_the_panorama_job_inline_and_pipelined() {
+        let errors: Vec<(String, String)> = [false, true]
+            .into_iter()
+            .map(|spare_core| {
+                within(std::time::Duration::from_secs(60), move || {
+                    let cfg = GenConfig { generate_panoramas: false, ..fast_cfg() };
+                    let mut ds = Vcg::new(cfg).generate(&hyper(1, 13)).unwrap();
+                    let (rig, faces) = rig_faces(&ds.meta)[0];
+                    ds.videos[faces[2]] = with_truncated_packet(&ds.videos[faces[2]], 4);
+                    let decoder = vr_vdbms::kernels::decode_all(&ds.videos[faces[2]]);
+                    let job = generate_panorama(
+                        &ds.videos, &ds.meta, rig, faces, &ds.city, 20, spare_core,
+                    );
+                    (decoder.unwrap_err().to_string(), job.map(|_| ()).unwrap_err().to_string())
+                })
+            })
+            .collect();
+        let (decoder, inline) = &errors[0];
+        assert!(decoder.starts_with("corrupt data"), "{decoder}");
+        assert_eq!(inline, decoder, "inline: the decoder's own error");
+        assert_eq!(&errors[1].1, decoder, "pipelined: the decoder's own error");
+    }
+
+    #[test]
+    fn produce_consume_stops_both_sides_at_the_first_failure() {
+        let three = || Error::InvalidConfig("three".into());
+        for pipelined in [false, true] {
+            let (consumer_err, produced, producer_err, consumed, panic) =
+                within(std::time::Duration::from_secs(30), move || {
+                    // The consumer fails at item 3 of 100: a producer
+                    // blocked on the full channel must stop as well.
+                    let produced = AtomicUsize::new(0);
+                    let produce = |t| {
+                        produced.fetch_add(1, Ordering::Relaxed);
+                        Ok(t)
+                    };
+                    let consume = |t, _| if t == 3 { Err(three()) } else { Ok(()) };
+                    let consumer_err = produce_consume(100, pipelined, produce, consume);
+                    // The producer fails at item 5: items 0..5 arrive.
+                    let mut consumed = Vec::new();
+                    let produce = |t| if t == 5 { Err(Error::Corrupt("five".into())) } else { Ok(t) };
+                    let consume = |_, item| {
+                        consumed.push(item);
+                        Ok(())
+                    };
+                    let producer_err = produce_consume(100, pipelined, produce, consume);
+                    let panic = catch_unwind(|| {
+                        let produce = |t| if t == 2 { panic!("boom") } else { Ok(t) };
+                        produce_consume(9, pipelined, produce, |_, _| Ok(()))
+                    });
+                    let panic = panic.map_err(crate::vcd::panic_message);
+                    (consumer_err, produced.into_inner(), producer_err, consumed, panic)
+                });
+            assert_eq!(consumer_err.unwrap_err().to_string(), three().to_string());
+            // At most one item in the channel and one being produced
+            // beyond the four consumed.
+            assert!(produced <= 6, "pipelined={pipelined}: produced {produced} items");
+            assert_eq!(producer_err.unwrap_err().to_string(), "corrupt data: five");
+            assert_eq!(consumed, [0, 1, 2, 3, 4]);
+            assert_eq!(panic.unwrap_err(), "boom", "pipelined={pipelined}: the producer's payload");
+        }
     }
 
     #[test]

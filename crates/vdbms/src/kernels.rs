@@ -16,7 +16,7 @@ use vr_codec::{
 };
 use vr_container::TrackKind;
 use vr_frame::tile::TileGrid;
-use vr_frame::{draw, ops, round_u8, Frame, Yuv};
+use vr_frame::{draw, ops, round_u8, Frame};
 use vr_geom::{Camera, Equirect, Vec3};
 use vr_scene::ObjectClass;
 use vr_vision::Detection;
@@ -398,14 +398,15 @@ pub fn subquery_reencode(
 /// Q9's direction table for one rig and one pair of sizes: for every
 /// output pixel, the face that supplies it and the point in that face
 /// to sample. Rig orientation and sizes are fixed for a whole video,
-/// so the trigonometry, face choice and projection are done once here
-/// and [`StitchMap::apply`] only samples. Planar, 9 bytes per output
-/// pixel.
+/// so the trigonometry, face choice, projection and the sampler's
+/// shift and clamp are done once here, and [`StitchMap::apply`] only
+/// loads and blends. Planar, 9 bytes per output pixel.
 pub struct StitchMap {
     face_dims: (u32, u32),
     out_w: u32,
     out_h: u32,
     face: Vec<u8>,
+    /// The sample point as [`Taps::at`] takes it.
     x: Vec<f32>,
     y: Vec<f32>,
 }
@@ -455,6 +456,7 @@ impl StitchMap {
                         (face_w as f32 / 2.0, if dir.z > 0.0 { 0.0 } else { face_h as f32 - 1.0 })
                     }
                 };
+                let (x, y) = Taps::clamp(x, y, face_w, face_h);
                 face.push(best as u8);
                 xs.push(x);
                 ys.push(y);
@@ -463,48 +465,92 @@ impl StitchMap {
         Self { face_dims: (face_w, face_h), out_w, out_h, face, x: xs, y: ys }
     }
 
-    /// Stitch one set of face frames.
-    pub fn apply(&self, faces: &[Frame; 4]) -> Frame {
-        assert_eq!(
-            (faces[0].width(), faces[0].height()),
-            self.face_dims,
+    /// Stitch one set of face frames into `out`, writing every sample.
+    /// Each face's planes are borrowed once here, not once per tap.
+    pub fn apply(&self, faces: &[Frame; 4], out: &mut Frame) {
+        assert!(
+            faces.iter().all(|f| (f.width(), f.height()) == self.face_dims),
             "stitch map built for other face dimensions"
         );
-        let (out_w, out_h) = (self.out_w as usize, self.out_h as usize);
-        let mut out = Frame::new(self.out_w, self.out_h);
-        let sources = self.face.iter().zip(&self.x).zip(&self.y);
-        for (oy, ((&face, &x), &y)) in out.y.as_mut_slice().iter_mut().zip(sources) {
-            *oy = sample_bilinear_luma(&faces[face as usize], x, y);
+        assert_eq!((out.width(), out.height()), (self.out_w, self.out_h), "stitch output size");
+        let (fw, fh) = self.face_dims;
+        let (stride, cstride) = (fw as usize, fw as usize / 2);
+        let y_planes: [&[u8]; 4] = std::array::from_fn(|i| faces[i].y.as_slice());
+        let u_planes: [&[u8]; 4] = std::array::from_fn(|i| faces[i].u.as_slice());
+        let v_planes: [&[u8]; 4] = std::array::from_fn(|i| faces[i].v.as_slice());
+        let mut luma = Run::<1>::new();
+        let sources = self.face.chunks(RUN).zip(self.x.chunks(RUN)).zip(self.y.chunks(RUN));
+        for (oy, ((face, xs), ys)) in out.y.as_mut_slice().chunks_mut(RUN).zip(sources) {
+            for (j, ((&f, &x), &y)) in face.iter().zip(xs).zip(ys).enumerate() {
+                luma.gather(j, &Taps::at(x, y, fw, fh), [y_planes[f as usize]], stride, 0);
+            }
+            luma.blend_into(0, oy);
         }
         // A chroma sample takes the direction of its 2×2 block's
         // bottom-right pixel.
-        let (ou, ov) = (out.u.as_mut_slice(), out.v.as_mut_slice());
-        for cy in 0..out_h / 2 {
-            for cx in 0..out_w / 2 {
-                let i = (cy * 2 + 1) * out_w + cx * 2 + 1;
-                let (u, v) =
-                    sample_bilinear_chroma(&faces[self.face[i] as usize], self.x[i], self.y[i]);
-                ou[cy * (out_w / 2) + cx] = u;
-                ov[cy * (out_w / 2) + cx] = v;
+        let (ow, cw) = (self.out_w as usize, self.out_w as usize / 2);
+        let mut chroma = Run::<2>::new();
+        let rows = out.u.as_mut_slice().chunks_mut(cw).zip(out.v.as_mut_slice().chunks_mut(cw));
+        for (cy, (ou, ov)) in rows.enumerate() {
+            let runs = ou.chunks_mut(RUN).zip(ov.chunks_mut(RUN));
+            for (r, (ou, ov)) in runs.enumerate() {
+                for j in 0..ou.len() {
+                    let i = (cy * 2 + 1) * ow + (r * RUN + j) * 2 + 1;
+                    let f = self.face[i] as usize;
+                    let taps = Taps::at(self.x[i], self.y[i], fw, fh);
+                    chroma.gather(j, &taps, [u_planes[f], v_planes[f]], cstride, 1);
+                }
+                chroma.blend_into(0, ou);
+                chroma.blend_into(1, ov);
             }
         }
-        out
     }
 }
 
-/// Q9 core: stitch four 120°-FOV faces into an equirectangular frame.
-/// One-shot: a video's worth of frames should build one [`StitchMap`].
-pub fn stitch_equirect(
-    faces: &[Frame; 4],
-    params: &[crate::query::FaceParams; 4],
-    out_w: u32,
-    out_h: u32,
-) -> Frame {
-    StitchMap::new(params, faces[0].width(), faces[0].height(), out_w, out_h).apply(faces)
+/// Samples per run: [`StitchMap::apply`] gathers a run's taps one
+/// sample at a time, then blends the whole run in one fixed-length
+/// loop, which the compiler vectorizes.
+const RUN: usize = 32;
+
+/// One run's gathered taps for `P` planes that share their sample
+/// points (luma alone, or U and V), with the points' weights.
+struct Run<const P: usize> {
+    /// Per plane: top-left, top-right, bottom-left, bottom-right.
+    corners: [[[u8; RUN]; 4]; P],
+    tx: [f32; RUN],
+    ty: [f32; RUN],
 }
 
-/// The four taps and two weights of a clamped bilinear sample.
-struct BilinearTaps {
+impl<const P: usize> Run<P> {
+    fn new() -> Self {
+        Self { corners: [[[0; RUN]; 4]; P], tx: [0.0; RUN], ty: [0.0; RUN] }
+    }
+
+    /// Gather sample `j` of the run from each plane.
+    #[inline]
+    fn gather(&mut self, j: usize, taps: &Taps, planes: [&[u8]; P], stride: usize, shift: u32) {
+        for (corners, plane) in self.corners.iter_mut().zip(planes) {
+            for (corner, tap) in corners.iter_mut().zip(taps.corners(plane, stride, shift)) {
+                corner[j] = tap;
+            }
+        }
+        (self.tx[j], self.ty[j]) = (taps.tx, taps.ty);
+    }
+
+    /// Blend plane `p` of the run's first `out.len()` samples into `out`.
+    fn blend_into(&self, p: usize, out: &mut [u8]) {
+        let [tl, tr, bl, br] = &self.corners[p];
+        let mut blended = [0u8; RUN];
+        for j in 0..RUN {
+            blended[j] = blend([tl[j], tr[j], bl[j], br[j]], self.tx[j], self.ty[j]);
+        }
+        out.copy_from_slice(&blended[..out.len()]);
+    }
+}
+
+/// The four taps and two weights of a clamped bilinear sample of a
+/// `w`×`h` image, at a point [`Taps::clamp`] has prepared.
+struct Taps {
     x0: u32,
     x1: u32,
     y0: u32,
@@ -513,63 +559,46 @@ struct BilinearTaps {
     ty: f32,
 }
 
-impl BilinearTaps {
+impl Taps {
+    /// Shift a point to sample centres and clamp it into the image
+    /// (NaN stays NaN, and [`Taps::at`] samples it at 0).
+    fn clamp(x: f32, y: f32, w: u32, h: u32) -> (f32, f32) {
+        ((x - 0.5).clamp(0.0, w as f32 - 1.0), (y - 0.5).clamp(0.0, h as f32 - 1.0))
+    }
+
     #[inline]
-    fn at(f: &Frame, x: f32, y: f32) -> Self {
-        let xf = (x - 0.5).clamp(0.0, f.width() as f32 - 1.0);
-        let yf = (y - 0.5).clamp(0.0, f.height() as f32 - 1.0);
+    fn at(xf: f32, yf: f32, w: u32, h: u32) -> Self {
         // Clamped non-negative, where the cast's truncation is `floor`
         // (and NaN casts to 0 either way) without the libm call.
         let x0 = xf as u32;
         let y0 = yf as u32;
         Self {
             x0,
-            x1: (x0 + 1).min(f.width() - 1),
+            x1: (x0 + 1).min(w - 1),
             y0,
-            y1: (y0 + 1).min(f.height() - 1),
+            y1: (y0 + 1).min(h - 1),
             tx: xf - x0 as f32,
             ty: yf - y0 as f32,
         }
     }
 
-    /// Blend one plane. Generic over the getter (not `&dyn Fn`) so each
-    /// plane's sampling inlines into straight-line code in the
-    /// per-pixel hot loop.
+    /// The four taps in one plane of row length `stride`, each of
+    /// whose samples covers `1 << shift` image pixels a side (1 for
+    /// chroma): top-left, top-right, bottom-left, bottom-right.
     #[inline]
-    fn sample(&self, get: impl Fn(u32, u32) -> u8) -> u8 {
-        let blend = |a: u8, b: u8, t: f32| a as f32 + (b as f32 - a as f32) * t;
-        let top = blend(get(self.x0, self.y0), get(self.x1, self.y0), self.tx);
-        let bot = blend(get(self.x0, self.y1), get(self.x1, self.y1), self.tx);
-        round_u8(top + (bot - top) * self.ty)
-    }
-
-    #[inline]
-    fn luma(&self, f: &Frame) -> u8 {
-        self.sample(|x, y| f.get_y(x, y))
-    }
-
-    #[inline]
-    fn chroma(&self, f: &Frame) -> (u8, u8) {
-        (self.sample(|x, y| f.get_u(x / 2, y / 2)), self.sample(|x, y| f.get_v(x / 2, y / 2)))
+    fn corners(&self, plane: &[u8], stride: usize, shift: u32) -> [u8; 4] {
+        let at = |x: u32, y: u32| plane[(y >> shift) as usize * stride + (x >> shift) as usize];
+        [at(self.x0, self.y0), at(self.x1, self.y0), at(self.x0, self.y1), at(self.x1, self.y1)]
     }
 }
 
-/// Clamped bilinear sample of a frame's luma plane.
-pub fn sample_bilinear_luma(f: &Frame, x: f32, y: f32) -> u8 {
-    BilinearTaps::at(f, x, y).luma(f)
-}
-
-/// Clamped bilinear sample of a frame's `(U, V)` planes at luma
-/// coordinates `(x, y)`.
-pub fn sample_bilinear_chroma(f: &Frame, x: f32, y: f32) -> (u8, u8) {
-    BilinearTaps::at(f, x, y).chroma(f)
-}
-
-/// Clamped bilinear sample of a frame.
-pub fn sample_bilinear(f: &Frame, x: f32, y: f32) -> Yuv {
-    let taps = BilinearTaps::at(f, x, y);
-    let (u, v) = taps.chroma(f);
-    Yuv { y: taps.luma(f), u, v }
+/// Bilinear blend of four taps (top-left, top-right, bottom-left,
+/// bottom-right) with weights `tx` and `ty`.
+#[inline]
+fn blend([tl, tr, bl, br]: [u8; 4], tx: f32, ty: f32) -> u8 {
+    let lerp = |a: u8, b: u8| a as f32 + (b as f32 - a as f32) * tx;
+    let (top, bot) = (lerp(tl, tr), lerp(bl, br));
+    round_u8(top + (bot - top) * ty)
 }
 
 #[cfg(test)]
@@ -577,6 +606,7 @@ mod tests {
     use super::*;
     use crate::query::FaceParams;
     use vr_codec::Profile;
+    use vr_frame::Yuv;
 
     fn face_params() -> [FaceParams; 4] {
         std::array::from_fn(|i| FaceParams {
@@ -629,7 +659,8 @@ mod tests {
         let faces: [Frame; 4] = std::array::from_fn(|i| {
             Frame::filled(64, 64, Yuv::gray(50 + i as u8 * 40))
         });
-        let out = stitch_equirect(&faces, &face_params(), 128, 64);
+        let mut out = Frame::new(128, 64);
+        StitchMap::new(&face_params(), 64, 64, 128, 64).apply(&faces, &mut out);
         let mut counts = [0usize; 4];
         for y in 0..64 {
             for x in 0..128 {
@@ -657,8 +688,21 @@ mod tests {
         let mut f = Frame::new(4, 4);
         f.set_y(0, 0, 0);
         f.set_y(1, 0, 100);
-        let mid = sample_bilinear(&f, 1.0, 0.5);
+        let mid = sample_taps(&f, 1.0, 0.5);
         assert!((mid.y as i32 - 50).abs() <= 2, "got {}", mid.y);
+    }
+
+    /// A clamped bilinear sample of every plane of `f`, through the
+    /// taps [`StitchMap`] stores and applies.
+    fn sample_taps(f: &Frame, x: f32, y: f32) -> Yuv {
+        let (w, h) = (f.width(), f.height());
+        let (xf, yf) = Taps::clamp(x, y, w, h);
+        let taps = Taps::at(xf, yf, w, h);
+        let one = |plane: &[u8], stride: usize, shift: u32| {
+            blend(taps.corners(plane, stride, shift), taps.tx, taps.ty)
+        };
+        let cstride = w as usize / 2;
+        Yuv { y: one(&f.y, w as usize, 0), u: one(&f.u, cstride, 1), v: one(&f.v, cstride, 1) }
     }
 
     /// The sampler with the libm `floor`/`round` calls it used to make.
@@ -758,13 +802,14 @@ mod tests {
                 hfov_deg: rig_rng.range_f32(90.0, 130.0),
             });
             let map = StitchMap::new(&params, fw, fh, ow, oh);
-            // Two frames through one map: nothing of the first may
-            // reach the second.
+            // Two frames through one map and one output frame: nothing
+            // of the first may reach the second.
+            let mut out = Frame::new(ow, oh);
             for _ in 0..2 {
                 let faces = noise(fw, fh);
                 let (want, n) = stitch_equirect_oracle(&faces, &params, ow, oh);
-                assert!(map.apply(&faces) == want, "case {case}: map differs from the oracle");
-                assert!(stitch_equirect(&faces, &params, ow, oh) == want, "case {case}: wrapper");
+                map.apply(&faces, &mut out);
+                assert!(out == want, "case {case}: map differs from the oracle");
                 outside[0] += n[0];
                 outside[1] += n[1];
             }
@@ -793,11 +838,11 @@ mod tests {
                 1 => (rng.range(0, 33) as f32 * 0.5, rng.range(0, 25) as f32 * 0.5),
                 _ => (rng.range(0, 65) as f32 * 0.25, rng.range_f32(0.0, 12.0)),
             };
-            assert_eq!(sample_bilinear(&f, x, y), sample_bilinear_oracle(&f, x, y), "({x}, {y})");
+            assert_eq!(sample_taps(&f, x, y), sample_bilinear_oracle(&f, x, y), "({x}, {y})");
         }
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            assert_eq!(sample_bilinear(&f, bad, 3.0), sample_bilinear_oracle(&f, bad, 3.0));
-            assert_eq!(sample_bilinear(&f, 3.0, bad), sample_bilinear_oracle(&f, 3.0, bad));
+            assert_eq!(sample_taps(&f, bad, 3.0), sample_bilinear_oracle(&f, bad, 3.0));
+            assert_eq!(sample_taps(&f, 3.0, bad), sample_bilinear_oracle(&f, 3.0, bad));
         }
     }
 

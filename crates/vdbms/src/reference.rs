@@ -492,7 +492,11 @@ pub fn q9_stitch(
     let out = pl.kernel_span(n as u64, || {
         let map = StitchMap::new(params, info.width, info.height, out_w, out_h);
         (0..n)
-            .map(|t| map.apply(&std::array::from_fn(|i| decoded[i][t].clone())))
+            .map(|t| {
+                let mut frame = Frame::new(out_w, out_h);
+                map.apply(&std::array::from_fn(|i| decoded[i][t].clone()), &mut frame);
+                frame
+            })
             .collect::<Vec<Frame>>()
     });
     pl.encode_frames(&out, VideoInfo { width: out_w, height: out_h, ..info })

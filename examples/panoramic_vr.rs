@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "panoramic rigs: {}; 360° inputs: {}",
-        dataset.rig_faces().len(),
+        visual_road::dataset::rig_faces(&dataset.meta).len(),
         dataset.panorama_indices().len()
     );
     for &p in &dataset.panorama_indices() {
