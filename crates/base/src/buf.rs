@@ -16,7 +16,8 @@
 //!   loops allocate nothing per frame.
 
 use std::ops::{Deref, Range};
-use std::sync::{Arc, Mutex};
+use crate::sync::Mutex;
+use std::sync::Arc;
 
 /// An immutable, cheaply-cloneable byte buffer backed by a shared
 /// vector (`Arc<Vec<u8>>`: wrapping an owned `Vec` never copies the
@@ -225,10 +226,10 @@ impl PartialEq<Vec<u8>> for BufSlice {
     }
 }
 
-/// Default number of frames' worth of plane buffers a pool retains
-/// (override with `VR_POOL_FRAMES`). Sized for the deepest pipeline
-/// configuration: `PIPE_DEPTH` (8) frames in flight per channel, plus
-/// the codec reference frames.
+/// Frames' worth of plane buffers each `Decoder`/`Encoder` pool
+/// retains. Sized for the deepest pipeline configuration:
+/// `PIPE_DEPTH` (8) frames in flight per channel, plus the codec
+/// reference frames.
 pub const DEFAULT_POOL_FRAMES: usize = 16;
 
 /// An arena recycling plane-sized byte buffers through the pipeline.
@@ -255,23 +256,12 @@ impl FramePool {
         Arc::new(Self { free: Mutex::new(Vec::new()), cap: frames.max(1) * 3 })
     }
 
-    /// A pool sized from `VR_POOL_FRAMES` (default
-    /// [`DEFAULT_POOL_FRAMES`]).
-    pub fn from_env() -> Arc<Self> {
-        let frames = std::env::var("VR_POOL_FRAMES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_POOL_FRAMES);
-        Self::new(frames)
-    }
-
     /// Take a buffer of exactly `len` bytes, every byte set to `fill`.
     /// Reuses a retained buffer when one is available (allocation-free
     /// once warm, as long as `len` fits the recycled capacity),
     /// otherwise allocates fresh.
     pub fn take(&self, len: usize, fill: u8) -> Arc<Vec<u8>> {
-        let recycled = self.free.lock().expect("frame pool poisoned").pop();
+        let recycled = self.free.lock().pop();
         match recycled {
             Some(mut arc) => {
                 let v = Arc::get_mut(&mut arc).expect("pool buffers are unique");
@@ -289,7 +279,7 @@ impl FramePool {
         if Arc::strong_count(&arc) != 1 {
             return;
         }
-        let mut free = self.free.lock().expect("frame pool poisoned");
+        let mut free = self.free.lock();
         if free.len() < self.cap {
             free.push(arc);
         }
@@ -297,7 +287,7 @@ impl FramePool {
 
     /// Number of buffers currently retained (for tests/introspection).
     pub fn retained(&self) -> usize {
-        self.free.lock().expect("frame pool poisoned").len()
+        self.free.lock().len()
     }
 }
 

@@ -262,21 +262,6 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocDelta) {
     (value, guard.finish())
 }
 
-/// Record a scope's delta into the global registry under
-/// `alloc.<scope>.allocs` / `alloc.<scope>.bytes` (counters) and
-/// `alloc.<scope>.peak_bytes` (max-merged gauge). Call sites on hot
-/// paths should cache handles instead; this is for once-per-instance
-/// call sites like the VCD scheduler.
-pub fn record_scope(scope: &str, delta: &AllocDelta) {
-    if delta.allocs == 0 && delta.bytes == 0 && delta.peak_bytes == 0 {
-        return;
-    }
-    let registry = super::metrics::global();
-    registry.counter(&format!("alloc.{scope}.allocs")).add(delta.allocs);
-    registry.counter(&format!("alloc.{scope}.bytes")).add(delta.bytes);
-    registry.gauge(&format!("alloc.{scope}.peak_bytes")).set_max(delta.peak_bytes as f64);
-}
-
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------

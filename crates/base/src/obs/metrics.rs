@@ -167,11 +167,6 @@ impl Histogram {
         self.sum.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Record a [`std::time::Duration`] observation.
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Point-in-time copy of the histogram state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {

@@ -1,7 +1,8 @@
 //! One-of-each guards over the repository tree: no registry
 //! dependency in any manifest, one scoped-thread executor in
-//! `pipeline.rs`, one JSON escaper, `unsafe` refused by every crate
-//! root, and a `ci.sh` that stays a stage table. Each guard is a
+//! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
+//! payload reader, `unsafe` refused by every crate root, and a
+//! `ci.sh` that stays a stage table. Each guard is a
 //! function over text, shown failing on a bad input below.
 
 use std::path::{Path, PathBuf};
@@ -50,6 +51,28 @@ fn brings_own_escaper(src: &str) -> bool {
     let helper = ["json", "escape"].join("_");
     let chain = [".replace('", "\"', \"", "\\\\", "\\\"\")"].concat();
     src.contains(&helper) || src.contains(&chain)
+}
+
+/// Whether a source defines a channel of its own: a `channel`
+/// constructor or a `Sender`/`Receiver` type. Bounded channels are
+/// `std::sync::mpsc::sync_channel`. The patterns are assembled here so
+/// this file does not match itself.
+fn defines_channel(src: &str) -> bool {
+    let patterns = [
+        ["fn channel", "<"].concat(),
+        ["struct ", "Sender"].concat(),
+        ["struct ", "Receiver"].concat(),
+    ];
+    patterns.iter().any(|p| src.contains(p.as_str()))
+}
+
+/// Whether a source reads a panic payload (a `downcast_ref` to
+/// `&str`) above its first `#[cfg(test)]` line: only
+/// `vr_base::sync::panic_message` may. The pattern is assembled here
+/// so this file does not match itself.
+fn reads_panic_payload(src: &str) -> bool {
+    let reader = ["downcast_ref::<", "&str>"].concat();
+    src.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).any(|l| l.contains(&reader))
 }
 
 /// Whether a crate root makes `unsafe` a compiler error: `forbid`, or
@@ -109,6 +132,15 @@ fn the_repository_passes_every_guard() {
     for src in sources.iter().filter(|p| **p != writer) {
         assert!(!brings_own_escaper(&read(src)), "a JSON escaper outside json.rs: {}", src.display());
     }
+    let sync = crates.join("base/src/sync.rs");
+    for src in &sources {
+        let text = read(src);
+        assert!(!defines_channel(&text), "a channel other than std's: {}", src.display());
+        if *src != sync {
+            let what = src.display();
+            assert!(!reads_panic_payload(&text), "a panic payload reader outside sync.rs: {what}");
+        }
+    }
 
     let ci = read(&root.join("ci.sh"));
     assert!(within_line_budget(&ci), "ci.sh has {} lines", ci.lines().count());
@@ -130,6 +162,16 @@ fn each_guard_rejects_a_bad_input() {
     assert!(!brings_own_escaper("w.member(\"name\", name);"));
     assert!(brings_own_escaper(&format!("fn {}(s: &str) -> String {{ todo!() }}", ["json", "escape"].join("_"))));
     assert!(brings_own_escaper(&["let q = s.replace('", "\"', \"\\\\\\\"\");"].concat()));
+
+    assert!(!defines_channel("let (tx, rx) = std::sync::mpsc::sync_channel(8);"));
+    assert!(defines_channel(&format!("pub fn {}<T>(capacity: usize) {{}}", "channel")));
+    assert!(defines_channel(&["pub struct ", "Sender<T>(Arc<Chan<T>>);"].concat()));
+    assert!(defines_channel(&["pub struct ", "Receiver<T>(Arc<Chan<T>>);"].concat()));
+
+    let reader = ["let m = p.downcast_ref::<", "&str>();\n"].concat();
+    assert!(reads_panic_payload(&format!("fn message(p: P) {{\n{reader}}}\n")));
+    let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{reader}}}\n");
+    assert!(!reads_panic_payload(&in_tests), "the test module does not count");
 
     assert!(refuses_unsafe("//! A crate.\n\n#![forbid(unsafe_code)]\n\npub mod a;\n"));
     assert!(!refuses_unsafe("//! A crate.\n\npub mod a;\n"), "a crate root without the attribute");

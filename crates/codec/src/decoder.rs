@@ -9,6 +9,7 @@ use crate::packet::{FrameType, VideoInfo};
 use crate::quant::qstep;
 use crate::transform::N;
 use std::sync::Arc;
+use vr_base::buf::DEFAULT_POOL_FRAMES;
 use vr_base::{Error, FramePool, Result};
 use vr_bitstream::BitReader;
 use vr_frame::Frame;
@@ -27,7 +28,7 @@ pub struct Decoder {
 impl Decoder {
     /// Create a decoder for a stream with the given parameters.
     pub fn new(info: VideoInfo) -> Self {
-        Self { info, reference: None, pool: FramePool::from_env() }
+        Self { info, reference: None, pool: FramePool::new(DEFAULT_POOL_FRAMES) }
     }
 
     /// Stream parameters.

@@ -9,6 +9,7 @@ use crate::quant::{qstep, quantize, Levels, MAX_QP};
 use crate::ratecontrol::RateController;
 use crate::transform::{dct, N};
 use std::sync::Arc;
+use vr_base::buf::DEFAULT_POOL_FRAMES;
 use vr_base::{Error, FramePool, FrameRate, Result};
 use vr_bitstream::BitWriter;
 use vr_frame::Frame;
@@ -116,7 +117,7 @@ impl Encoder {
             reference: None,
             frame_index: 0,
             qp,
-            pool: FramePool::from_env(),
+            pool: FramePool::new(DEFAULT_POOL_FRAMES),
             pkt_capacity: width as usize * height as usize / 8,
         })
     }

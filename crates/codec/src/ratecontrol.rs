@@ -52,11 +52,6 @@ impl RateController {
         self.qp = (self.qp + 0.7 * instant + 0.3 * drift.clamp(-2.0, 2.0)).clamp(0.0, MAX_QP as f64);
     }
 
-    /// Current buffer fullness in bits (diagnostics).
-    pub fn buffer_bits(&self) -> f64 {
-        self.buffer
-    }
-
     /// Target bits per frame (diagnostics).
     pub fn target_bits_per_frame(&self) -> f64 {
         self.target_bpf

@@ -129,10 +129,6 @@ impl Sidecar {
             .find(|(n, _)| n == name)
             .map(|(_, p)| p.as_slice())
     }
-
-    pub fn section_names(&self) -> impl Iterator<Item = &[u8; 4]> {
-        self.sections.iter().map(|(n, _)| n)
-    }
 }
 
 #[cfg(test)]

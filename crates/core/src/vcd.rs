@@ -22,12 +22,11 @@ use crate::report::{
     BenchmarkReport, DegradationStats, ExplainInfo, QueryReport, QueryStatus, SchedulerStats,
     ValidationSummary,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vr_base::obs::{metrics, serve, trace};
 use vr_base::rng::mix64;
-use vr_base::sync::CancelToken;
+use vr_base::sync::{panic_message, run_jobs, stage_panic, CancelToken};
 use vr_base::{fault, Error, Resolution, Result, VrRng};
 use vr_container::TrackKind;
 use vr_frame::metrics::{psnr_y, PsnrStats, VALIDATION_THRESHOLD_DB};
@@ -158,8 +157,8 @@ pub struct Vcd<'d> {
 }
 
 /// One instance's slot after dispatch: its result and latency in
-/// nanoseconds, or `None` if it was never started.
-type Slot = Option<(Result<QueryOutput>, u64)>;
+/// nanoseconds.
+type Slot = (Result<QueryOutput>, u64);
 
 /// What the fold of a batch's slots keeps for the report.
 #[derive(Default)]
@@ -420,17 +419,18 @@ impl<'d> Vcd<'d> {
         // `prepare_batch` needed the exclusive reference; dispatch
         // shares the engine across scheduler workers.
         let engine: &dyn Vdbms = engine;
-        let slots = self.dispatch(engine, &batch, &ctx, workers)?;
+        let slots = match self.dispatch(engine, &batch, &ctx, workers) {
+            Ok(slots) => slots,
+            Err(e) => {
+                let status = QueryStatus::Failed { error: e.to_string() };
+                return Ok(QueryReport { kind, batch_size, status });
+            }
+        };
         let runtime = start.elapsed();
         let recovered = fault::degradation_snapshot().since(&deg_before);
         drop(batch_span);
 
-        let folded = match self.fold(slots, &batch, &ctx) {
-            Ok(folded) => folded,
-            Err(error) => {
-                return Ok(QueryReport { kind, batch_size, status: QueryStatus::Failed { error } })
-            }
-        };
+        let folded = self.fold(slots, &batch, &ctx);
         let fps = folded.frames as f64 / runtime.as_secs_f64().max(1e-9);
         // Everything the engine's pipeline recorded over the batch;
         // validation below runs under its own context.
@@ -494,22 +494,18 @@ impl<'d> Vcd<'d> {
         })
     }
 
-    /// Fold the per-instance slots in submission order. Classic
-    /// semantics: the first (lowest-index) failure decides the batch,
-    /// and its message is the `Err`, exactly as under the sequential
-    /// driver. Degrade mode (faults active or a deadline enforced):
-    /// cancelled/failed instances become degraded rows and the batch
-    /// always completes with the surviving outputs.
+    /// Fold the per-instance slots in submission order. A failed slot
+    /// exists only in degrade mode (faults active or a deadline
+    /// enforced): cancelled/failed instances become degraded rows and
+    /// the batch completes with the surviving outputs.
     fn fold<'b>(
         &self,
         slots: Vec<Slot>,
         batch: &'b [QueryInstance],
         ctx: &ExecContext,
-    ) -> std::result::Result<Folded<'b>, String> {
-        let degrade = self.degrade_mode();
+    ) -> Folded<'b> {
         let mut folded = Folded::default();
-        for (slot, instance) in slots.into_iter().zip(batch) {
-            let Some((result, nanos)) = slot else { break };
+        for ((result, nanos), instance) in slots.into_iter().zip(batch) {
             folded.latencies.push(nanos);
             match result {
                 Ok(out) => {
@@ -522,12 +518,11 @@ impl<'d> Vcd<'d> {
                     };
                     folded.completed.push((instance, out));
                 }
-                Err(Error::Cancelled(_)) if degrade => folded.cancelled_instances += 1,
-                Err(_) if degrade => folded.failed_instances += 1,
-                Err(e) => return Err(e.to_string()),
+                Err(Error::Cancelled(_)) => folded.cancelled_instances += 1,
+                Err(_) => folded.failed_instances += 1,
             }
         }
-        Ok(folded)
+        folded
     }
 
     /// The EXPLAIN artifact of a finished batch, also published to the
@@ -572,25 +567,21 @@ impl<'d> Vcd<'d> {
         ExplainInfo { text, json: plan.render_json(), verify_error }
     }
 
-    /// Run one batch's instances on `workers` scheduler workers and
-    /// return one slot per instance: its result plus its latency in
-    /// nanoseconds, or `None` if it was never started.
+    /// Run one batch's instances on `workers` scheduler workers
+    /// ([`run_jobs`]) and return one slot per instance: its result plus
+    /// its latency in nanoseconds.
     ///
-    /// Every worker runs the same loop: take the next instance index
-    /// from a shared counter (so an expensive instance never stalls the
-    /// rest of the batch behind it), open its span, start its clock,
-    /// pace its inputs through RTP when the driver is in online mode
-    /// (inside the worker, concurrently, the way a rack of live cameras
-    /// would), execute it under its own context, fill its slot. With
-    /// one worker the loop runs on the calling thread — the classic
-    /// sequential driver, no thread spawned.
+    /// Each instance is one job: open its span, start its clock, pace
+    /// its inputs through RTP when the driver is in online mode (inside
+    /// the worker, concurrently, the way a rack of live cameras would),
+    /// execute it under its own context. With one worker the jobs run
+    /// on the calling thread — the classic sequential driver, no thread
+    /// spawned.
     ///
-    /// In degrade mode a failure costs that instance only. Otherwise
-    /// the first failure ends its worker's loop: a failed ingest is the
-    /// batch's error, a failed execution a filled slot — and since
-    /// indices are handed out in order, every slot below the lowest
-    /// failing one is filled, so the fold in `run_one` still reports
-    /// the lowest-index failure whatever the completion order.
+    /// In degrade mode a failure costs that instance only: it is a
+    /// filled slot. Otherwise it is the job's error, which stops the
+    /// workers, and the lowest-index failure decides the batch whatever
+    /// the completion order.
     fn dispatch(
         &self,
         engine: &dyn Vdbms,
@@ -600,57 +591,24 @@ impl<'d> Vcd<'d> {
     ) -> Result<Vec<Slot>> {
         let degrade = self.degrade_mode();
         let videos = &self.dataset.videos;
-        let next = AtomicUsize::new(0);
-        // Each index is taken by exactly one worker, so each slot is
-        // set at most once.
-        let slots: Vec<OnceLock<_>> = batch.iter().map(|_| OnceLock::new()).collect();
-        let worker = || -> Result<()> {
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(instance) = batch.get(i) else {
-                    return Ok(());
-                };
-                let _span =
-                    trace::span_dyn("scheduler", || format!("instance.{}.{i}", ctx.query_label));
-                let t0 = Instant::now();
-                let ingested = match self.cfg.mode {
-                    ExecutionMode::Online { speedup } => {
-                        ingest_inputs_online(videos, instance, speedup).map(|_| ())
-                    }
-                    ExecutionMode::Offline => Ok(()),
-                };
-                let result = match ingested {
-                    Ok(()) => engine.execute(instance, videos, &self.instance_context(ctx, i)),
-                    // An ingest failure (e.g. an exhausted retry budget).
-                    Err(e) if degrade => Err(e),
-                    Err(e) => return Err(e),
-                };
-                let stop = result.is_err() && !degrade;
-                let _ = slots[i].set((result, t0.elapsed().as_nanos() as u64));
-                if stop {
-                    return Ok(());
+        let name = |i| format!("instance.{}.{i}", ctx.query_label);
+        run_jobs(batch.len(), workers, name, |i| {
+            let instance = &batch[i];
+            let _span = trace::span_dyn("scheduler", || name(i));
+            let t0 = Instant::now();
+            let ingested = match self.cfg.mode {
+                ExecutionMode::Online { speedup } => {
+                    ingest_inputs_online(videos, instance, speedup).map(|_| ())
                 }
+                ExecutionMode::Offline => Ok(()),
+            };
+            let ictx = self.instance_context(ctx, i);
+            let result = ingested.and_then(|()| engine.execute(instance, videos, &ictx));
+            match result {
+                Err(e) if !degrade => Err(e),
+                result => Ok((result, t0.elapsed().as_nanos() as u64)),
             }
-        };
-        let statuses: Vec<Result<()>> = if workers <= 1 {
-            vec![worker()]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-                // A worker that somehow panicked past the pipeline's
-                // containment boundaries surfaces as a typed error
-                // rather than poisoning the whole process.
-                let join = |h: std::thread::ScopedJoinHandle<'_, Result<()>>| {
-                    h.join().unwrap_or_else(|p| {
-                        fault::note_stage_panic();
-                        Err(Error::StagePanic(panic_message(p)))
-                    })
-                };
-                handles.into_iter().map(join).collect()
-            })
-        };
-        statuses.into_iter().collect::<Result<()>>()?;
-        Ok(slots.into_iter().map(OnceLock::into_inner).collect())
+        })
     }
 
     /// Validate the completed (instance, output) pairs of a batch
@@ -813,17 +771,6 @@ impl<'d> Vcd<'d> {
     }
 }
 
-/// Best-effort text from a propagated panic payload.
-pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Stream one input's video track through a named pipe at the capture
 /// rate — the single-machine online transport ("a VDBMS may access
 /// each video using either a named pipe … or via the RTP protocol",
@@ -856,13 +803,7 @@ pub fn ingest_online_pipe(input: &InputVideo, speedup: f64) -> Result<usize> {
         while let Some(frame) = reader.read() {
             bytes += frame.len();
         }
-        match producer.join() {
-            Ok(r) => r?,
-            Err(p) => {
-                vr_base::fault::note_stage_panic();
-                return Err(vr_base::Error::StagePanic(panic_message(p)));
-            }
-        }
+        producer.join().unwrap_or_else(|p| Err(stage_panic(panic_message(p))))?;
         Ok(bytes)
     })
 }

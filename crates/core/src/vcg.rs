@@ -11,8 +11,8 @@
 //!
 //! Each camera's stream is one job, and `GenConfig::nodes` worker
 //! threads (the EC2-node analogue; every core by default) take camera
-//! jobs from one shared queue — per-camera generation needs no
-//! coordination, which is exactly what Figure 9 measures. The 360°
+//! jobs from one shared queue ([`run_jobs`]) — per-camera generation
+//! needs no coordination, which is exactly what Figure 9 measures. The 360°
 //! panoramas are a second phase, one job per rig, once every face
 //! stream exists; a rig job with a core to spare decodes and stitches
 //! on one thread while it encodes on another. Output is bit-identical
@@ -20,10 +20,8 @@
 
 use crate::captions::generate_captions;
 use crate::dataset::{rig_faces, Dataset, VideoMeta, VideoRole};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
+use vr_base::sync::run_jobs;
 use vr_base::{Error, FramePool, FrameRate, Hyperparameters, Result, Timestamp, VrRng};
 use vr_codec::{Encoder, EncoderConfig, Profile, RateControlMode};
 use vr_container::{ContainerWriter, TrackKind};
@@ -169,56 +167,6 @@ impl Vcg {
             Dataset { hyper: *hyper, city, videos, meta, density_scale: self.cfg.density_scale };
         Ok((dataset, timings))
     }
-}
-
-/// Run `job(i)` for every `i < n` and return the results in index
-/// order, whatever order the jobs finished in.
-///
-/// In the shape of the VCD's batch dispatch: each of `workers` threads
-/// takes the next index from one shared counter, so a slow job never
-/// leaves a worker idle behind it. The calling thread is one of the
-/// workers, so with one worker (or one job) nothing is spawned; and
-/// the memory its jobs free stays with the thread that goes on to use
-/// the dataset, where a spawned thread's would sit resident and unused
-/// once it exits. A panicking job becomes [`Error::StagePanic`] naming
-/// it (`name(i)`). Workers stop taking jobs once they see a failure;
-/// since indices are handed out in order, every job below a failed one
-/// has still run, so the error returned is the lowest-index job's — the
-/// one a sequential run stops at.
-fn run_jobs<T: Send + Sync>(
-    n: usize,
-    workers: usize,
-    name: impl Fn(usize) -> String + Sync,
-    job: impl Fn(usize) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let slots: Vec<OnceLock<Result<T>>> = (0..n).map(|_| OnceLock::new()).collect();
-    let worker = || {
-        while !failed.load(Ordering::Relaxed) {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return;
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| job(i))).unwrap_or_else(|p| {
-                Err(Error::StagePanic(format!("{}: {}", name(i), crate::vcd::panic_message(p))))
-            });
-            if result.is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            // Each index is taken by exactly one worker.
-            let _ = slots[i].set(result);
-        }
-    };
-    std::thread::scope(|s| {
-        for _ in 1..workers.min(n) {
-            s.spawn(worker);
-        }
-        worker();
-    });
-    // Slots are filled up to at least the lowest failure, so reading in
-    // order meets that error before any job that never started.
-    slots.into_iter().map_while(OnceLock::into_inner).collect()
 }
 
 /// Render, encode, and mux one camera's stream.
@@ -412,6 +360,9 @@ fn produce_consume<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::catch_unwind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use vr_base::sync::panic_message;
     use vr_base::{Duration, Resolution};
 
     fn hyper(l: u32, seed: u64) -> Hyperparameters {
@@ -582,7 +533,7 @@ mod tests {
                         let produce = |t| if t == 2 { panic!("boom") } else { Ok(t) };
                         produce_consume(9, pipelined, produce, |_, _| Ok(()))
                     });
-                    let panic = panic.map_err(crate::vcd::panic_message);
+                    let panic = panic.map_err(panic_message);
                     (consumer_err, produced.into_inner(), producer_err, consumed, panic)
                 });
             assert_eq!(consumer_err.unwrap_err().to_string(), three().to_string());
@@ -592,33 +543,6 @@ mod tests {
             assert_eq!(producer_err.unwrap_err().to_string(), "corrupt data: five");
             assert_eq!(consumed, [0, 1, 2, 3, 4]);
             assert_eq!(panic.unwrap_err(), "boom", "pipelined={pipelined}: the producer's payload");
-        }
-    }
-
-    #[test]
-    fn jobs_fill_slots_in_order_and_fail_at_the_lowest_index() {
-        for workers in [1, 2, 3, 8] {
-            let squares = run_jobs(7, workers, |i| format!("job {i}"), |i| Ok(i * i)).unwrap();
-            assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36]);
-            assert!(run_jobs(0, workers, |_| String::new(), Ok).unwrap().is_empty());
-            // Job 2 panics, job 5 errors: the lowest index wins, named.
-            let err = within(std::time::Duration::from_secs(30), move || {
-                run_jobs(
-                    8,
-                    workers,
-                    |i| format!("job {i}"),
-                    |i| match i {
-                        2 => panic!("boom"),
-                        5 => Err(Error::InvalidConfig("five".into())),
-                        _ => Ok(i),
-                    },
-                )
-                .unwrap_err()
-            });
-            assert!(
-                matches!(&err, Error::StagePanic(m) if m == "job 2: boom"),
-                "workers={workers}: {err}"
-            );
         }
     }
 

@@ -64,11 +64,6 @@ impl FrameTruth {
         self.objects.iter().filter(move |o| o.class == class && !o.occluded)
     }
 
-    /// Whether `plate` is identifiable in this frame.
-    pub fn plate_identifiable(&self, plate: LicensePlate) -> bool {
-        self.objects.iter().any(|o| o.plate == Some(plate) && o.plate_visible)
-    }
-
     /// Serialize for the container's metadata track.
     pub fn serialize(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();

@@ -12,10 +12,6 @@ use vr_base::fault::{self, IoOp};
 use vr_base::sync::RwLock;
 use vr_base::{Error, Result, SharedBuf};
 
-/// Default block size (64 KiB — scaled down from HDFS's 128 MiB so
-/// benchmark-sized videos span multiple blocks).
-pub const DEFAULT_BLOCK_SIZE: usize = 64 * 1024;
-
 /// Globally-unique block id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BlockId(u64);

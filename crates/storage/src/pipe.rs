@@ -8,15 +8,16 @@
 //! empty) without requiring OS-specific mkfifo.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
 use vr_base::fault::{self, IoOp};
-use vr_base::sync::{channel, Mutex, Receiver, Sender};
+use vr_base::sync::Mutex;
 use vr_base::{BufSlice, Error, Result};
 
 /// Writing half of a pipe. Messages are [`BufSlice`] views, so pushing
 /// a container sample through a pipe shares the file bytes instead of
 /// copying them per message.
 pub struct PipeWriter {
-    tx: Sender<BufSlice>,
+    tx: SyncSender<BufSlice>,
 }
 
 /// Reading half of a pipe (forward-only, blocking).
@@ -41,7 +42,7 @@ impl PipeWriter {
             let payload = data.take().expect("payload consumed only by a successful send");
             match self.tx.send(payload) {
                 Ok(()) => Ok(()),
-                Err(vr_base::sync::SendError(payload)) => {
+                Err(SendError(payload)) => {
                     data = Some(payload);
                     Err(Error::Io(std::io::Error::new(
                         std::io::ErrorKind::BrokenPipe,
@@ -86,7 +87,7 @@ impl PipeRegistry {
         if pipes.contains_key(name) {
             return Err(Error::InvalidConfig(format!("pipe {name} already exists")));
         }
-        let (tx, rx) = channel(capacity.max(1));
+        let (tx, rx) = sync_channel(capacity.max(1));
         pipes.insert(name.to_string(), rx);
         Ok(PipeWriter { tx })
     }

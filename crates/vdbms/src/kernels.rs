@@ -137,30 +137,14 @@ pub fn decode_all_parallel(
             (gop_starts[g0], gop_starts.get(g1).copied().unwrap_or(n))
         })
         .collect();
-    let mut parts: Vec<Result<Vec<Frame>>> = bounds
-        .iter()
-        .map(|&(from, to)| Ok(Vec::with_capacity(to - from)))
-        .collect();
-    vr_base::sync::parallel_chunks(&mut parts, chunks, |c, part| {
-        let _span = vr_base::obs::trace::span_dyn("decoder", || format!("gop_chunk{c}"));
+    let name = |c| format!("gop_chunk{c}");
+    let parts = vr_base::sync::run_jobs(chunks, chunks, name, |c| {
+        let _span = vr_base::obs::trace::span_dyn("decoder", || name(c));
         let (from, to) = bounds[c];
         let mut dec = SampleDecoder::new(info);
-        let mut out = Vec::with_capacity(to - from);
-        for i in from..to {
-            match dec.decode_sample(input, track, i) {
-                Ok(f) => out.push(f),
-                Err(e) => {
-                    *part = Err(e);
-                    return;
-                }
-            }
-        }
-        *part = Ok(out);
-    });
-    let mut frames = Vec::with_capacity(n);
-    for part in parts {
-        frames.extend(part?);
-    }
+        (from..to).map(|i| dec.decode_sample(input, track, i)).collect::<Result<Vec<_>>>()
+    })?;
+    let frames: Vec<Frame> = parts.into_iter().flatten().collect();
     Ok((info, frames))
 }
 

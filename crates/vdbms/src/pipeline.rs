@@ -38,12 +38,13 @@ use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
 use crate::kernels::{boxes_frame, filter_class, FrameStream, SampleDecoder};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvTimeoutError, SendError, SyncSender, TrySendError,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vr_base::obs::{alloc, metrics, trace};
-use vr_base::sync::{
-    channel, parallel_chunks, Receiver, RecvTimeoutError, SendError, Sender, TrySendError,
-};
+use vr_base::sync::{panic_message, parallel_chunks, stage_panic};
 use vr_base::{fault, Error, Result};
 use vr_codec::{EncodedVideo, Encoder, EncoderConfig, RateControlMode, VideoInfo};
 use vr_container::TrackKind;
@@ -712,7 +713,11 @@ const PIPE_DEPTH: usize = 8;
 /// Send on a pipelined stage boundary, charging any time spent blocked
 /// on a full channel to the contention counter. An `Err` means the
 /// downstream stage is gone (it failed and hung up); the caller stops.
-fn send_stage<T>(tx: &Sender<T>, value: T, metrics: &PipelineMetrics) -> Result<(), SendError<T>> {
+fn send_stage<T>(
+    tx: &SyncSender<T>,
+    value: T,
+    metrics: &PipelineMetrics,
+) -> Result<(), SendError<T>> {
     match tx.try_send(value) {
         Ok(()) => Ok(()),
         Err(TrySendError::Disconnected(v)) => Err(SendError(v)),
@@ -725,28 +730,12 @@ fn send_stage<T>(tx: &Sender<T>, value: T, metrics: &PipelineMetrics) -> Result<
     }
 }
 
-/// Human-readable panic payload.
-fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
-    match p.downcast_ref::<&str>() {
-        Some(s) => (*s).to_string(),
-        None => match p.downcast_ref::<String>() {
-            Some(s) => s.clone(),
-            None => "opaque panic payload".into(),
-        },
-    }
-}
-
 /// Contain a panic at a stage boundary: a panicking stage (injected or
 /// organic) degrades into a typed [`Error::StagePanic`] instead of
 /// unwinding through the executor and poisoning its channels.
 fn contain_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(p) => {
-            fault::note_stage_panic();
-            Err(Error::StagePanic(panic_payload(p)))
-        }
-    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|p| Err(stage_panic(panic_message(p))))
 }
 
 /// Receive on a stage boundary under the watchdog: `Ok(None)` is a
@@ -919,8 +908,8 @@ impl<'c> Pipeline<'c> {
         }
         let (metrics, timeout) = (&*self.ctx.metrics, self.ctx.stage_timeout);
         std::thread::scope(|scope| {
-            let (ftx, frx) = channel::<ScanEvent>(PIPE_DEPTH);
-            let (ktx, krx) = channel::<KernelOut>(PIPE_DEPTH);
+            let (ftx, frx) = sync_channel::<ScanEvent>(PIPE_DEPTH);
+            let (ktx, krx) = sync_channel::<KernelOut>(PIPE_DEPTH);
             scope.spawn(move || {
                 for event in events {
                     let stop = matches!(event, ScanEvent::Frame(Err(_)))
@@ -946,10 +935,7 @@ impl<'c> Pipeline<'c> {
             // the encoder drains what it has and returns.
             drop(frx);
             drop(ktx);
-            let encoded = encoder.join().unwrap_or_else(|p| {
-                fault::note_stage_panic();
-                Err(Error::StagePanic(panic_payload(p)))
-            });
+            let encoded = encoder.join().unwrap_or_else(|p| Err(stage_panic(panic_message(p))));
             driven.and(encoded)
         })
     }
@@ -1689,7 +1675,7 @@ mod tests {
     #[test]
     fn send_stage_records_contention_when_channel_is_full() {
         let metrics = PipelineMetrics::default();
-        let (tx, rx) = vr_base::sync::channel::<u32>(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<u32>(1);
         tx.send(1).unwrap();
         // The channel is full: the next send must block until the
         // reader drains it, and that wait lands in the counter.

@@ -448,3 +448,77 @@ fn overlapping_batches_report_their_own_stage_statistics() {
         assert!(stages.stage(visual_road::vdbms::StageKind::Decode).invocations > 0, "{report}");
     }
 }
+
+/// The reference engine, except that instances 2 and 5 of every batch
+/// fail; records the index of every instance it was handed.
+struct FailsTwoAndFive {
+    inner: ReferenceEngine,
+    seen: std::sync::Mutex<Vec<usize>>,
+}
+
+impl Vdbms for FailsTwoAndFive {
+    fn name(&self) -> &'static str {
+        "fails-two-and-five"
+    }
+
+    fn supports(&self, kind: QueryKind) -> bool {
+        self.inner.supports(kind)
+    }
+
+    fn execute(
+        &self,
+        instance: &QueryInstance,
+        inputs: &[visual_road::vdbms::InputVideo],
+        ctx: &ExecContext,
+    ) -> vr_base::Result<QueryOutput> {
+        // The driver names each instance's context `instance.<query>.<i>`.
+        let id = ctx.request_id.as_deref().expect("the driver names every instance");
+        let i: usize = id.rsplit('.').next().and_then(|i| i.parse().ok()).expect(id);
+        self.seen.lock().unwrap().push(i);
+        match i {
+            2 | 5 => Err(vr_base::Error::InvalidConfig(format!("instance {i} refused"))),
+            _ => self.inner.execute(instance, inputs, ctx),
+        }
+    }
+}
+
+/// A batch of six whose instances 2 and 5 fail: without a deadline the
+/// lowest-index failure decides the batch at every scheduler width,
+/// and one worker stops there; with a deadline (degrade mode) every
+/// instance runs and both failures are counted.
+#[test]
+fn the_lowest_failing_instance_decides_a_batch_at_every_width() {
+    let dataset = tiny_dataset(31);
+    let run = |batch_workers: usize, deadline: Option<std::time::Duration>| {
+        let cfg = VcdConfig {
+            batch_size: Some(6),
+            batch_workers: Some(batch_workers),
+            instance_deadline: deadline,
+            validate: false,
+            ..Default::default()
+        };
+        let mut engine =
+            FailsTwoAndFive { inner: ReferenceEngine::new(), seen: Default::default() };
+        let report = Vcd::new(&dataset, cfg)
+            .run_queries(&mut engine, &[QueryKind::Q2aGrayscale])
+            .unwrap();
+        (report.queries[0].status.clone(), engine.seen.into_inner().unwrap())
+    };
+    for workers in [1, 2, 4] {
+        let (status, seen) = run(workers, None);
+        let QueryStatus::Failed { error } = &status else {
+            panic!("workers={workers}: the batch fails: {status:?}");
+        };
+        assert_eq!(error, "invalid configuration: instance 2 refused", "workers={workers}");
+        if workers == 1 {
+            assert_eq!(seen, [0, 1, 2], "one worker stops at the first failure");
+        }
+        let (status, mut seen) = run(workers, Some(std::time::Duration::from_secs(120)));
+        let QueryStatus::Completed { degradation, .. } = &status else {
+            panic!("workers={workers}: degrade mode completes the batch: {status:?}");
+        };
+        assert_eq!(degradation.failed_instances, 2, "workers={workers}");
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1, 2, 3, 4, 5], "workers={workers}: degrade mode runs every instance");
+    }
+}
