@@ -12,9 +12,9 @@
 //!
 //! * **feature off** — the wrapper is not installed; allocation goes
 //!   straight to `System`.
-//! * **tracking off (the default)** — exactly one relaxed atomic add
-//!   per allocation (the process-total counter). No thread-local
-//!   access, no branch beyond the flag load.
+//! * **tracking off (the default)** — one relaxed load of the
+//!   tracking flag per allocation and deallocation. No shared write,
+//!   no thread-local access.
 //! * **tracking on** (`VR_ALLOC_TRACK=1` or [`set_tracking`]) —
 //!   additionally maintains per-thread counters (allocations, bytes,
 //!   live bytes, peak live bytes) in const-initialised `Cell`s, which
@@ -35,11 +35,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Process-wide allocation count (updated on every `alloc`, tracking
-/// on or off — the "one relaxed atomic" of the disabled path).
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Runtime gate for the per-thread accounting below.
 static TRACK: AtomicBool = AtomicBool::new(false);
@@ -89,14 +85,8 @@ pub fn init_from_env() {
     }
 }
 
-/// Process-wide allocation count since start.
-pub fn total_allocs() -> u64 {
-    TOTAL_ALLOCS.load(Ordering::Relaxed)
-}
-
 #[inline]
 fn note_alloc(size: usize) {
-    TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     if tracking_enabled() {
         let size = size as u64;
         TL_ALLOCS.with(|c| c.set(c.get() + 1));
@@ -280,16 +270,6 @@ mod tests {
         let result = f();
         set_tracking(false);
         result
-    }
-
-    #[test]
-    fn total_alloc_counter_advances() {
-        let before = total_allocs();
-        let v: Vec<u64> = Vec::with_capacity(32);
-        drop(v);
-        // Other test threads may allocate concurrently, so only the
-        // direction is asserted.
-        assert!(total_allocs() > before, "allocation did not tick the process counter");
     }
 
     #[test]

@@ -128,13 +128,6 @@ impl FoldedStacks {
         }
         out
     }
-
-    /// Total self time across every stack — equals the summed total
-    /// duration of all root spans, which callers can cross-check
-    /// against wall time.
-    pub fn total_nanos(&self) -> u64 {
-        self.stacks.values().sum()
-    }
 }
 
 /// Fold the currently buffered trace events (without draining them)
@@ -194,7 +187,6 @@ mod tests {
         let folded = fold(&events).unwrap();
         assert_eq!(folded.stacks.get("outer"), Some(&70));
         assert_eq!(folded.stacks.get("outer;inner"), Some(&30));
-        assert_eq!(folded.total_nanos(), 100);
         assert_eq!(folded.unclosed, 0);
         let rendered = folded.render();
         assert_eq!(rendered, "outer 70\nouter;inner 30\n");

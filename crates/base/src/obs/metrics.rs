@@ -17,8 +17,8 @@
 //!   locked on first lookup.
 //! * **deterministic snapshots** — [`MetricsSnapshot`] stores its
 //!   series in `BTreeMap`s, so [`MetricsSnapshot::to_json`] and
-//!   [`MetricsSnapshot::to_text`] render in a stable order regardless
-//!   of registration order or thread interleaving.
+//!   [`MetricsSnapshot::to_prometheus`] render in a stable order
+//!   regardless of registration order or thread interleaving.
 //! * **monotonic registry** — metrics are never unregistered or reset
 //!   under concurrent writers.
 
@@ -447,29 +447,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Render as flat `name value` lines (one instrument per line,
-    /// sorted) — the text flavour for quick diffing and grepping.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str(&format!("counter {k} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("gauge {k} {}\n", fmt_f64(*v)));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "histogram {k} count={} mean_nanos={} p50_nanos={} p95_nanos={} p99_nanos={}\n",
-                h.count,
-                h.mean(),
-                h.p50(),
-                h.p95(),
-                h.p99()
-            ));
-        }
-        out
-    }
 }
 
 /// Sanitise a registry name into a legal Prometheus metric name:
@@ -707,19 +684,6 @@ mod tests {
         let mut later = earlier.clone();
         later.counters.insert("shrinks".to_string(), 4);
         assert_counters_monotonic(&earlier, &later);
-    }
-
-    #[test]
-    fn text_exporter_renders_all_instrument_kinds() {
-        let registry = Registry::new();
-        registry.counter("a.count").add(2);
-        registry.gauge("b.gauge").set(0.5);
-        registry.histogram("c.nanos").observe(1_500);
-        let snap = registry.snapshot();
-        let text = snap.to_text();
-        assert!(text.contains("counter a.count 2"));
-        assert!(text.contains("gauge b.gauge 0.5"));
-        assert!(text.contains("histogram c.nanos count=1"));
     }
 
     #[test]

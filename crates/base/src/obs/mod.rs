@@ -8,11 +8,11 @@
 //!   enter/exit with monotonic timestamps, thread track ids, and
 //!   parent links) plus a chrome-trace (`trace_event` JSON) exporter
 //!   for `chrome://tracing` / Perfetto. Off by default; enabled by the
-//!   CLI via `--trace-out` / `VR_TRACE`. With the `obs` cargo feature
+//!   CLI via `--trace-out`. With the `obs` cargo feature
 //!   disabled the call sites compile to no-ops.
 //! * [`metrics`] — named counters, gauges, and fixed-bucket latency
 //!   histograms (p50/p95/p99 snapshots) in a process-global
-//!   [`metrics::Registry`], exported as deterministic JSON/text (and
+//!   [`metrics::Registry`], exported as deterministic JSON (and
 //!   Prometheus text for the live endpoint). It sums over the whole
 //!   process; a query's own stage record is its execution context's
 //!   `PipelineMetrics`, which mirrors every record into it.
@@ -22,7 +22,7 @@
 //!
 //! * [`alloc`] — a counting `GlobalAlloc` wrapper with per-thread
 //!   scoped accounting (allocations, bytes, high-water marks), one
-//!   relaxed atomic per allocation when tracking is off
+//!   relaxed flag load per allocation when tracking is off
 //!   (`VR_ALLOC_TRACK` / [`alloc::set_tracking`]);
 //! * [`folded`] — collapsed-stacks (flamegraph) export of the span
 //!   buffer, with a self-time invariant check;

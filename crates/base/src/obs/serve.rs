@@ -81,18 +81,14 @@ fn views_cell() -> &'static RwLock<std::collections::BTreeMap<String, View>> {
 /// Register (or replace) a dynamic view at `path`. The closure runs
 /// per GET and must be a pure snapshot renderer — the endpoint's
 /// read-only contract extends to every registered view. The query
-/// server uses this for `/slo` and `/requests`.
+/// server uses this for `/slo` and `/requests`. A view stays
+/// registered for the life of the process, past its server's drain.
 pub fn set_view(
     path: &str,
     content_type: &'static str,
     render: impl Fn() -> String + Send + Sync + 'static,
 ) {
     views_cell().write().insert(path.to_string(), (content_type, Arc::new(render)));
-}
-
-/// Remove a registered view (servers deregister on drain).
-pub fn clear_view(path: &str) {
-    views_cell().write().remove(path);
 }
 
 fn view_response(path: &str) -> Option<(&'static str, String)> {
@@ -342,10 +338,6 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 200 OK"), "view response: {response}");
         assert!(response.contains("application/json"));
         assert!(response.ends_with("{\"view\": true}\n"));
-
-        clear_view("/serve-test-view");
-        let gone = get(addr, "/serve-test-view");
-        assert!(gone.starts_with("HTTP/1.1 404"), "cleared view response: {gone}");
         server.stop();
     }
 

@@ -56,15 +56,6 @@ pub struct FrameRate(pub u32);
 impl FrameRate {
     /// The default capture rate used by all Visual City cameras (§5).
     pub const STANDARD: FrameRate = FrameRate(30);
-    /// Lowest rate supported by the benchmark.
-    pub const MIN: FrameRate = FrameRate(15);
-    /// Highest rate supported by the benchmark.
-    pub const MAX: FrameRate = FrameRate(90);
-
-    /// Whether this rate falls inside the supported 15–90 FPS range.
-    pub fn is_supported(&self) -> bool {
-        (Self::MIN.0..=Self::MAX.0).contains(&self.0)
-    }
 
     /// Seconds per frame.
     pub fn frame_interval_secs(&self) -> f64 {
@@ -208,15 +199,6 @@ mod tests {
         let r = Resolution::new(960, 540).scaled(1, 4);
         assert_eq!(r, Resolution::new(240, 134)); // 135 rounded down to even
         assert_eq!(Resolution::new(3, 3).scaled(1, 2), Resolution::new(2, 2));
-    }
-
-    #[test]
-    fn frame_rate_support_window() {
-        assert!(FrameRate::STANDARD.is_supported());
-        assert!(FrameRate(15).is_supported());
-        assert!(FrameRate(90).is_supported());
-        assert!(!FrameRate(14).is_supported());
-        assert!(!FrameRate(91).is_supported());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! One-of-each guards over the repository tree: no registry
 //! dependency in any manifest, one scoped-thread executor in
 //! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
-//! payload reader, `unsafe` refused by every crate root, and a
-//! `ci.sh` that stays a stage table. Each guard is a
-//! function over text, shown failing on a bad input below.
+//! payload reader, `unsafe` refused by every crate root, two `VR_*`
+//! environment variables, and a `ci.sh` that stays a stage table. Each
+//! guard is a function over text, shown failing on a bad input below.
 
 use std::path::{Path, PathBuf};
 
@@ -75,6 +75,24 @@ fn reads_panic_payload(src: &str) -> bool {
     src.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).any(|l| l.contains(&reader))
 }
 
+/// The only environment variables the crates read: the worker budget
+/// and allocator tracking. Every other setting is a flag or a constant.
+const ENV_VARS: [&str; 2] = ["VR_ALLOC_TRACK", "VR_WORKERS"];
+
+/// The `VR_*` names a source reads through `env::var` above its first
+/// `#[cfg(test)]` line. The pattern is assembled here so this file
+/// does not match itself.
+fn env_vars_read(src: &str) -> Vec<&str> {
+    let getter = ["env::var", "(\""].concat();
+    let getter = getter.as_str();
+    src.lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .flat_map(|l| l.split(getter).skip(1))
+        .filter_map(|rest| rest.split('"').next())
+        .filter(|name| name.starts_with("VR_"))
+        .collect()
+}
+
 /// Whether a crate root makes `unsafe` a compiler error: `forbid`, or
 /// `deny` where one module needs an `allow` (`vr-base`'s allocator).
 fn refuses_unsafe(lib_rs: &str) -> bool {
@@ -133,14 +151,17 @@ fn the_repository_passes_every_guard() {
         assert!(!brings_own_escaper(&read(src)), "a JSON escaper outside json.rs: {}", src.display());
     }
     let sync = crates.join("base/src/sync.rs");
+    let mut env_vars = std::collections::BTreeSet::new();
     for src in &sources {
         let text = read(src);
+        env_vars.extend(env_vars_read(&text).into_iter().map(str::to_string));
         assert!(!defines_channel(&text), "a channel other than std's: {}", src.display());
         if *src != sync {
             let what = src.display();
             assert!(!reads_panic_payload(&text), "a panic payload reader outside sync.rs: {what}");
         }
     }
+    assert_eq!(env_vars.iter().collect::<Vec<_>>(), ENV_VARS, "the VR_* variables read under crates/");
 
     let ci = read(&root.join("ci.sh"));
     assert!(within_line_budget(&ci), "ci.sh has {} lines", ci.lines().count());
@@ -172,6 +193,12 @@ fn each_guard_rejects_a_bad_input() {
     assert!(reads_panic_payload(&format!("fn message(p: P) {{\n{reader}}}\n")));
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{reader}}}\n");
     assert!(!reads_panic_payload(&in_tests), "the test module does not count");
+
+    let getter = ["std::env::", "var(\"VR_"].concat();
+    let two = format!("if let Ok(v) = {getter}WORKERS\") {{}}\nlet t = {getter}TRACE\").ok();\n");
+    assert_eq!(env_vars_read(&two), ["VR_WORKERS", "VR_TRACE"], "a third variable");
+    let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{getter}TRACE\");\n}}\n");
+    assert!(env_vars_read(&in_tests).is_empty(), "the test module does not count");
 
     assert!(refuses_unsafe("//! A crate.\n\n#![forbid(unsafe_code)]\n\npub mod a;\n"));
     assert!(!refuses_unsafe("//! A crate.\n\npub mod a;\n"), "a crate root without the attribute");

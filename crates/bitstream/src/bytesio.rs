@@ -58,10 +58,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Raw bytes, no length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -71,11 +67,6 @@ impl ByteWriter {
     pub fn put_blob(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.put_bytes(v);
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_blob(v.as_bytes());
     }
 }
 
@@ -138,10 +129,6 @@ impl<'a> ByteReader<'a> {
         Ok(f32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     /// Raw bytes of a known length.
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
@@ -151,12 +138,6 @@ impl<'a> ByteReader<'a> {
     pub fn get_blob(&mut self) -> Result<&'a [u8]> {
         let n = self.get_u32()? as usize;
         self.take(n)
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str> {
-        let b = self.get_blob()?;
-        std::str::from_utf8(b).map_err(|_| Error::Corrupt("invalid UTF-8 string".into()))
     }
 }
 
@@ -173,8 +154,6 @@ mod tests {
         w.put_u64(0x0102_0304_0506_0708);
         w.put_i32(-42);
         w.put_f32(3.5);
-        w.put_f64(-2.25);
-        w.put_str("visual road");
         w.put_blob(&[1, 2, 3]);
         let bytes = w.finish();
 
@@ -185,8 +164,6 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(r.get_i32().unwrap(), -42);
         assert_eq!(r.get_f32().unwrap(), 3.5);
-        assert_eq!(r.get_f64().unwrap(), -2.25);
-        assert_eq!(r.get_str().unwrap(), "visual road");
         assert_eq!(r.get_blob().unwrap(), &[1, 2, 3]);
         assert_eq!(r.remaining(), 0);
     }
@@ -204,14 +181,5 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_u32(1);
         assert_eq!(w.finish(), vec![0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn invalid_utf8_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_blob(&[0xFF, 0xFE]);
-        let bytes = w.finish();
-        let mut r = ByteReader::new(&bytes);
-        assert!(r.get_str().is_err());
     }
 }

@@ -7,6 +7,9 @@
 //! visualroad run --engine functional --queries Q1,Q2a,Q2c --scale 1 --duration 0.5
 //! visualroad run --engine all --full-suite --scale 1
 //! ```
+//!
+//! Each command accepts exactly the flags it reads; any other `--name`
+//! exits 1 before anything runs.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,30 +25,59 @@ use visual_road::vdbms::{CalibrationProfile, QueryKind};
 /// that stopped it; `main` is the only place an error becomes an exit.
 type Exit = Result<i32, String>;
 
+/// Each command, the flags it reads (and so accepts), and its body.
+type Command = (&'static str, &'static [&'static str], fn(&Flags) -> Exit);
+
+const COMMANDS: [Command; 7] = [
+    ("presets", &[], cmd_presets),
+    ("generate", &["scale", "res", "duration", "seed", "density", "nodes", "out"], cmd_generate),
+    (
+        "run",
+        &[
+            "engine", "queries", "full-suite", "scale", "res", "duration", "seed", "batch",
+            "online", "write", "no-validate", "faults", "fault-seed", "deadline-ms", "trace-out",
+            "metrics-out", "explain", "explain-analyze", "explain-out", "folded-out",
+            "serve-metrics", "optimizer", "profile",
+        ],
+        cmd_run,
+    ),
+    (
+        "serve",
+        &[
+            "port", "engine", "queries", "full-suite", "scale", "res", "duration", "seed",
+            "workers", "max-concurrent", "queue-depth", "tenant-quota", "degrade-load",
+            "shed-load", "deadline-ms", "faults", "fault-seed", "serve-metrics", "use-index",
+            "index", "qlog-out", "slow-query-ms", "slo",
+        ],
+        cmd_serve,
+    ),
+    ("ingest", &["scale", "res", "duration", "seed", "density", "nodes", "out"], cmd_ingest),
+    (
+        "search",
+        &[
+            "scale", "res", "duration", "seed", "kind", "class", "window", "k", "track", "video",
+            "index", "rescan", "repeat", "profile", "explain", "out",
+        ],
+        cmd_search,
+    ),
+    ("calibrate", &["scale", "res", "duration", "seed", "out"], cmd_calibrate),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let exit = match args.first().map(String::as_str) {
-        Some("presets") => cmd_presets(),
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("ingest") => cmd_ingest(&args[1..]),
-        Some("search") => cmd_search(&args[1..]),
-        Some("calibrate") => cmd_calibrate(&args[1..]),
-        _ => {
-            print_usage();
-            Ok(2)
-        }
+    let command = args.first().and_then(|name| COMMANDS.iter().find(|(c, ..)| c == name));
+    let Some(&(name, accepted, body)) = command else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     };
+    let exit = Flags::parse(name, &args[1..], accepted).and_then(|flags| body(&flags));
     std::process::exit(exit.unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         1
     }));
 }
 
-fn print_usage() {
-    eprintln!(
-        "visualroad — the Visual Road VDBMS benchmark
+const USAGE: &str = "visualroad — the Visual Road VDBMS benchmark
 
 USAGE:
   visualroad presets
@@ -60,17 +92,19 @@ USAGE:
   visualroad run [--engine NAME|all] [--queries Q1,Q2a,...|--full-suite]
                  [--scale L] [--res WxH] [--duration SECS] [--seed S]
                  [--batch N] [--online SPEEDUP] [--write DIR] [--no-validate]
-                 [--workers N] [--faults SPEC] [--fault-seed S]
+                 [--faults SPEC] [--fault-seed S]
                  [--deadline-ms N] [--trace-out FILE] [--metrics-out FILE]
                  [--explain | --explain-analyze] [--explain-out FILE]
                  [--folded-out FILE] [--serve-metrics PORT]
-                 [--optimizer on|off|explain] [--profile FILE]
+                 [--optimizer on|off] [--profile FILE]
       Generate a dataset and drive the chosen engine(s) through the
-      benchmark, printing the report. --workers caps both the driver's
-      batch scheduler and each engine's pipelined executor (default:
-      the VR_WORKERS environment variable, else all cores; 1 forces
-      the sequential paths). --faults installs a deterministic fault
-      plan seeded by --fault-seed (default 0), e.g.
+      benchmark, printing the report. The driver's batch scheduler and
+      each engine's pipelined executor use the VR_WORKERS environment
+      variable's worker count, else all cores (1 forces the sequential
+      paths). --batch overrides the 4·L instances per query and
+      --online paces inputs at SPEEDUP times real time; both must be
+      positive. --faults installs a deterministic fault plan seeded
+      by --fault-seed (default 0), e.g.
       corrupt_bitstream=0.01,drop_rtp=0.05,stall_stage=kernel:20ms,
       io_fail=read:0.02,panic_kernel=q4:frame37; after the run the
       injected-fault counts are checked against the recovery counters
@@ -78,11 +112,10 @@ USAGE:
       per-instance latency deadline via cooperative cancellation.
       --trace-out enables span tracing and writes a chrome-trace
       (trace_event JSON) profile loadable in chrome://tracing or
-      Perfetto; the VR_TRACE environment variable (any value but 0)
-      does the same. --metrics-out writes the process-global metrics
-      registry (counters/gauges/latency histograms) as JSON, or as
-      flat text when FILE ends in .txt. Tracing never changes query
-      results: timestamps exist only in the exported profile.
+      Perfetto. --metrics-out writes the process-global metrics
+      registry (counters/gauges/latency histograms) as JSON. Tracing
+      never changes query results: timestamps exist only in the
+      exported profile.
       --explain prints each engine's plan tree per query and exits
       without executing anything; --explain-analyze executes, then
       annotates each plan node with wall/self time, frame/byte flow,
@@ -99,19 +132,18 @@ USAGE:
       scope tracking without --explain-analyze.
       --optimizer switches the cost-based optimizer: off (default)
       keeps every engine's hand-tuned plan choices; on lets the cost
-      model pick execution policy, fan-out, and cascade order;
-      explain additionally prints each chosen-vs-rejected plan table
-      after the run. --profile loads a calibration profile written by
-      `visualroad calibrate` (default: the built-in seed table);
-      parse failures exit nonzero.
+      model pick execution policy, fan-out, and cascade order, and
+      --explain / --explain-analyze attach each chosen-vs-rejected
+      plan table to the plan tree. --profile loads a calibration
+      profile written by `visualroad calibrate` (default: the
+      built-in seed table); parse failures exit nonzero.
 
-  visualroad serve [--port P] [--engine NAME|all] [--queries Q1,Q2a,...]
+  visualroad serve [--port P] [--engine NAME|all]
+                   [--queries Q1,Q2a,...|--full-suite]
                    [--scale L] [--res WxH] [--duration SECS] [--seed S]
-                   [--workers N] [--degraded-workers N]
-                   [--max-concurrent N] [--queue-depth N] [--tenant-quota N]
-                   [--degrade-load F] [--shed-load F]
-                   [--breaker-trip N] [--breaker-cooldown-ms N]
-                   [--deadline-ms N] [--drain-timeout-ms N]
+                   [--workers N] [--max-concurrent N]
+                   [--queue-depth N] [--tenant-quota N]
+                   [--degrade-load F] [--shed-load F] [--deadline-ms N]
                    [--faults SPEC] [--fault-seed S] [--serve-metrics PORT]
                    [--use-index | --index FILE]
                    [--qlog-out FILE] [--slow-query-ms N]
@@ -123,28 +155,27 @@ USAGE:
       `serving on ADDR` on stdout), and serve line-based requests
       (EXEC tenant=<id> priority=<high|low> query=<Qn>
       [engine=<name>] [deadline_ms=<n>] [online=<speedup>] | STATS |
-      HEALTH | SHUTDOWN) from concurrent sessions. Every request
-      passes admission control: a bounded queue (--queue-depth) in
-      front of --max-concurrent execution slots, per-tenant
-      concurrency quotas (--tenant-quota), load shedding for
-      low-priority work past the --degrade-load / --shed-load
-      saturation thresholds (degraded requests run with
-      --degraded-workers pipeline workers), and per-tenant circuit
-      breakers (--breaker-trip consecutive failures open the breaker
-      for --breaker-cooldown-ms, doubling per trip, half-open probe
-      after). --deadline-ms is the default deadline for requests that
-      carry none. SHUTDOWN (or stdin EOF) drains gracefully: stop
-      admitting, flush in-flight work for up to --drain-timeout-ms,
-      then exit 0 on a clean drain (1 otherwise), printing the final
-      per-tenant admission accounting as JSON on stdout. --faults
-      installs a deterministic fault plan for chaos serving;
-      --serve-metrics additionally exposes the read-only metrics
-      endpoint, whose admission.* series mirror the server's
-      accounting. --use-index ingests a semantic side index at
-      startup (--index FILE loads a prebuilt .vrsx instead; an
-      unusable file falls back to rescan with a warning) and serves
-      the semantic query class S1 (count) / S2 (top-k) / S3
-      (similarity) from it; every OK response reports which route
+      HEALTH | SHUTDOWN) from concurrent sessions, each request on
+      --workers pipeline workers. Every request passes admission
+      control: a bounded queue (--queue-depth) in front of
+      --max-concurrent execution slots, per-tenant concurrency quotas
+      (--tenant-quota), load shedding for low-priority work past the
+      --degrade-load / --shed-load saturation thresholds (degraded
+      requests run with one pipeline worker), and per-tenant circuit
+      breakers (3 consecutive failures open the breaker for 250 ms,
+      doubling per trip, half-open probe after). --deadline-ms is the
+      default deadline for requests that carry none. SHUTDOWN (or
+      stdin EOF) drains gracefully: stop admitting, flush in-flight
+      work for up to 10 s, then exit 0 on a clean drain (1
+      otherwise), printing the final per-tenant admission accounting
+      as JSON on stdout. --faults installs a deterministic fault
+      plan for chaos serving; --serve-metrics additionally exposes
+      the read-only metrics endpoint, whose admission.* series
+      mirror the server's accounting. --use-index ingests a semantic
+      side index at startup (--index FILE loads a prebuilt .vrsx
+      instead; an unusable file falls back to rescan with a warning)
+      and serves the semantic query class S1 (count) / S2 (top-k) /
+      S3 (similarity) from it; every OK response reports which route
       served it (route=index|rescan) and the per-tenant accounting
       splits index_served vs rescan_served. --qlog-out appends one
       structured JSON line per request (the query log) to FILE;
@@ -191,44 +222,49 @@ USAGE:
       results/optimizer_profile.json).
 
 ENGINES: reference | batch | functional | cascade | all
-QUERIES: Q1 Q2a Q2b Q2c Q2d Q3 Q4 Q5 Q6a Q6b Q7 Q8 Q9 Q10"
-    );
-}
+QUERIES: Q1 Q2a Q2b Q2c Q2d Q3 Q4 Q5 Q6a Q6b Q7 Q8 Q9 Q10";
 
 /// Tiny flag parser: `--name value` / `--name=value` pairs plus
-/// boolean flags.
-struct Flags(Vec<(String, Option<String>)>);
+/// boolean flags, each one the command reads.
+struct Flags {
+    given: Vec<(String, Option<String>)>,
+    accepted: &'static [&'static str],
+}
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut out = Vec::new();
+    /// Pair up `args`; a flag outside `accepted` is an error naming
+    /// `command`.
+    fn parse(
+        command: &str,
+        args: &[String],
+        accepted: &'static [&'static str],
+    ) -> Result<Self, String> {
+        let mut given = Vec::new();
         let mut it = args.iter().peekable();
         while let Some(flag) = it.next() {
-            let Some(name) = flag.strip_prefix("--") else {
+            let Some(flag) = flag.strip_prefix("--") else {
                 return Err(format!("unexpected argument {flag:?}"));
             };
-            if let Some((name, value)) = name.split_once('=') {
-                out.push((name.to_string(), Some(value.to_string())));
-                continue;
-            }
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => Some(it.next().unwrap().clone()),
-                _ => None,
+            let (name, value) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (flag, it.next_if(|v| !v.starts_with("--")).cloned()),
             };
-            out.push((name.to_string(), value));
+            if !accepted.contains(&name) {
+                return Err(format!("unknown flag --{name} for {command}"));
+            }
+            given.push((name.to_string(), value));
         }
-        Ok(Self(out))
+        Ok(Self { given, accepted })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+        debug_assert!(self.accepted.contains(&name), "--{name} read but not accepted");
+        self.given.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
     }
 
     fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|(n, _)| n == name)
+        debug_assert!(self.accepted.contains(&name), "--{name} read but not accepted");
+        self.given.iter().any(|(n, _)| n == name)
     }
 
     fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -263,6 +299,12 @@ fn any<T>(_: &T) -> bool {
 
 fn positive<T: PartialOrd + From<u8>>(v: &T) -> bool {
     *v >= T::from(1)
+}
+
+/// `--name MS`: a positive number of milliseconds, if given.
+fn millis(flags: &Flags, name: &str) -> Result<Option<std::time::Duration>, String> {
+    let complaint = format!("--{name} wants a positive integer");
+    Ok(flags.checked(name, positive::<u64>, &complaint)?.map(std::time::Duration::from_millis))
 }
 
 fn parse_res(flags: &Flags, default: Resolution) -> Result<Resolution, String> {
@@ -356,11 +398,9 @@ fn write_creating_parent(path: &str, what: &str, body: impl AsRef<[u8]>) -> Resu
     std::fs::write(path, body).map_err(|e| format!("cannot write {what}{path}: {e}"))
 }
 
-/// Write the process-global metrics registry to `path`: flat text when
-/// it ends in `.txt`, JSON otherwise.
+/// Write the process-global metrics registry to `path` as JSON.
 fn write_metrics_snapshot(path: &str) -> Result<(), String> {
-    let snap = vr_base::obs::metrics::snapshot();
-    let body = if path.ends_with(".txt") { snap.to_text() } else { snap.to_json() };
+    let body = vr_base::obs::metrics::snapshot().to_json();
     std::fs::write(path, body).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
     eprintln!("wrote metrics snapshot to {path}");
     Ok(())
@@ -376,7 +416,7 @@ fn write_plans(flags: &Flags, body: impl FnOnce(&str) -> String) -> Result<(), S
     Ok(())
 }
 
-fn cmd_presets() -> Exit {
+fn cmd_presets(_: &Flags) -> Exit {
     println!("{:<10} {:>3} {:>12} {:>10}", "name", "L", "resolution", "duration");
     for p in &visual_road::base::presets::PRESETS {
         println!(
@@ -390,10 +430,9 @@ fn cmd_presets() -> Exit {
     Ok(0)
 }
 
-fn cmd_generate(args: &[String]) -> Exit {
-    let flags = Flags::parse(args)?;
-    let hyper = hyper_from(&flags)?;
-    let cfg = gen_config(&flags)?;
+fn cmd_generate(flags: &Flags) -> Exit {
+    let hyper = hyper_from(flags)?;
+    let cfg = gen_config(flags)?;
     let note = format!(
         "generating L={} R={} t={} seed={} ...",
         hyper.scale, hyper.resolution, hyper.duration, hyper.seed
@@ -446,71 +485,55 @@ fn engines_from(name: &str) -> Result<Vec<Box<dyn Vdbms>>, String> {
     })
 }
 
-fn cmd_run(args: &[String]) -> Exit {
-    let flags = Flags::parse(args)?;
-    let hyper = hyper_from(&flags)?;
-    let queries = parse_queries(&flags)?;
+fn cmd_run(flags: &Flags) -> Exit {
+    let hyper = hyper_from(flags)?;
+    let queries = parse_queries(flags)?;
     let mut engines = engines_from(flags.get("engine").unwrap_or("reference"))?;
-    let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
-
     let mut cfg = VcdConfig {
         validate: !flags.has("no-validate"),
-        batch_size: flags.checked("batch", any::<usize>, "--batch wants a number")?,
+        batch_size: flags.checked("batch", positive::<usize>, "--batch wants a positive integer")?,
+        instance_deadline: millis(flags, "deadline-ms")?,
+        profile: load_profile(flags)?,
         ..Default::default()
     };
-    if let Some(speedup) = flags.checked("online", any::<f64>, "--online wants a speedup factor")? {
+    let complaint = "--online wants a positive speedup factor";
+    if let Some(speedup) = flags.checked("online", |&s: &f64| s > 0.0, complaint)? {
         cfg.mode = ExecutionMode::Online { speedup };
     }
     if let Some(dir) = flags.get("write") {
         cfg.write_store = Some(FlatStore::open(dir).map_err(|e| e.to_string())?);
     }
-    let workers =
-        flags.checked("workers", positive::<usize>, "--workers wants a positive integer")?;
-    cfg.pipeline_workers = workers;
-    cfg.batch_workers = workers;
-    cfg.instance_deadline = flags
-        .checked("deadline-ms", positive::<u64>, "--deadline-ms wants a positive integer")?
-        .map(std::time::Duration::from_millis);
-    // Allocator scope tracking: VR_ALLOC_TRACK, or implied by
-    // --explain-analyze (whose plan nodes report peak memory).
-    vr_base::obs::alloc::init_from_env();
-    let explain_only = flags.has("explain");
     if flags.has("explain-analyze") {
         cfg.explain = visual_road::ExplainMode::Analyze;
-        vr_base::obs::alloc::set_tracking(true);
     }
     if let Some(mode) = flags.get("optimizer") {
         cfg.optimizer = mode.parse()?;
     }
-    cfg.profile = load_profile(&flags)?;
-    let optimizer_mode = cfg.optimizer;
+    let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
 
-    let injector = install_fault_plan(&flags)?;
+    // Allocator scope tracking: VR_ALLOC_TRACK, or implied by
+    // --explain-analyze (whose plan nodes report peak memory).
+    vr_base::obs::alloc::init_from_env();
+    if cfg.explain == visual_road::ExplainMode::Analyze {
+        vr_base::obs::alloc::set_tracking(true);
+    }
+    let injector = install_fault_plan(flags)?;
 
-    // Tracing is opt-in: `--trace-out FILE`, or VR_TRACE as the
-    // destination path (any value but empty/0; `VR_TRACE=1` defaults
-    // to trace.json). Enabled only after dataset generation so the
-    // profile covers the query path, not the generator.
-    let trace_out: Option<String> = flags
-        .get("trace-out")
-        .map(str::to_string)
-        .or_else(|| match std::env::var("VR_TRACE").ok().filter(|v| !v.is_empty() && v != "0") {
-            Some(v) if v == "1" => Some("trace.json".to_string()),
-            other => other,
-        });
-    // Collapsed-stacks export folds the span buffer, so it implies
-    // tracing even without a chrome-trace destination.
-    let folded_out: Option<String> = flags.get("folded-out").map(str::to_string);
+    // Tracing is opt-in, enabled only after dataset generation so the
+    // profile covers the query path, not the generator. Collapsed-stacks
+    // export folds the span buffer, so it implies tracing even without a
+    // chrome-trace destination.
+    let (trace_out, folded_out) = (flags.get("trace-out"), flags.get("folded-out"));
     if trace_out.is_some() || folded_out.is_some() {
         vr_base::obs::trace::set_enabled(true);
     }
 
-    let server = start_metrics_endpoint(&flags)?;
+    let server = start_metrics_endpoint(flags)?;
     let vcd = Vcd::new(&dataset, cfg);
 
     // EXPLAIN without execution: print (and optionally save) each
     // engine's plan per query, then exit.
-    if explain_only {
+    if flags.has("explain") {
         let mut doc = String::new();
         for engine in &engines {
             for (kind, text) in vcd.explain(engine.as_ref(), &queries).map_err(|e| e.to_string())? {
@@ -518,7 +541,7 @@ fn cmd_run(args: &[String]) -> Exit {
             }
         }
         print!("{doc}");
-        write_plans(&flags, |_| doc)?;
+        write_plans(flags, |_| doc)?;
         return Ok(0);
     }
 
@@ -549,17 +572,7 @@ fn cmd_run(args: &[String]) -> Exit {
             }
         }
     }
-    // `--optimizer explain`: dump every cached chosen-vs-rejected
-    // table after the reports, one block per engine/query key.
-    if optimizer_mode == visual_road::vdbms::OptimizerMode::Explain {
-        if let Some(opt) = vcd.optimizer() {
-            for decision in opt.decisions() {
-                println!("== optimizer {} ==", decision.key);
-                print!("{}", decision.render_text());
-            }
-        }
-    }
-    write_plans(&flags, |path| {
+    write_plans(flags, |path| {
         if path.ends_with(".json") {
             format!("[{}]\n", explain_json.join(",\n "))
         } else {
@@ -571,12 +584,12 @@ fn cmd_run(args: &[String]) -> Exit {
         vr_base::obs::trace::set_enabled(false);
     }
     // Both exports copy the span buffer; neither drains it.
-    if let Some(path) = &folded_out {
+    if let Some(path) = folded_out {
         let n = vr_base::obs::folded::save(path)
             .map_err(|e| format!("cannot write folded stacks to {path}: {e}"))?;
         eprintln!("wrote {n} folded stacks to {path}");
     }
-    if let Some(path) = &trace_out {
+    if let Some(path) = trace_out {
         let n = vr_base::obs::trace::save(path)
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("wrote {n} trace events to {path}");
@@ -599,15 +612,13 @@ fn cmd_run(args: &[String]) -> Exit {
 /// Generates the dataset, pregenerates per-query instance pools,
 /// loads the engines, binds loopback TCP, and serves until a
 /// `SHUTDOWN` request (or stdin EOF) drains it gracefully.
-fn cmd_serve(args: &[String]) -> Exit {
-    use std::time::Duration;
+fn cmd_serve(flags: &Flags) -> Exit {
     use visual_road::base::admission::AdmissionConfig;
     use visual_road::base::obs::slo::SloConfig;
     use visual_road::server::{QueryServer, ServerConfig};
 
-    let flags = Flags::parse(args)?;
-    let hyper = hyper_from(&flags)?;
-    let queries = parse_queries(&flags)?;
+    let hyper = hyper_from(flags)?;
+    let queries = parse_queries(flags)?;
     let engines = engines_from(flags.get("engine").unwrap_or("batch"))?;
 
     let count = |name: &str| {
@@ -616,11 +627,6 @@ fn cmd_serve(args: &[String]) -> Exit {
     let load = |name: &str| {
         let complaint = format!("--{name} wants a positive saturation fraction");
         flags.checked(name, |&f: &f64| f > 0.0, &complaint)
-    };
-    let millis = |name: &str, ok: fn(&u64) -> bool, wants: &str| {
-        flags
-            .checked(name, ok, &format!("--{name} wants {wants}"))
-            .map(|ms| ms.map(Duration::from_millis))
     };
     let defaults = AdmissionConfig::default();
     let admission = AdmissionConfig {
@@ -631,11 +637,7 @@ fn cmd_serve(args: &[String]) -> Exit {
         tenant_quota: count("tenant-quota")?.unwrap_or(defaults.tenant_quota),
         degrade_load: load("degrade-load")?.unwrap_or(defaults.degrade_load),
         shed_load: load("shed-load")?.unwrap_or(defaults.shed_load),
-        breaker_trip: flags
-            .checked("breaker-trip", positive::<u32>, "--breaker-trip wants a positive integer")?
-            .unwrap_or(defaults.breaker_trip),
-        breaker_cooldown: millis("breaker-cooldown-ms", any, "an integer")?
-            .unwrap_or(defaults.breaker_cooldown),
+        ..defaults
     };
     let cfg = ServerConfig {
         port: flags
@@ -643,15 +645,12 @@ fn cmd_serve(args: &[String]) -> Exit {
             .unwrap_or(0),
         admission,
         workers: count("workers")?.unwrap_or_else(vr_base::sync::worker_budget),
-        degraded_workers: count("degraded-workers")?.unwrap_or(1),
-        default_deadline: millis("deadline-ms", positive, "a positive integer")?,
-        drain_timeout: millis("drain-timeout-ms", any, "an integer")?
-            .unwrap_or(Duration::from_secs(10)),
+        default_deadline: millis(flags, "deadline-ms")?,
         queries,
         use_index: flags.has("use-index"),
         index_path: flags.get("index").map(str::to_string),
         qlog_path: flags.get("qlog-out").map(str::to_string),
-        slow_query: millis("slow-query-ms", positive, "a positive integer")?,
+        slow_query: millis(flags, "slow-query-ms")?,
         slo: match flags.get("slo") {
             Some(spec) => SloConfig::parse(spec).map_err(|e| format!("--slo: {e}"))?,
             None => SloConfig::default(),
@@ -659,8 +658,8 @@ fn cmd_serve(args: &[String]) -> Exit {
     };
 
     let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
-    install_fault_plan(&flags)?;
-    let metrics_server = start_metrics_endpoint(&flags)?;
+    install_fault_plan(flags)?;
+    let metrics_server = start_metrics_endpoint(flags)?;
 
     let server = QueryServer::start(dataset, engines, cfg).map_err(|e| e.to_string())?;
     // The bound address goes to stdout so drivers can scrape it even
@@ -713,10 +712,9 @@ fn cmd_serve(args: &[String]) -> Exit {
 /// JSON. Scheduling constants (thread spawn, parallel efficiency,
 /// gate cost) keep their built-in seeds — they need contended
 /// multi-core probes this single pass cannot provide.
-fn cmd_calibrate(args: &[String]) -> Exit {
+fn cmd_calibrate(flags: &Flags) -> Exit {
     use visual_road::vdbms::{PipelineSnapshot, StageKind, StageSnapshot};
-    let flags = Flags::parse(args)?;
-    let hyper = hyper_from(&flags)?;
+    let hyper = hyper_from(flags)?;
     let out = flags.get("out").unwrap_or("results/optimizer_profile.json");
     let dataset =
         generate_dataset("generating calibration dataset ...", GenConfig::default(), &hyper)?;
@@ -798,11 +796,10 @@ fn cmd_calibrate(args: &[String]) -> Exit {
 
 /// `visualroad ingest`: the ingest-once pass. Generate the dataset,
 /// scan its metadata box tracks, and persist the tracklet side index.
-fn cmd_ingest(args: &[String]) -> Exit {
+fn cmd_ingest(flags: &Flags) -> Exit {
     use visual_road::semantic::{ingest_dataset, IngestStats};
-    let flags = Flags::parse(args)?;
-    let hyper = hyper_from(&flags)?;
-    let cfg = gen_config(&flags)?;
+    let hyper = hyper_from(flags)?;
+    let cfg = gen_config(flags)?;
     let out = flags.get("out").unwrap_or("results/index/dataset.vrsx");
     let dataset = generate_dataset("generating dataset ...", cfg, &hyper)?;
     let t0 = Instant::now();
@@ -824,7 +821,7 @@ fn cmd_ingest(args: &[String]) -> Exit {
 /// `visualroad search`: answer one semantic query, via the side index
 /// or via full rescan, with latency quantiles and (for top-k) recall
 /// against VCG scene geometry.
-fn cmd_search(args: &[String]) -> Exit {
+fn cmd_search(flags: &Flags) -> Exit {
     use visual_road::base::Error;
     use visual_road::scene::entity::ObjectClass;
     use visual_road::semantic::{
@@ -832,8 +829,7 @@ fn cmd_search(args: &[String]) -> Exit {
         SemanticRouter,
     };
 
-    let flags = Flags::parse(args)?;
-    let hyper = hyper_from(&flags)?;
+    let hyper = hyper_from(flags)?;
     let class = match flags.get("class").unwrap_or("any") {
         "vehicle" => Some(ObjectClass::Vehicle),
         "pedestrian" => Some(ObjectClass::Pedestrian),
@@ -883,7 +879,7 @@ fn cmd_search(args: &[String]) -> Exit {
 
     // Cost-based route decision, recorded for EXPLAIN. With no usable
     // index the IndexScan policy is not a candidate at all.
-    let profile = load_profile(&flags)?.unwrap_or_else(CalibrationProfile::builtin);
+    let profile = load_profile(flags)?.unwrap_or_else(CalibrationProfile::builtin);
     let router = SemanticRouter::new(&dataset, index, profile);
     let plan = router.plan(&dataset, &format!("semantic/{}", query.kind()));
     if flags.has("explain") {
@@ -991,6 +987,56 @@ fn search_doc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// The flags named in `command`'s usage block: from its
+    /// `visualroad <command>` line to the next blank line.
+    fn usage_flags(usage: &str, command: &str) -> BTreeSet<String> {
+        usage
+            .lines()
+            .skip_while(|l| l.split_whitespace().take(2).ne(["visualroad", command]))
+            .take_while(|l| !l.is_empty())
+            .flat_map(|l| l.split("--").skip(1))
+            .map(|f| f.chars().take_while(|c| c.is_ascii_lowercase() || *c == '-').collect())
+            .collect()
+    }
+
+    fn flags_of(command: &str) -> &'static [&'static str] {
+        COMMANDS.iter().find(|(c, ..)| *c == command).unwrap().1
+    }
+
+    fn accepted(command: &str) -> BTreeSet<String> {
+        flags_of(command).iter().map(|f| f.to_string()).collect()
+    }
+
+    #[test]
+    fn each_usage_block_names_exactly_the_flags_its_command_accepts() {
+        for (command, ..) in COMMANDS {
+            assert_eq!(usage_flags(USAGE, command), accepted(command), "visualroad {command}");
+        }
+        let stale = USAGE.replacen("[--batch N]", "[--batch N] [--workers N]", 1);
+        assert_ne!(usage_flags(&stale, "run"), accepted("run"), "a flag run does not read");
+        let names: BTreeSet<_> = COMMANDS.iter().flat_map(|(_, flags, _)| flags.iter()).collect();
+        assert_eq!(names.len(), 46, "distinct flag names");
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_refused() {
+        let parse = |command: &str, args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Flags::parse(command, &args, flags_of(command)).map(|f| f.given)
+        };
+        let given = parse("run", &["--batch", "2", "--no-validate", "--seed=3"]).unwrap();
+        let expected = [("batch", Some("2")), ("no-validate", None), ("seed", Some("3"))]
+            .map(|(n, v)| (n.to_string(), v.map(str::to_string)));
+        assert_eq!(given, expected);
+        let refused =
+            [("presets", "scale"), ("run", "worker"), ("run", "workers"), ("serve", "drain-timeout-ms")];
+        for (command, flag) in refused {
+            let error = parse(command, &[&format!("--{flag}"), "4"]).unwrap_err();
+            assert_eq!(error, format!("unknown flag --{flag} for {command}"));
+        }
+    }
 
     /// Byte for byte what the inline `format!`s wrote (captured on the
     /// commit before `json::Writer`), and documents the strict parser

@@ -84,7 +84,7 @@ impl Dataset {
     }
 
     /// The sampling context the VCD draws Table 3 parameters from.
-    pub fn sample_context(&self, max_upsample_exp: u32) -> SampleContext {
+    pub fn sample_context(&self) -> SampleContext {
         let mut known_plates = Vec::new();
         for t in 0..self.city.tile_count() {
             for v in &self.city.tile(TileId(t as u32)).vehicles {
@@ -103,7 +103,7 @@ impl Dataset {
                 })
             })
             .collect();
-        SampleContext { known_plates, rigs, max_upsample_exp }
+        SampleContext { known_plates, rigs }
     }
 
     /// Total encoded bytes across all videos.

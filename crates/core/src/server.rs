@@ -81,6 +81,13 @@ use crate::semantic::{
 };
 use crate::vcd::{ingest_inputs_online, Vcd, VcdConfig};
 
+/// Pipeline workers for a request admitted degraded: the cheap
+/// configuration low-priority work falls back to under load.
+const DEGRADED_WORKERS: usize = 1;
+
+/// How long a drain may wait for in-flight work before giving up.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Server configuration: the admission policy plus execution defaults.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -90,13 +97,8 @@ pub struct ServerConfig {
     pub admission: AdmissionConfig,
     /// Pipeline workers for a normally admitted request.
     pub workers: usize,
-    /// Pipeline workers for a request admitted degraded (the cheap
-    /// configuration low-priority work falls back to under load).
-    pub degraded_workers: usize,
     /// Deadline applied to `EXEC` requests that carry none.
     pub default_deadline: Option<Duration>,
-    /// How long a drain may wait for in-flight work before giving up.
-    pub drain_timeout: Duration,
     /// Query kinds the server pregenerates instance pools for.
     pub queries: Vec<QueryKind>,
     /// Ingest a semantic side index at startup so the S1/S2/S3 query
@@ -124,9 +126,7 @@ impl Default for ServerConfig {
             port: 0,
             admission: AdmissionConfig::default(),
             workers: vr_base::sync::worker_budget(),
-            degraded_workers: 1,
             default_deadline: None,
-            drain_timeout: Duration::from_secs(10),
             queries: vec![QueryKind::Q1Select, QueryKind::Q2aGrayscale, QueryKind::Q2cBoxes],
             use_index: false,
             index_path: None,
@@ -357,7 +357,7 @@ impl Drop for QueryServer {
 /// release the accept loop.
 fn drain(shared: &Shared) {
     shared.admission.begin_drain();
-    let clean = shared.admission.await_idle(shared.cfg.drain_timeout);
+    let clean = shared.admission.await_idle(DRAIN_TIMEOUT);
     shared.drained_clean.store(clean, Ordering::Relaxed);
     shared.shutdown.store(true, Ordering::Relaxed);
 }
@@ -588,9 +588,8 @@ impl<'a> Work<'a> {
         match self {
             Work::Pixel { engine, pool } => {
                 let turn = pool.next.fetch_add(1, Ordering::Relaxed);
-                let cfg = &shared.cfg;
                 let ctx = ExecContext {
-                    workers: if degraded { cfg.degraded_workers } else { cfg.workers }.max(1),
+                    workers: if degraded { DEGRADED_WORKERS } else { shared.cfg.workers.max(1) },
                     query_label: label.to_string(),
                     cancel: deadline.map_or_else(CancelToken::new, CancelToken::with_deadline),
                     tenant: Some(Arc::from(req.tenant.as_str())),

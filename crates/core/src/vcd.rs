@@ -40,6 +40,12 @@ use vr_vdbms::{
     PlanNode, QueryKind, QueryOutput, ResultMode, Vdbms, Workload,
 };
 
+/// Minimum fraction of engine boxes that must match the reference boxes
+/// within ε = 0.5 for semantic validation to pass. 0.7 leaves headroom
+/// for cascade-style engines that reuse previous detections on static
+/// frames (an accuracy trade the paper's NoScope makes too).
+const SEMANTIC_THRESHOLD: f64 = 0.7;
+
 /// Offline (random file access) vs online (rate-throttled forward-only
 /// streams) execution (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,13 +58,12 @@ pub enum ExecutionMode {
 }
 
 /// How much plan-tree detail the driver attaches to each query row.
+/// The shape alone, without executing, is [`Vcd::explain`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExplainMode {
     /// No plan trees.
     #[default]
     Off,
-    /// Attach the pre-execution plan shape (EXPLAIN).
-    Plan,
     /// Attach the plan annotated with wall/self time, frame/byte flow,
     /// and allocator scopes after the batch runs (EXPLAIN ANALYZE).
     Analyze,
@@ -75,16 +80,6 @@ pub struct VcdConfig {
     pub validate: bool,
     /// Override the 4·L batch size (for scaled-down runs; reported).
     pub batch_size: Option<usize>,
-    /// QP engines encode results at.
-    pub output_qp: u8,
-    /// Q4 α/β exponent cap (paper domain: 5).
-    pub max_upsample_exp: u32,
-    /// Minimum fraction of engine boxes that must match the reference
-    /// boxes within ε = 0.5 for semantic validation to pass. 0.7
-    /// leaves headroom for cascade-style engines that reuse previous
-    /// detections on static frames (an accuracy trade the paper's
-    /// NoScope makes too).
-    pub semantic_threshold: f64,
     /// Whether to quiesce the engine between query batches ("a VDBMS
     /// … may optionally quiesce or restart upon completing a batch",
     /// §3.2). Quiescing releases pooled resources (the functional
@@ -111,12 +106,12 @@ pub struct VcdConfig {
     /// degraded row ([`DegradationStats::cancelled_instances`])
     /// instead of blocking or failing the batch.
     pub instance_deadline: Option<Duration>,
-    /// Plan-tree reporting: off, EXPLAIN (shape only), or EXPLAIN
-    /// ANALYZE (annotated post-execution). The in-flight plan is also
-    /// published to the live endpoint's `/explain` route.
+    /// Plan-tree reporting: off, or EXPLAIN ANALYZE (annotated
+    /// post-execution). The in-flight plan is also published to the
+    /// live endpoint's `/explain` route.
     pub explain: ExplainMode,
     /// Cost-based optimizer switch: `Off` keeps every engine's
-    /// hand-tuned plan choices; `On`/`Explain` install an
+    /// hand-tuned plan choices; `On` installs an
     /// [`Optimizer`] in each query's [`ExecContext`] so engines pick
     /// the cheapest candidate plan.
     pub optimizer: OptimizerMode,
@@ -132,9 +127,6 @@ impl Default for VcdConfig {
             write_store: None,
             validate: true,
             batch_size: None,
-            output_qp: 10,
-            max_upsample_exp: 2,
-            semantic_threshold: 0.7,
             quiesce_between_batches: true,
             pipeline_workers: None,
             batch_workers: None,
@@ -191,8 +183,8 @@ impl<'d> Vcd<'d> {
         Self { dataset, cfg, optimizer }
     }
 
-    /// The driver's optimizer, when the config enabled one — the CLI
-    /// reads decision tables off it after a run.
+    /// The driver's optimizer, when the config enabled one: its
+    /// decision tables can be read off it after a run.
     pub fn optimizer(&self) -> Option<&Arc<Optimizer>> {
         self.optimizer.as_ref()
     }
@@ -202,8 +194,11 @@ impl<'d> Vcd<'d> {
     /// chosen per query semantics.
     pub fn batch(&self, kind: QueryKind) -> Result<Vec<QueryInstance>> {
         let size = self.cfg.batch_size.unwrap_or(self.dataset.hyper.batch_size());
+        if size == 0 {
+            return Err(Error::InvalidConfig("a query batch needs at least one instance".into()));
+        }
         let mut rng = VrRng::seed_from(mix64(self.dataset.hyper.seed, kind as u64 + 0xBA7C));
-        let ctx = self.dataset.sample_context(self.cfg.max_upsample_exp);
+        let ctx = self.dataset.sample_context();
         let traffic = self.dataset.traffic_indices();
         let rigs = crate::dataset::rig_faces(&self.dataset.meta);
         let panoramas = self.dataset.panorama_indices();
@@ -331,7 +326,6 @@ impl<'d> Vcd<'d> {
                 },
                 None => ResultMode::Streaming,
             },
-            output_qp: self.cfg.output_qp,
             workers: self
                 .cfg
                 .pipeline_workers
@@ -383,10 +377,11 @@ impl<'d> Vcd<'d> {
         // enabled the plan is always built here even without EXPLAIN:
         // planning is what caches the cost-based decision that both
         // the scheduler below and the engine's `execute` consult.
-        let plan = (self.cfg.explain != ExplainMode::Off || self.optimizer.is_some())
+        let analyze = self.cfg.explain == ExplainMode::Analyze;
+        let plan = (analyze || self.optimizer.is_some())
             .then(|| {
                 let plan = engine.plan(&batch[0], &ctx);
-                if self.cfg.explain != ExplainMode::Off {
+                if analyze {
                     serve::set_explain(plan.render_text());
                 }
                 plan
@@ -446,7 +441,7 @@ impl<'d> Vcd<'d> {
         }
         let fan_out = ctx.workers.max(1) * workers;
         let explain = plan
-            .filter(|_| self.cfg.explain != ExplainMode::Off)
+            .filter(|_| analyze)
             .map(|plan| self.explain_info(plan, &plan_key, &stages, runtime, fan_out));
         let scheduler =
             SchedulerStats::from_durations(workers, latencies, runtime, self.cfg.instance_deadline);
@@ -525,12 +520,12 @@ impl<'d> Vcd<'d> {
         folded
     }
 
-    /// The EXPLAIN artifact of a finished batch, also published to the
-    /// live endpoint's `/explain` route. Under ANALYZE the plan is
-    /// annotated with the batch's stage snapshot and verified against
-    /// its wall time; with the optimizer on, its chosen-vs-rejected
-    /// table follows, and under ANALYZE the estimate is confronted
-    /// with the measured per-instance latency.
+    /// The EXPLAIN ANALYZE artifact of a finished batch, also published
+    /// to the live endpoint's `/explain` route: the plan annotated with
+    /// the batch's stage snapshot and verified against its wall time;
+    /// with the optimizer on, its chosen-vs-rejected table follows and
+    /// the estimate is confronted with the measured per-instance
+    /// latency.
     fn explain_info(
         &self,
         mut plan: PlanNode,
@@ -539,22 +534,17 @@ impl<'d> Vcd<'d> {
         runtime: Duration,
         fan_out: usize,
     ) -> ExplainInfo {
-        let analyze = self.cfg.explain == ExplainMode::Analyze;
-        let verify_error = if analyze {
-            plan.annotate(stages, runtime.as_nanos() as u64);
-            // Measured stage work may legitimately exceed wall time
-            // when pipeline stages and scheduler workers overlap; the
-            // invariant bound scales with the total fan-out.
-            plan.verify(runtime.as_nanos() as u64, fan_out).err()
-        } else {
-            None
-        };
+        plan.annotate(stages, runtime.as_nanos() as u64);
+        // Measured stage work may legitimately exceed wall time when
+        // pipeline stages and scheduler workers overlap; the invariant
+        // bound scales with the total fan-out.
+        let verify_error = plan.verify(runtime.as_nanos() as u64, fan_out).err();
         let mut text = plan.render_text();
         if let Some(opt) = &self.optimizer {
             if let Some(decision) = opt.decision(plan_key) {
                 text.push_str(&decision.render_text());
             }
-            if let Some((est, measured)) = opt.observed(plan_key).filter(|_| analyze) {
+            if let Some((est, measured)) = opt.observed(plan_key) {
                 let err = (est as f64 - measured as f64).abs() / (measured as f64).max(1.0) * 100.0;
                 text.push_str(&format!(
                     "optimizer: est {} vs measured {} per instance (error {err:.1}%)\n",
@@ -625,11 +615,7 @@ impl<'d> Vcd<'d> {
         // and no optimizer — it always runs the hand-written reference
         // plan. One worker, because the reference defines correct
         // output and must not depend on the host's parallelism.
-        let ref_ctx = ExecContext {
-            output_qp: self.cfg.output_qp,
-            workers: 1,
-            ..ExecContext::default()
-        };
+        let ref_ctx = ExecContext { workers: 1, ..ExecContext::default() };
         let mut psnr_values: Vec<f64> = Vec::new();
         let mut box_matches = 0usize;
         let mut box_total = 0usize;
@@ -709,7 +695,7 @@ impl<'d> Vcd<'d> {
         let passed = !length_mismatch
             && psnr.map(|p| p.min >= VALIDATION_THRESHOLD_DB).unwrap_or(true)
             && semantic_agreement
-                .map(|a| a >= self.cfg.semantic_threshold)
+                .map(|a| a >= SEMANTIC_THRESHOLD)
                 .unwrap_or(true);
         Ok(ValidationSummary {
             psnr,

@@ -559,10 +559,9 @@ mod tests {
     #[test]
     fn sample_context_reflects_city() {
         let ds = Vcg::new(fast_cfg()).generate(&hyper(2, 10)).unwrap();
-        let ctx = ds.sample_context(2);
+        let ctx = ds.sample_context();
         assert!(!ctx.known_plates.is_empty());
         assert_eq!(ctx.rigs.len(), 2);
-        assert_eq!(ctx.max_upsample_exp, 2);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Drawing primitives: filled and outlined rectangles on frames and
-//! RGB images. Used for bounding-box rendering (Q2c/Q6a), caption
-//! backgrounds (Q6b), and by the software renderer.
+//! Drawing primitives: filled and outlined rectangles on frames. Used
+//! for bounding-box rendering (Q2c/Q6a), caption backgrounds (Q6b),
+//! and by the software renderer.
 
-use crate::color::{Rgb, Yuv};
-use crate::frame::{Frame, RgbImage};
+use crate::color::Yuv;
+use crate::frame::Frame;
 use vr_geom::Rect;
 
 /// Fill `rect` (clipped to the frame) with a solid color.
@@ -42,45 +42,6 @@ pub fn outline_rect(frame: &mut Frame, rect: Rect, color: Yuv, thickness: u32) {
     fill_rect(frame, Rect::new(r.x1 - t, r.y0, r.x1, r.y1), color);
 }
 
-/// Fill `rect` (clipped) on an RGB image.
-pub fn fill_rect_rgb(img: &mut RgbImage, rect: Rect, color: Rgb) {
-    let r = rect.clipped(img.width(), img.height());
-    if r.is_empty() {
-        return;
-    }
-    for y in r.y0 as u32..r.y1 as u32 {
-        for x in r.x0 as u32..r.x1 as u32 {
-            img.set(x, y, color);
-        }
-    }
-}
-
-/// Alpha-blend `color` over `rect` on an RGB image
-/// (`alpha` in `[0, 256]`, 256 = opaque).
-pub fn blend_rect_rgb(img: &mut RgbImage, rect: Rect, color: Rgb, alpha: u32) {
-    let a = alpha.min(256);
-    let r = rect.clipped(img.width(), img.height());
-    for y in r.y0 as u32..r.y1 as u32 {
-        for x in r.x0 as u32..r.x1 as u32 {
-            let dst = img.get(x, y);
-            img.set(
-                x,
-                y,
-                Rgb {
-                    r: blend(dst.r, color.r, a),
-                    g: blend(dst.g, color.g, a),
-                    b: blend(dst.b, color.b, a),
-                },
-            );
-        }
-    }
-}
-
-#[inline]
-fn blend(dst: u8, src: u8, alpha: u32) -> u8 {
-    ((dst as u32 * (256 - alpha) + src as u32 * alpha) >> 8) as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,18 +66,5 @@ mod tests {
         assert_eq!(f.get_y(8, 8), 0, "interior must stay untouched");
         assert_eq!(f.get_y(8, 3), 255, "top bar");
         assert_eq!(f.get_y(3, 8), 255, "left bar");
-    }
-
-    #[test]
-    fn rgb_fill_and_blend() {
-        let mut img = RgbImage::new(8, 8);
-        fill_rect_rgb(&mut img, Rect::new(0, 0, 8, 8), Rgb::new(100, 100, 100));
-        blend_rect_rgb(&mut img, Rect::new(0, 0, 4, 4), Rgb::new(200, 200, 200), 128);
-        let c = img.get(1, 1);
-        assert!(c.r >= 148 && c.r <= 152, "half blend, got {}", c.r);
-        assert_eq!(img.get(6, 6), Rgb::new(100, 100, 100));
-        // Opaque blend equals fill.
-        blend_rect_rgb(&mut img, Rect::new(4, 4, 8, 8), Rgb::new(9, 8, 7), 256);
-        assert_eq!(img.get(5, 5), Rgb::new(9, 8, 7));
     }
 }

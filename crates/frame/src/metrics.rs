@@ -99,11 +99,6 @@ impl PsnrStats {
             frames: values.len(),
         })
     }
-
-    /// Whether every frame met the validation threshold.
-    pub fn all_pass(&self) -> bool {
-        self.pass_rate >= 1.0
-    }
 }
 
 #[cfg(test)]
@@ -153,9 +148,7 @@ mod tests {
         assert_eq!(s.frames, 4);
         assert!((s.mean - 57.25).abs() < 1e-9);
         assert_eq!(s.pass_rate, 0.75);
-        assert!(!s.all_pass());
         assert!(PsnrStats::from_values(&[]).is_none());
-        assert!(PsnrStats::from_values(&[40.0]).unwrap().all_pass());
     }
 }
 

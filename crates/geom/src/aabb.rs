@@ -59,16 +59,6 @@ impl Aabb3 {
             && p.z <= self.max.z
     }
 
-    /// Whether two boxes overlap.
-    pub fn intersects(&self, o: &Aabb3) -> bool {
-        self.min.x <= o.max.x
-            && self.max.x >= o.min.x
-            && self.min.y <= o.max.y
-            && self.max.y >= o.min.y
-            && self.min.z <= o.max.z
-            && self.max.z >= o.min.z
-    }
-
     /// Translate by `d`.
     pub fn translated(&self, d: Vec3) -> Aabb3 {
         Aabb3 { min: self.min + d, max: self.max + d }
@@ -148,10 +138,6 @@ mod tests {
         assert!(a.contains(Vec3::ZERO));
         assert!(a.contains(Vec3::new(1.0, 1.0, 1.0))); // inclusive boundary
         assert!(!a.contains(Vec3::new(1.1, 0.0, 0.0)));
-        let b = a.translated(Vec3::new(1.5, 0.0, 0.0));
-        assert!(a.intersects(&b));
-        let c = a.translated(Vec3::new(5.0, 0.0, 0.0));
-        assert!(!a.intersects(&c));
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl PipeReader {
     pub fn read(&self) -> Option<BufSlice> {
         self.rx.recv().ok()
     }
-
-    /// Non-blocking read.
-    pub fn try_read(&self) -> Option<BufSlice> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// A registry of named pipes.
@@ -158,15 +153,5 @@ mod tests {
         let r = reg.open("b").unwrap();
         drop(r);
         assert!(w.write(vec![1]).is_err());
-    }
-
-    #[test]
-    fn try_read_does_not_block() {
-        let reg = PipeRegistry::new();
-        let w = reg.create("t", 4).unwrap();
-        let r = reg.open("t").unwrap();
-        assert!(r.try_read().is_none());
-        w.write(vec![5]).unwrap();
-        assert_eq!(r.try_read().unwrap(), vec![5]);
     }
 }

@@ -49,6 +49,11 @@ use vr_scene::ObjectClass;
 use vr_vision::cost::CostModel;
 use vr_vision::{Detection, YoloConfig, YoloDetector};
 
+/// Upsampled-output allocation limit in bytes that Q4's error names:
+/// the engine materializes eagerly and cannot spill, so every Q4 fails
+/// (Scanner's observed behaviour).
+const UPSAMPLE_BUDGET_BYTES: usize = 64 << 20;
+
 /// Batch-engine configuration.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
@@ -57,9 +62,6 @@ pub struct BatchConfig {
     /// Frame-table cache capacity in bytes (decoded frames). The
     /// default models a machine holding a handful of decoded videos.
     pub cache_bytes: usize,
-    /// Upsampled-output allocation limit in bytes; Q4 requests beyond
-    /// it fail (Scanner's observed behaviour).
-    pub upsample_budget_bytes: usize,
     /// Extra framework arithmetic per pixel on the NN path (the Caffe
     /// analogue), on top of the detector's own cost.
     pub nn_framework_macs_per_pixel: f64,
@@ -70,7 +72,6 @@ impl Default for BatchConfig {
         Self {
             workers: 4,
             cache_bytes: 256 << 20,
-            upsample_budget_bytes: 64 << 20,
             nn_framework_macs_per_pixel: 360.0,
         }
     }
@@ -482,7 +483,7 @@ impl Vdbms for BatchEngine {
                 return Err(Error::ResourceExhausted(format!(
                     "Q4 upsample would materialize {out_bytes} bytes eagerly \
                      (budget {}); the batch dataflow cannot spill",
-                    self.cfg.upsample_budget_bytes
+                    UPSAMPLE_BUDGET_BYTES
                 )));
             }
             QuerySpec::Q5 { alpha, beta } => {

@@ -266,8 +266,6 @@ pub enum OptimizerMode {
     Off,
     /// Cost-based plan selection.
     On,
-    /// Cost-based selection plus a printed decision table per query.
-    Explain,
 }
 
 impl OptimizerMode {
@@ -283,8 +281,7 @@ impl std::str::FromStr for OptimizerMode {
         match s {
             "off" => Ok(OptimizerMode::Off),
             "on" => Ok(OptimizerMode::On),
-            "explain" => Ok(OptimizerMode::Explain),
-            other => Err(format!("--optimizer must be on|off|explain, got `{other}`")),
+            other => Err(format!("--optimizer must be on|off, got `{other}`")),
         }
     }
 }
@@ -653,7 +650,7 @@ impl Optimizer {
 }
 
 /// Eager fan-out candidates: powers of two up to the budget, plus the
-/// budget itself (so `--workers 6` still considers 6).
+/// budget itself (so `VR_WORKERS=6` still considers 6).
 fn fanouts(max_fanout: usize) -> Vec<usize> {
     let max = max_fanout.max(1);
     let mut v = vec![1];

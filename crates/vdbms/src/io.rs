@@ -139,9 +139,6 @@ impl ResultMode {
 pub struct ExecContext {
     /// Where results go.
     pub result_mode: ResultMode,
-    /// QP engines use when encoding results (kept high-quality so
-    /// frame validation headroom stays above the 40 dB threshold).
-    pub output_qp: u8,
     /// Per-stage pipeline counters every operator records into;
     /// cloning the context shares the counters.
     pub metrics: Arc<crate::pipeline::PipelineMetrics>,
@@ -156,12 +153,6 @@ pub struct ExecContext {
     /// instance deadline; operators poll it per frame and unwind with
     /// [`Error::Cancelled`](vr_base::Error::Cancelled).
     pub cancel: vr_base::sync::CancelToken,
-    /// Watchdog bound on a single inter-stage channel wait. A stage
-    /// stalled past this is reported as a typed
-    /// [`Error::StagePanic`](vr_base::Error::StagePanic) instead of
-    /// hanging the query. `None` waits forever (single-threaded-safe
-    /// default for tests that run stages inline).
-    pub stage_timeout: Option<std::time::Duration>,
     /// Cost-based optimizer, when plan selection is enabled. Engines
     /// consult it in `plan()`/`execute()`; `None` (the default) keeps
     /// their hand-tuned choices.
@@ -179,20 +170,14 @@ pub struct ExecContext {
     pub request_id: Option<Arc<str>>,
 }
 
-/// Default watchdog bound: generous enough that only a genuine hang
-/// (or an injected stall far beyond it) trips, never a slow machine.
-pub const DEFAULT_STAGE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
-
 impl Default for ExecContext {
     fn default() -> Self {
         Self {
             result_mode: ResultMode::Streaming,
-            output_qp: 10,
             metrics: Arc::new(crate::pipeline::PipelineMetrics::default()),
             workers: vr_base::sync::worker_budget(),
             query_label: String::new(),
             cancel: vr_base::sync::CancelToken::new(),
-            stage_timeout: Some(DEFAULT_STAGE_TIMEOUT),
             optimizer: None,
             tenant: None,
             request_id: None,

@@ -738,19 +738,22 @@ fn contain_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
         .unwrap_or_else(|p| Err(stage_panic(panic_message(p))))
 }
 
+/// Watchdog bound on one inter-stage channel wait: generous enough
+/// that only a genuine hang (or an injected stall far beyond it) trips,
+/// never a slow machine.
+const STAGE_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Receive on a stage boundary under the watchdog: `Ok(None)` is a
-/// clean hang-up, a wait past `timeout` means the upstream stage is
-/// stalled or dead and becomes a typed error instead of a hang.
-fn recv_guarded<T>(rx: &Receiver<T>, timeout: Option<Duration>) -> Result<Option<T>> {
-    match timeout {
-        None => Ok(rx.recv().ok()),
-        Some(t) => match rx.recv_timeout(t) {
-            Ok(v) => Ok(Some(v)),
-            Err(RecvTimeoutError::Disconnected) => Ok(None),
-            Err(RecvTimeoutError::Timeout) => Err(Error::StagePanic(format!(
-                "upstream pipeline stage stalled past {t:?}"
-            ))),
-        },
+/// clean hang-up, a wait past [`STAGE_TIMEOUT`] means the upstream
+/// stage is stalled or dead and becomes a typed error instead of a
+/// hang.
+fn recv_guarded<T>(rx: &Receiver<T>) -> Result<Option<T>> {
+    match rx.recv_timeout(STAGE_TIMEOUT) {
+        Ok(v) => Ok(Some(v)),
+        Err(RecvTimeoutError::Disconnected) => Ok(None),
+        Err(RecvTimeoutError::Timeout) => Err(Error::StagePanic(format!(
+            "upstream pipeline stage stalled past {STAGE_TIMEOUT:?}"
+        ))),
     }
 }
 
@@ -906,7 +909,7 @@ impl<'c> Pipeline<'c> {
             });
             return driven.and(encoded).and_then(|()| sink.into_result());
         }
-        let (metrics, timeout) = (&*self.ctx.metrics, self.ctx.stage_timeout);
+        let metrics = &*self.ctx.metrics;
         std::thread::scope(|scope| {
             let (ftx, frx) = sync_channel::<ScanEvent>(PIPE_DEPTH);
             let (ktx, krx) = sync_channel::<KernelOut>(PIPE_DEPTH);
@@ -921,14 +924,14 @@ impl<'c> Pipeline<'c> {
             });
             let encoder = scope.spawn(move || {
                 let mut sink = EncodeStage::new(self, info);
-                while let Some(ko) = recv_guarded(&krx, timeout)? {
+                while let Some(ko) = recv_guarded(&krx)? {
                     sink.consume(ko)?;
                 }
                 sink.into_result()
             });
             // A scan stalled past the watchdog reads as a failed frame.
             let scanned = std::iter::from_fn(|| {
-                recv_guarded(&frx, timeout).unwrap_or_else(|e| Some(ScanEvent::Frame(Err(e))))
+                recv_guarded(&frx).unwrap_or_else(|e| Some(ScanEvent::Frame(Err(e))))
             });
             let driven = self.drive(scanned, kernel, |ko| send_stage(&ktx, ko, metrics).is_ok());
             // Hang up both channels: an aborted producer unblocks, and
@@ -1172,6 +1175,10 @@ impl<'c> Pipeline<'c> {
     }
 }
 
+/// The QP every engine encodes results at: high quality, so frame
+/// validation keeps headroom above its 40 dB threshold.
+const OUTPUT_QP: u8 = 10;
+
 /// The shared encode stage: a lazily-created constant-QP encoder fed
 /// one frame at a time (identical output to whole-sequence encoding —
 /// the encoder is sequential either way).
@@ -1220,7 +1227,7 @@ impl<'p, 'c> EncodeStage<'p, 'c> {
             None => {
                 let cfg = EncoderConfig {
                     profile: self.info.profile,
-                    rate: RateControlMode::ConstantQp(self.pl.ctx.output_qp),
+                    rate: RateControlMode::ConstantQp(OUTPUT_QP),
                     gop: self.info.gop,
                     frame_rate: self.info.frame_rate,
                 };

@@ -110,6 +110,11 @@ pub struct FaceParams {
     pub hfov_deg: f32,
 }
 
+/// Exponent cap of Q4's α and β: each is drawn from 2¹..2^cap. The
+/// paper's domain goes to 2⁵; every run here uses 2, which keeps the
+/// upsampled output of a scaled-down dataset small.
+pub const MAX_UPSAMPLE_EXP: u32 = 2;
+
 /// A fully-parameterized query (one instance within a batch).
 ///
 /// Parameter domains follow Table 3; the VCD draws them uniformly at
@@ -227,13 +232,10 @@ impl QuerySpec {
                     (0..tiles).map(|_| 1u32 << rng.range(16, 22)).collect();
                 QuerySpec::Q3 { dx, dy, bitrates }
             }
-            QueryKind::Q4Upsample => {
-                let cap = ctx.max_upsample_exp.clamp(1, 5);
-                QuerySpec::Q4 {
-                    alpha: 1 << rng.range(1, cap as usize),
-                    beta: 1 << rng.range(1, cap as usize),
-                }
-            }
+            QueryKind::Q4Upsample => QuerySpec::Q4 {
+                alpha: 1 << rng.range(1, MAX_UPSAMPLE_EXP as usize),
+                beta: 1 << rng.range(1, MAX_UPSAMPLE_EXP as usize),
+            },
             QueryKind::Q5Downsample => QuerySpec::Q5 {
                 alpha: 1 << rng.range(1, 5),
                 beta: 1 << rng.range(1, 5),
@@ -284,9 +286,6 @@ pub struct SampleContext {
     pub known_plates: Vec<LicensePlate>,
     /// Panoramic rig face orientations (Q9).
     pub rigs: Vec<[FaceParams; 4]>,
-    /// Exponent cap for the Q4 α/β domain (paper: 5; scaled-down
-    /// runs typically 2).
-    pub max_upsample_exp: u32,
 }
 
 impl Default for SampleContext {
@@ -299,7 +298,6 @@ impl Default for SampleContext {
                 FaceParams { yaw: std::f32::consts::PI, pitch: 0.0, hfov_deg: 120.0 },
                 FaceParams { yaw: 3.0 * std::f32::consts::FRAC_PI_2, pitch: 0.0, hfov_deg: 120.0 },
             ]],
-            max_upsample_exp: 2,
         }
     }
 }

@@ -109,10 +109,9 @@ fn assert_same_tree(base: &BTreeMap<PathBuf, Vec<u8>>, other: &BTreeMap<PathBuf,
     }
 }
 
-/// Telemetry never feeds back into results: a traced run, an explicit
-/// `VR_TRACE=0` run and a run serving `/metrics` write the bytes the
-/// plain run writes, at four workers — which also makes the four runs
-/// run-to-run identical.
+/// Telemetry never feeds back into results: a traced run and a run
+/// serving `/metrics` write the bytes the plain run writes, at four
+/// workers — which also makes the three runs run-to-run identical.
 #[test]
 fn traced_untraced_and_served_runs_write_identical_results() {
     let _quiet = shared();
@@ -131,12 +130,37 @@ fn traced_untraced_and_served_runs_write_identical_results() {
     let (traced, _) = run("traced", &["--trace-out", path(&profile)], &[]);
     let stages = ["scan", "decode", "kernel", "encode", "sink"];
     trace::validate(&std::fs::read_to_string(&profile).unwrap(), path(&profile), &stages).unwrap();
-    let (untraced, _) = run("untraced", &[], &[("VR_TRACE", "0")]);
     let (served, stderr) = run("served", &["--serve-metrics", "0"], &[]);
     assert!(stderr.contains("serving metrics on http://127.0.0.1:"), "{stderr}");
     assert_same_tree(&base, &traced, "--trace-out");
-    assert_same_tree(&base, &untraced, "VR_TRACE=0");
     assert_same_tree(&base, &served, "--serve-metrics 0");
+}
+
+/// A flag the command does not read — misspelled, or one that no
+/// longer exists — and a count or speedup that is not positive each
+/// exit 1 while the flags are parsed, before any dataset is generated,
+/// naming the flag.
+#[test]
+fn bad_flags_and_values_are_refused_before_generation() {
+    let _quiet = shared();
+    let cases: [(&[&str], &str); 8] = [
+        (&["run", "--batch", "0"], "--batch"),
+        (&["run", "--online", "0"], "--online"),
+        (&["run", "--online", "-2"], "--online"),
+        (&["run", "--online", "NaN"], "--online"),
+        (&["run", "--worker", "4"], "--worker for run"),
+        (&["run", "--workers", "2"], "--workers for run"),
+        (&["serve", "--drain-timeout-ms", "5"], "--drain-timeout-ms for serve"),
+        (&["run", "--optimizer", "explain"], "--optimizer"),
+    ];
+    for (args, named) in cases {
+        let (child, _) = Bounded::spawn(Command::new(BIN).args(args), RUN_LIMIT);
+        let out = child.finish();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.starts_with("error: ") && stderr.contains(named), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("generating"), "{args:?} generated a dataset first:\n{stderr}");
+    }
 }
 
 /// The chaos schedule: the full suite on every engine in write mode

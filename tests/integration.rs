@@ -522,3 +522,22 @@ fn the_lowest_failing_instance_decides_a_batch_at_every_width() {
         assert_eq!(seen, [0, 1, 2, 3, 4, 5], "workers={workers}: degrade mode runs every instance");
     }
 }
+
+/// A batch of zero instances is a configuration error, for a query the
+/// engine supports and for one it does not, and for EXPLAIN too.
+#[test]
+fn an_empty_batch_is_refused_not_a_panic() {
+    let dataset = tiny_dataset(32);
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(0), ..Default::default() });
+    let mut cascade = CascadeEngine::new();
+    for kind in [QueryKind::Q2cBoxes, QueryKind::Q4Upsample] {
+        let err = vcd.run_queries(&mut cascade, &[kind]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: a query batch needs at least one instance",
+            "{}",
+            kind.label()
+        );
+    }
+    assert!(vcd.explain(&cascade, &[QueryKind::Q2cBoxes]).is_err());
+}
