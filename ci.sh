@@ -33,6 +33,9 @@ stage_guard() {
         crates/core/src/bin/visualroad.rs | tee "$ART/loc_json.txt"
     echo "-- the executor's lines of code; one streaming executor"
     ./target/release/loc_report crates/vdbms/src/pipeline.rs | tee "$ART/loc_pipeline.txt"
+    echo "-- the read path's lines of code; one video reader"
+    ./target/release/loc_report crates/vdbms/src/{io,kernels}.rs crates/core/src/vcd.rs \
+        | tee "$ART/loc_read.txt"
 }
 
 # benchmark/ is a package of its own (not a workspace member) that may

@@ -278,7 +278,7 @@ impl FaultInjector {
     }
 
     /// Maybe inject a transient I/O failure for `op`. Returns the
-    /// error to surface (callers run under [`with_retry`], so an
+    /// error to surface (callers run under [`with_retry_io`], so an
     /// injected failure exercises the backoff path).
     pub fn io_fail(&self, op: IoOp) -> Option<Error> {
         let (site, p, slot) = match op {
@@ -632,6 +632,16 @@ pub fn with_retry<T>(site: &str, mut f: impl FnMut() -> Result<T>) -> Result<T> 
             Err(e) => return Err(e),
         }
     }
+}
+
+/// [`with_retry`] over a storage operation the fault plan may fail:
+/// every attempt first asks the injector whether `op` fails this time,
+/// so an injected failure takes the same backoff path as a real one.
+pub fn with_retry_io<T>(site: &str, op: IoOp, mut f: impl FnMut() -> Result<T>) -> Result<T> {
+    with_retry(site, || match global().and_then(|inj| inj.io_fail(op)) {
+        Some(e) => Err(e),
+        None => f(),
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! One-of-each guards over the repository tree: no registry
 //! dependency in any manifest, one scoped-thread executor in
 //! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
-//! payload reader, `unsafe` refused by every crate root, two `VR_*`
-//! environment variables, and a `ci.sh` that stays a stage table. Each
+//! payload reader, one video-track resolver and one sample→frame
+//! loop, `unsafe` refused by every crate root, two `VR_*` environment
+//! variables, and a `ci.sh` that stays a stage table. Each
 //! guard is a function over text, shown failing on a bad input below.
 
 use std::path::{Path, PathBuf};
@@ -93,6 +94,31 @@ fn env_vars_read(src: &str) -> Vec<&str> {
         .collect()
 }
 
+/// Lines above the first `#[cfg(test)]` line that look up a video
+/// track: only `InputVideo::video_track` in `vdbms/src/io.rs` may. The
+/// pattern is assembled here so this file does not match itself.
+fn resolves_video_track(src: &str) -> usize {
+    let lookup = ["track_of_kind(", "TrackKind::Video)"].concat();
+    src.lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .filter(|l| l.contains(&lookup))
+        .count()
+}
+
+/// Lines above the first `#[cfg(test)]` line that open a sample
+/// decoder. `SampleDecoder` is private to `vdbms/src/kernels.rs`, so
+/// the compiler refuses one anywhere else; inside that file exactly one
+/// line may open one — `FrameStream`'s constructor, the one
+/// sample→frame loop. The pattern is assembled here so this file does
+/// not match itself.
+fn opens_sample_decoder(src: &str) -> usize {
+    let open = ["SampleDecoder", "::new("].concat();
+    src.lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .filter(|l| l.contains(&open))
+        .count()
+}
+
 /// Whether a crate root makes `unsafe` a compiler error: `forbid`, or
 /// `deny` where one module needs an `allow` (`vr-base`'s allocator).
 fn refuses_unsafe(lib_rs: &str) -> bool {
@@ -150,14 +176,20 @@ fn the_repository_passes_every_guard() {
     for src in sources.iter().filter(|p| **p != writer) {
         assert!(!brings_own_escaper(&read(src)), "a JSON escaper outside json.rs: {}", src.display());
     }
+    let kernels = read(&crates.join("vdbms/src/kernels.rs"));
+    assert_eq!(opens_sample_decoder(&kernels), 1, "a sample decoder outside FrameStream's constructor");
     let sync = crates.join("base/src/sync.rs");
+    let io = crates.join("vdbms/src/io.rs");
     let mut env_vars = std::collections::BTreeSet::new();
     for src in &sources {
         let text = read(src);
+        let what = src.display();
+        if *src != io {
+            assert_eq!(resolves_video_track(&text), 0, "a video-track lookup outside io.rs: {what}");
+        }
         env_vars.extend(env_vars_read(&text).into_iter().map(str::to_string));
         assert!(!defines_channel(&text), "a channel other than std's: {}", src.display());
         if *src != sync {
-            let what = src.display();
             assert!(!reads_panic_payload(&text), "a panic payload reader outside sync.rs: {what}");
         }
     }
@@ -199,6 +231,19 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(env_vars_read(&two), ["VR_WORKERS", "VR_TRACE"], "a third variable");
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{getter}TRACE\");\n}}\n");
     assert!(env_vars_read(&in_tests).is_empty(), "the test module does not count");
+
+    let lookup = ["let t = c.track_of_kind(", "TrackKind::Video).unwrap();\n"].concat();
+    assert_eq!(resolves_video_track(&format!("fn f(c: &C) {{\n{lookup}}}\n")), 1);
+    let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{lookup}}}\n");
+    assert_eq!(resolves_video_track(&in_tests), 0, "the test module does not count");
+
+    let open = ["let decoder = SampleDecoder", "::new(info);\n"].concat();
+    let stream = format!("impl<'a> FrameStream<'a> {{\n    fn over() {{\n    {open}    }}\n}}\n");
+    assert_eq!(opens_sample_decoder(&stream), 1, "the stream's constructor");
+    let loop_of_its_own = format!("{stream}\npub fn decode_all() {{\n    {open}}}\n");
+    assert_eq!(opens_sample_decoder(&loop_of_its_own), 2, "a decode loop beside the stream");
+    let in_tests = format!("{stream}#[cfg(test)]\nmod tests {{\n{open}}}\n");
+    assert_eq!(opens_sample_decoder(&in_tests), 1, "the test module does not count");
 
     assert!(refuses_unsafe("//! A crate.\n\n#![forbid(unsafe_code)]\n\npub mod a;\n"));
     assert!(!refuses_unsafe("//! A crate.\n\npub mod a;\n"), "a crate root without the attribute");

@@ -27,8 +27,7 @@ use std::time::{Duration, Instant};
 use vr_base::obs::{metrics, serve, trace};
 use vr_base::rng::mix64;
 use vr_base::sync::{panic_message, run_jobs, stage_panic, CancelToken};
-use vr_base::{fault, Error, Resolution, Result, VrRng};
-use vr_container::TrackKind;
+use vr_base::{fault, BufSlice, Error, Resolution, Result, VrRng};
 use vr_frame::metrics::{psnr_y, PsnrStats, VALIDATION_THRESHOLD_DB};
 use vr_scene::groundtruth::frame_truth;
 use vr_storage::rtp::{RtpDepacketizer, RtpPacketizer};
@@ -764,27 +763,14 @@ impl<'d> Vcd<'d> {
 /// on reads, exactly as it would on a FIFO. Returns bytes delivered.
 pub fn ingest_online_pipe(input: &InputVideo, speedup: f64) -> Result<usize> {
     use vr_storage::pipe::PipeRegistry;
-    let info = input.video_info()?;
-    let track = input
-        .container
-        .track_of_kind(TrackKind::Video)
-        .ok_or_else(|| vr_base::Error::NotFound("video track".into()))?;
-    let n = input.container.tracks()[track].samples.len();
     let registry = PipeRegistry::new();
     let writer = registry.create(&input.name, 4)?;
     let reader = registry.open(&input.name)?;
     std::thread::scope(|scope| -> Result<usize> {
-        let producer = scope.spawn(move || -> Result<()> {
-            let pacer = Pacer::with_speedup(info.frame_rate, speedup.max(1e-3));
-            for i in 0..n {
-                pacer.wait_for_frame(i as u64);
-                // Zero-copy: the pipe message is a view into the
-                // container's shared buffer, not a per-sample copy.
-                let sample = input.container.sample_slice(track, i)?;
-                writer.write(sample)?;
-            }
-            Ok(())
-        });
+        // Zero-copy: each pipe message is a view into the container's
+        // shared buffer, not a per-sample copy.
+        let producer =
+            scope.spawn(move || paced_samples(input, speedup, |_, sample| writer.write(sample)));
         let mut bytes = 0usize;
         while let Some(frame) = reader.read() {
             bytes += frame.len();
@@ -792,6 +778,24 @@ pub fn ingest_online_pipe(input: &InputVideo, speedup: f64) -> Result<usize> {
         producer.join().unwrap_or_else(|p| Err(stage_panic(panic_message(p))))?;
         Ok(bytes)
     })
+}
+
+/// Walk one input's video samples in order, releasing sample `i` no
+/// earlier than its capture time (at `speedup`× real time) — the
+/// ingest both online transports share.
+fn paced_samples(
+    input: &InputVideo,
+    speedup: f64,
+    mut send: impl FnMut(usize, BufSlice) -> Result<()>,
+) -> Result<()> {
+    let info = input.video_info()?;
+    let (track, t) = input.video_track()?;
+    let pacer = Pacer::with_speedup(info.frame_rate, speedup.max(1e-3));
+    for i in 0..t.samples.len() {
+        pacer.wait_for_frame(i as u64);
+        send(i, input.container.sample_slice(track, i)?)?;
+    }
+    Ok(())
 }
 
 /// Online ingest of one query instance: every input it reads goes
@@ -810,23 +814,14 @@ pub(crate) fn ingest_inputs_online(
 /// ingest): packets are released at the capture rate and reassembled;
 /// the returned count is the bytes delivered.
 pub fn ingest_online(input: &InputVideo, speedup: f64) -> Result<usize> {
-    let info = input.video_info()?;
-    let track = input
-        .container
-        .track_of_kind(TrackKind::Video)
-        .ok_or_else(|| vr_base::Error::NotFound("video track".into()))?;
-    let n = input.container.tracks()[track].samples.len();
-    let pacer = Pacer::with_speedup(info.frame_rate, speedup.max(1e-3));
     let mut tx = RtpPacketizer::new(input.name.len() as u32 + 1, 1400);
     let mut rx = RtpDepacketizer::new(input.name.len() as u32 + 1);
     let mut bytes = 0usize;
     // Packets produced by the sender — the depacketizer needs the
     // final sequence number to account for tail loss exactly.
     let mut produced: u64 = 0;
-    for i in 0..n {
-        pacer.wait_for_frame(i as u64);
-        let sample = input.container.sample(track, i)?;
-        for pkt in tx.packetize(sample, (i as u32).wrapping_mul(3000)) {
+    paced_samples(input, speedup, |i, sample| {
+        for pkt in tx.packetize(&sample, (i as u32).wrapping_mul(3000)) {
             produced += 1;
             // A dropped packet vanishes on the wire; the jitter buffer
             // discovers the gap and skips past it.
@@ -839,7 +834,8 @@ pub fn ingest_online(input: &InputVideo, speedup: f64) -> Result<usize> {
                 bytes += frame.len();
             }
         }
-    }
+        Ok(())
+    })?;
     for frame in rx.finish(produced as u16) {
         bytes += frame.len();
     }

@@ -299,7 +299,7 @@ fn generate_panorama(
     // are freed with it, before the muxer copies the container out.
     let stitch = move |t: usize| {
         let [a, b, c, d] = streams.each_mut().map(|s| {
-            s.next_frame().unwrap_or_else(|| {
+            s.next().unwrap_or_else(|| {
                 Err(Error::Corrupt(format!("pano360-rig{rig}: a face ends before frame {t}")))
             })
         });

@@ -33,12 +33,7 @@ impl PipeWriter {
     /// retried with bounded, seeded backoff.
     pub fn write(&self, data: impl Into<BufSlice>) -> Result<()> {
         let mut data = Some(data.into());
-        fault::with_retry("pipe.write", || {
-            if let Some(inj) = fault::global() {
-                if let Some(e) = inj.io_fail(IoOp::Write) {
-                    return Err(e);
-                }
-            }
+        fault::with_retry_io("pipe.write", IoOp::Write, || {
             let payload = data.take().expect("payload consumed only by a successful send");
             match self.tx.send(payload) {
                 Ok(()) => Ok(()),

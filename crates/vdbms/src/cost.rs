@@ -427,8 +427,9 @@ impl PlanDecision {
 }
 
 /// Render a nanosecond cost in the unit that keeps 2-decimal
-/// precision readable (ns/us/ms) — shared with the driver's
-/// EXPLAIN ANALYZE estimate-vs-measured line.
+/// precision readable (ns/us/ms) — the one duration format of EXPLAIN
+/// ANALYZE: each plan node's times and the VCD's
+/// estimate-vs-measured line.
 pub fn fmt_cost(nanos: u64) -> String {
     if nanos >= 1_000_000 {
         format!("{:.2}ms", nanos as f64 / 1e6)

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use vr_base::{Error, Result};
 use vr_codec::EncodedVideo;
-use vr_container::{Container, TrackKind};
+use vr_container::{Container, Track, TrackKind};
 use vr_geom::Rect;
 use vr_scene::ObjectClass;
 use vr_storage::FlatStore;
@@ -32,21 +32,25 @@ impl InputVideo {
         Self::from_bytes(name, store.get(name)?)
     }
 
-    /// The video track's stream parameters.
-    pub fn video_info(&self) -> Result<vr_codec::VideoInfo> {
+    /// The video track: its index in the container and its header and
+    /// sample table. The one place a reader finds where a video's
+    /// samples live.
+    pub fn video_track(&self) -> Result<(usize, &Track)> {
         let idx = self
             .container
             .track_of_kind(TrackKind::Video)
             .ok_or_else(|| Error::NotFound(format!("video track in {}", self.name)))?;
-        vr_codec::VideoInfo::deserialize(&self.container.tracks()[idx].config)
+        Ok((idx, &self.container.tracks()[idx]))
+    }
+
+    /// The video track's stream parameters.
+    pub fn video_info(&self) -> Result<vr_codec::VideoInfo> {
+        vr_codec::VideoInfo::deserialize(&self.video_track()?.1.config)
     }
 
     /// Number of video frames.
     pub fn frame_count(&self) -> usize {
-        self.container
-            .track_of_kind(TrackKind::Video)
-            .map(|t| self.container.tracks()[t].samples.len())
-            .unwrap_or(0)
+        self.video_track().map_or(0, |(_, t)| t.samples.len())
     }
 }
 
@@ -193,19 +197,37 @@ pub(crate) mod tests {
     use vr_container::ContainerWriter;
     use vr_frame::Frame;
 
+    /// Four 32×32 frames in one GOP.
     pub(crate) fn tiny_input(name: &str) -> InputVideo {
-        let frames: Vec<Frame> = (0..4)
+        encoded_input(name, 4, 30, |x, y, i| x * 3 + y * 2 + i * 7)
+    }
+
+    /// Nine 32×32 frames at a GOP of 2: keyframes at 0, 2, 4, 6 and 8.
+    pub(crate) fn gop2_input(name: &str) -> InputVideo {
+        encoded_input(name, 9, 2, |x, y, i| x * 5 + y * 3 + i * 11)
+    }
+
+    /// `n` frames whose luma at `(x, y)` of frame `i` is `luma(x, y, i)`,
+    /// encoded at QP 16 and the given GOP, muxed as an input.
+    fn encoded_input(
+        name: &str,
+        n: usize,
+        gop: u32,
+        luma: impl Fn(u32, u32, u32) -> u32,
+    ) -> InputVideo {
+        let frames: Vec<Frame> = (0..n as u32)
             .map(|i| {
                 let mut f = Frame::new(32, 32);
                 for y in 0..32 {
                     for x in 0..32 {
-                        f.set_y(x, y, (x * 3 + y * 2 + i * 7) as u8);
+                        f.set_y(x, y, luma(x, y, i) as u8);
                     }
                 }
                 f
             })
             .collect();
-        let video = encode_sequence(&EncoderConfig::constant_qp(16), &frames).unwrap();
+        let cfg = EncoderConfig { gop, ..EncoderConfig::constant_qp(16) };
+        let video = encode_sequence(&cfg, &frames).unwrap();
         let mut w = ContainerWriter::new();
         let t = w.add_track(TrackKind::Video, video.info.serialize());
         for (i, p) in video.packets.iter().enumerate() {

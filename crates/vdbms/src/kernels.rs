@@ -1,7 +1,10 @@
 //! Shared query kernels.
 //!
 //! Correct single implementations of the operations every engine
-//! needs (decode, encode, stitching, box overlays, Q3 re-encode).
+//! needs (decode, stitching, box overlays, Q3 re-encode).
+//! [`FrameStream`] is the one loop that turns an input's samples into
+//! frames — whole-track, keyframe-seeking range, and GOP-parallel
+//! decode are all streams over it.
 //! Engines differ in *scheduling* (eager vs streamed, cached vs not)
 //! and in a few deliberately divergent kernels (the batch engine's
 //! slow resize, the functional engine's scalar captioner) — those
@@ -11,10 +14,10 @@
 use crate::io::{InputVideo, OutputBox};
 use vr_base::{fault, Error, Result};
 use vr_codec::{
-    encode_sequence, DecodeOutcome, Decoder, EncodedVideo, EncoderConfig, RateControlMode,
+    encode_sequence, DecodeOutcome, Decoder, EncoderConfig, RateControlMode,
     ResilientDecoder, VideoInfo,
 };
-use vr_container::TrackKind;
+use vr_container::{SampleInfo, TrackKind};
 use vr_frame::tile::TileGrid;
 use vr_frame::{draw, ops, round_u8, Frame};
 use vr_geom::{Camera, Equirect, Vec3};
@@ -29,7 +32,7 @@ use vr_vtt::WebVtt;
 /// next keyframe). Every engine decode route goes through this, so
 /// injected faults surface the same way everywhere and the fast path
 /// stays bit-identical when faults are off.
-pub enum SampleDecoder {
+enum SampleDecoder {
     /// No fault plan installed: plain decode.
     Fast(Decoder),
     /// Fault plan active: conceal instead of fail.
@@ -38,7 +41,7 @@ pub enum SampleDecoder {
 
 impl SampleDecoder {
     /// Pick the path for this run (sticky for the decoder's lifetime).
-    pub fn new(info: VideoInfo) -> Self {
+    fn new(info: VideoInfo) -> Self {
         if fault::active() {
             SampleDecoder::Resilient(ResilientDecoder::new(info))
         } else {
@@ -47,7 +50,7 @@ impl SampleDecoder {
     }
 
     /// Decode sample `index` of `track`.
-    pub fn decode_sample(
+    fn decode_sample(
         &mut self,
         input: &InputVideo,
         track: usize,
@@ -91,41 +94,29 @@ impl SampleDecoder {
 
 /// Decode every frame of an input's video track.
 pub fn decode_all(input: &InputVideo) -> Result<(VideoInfo, Vec<Frame>)> {
-    let info = input.video_info()?;
-    let track = input
-        .container
-        .track_of_kind(TrackKind::Video)
-        .ok_or_else(|| Error::NotFound(format!("video track in {}", input.name)))?;
-    let mut dec = SampleDecoder::new(info);
-    let n = input.container.tracks()[track].samples.len();
-    let mut frames = Vec::with_capacity(n);
-    for i in 0..n {
-        frames.push(dec.decode_sample(input, track, i)?);
-    }
-    Ok((info, frames))
+    let stream = FrameStream::open(input)?;
+    Ok((stream.info(), stream.collect_frames()?))
 }
 
 /// Decode every frame of an input's video track, splitting the work
 /// across `workers` threads at GOP boundaries. Keyframes reset the
 /// decoder, so each chunk decodes independently with a fresh decoder
 /// and the in-order concatenation is bit-identical to [`decode_all`]
-/// (the same property `decode_range`'s keyframe seek relies on).
+/// (the same property [`FrameStream::range`]'s keyframe seek relies on).
 pub fn decode_all_parallel(
     input: &InputVideo,
     workers: usize,
 ) -> Result<(VideoInfo, Vec<Frame>)> {
     let info = input.video_info()?;
-    let track = input
-        .container
-        .track_of_kind(TrackKind::Video)
-        .ok_or_else(|| Error::NotFound(format!("video track in {}", input.name)))?;
-    let samples = &input.container.tracks()[track].samples;
+    let (track, t) = input.video_track()?;
+    let samples = &t.samples[..];
     let n = samples.len();
     // GOP starts: every keyframe index. A stream that does not open on
     // a keyframe cannot be chunked; neither can a trivial one.
     let gop_starts: Vec<usize> = (0..n).filter(|&i| samples[i].keyframe).collect();
+    let stream = |from, end| FrameStream::over(input, track, samples, info, from, end);
     if workers <= 1 || n < 2 || gop_starts.first() != Some(&0) || gop_starts.len() < 2 {
-        return decode_all(input);
+        return Ok((info, stream(0, n).collect_frames()?));
     }
     let _span = vr_base::obs::trace::span("decoder", "decode_parallel");
     let chunks = workers.min(gop_starts.len());
@@ -140,70 +131,69 @@ pub fn decode_all_parallel(
     let name = |c| format!("gop_chunk{c}");
     let parts = vr_base::sync::run_jobs(chunks, chunks, name, |c| {
         let _span = vr_base::obs::trace::span_dyn("decoder", || name(c));
-        let (from, to) = bounds[c];
-        let mut dec = SampleDecoder::new(info);
-        (from..to).map(|i| dec.decode_sample(input, track, i)).collect::<Result<Vec<_>>>()
+        let (from, end) = bounds[c];
+        stream(from, end).collect_frames()
     })?;
     let frames: Vec<Frame> = parts.into_iter().flatten().collect();
     Ok((info, frames))
 }
 
-/// Decode only frames `[from, to]` (inclusive), seeking to the
-/// nearest preceding keyframe instead of decoding from the start —
-/// the random-access path offline mode's sample index exists for.
-pub fn decode_range(
-    input: &InputVideo,
-    from: usize,
-    to: usize,
-) -> Result<(VideoInfo, Vec<Frame>)> {
-    let info = input.video_info()?;
-    let track = input
-        .container
-        .track_of_kind(TrackKind::Video)
-        .ok_or_else(|| Error::NotFound(format!("video track in {}", input.name)))?;
-    let samples = &input.container.tracks()[track].samples;
-    if samples.is_empty() || from > to {
-        return Err(Error::InvalidConfig(format!(
-            "bad decode range {from}..={to} over {} samples",
-            samples.len()
-        )));
-    }
-    let to = to.min(samples.len() - 1);
-    let from = from.min(to);
-    // Seek: the last keyframe at or before `from`.
-    let seek = (0..=from).rev().find(|&i| samples[i].keyframe).unwrap_or(0);
-    let mut dec = SampleDecoder::new(info);
-    let mut out = Vec::with_capacity(to - from + 1);
-    for i in seek..=to {
-        let frame = dec.decode_sample(input, track, i)?;
-        if i >= from {
-            out.push(frame);
-        }
-    }
-    Ok((info, out))
-}
-
-/// A forward-only decoded-frame stream (one frame resident at a
-/// time) — the functional engine's GOP-streamed access pattern.
+/// A forward-only decoded-frame stream over an input's video track
+/// (one frame resident at a time) — the one loop that turns samples
+/// into frames. A stream over frames `[from, to]` pre-rolls from the
+/// last keyframe at or before `from`: the random-access path offline
+/// mode's sample index exists for.
 pub struct FrameStream<'a> {
     input: &'a InputVideo,
     track: usize,
+    samples: &'a [SampleInfo],
     info: VideoInfo,
     decoder: SampleDecoder,
+    /// Next sample to decode.
     next: usize,
-    len: usize,
+    /// First sample yielded as a frame; samples before it are pre-roll.
+    from: usize,
+    /// One past the last sample.
+    end: usize,
 }
 
 impl<'a> FrameStream<'a> {
-    /// Open a stream over the input's video track.
+    /// Open a stream over the input's whole video track.
     pub fn open(input: &'a InputVideo) -> Result<Self> {
         let info = input.video_info()?;
-        let track = input
-            .container
-            .track_of_kind(TrackKind::Video)
-            .ok_or_else(|| Error::NotFound(format!("video track in {}", input.name)))?;
-        let len = input.container.tracks()[track].samples.len();
-        Ok(Self { input, track, info, decoder: SampleDecoder::new(info), next: 0, len })
+        let (track, t) = input.video_track()?;
+        Ok(Self::over(input, track, &t.samples, info, 0, t.samples.len()))
+    }
+
+    /// Open a stream over frames `[from, to]` (inclusive; `to` past the
+    /// end clamps), seeking to the last keyframe at or before `from`.
+    pub fn range(input: &'a InputVideo, from: usize, to: usize) -> Result<Self> {
+        let mut stream = Self::open(input)?;
+        if stream.is_empty() || from > to {
+            return Err(Error::InvalidConfig(format!(
+                "bad scan range {from}..={to} over {} samples",
+                stream.len()
+            )));
+        }
+        let to = to.min(stream.end - 1);
+        stream.from = from.min(to);
+        stream.next = (0..=stream.from).rev().find(|&i| stream.samples[i].keyframe).unwrap_or(0);
+        stream.end = to + 1;
+        Ok(stream)
+    }
+
+    /// A stream with a fresh decoder over samples `[from, end)` of a
+    /// video track, decoding from `from` (so it must be a keyframe).
+    fn over(
+        input: &'a InputVideo,
+        track: usize,
+        samples: &'a [SampleInfo],
+        info: VideoInfo,
+        from: usize,
+        end: usize,
+    ) -> Self {
+        let decoder = SampleDecoder::new(info);
+        Self { input, track, samples, info, decoder, next: from, from, end }
     }
 
     /// Stream parameters.
@@ -211,36 +201,58 @@ impl<'a> FrameStream<'a> {
         self.info
     }
 
-    /// Total frame count.
+    /// Frames the stream yields in total (pre-roll excluded).
     pub fn len(&self) -> usize {
-        self.len
+        self.end - self.from
     }
 
-    /// Whether the stream has no frames.
+    /// Whether the stream yields no frames.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Decode and return the next frame.
-    pub fn next_frame(&mut self) -> Option<Result<Frame>> {
-        if self.next >= self.len {
+    /// Decode the next sample, pre-roll included: the frame and whether
+    /// it is one the stream yields. `None` at the end of the range.
+    pub(crate) fn next_sample(&mut self) -> Option<(Result<Frame>, bool)> {
+        if self.next >= self.end {
             return None;
         }
         let i = self.next;
         self.next += 1;
-        Some(self.decoder.decode_sample(self.input, self.track, i))
+        Some((self.decoder.decode_sample(self.input, self.track, i), i >= self.from))
+    }
+
+    /// The next frame of the range, or the error of a failed decode,
+    /// pre-roll included, taking each sample from `step` — plain
+    /// [`Self::next_sample`], or a scan's timed wrapper around it.
+    pub(crate) fn next_with(
+        &mut self,
+        mut step: impl FnMut(&mut Self) -> Option<(Result<Frame>, bool)>,
+    ) -> Option<Result<Frame>> {
+        loop {
+            let (frame, wanted) = step(self)?;
+            if wanted || frame.is_err() {
+                return Some(frame);
+            }
+        }
+    }
+
+    /// Decode every remaining frame.
+    fn collect_frames(self) -> Result<Vec<Frame>> {
+        let mut frames = Vec::with_capacity(self.len());
+        for frame in self {
+            frames.push(frame?);
+        }
+        Ok(frames)
     }
 }
 
-/// Encode processed frames as a query result at constant QP.
-pub fn encode_output(frames: &[Frame], info: VideoInfo, qp: u8) -> Result<EncodedVideo> {
-    let cfg = EncoderConfig {
-        profile: info.profile,
-        rate: RateControlMode::ConstantQp(qp),
-        gop: info.gop,
-        frame_rate: info.frame_rate,
-    };
-    encode_sequence(&cfg, frames)
+impl Iterator for FrameStream<'_> {
+    type Item = Result<Frame>;
+
+    fn next(&mut self) -> Option<Result<Frame>> {
+        self.next_with(Self::next_sample)
+    }
 }
 
 /// The caption document muxed into an input (Q6b).
@@ -854,12 +866,16 @@ mod tests {
 mod range_tests {
     use super::*;
 
+    fn decode_range(input: &InputVideo, from: usize, to: usize) -> Result<Vec<Frame>> {
+        FrameStream::range(input, from, to)?.collect_frames()
+    }
+
     #[test]
     fn decode_range_matches_full_decode() {
         let input = crate::io::tests::tiny_input("range.vrmf");
         let (_, all) = decode_all(&input).unwrap();
         for (from, to) in [(0usize, 3usize), (1, 2), (2, 2), (3, 3), (0, 0)] {
-            let (_, part) = decode_range(&input, from, to).unwrap();
+            let part = decode_range(&input, from, to).unwrap();
             assert_eq!(part.len(), to - from + 1, "range {from}..={to}");
             for (i, f) in part.iter().enumerate() {
                 assert_eq!(
@@ -871,53 +887,25 @@ mod range_tests {
     }
 
     #[test]
+    fn decode_range_clamps_and_validates() {
+        let input = crate::io::tests::tiny_input("range2.vrmf");
+        // `to` beyond the end clamps.
+        let part = decode_range(&input, 2, 99).unwrap();
+        assert_eq!(part.len(), 2);
+        // Inverted range errors.
+        assert!(decode_range(&input, 3, 1).is_err());
+    }
+
+    #[test]
     fn decode_all_parallel_matches_sequential() {
         // 9 frames at gop 2 → 5 independent GOPs to split across
         // workers; every budget must reproduce the sequential decode.
-        let frames: Vec<Frame> = (0..9)
-            .map(|i| {
-                let mut f = Frame::new(32, 32);
-                for y in 0..32 {
-                    for x in 0..32 {
-                        f.set_y(x, y, (x * 5 + y * 3 + i * 11) as u8);
-                    }
-                }
-                f
-            })
-            .collect();
-        let cfg = EncoderConfig {
-            profile: vr_codec::Profile::H264Like,
-            rate: RateControlMode::ConstantQp(16),
-            gop: 2,
-            frame_rate: vr_base::FrameRate(30),
-        };
-        let video = encode_sequence(&cfg, &frames).unwrap();
-        let mut w = vr_container::ContainerWriter::new();
-        let t = w.add_track(TrackKind::Video, video.info.serialize());
-        for (i, p) in video.packets.iter().enumerate() {
-            w.push_sample(
-                t,
-                &p.data,
-                vr_base::Timestamp::of_frame(i as u64, vr_base::FrameRate(30)),
-                p.keyframe,
-            );
-        }
-        let input = InputVideo::from_bytes("par.vrmf", w.finish()).unwrap();
+        let input = crate::io::tests::gop2_input("par.vrmf");
         let (_, seq) = decode_all(&input).unwrap();
         assert_eq!(seq.len(), 9);
         for workers in [1usize, 2, 3, 8, 64] {
             let (_, par) = decode_all_parallel(&input, workers).unwrap();
             assert_eq!(par, seq, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn decode_range_clamps_and_validates() {
-        let input = crate::io::tests::tiny_input("range2.vrmf");
-        // `to` beyond the end clamps.
-        let (_, part) = decode_range(&input, 2, 99).unwrap();
-        assert_eq!(part.len(), 2);
-        // Inverted range errors.
-        assert!(decode_range(&input, 3, 1).is_err());
     }
 }

@@ -15,6 +15,11 @@
 //!   difference-detector gate routes each frame to a cheap or a full
 //!   kernel — the NoScope-style inference cascade (cascade engine).
 //!
+//! Two scan operators feed it: [`DecodeScan`] decodes through a
+//! [`FrameStream`] — the whole track ([`Pipeline::stream_scan`]) or a
+//! keyframe-seeking range of it ([`Pipeline::range_scan`]) — and
+//! [`MemoryScan`] reads an already-decoded frame table.
+//!
 //! Whole-sequence operators (Q2(d)'s temporal mean, Q3's tile
 //! re-encode, the composite queries) run under
 //! [`Pipeline::run_sequence`], and multi-camera queries (Q8) under
@@ -35,7 +40,7 @@
 //! over all contexts, for the exporters.
 
 use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
-use crate::kernels::{boxes_frame, filter_class, FrameStream, SampleDecoder};
+use crate::kernels::{boxes_frame, filter_class, FrameStream};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{
@@ -47,7 +52,6 @@ use vr_base::obs::{alloc, metrics, trace};
 use vr_base::sync::{panic_message, parallel_chunks, stage_panic};
 use vr_base::{fault, Error, Result};
 use vr_codec::{EncodedVideo, Encoder, EncoderConfig, RateControlMode, VideoInfo};
-use vr_container::TrackKind;
 use vr_frame::Frame;
 use vr_scene::ObjectClass;
 use vr_vision::diff::FrameDiff;
@@ -323,14 +327,16 @@ fn one_frame(frame: &Result<Frame>) -> Option<(u64, u64)> {
     frame.as_ref().ok().map(|f| (1, f.sample_count() as u64))
 }
 
-/// Forward-only streaming decode of a whole video track (the lazy
-/// access path). Records Decode time per frame.
-pub struct StreamScan<'a> {
+/// Decode scan over a [`FrameStream`]: the whole video track (the
+/// lazy access path) or a keyframe-seeking range of it (temporal
+/// predicate pushdown). Records Decode time per sample, pre-roll
+/// included.
+pub struct DecodeScan<'a> {
     stream: FrameStream<'a>,
     metrics: Arc<PipelineMetrics>,
 }
 
-impl FrameSource for StreamScan<'_> {
+impl FrameSource for DecodeScan<'_> {
     fn info(&self) -> VideoInfo {
         self.stream.info()
     }
@@ -340,86 +346,14 @@ impl FrameSource for StreamScan<'_> {
     }
 
     fn next_frame(&mut self) -> Option<Result<Frame>> {
-        self.metrics.timed(
-            StageKind::Decode,
-            || self.stream.next_frame(),
-            |frame| frame.as_ref().and_then(one_frame),
-        )
-    }
-}
-
-/// Random-access decode of `[from, to]` (inclusive): seeks to the
-/// nearest preceding keyframe and yields only the requested range —
-/// temporal predicate pushdown. Pre-roll decode cost is recorded too.
-pub struct RangeScan<'a> {
-    input: &'a InputVideo,
-    track: usize,
-    info: VideoInfo,
-    decoder: SampleDecoder,
-    next: usize,
-    from: usize,
-    to: usize,
-    metrics: Arc<PipelineMetrics>,
-}
-
-impl<'a> RangeScan<'a> {
-    fn open(
-        input: &'a InputVideo,
-        from: usize,
-        to: usize,
-        metrics: Arc<PipelineMetrics>,
-    ) -> Result<Self> {
-        let info = input.video_info()?;
-        let track = input
-            .container
-            .track_of_kind(TrackKind::Video)
-            .ok_or_else(|| Error::NotFound(format!("video track in {}", input.name)))?;
-        let samples = &input.container.tracks()[track].samples;
-        if samples.is_empty() || from > to {
-            return Err(Error::InvalidConfig(format!(
-                "bad scan range {from}..={to} over {} samples",
-                samples.len()
-            )));
-        }
-        let to = to.min(samples.len() - 1);
-        let from = from.min(to);
-        let seek = (0..=from).rev().find(|&i| samples[i].keyframe).unwrap_or(0);
-        Ok(Self {
-            input,
-            track,
-            info,
-            decoder: SampleDecoder::new(info),
-            next: seek,
-            from,
-            to,
-            metrics,
-        })
-    }
-}
-
-impl FrameSource for RangeScan<'_> {
-    fn info(&self) -> VideoInfo {
-        self.info
-    }
-
-    fn len(&self) -> usize {
-        self.to - self.from + 1
-    }
-
-    fn next_frame(&mut self) -> Option<Result<Frame>> {
-        while self.next <= self.to {
-            let i = self.next;
-            self.next += 1;
-            let frame = self.metrics.timed(
+        let metrics = &self.metrics;
+        self.stream.next_with(|stream| {
+            metrics.timed(
                 StageKind::Decode,
-                || self.decoder.decode_sample(self.input, self.track, i),
-                one_frame,
-            );
-            if frame.is_err() || i >= self.from {
-                return Some(frame);
-            }
-        }
-        None
+                || stream.next_sample(),
+                |sample| sample.as_ref().and_then(|(frame, _)| one_frame(frame)),
+            )
+        })
     }
 }
 
@@ -824,9 +758,9 @@ impl<'c> Pipeline<'c> {
     }
 
     /// Open a streaming scan over a whole input.
-    pub fn stream_scan<'a>(&self, input: &'a InputVideo) -> Result<StreamScan<'a>> {
+    pub fn stream_scan<'a>(&self, input: &'a InputVideo) -> Result<DecodeScan<'a>> {
         self.absorb_stall("decode");
-        Ok(StreamScan { stream: FrameStream::open(input)?, metrics: self.ctx.metrics.clone() })
+        Ok(self.decode_scan(FrameStream::open(input)?))
     }
 
     /// Open a keyframe-seeking scan over frames `[from, to]`.
@@ -835,9 +769,13 @@ impl<'c> Pipeline<'c> {
         input: &'a InputVideo,
         from: usize,
         to: usize,
-    ) -> Result<RangeScan<'a>> {
+    ) -> Result<DecodeScan<'a>> {
         self.absorb_stall("decode");
-        RangeScan::open(input, from, to, self.ctx.metrics.clone())
+        Ok(self.decode_scan(FrameStream::range(input, from, to)?))
+    }
+
+    fn decode_scan<'a>(&self, stream: FrameStream<'a>) -> DecodeScan<'a> {
+        DecodeScan { stream, metrics: self.ctx.metrics.clone() }
     }
 
     /// Open a scan over already-decoded frames.
@@ -1344,6 +1282,37 @@ mod tests {
     }
 
     #[test]
+    fn range_scan_prerolls_from_the_last_keyframe() {
+        // Keyframes at 0, 2, 4, 6 and 8: every range starts decoding at
+        // the last one at or before `from`, and each pre-roll sample is
+        // one Decode invocation and frame.
+        let input = crate::io::tests::gop2_input("pipe-seek.vrmf");
+        let (_, all) = decode_all(&input).unwrap();
+        let decoded = |from: usize, to: usize| {
+            let ctx = ctx();
+            let pl = Pipeline::new(&ctx);
+            let mut scan = pl.range_scan(&input, from, to).unwrap();
+            let got = pl.drain(&mut scan).unwrap();
+            let decode = ctx.metrics.snapshot().stage(StageKind::Decode);
+            (got, decode.invocations, decode.frames)
+        };
+        for to in 0..9 {
+            for from in 0..=to {
+                let seek = from / 2 * 2;
+                let want = (to - seek + 1) as u64;
+                let (got, invocations, frames) = decoded(from, to);
+                assert_eq!(got, all[from..=to], "range {from}..={to}");
+                assert_eq!((invocations, frames), (want, want), "range {from}..={to}");
+            }
+        }
+        // `to` past the end clamps; an inverted range is an error.
+        let (got, invocations, _) = decoded(5, 99);
+        assert_eq!((got.as_slice(), invocations), (&all[5..], 5));
+        let ctx = ctx();
+        assert!(Pipeline::new(&ctx).range_scan(&input, 3, 1).is_err());
+    }
+
+    #[test]
     fn temporal_mask_matches_reference_masking() {
         let ctx = ctx();
         let pl = Pipeline::new(&ctx);
@@ -1575,7 +1544,7 @@ mod tests {
                 _ => tiny_input("pipe-table.vrmf"),
             })
             .collect();
-        let mut scans: Vec<StreamScan> =
+        let mut scans: Vec<DecodeScan> =
             inputs.iter().map(|input| pl.stream_scan(input).unwrap()).collect();
         let mut kernel =
             Faulty { fault, cancel: ctx.cancel.clone(), seen: 0, trail: Vec::new() };

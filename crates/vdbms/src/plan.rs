@@ -26,6 +26,7 @@
 //! * a stage node that executed (`invocations > 0`) has nonzero wall
 //!   time.
 
+use crate::cost::fmt_cost;
 use crate::io::{ExecContext, ResultMode};
 use crate::pipeline::{PipelineSnapshot, StageKind};
 use vr_base::json::{Layout::Inline, Writer};
@@ -65,9 +66,11 @@ impl Policy {
 /// The scan operator feeding a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanOp {
-    /// Forward-only streaming decode ([`crate::pipeline::StreamScan`]).
+    /// Forward-only decode of the whole track
+    /// ([`crate::pipeline::Pipeline::stream_scan`]).
     Stream,
-    /// Keyframe-seeking range decode ([`crate::pipeline::RangeScan`]).
+    /// Keyframe-seeking decode of a frame range
+    /// ([`crate::pipeline::Pipeline::range_scan`]).
     Range,
     /// Materialized frame-table read ([`crate::pipeline::MemoryScan`]);
     /// the batch decode that filled the table is a child node.
@@ -408,8 +411,8 @@ impl PlanNode {
             out.push_str(&format!(
                 "  [wall={} self={} in={}fr/{}B out={}fr/{}B inv={} \
                  alloc={}x/{}B peak={}B]",
-                fmt_nanos(s.wall_nanos),
-                fmt_nanos(s.self_nanos),
+                fmt_cost(s.wall_nanos),
+                fmt_cost(s.self_nanos),
                 s.frames_in,
                 s.bytes_in,
                 s.frames_out,
@@ -455,16 +458,6 @@ impl PlanNode {
             c.write_json(w);
         }
         w.end().end();
-    }
-}
-
-fn fmt_nanos(nanos: u64) -> String {
-    if nanos >= 1_000_000 {
-        format!("{:.2}ms", nanos as f64 / 1e6)
-    } else if nanos >= 1_000 {
-        format!("{:.2}us", nanos as f64 / 1e3)
-    } else {
-        format!("{nanos}ns")
     }
 }
 

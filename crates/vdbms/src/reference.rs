@@ -11,7 +11,7 @@
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
 use crate::kernels::{
-    boxes_frame, caption_track, encode_output, filter_class, subquery_reencode, StitchMap,
+    boxes_frame, caption_track, filter_class, subquery_reencode, StitchMap,
 };
 use crate::pipeline::{self, DetectBoxes, FrameKernel, FrameSource, KernelOut, Pipeline};
 use crate::plan::PlanNode;
@@ -265,16 +265,6 @@ pub fn execute_reference(
     }
 }
 
-/// Encode frames whose resolution may differ from the input's.
-pub fn encode_cropped(frames: &[Frame], info: VideoInfo, qp: u8) -> Result<EncodedVideo> {
-    let adjusted = VideoInfo {
-        width: frames.first().map(|f| f.width()).unwrap_or(info.width),
-        height: frames.first().map(|f| f.height()).unwrap_or(info.height),
-        ..info
-    };
-    encode_output(frames, adjusted, qp)
-}
-
 /// Q1 reference: temporal selection then spatial crop.
 pub fn q1_select(
     frames: &[Frame],
@@ -343,21 +333,6 @@ pub fn q2d_masking(frames: &[Frame], m: u32, epsilon: f64) -> Vec<Frame> {
         }
     }
     out
-}
-
-/// Q6(a) reference: overlay the precomputed box track.
-pub fn q6a_union_boxes(input: &InputVideo, frames: &[Frame]) -> Result<Vec<Frame>> {
-    let mut out = Vec::with_capacity(frames.len());
-    for (i, f) in frames.iter().enumerate() {
-        let boxes = crate::kernels::box_track(input, i)?;
-        let dets: Vec<Detection> = boxes
-            .iter()
-            .map(|b| Detection { class: b.class, rect: b.rect, score: 1.0 })
-            .collect();
-        let overlay = boxes_frame(f.width(), f.height(), &dets);
-        out.push(ops::coalesce(f, &overlay));
-    }
-    Ok(out)
 }
 
 /// Q7 reference: `Q2d(Q6a(V, Q2c(V)))` per Table 6, with the composite
