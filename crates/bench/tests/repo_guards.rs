@@ -2,9 +2,11 @@
 //! dependency in any manifest, one scoped-thread executor in
 //! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
 //! payload reader, one video-track resolver and one sample→frame
-//! loop, `unsafe` refused by every crate root, two `VR_*` environment
-//! variables, and a `ci.sh` that stays a stage table. Each
-//! guard is a function over text, shown failing on a bad input below.
+//! loop, full-frame kernels that walk plane rows instead of reading
+//! pixels through `Frame`, `unsafe` refused by every crate root, two
+//! `VR_*` environment variables, and a `ci.sh` that stays a stage
+//! table. Each guard is a function over text, shown failing on a bad
+//! input below.
 
 use std::path::{Path, PathBuf};
 
@@ -119,6 +121,28 @@ fn opens_sample_decoder(src: &str) -> usize {
         .count()
 }
 
+/// The full-frame kernels that must walk plane rows: Q4's resample and
+/// Q6's coalesce, the plate finder and the detector.
+const ROW_KERNELS: [&str; 3] =
+    ["frame/src/ops.rs", "vision/src/alpr.rs", "vision/src/yolo.rs"];
+
+/// Whether no line above the first `#[cfg(test)]` line reads a pixel
+/// through `Frame`'s three-plane accessor (`.get(x, y)`) or
+/// `is_omega(`, each of which resolves all three copy-on-write planes
+/// per call. Only [`ROW_KERNELS`] are held to it: the engine sources
+/// (`batch.rs`, `functional.rs`, ...) model the paper's systems, the
+/// Figure 7 subjects, whose deliberately scalar loops are part of what
+/// the benchmark measures, and a sparse read (`decode_quad`'s `get_y`
+/// stencil) is not a full-frame walk. The patterns are assembled here
+/// so this file does not match itself.
+fn reads_plane_rows(src: &str) -> bool {
+    let get = [".get(", "x, y)"].concat();
+    let omega = ["is_", "omega("].concat();
+    !src.lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .any(|l| l.contains(&get) || l.contains(&omega))
+}
+
 /// Whether a crate root makes `unsafe` a compiler error: `forbid`, or
 /// `deny` where one module needs an `allow` (`vr-base`'s allocator).
 fn refuses_unsafe(lib_rs: &str) -> bool {
@@ -178,6 +202,10 @@ fn the_repository_passes_every_guard() {
     }
     let kernels = read(&crates.join("vdbms/src/kernels.rs"));
     assert_eq!(opens_sample_decoder(&kernels), 1, "a sample decoder outside FrameStream's constructor");
+    for kernel in ROW_KERNELS {
+        let src = read(&crates.join(kernel));
+        assert!(reads_plane_rows(&src), "a per-pixel Frame read in {kernel}");
+    }
     let sync = crates.join("base/src/sync.rs");
     let io = crates.join("vdbms/src/io.rs");
     let mut env_vars = std::collections::BTreeSet::new();
@@ -244,6 +272,14 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(opens_sample_decoder(&loop_of_its_own), 2, "a decode loop beside the stream");
     let in_tests = format!("{stream}#[cfg(test)]\nmod tests {{\n{open}}}\n");
     assert_eq!(opens_sample_decoder(&in_tests), 1, "the test module does not count");
+
+    let pixel = ["let p = frame.get(", "x, y);\n"].concat();
+    let omega = ["if !overlay.is_", "omega(x, y) {}\n"].concat();
+    assert!(reads_plane_rows("fn f() {\nlet l = frame.get_y(x, y);\n}\n"), "a sparse luma read");
+    assert!(!reads_plane_rows(&format!("fn f() {{\n{pixel}}}\n")), "a three-plane read");
+    assert!(!reads_plane_rows(&format!("fn f() {{\n{omega}}}\n")), "an ω test");
+    let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{pixel}{omega}}}\n");
+    assert!(reads_plane_rows(&in_tests), "the test module does not count");
 
     assert!(refuses_unsafe("//! A crate.\n\n#![forbid(unsafe_code)]\n\npub mod a;\n"));
     assert!(!refuses_unsafe("//! A crate.\n\npub mod a;\n"), "a crate root without the attribute");

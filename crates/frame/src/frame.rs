@@ -285,7 +285,9 @@ impl Frame {
     }
 
     /// Full YUV color at pixel `(x, y)` (chroma replicated from the
-    /// containing 2×2 block).
+    /// containing 2×2 block). Each call resolves all three planes, so
+    /// it serves tests and sparse reads; a full-frame kernel walks
+    /// plane rows instead.
     #[inline]
     pub fn get(&self, x: u32, y: u32) -> Yuv {
         Yuv {
@@ -308,7 +310,9 @@ impl Frame {
     ///
     /// A tolerance of ±4 on each channel absorbs codec quantization
     /// noise, matching how the reference implementation re-detects ω
-    /// regions after a lossy round trip.
+    /// regions after a lossy round trip. Like [`Frame::get`], it serves
+    /// tests and sparse reads; [`crate::ops::coalesce`] applies the same
+    /// test over plane rows.
     #[inline]
     pub fn is_omega(&self, x: u32, y: u32) -> bool {
         let c = self.get(x, y);

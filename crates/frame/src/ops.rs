@@ -124,6 +124,17 @@ fn blur_plane(src: &[u8], dst: &mut [u8], w: u32, h: u32, kernel: &[u32]) {
 
 /// Bilinear interpolation to a new (larger or smaller) resolution
 /// (Q4 upsampling). Output dimensions are rounded up to even.
+///
+/// Each plane is resampled separably over row buffers: a column table
+/// holds every output column's `(sx, sx1, tx)`, one horizontal pass
+/// per source row blends `row[sx]·(65536−tx) + row[sx1]·tx`, and every
+/// output row blends its two source rows' passes vertically with
+/// `(top·(65536−ty) + bot·ty + 2³¹) >> 32`. A horizontal pass holds
+/// exactly the `top`/`bot` sums a per-pixel 2×2 tap computes (each ≤
+/// 255·65536, so a u32 holds it), and the vertical blend is that tap's
+/// formula, so a pass reused by every output row that shares its
+/// source row (and swapped from bottom to top when the source row
+/// advances by one) leaves every output byte unchanged.
 pub fn interpolate_bilinear(src: &Frame, out_w: u32, out_h: u32) -> Frame {
     let out_w = (out_w.max(2) + 1) & !1;
     let out_h = (out_h.max(2) + 1) & !1;
@@ -136,28 +147,44 @@ pub fn interpolate_bilinear(src: &Frame, out_w: u32, out_h: u32) -> Frame {
     dst
 }
 
+/// One 16.16 fixed-point source coordinate of output index `o`,
+/// pixel-center aligned: `(s, s1, t)` with `s1` clamped to the edge.
+fn bilinear_tap(o: u64, step: u64, n: u32) -> (u32, u32, u32) {
+    let f = (o * step + step / 2).saturating_sub(1 << 15);
+    let s = (f >> 16).min(n as u64 - 1) as u32;
+    (s, (s + 1).min(n - 1), (f & 0xFFFF) as u32)
+}
+
 fn resample_plane_bilinear(src: &[u8], sw: u32, sh: u32, dst: &mut [u8], dw: u32, dh: u32) {
-    // 16.16 fixed-point source steps, pixel-center aligned.
     let step_x = ((sw as u64) << 16) / dw as u64;
     let step_y = ((sh as u64) << 16) / dh as u64;
-    for oy in 0..dh as u64 {
-        let fy = (oy * step_y + step_y / 2).saturating_sub(1 << 15);
-        let sy = (fy >> 16).min(sh as u64 - 1);
-        let ty = (fy & 0xFFFF) as u64;
-        let sy1 = (sy + 1).min(sh as u64 - 1);
-        for ox in 0..dw as u64 {
-            let fx = (ox * step_x + step_x / 2).saturating_sub(1 << 15);
-            let sx = (fx >> 16).min(sw as u64 - 1);
-            let tx = (fx & 0xFFFF) as u64;
-            let sx1 = (sx + 1).min(sw as u64 - 1);
-            let p00 = src[(sy * sw as u64 + sx) as usize] as u64;
-            let p01 = src[(sy * sw as u64 + sx1) as usize] as u64;
-            let p10 = src[(sy1 * sw as u64 + sx) as usize] as u64;
-            let p11 = src[(sy1 * sw as u64 + sx1) as usize] as u64;
-            let top = p00 * (65536 - tx) + p01 * tx;
-            let bot = p10 * (65536 - tx) + p11 * tx;
-            let val = (top * (65536 - ty) + bot * ty + (1u64 << 31)) >> 32;
-            dst[(oy * dw as u64 + ox) as usize] = val as u8;
+    let cols: Vec<_> = (0..dw as u64).map(|ox| bilinear_tap(ox, step_x, sw)).collect();
+    let row = |sy: u32| &src[(sy * sw) as usize..][..sw as usize];
+    let horizontal = |r: &[u8], out: &mut [u32]| {
+        for (o, &(sx, sx1, tx)) in out.iter_mut().zip(&cols) {
+            *o = r[sx as usize] as u32 * (65536 - tx) + r[sx1 as usize] as u32 * tx;
+        }
+    };
+    let (mut top, mut bot) = (vec![0u32; dw as usize], vec![0u32; dw as usize]);
+    // The source row `top` holds; `bot` holds the next one (clamped).
+    let mut held: Option<u32> = None;
+    for (oy, out) in dst.chunks_exact_mut(dw as usize).enumerate() {
+        let (sy, sy1, ty) = bilinear_tap(oy as u64, step_y, sh);
+        match held {
+            Some(prev) if prev == sy => {}
+            Some(prev) if prev + 1 == sy => {
+                std::mem::swap(&mut top, &mut bot);
+                horizontal(row(sy1), &mut bot);
+            }
+            _ => {
+                horizontal(row(sy), &mut top);
+                horizontal(row(sy1), &mut bot);
+            }
+        }
+        held = Some(sy);
+        let (wt, wb) = (65536 - ty as u64, ty as u64);
+        for ((d, &t), &b) in out.iter_mut().zip(&top).zip(&bot) {
+            *d = ((t as u64 * wt + b as u64 * wb + (1u64 << 31)) >> 32) as u8;
         }
     }
 }
@@ -286,21 +313,34 @@ pub fn background_mask(frame: &Frame, background: &Frame, epsilon: f64) -> Frame
 }
 
 /// ω-coalesce join (Q6, Equation 1): output `b` where `b ≠ ω`, else
-/// `p`. `overlay` pixels equal to the ω sentinel are treated as
-/// transparent.
+/// `p`. `overlay` pixels equal to the ω sentinel (within
+/// [`Frame::is_omega`]'s ±4) are treated as transparent; a chroma
+/// sample takes the overlay's whenever any of its 2×2 luma pixels is
+/// not ω.
 pub fn coalesce(base: &Frame, overlay: &Frame) -> Frame {
     assert!(base.width() == overlay.width() && base.height() == overlay.height());
     let mut out = base.clone();
-    let (w, h) = (base.width(), base.height());
-    // Resolve the copy-on-write planes once, outside the pixel loop.
+    let (w, cw) = (base.width() as usize, base.chroma_dims().0 as usize);
+    let (ly, lu, lv) = (overlay.y.as_slice(), overlay.u.as_slice(), overlay.v.as_slice());
+    // Resolve the copy-on-write planes once, outside the row loop.
     let (oy, ou, ov) = (out.y.as_mut_slice(), out.u.as_mut_slice(), out.v.as_mut_slice());
-    for y in 0..h {
-        for x in 0..w {
-            if !overlay.is_omega(x, y) {
-                let c = overlay.get(x, y);
-                oy[(y * w + x) as usize] = c.y;
-                ou[((y / 2) * w / 2 + x / 2) as usize] = c.u;
-                ov[((y / 2) * w / 2 + x / 2) as usize] = c.v;
+    for (y, (orow, lrow)) in oy.chunks_exact_mut(w).zip(ly.chunks_exact(w)).enumerate() {
+        let c = (y / 2) * cw;
+        for (cx, (opair, lpair)) in
+            orow.chunks_exact_mut(2).zip(lrow.chunks_exact(2)).enumerate()
+        {
+            let (u, v) = (lu[c + cx], lv[c + cx]);
+            let neutral = u.abs_diff(128) <= 4 && v.abs_diff(128) <= 4;
+            let mut any = false;
+            for (o, &l) in opair.iter_mut().zip(lpair) {
+                if !neutral || l > 4 {
+                    *o = l;
+                    any = true;
+                }
+            }
+            if any {
+                ou[c + cx] = u;
+                ov[c + cx] = v;
             }
         }
     }
@@ -451,6 +491,147 @@ mod tests {
         let masked = background_mask(&frame, &bg, 0.2);
         assert!(masked.is_omega(0, 0), "static pixel should be ω");
         assert_eq!(masked.get(4, 4), Yuv::new(250, 90, 90));
+    }
+
+    /// The per-pixel form [`resample_plane_bilinear`] replaced: every
+    /// output sample recomputes both 16.16 coordinates and taps its
+    /// 2×2 neighbourhood.
+    fn resample_plane_bilinear_oracle(
+        src: &[u8],
+        sw: u32,
+        sh: u32,
+        dst: &mut [u8],
+        dw: u32,
+        dh: u32,
+    ) {
+        let step_x = ((sw as u64) << 16) / dw as u64;
+        let step_y = ((sh as u64) << 16) / dh as u64;
+        for oy in 0..dh as u64 {
+            let fy = (oy * step_y + step_y / 2).saturating_sub(1 << 15);
+            let sy = (fy >> 16).min(sh as u64 - 1);
+            let ty = fy & 0xFFFF;
+            let sy1 = (sy + 1).min(sh as u64 - 1);
+            for ox in 0..dw as u64 {
+                let fx = (ox * step_x + step_x / 2).saturating_sub(1 << 15);
+                let sx = (fx >> 16).min(sw as u64 - 1);
+                let tx = fx & 0xFFFF;
+                let sx1 = (sx + 1).min(sw as u64 - 1);
+                let p00 = src[(sy * sw as u64 + sx) as usize] as u64;
+                let p01 = src[(sy * sw as u64 + sx1) as usize] as u64;
+                let p10 = src[(sy1 * sw as u64 + sx) as usize] as u64;
+                let p11 = src[(sy1 * sw as u64 + sx1) as usize] as u64;
+                let top = p00 * (65536 - tx) + p01 * tx;
+                let bot = p10 * (65536 - tx) + p11 * tx;
+                let val = (top * (65536 - ty) + bot * ty + (1u64 << 31)) >> 32;
+                dst[(oy * dw as u64 + ox) as usize] = val as u8;
+            }
+        }
+    }
+
+    /// The per-pixel form [`coalesce`] replaced: `is_omega` and `get`
+    /// per pixel, chroma written by every non-ω pixel of its block.
+    fn coalesce_oracle(base: &Frame, overlay: &Frame) -> Frame {
+        let mut out = base.clone();
+        let (w, h) = (base.width(), base.height());
+        let (oy, ou, ov) = (out.y.as_mut_slice(), out.u.as_mut_slice(), out.v.as_mut_slice());
+        for y in 0..h {
+            for x in 0..w {
+                if !overlay.is_omega(x, y) {
+                    let c = overlay.get(x, y);
+                    oy[(y * w + x) as usize] = c.y;
+                    ou[((y / 2) * w / 2 + x / 2) as usize] = c.u;
+                    ov[((y / 2) * w / 2 + x / 2) as usize] = c.v;
+                }
+            }
+        }
+        out
+    }
+
+    fn noise(len: usize, rng: &mut vr_base::VrRng) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u32() as u8).collect()
+    }
+
+    #[test]
+    fn bilinear_matches_the_per_pixel_oracle() {
+        let mut rng = vr_base::VrRng::seed_from(36);
+        // Extremes first: the 2×2 floor, single rows and columns, a
+        // 1000×30 strip both ways, integer and non-integer ratios.
+        let mut pairs: Vec<((u32, u32), (u32, u32))> = vec![
+            ((1, 1), (2, 2)),
+            ((2, 2), (2, 2)),
+            ((2, 2), (1000, 30)),
+            ((1000, 30), (2, 2)),
+            ((1000, 30), (30, 1000)),
+            ((30, 1000), (999, 31)),
+            ((1, 37), (53, 1)),
+            ((192, 108), (384, 216)),
+            ((192, 108), (768, 216)),
+            ((12, 7), (96, 54)),
+            ((96, 54), (192, 108)),
+            ((7, 5), (3, 11)),
+        ];
+        while pairs.len() < 320 {
+            let mut dim = |hi: usize| rng.range(1, hi) as u32;
+            let src = (dim(80), dim(80));
+            let dst = match pairs.len() % 4 {
+                0 => (src.0 * dim(4), src.1 * dim(4)), // integer upscale
+                1 => ((src.0 / dim(4)).max(1), (src.1 / dim(4)).max(1)), // downscale
+                _ => (dim(160), dim(160)), // any ratio, odd targets included
+            };
+            pairs.push((src, dst));
+        }
+        for ((sw, sh), (dw, dh)) in pairs {
+            let src = noise((sw * sh) as usize, &mut rng);
+            let (mut got, mut want) = (vec![0; (dw * dh) as usize], vec![1; (dw * dh) as usize]);
+            resample_plane_bilinear(&src, sw, sh, &mut got, dw, dh);
+            resample_plane_bilinear_oracle(&src, sw, sh, &mut want, dw, dh);
+            assert!(got == want, "{sw}x{sh} -> {dw}x{dh}");
+        }
+        // Through the frame wrapper too (even rounding, three planes).
+        let frame = structured_frame(62, 34, 7);
+        for (dw, dh) in [(124, 68), (186, 102), (31, 17), (95, 3)] {
+            let got = interpolate_bilinear(&frame, dw, dh);
+            let mut want = Frame::new(got.width(), got.height());
+            let (ow, oh) = (got.width(), got.height());
+            resample_plane_bilinear_oracle(&frame.y, 62, 34, &mut want.y, ow, oh);
+            resample_plane_bilinear_oracle(&frame.u, 31, 17, &mut want.u, ow / 2, oh / 2);
+            resample_plane_bilinear_oracle(&frame.v, 31, 17, &mut want.v, ow / 2, oh / 2);
+            assert_eq!(got, want, "{dw}x{dh}");
+        }
+    }
+
+    #[test]
+    fn coalesce_matches_the_per_pixel_oracle() {
+        let mut rng = vr_base::VrRng::seed_from(6);
+        let (w, h) = (24u32, 16u32);
+        let base = structured_frame(w, h, 11);
+        for case in 0..200 {
+            // An all-ω overlay in which some 2×2 blocks get one to
+            // three non-ω luma pixels (or all four, or chroma that is
+            // off-neutral), around the ±4 tolerance.
+            let mut overlay = Frame::new(w, h);
+            for cy in 0..h / 2 {
+                for cx in 0..w / 2 {
+                    let near = |r: &mut vr_base::VrRng| (122 + r.range(0, 12)) as u8;
+                    let (u, v) = match rng.range(0, 5) {
+                        0 => (rng.next_u32() as u8, rng.next_u32() as u8),
+                        1 => (123, 128),
+                        _ => (near(&mut rng), near(&mut rng)),
+                    };
+                    overlay.set_u(cx, cy, u);
+                    overlay.set_v(cx, cy, v);
+                    let lit = rng.range(0, 15);
+                    for k in 0..4 {
+                        let l = match lit >> k & 1 {
+                            1 => 5 + rng.range(0, 250) as u8,
+                            _ => rng.range(0, 4) as u8,
+                        };
+                        overlay.set_y(cx * 2 + k as u32 % 2, cy * 2 + k as u32 / 2, l);
+                    }
+                }
+            }
+            assert_eq!(coalesce(&base, &overlay), coalesce_oracle(&base, &overlay), "case {case}");
+        }
     }
 
     #[test]

@@ -192,22 +192,31 @@ impl AlprRecognizer {
 /// BR = argmax x+y), which is exact for convex quads.
 pub fn find_plate_candidates(frame: &Frame) -> Vec<PlateCandidate> {
     let (w, h) = (frame.width(), frame.height());
-    let mut mask = vec![false; (w * h) as usize];
-    for y in 0..h {
-        for x in 0..w {
-            let p = frame.get(x, y);
-            mask[(y * w + x) as usize] =
-                p.y > 150 && p.u.abs_diff(128) < 22 && p.v.abs_diff(128) < 22;
+    // One state per pixel: background, or plate-like foreground not
+    // yet visited / already visited by a component walk.
+    const BACKGROUND: u8 = 0;
+    const UNVISITED: u8 = 1;
+    const VISITED: u8 = 2;
+    let (rw, cw) = (w as usize, (w / 2) as usize);
+    let mut state = vec![BACKGROUND; (w * h) as usize];
+    for (y, (row, luma)) in state.chunks_exact_mut(rw).zip(frame.y.chunks_exact(rw)).enumerate() {
+        let c = (y / 2) * cw;
+        let chroma = frame.u[c..c + cw].iter().zip(&frame.v[c..c + cw]);
+        let pairs = row.chunks_exact_mut(2).zip(luma.chunks_exact(2));
+        for ((pair, lpair), (&u, &v)) in pairs.zip(chroma) {
+            let neutral = u.abs_diff(128) < 22 && v.abs_diff(128) < 22;
+            for (s, &l) in pair.iter_mut().zip(lpair) {
+                *s = if neutral && l > 150 { UNVISITED } else { BACKGROUND };
+            }
         }
     }
-    let mut seen = vec![false; mask.len()];
     let mut candidates = Vec::new();
     let mut queue: Vec<u32> = Vec::new();
-    for start in 0..mask.len() {
-        if !mask[start] || seen[start] {
+    for start in 0..state.len() {
+        if state[start] != UNVISITED {
             continue;
         }
-        seen[start] = true;
+        state[start] = VISITED;
         queue.clear();
         queue.push(start as u32);
         let mut min_x = u32::MAX;
@@ -248,8 +257,8 @@ pub fn find_plate_candidates(frame: &Frame) -> Vec<PlateCandidate> {
             {
                 if nx < w && ny < h {
                     let ni = (ny * w + nx) as usize;
-                    if mask[ni] && !seen[ni] {
-                        seen[ni] = true;
+                    if state[ni] == UNVISITED {
+                        state[ni] = VISITED;
                         queue.push(ni as u32);
                     }
                 }
@@ -301,6 +310,132 @@ mod tests {
                 let dark = vr_vtt::plate::is_dark(&values, u, v_up);
                 let c = if dark { Yuv::new(25, 128, 128) } else { Yuv::new(220, 128, 128) };
                 frame.set(x as u32, y as u32, c);
+            }
+        }
+    }
+
+    /// The per-pixel form [`find_plate_candidates`] replaced: a `bool`
+    /// mask built through `Frame::get`, and a separate `seen` vector.
+    fn find_plate_candidates_oracle(frame: &Frame) -> Vec<PlateCandidate> {
+        let (w, h) = (frame.width(), frame.height());
+        let mut mask = vec![false; (w * h) as usize];
+        for y in 0..h {
+            for x in 0..w {
+                let p = frame.get(x, y);
+                mask[(y * w + x) as usize] =
+                    p.y > 150 && p.u.abs_diff(128) < 22 && p.v.abs_diff(128) < 22;
+            }
+        }
+        let mut seen = vec![false; mask.len()];
+        let mut candidates = Vec::new();
+        let mut queue: Vec<u32> = Vec::new();
+        for start in 0..mask.len() {
+            if !mask[start] || seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            queue.clear();
+            queue.push(start as u32);
+            let mut min_x = u32::MAX;
+            let mut min_y = u32::MAX;
+            let mut max_x = 0u32;
+            let mut max_y = 0u32;
+            let mut tl = (0u32, 0u32, i64::MAX);
+            let mut br = (0u32, 0u32, i64::MIN);
+            let mut tr = (0u32, 0u32, i64::MIN);
+            let mut bl = (0u32, 0u32, i64::MAX);
+            let mut head = 0;
+            while head < queue.len() {
+                let idx = queue[head];
+                head += 1;
+                let x = idx % w;
+                let y = idx / w;
+                min_x = min_x.min(x);
+                min_y = min_y.min(y);
+                max_x = max_x.max(x);
+                max_y = max_y.max(y);
+                let sum = x as i64 + y as i64;
+                let diff = x as i64 - y as i64;
+                if sum < tl.2 {
+                    tl = (x, y, sum);
+                }
+                if sum > br.2 {
+                    br = (x, y, sum);
+                }
+                if diff > tr.2 {
+                    tr = (x, y, diff);
+                }
+                if diff < bl.2 {
+                    bl = (x, y, diff);
+                }
+                for (nx, ny) in
+                    [(x.wrapping_sub(1), y), (x + 1, y), (x, y.wrapping_sub(1)), (x, y + 1)]
+                {
+                    if nx < w && ny < h {
+                        let ni = (ny * w + nx) as usize;
+                        if mask[ni] && !seen[ni] {
+                            seen[ni] = true;
+                            queue.push(ni as u32);
+                        }
+                    }
+                }
+            }
+            let rect = Rect::new(min_x as i32, min_y as i32, max_x as i32 + 1, max_y as i32 + 1);
+            let (bw, bh) = (rect.width(), rect.height());
+            if !(14..=400).contains(&bw) || !(5..=200).contains(&bh) {
+                continue;
+            }
+            let aspect = bw as f32 / bh as f32;
+            if !(1.2..=5.5).contains(&aspect) {
+                continue;
+            }
+            candidates.push(PlateCandidate {
+                rect,
+                corners: [
+                    (tl.0 as f32, tl.1 as f32),
+                    (tr.0 as f32, tr.1 as f32),
+                    (bl.0 as f32, bl.1 as f32),
+                    (br.0 as f32, br.1 as f32),
+                ],
+            });
+        }
+        candidates
+    }
+
+    #[test]
+    fn plate_finder_matches_the_per_pixel_oracle() {
+        let mut rng = vr_base::VrRng::seed_from(8);
+        let mut found = 0;
+        for case in 0..40 {
+            // Painted plates on a noisy background whose chroma
+            // straddles the ±22 neutral band, so the mask is ragged.
+            let (w, h) = (160 + 2 * rng.range(0, 40) as u32, 90 + 2 * rng.range(0, 20) as u32);
+            let mut frame = Frame::filled(w, h, Yuv::gray(60));
+            for y in frame.y.iter_mut() {
+                *y = 100 + rng.range(0, 100) as u8;
+            }
+            for c in frame.u.iter_mut().chain(frame.v.iter_mut()) {
+                *c = 100 + rng.range(0, 56) as u8;
+            }
+            for _ in 0..rng.range(1, 3) {
+                let pw = rng.range(20, 60);
+                let rect = Rect::from_origin_size(
+                    rng.range(4, w as usize - pw - 4) as i32,
+                    rng.range(4, h as usize - 30) as i32,
+                    pw as u32,
+                    pw as u32 * 2 / 5,
+                );
+                paint_plate(&mut frame, rect, LicensePlate::parse("AB12CZ").unwrap());
+            }
+            let want = find_plate_candidates_oracle(&frame);
+            found += want.len();
+            assert_eq!(find_plate_candidates(&frame), want, "painted case {case}");
+        }
+        assert!(found > 0, "the painted frames must yield candidates");
+        for (cam, clip) in crate::testutil::traffic_clips(8).iter().enumerate() {
+            for (i, frame) in clip.iter().enumerate() {
+                let want = find_plate_candidates_oracle(frame);
+                assert_eq!(find_plate_candidates(frame), want, "camera {cam} frame {i}");
             }
         }
     }

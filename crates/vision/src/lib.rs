@@ -39,3 +39,29 @@ pub use embed::{embed_tracklet, TRACK_EMBED_DIM};
 pub use oracle::OracleDetector;
 pub use track::{associate, Tracklet, TrackerConfig};
 pub use yolo::{YoloConfig, YoloDetector};
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    use vr_frame::Frame;
+
+    /// `n` consecutive frames of every traffic camera of the benchmark
+    /// city (L = 1, seed 42) at the benchmark's 192×108, one clip per
+    /// camera.
+    pub fn traffic_clips(n: usize) -> Vec<Vec<Frame>> {
+        let hyper = vr_base::Hyperparameters::new(
+            1,
+            vr_base::Resolution::new(192, 108),
+            vr_base::Duration::from_secs(1.0),
+            42,
+        )
+        .unwrap();
+        let city = vr_scene::VisualCity::generate(&hyper, 0.15);
+        city.traffic_cameras()
+            .map(|cam| {
+                (0..n)
+                    .map(|i| vr_render::render_camera_frame(&city, cam, i as f64 / 30.0, 192, 108))
+                    .collect()
+            })
+            .collect()
+    }
+}

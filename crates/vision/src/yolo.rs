@@ -172,24 +172,28 @@ impl YoloDetector {
         // temporal background-subtraction cue (slow EMA) is OR-ed in
         // once warm, catching low-saturation movers.
         let mut mask = vec![false; (w * h) as usize];
-        let bg_ready = self.background_ready();
-        for y in 0..h {
-            for x in 0..w {
-                let p = frame.get(x, y);
-                let sp = surround.get(x, y);
-                let dev = (p.y as i32 - sp.y as i32).unsigned_abs()
-                    + (p.u as i32 - sp.u as i32).unsigned_abs() * 2
-                    + (p.v as i32 - sp.v as i32).unsigned_abs() * 2;
+        let background = self.background.as_deref().filter(|_| self.background_ready());
+        let temporal_threshold = (self.cfg.fg_threshold / 2) as f32;
+        let (rw, cw) = (w as usize, (w / 2) as usize);
+        for (y, row) in mask.chunks_exact_mut(rw).enumerate() {
+            let (r, c) = (y * rw, (y / 2) * cw);
+            let (luma, sluma) = (&frame.y[r..r + rw], &surround.y[r..r + rw]);
+            let (u, v) = (&frame.u[c..c + cw], &frame.v[c..c + cw]);
+            let (su, sv) = (&surround.u[c..c + cw], &surround.v[c..c + cw]);
+            let bg_row = background.map(|bg| &bg[r..r + rw]);
+            for (x, m) in row.iter_mut().enumerate() {
+                let cx = x / 2;
+                let dev = (luma[x] as i32 - sluma[x] as i32).unsigned_abs()
+                    + (u[cx] as i32 - su[cx] as i32).unsigned_abs() * 2
+                    + (v[cx] as i32 - sv[cx] as i32).unsigned_abs() * 2;
                 // Vegetation veto: terrain and tree canopies render
                 // green (u and v both below neutral).
-                let greenish = p.u < 124 && p.v < 124;
+                let greenish = u[cx] < 124 && v[cx] < 124;
                 let mut fg = !greenish && dev > self.cfg.fg_threshold;
-                if !fg && bg_ready {
-                    let bg = self.background.as_ref().expect("ready");
-                    let tdev = (p.y as f32 - bg[(y * w + x) as usize]).abs();
-                    fg = tdev > (self.cfg.fg_threshold / 2) as f32;
+                if let (false, Some(bg)) = (fg, bg_row) {
+                    fg = (luma[x] as f32 - bg[x]).abs() > temporal_threshold;
                 }
-                mask[(y * w + x) as usize] = fg;
+                *m = fg;
             }
         }
 
@@ -211,6 +215,7 @@ impl YoloDetector {
         }
 
         // Connected components (4-connectivity, iterative BFS).
+        let (u, v) = (frame.u.as_slice(), frame.v.as_slice());
         let mut seen = vec![false; mask.len()];
         let mut detections = Vec::new();
         let mut queue = Vec::new();
@@ -238,8 +243,8 @@ impl YoloDetector {
                 max_x = max_x.max(x);
                 max_y = max_y.max(y);
                 count += 1;
-                let p = frame.get(x, y);
-                saturation_sum += (p.u.abs_diff(128) as u64) + (p.v.abs_diff(128) as u64);
+                let c = ((y / 2) * (w / 2) + x / 2) as usize;
+                saturation_sum += (u[c].abs_diff(128) as u64) + (v[c].abs_diff(128) as u64);
                 let neighbors = [
                     (x.wrapping_sub(1), y),
                     (x + 1, y),
@@ -311,6 +316,158 @@ impl YoloDetector {
 mod tests {
     use super::*;
     use vr_frame::Yuv;
+
+    /// The per-pixel form [`YoloDetector::detect`] replaced: the mask
+    /// and the blob walk's saturation read `Frame::get` per pixel.
+    fn detect_oracle(det: &mut YoloDetector, frame: &Frame) -> Vec<Detection> {
+        let (w, h) = (frame.width(), frame.height());
+        det.cost.run(((w * h) as usize).max(NETWORK_INPUT_PIXELS));
+
+        let surround = {
+            let ds = vr_frame::ops::downsample(frame, (w / 16).max(2), (h / 16).max(2));
+            vr_frame::ops::interpolate_bilinear(&ds, w, h)
+        };
+
+        let mut mask = vec![false; (w * h) as usize];
+        let bg_ready = det.background_ready();
+        for y in 0..h {
+            for x in 0..w {
+                let p = frame.get(x, y);
+                let sp = surround.get(x, y);
+                let dev = (p.y as i32 - sp.y as i32).unsigned_abs()
+                    + (p.u as i32 - sp.u as i32).unsigned_abs() * 2
+                    + (p.v as i32 - sp.v as i32).unsigned_abs() * 2;
+                let greenish = p.u < 124 && p.v < 124;
+                let mut fg = !greenish && dev > det.cfg.fg_threshold;
+                if !fg && bg_ready {
+                    let bg = det.background.as_ref().expect("ready");
+                    let tdev = (p.y as f32 - bg[(y * w + x) as usize]).abs();
+                    fg = tdev > (det.cfg.fg_threshold / 2) as f32;
+                }
+                mask[(y * w + x) as usize] = fg;
+            }
+        }
+
+        if det.cfg.temporal_background {
+            match &mut det.background {
+                Some(bg) if bg.len() == frame.y.len() => {
+                    for (b, &p) in bg.iter_mut().zip(&frame.y) {
+                        *b += 0.05 * (p as f32 - *b);
+                    }
+                }
+                _ => {
+                    det.background =
+                        Some(frame.y.iter().map(|&p| p as f32).collect());
+                }
+            }
+            det.warmup = det.warmup.saturating_add(1);
+        }
+
+        let mut seen = vec![false; mask.len()];
+        let mut detections = Vec::new();
+        let mut queue = Vec::new();
+        for start in 0..mask.len() {
+            if !mask[start] || seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            queue.clear();
+            queue.push(start as u32);
+            let mut min_x = u32::MAX;
+            let mut min_y = u32::MAX;
+            let mut max_x = 0u32;
+            let mut max_y = 0u32;
+            let mut count = 0u32;
+            let mut saturation_sum = 0u64;
+            let mut head = 0usize;
+            while head < queue.len() {
+                let idx = queue[head];
+                head += 1;
+                let x = idx % w;
+                let y = idx / w;
+                min_x = min_x.min(x);
+                min_y = min_y.min(y);
+                max_x = max_x.max(x);
+                max_y = max_y.max(y);
+                count += 1;
+                let p = frame.get(x, y);
+                saturation_sum += (p.u.abs_diff(128) as u64) + (p.v.abs_diff(128) as u64);
+                let neighbors = [
+                    (x.wrapping_sub(1), y),
+                    (x + 1, y),
+                    (x, y.wrapping_sub(1)),
+                    (x, y + 1),
+                ];
+                for (nx, ny) in neighbors {
+                    if nx < w && ny < h {
+                        let ni = (ny * w + nx) as usize;
+                        if mask[ni] && !seen[ni] {
+                            seen[ni] = true;
+                            queue.push(ni as u32);
+                        }
+                    }
+                }
+            }
+            if count < det.cfg.min_area {
+                continue;
+            }
+            let raw = Rect::new(min_x as i32, min_y as i32, max_x as i32 + 1, max_y as i32 + 1);
+            let rect = trim_sparse_border(&queue, w, raw);
+            let bw = rect.width().max(1);
+            let bh = rect.height().max(1);
+            if bw < 3 || bh < 3 {
+                continue;
+            }
+            let fill = count as f32 / (bw * bh) as f32;
+            if fill < 0.25 {
+                continue;
+            }
+            let aspect = bw as f32 / bh as f32;
+            if !(0.22..=4.5).contains(&aspect) {
+                continue;
+            }
+            let class = if bh as f32 > 1.35 * bw as f32 {
+                ObjectClass::Pedestrian
+            } else {
+                ObjectClass::Vehicle
+            };
+            let saturation = (saturation_sum as f32 / count as f32 / 45.0).min(1.0);
+            let score = (fill * 0.25
+                + saturation * 0.45
+                + 0.3 * (count as f32 / 3000.0).min(1.0))
+            .clamp(0.05, 0.99);
+            detections.push(Detection { class, rect, score });
+        }
+        let merged = merge_fragments(detections);
+        nms(merged, 0.45)
+    }
+
+    #[test]
+    fn detect_matches_the_per_pixel_oracle() {
+        let clips = crate::testutil::traffic_clips(8);
+        let (mut frames, mut detections) = (0, 0);
+        for cfg in [YoloConfig::default(), YoloConfig::fast()] {
+            for clip in &clips {
+                // One detector per camera, so the temporal background
+                // warms over the clip as it does in a query.
+                let mut det = YoloDetector::new(cfg.clone());
+                let mut oracle = YoloDetector::new(cfg.clone());
+                for (i, frame) in clip.iter().enumerate() {
+                    let got = det.detect(frame);
+                    assert_eq!(got, detect_oracle(&mut oracle, frame), "frame {i}");
+                    (frames, detections) = (frames + 1, detections + got.len());
+                }
+                assert_eq!(det.background, oracle.background);
+            }
+        }
+        assert!(frames >= 60 && detections > 0, "{frames} frames, {detections} detections");
+        // The synthetic scene, including a warm temporal model.
+        let mut det = YoloDetector::new(YoloConfig::fast());
+        let mut oracle = YoloDetector::new(YoloConfig::fast());
+        for _ in 0..3 {
+            assert_eq!(det.detect(&scene_frame()), detect_oracle(&mut oracle, &scene_frame()));
+        }
+    }
 
     /// A gray frame with one bright wide box and one tall colored box.
     fn scene_frame() -> Frame {
