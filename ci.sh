@@ -18,24 +18,16 @@ STAGES=(guard build test)
 stage_guard() {
     echo "-- warnings are errors across every target"
     RUSTFLAGS="-D warnings" cargo check -q --release --offline --all-targets
-    # Informational: lines of code counted by the repo's own instrument
-    # (vr_bench::loc, the Figure 7 counter), so a refactor's size is a
-    # number. The one-of-each guards are `crates/bench/tests/repo_guards.rs`.
+    # Informational: each crate's non-test and test lines of code, as
+    # the repo's own instrument (vr_bench::loc, the Figure 7 counter)
+    # counts them, so a refactor's size is a number. The one-of-each
+    # guards are `crates/bench/tests/repo_guards.rs`.
     cargo build -q --release --offline -p vr-bench --bin loc_report
-    echo "-- request-path lines of code"
-    ./target/release/loc_report crates/core/src/{server,vcd,semantic}.rs \
-        crates/core/src/bin/visualroad.rs | tee "$ART/loc.txt"
-    echo "-- JSON-bearing lines of code; one writer, one escaper"
-    ./target/release/loc_report crates/base/src/{json,admission}.rs \
-        crates/base/src/obs/{mod,metrics,slo,qlog,trace}.rs \
-        crates/vdbms/src/{plan,cost}.rs crates/bench/src/json.rs \
-        crates/bench/src/stress.rs crates/bench/src/bin/stress_test.rs \
-        crates/core/src/bin/visualroad.rs | tee "$ART/loc_json.txt"
-    echo "-- the executor's lines of code; one streaming executor"
-    ./target/release/loc_report crates/vdbms/src/pipeline.rs | tee "$ART/loc_pipeline.txt"
-    echo "-- the read path's lines of code; one video reader"
-    ./target/release/loc_report crates/vdbms/src/{io,kernels}.rs crates/core/src/vcd.rs \
-        | tee "$ART/loc_read.txt"
+    echo "-- lines of code per crate (src/: non-test, test)"
+    for crate in crates/*/; do
+        printf '%-10s' "$(basename "$crate")"
+        ./target/release/loc_report $(find "$crate/src" -name '*.rs' | sort) | tail -1
+    done | tee "$ART/loc.txt"
 }
 
 # benchmark/ is a package of its own (not a workspace member) that may

@@ -66,7 +66,7 @@ impl std::str::FromStr for Priority {
 
 impl Priority {
     /// Stable lowercase label used on the wire, in logs and in metrics.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Priority::High => "high",
             Priority::Low => "low",
@@ -468,9 +468,6 @@ pub struct Permit {
     degraded: bool,
     /// This permit is the tenant's half-open breaker probe.
     probe: bool,
-    /// Arrival-minted request id, when admitted via
-    /// [`AdmissionController::admit_request`].
-    request_id: Option<u64>,
     /// Time this request spent blocked in the admission queue.
     queue_wait: Duration,
     settled: bool,
@@ -480,17 +477,6 @@ impl Permit {
     /// Whether the controller asked for degraded execution.
     pub fn degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// The tenant this permit belongs to.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
-    /// The arrival-minted request id carried through admission, if the
-    /// request came in via [`AdmissionController::admit_request`].
-    pub fn request_id(&self) -> Option<u64> {
-        self.request_id
     }
 
     /// How long the request waited in the admission queue (zero when a
@@ -552,11 +538,6 @@ impl AdmissionController {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
     /// Saturation: occupied slots plus queue length over the
     /// concurrency limit. 1.0 means every slot busy and nothing
     /// queued; the shed threshold is typically above 1.0 (slots busy
@@ -591,28 +572,6 @@ impl AdmissionController {
         tenant: &str,
         priority: Priority,
         deadline: Option<Instant>,
-    ) -> Result<Permit, ShedReason> {
-        self.admit_inner(tenant, priority, deadline, None)
-    }
-
-    /// [`admit`](Self::admit) with request-scoped identity: the
-    /// permit carries the [`RequestCtx`](crate::obs::qlog::RequestCtx)
-    /// id so every downstream decision (route, plan, spans, query log)
-    /// is attributable to the arrival that caused it.
-    pub fn admit_request(
-        self: &std::sync::Arc<Self>,
-        req: &crate::obs::qlog::RequestCtx,
-        deadline: Option<Instant>,
-    ) -> Result<Permit, ShedReason> {
-        self.admit_inner(&req.tenant, req.priority, deadline, Some(req.id))
-    }
-
-    fn admit_inner(
-        self: &std::sync::Arc<Self>,
-        tenant: &str,
-        priority: Priority,
-        deadline: Option<Instant>,
-        request_id: Option<u64>,
     ) -> Result<Permit, ShedReason> {
         let now = Instant::now();
         let mut st = self.state.lock();
@@ -726,7 +685,6 @@ impl AdmissionController {
             tenant: tenant.to_string(),
             degraded,
             probe,
-            request_id,
             queue_wait,
             settled: false,
         })
@@ -790,11 +748,6 @@ impl AdmissionController {
         self.publish_gauges(&st);
         drop(st);
         self.slot_freed.notify_all();
-    }
-
-    /// Whether a drain has begun.
-    pub fn draining(&self) -> bool {
-        self.state.lock().draining
     }
 
     /// Block until no request is in flight, or `timeout` elapses.
@@ -1029,7 +982,6 @@ mod tests {
         let ctl = Arc::new(AdmissionController::new(cfg()));
         let permit = ctl.admit("t", Priority::High, None).unwrap();
         ctl.begin_drain();
-        assert!(ctl.draining());
         assert_eq!(ctl.admit("u", Priority::High, None).unwrap_err(), ShedReason::Draining);
         // Not idle while the permit is out.
         assert!(!ctl.await_idle(Duration::from_millis(30)));
@@ -1095,21 +1047,12 @@ mod tests {
         let a = ctl.admit("t", Priority::High, None).unwrap();
         // A free slot at arrival: zero wait, not counted as queued.
         assert_eq!(a.queue_wait(), Duration::ZERO);
-        assert_eq!(a.request_id(), None);
         let _b = ctl.admit("u", Priority::High, None).unwrap();
         let ctl2 = Arc::clone(&ctl);
-        let waiter = std::thread::spawn(move || {
-            let req = crate::obs::qlog::RequestCtx {
-                id: 7,
-                tenant: "v".into(),
-                priority: Priority::High,
-            };
-            ctl2.admit_request(&req, None)
-        });
+        let waiter = std::thread::spawn(move || ctl2.admit("v", Priority::High, None));
         std::thread::sleep(Duration::from_millis(30));
         a.succeed();
         let permit = waiter.join().unwrap().expect("queued request admitted");
-        assert_eq!(permit.request_id(), Some(7), "admit_request threads the arrival id");
         assert!(
             permit.queue_wait() >= Duration::from_millis(20),
             "measured wait {:?} must cover the blocked interval",

@@ -33,19 +33,9 @@ impl SharedBuf {
         Self { data: Arc::new(v) }
     }
 
-    /// An empty buffer.
-    pub fn empty() -> Self {
-        Self { data: Arc::new(Vec::new()) }
-    }
-
     /// Number of bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the buffer holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// The full contents.
@@ -64,12 +54,6 @@ impl SharedBuf {
             self.data.len()
         );
         BufSlice { data: self.data.clone(), start: range.start, end: range.end }
-    }
-
-    /// Copy the contents into a fresh `Vec` (the escape hatch for
-    /// callers that genuinely need ownership).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
     }
 }
 
@@ -145,40 +129,9 @@ pub struct BufSlice {
 }
 
 impl BufSlice {
-    /// Number of bytes in the view.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
-    }
-
-    /// A sub-view relative to this view's start. Panics on overflow.
-    pub fn slice(&self, range: Range<usize>) -> BufSlice {
-        assert!(
-            range.start <= range.end && range.end <= self.len(),
-            "slice {}..{} out of bounds for BufSlice of {} bytes",
-            range.start,
-            range.end,
-            self.len()
-        );
-        BufSlice {
-            data: self.data.clone(),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
-    }
-
-    /// Copy the viewed bytes into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
     }
 }
 
@@ -306,7 +259,6 @@ mod tests {
         assert_eq!(&buf[1..3], &[2, 3]);
         let clone = buf.clone();
         assert_eq!(clone, buf);
-        assert!(SharedBuf::empty().is_empty());
     }
 
     #[test]
@@ -315,12 +267,9 @@ mod tests {
         let s = buf.slice(10..20);
         assert_eq!(s.len(), 10);
         assert_eq!(s.as_slice(), &(10u8..20).collect::<Vec<_>>()[..]);
-        // Sub-slicing is relative to the view.
-        let s2 = s.slice(2..5);
-        assert_eq!(s2.as_slice(), &[12, 13, 14]);
         // Views survive the parent buffer being dropped.
         drop(buf);
-        assert_eq!(s2.as_slice(), &[12, 13, 14]);
+        assert_eq!(s[2..5], [12, 13, 14]);
         // Full-buffer conversion.
         let full: BufSlice = SharedBuf::from_vec(vec![9, 9]).into();
         assert_eq!(full.len(), 2);

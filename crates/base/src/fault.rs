@@ -87,7 +87,7 @@ fn parse_prob(key: &str, v: &str) -> Result<f64> {
 impl FaultPlan {
     /// Parse a `--faults` spec string (see the module docs for the
     /// grammar). An empty spec yields the empty plan.
-    pub fn parse(spec: &str) -> Result<Self> {
+    pub(crate) fn parse(spec: &str) -> Result<Self> {
         let mut plan = FaultPlan::default();
         for entry in spec.split(',') {
             let entry = entry.trim();
@@ -148,11 +148,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultPlan::default()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +192,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Build an injector from a plan and seed.
-    pub fn new(plan: FaultPlan, seed: u64) -> Self {
+    pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
         Self {
             plan,
             seed,
@@ -280,7 +275,7 @@ impl FaultInjector {
     /// Maybe inject a transient I/O failure for `op`. Returns the
     /// error to surface (callers run under [`with_retry_io`], so an
     /// injected failure exercises the backoff path).
-    pub fn io_fail(&self, op: IoOp) -> Option<Error> {
+    pub(crate) fn io_fail(&self, op: IoOp) -> Option<Error> {
         let (site, p, slot) = match op {
             IoOp::Read => (SITE_IO_READ, self.plan.io_fail_read, 3),
             IoOp::Write => (SITE_IO_WRITE, self.plan.io_fail_write, 4),
@@ -532,7 +527,7 @@ pub fn note_skipped_packets(n: u64) {
 }
 
 /// Record a contained stage panic.
-pub fn note_stage_panic() {
+pub(crate) fn note_stage_panic() {
     degradation().stage_panics.inc();
 }
 
@@ -560,7 +555,7 @@ pub const RETRY_MAX_ATTEMPTS: u32 = 4;
 static BACKOFF_DRAWS: AtomicU64 = AtomicU64::new(0);
 
 /// Claim the next backoff draw index (see [`backoff_delay`]).
-pub fn next_backoff_draw() -> u64 {
+pub(crate) fn next_backoff_draw() -> u64 {
     BACKOFF_DRAWS.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -661,9 +656,9 @@ mod tests {
         assert_eq!(plan.io_fail_read, 0.02);
         assert_eq!(plan.io_fail_write, 0.5);
         assert_eq!(plan.panic_kernel, Some(("q4".into(), 37)));
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse("  ,  ").unwrap().is_empty());
+        assert_ne!(plan, FaultPlan::default());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
+        assert_eq!(FaultPlan::parse("  ,  ").unwrap(), FaultPlan::default());
     }
 
     #[test]

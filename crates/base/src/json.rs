@@ -250,7 +250,7 @@ impl Writer {
     /// Hand what has been rendered so far to `sink` and empty the
     /// buffer; the container state carries on. For documents too
     /// large to hold whole.
-    pub fn flush_to(&mut self, sink: &mut dyn std::io::Write) -> std::io::Result<()> {
+    pub(crate) fn flush_to(&mut self, sink: &mut dyn std::io::Write) -> std::io::Result<()> {
         sink.write_all(self.out.as_bytes())?;
         self.out.clear();
         Ok(())
@@ -269,7 +269,7 @@ impl Writer {
 
 /// Deepest container nesting [`parse`] accepts. The deepest document
 /// the workspace emits is an EXPLAIN tree, at two levels per plan node.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Numbers are held as `f64`, exact for the
 /// integer nanosecond magnitudes the artifacts carry (under 2^53).

@@ -5,13 +5,10 @@
 //! and a peak (high-water) figure, and those numbers have to come from
 //! the allocator itself — not from guesses about buffer sizes. This
 //! module wraps [`std::alloc::System`] in a counting shim and installs
-//! it as the global allocator (under the `obs` feature, like the rest
-//! of the telemetry surface).
+//! it as the global allocator.
 //!
 //! Cost model, mirroring `obs::trace`:
 //!
-//! * **feature off** — the wrapper is not installed; allocation goes
-//!   straight to `System`.
 //! * **tracking off (the default)** — one relaxed load of the
 //!   tracking flag per allocation and deallocation. No shared write,
 //!   no thread-local access.
@@ -52,27 +49,22 @@ thread_local! {
     static TL_PEAK: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The counting allocator. Installed as `#[global_allocator]` when the
-/// `obs` feature is on; constructible standalone for tests.
-pub struct CountingAlloc;
+/// The counting allocator, installed as `#[global_allocator]`;
+/// constructible standalone for tests.
+pub(crate) struct CountingAlloc;
 
-#[cfg(feature = "obs")]
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 
-/// Whether per-thread accounting is live. Compile-time `false` without
-/// the `obs` feature.
+/// Whether per-thread accounting is live.
 #[inline]
-pub fn tracking_enabled() -> bool {
-    cfg!(feature = "obs") && TRACK.load(Ordering::Relaxed)
+pub(crate) fn tracking_enabled() -> bool {
+    TRACK.load(Ordering::Relaxed)
 }
 
-/// Turn per-thread accounting on or off. A no-op without the `obs`
-/// feature.
+/// Turn per-thread accounting on or off.
 pub fn set_tracking(on: bool) {
-    if cfg!(feature = "obs") {
-        TRACK.store(on, Ordering::Relaxed);
-    }
+    TRACK.store(on, Ordering::Relaxed);
 }
 
 /// Enable tracking if the `VR_ALLOC_TRACK` environment variable is set
@@ -161,16 +153,6 @@ pub struct AllocDelta {
     pub peak_bytes: u64,
 }
 
-impl AllocDelta {
-    /// Merge another delta into this one: counts add, peaks take the
-    /// max (two sequential scopes cannot be live at once).
-    pub fn merge(&mut self, other: &AllocDelta) {
-        self.allocs += other.allocs;
-        self.bytes += other.bytes;
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-    }
-}
-
 /// RAII bracket over a region of thread-local allocation accounting.
 /// Construct with [`ScopeGuard::begin`], read the delta with
 /// [`ScopeGuard::finish`]. Inert (all-zero delta) when tracking is
@@ -244,14 +226,6 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Run `f` under a scope and return its result with the delta.
-#[inline]
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocDelta) {
-    let guard = ScopeGuard::begin();
-    let value = f();
-    (value, guard.finish())
-}
-
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -263,6 +237,13 @@ mod tests {
 
     /// Tracking is process-global; tests that flip it on serialise.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Run `f` under a scope and return its result with the delta.
+    fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocDelta) {
+        let guard = ScopeGuard::begin();
+        let value = f();
+        (value, guard.finish())
+    }
 
     fn with_tracking<R>(f: impl FnOnce() -> R) -> R {
         let _guard = TEST_LOCK.lock();

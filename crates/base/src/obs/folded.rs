@@ -28,7 +28,7 @@ use super::trace::{Phase, TraceEvent};
 
 /// Aggregated folded stacks, ready to render or save.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FoldedStacks {
+pub(crate) struct FoldedStacks {
     /// `stack -> summed self-time nanos`, sorted by stack string.
     pub stacks: BTreeMap<String, u64>,
     /// Spans skipped because they never closed (e.g. the buffer was
@@ -48,7 +48,7 @@ struct OpenSpan {
 /// Returns `Err` when a span's children outlast the span itself (the
 /// self-time invariant) or when the stream is structurally broken (an
 /// End without a matching Begin).
-pub fn fold(events: &[TraceEvent]) -> Result<FoldedStacks, String> {
+pub(crate) fn fold(events: &[TraceEvent]) -> Result<FoldedStacks, String> {
     // Open spans by span id. Events arrive in buffer order, which is
     // begin-before-end per span; parent links let the stack be
     // reconstructed without relying on per-thread ordering.
@@ -118,7 +118,7 @@ fn stack_string(
 
 impl FoldedStacks {
     /// Render as `stack count` lines, one per aggregated stack, sorted.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         for (stack, nanos) in &self.stacks {
             out.push_str(stack);

@@ -40,7 +40,7 @@ pub struct Counter(AtomicU64);
 impl Counter {
     /// Create a free-standing counter (tests; registry use goes through
     /// [`Registry::counter`]).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -55,7 +55,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -66,7 +66,7 @@ pub struct Gauge(AtomicU64);
 
 impl Gauge {
     /// Create a free-standing gauge.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -95,7 +95,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -103,7 +103,7 @@ impl Gauge {
 /// Upper bounds (inclusive, nanoseconds) of the fixed histogram
 /// buckets: a 1–2–5 ladder from 1µs to 10s. Values above the last
 /// bound land in a final overflow bucket.
-pub const BUCKET_BOUNDS_NANOS: [u64; 22] = [
+pub(crate) const BUCKET_BOUNDS_NANOS: [u64; 22] = [
     1_000,
     2_000,
     5_000,
@@ -129,7 +129,7 @@ pub const BUCKET_BOUNDS_NANOS: [u64; 22] = [
 ];
 
 /// Number of buckets including the trailing overflow bucket.
-pub const BUCKET_COUNT: usize = BUCKET_BOUNDS_NANOS.len() + 1;
+pub(crate) const BUCKET_COUNT: usize = BUCKET_BOUNDS_NANOS.len() + 1;
 
 /// A fixed-bucket latency histogram over [`BUCKET_BOUNDS_NANOS`].
 ///
@@ -206,7 +206,7 @@ impl HistogramSnapshot {
     /// histogram reports the sample itself (recoverable as `sum` when
     /// `count == 1`) — so p50/p95/p99 are defined for every histogram
     /// a snapshot can contain.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -243,7 +243,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -337,7 +337,7 @@ impl Registry {
 }
 
 /// The process-global registry.
-pub fn global() -> &'static Registry {
+pub(crate) fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
 }
@@ -418,7 +418,7 @@ impl MetricsSnapshot {
     /// conventional cumulative `_bucket{le="..."}` series plus `_sum`
     /// and `_count`. BTreeMap iteration keeps the output
     /// deterministic.
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
             let name = prometheus_name(k);

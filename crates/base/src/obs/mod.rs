@@ -8,8 +8,7 @@
 //!   enter/exit with monotonic timestamps, thread track ids, and
 //!   parent links) plus a chrome-trace (`trace_event` JSON) exporter
 //!   for `chrome://tracing` / Perfetto. Off by default; enabled by the
-//!   CLI via `--trace-out`. With the `obs` cargo feature
-//!   disabled the call sites compile to no-ops.
+//!   CLI via `--trace-out`.
 //! * [`metrics`] — named counters, gauges, and fixed-bucket latency
 //!   histograms (p50/p95/p99 snapshots) in a process-global
 //!   [`metrics::Registry`], exported as deterministic JSON (and

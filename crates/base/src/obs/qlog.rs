@@ -15,9 +15,9 @@
 //!
 //! * `seq` — assigned under the append lock; strictly increasing in
 //!   file order (one of the checks [`parse`] makes);
-//! * `req` — the arrival-minted id threaded through admission, the
-//!   optimizer, and the span tracer (`request.req-NNNNNN.<tenant>`
-//!   lanes in chrome-trace); unique but not ordered in the file.
+//! * `req` — the arrival-minted id, which also names the request's
+//!   span-tracer lane (`request.req-NNNNNN.<tenant>` in chrome-trace);
+//!   unique but not ordered in the file.
 //!
 //! A bounded in-memory ring of the most recent rendered lines backs
 //! the live `/requests` view, so the log is inspectable even when no
@@ -35,8 +35,8 @@ use crate::sync::Mutex;
 /// Most recent rendered records retained for the `/requests` view.
 const RING_CAP: usize = 256;
 
-/// Identity of one in-flight request, minted at arrival and threaded
-/// through admission, planning, and execution.
+/// Identity of one in-flight request, minted at arrival and carried
+/// by the server through planning, execution and the query log.
 #[derive(Debug, Clone)]
 pub struct RequestCtx {
     /// Deterministic per-server arrival sequence number (1-based).
@@ -69,7 +69,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Stable lower-snake label used in the wire record.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Outcome::Ok => "ok",
             Outcome::Cancelled => "cancelled",
@@ -126,7 +126,7 @@ pub struct RequestRecord {
 
 /// 64-bit FNV-1a over a string — the plan-digest hash. Deterministic,
 /// dependency-free, and stable across runs/platforms.
-pub fn fnv64(data: &str) -> u64 {
+pub(crate) fn fnv64(data: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in data.as_bytes() {
         hash ^= u64::from(*byte);
@@ -190,16 +190,6 @@ impl QueryLog {
         }
         inner.ring.push_back(line);
         seq
-    }
-
-    /// Records appended so far.
-    pub fn len(&self) -> u64 {
-        self.inner.lock().seq
-    }
-
-    /// Whether any record has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The retained tail of the log as JSONL — the `/requests` view.

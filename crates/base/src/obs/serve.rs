@@ -57,7 +57,7 @@ pub fn set_explain(text: impl Into<String>) {
 }
 
 /// The currently published explain text, if any.
-pub fn explain_text() -> Option<String> {
+pub(crate) fn explain_text() -> Option<String> {
     let text = explain_cell().read();
     if text.is_empty() {
         None
@@ -127,11 +127,6 @@ impl MetricsServer {
     /// The bound address (the real port when started with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.addr.port()
     }
 
     /// Shut the listener down and join the serving thread.
@@ -268,8 +263,8 @@ mod tests {
         // Port 0: the OS assigns an ephemeral port, so the test cannot
         // collide with a parallel run.
         let server = MetricsServer::start(0).expect("bind ephemeral port");
-        assert_ne!(server.port(), 0);
         let addr = server.addr();
+        assert_ne!(addr.port(), 0);
 
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.1 200 OK"), "healthz response: {health}");

@@ -88,7 +88,7 @@ impl SloConfig {
     }
 
     /// The latency objective for a priority class.
-    pub fn objective(&self, priority: Priority) -> Duration {
+    pub(crate) fn objective(&self, priority: Priority) -> Duration {
         match priority {
             Priority::High => self.high,
             Priority::Low => self.low,
@@ -116,11 +116,6 @@ impl SloTracker {
         Self { cfg, classes: Mutex::new(BTreeMap::new()) }
     }
 
-    /// The policy in force.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
-    }
-
     /// Record one settled request. Cancellations are budget-neutral
     /// and ignored entirely (see the module docs for why).
     pub fn record(&self, tenant: &str, priority: Priority, outcome: Outcome, latency: Duration) {
@@ -141,8 +136,9 @@ impl SloTracker {
         class.window.push_back(violation);
     }
 
-    /// Violations recorded all-time for one class (tests and gates).
-    pub fn violations(&self, tenant: &str, priority: Priority) -> u64 {
+    /// Violations recorded all-time for one class.
+    #[cfg(test)]
+    fn violations(&self, tenant: &str, priority: Priority) -> u64 {
         self.classes
             .lock()
             .get(&format!("{tenant}/{priority}"))
@@ -150,7 +146,8 @@ impl SloTracker {
     }
 
     /// Current burn rate for one class (0.0 when unrecorded).
-    pub fn burn_rate(&self, tenant: &str, priority: Priority) -> f64 {
+    #[cfg(test)]
+    fn burn_rate(&self, tenant: &str, priority: Priority) -> f64 {
         self.classes
             .lock()
             .get(&format!("{tenant}/{priority}"))
@@ -176,7 +173,7 @@ impl SloTracker {
 
     /// [`render_json`](Self::render_json) as the writer's next value
     /// — how `STATS` nests its `slo` block.
-    pub fn write_json(&self, w: &mut Writer) {
+    pub(crate) fn write_json(&self, w: &mut Writer) {
         let classes = self.classes.lock();
         w.object(Block).key("objective_ms").object(Inline);
         w.member("high", self.cfg.high.as_millis() as u64);

@@ -9,9 +9,6 @@
 //!
 //! Cost model:
 //!
-//! * compiled out — with the `obs` feature disabled, [`enabled`] is a
-//!   compile-time `false`, so every call site's span construction is
-//!   dead-code-eliminated;
 //! * disabled at runtime (the default) — one relaxed atomic load per
 //!   call site, no allocation, no lock ([`span_dyn`] takes a closure so
 //!   dynamic names are never even built);
@@ -36,7 +33,7 @@ use crate::sync::Mutex;
 /// Default cap on buffered events (~2M); beyond it events are counted
 /// as dropped instead of buffered. At ~100 bytes/event this bounds the
 /// tracer's memory to ~200 MB worst case.
-pub const MAX_EVENTS: usize = 1 << 21;
+pub(crate) const MAX_EVENTS: usize = 1 << 21;
 
 static EVENT_CAP: AtomicUsize = AtomicUsize::new(MAX_EVENTS);
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -81,22 +78,19 @@ pub struct TraceEvent {
     pub parent: Option<u64>,
 }
 
-/// Whether tracing is live. With the `obs` feature off this is a
-/// compile-time `false` and call sites vanish entirely.
+/// Whether tracing is live.
 #[inline]
-pub fn enabled() -> bool {
-    cfg!(feature = "obs") && ENABLED.load(Ordering::Relaxed)
+pub(crate) fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turn the tracer on or off. Enabling pins the epoch on first use so
-/// all timestamps share one origin. A no-op without the `obs` feature.
+/// all timestamps share one origin.
 pub fn set_enabled(on: bool) {
-    if cfg!(feature = "obs") {
-        if on {
-            EPOCH.get_or_init(Instant::now);
-        }
-        ENABLED.store(on, Ordering::Relaxed);
+    if on {
+        EPOCH.get_or_init(Instant::now);
     }
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 fn now_nanos() -> u64 {
@@ -112,10 +106,10 @@ fn current_tid() -> u64 {
     })
 }
 
-/// Override the event cap (tests and memory-constrained embedders).
-/// The cap applies to future [`record`] calls only; already-buffered
-/// events are never discarded.
-pub fn set_event_cap(cap: usize) {
+/// Override the event cap. The cap applies to future [`record`] calls
+/// only; already-buffered events are never discarded.
+#[cfg(test)]
+fn set_event_cap(cap: usize) {
     EVENT_CAP.store(cap, Ordering::Relaxed);
 }
 
@@ -204,13 +198,8 @@ impl Drop for Span {
     }
 }
 
-/// Number of currently buffered events.
-pub fn buffered() -> usize {
-    EVENTS.lock().len()
-}
-
 /// Events discarded because the buffer hit [`MAX_EVENTS`].
-pub fn dropped() -> u64 {
+pub(crate) fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
@@ -221,7 +210,7 @@ pub fn drain() -> Vec<TraceEvent> {
 
 /// Copy the buffered events without draining them (exporters that
 /// must coexist — chrome trace and folded stacks — both read this).
-pub fn events() -> Vec<TraceEvent> {
+pub(crate) fn events() -> Vec<TraceEvent> {
     EVENTS.lock().clone()
 }
 
@@ -238,7 +227,7 @@ pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 /// column 0 — so its brackets and line ends are spliced in raw around
 /// events the writer renders, and each line is handed to `out` as it
 /// is finished: a full buffer is ~2M events.
-pub fn write_chrome_trace(out: &mut dyn std::io::Write) -> std::io::Result<usize> {
+pub(crate) fn write_chrome_trace(out: &mut dyn std::io::Write) -> std::io::Result<usize> {
     let events = EVENTS.lock().clone();
     let mut w = Writer::new();
     w.object(Inline).key("traceEvents").raw("[\n");
@@ -451,7 +440,7 @@ mod tests {
             });
         }
         assert!(!built, "dynamic span names must not be built while disabled");
-        assert_eq!(buffered(), 0);
+        assert_eq!(EVENTS.lock().len(), 0);
     }
 
     #[test]

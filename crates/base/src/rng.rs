@@ -14,7 +14,7 @@
 
 /// SplitMix64 step, used for seeding and for cheap stateless hashes.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -90,7 +90,7 @@ impl VrRng {
 
     /// Uniform `f32` in `[0, 1)`.
     #[inline]
-    pub fn next_f32(&mut self) -> f32 {
+    pub(crate) fn next_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 

@@ -41,22 +41,12 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Self(std::sync::Mutex::new(value))
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0.lock().expect("vr_base::sync::Mutex poisoned: a holder panicked")
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().expect("vr_base::sync::Mutex poisoned: a holder panicked")
     }
 }
 
@@ -70,11 +60,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         Self(std::sync::RwLock::new(value))
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -87,34 +72,22 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
         self.0.write().expect("vr_base::sync::RwLock poisoned: a holder panicked")
     }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().expect("vr_base::sync::RwLock poisoned: a holder panicked")
-    }
 }
 
 /// A condition variable paired with [`Mutex`] guards.
 #[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
+pub(crate) struct Condvar(std::sync::Condvar);
 
 impl Condvar {
     /// Create a condition variable.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(std::sync::Condvar::new())
     }
 
-    /// Atomically release the guard and wait for a notification.
-    pub fn wait<'a, T>(
-        &self,
-        guard: std::sync::MutexGuard<'a, T>,
-    ) -> std::sync::MutexGuard<'a, T> {
-        self.0.wait(guard).expect("vr_base::sync::Condvar: mutex poisoned")
-    }
-
-    /// Like [`wait`](Condvar::wait), but give up after `dur`; the
-    /// returned flag reports whether the wait timed out.
-    pub fn wait_timeout<'a, T>(
+    /// Atomically release the guard and wait for a notification, but
+    /// give up after `dur`; the returned flag reports whether the wait
+    /// timed out.
+    pub(crate) fn wait_timeout<'a, T>(
         &self,
         guard: std::sync::MutexGuard<'a, T>,
         dur: std::time::Duration,
@@ -126,13 +99,8 @@ impl Condvar {
         (guard, res.timed_out())
     }
 
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one()
-    }
-
     /// Wake every waiter.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         self.0.notify_all()
     }
 }
@@ -324,11 +292,6 @@ impl CancelToken {
             _ => false,
         }
     }
-
-    /// The deadline, if this token carries one.
-    pub fn deadline(&self) -> Option<std::time::Instant> {
-        self.deadline
-    }
 }
 
 #[cfg(test)]
@@ -384,7 +347,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         assert!(t.cancelled(), "deadline passed");
         assert!(t.cancelled(), "cancellation latches");
-        assert!(t.deadline().is_some());
     }
 
     #[test]
@@ -402,7 +364,7 @@ mod tests {
         let rw = RwLock::new(vec![1, 2]);
         assert_eq!(rw.read().len(), 2);
         rw.write().push(3);
-        assert_eq!(rw.into_inner(), vec![1, 2, 3]);
+        assert_eq!(*rw.read(), vec![1, 2, 3]);
     }
 
     #[test]

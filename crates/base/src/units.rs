@@ -36,7 +36,7 @@ impl Resolution {
 
     /// Scale both dimensions by a rational factor, rounding to even
     /// (YUV 4:2:0 requires even dimensions).
-    pub fn scaled(&self, num: u32, den: u32) -> Resolution {
+    pub(crate) fn scaled(&self, num: u32, den: u32) -> Resolution {
         let w = ((self.width as u64 * num as u64) / den as u64).max(2) as u32 & !1;
         let h = ((self.height as u64 * num as u64) / den as u64).max(2) as u32 & !1;
         Resolution::new(w, h)
@@ -81,7 +81,7 @@ impl Duration {
     pub const ZERO: Duration = Duration { micros: 0 };
 
     /// From whole microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
+    pub(crate) const fn from_micros(micros: u64) -> Self {
         Self { micros }
     }
 
@@ -93,7 +93,7 @@ impl Duration {
 
     /// From whole minutes (the paper specifies dataset durations in
     /// minutes; see Table 2).
-    pub fn from_mins(mins: u64) -> Self {
+    pub(crate) fn from_mins(mins: u64) -> Self {
         Self { micros: mins * 60 * 1_000_000 }
     }
 
@@ -163,11 +163,6 @@ impl Timestamp {
         self.micros
     }
 
-    /// Seconds as a float.
-    pub fn as_secs_f64(&self) -> f64 {
-        self.micros as f64 / 1e6
-    }
-
     /// Index of the frame visible at this timestamp, at `rate`.
     ///
     /// Rounds to the nearest frame so that `of_frame`/`frame_index`
@@ -175,11 +170,6 @@ impl Timestamp {
     /// integer number of microseconds (e.g. 30 fps).
     pub fn frame_index(&self, rate: FrameRate) -> u64 {
         (self.micros * rate.0 as u64 + 500_000) / 1_000_000
-    }
-
-    /// Duration elapsed since `earlier` (saturating).
-    pub fn since(&self, earlier: Timestamp) -> Duration {
-        Duration::from_micros(self.micros.saturating_sub(earlier.micros))
     }
 }
 

@@ -7,9 +7,9 @@
 //! loc_report FILE...
 //! ```
 //!
-//! `./ci.sh guard` runs it over the request-path sources and keeps the
-//! table in `results/ci/loc.txt`, so "this refactor removed N lines" is
-//! a number from the repo's own instrument. Exit code 1 if a file
+//! `./ci.sh guard` runs it over each crate's `src/` and keeps the
+//! totals in `results/ci/loc.txt`, so "this refactor removed N lines"
+//! is a number from the repo's own instrument. Exit code 1 if a file
 //! cannot be read, 2 with no arguments.
 
 use std::process::ExitCode;

@@ -15,7 +15,7 @@
 //! * a CRC-32 over the index so corruption fails fast at open time,
 //!   plus a CRC-32 per sample payload so a resilient reader can skip
 //!   an individually corrupted sample and continue
-//!   ([`Container::sample_verified`]).
+//!   ([`SampleInfo::crc`]).
 //!
 //! Layout: `magic ∥ version ∥ index-length ∥ index (+CRC) ∥ data`.
 //! Sample offsets are relative to the data section, so the index can
@@ -210,7 +210,7 @@ mod tests {
         let mut w = ContainerWriter::new();
         let t = w.add_track(TrackKind::Video, b"cfg".to_vec());
         w.push_sample(t, b"abc", Timestamp::ZERO, true);
-        w.write_to(&path).unwrap();
+        std::fs::write(&path, w.finish()).unwrap();
         let c = Container::open(&path).unwrap();
         assert_eq!(c.sample(0, 0).unwrap(), b"abc");
         std::fs::remove_file(&path).unwrap();
@@ -226,8 +226,8 @@ mod tests {
         let c = Container::parse(w.finish()).unwrap();
         let mut cursor = c.cursor(0).unwrap();
         let mut seen = 0;
-        while let Some((info, data)) = cursor.next_sample() {
-            assert_eq!(data, &[seen as u8; 3]);
+        while let Some((info, data)) = cursor.next_sample_slice() {
+            assert_eq!(data, vec![seen as u8; 3]);
             assert_eq!(info.timestamp.frame_index(FrameRate(30)), seen);
             seen += 1;
         }

@@ -1,7 +1,7 @@
 //! Container muxing.
 
 use crate::{SampleInfo, Track, TrackKind, MAGIC, VERSION};
-use vr_base::{Result, Timestamp};
+use vr_base::Timestamp;
 use vr_bitstream::bytesio::ByteWriter;
 use vr_bitstream::crc32;
 
@@ -10,8 +10,7 @@ use vr_bitstream::crc32;
 pub struct TrackHandle(usize);
 
 /// Builds a container in memory; finalize with
-/// [`finish`](ContainerWriter::finish) or
-/// [`write_to`](ContainerWriter::write_to).
+/// [`finish`](ContainerWriter::finish).
 #[derive(Debug, Default)]
 pub struct ContainerWriter {
     tracks: Vec<Track>,
@@ -51,11 +50,6 @@ impl ContainerWriter {
         });
     }
 
-    /// Total bytes of sample payload muxed so far.
-    pub fn data_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// Serialize the container.
     pub fn finish(self) -> Vec<u8> {
         // Index section.
@@ -84,14 +78,5 @@ impl ContainerWriter {
         out.put_u64(self.data.len() as u64);
         out.put_bytes(&self.data);
         out.finish()
-    }
-
-    /// Serialize and write to a file.
-    pub fn write_to(self, path: &std::path::Path) -> Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.finish())?;
-        Ok(())
     }
 }

@@ -21,9 +21,9 @@ use vr_bitstream::bytesio::{ByteReader, ByteWriter};
 use vr_bitstream::crc32;
 
 /// Sidecar format magic.
-pub const SIDECAR_MAGIC: &[u8; 4] = b"VRSX";
+pub(crate) const SIDECAR_MAGIC: &[u8; 4] = b"VRSX";
 /// Sidecar format version.
-pub const SIDECAR_VERSION: u16 = 1;
+pub(crate) const SIDECAR_VERSION: u16 = 1;
 /// Sanity bound on the section count (a table this large is corrupt).
 const MAX_SECTIONS: u32 = 64;
 

@@ -323,7 +323,9 @@ fn parse_res(flags: &Flags, default: Resolution) -> Result<Resolution, String> {
 fn hyper_from(flags: &Flags) -> Result<Hyperparameters, String> {
     let scale = flags.parsed("scale", 1u32)?;
     let res = parse_res(flags, Resolution::new(192, 108))?;
-    let duration = Duration::from_secs(flags.parsed("duration", 1.0f64)?);
+    let complaint = "--duration wants a non-negative number of seconds";
+    let secs = flags.checked("duration", |&d: &f64| d.is_finite() && d >= 0.0, complaint)?;
+    let duration = Duration::from_secs(secs.unwrap_or(1.0));
     let seed = flags.parsed("seed", 0u64)?;
     Hyperparameters::new(scale, res, duration, seed).map_err(|e| e.to_string())
 }
@@ -331,8 +333,11 @@ fn hyper_from(flags: &Flags) -> Result<Hyperparameters, String> {
 /// `--density` / `--nodes`, for the two commands whose product is the
 /// dataset itself (`generate`, `ingest`).
 fn gen_config(flags: &Flags) -> Result<GenConfig, String> {
+    let complaint = "--density wants a positive number";
     Ok(GenConfig {
-        density_scale: flags.parsed("density", 0.15f64)?,
+        density_scale: flags
+            .checked("density", |&d: &f64| d.is_finite() && d > 0.0, complaint)?
+            .unwrap_or(0.15),
         nodes: flags.parsed("nodes", visual_road::base::sync::worker_budget())?,
         ..Default::default()
     })
@@ -1036,6 +1041,24 @@ mod tests {
             let error = parse(command, &[&format!("--{flag}"), "4"]).unwrap_err();
             assert_eq!(error, format!("unknown flag --{flag} for {command}"));
         }
+    }
+
+    #[test]
+    fn a_duration_or_density_out_of_range_is_refused() {
+        let flags = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Flags::parse("generate", &args, flags_of("generate")).unwrap()
+        };
+        for v in ["-1", "NaN", "inf", "x"] {
+            let error = hyper_from(&flags(&["--duration", v])).unwrap_err();
+            assert_eq!(error, "--duration wants a non-negative number of seconds");
+        }
+        assert_eq!(hyper_from(&flags(&["--duration", "0"])).unwrap().duration, Duration::ZERO);
+        for v in ["NaN", "-3", "0", "inf"] {
+            let error = gen_config(&flags(&["--density", v])).unwrap_err();
+            assert_eq!(error, "--density wants a positive number");
+        }
+        assert_eq!(gen_config(&flags(&["--density", "0.5"])).unwrap().density_scale, 0.5);
     }
 
     /// Byte for byte what the inline `format!`s wrote (captured on the

@@ -1,7 +1,7 @@
 //! A generated benchmark dataset: the city, its videos, and their
 //! provenance.
 
-use vr_base::{CameraId, Error, Hyperparameters, Result, TileId};
+use vr_base::{CameraId, Hyperparameters, Result, TileId};
 use vr_scene::VisualCity;
 use vr_storage::FlatStore;
 use vr_vdbms::query::{FaceParams, SampleContext};
@@ -84,7 +84,7 @@ impl Dataset {
     }
 
     /// The sampling context the VCD draws Table 3 parameters from.
-    pub fn sample_context(&self) -> SampleContext {
+    pub(crate) fn sample_context(&self) -> SampleContext {
         let mut known_plates = Vec::new();
         for t in 0..self.city.tile_count() {
             for v in &self.city.tile(TileId(t as u32)).vehicles {
@@ -158,12 +158,5 @@ impl Dataset {
             *video = InputVideo::from_store(store, &video.name)?;
         }
         Ok(())
-    }
-
-    /// The video at `index`, with bounds checking.
-    pub fn video(&self, index: usize) -> Result<&InputVideo> {
-        self.videos
-            .get(index)
-            .ok_or_else(|| Error::NotFound(format!("dataset video {index}")))
     }
 }

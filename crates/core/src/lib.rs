@@ -50,16 +50,12 @@ pub mod server;
 pub mod vcd;
 pub mod vcg;
 
-pub use dataset::{Dataset, VideoMeta, VideoRole};
+pub use dataset::Dataset;
 pub use semantic::{
     acquire_index, answer_with_index, answer_with_rescan, decide_route, ingest_dataset,
-    recall_at_k, truth_top_segments, validate_index, IngestStats, SemanticAnswer, SemanticPlan,
-    SemanticQuery, SemanticRouter,
+    recall_at_k, truth_top_segments, IngestStats, SemanticAnswer, SemanticQuery, SemanticRouter,
 };
-pub use report::{
-    BenchmarkReport, DegradationStats, ExplainInfo, QueryReport, QueryStatus, SchedulerStats,
-    ValidationSummary,
-};
+pub use report::{BenchmarkReport, DegradationStats, QueryStatus};
 pub use vcd::{ExecutionMode, ExplainMode, Vcd, VcdConfig};
 pub use vcg::{GenConfig, Vcg};
 
@@ -78,12 +74,12 @@ pub use vr_vision as vision;
 pub use vr_vtt as vtt;
 
 /// The benchmark version implemented by this crate.
-pub const BENCHMARK_VERSION: &str = "1.0";
+pub(crate) const BENCHMARK_VERSION: &str = "1.0";
 
 /// Common imports for benchmark users.
 pub mod prelude {
     pub use crate::dataset::Dataset;
-    pub use crate::report::{BenchmarkReport, ExplainInfo, QueryReport, QueryStatus};
+    pub use crate::report::{BenchmarkReport, QueryStatus};
     pub use crate::vcd::{ExecutionMode, ExplainMode, Vcd, VcdConfig};
     pub use crate::vcg::{GenConfig, Vcg};
     pub use vr_base::{Duration, FrameRate, Hyperparameters, Resolution};

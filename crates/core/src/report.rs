@@ -60,7 +60,7 @@ pub struct SchedulerStats {
 impl SchedulerStats {
     /// Fold per-instance latencies of a batch that took `runtime` into
     /// batch statistics.
-    pub fn from_durations(
+    pub(crate) fn from_durations(
         workers: usize,
         nanos: &[u64],
         runtime: WallDuration,
@@ -106,7 +106,7 @@ pub struct DegradationStats {
 
 impl DegradationStats {
     /// Whether any degradation occurred.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.recovered.any() || self.cancelled_instances > 0 || self.failed_instances > 0
     }
 }

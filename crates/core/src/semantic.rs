@@ -129,7 +129,7 @@ pub fn ingest_dataset(dataset: &Dataset) -> Result<(SemanticIndex, Vec<u8>)> {
 /// fail-closed half of the side-index threat model: corrupt files die
 /// in `from_sidecar_bytes`, stale files die here, and neither ever
 /// produces a wrong answer.
-pub fn validate_index(index: &SemanticIndex, dataset: &Dataset) -> Result<()> {
+pub(crate) fn validate_index(index: &SemanticIndex, dataset: &Dataset) -> Result<()> {
     if index.seed() != dataset.hyper.seed {
         return Err(Error::ValidationFailed(format!(
             "index built from seed {} but dataset has seed {}",

@@ -295,11 +295,6 @@ impl QueryServer {
         self.addr
     }
 
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.addr.port()
-    }
-
     /// Begin a graceful drain from the owning process (equivalent to
     /// a `SHUTDOWN` request).
     pub fn shutdown(&self) {
@@ -711,7 +706,7 @@ fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
     // bookkeeping before and rendering after are not request latency.
     let t0 = Instant::now();
     let deadline = deadline_ms.map(|d| t0 + d);
-    let response = match shared.admission.admit_request(&req, deadline) {
+    let response = match shared.admission.admit(&req.tenant, req.priority, deadline) {
         Err(reason) => {
             record.shed_reason = Some(reason.label());
             record.latency = t0.elapsed();

@@ -96,22 +96,6 @@ impl Aabb3 {
         Some(t0)
     }
 
-    /// The box rotated by `yaw` radians about its center's vertical
-    /// axis, then re-wrapped in an axis-aligned box (conservative).
-    pub fn yawed(&self, yaw: f32) -> Aabb3 {
-        let c = self.center();
-        let mut min = Vec3::new(f32::MAX, f32::MAX, self.min.z);
-        let mut max = Vec3::new(f32::MIN, f32::MIN, self.max.z);
-        for corner in self.corners() {
-            let rel = (corner - c).ground().rotated(yaw);
-            let p = c.ground() + rel;
-            min.x = min.x.min(p.x);
-            min.y = min.y.min(p.y);
-            max.x = max.x.max(p.x);
-            max.y = max.y.max(p.y);
-        }
-        Aabb3 { min, max }
-    }
 }
 
 #[cfg(test)]
@@ -168,16 +152,5 @@ mod tests {
             .ray_hit(Vec3::new(10.0, 0.0, 0.0), Vec3::new(0.0, 1.0, 0.0), 100.0)
             .unwrap();
         assert_eq!(t, 0.0);
-    }
-
-    #[test]
-    fn yaw_quarter_turn_swaps_footprint() {
-        // A 4x2 footprint yawed 90° becomes (conservatively) 2x4.
-        let b = Aabb3::centered(Vec3::ZERO, 4.0, 2.0, 1.0);
-        let r = b.yawed(std::f32::consts::FRAC_PI_2);
-        let s = r.size();
-        assert!((s.x - 2.0).abs() < 1e-4, "x extent {}", s.x);
-        assert!((s.y - 4.0).abs() < 1e-4, "y extent {}", s.y);
-        assert!((s.z - 1.0).abs() < 1e-6);
     }
 }

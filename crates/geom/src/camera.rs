@@ -37,25 +37,25 @@ impl Camera {
     }
 
     /// Unit right vector (horizontal, perpendicular to forward).
-    pub fn right(&self) -> Vec3 {
+    pub(crate) fn right(&self) -> Vec3 {
         let (sy, cy) = self.yaw.sin_cos();
         Vec3::new(sy, -cy, 0.0)
     }
 
     /// Unit up vector (completes the right-handed camera basis).
-    pub fn up(&self) -> Vec3 {
+    pub(crate) fn up(&self) -> Vec3 {
         self.right().cross(self.forward())
     }
 
     /// Transform a world-space point into camera space
     /// (x right, y down, z forward).
-    pub fn world_to_camera(&self, p: Vec3) -> Vec3 {
+    pub(crate) fn world_to_camera(&self, p: Vec3) -> Vec3 {
         let rel = p - self.position;
         Vec3::new(rel.dot(self.right()), -rel.dot(self.up()), rel.dot(self.forward()))
     }
 
     /// Focal length in pixels for a frame `width` pixels wide.
-    pub fn focal_px(&self, width: u32) -> f32 {
+    pub(crate) fn focal_px(&self, width: u32) -> f32 {
         let half = (self.hfov_deg.to_radians() / 2.0).tan();
         width as f32 / (2.0 * half)
     }
@@ -134,7 +134,8 @@ impl Equirect {
 
     /// Pixel corresponding to a direction (inverse of
     /// [`pixel_to_dir`](Self::pixel_to_dir)).
-    pub fn dir_to_pixel(&self, d: Vec3) -> (f32, f32) {
+    #[cfg(test)]
+    fn dir_to_pixel(&self, d: Vec3) -> (f32, f32) {
         let lon = d.y.atan2(d.x);
         let lat = (d.z / d.length().max(1e-12)).asin();
         let x = (lon / (2.0 * std::f32::consts::PI) + 0.5) * self.width as f32;

@@ -65,7 +65,7 @@ impl Path {
 
     /// Unit travel direction at arc length `s` (direction of the
     /// containing segment). Falls back to +x on degenerate paths.
-    pub fn direction_at(&self, s: f32) -> Vec2 {
+    pub(crate) fn direction_at(&self, s: f32) -> Vec2 {
         let s = s.clamp(0.0, self.length());
         let mut i = match self
             .cumulative

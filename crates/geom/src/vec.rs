@@ -43,12 +43,6 @@ impl Vec2 {
         (len > 1e-12).then(|| self / len)
     }
 
-    /// Rotate counter-clockwise by `angle` radians.
-    pub fn rotated(self, angle: f32) -> Vec2 {
-        let (s, c) = angle.sin_cos();
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
-
     /// Perpendicular vector (counter-clockwise).
     pub fn perp(self) -> Vec2 {
         Vec2::new(-self.y, self.x)
@@ -88,7 +82,7 @@ impl Vec3 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
 
-    pub fn cross(self, o: Vec3) -> Vec3 {
+    pub(crate) fn cross(self, o: Vec3) -> Vec3 {
         Vec3::new(
             self.y * o.z - self.z * o.y,
             self.z * o.x - self.x * o.z,
@@ -169,8 +163,6 @@ mod tests {
 
     #[test]
     fn vec2_rotation_quarter_turn() {
-        let r = Vec2::new(1.0, 0.0).rotated(std::f32::consts::FRAC_PI_2);
-        assert!(close(r.x, 0.0) && close(r.y, 1.0));
         assert_eq!(Vec2::new(1.0, 0.0).perp(), Vec2::new(0.0, 1.0));
     }
 

@@ -83,15 +83,7 @@ impl Hnsw {
         Hnsw { cfg, dim, vectors: Vec::new(), links: Vec::new(), entry: None }
     }
 
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    pub fn vector(&self, id: u32) -> &[f32] {
+    pub(crate) fn vector(&self, id: u32) -> &[f32] {
         &self.vectors[id as usize]
     }
 
@@ -160,7 +152,7 @@ impl Hnsw {
         self.search_ef(query, k, self.cfg.ef_search)
     }
 
-    pub fn search_ef(&self, query: &[f32], k: usize, ef: usize) -> Vec<(u32, f32)> {
+    pub(crate) fn search_ef(&self, query: &[f32], k: usize, ef: usize) -> Vec<(u32, f32)> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let Some(mut ep) = self.entry else {
             return Vec::new();

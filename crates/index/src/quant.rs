@@ -50,14 +50,14 @@ impl Quantized {
     }
 
     /// Reconstruct the (lossy) f32 vector.
-    pub fn dequantize(&self) -> Vec<f32> {
+    pub(crate) fn dequantize(&self) -> Vec<f32> {
         self.codes
             .iter()
             .map(|&c| self.min + c as f32 * self.scale)
             .collect()
     }
 
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.codes.len()
     }
 }

@@ -34,12 +34,12 @@ pub struct TrackRecord {
 
 impl TrackRecord {
     /// Number of frames the record spans (gaps included).
-    pub fn span(&self) -> u32 {
+    pub(crate) fn span(&self) -> u32 {
         self.last_frame - self.first_frame + 1
     }
 
     /// Whether the tracklet was observed at `frame`.
-    pub fn present(&self, frame: u32) -> bool {
+    pub(crate) fn present(&self, frame: u32) -> bool {
         if frame < self.first_frame || frame > self.last_frame {
             return false;
         }
@@ -48,7 +48,7 @@ impl TrackRecord {
     }
 
     /// Whether any observed frame falls in `[lo, hi]` (inclusive).
-    pub fn present_in_range(&self, lo: u32, hi: u32) -> bool {
+    pub(crate) fn present_in_range(&self, lo: u32, hi: u32) -> bool {
         let lo = lo.max(self.first_frame);
         let hi = hi.min(self.last_frame);
         (lo..=hi).any(|f| self.present(f))
@@ -71,7 +71,7 @@ impl TrackRecord {
 }
 
 /// Serialize a record set (all sharing embedding dimension `dim`).
-pub fn serialize_records(dim: usize, records: &[TrackRecord]) -> Vec<u8> {
+pub(crate) fn serialize_records(dim: usize, records: &[TrackRecord]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(dim as u32);
     w.put_u32(records.len() as u32);
@@ -93,7 +93,7 @@ pub fn serialize_records(dim: usize, records: &[TrackRecord]) -> Vec<u8> {
 }
 
 /// Inverse of [`serialize_records`], with structural validation.
-pub fn deserialize_records(data: &[u8]) -> Result<(usize, Vec<TrackRecord>)> {
+pub(crate) fn deserialize_records(data: &[u8]) -> Result<(usize, Vec<TrackRecord>)> {
     let mut r = ByteReader::new(data);
     let dim = r.get_u32()? as usize;
     if dim == 0 || dim > 4096 {

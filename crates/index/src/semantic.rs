@@ -121,7 +121,6 @@ pub fn similar_records(records: &[TrackRecord], track: u32, k: usize) -> Result<
 
 pub struct SemanticIndex {
     seed: u64,
-    dim: usize,
     /// Frame count per dataset video index (BTreeMap: only traffic
     /// videos are indexed, and indices need not be contiguous).
     video_frames: BTreeMap<u32, u32>,
@@ -203,15 +202,11 @@ impl SemanticIndex {
         for rec in &records {
             graph.insert(rec.quant.dequantize(), &mut rng);
         }
-        Ok(SemanticIndex { seed, dim, video_frames, records, graph })
+        Ok(SemanticIndex { seed, video_frames, records, graph })
     }
 
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     pub fn len(&self) -> usize {
@@ -220,10 +215,6 @@ impl SemanticIndex {
 
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    pub fn records(&self) -> &[TrackRecord] {
-        &self.records
     }
 
     pub fn video_frames(&self) -> &BTreeMap<u32, u32> {
@@ -260,11 +251,6 @@ impl SemanticIndex {
         hits.retain(|&(id, _)| id != track);
         hits.truncate(k);
         Ok(hits)
-    }
-
-    /// Raw nearest-neighbor search over an arbitrary embedding.
-    pub fn nearest(&self, embedding: &[f32], k: usize) -> Vec<(u32, f32)> {
-        self.graph.search(embedding, k)
     }
 }
 
@@ -309,16 +295,16 @@ mod tests {
         let again = SemanticIndex::to_sidecar_bytes(
             idx.seed(),
             idx.video_frames(),
-            idx.records(),
+            &idx.records,
         );
         let twice = SemanticIndex::to_sidecar_bytes(
             idx.seed(),
             idx.video_frames(),
-            idx.records(),
+            &idx.records,
         );
         assert_eq!(again, twice);
         let reloaded = SemanticIndex::from_sidecar_bytes(&again).unwrap();
-        assert_eq!(reloaded.records(), idx.records());
+        assert_eq!(reloaded.records, idx.records);
         assert_eq!(reloaded.seed(), 77);
     }
 
@@ -357,7 +343,7 @@ mod tests {
     fn corrupt_sidecar_fails_closed() {
         let idx = tiny_index();
         let bytes =
-            SemanticIndex::to_sidecar_bytes(idx.seed(), idx.video_frames(), idx.records());
+            SemanticIndex::to_sidecar_bytes(idx.seed(), idx.video_frames(), &idx.records);
         for at in [0usize, 7, bytes.len() / 2, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x10;

@@ -6,15 +6,15 @@ use vr_base::{CameraId, CameraKind, Hyperparameters, TileId, VrRng};
 use vr_geom::{Camera, Vec2, Vec3};
 
 /// Gap between tiles in the disconnected grid layout.
-pub const TILE_GAP: f32 = 64.0;
+pub(crate) const TILE_GAP: f32 = 64.0;
 
 /// Traffic cameras per tile (`c_t` in the camera configuration
 /// `C = {c_t, c_p} = {4, 1}`, §3.1).
-pub const TRAFFIC_CAMERAS_PER_TILE: u32 = 4;
+pub(crate) const TRAFFIC_CAMERAS_PER_TILE: u32 = 4;
 /// Panoramic rigs per tile (`c_p`).
-pub const PANORAMIC_RIGS_PER_TILE: u32 = 1;
+pub(crate) const PANORAMIC_RIGS_PER_TILE: u32 = 1;
 /// 2D faces per panoramic rig (four 120° cameras, §3.1).
-pub const PANORAMIC_FACES: u32 = 4;
+pub(crate) const PANORAMIC_FACES: u32 = 4;
 
 /// A camera placed in the city.
 #[derive(Debug, Clone)]
@@ -32,7 +32,6 @@ pub struct VisualCity {
     tiles: Vec<Tile>,
     origins: Vec<Vec2>,
     cameras: Vec<CityCamera>,
-    seed: u64,
 }
 
 impl VisualCity {
@@ -98,12 +97,7 @@ impl VisualCity {
                 }
             }
         }
-        Self { tiles, origins, cameras, seed: hyper.seed }
-    }
-
-    /// Seed the city was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
+        Self { tiles, origins, cameras }
     }
 
     /// Number of tiles (the scale factor L).

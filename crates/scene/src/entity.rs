@@ -81,7 +81,7 @@ const VEHICLE_COLORS: [Rgb; 8] = [
 impl Vehicle {
     /// Spawn a vehicle on `route` with randomized speed, offset, size
     /// and color.
-    pub fn spawn(id: VehicleId, route: Path, rng: &mut VrRng) -> Self {
+    pub(crate) fn spawn(id: VehicleId, route: Path, rng: &mut VrRng) -> Self {
         let length = rng.range_f32(3.8, 5.4);
         Self {
             id,
@@ -102,18 +102,9 @@ impl Vehicle {
         Pose { position, yaw: dir.y.atan2(dir.x) }
     }
 
-    /// World-space bounding box at time `t` (conservative axis-aligned
-    /// wrap of the yawed body), given the tile's world offset.
-    pub fn aabb_at(&self, t: f64, tile_origin: Vec2) -> Aabb3 {
-        let pose = self.pose_at(t);
-        let center = Vec3::from_ground(pose.position + tile_origin, self.dims.2 / 2.0);
-        Aabb3::centered(center, self.dims.0, self.dims.1, self.dims.2).yawed(pose.yaw)
-    }
-
-    /// The eight corners of the *oriented* body box at time `t` —
-    /// tighter than [`aabb_at`](Self::aabb_at)'s axis-aligned wrap;
+    /// The eight corners of the *oriented* body box at time `t`;
     /// ground truth projects these for 2D boxes.
-    pub fn obb_corners_at(&self, t: f64, tile_origin: Vec2) -> [Vec3; 8] {
+    pub(crate) fn obb_corners_at(&self, t: f64, tile_origin: Vec2) -> [Vec3; 8] {
         let pose = self.pose_at(t);
         let fwd = Vec2::new(pose.yaw.cos(), pose.yaw.sin());
         let side = fwd.perp();
@@ -134,7 +125,7 @@ impl Vehicle {
 
     /// World position of the center of the front-facing license plate
     /// at time `t`, plus the outward normal of the plate.
-    pub fn plate_at(&self, t: f64, tile_origin: Vec2) -> (Vec3, Vec3) {
+    pub(crate) fn plate_at(&self, t: f64, tile_origin: Vec2) -> (Vec3, Vec3) {
         let pose = self.pose_at(t);
         let forward = Vec2::new(pose.yaw.cos(), pose.yaw.sin());
         let pos = pose.position + tile_origin + forward * (self.dims.0 / 2.0);
@@ -159,7 +150,7 @@ pub struct Pedestrian {
 
 impl Pedestrian {
     /// Spawn a pedestrian on `route` with randomized parameters.
-    pub fn spawn(id: PedestrianId, route: Path, rng: &mut VrRng) -> Self {
+    pub(crate) fn spawn(id: PedestrianId, route: Path, rng: &mut VrRng) -> Self {
         let color = Rgb::new(
             rng.range(40, 230) as u8,
             rng.range(40, 230) as u8,
@@ -184,7 +175,7 @@ impl Pedestrian {
     }
 
     /// World-space bounding box at time `t`.
-    pub fn aabb_at(&self, t: f64, tile_origin: Vec2) -> Aabb3 {
+    pub(crate) fn aabb_at(&self, t: f64, tile_origin: Vec2) -> Aabb3 {
         let pose = self.pose_at(t);
         let center = Vec3::from_ground(pose.position + tile_origin, self.height / 2.0);
         Aabb3::centered(center, 0.55, 0.55, self.height)
@@ -255,9 +246,6 @@ mod tests {
         assert!((plate_pos.z - (0.3 + PLATE_HEIGHT_M / 2.0)).abs() < 1e-6);
         // ... facing the direction of travel.
         assert!(normal.ground().dot(offset.normalized().unwrap()) > 0.99);
-        // ... and the bounding box contains the body center.
-        let bb = v.aabb_at(t, Vec2::ZERO);
-        assert!(bb.contains(Vec3::from_ground(pose.position, 0.5)));
     }
 
     #[test]

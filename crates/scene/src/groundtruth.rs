@@ -20,18 +20,18 @@ use vr_geom::{Rect, Vec3};
 /// Deliberately generous: evaluation protocols need to know about
 /// far-away objects too (to ignore detections of them rather than
 /// count them as false positives).
-pub const MAX_VISIBLE_DISTANCE: f32 = 400.0;
+pub(crate) const MAX_VISIBLE_DISTANCE: f32 = 400.0;
 /// Minimum projected box area (px²) for an entity to be enumerated.
-pub const MIN_VISIBLE_AREA: u64 = 6;
+pub(crate) const MIN_VISIBLE_AREA: u64 = 6;
 /// Minimum projected plate width (px) for a plate to be readable —
 /// calibrated to the block-code recognizer's resolving power (seven
 /// 2-wide code cells need roughly this many pixels).
-pub const MIN_PLATE_WIDTH_PX: f32 = 26.0;
+pub(crate) const MIN_PLATE_WIDTH_PX: f32 = 26.0;
 /// Minimum projected plate height (px): three block rows.
-pub const MIN_PLATE_HEIGHT_PX: f32 = 9.0;
+pub(crate) const MIN_PLATE_HEIGHT_PX: f32 = 9.0;
 /// Minimum cosine between the plate normal and the camera direction:
 /// past ~60° off-axis the code blocks smear into each other.
-pub const MIN_PLATE_FACING: f32 = 0.5;
+pub(crate) const MIN_PLATE_FACING: f32 = 0.5;
 
 /// One object visible (or occluded) in a frame.
 #[derive(Debug, Clone, PartialEq)]

@@ -24,12 +24,12 @@ pub mod entity;
 pub mod groundtruth;
 pub mod road;
 pub mod tile;
-pub mod tilepool;
+mod tilepool;
 pub mod weather;
 
 pub use city::{CityCamera, VisualCity};
 pub use entity::{ObjectClass, Pedestrian, Vehicle};
 pub use groundtruth::{FrameTruth, TruthObject};
 pub use tile::Tile;
-pub use tilepool::{Density, MapKind, TileSpec, TILE_POOL_SIZE};
+pub use tilepool::{Density, MapKind, TileSpec};
 pub use weather::Weather;

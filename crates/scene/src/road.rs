@@ -13,7 +13,7 @@ use vr_geom::{Path, Vec2};
 //  kilometers"; the simulation scales distances down uniformly, which
 /// leaves camera-relative geometry — and therefore video content —
 /// unchanged.)
-pub const TILE_SIZE: f32 = 256.0;
+pub(crate) const TILE_SIZE: f32 = 256.0;
 
 /// Road width in meters (two lanes).
 pub const ROAD_WIDTH: f32 = 8.0;
@@ -31,13 +31,8 @@ pub struct RoadSegment {
 
 impl RoadSegment {
     /// Point at parameter `t ∈ [0, 1]` along the centerline.
-    pub fn point_at(&self, t: f32) -> Vec2 {
+    pub(crate) fn point_at(&self, t: f32) -> Vec2 {
         self.a.lerp(self.b, t)
-    }
-
-    /// Unit direction of the segment.
-    pub fn direction(&self) -> Vec2 {
-        (self.b - self.a).normalized().unwrap_or(Vec2::new(1.0, 0.0))
     }
 }
 
@@ -54,7 +49,7 @@ pub struct RoadNetwork {
 
 impl RoadNetwork {
     /// Build the network for a base map.
-    pub fn generate(map: MapKind) -> Self {
+    pub(crate) fn generate(map: MapKind) -> Self {
         match map {
             MapKind::Town01 => grid_town(),
             MapKind::Town02 => ring_town(),
@@ -311,6 +306,5 @@ mod tests {
     fn segment_helpers() {
         let s = RoadSegment { a: Vec2::new(0.0, 0.0), b: Vec2::new(10.0, 0.0), width: 8.0 };
         assert_eq!(s.point_at(0.5), Vec2::new(5.0, 0.0));
-        assert_eq!(s.direction(), Vec2::new(1.0, 0.0));
     }
 }

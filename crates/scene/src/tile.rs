@@ -54,7 +54,7 @@ impl Tile {
     /// `density_scale` multiplies the spec's nominal entity counts so
     /// in-session experiments can run with lighter populations without
     /// changing the tile's character (1.0 = the paper's counts).
-    pub fn generate(spec: TileSpec, seed: u64, density_scale: f64) -> Self {
+    pub(crate) fn generate(spec: TileSpec, seed: u64, density_scale: f64) -> Self {
         let mut rng = VrRng::seed_from(seed);
         let network = RoadNetwork::generate(spec.map);
 

@@ -5,7 +5,7 @@ use crate::weather::{Weather, ALL_WEATHER};
 use vr_base::VrRng;
 
 /// Number of tiles in the Visual Road 1.0 pool.
-pub const TILE_POOL_SIZE: usize = 72;
+pub(crate) const TILE_POOL_SIZE: usize = 72;
 
 /// Base map geometry a tile is built from (the paper uses CARLA's
 /// TOWN01 and TOWN02 resources).
@@ -31,7 +31,7 @@ pub enum Density {
 
 impl Density {
     /// Nominal vehicle count per tile at full simulation scale.
-    pub fn vehicles(&self) -> u32 {
+    pub(crate) fn vehicles(&self) -> u32 {
         match self {
             Density::Light => 20,
             Density::Medium => 60,
@@ -40,7 +40,7 @@ impl Density {
     }
 
     /// Nominal pedestrian count per tile at full simulation scale.
-    pub fn pedestrians(&self) -> u32 {
+    pub(crate) fn pedestrians(&self) -> u32 {
         match self {
             Density::Light => 64,
             Density::Medium => 200,
@@ -58,7 +58,7 @@ pub struct TileSpec {
 }
 
 /// The full 72-entry pool, in a fixed deterministic order.
-pub fn tile_pool() -> Vec<TileSpec> {
+pub(crate) fn tile_pool() -> Vec<TileSpec> {
     let mut pool = Vec::with_capacity(TILE_POOL_SIZE);
     for map in [MapKind::Town01, MapKind::Town02] {
         for weather in ALL_WEATHER {
@@ -74,7 +74,7 @@ pub fn tile_pool() -> Vec<TileSpec> {
 /// layouts, each crossed with every weather and density — the paper's
 /// "support increasingly complex procedurally-generated tiles" future
 /// work. `variants = 0` gives the version-1.0 pool.
-pub fn tile_pool_extended(variants: u8) -> Vec<TileSpec> {
+pub(crate) fn tile_pool_extended(variants: u8) -> Vec<TileSpec> {
     let mut pool = tile_pool();
     for v in 0..variants {
         for weather in ALL_WEATHER {
@@ -86,15 +86,10 @@ pub fn tile_pool_extended(variants: u8) -> Vec<TileSpec> {
     pool
 }
 
-/// Draw a tile spec uniformly with replacement (§3.1: "each tile is
-/// drawn uniformly with replacement from a pool of tiles").
-pub fn draw_tile(rng: &mut VrRng) -> TileSpec {
-    let pool = tile_pool();
-    *rng.choose(&pool)
-}
-
-/// Draw from the extended pool.
-pub fn draw_tile_extended(rng: &mut VrRng, variants: u8) -> TileSpec {
+/// Draw a tile spec uniformly with replacement from the extended pool
+/// (§3.1: "each tile is drawn uniformly with replacement from a pool of
+/// tiles").
+pub(crate) fn draw_tile_extended(rng: &mut VrRng, variants: u8) -> TileSpec {
     let pool = tile_pool_extended(variants);
     *rng.choose(&pool)
 }
@@ -135,12 +130,12 @@ mod tests {
         let mut a = VrRng::seed_from(5);
         let mut b = VrRng::seed_from(5);
         for _ in 0..100 {
-            assert_eq!(draw_tile(&mut a), draw_tile(&mut b));
+            assert_eq!(draw_tile_extended(&mut a, 0), draw_tile_extended(&mut b, 0));
         }
         // With enough draws, a large part of the pool appears.
         let mut rng = VrRng::seed_from(6);
         let seen: std::collections::HashSet<_> =
-            (0..2000).map(|_| draw_tile(&mut rng)).collect();
+            (0..2000).map(|_| draw_tile_extended(&mut rng, 0)).collect();
         assert!(seen.len() > 60, "only {} of 72 tiles drawn", seen.len());
     }
 }

@@ -32,7 +32,7 @@ pub struct Weather {
 }
 
 /// All twelve weather configurations, in pool order.
-pub const ALL_WEATHER: [Weather; 12] = [
+pub(crate) const ALL_WEATHER: [Weather; 12] = [
     Weather { sky: Sky::Clear, sun: SunPosition::Noon },
     Weather { sky: Sky::Clear, sun: SunPosition::Sunset },
     Weather { sky: Sky::Clear, sun: SunPosition::Overcast },

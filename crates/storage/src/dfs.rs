@@ -171,39 +171,11 @@ impl MiniDfs {
         Ok(SharedBuf::from_vec(out))
     }
 
-    /// Whether a file exists.
-    pub fn exists(&self, name: &str) -> bool {
-        self.name.read().files.contains_key(name)
-    }
-
     /// Mark a datanode dead (its blocks become unreadable).
     pub fn kill_datanode(&self, idx: usize) {
         if let Some(node) = self.nodes.get(idx) {
             node.write().alive = false;
         }
-    }
-
-    /// Revive a datanode (its blocks are intact).
-    pub fn revive_datanode(&self, idx: usize) {
-        if let Some(node) = self.nodes.get(idx) {
-            node.write().alive = true;
-        }
-    }
-
-    /// Count of blocks whose live replica count is below the
-    /// replication factor (the namenode's under-replication report).
-    pub fn under_replicated_blocks(&self) -> usize {
-        let nn = self.name.read();
-        nn.replicas
-            .values()
-            .filter(|holders| {
-                let live = holders
-                    .iter()
-                    .filter(|&&h| self.nodes[h].read().alive)
-                    .count();
-                live < self.replication
-            })
-            .count()
     }
 
     /// Total number of stored files.
@@ -230,7 +202,6 @@ mod tests {
         let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         dfs.put("video.vrmf", &data).unwrap();
         assert_eq!(dfs.get("video.vrmf").unwrap(), data);
-        assert!(dfs.exists("video.vrmf"));
         assert_eq!(dfs.file_count(), 1);
     }
 
@@ -248,9 +219,6 @@ mod tests {
         dfs.put("f", &data).unwrap();
         dfs.kill_datanode(0);
         assert_eq!(dfs.get("f").unwrap(), data, "replication should cover one failure");
-        assert!(dfs.under_replicated_blocks() > 0);
-        dfs.revive_datanode(0);
-        assert_eq!(dfs.under_replicated_blocks(), 0);
     }
 
     #[test]

@@ -93,21 +93,6 @@ impl FlatStore {
         self.path_of(name).map(|p| p.exists()).unwrap_or(false)
     }
 
-    /// Absolute path of an entry (engines that want to read directly).
-    pub fn path(&self, name: &str) -> Result<PathBuf> {
-        self.path_of(name)
-    }
-
-    /// Delete a file (idempotent).
-    pub fn delete(&self, name: &str) -> Result<()> {
-        let path = self.path_of(name)?;
-        match std::fs::remove_file(path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Names of all regular files directly under the root (sorted).
     pub fn list(&self) -> Result<Vec<String>> {
         let mut names = Vec::new();
@@ -171,8 +156,6 @@ mod tests {
             Err(Error::NotFound(_)) => {}
             other => panic!("expected NotFound, got {other:?}"),
         }
-        // Deleting a missing file is fine.
-        store.delete("nope").unwrap();
         store.destroy().unwrap();
     }
 

@@ -20,11 +20,6 @@ pub struct Pacer {
 }
 
 impl Pacer {
-    /// A pacer for `rate` at real time.
-    pub fn new(rate: FrameRate) -> Self {
-        Self::with_speedup(rate, 1.0)
-    }
-
     /// A pacer running `speedup`× faster than real time.
     pub fn with_speedup(rate: FrameRate, speedup: f64) -> Self {
         assert!(speedup > 0.0);
@@ -33,7 +28,7 @@ impl Pacer {
     }
 
     /// Release time of frame `index`.
-    pub fn release_time(&self, index: u64) -> Instant {
+    pub(crate) fn release_time(&self, index: u64) -> Instant {
         self.start + self.interval * index as u32
     }
 
@@ -50,11 +45,6 @@ impl Pacer {
             Duration::ZERO
         }
     }
-
-    /// The pacing interval between frames.
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
 }
 
 #[cfg(test)]
@@ -66,7 +56,7 @@ mod tests {
         // 1000 simulated FPS → 1 ms interval; reading 20 frames
         // immediately must take ≈ 19 ms.
         let pacer = Pacer::with_speedup(FrameRate(50), 20.0);
-        assert_eq!(pacer.interval(), Duration::from_millis(1));
+        assert_eq!(pacer.interval, Duration::from_millis(1));
         let t0 = Instant::now();
         let mut slept = Duration::ZERO;
         for i in 0..20 {
@@ -89,7 +79,7 @@ mod tests {
 
     #[test]
     fn release_times_are_evenly_spaced() {
-        let pacer = Pacer::new(FrameRate(30));
+        let pacer = Pacer::with_speedup(FrameRate(30), 1.0);
         let d = pacer.release_time(30) - pacer.release_time(0);
         let want = Duration::from_secs_f64(1.0);
         let err = d.abs_diff(want);

@@ -12,7 +12,7 @@ use vr_base::{Error, Result};
 
 /// RTP header (the RFC 3550 fixed part, no CSRC list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RtpHeader {
+pub(crate) struct RtpHeader {
     /// Protocol version; always 2.
     pub version: u8,
     /// Set on the final packet of a frame.
@@ -28,9 +28,9 @@ pub struct RtpHeader {
 }
 
 /// Header size in bytes.
-pub const HEADER_LEN: usize = 12;
+pub(crate) const HEADER_LEN: usize = 12;
 /// Dynamic video payload type.
-pub const PAYLOAD_TYPE_VIDEO: u8 = 96;
+pub(crate) const PAYLOAD_TYPE_VIDEO: u8 = 96;
 
 impl RtpHeader {
     fn write(&self, out: &mut Vec<u8>) {
@@ -42,7 +42,7 @@ impl RtpHeader {
     }
 
     /// Parse the header from the start of a packet.
-    pub fn parse(data: &[u8]) -> Result<Self> {
+    pub(crate) fn parse(data: &[u8]) -> Result<Self> {
         if data.len() < HEADER_LEN {
             return Err(Error::Corrupt("short RTP packet".into()));
         }
@@ -108,7 +108,7 @@ impl RtpPacketizer {
 /// Default bound on out-of-order packets held while waiting for a gap
 /// to fill; beyond it the depacketizer declares the gap a loss and
 /// skips ahead.
-pub const DEFAULT_JITTER_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_JITTER_CAPACITY: usize = 64;
 
 /// Reorders packets and reassembles frames.
 ///
@@ -145,7 +145,7 @@ impl RtpDepacketizer {
     }
 
     /// Create a depacketizer expecting the first packet at `seq`.
-    pub fn with_initial_sequence(ssrc: u32, seq: u16) -> Self {
+    pub(crate) fn with_initial_sequence(ssrc: u32, seq: u16) -> Self {
         Self {
             expected_ssrc: ssrc,
             buffer: BTreeMap::new(),
@@ -157,8 +157,9 @@ impl RtpDepacketizer {
         }
     }
 
-    /// Override the jitter-buffer bound (tests; `cap >= 1`).
-    pub fn with_capacity(mut self, cap: usize) -> Self {
+    /// Override the jitter-buffer bound (`cap >= 1`).
+    #[cfg(test)]
+    fn with_capacity(mut self, cap: usize) -> Self {
         self.capacity = cap.max(1);
         self
     }
@@ -252,11 +253,6 @@ impl RtpDepacketizer {
         frames
     }
 
-    /// Packets waiting for a gap to fill.
-    pub fn pending(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Total packets declared lost and skipped over so far.
     pub fn skipped(&self) -> u64 {
         self.skipped
@@ -310,7 +306,7 @@ mod tests {
             frames.extend(rx.push(p).unwrap());
         }
         assert_eq!(frames, vec![frame]);
-        assert_eq!(rx.pending(), 0);
+        assert_eq!(rx.buffer.len(), 0);
     }
 
     #[test]
@@ -364,7 +360,7 @@ mod tests {
         // Frames 0 and 2 recovered whole; torn frame 1 never emitted.
         assert_eq!(got, vec![frames[0].clone(), frames[2].clone()]);
         assert_eq!(rx.skipped(), 1);
-        assert_eq!(rx.pending(), 0);
+        assert_eq!(rx.buffer.len(), 0);
     }
 
     #[test]
@@ -412,7 +408,7 @@ mod tests {
         assert_eq!(rx.skipped(), 2, "the two missing packets of frame A");
         // A very late duplicate of an already-skipped packet is inert.
         assert!(rx.push(&pkts_a[0]).unwrap().is_empty());
-        assert_eq!(rx.pending(), 0);
+        assert_eq!(rx.buffer.len(), 0);
     }
 
     #[test]

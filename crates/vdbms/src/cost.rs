@@ -46,7 +46,7 @@ use vr_vision::yolo::NETWORK_INPUT_PIXELS;
 
 /// Profile format version; [`CalibrationProfile::parse`] rejects
 /// anything else so schema drift fails fast in the CI guard stage.
-pub const PROFILE_VERSION: u64 = 2;
+pub(crate) const PROFILE_VERSION: u64 = 2;
 
 /// Per-unit execution costs the optimizer scores candidate plans with.
 ///
@@ -303,7 +303,7 @@ pub struct Workload {
 
 impl Workload {
     /// Pixels per input frame.
-    pub fn pixels(&self) -> u64 {
+    pub(crate) fn pixels(&self) -> u64 {
         self.width as u64 * self.height as u64
     }
 }
@@ -487,13 +487,14 @@ impl Optimizer {
 
     /// Override the detected core count (tests pin both sides of the
     /// parallel break-even with this).
-    pub fn with_cores(mut self, cores: usize) -> Self {
+    #[cfg(test)]
+    fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores.max(1);
         self
     }
 
     /// The workload engines should derive [`QueryWork`] from.
-    pub fn workload(&self) -> Workload {
+    pub(crate) fn workload(&self) -> Workload {
         self.workload
     }
 

@@ -107,7 +107,7 @@ pub enum ResultMode {
 impl ResultMode {
     /// Apply the mode to a finished output (serialize + write, or
     /// drop). Returns the bytes persisted.
-    pub fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
+    pub(crate) fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
         match self {
             ResultMode::Streaming => Ok(0),
             ResultMode::Write { store, prefix } => {

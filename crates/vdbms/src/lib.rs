@@ -30,7 +30,7 @@ pub mod engine;
 pub mod functional;
 pub mod io;
 pub mod kernels;
-pub mod pipeline;
+mod pipeline;
 pub mod plan;
 pub mod query;
 pub mod reference;
@@ -40,13 +40,12 @@ mod zero_copy;
 pub use batch::BatchEngine;
 pub use cascade::CascadeEngine;
 pub use cost::{
-    CalibrationProfile, CandidateSpace, KernelClass, Optimizer, OptimizerMode, PlanChoice,
-    PlanDecision, QueryWork, Workload,
+    CalibrationProfile, CandidateSpace, KernelClass, Optimizer, OptimizerMode, QueryWork, Workload,
 };
 pub use engine::Vdbms;
 pub use functional::FunctionalEngine;
 pub use io::{ExecContext, InputVideo, OutputBox, QueryOutput, ResultMode};
-pub use pipeline::{Pipeline, PipelineMetrics, PipelineSnapshot, StageKind, StageSnapshot};
-pub use plan::{NodeStats, PlanDesc, PlanNode, Policy, ScanOp};
+pub use pipeline::{PipelineMetrics, PipelineSnapshot, StageKind, StageSnapshot};
+pub use plan::{PlanNode, Policy};
 pub use query::{FaceParams, QueryInstance, QueryKind, QuerySpec};
 pub use reference::ReferenceEngine;

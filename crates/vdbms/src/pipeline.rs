@@ -308,15 +308,11 @@ impl fmt::Display for PipelineSnapshot {
 ///
 /// `Send` is a supertrait so the pipelined executor can move the scan
 /// onto its producer thread; every scan here is plain data + a decoder.
-pub trait FrameSource: Send {
+pub(crate) trait FrameSource: Send {
     /// Stream parameters of the underlying video.
     fn info(&self) -> VideoInfo;
     /// Frames this source will yield in total.
     fn len(&self) -> usize;
-    /// Whether the source yields nothing.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
     /// The next frame, if any.
     fn next_frame(&mut self) -> Option<Result<Frame>>;
 }
@@ -331,7 +327,7 @@ fn one_frame(frame: &Result<Frame>) -> Option<(u64, u64)> {
 /// lazy access path) or a keyframe-seeking range of it (temporal
 /// predicate pushdown). Records Decode time per sample, pre-roll
 /// included.
-pub struct DecodeScan<'a> {
+pub(crate) struct DecodeScan<'a> {
     stream: FrameStream<'a>,
     metrics: Arc<PipelineMetrics>,
 }
@@ -359,7 +355,7 @@ impl FrameSource for DecodeScan<'_> {
 
 /// Scan over already-decoded frames (a materialized frame table).
 /// Records Scan time per frame read.
-pub struct MemoryScan {
+pub(crate) struct MemoryScan {
     info: VideoInfo,
     frames: Arc<Vec<Frame>>,
     next: usize,
@@ -408,7 +404,7 @@ impl FrameSource for MemoryScan {
 /// One kernel emission: a processed frame plus optional per-frame
 /// boxes (Q2(c)-style results).
 #[derive(Clone)]
-pub struct KernelOut {
+pub(crate) struct KernelOut {
     pub frame: Frame,
     pub boxes: Option<Vec<OutputBox>>,
 }
@@ -422,7 +418,7 @@ impl From<Frame> for KernelOut {
 /// A push-based streaming kernel. `push` receives frames in order and
 /// may emit zero or more outputs per input (windowed operators buffer
 /// internally); `finish` drains whatever remains.
-pub trait FrameKernel {
+pub(crate) trait FrameKernel {
     /// Consume one input frame (index is per-source).
     fn push(&mut self, frame: Frame, index: usize, out: &mut Vec<KernelOut>) -> Result<()>;
 
@@ -440,7 +436,7 @@ pub trait FrameKernel {
 }
 
 /// A one-in-one-out kernel from a closure.
-pub struct MapKernel<F>(F);
+pub(crate) struct MapKernel<F>(F);
 
 impl<F: FnMut(Frame, usize) -> Frame> FrameKernel for MapKernel<F> {
     fn push(&mut self, frame: Frame, index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
@@ -450,12 +446,12 @@ impl<F: FnMut(Frame, usize) -> Frame> FrameKernel for MapKernel<F> {
 }
 
 /// Build a [`MapKernel`].
-pub fn map<F: FnMut(Frame, usize) -> Frame>(f: F) -> MapKernel<F> {
+pub(crate) fn map<F: FnMut(Frame, usize) -> Frame>(f: F) -> MapKernel<F> {
     MapKernel(f)
 }
 
 /// A fallible one-in-one-out kernel from a closure.
-pub struct TryMapKernel<F>(F);
+pub(crate) struct TryMapKernel<F>(F);
 
 impl<F: FnMut(Frame, usize) -> Result<Frame>> FrameKernel for TryMapKernel<F> {
     fn push(&mut self, frame: Frame, index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
@@ -465,13 +461,13 @@ impl<F: FnMut(Frame, usize) -> Result<Frame>> FrameKernel for TryMapKernel<F> {
 }
 
 /// Build a [`TryMapKernel`].
-pub fn try_map<F: FnMut(Frame, usize) -> Result<Frame>>(f: F) -> TryMapKernel<F> {
+pub(crate) fn try_map<F: FnMut(Frame, usize) -> Result<Frame>>(f: F) -> TryMapKernel<F> {
     TryMapKernel(f)
 }
 
 /// A selective kernel from a closure: `None` drops the frame (Q1's
 /// temporal predicate).
-pub struct FilterMapKernel<F>(F);
+pub(crate) struct FilterMapKernel<F>(F);
 
 impl<F: FnMut(Frame, usize) -> Option<Frame>> FrameKernel for FilterMapKernel<F> {
     fn push(&mut self, frame: Frame, index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
@@ -483,7 +479,7 @@ impl<F: FnMut(Frame, usize) -> Option<Frame>> FrameKernel for FilterMapKernel<F>
 }
 
 /// Build a [`FilterMapKernel`].
-pub fn filter_map<F: FnMut(Frame, usize) -> Option<Frame>>(f: F) -> FilterMapKernel<F> {
+pub(crate) fn filter_map<F: FnMut(Frame, usize) -> Option<Frame>>(f: F) -> FilterMapKernel<F> {
     FilterMapKernel(f)
 }
 
@@ -491,14 +487,14 @@ pub fn filter_map<F: FnMut(Frame, usize) -> Option<Frame>>(f: F) -> FilterMapKer
 /// class-colored box frame plus the boxes themselves. Used verbatim
 /// by the reference and functional engines (the batch engine runs its
 /// heavyweight NN-framework variant instead).
-pub struct DetectBoxes {
+pub(crate) struct DetectBoxes {
     detector: YoloDetector,
     class: ObjectClass,
 }
 
 impl DetectBoxes {
     /// Build the kernel for one object class.
-    pub fn new(class: ObjectClass, cfg: YoloConfig) -> Self {
+    pub(crate) fn new(class: ObjectClass, cfg: YoloConfig) -> Self {
         Self { detector: YoloDetector::new(cfg), class }
     }
 }
@@ -521,7 +517,7 @@ impl FrameKernel for DetectBoxes {
 /// frame `j` the window covers `[j, j+m)` until the stream drains,
 /// after which it freezes on the final full window — matching the
 /// reference implementation's clamped formulation exactly.
-pub struct TemporalMaskKernel {
+pub(crate) struct TemporalMaskKernel {
     m: usize,
     epsilon: f64,
     total: usize,
@@ -532,7 +528,7 @@ pub struct TemporalMaskKernel {
 
 impl TemporalMaskKernel {
     /// `total` is the source's frame count (the window clamps to it).
-    pub fn new(m: u32, epsilon: f64, total: usize) -> Self {
+    pub(crate) fn new(m: u32, epsilon: f64, total: usize) -> Self {
         Self {
             m: (m as usize).clamp(1, total.max(1)),
             epsilon,
@@ -602,7 +598,7 @@ impl FrameKernel for TemporalMaskKernel {
 /// mean-absolute luma delta stays below the threshold take the cheap
 /// path, up to `max_skip` in a row before the full kernel is forced
 /// (bounding drift, as NoScope's periodic reference invocations do).
-pub struct DiffGate {
+pub(crate) struct DiffGate {
     diff: FrameDiff,
     threshold: f64,
     max_skip: u32,
@@ -611,12 +607,12 @@ pub struct DiffGate {
 
 impl DiffGate {
     /// Build a gate.
-    pub fn new(threshold: f64, max_skip: u32) -> Self {
+    pub(crate) fn new(threshold: f64, max_skip: u32) -> Self {
         Self { diff: FrameDiff::new(), threshold, max_skip, skipped: 0 }
     }
 
     /// Whether this frame must escalate to the full kernel.
-    pub fn escalate(&mut self, frame: &Frame) -> bool {
+    pub(crate) fn escalate(&mut self, frame: &Frame) -> bool {
         let score = self.diff.step(frame);
         if score < self.threshold && self.skipped < self.max_skip {
             self.skipped += 1;
@@ -634,7 +630,7 @@ impl DiffGate {
 
 /// A streaming run's result: the encoded video plus per-frame boxes if
 /// the kernel emitted any.
-pub struct StreamResult {
+pub(crate) struct StreamResult {
     pub video: EncodedVideo,
     pub boxes: Option<Vec<Vec<OutputBox>>>,
 }
@@ -748,23 +744,18 @@ pub struct Pipeline<'c> {
 
 impl<'c> Pipeline<'c> {
     /// Bind to an execution context.
-    pub fn new(ctx: &'c ExecContext) -> Self {
+    pub(crate) fn new(ctx: &'c ExecContext) -> Self {
         Self { ctx }
     }
 
-    /// The metrics this pipeline records into.
-    pub fn metrics(&self) -> &Arc<PipelineMetrics> {
-        &self.ctx.metrics
-    }
-
     /// Open a streaming scan over a whole input.
-    pub fn stream_scan<'a>(&self, input: &'a InputVideo) -> Result<DecodeScan<'a>> {
+    pub(crate) fn stream_scan<'a>(&self, input: &'a InputVideo) -> Result<DecodeScan<'a>> {
         self.absorb_stall("decode");
         Ok(self.decode_scan(FrameStream::open(input)?))
     }
 
     /// Open a keyframe-seeking scan over frames `[from, to]`.
-    pub fn range_scan<'a>(
+    pub(crate) fn range_scan<'a>(
         &self,
         input: &'a InputVideo,
         from: usize,
@@ -779,7 +770,7 @@ impl<'c> Pipeline<'c> {
     }
 
     /// Open a scan over already-decoded frames.
-    pub fn memory_scan(
+    pub(crate) fn memory_scan(
         &self,
         info: VideoInfo,
         frames: Arc<Vec<Frame>>,
@@ -797,7 +788,7 @@ impl<'c> Pipeline<'c> {
     /// separate threads connected by bounded channels; the kernel stays
     /// on the calling thread and sees frames in scan order, so the
     /// output is bit-identical to the sequential path.
-    pub fn run_streaming(
+    pub(crate) fn run_streaming(
         &self,
         source: &mut dyn FrameSource,
         kernel: &mut dyn FrameKernel,
@@ -811,7 +802,7 @@ impl<'c> Pipeline<'c> {
     /// Streaming over several sources in order (Q8's multi-camera
     /// scan); the kernel sees each source's end, in the same event
     /// order whether or not the run is pipelined.
-    pub fn run_streaming_multi(
+    pub(crate) fn run_streaming_multi(
         &self,
         sources: &mut [&mut dyn FrameSource],
         kernel: &mut dyn FrameKernel,
@@ -919,7 +910,7 @@ impl<'c> Pipeline<'c> {
     /// data-parallel over the batch, encode the whole output. The
     /// engine's worker request is clamped by the context's budget, so
     /// `VR_WORKERS=1` forces the sequential kernel here too.
-    pub fn run_eager(
+    pub(crate) fn run_eager(
         &self,
         source: &mut dyn FrameSource,
         workers: usize,
@@ -964,7 +955,7 @@ impl<'c> Pipeline<'c> {
 
     /// Whole-sequence policy: materialize, apply a sequence kernel
     /// (temporal aggregation, tiling, composites), encode.
-    pub fn run_sequence(
+    pub(crate) fn run_sequence(
         &self,
         source: &mut dyn FrameSource,
         kernel: impl FnOnce(Vec<Frame>, VideoInfo) -> Result<Vec<Frame>>,
@@ -986,7 +977,7 @@ impl<'c> Pipeline<'c> {
     /// The gate's difference detector is stateful over the frame
     /// sequence, so gate + kernel stay on the calling thread in scan
     /// order even when pipelined; decode and encode run alongside.
-    pub fn run_short_circuit(
+    pub(crate) fn run_short_circuit(
         &self,
         source: &mut dyn FrameSource,
         gate: &mut DiffGate,
@@ -1000,7 +991,7 @@ impl<'c> Pipeline<'c> {
 
     /// Drain a source into a vector (Scan/Decode time recorded by the
     /// source itself).
-    pub fn drain(&self, source: &mut dyn FrameSource) -> Result<Vec<Frame>> {
+    pub(crate) fn drain(&self, source: &mut dyn FrameSource) -> Result<Vec<Frame>> {
         let mut frames = Vec::with_capacity(source.len());
         while let Some(f) = source.next_frame() {
             self.check_cancelled(frames.len())?;
@@ -1010,7 +1001,7 @@ impl<'c> Pipeline<'c> {
     }
 
     /// Time a closure as Kernel-stage work over `frames` frames.
-    pub fn kernel_span<T>(&self, frames: u64, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn kernel_span<T>(&self, frames: u64, f: impl FnOnce() -> T) -> T {
         self.ctx.metrics.timed(StageKind::Kernel, f, |_| Some((frames, 0)))
     }
 
@@ -1084,7 +1075,7 @@ impl<'c> Pipeline<'c> {
     /// Encode a finished frame sequence (dimensions taken from the
     /// first frame, stream parameters from `info`), recording Encode
     /// time and output bytes.
-    pub fn encode_frames(&self, frames: &[Frame], info: VideoInfo) -> Result<EncodedVideo> {
+    pub(crate) fn encode_frames(&self, frames: &[Frame], info: VideoInfo) -> Result<EncodedVideo> {
         let mut stage = EncodeStage::new(self, info);
         for f in frames {
             stage.consume(KernelOut::from(f.clone()))?;
@@ -1094,7 +1085,7 @@ impl<'c> Pipeline<'c> {
 
     /// Sink stage: apply the context's result mode (persist or
     /// discard), recording Sink time and persisted bytes.
-    pub fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
+    pub(crate) fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
         self.absorb_stall("sink");
         let frames = output.primary_video().map(|v| v.len() as u64).unwrap_or(0);
         let bytes = self.ctx.metrics.timed(

@@ -51,7 +51,7 @@ pub enum Policy {
 
 impl Policy {
     /// Lower-case label used in plan details.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Policy::Eager => "eager",
             Policy::Streaming => "streaming",
@@ -65,7 +65,7 @@ impl Policy {
 
 /// The scan operator feeding a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanOp {
+pub(crate) enum ScanOp {
     /// Forward-only decode of the whole track
     /// ([`crate::pipeline::Pipeline::stream_scan`]).
     Stream,
@@ -77,9 +77,6 @@ pub enum ScanOp {
     Memory,
     /// N parallel streaming sources (multi-camera queries).
     Multi(usize),
-    /// Side-index probe over persisted tracklet records: no decode at
-    /// all, the scan reads the in-memory semantic index.
-    Index,
 }
 
 /// Post-execution measurements for one plan node.
@@ -126,12 +123,12 @@ pub struct PlanNode {
 
 impl PlanNode {
     /// A leaf/synthetic node with no stage backing.
-    pub fn synthetic(op: impl Into<String>, detail: impl Into<String>) -> Self {
+    pub(crate) fn synthetic(op: impl Into<String>, detail: impl Into<String>) -> Self {
         Self { op: op.into(), detail: detail.into(), stage: None, children: Vec::new(), stats: None }
     }
 
     /// A node backed by a pipeline stage.
-    pub fn stage(op: impl Into<String>, detail: impl Into<String>, stage: StageKind) -> Self {
+    pub(crate) fn stage(op: impl Into<String>, detail: impl Into<String>, stage: StageKind) -> Self {
         Self {
             op: op.into(),
             detail: detail.into(),
@@ -142,7 +139,7 @@ impl PlanNode {
     }
 
     /// Append an input operator and return self (builder style).
-    pub fn with_input(mut self, child: PlanNode) -> Self {
+    pub(crate) fn with_input(mut self, child: PlanNode) -> Self {
         self.children.push(child);
         self
     }
@@ -151,7 +148,7 @@ impl PlanNode {
 /// Everything an engine states about the plan it would run; `build`
 /// turns it into the canonical tree.
 #[derive(Debug, Clone)]
-pub struct PlanDesc {
+pub(crate) struct PlanDesc {
     /// Engine name (`reference`, `batch`, ...).
     pub engine: &'static str,
     /// Query label (`Q1`, `Q2(c)`, ...).
@@ -172,7 +169,7 @@ pub struct PlanDesc {
 /// Build the canonical plan tree for a description under a context.
 /// Deterministic: the same description and context shape always yield
 /// the same tree (the explain snapshot tests pin this per engine).
-pub fn build(desc: &PlanDesc, ctx: &ExecContext) -> PlanNode {
+pub(crate) fn build(desc: &PlanDesc, ctx: &ExecContext) -> PlanNode {
     let workers = ctx.workers.max(1);
     let faults = vr_base::fault::global().is_some();
 
@@ -199,11 +196,6 @@ pub fn build(desc: &PlanDesc, ctx: &ExecContext) -> PlanNode {
             "scan:multi",
             format!("decode-on-read sources={n}"),
             StageKind::Decode,
-        ),
-        ScanOp::Index => PlanNode::stage(
-            "scan:index",
-            "semantic side-index probe (no decode)",
-            StageKind::Scan,
         ),
     };
     // Decode concealment is a property of the decode path when faults
@@ -348,7 +340,7 @@ impl PlanNode {
     }
 
     /// Summed self time across the tree (requires annotation).
-    pub fn total_self_nanos(&self) -> u64 {
+    pub(crate) fn total_self_nanos(&self) -> u64 {
         self.stats.map(|s| s.self_nanos).unwrap_or(0)
             + self.children.iter().map(|c| c.total_self_nanos()).sum::<u64>()
     }

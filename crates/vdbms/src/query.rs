@@ -113,7 +113,7 @@ pub struct FaceParams {
 /// Exponent cap of Q4's α and β: each is drawn from 2¹..2^cap. The
 /// paper's domain goes to 2⁵; every run here uses 2, which keeps the
 /// upsampled output of a scaled-down dataset small.
-pub const MAX_UPSAMPLE_EXP: u32 = 2;
+pub(crate) const MAX_UPSAMPLE_EXP: u32 = 2;
 
 /// A fully-parameterized query (one instance within a batch).
 ///
@@ -160,7 +160,7 @@ pub enum QuerySpec {
 
 impl QuerySpec {
     /// The query this spec instantiates.
-    pub fn kind(&self) -> QueryKind {
+    pub(crate) fn kind(&self) -> QueryKind {
         match self {
             QuerySpec::Q1 { .. } => QueryKind::Q1Select,
             QuerySpec::Q2a => QueryKind::Q2aGrayscale,

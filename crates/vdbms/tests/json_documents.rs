@@ -5,7 +5,7 @@
 //! parser accepts.
 
 use vr_base::json;
-use vr_vdbms::pipeline::{PipelineMetrics, StageKind};
+use vr_vdbms::{PipelineMetrics, StageKind};
 use vr_vdbms::query::{QueryInstance, QuerySpec};
 use vr_vdbms::{CalibrationProfile, ExecContext, ReferenceEngine, Vdbms};
 

@@ -28,7 +28,7 @@ pub struct Cue {
 
 impl Cue {
     /// Whether the cue is visible at `t`.
-    pub fn active_at(&self, t: Timestamp) -> bool {
+    pub(crate) fn active_at(&self, t: Timestamp) -> bool {
         self.start <= t && t < self.end
     }
 }
@@ -99,7 +99,7 @@ impl WebVtt {
     }
 
     /// Cues visible at timestamp `t`.
-    pub fn active_at(&self, t: Timestamp) -> impl Iterator<Item = &Cue> {
+    pub(crate) fn active_at(&self, t: Timestamp) -> impl Iterator<Item = &Cue> {
         self.cues.iter().filter(move |c| c.active_at(t))
     }
 }

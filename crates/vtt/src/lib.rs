@@ -10,9 +10,9 @@
 #![forbid(unsafe_code)]
 
 pub mod cue;
-pub mod font;
+mod font;
 pub mod plate;
 pub mod render;
 
 pub use cue::{Cue, WebVtt};
-pub use render::{render_cue, render_cues_frame, CaptionStyle};
+pub use render::{render_cues_frame, CaptionStyle};

@@ -20,9 +20,9 @@
 use vr_base::LicensePlate;
 
 /// Horizontal white margin inside the bright area.
-pub const MARGIN_U: f32 = 0.08;
+pub(crate) const MARGIN_U: f32 = 0.08;
 /// Vertical white margin inside the bright area.
-pub const MARGIN_V: f32 = 0.14;
+pub(crate) const MARGIN_V: f32 = 0.14;
 /// Cells across the plate: six characters plus a parity cell.
 pub const CELLS: usize = 7;
 /// Bit-block columns per cell.

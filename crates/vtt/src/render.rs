@@ -36,7 +36,7 @@ impl Default for CaptionStyle {
 /// percentage of frame height (default 90 % — near the bottom); the
 /// `position` setting centers the text at that percentage of frame
 /// width (default 50 %).
-pub fn render_cue(frame: &mut Frame, cue: &Cue, style: &CaptionStyle) {
+pub(crate) fn render_cue(frame: &mut Frame, cue: &Cue, style: &CaptionStyle) {
     let line_pct = cue.line_pct.unwrap_or(90) as u32;
     let pos_pct = cue.position_pct.unwrap_or(50) as u32;
     let line_height = (GLYPH_H + 2) * style.scale;
