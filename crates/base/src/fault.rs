@@ -8,8 +8,8 @@
 //! recovery paths in CI this module provides a **seeded, deterministic
 //! fault injector**: one [`FaultPlan`] parsed from a `--faults` spec,
 //! one [`FaultInjector`] whose every decision is a pure function of
-//! `(seed, site, decision-index)`, and a process-global install point
-//! the storage readers, demuxer, decoder, and pipeline stages consult.
+//! `(seed, site, key)`, and a process-global install point the storage
+//! readers, demuxer, decoder, and pipeline stages consult.
 //!
 //! # Spec grammar (`--faults`)
 //!
@@ -24,11 +24,14 @@
 //! panic_kernel=q4:frame37       # panic in the kernel of query q4 at frame 37
 //! ```
 //!
-//! The seed comes from `--fault-seed` (default 0). Decisions are made
-//! by hashing a per-site decision counter with [`mix64`], so a plan
-//! replays identically across runs; under a multi-threaded schedule
-//! the *set* of decisions per site is identical even when the mapping
-//! to specific samples varies.
+//! The seed comes from `--fault-seed` (default 0). Each decision is
+//! `mix64(seed ^ SITE_SALT[site], key)`, where the key names what the
+//! fault hits: a sample is its input's name and sample index, an RTP
+//! packet its input's name and packet index, a storage operation its
+//! call site, object name and attempt. No decision depends on which
+//! thread asks first, so a plan replays byte for byte at any worker
+//! count. The price is deliberate: a damaged sample is damaged for
+//! every reader, like a bad block on disk.
 //!
 //! # Accounting
 //!
@@ -87,7 +90,7 @@ fn parse_prob(key: &str, v: &str) -> Result<f64> {
 impl FaultPlan {
     /// Parse a `--faults` spec string (see the module docs for the
     /// grammar). An empty spec yields the empty plan.
-    pub(crate) fn parse(spec: &str) -> Result<Self> {
+    pub fn parse(spec: &str) -> Result<Self> {
         let mut plan = FaultPlan::default();
         for entry in spec.split(',') {
             let entry = entry.trim();
@@ -125,7 +128,13 @@ impl FaultPlan {
                         .ok_or_else(|| {
                             Error::InvalidConfig(format!("stall_stage duration {dur:?} is not <N>ms"))
                         })?;
-                    plan.stall_stage = Some((stage.to_ascii_lowercase(), Duration::from_millis(ms)));
+                    let stage = stage.to_ascii_lowercase();
+                    if !["scan", "decode", "kernel", "encode", "sink"].contains(&stage.as_str()) {
+                        return Err(Error::InvalidConfig(format!(
+                            "stall_stage {stage:?} is not scan|decode|kernel|encode|sink"
+                        )));
+                    }
+                    plan.stall_stage = Some((stage, Duration::from_millis(ms)));
                 }
                 "panic_kernel" => {
                     let (query, frame) = value.split_once(':').ok_or_else(|| {
@@ -165,8 +174,7 @@ pub struct FaultCounts {
     pub kernel_panics: u64,
 }
 
-/// Decision-site indices (each site draws from an independent,
-/// seeded decision stream).
+/// Decision-site indices into [`SITE_SALT`].
 const SITE_CORRUPT: usize = 0;
 const SITE_DROP_RTP: usize = 1;
 const SITE_IO_READ: usize = 2;
@@ -174,31 +182,33 @@ const SITE_IO_WRITE: usize = 3;
 const SITE_COUNT: usize = 4;
 
 /// Salt mixed with the seed per decision site, so sites with the same
-/// probability still draw distinct streams.
+/// probability and key still decide independently.
 const SITE_SALT: [u64; SITE_COUNT] = [0xC0DE_0001, 0xC0DE_0002, 0xC0DE_0003, 0xC0DE_0004];
+
+/// A name (an input, a call site, a stored object) folded into a
+/// decision key.
+fn name_hash(name: &str) -> u64 {
+    name.bytes().fold(0u64, |h, b| mix64(h, b as u64))
+}
 
 /// A seeded, deterministic fault injector bound to one [`FaultPlan`].
 ///
-/// Every decision is a pure function of `(seed, site, n)` where `n` is
-/// that site's decision counter — no wall clock, no OS entropy — so a
-/// failing chaos run replays exactly from its `--fault-seed`.
+/// Every decision is a pure function of `(seed, site, key)`, the key
+/// naming what the fault hits — no wall clock, no OS entropy, no
+/// shared counter — so a failing chaos run replays exactly from its
+/// `--fault-seed` whatever the thread schedule. The injector holds no
+/// decision state; it only counts what it injected.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
     seed: u64,
-    sites: [AtomicU64; SITE_COUNT],
     injected: [AtomicU64; 6],
 }
 
 impl FaultInjector {
     /// Build an injector from a plan and seed.
-    pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
-        Self {
-            plan,
-            seed,
-            sites: Default::default(),
-            injected: Default::default(),
-        }
+    pub fn new(plan: FaultPlan, seed: u64) -> Self {
+        Self { plan, seed, injected: Default::default() }
     }
 
     /// Parse `spec` and build an injector.
@@ -216,40 +226,42 @@ impl FaultInjector {
         self.seed
     }
 
-    /// Draw the site's next decision: true with probability `p`.
-    fn decide(&self, site: usize, p: f64) -> bool {
-        if p <= 0.0 {
+    /// The site's decision for `key`: true with probability `p`, never
+    /// while injection is suppressed.
+    fn decide(&self, site: usize, p: f64, key: u64) -> bool {
+        if p <= 0.0 || suppressed() {
             return false;
         }
-        let n = self.sites[site].fetch_add(1, Ordering::Relaxed);
-        let h = mix64(self.seed ^ SITE_SALT[site], n);
+        let h = mix64(self.seed ^ SITE_SALT[site], key);
         ((h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
     }
 
-    /// Maybe corrupt a sample payload in place (a deterministic bit
-    /// flip pattern derived from the decision index). Returns whether
-    /// corruption was injected; a `true` always leaves `data` holding
-    /// at least one flipped bit, so a CRC over the original payload is
-    /// guaranteed to catch it.
-    pub fn corrupt_sample(&self, data: &mut [u8]) -> bool {
-        if data.is_empty() || suppressed() || !self.decide(SITE_CORRUPT, self.plan.corrupt_bitstream)
-        {
+    /// Maybe corrupt sample `index` of the input called `input`, in
+    /// place. The decision and the flip pattern both come from that
+    /// key, so every read of the sample is damaged the same way.
+    /// Returns whether corruption was injected; a `true` always leaves
+    /// `data` holding at least one flipped bit, so a CRC over the
+    /// original payload is guaranteed to catch it.
+    pub fn corrupt_sample(&self, input: &str, index: u64, data: &mut [u8]) -> bool {
+        let key = mix64(name_hash(input), index);
+        if data.is_empty() || !self.decide(SITE_CORRUPT, self.plan.corrupt_bitstream, key) {
             return false;
         }
-        let n = self.injected[0].fetch_add(1, Ordering::Relaxed);
-        let mut rng = VrRng::seed_from(mix64(self.seed ^ 0xBAD_B175, n));
-        // Flip 1–4 bytes at random positions; XOR with a nonzero mask
-        // keeps every flip observable.
-        for _ in 0..rng.range(1, 4) {
-            let pos = rng.below(data.len() as u64) as usize;
-            data[pos] ^= (rng.next_u32() as u8) | 0x01;
+        self.injected[0].fetch_add(1, Ordering::Relaxed);
+        let mut rng = VrRng::seed_from(mix64(self.seed ^ 0xBAD_B175, key));
+        // XOR 1–4 consecutive bytes from a random start with nonzero
+        // masks. No byte is hit twice, so no flip can undo another.
+        let start = rng.below(data.len() as u64) as usize;
+        for i in 0..rng.range(1, 4).min(data.len()) {
+            data[(start + i) % data.len()] ^= (rng.next_u32() as u8) | 0x01;
         }
         true
     }
 
-    /// Whether to drop the next RTP packet at ingest.
-    pub fn drop_rtp_packet(&self) -> bool {
-        if suppressed() || !self.decide(SITE_DROP_RTP, self.plan.drop_rtp) {
+    /// Whether to drop RTP packet `packet` of the input called `input`
+    /// at ingest.
+    pub fn drop_rtp_packet(&self, input: &str, packet: u64) -> bool {
+        if !self.decide(SITE_DROP_RTP, self.plan.drop_rtp, mix64(name_hash(input), packet)) {
             return false;
         }
         self.injected[1].fetch_add(1, Ordering::Relaxed);
@@ -272,15 +284,16 @@ impl FaultInjector {
         }
     }
 
-    /// Maybe inject a transient I/O failure for `op`. Returns the
-    /// error to surface (callers run under [`with_retry_io`], so an
-    /// injected failure exercises the backoff path).
-    pub(crate) fn io_fail(&self, op: IoOp) -> Option<Error> {
+    /// Maybe inject a transient I/O failure into the attempt at `op`
+    /// that `key` names (see [`with_retry_io`], which every caller runs
+    /// under, so an injected failure exercises the backoff path).
+    /// Returns the error to surface.
+    pub(crate) fn io_fail(&self, op: IoOp, key: u64) -> Option<Error> {
         let (site, p, slot) = match op {
             IoOp::Read => (SITE_IO_READ, self.plan.io_fail_read, 3),
             IoOp::Write => (SITE_IO_WRITE, self.plan.io_fail_write, 4),
         };
-        if suppressed() || !self.decide(site, p) {
+        if !self.decide(site, p, key) {
             return None;
         }
         self.injected[slot].fetch_add(1, Ordering::Relaxed);
@@ -544,33 +557,17 @@ pub fn note_stall_absorbed() {
 /// up on a transiently failing storage operation.
 pub const RETRY_MAX_ATTEMPTS: u32 = 4;
 
-/// Process-global backoff draw counter. Every backoff sleep consumes
-/// one draw, so N threads retrying the *same* site at the *same*
-/// attempt number pull N distinct jitter values instead of sleeping in
-/// lockstep and re-colliding — the classic thundering herd. The
-/// counter keeps the multiset of delays for a run a pure function of
-/// `--fault-seed` (like the injector's per-site decision streams, the
-/// mapping of draws to threads may vary under a multi-threaded
-/// schedule, but the values drawn do not).
-static BACKOFF_DRAWS: AtomicU64 = AtomicU64::new(0);
-
-/// Claim the next backoff draw index (see [`backoff_delay`]).
-pub(crate) fn next_backoff_draw() -> u64 {
-    BACKOFF_DRAWS.fetch_add(1, Ordering::Relaxed)
-}
-
 /// The backoff before retry number `attempt` (0-based): an exponential
 /// base (0.5 ms doubling per attempt) plus seeded jitter in
-/// `[0, base)` drawn from [`VrRng`] — deterministic for a given
-/// `(seed, site, attempt, draw)`, so chaos runs replay their exact
-/// schedule. `draw` is a per-sleep sequence number (normally from
-/// [`next_backoff_draw`]) that decorrelates *concurrent* retries:
-/// without it, every worker that hit the same transient at the same
-/// attempt would back off by the same amount and stampede the resource
-/// again in sync.
-pub fn backoff_delay(seed: u64, site: u64, attempt: u32, draw: u64) -> Duration {
+/// `[0, base)` drawn from [`VrRng`] — a pure function of
+/// `(seed, site, attempt, key)`, so chaos runs replay their exact
+/// schedule. `key` names what is retried: concurrent retries of
+/// distinct objects at the same site and attempt draw distinct jitter
+/// instead of sleeping in lockstep and stampeding the resource again
+/// in sync.
+pub fn backoff_delay(seed: u64, site: u64, attempt: u32, key: u64) -> Duration {
     let base_us = 500u64 << attempt.min(16);
-    let mut rng = VrRng::seed_from(mix64(mix64(seed ^ site, attempt as u64), draw));
+    let mut rng = VrRng::seed_from(mix64(mix64(seed ^ site, attempt as u64), key));
     Duration::from_micros(base_us + rng.below(base_us))
 }
 
@@ -597,51 +594,66 @@ fn is_transient(kind: std::io::ErrorKind) -> bool {
 ///
 /// `site` names the call site (hashed into the jitter stream).
 pub fn with_retry<T>(site: &str, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-    let seed = global().map(|inj| inj.seed()).unwrap_or(0);
-    let site_hash = site.bytes().fold(0u64, |h, b| mix64(h, b as u64));
-    let mut attempt = 0u32;
-    loop {
-        match f() {
-            Ok(v) => return Ok(v),
-            Err(e @ Error::Io(_)) => {
-                let transient = matches!(&e, Error::Io(io) if is_transient(io.kind()));
-                if !transient {
-                    return Err(e);
-                }
-                if attempt + 1 >= RETRY_MAX_ATTEMPTS {
-                    degradation().io_give_ups.inc();
-                    return Err(e);
-                }
-                degradation().io_retries.inc();
-                {
-                    let _span = crate::obs::trace::span("fault", "retry_backoff");
-                    std::thread::sleep(backoff_delay(
-                        seed,
-                        site_hash,
-                        attempt,
-                        next_backoff_draw(),
-                    ));
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    retry(site, || 0, |_| f())
 }
 
-/// [`with_retry`] over a storage operation the fault plan may fail:
-/// every attempt first asks the injector whether `op` fails this time,
-/// so an injected failure takes the same backoff path as a real one.
-pub fn with_retry_io<T>(site: &str, op: IoOp, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-    with_retry(site, || match global().and_then(|inj| inj.io_fail(op)) {
-        Some(e) => Err(e),
-        None => f(),
+/// [`with_retry`] over a storage operation the fault plan may fail.
+/// `object` names what the operation touches (a file, a pipe) and
+/// `seq` which operation on it (a pipe's message count, 0 for a whole
+/// file). Every attempt first asks the injector whether it fails, keyed
+/// by `(site, object, seq, attempt)`, so an injected failure takes the
+/// same backoff path as a real one and hits the same attempts at any
+/// worker count. The key is computed only when an injector is
+/// installed or an attempt fails.
+pub fn with_retry_io<T>(
+    site: &str,
+    op: IoOp,
+    object: &str,
+    seq: u64,
+    mut f: impl FnMut() -> Result<T>,
+) -> Result<T> {
+    let key = || mix64(mix64(name_hash(site), name_hash(object)), seq);
+    retry(site, key, |attempt| {
+        let injected = global().and_then(|inj| inj.io_fail(op, mix64(key(), attempt as u64)));
+        injected.map_or_else(&mut f, Err)
     })
+}
+
+/// The loop behind [`with_retry`] and [`with_retry_io`]: `f` runs
+/// attempt number `attempt`; `key` names what is retried in the
+/// backoff jitter.
+fn retry<T>(site: &str, key: impl Fn() -> u64, mut f: impl FnMut(u32) -> Result<T>) -> Result<T> {
+    let mut attempt = 0u32;
+    loop {
+        match f(attempt) {
+            Err(Error::Io(io)) if is_transient(io.kind()) => {
+                if attempt + 1 >= RETRY_MAX_ATTEMPTS {
+                    degradation().io_give_ups.inc();
+                    return Err(Error::Io(io));
+                }
+                degradation().io_retries.inc();
+                let seed = global().map_or(0, |inj| inj.seed());
+                let _span = crate::obs::trace::span("fault", "retry_backoff");
+                std::thread::sleep(backoff_delay(seed, name_hash(site), attempt, key()));
+                attempt += 1;
+            }
+            done => return done,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `suppress` is process-wide, and the tests run on parallel threads:
+    /// the test of it takes this lock alone, and every test that expects
+    /// an injection takes it shared.
+    static SUPPRESSION: RwLock<()> = RwLock::new(());
+
+    fn unsuppressed() -> std::sync::RwLockReadGuard<'static, ()> {
+        SUPPRESSION.read().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn parse_full_spec() {
@@ -672,6 +684,8 @@ mod tests {
             "io_fail=delete:0.5",
             "stall_stage=kernel",
             "stall_stage=kernel:20s",
+            "stall_stage=kernal:5ms",
+            "stall_stage=:5ms",
             "panic_kernel=q4",
             "panic_kernel=q4:37",
         ] {
@@ -681,43 +695,69 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_replayable() {
+        let _unsuppressed = unsuppressed();
         let plan = FaultPlan::parse("corrupt_bitstream=0.25").unwrap();
-        let draw = |seed: u64| {
-            let inj = FaultInjector::new(plan.clone(), seed);
+        // Sample n's decision and flip pattern: its payload if damaged.
+        let hit = |inj: &FaultInjector, n: u64| {
             let mut data = vec![0u8; 64];
-            (0..500).map(|_| inj.corrupt_sample(&mut data)).collect::<Vec<bool>>()
+            inj.corrupt_sample("cam-0", n, &mut data).then_some(data)
         };
-        assert_eq!(draw(7), draw(7), "same seed must replay identically");
-        assert_ne!(draw(7), draw(8), "seeds must differ");
-        let hits = draw(7).iter().filter(|&&b| b).count();
+        let draw = |seed: u64, order: &mut dyn Iterator<Item = u64>| {
+            let inj = FaultInjector::new(plan.clone(), seed);
+            let mut out = vec![None; 500];
+            for n in order {
+                out[n as usize] = hit(&inj, n);
+            }
+            out
+        };
+        let forward = draw(7, &mut (0..500));
+        assert_eq!(forward, draw(7, &mut (0..500)), "same seed must replay identically");
+        assert_eq!(forward, draw(7, &mut (0..500).rev()), "draw order must not matter");
+        assert_ne!(forward, draw(8, &mut (0..500)), "seeds must differ");
+        // Four threads draw interleaved keys on one injector at once.
+        let (inj, hit) = (&FaultInjector::new(plan.clone(), 7), &hit);
+        let mut threaded = vec![None; 500];
+        let stripe = |t: u64| (t..500).step_by(4).map(|n| (n, hit(inj, n))).collect::<Vec<_>>();
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4).map(|t| s.spawn(move || stripe(t))).collect();
+            for (n, d) in workers.into_iter().flat_map(|w| w.join().unwrap()) {
+                threaded[n as usize] = d;
+            }
+        });
+        assert_eq!(forward, threaded, "thread interleaving must not matter");
+        let hits = forward.iter().flatten().count();
+        assert_eq!(inj.injected().corrupt_bitstream, hits as u64);
         assert!((50..200).contains(&hits), "~25% of 500 expected, got {hits}");
     }
 
     #[test]
     fn corruption_always_changes_the_payload() {
+        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("corrupt_bitstream=1.0", 3).unwrap();
         for len in [1usize, 2, 7, 100] {
             let orig = vec![0xA5u8; len];
             let mut data = orig.clone();
-            assert!(inj.corrupt_sample(&mut data));
+            assert!(inj.corrupt_sample("cam-0", len as u64, &mut data));
             assert_ne!(data, orig, "len {len}: injected corruption must be observable");
         }
         assert_eq!(inj.injected().corrupt_bitstream, 4);
         // Empty payloads cannot be corrupted.
-        assert!(!inj.corrupt_sample(&mut []));
+        assert!(!inj.corrupt_sample("cam-0", 0, &mut []));
     }
 
     #[test]
     fn io_fail_counts_per_op() {
+        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("io_fail=read:1.0", 0).unwrap();
-        assert!(inj.io_fail(IoOp::Read).is_some());
-        assert!(inj.io_fail(IoOp::Write).is_none());
+        assert!(inj.io_fail(IoOp::Read, 0).is_some());
+        assert!(inj.io_fail(IoOp::Write, 0).is_none());
         assert_eq!(inj.injected().io_fail_read, 1);
         assert_eq!(inj.injected().io_fail_write, 0);
     }
 
     #[test]
     fn stall_matches_stage_label_only() {
+        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("stall_stage=kernel:5ms", 0).unwrap();
         assert_eq!(inj.stall("kernel"), Some(Duration::from_millis(5)));
         assert_eq!(inj.stall("decode"), None);
@@ -726,6 +766,7 @@ mod tests {
 
     #[test]
     fn kernel_panic_targets_query_and_frame() {
+        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("panic_kernel=q4:frame3", 0).unwrap();
         assert!(!inj.kernel_panic_due("q1", 3));
         assert!(!inj.kernel_panic_due("q4", 2));
@@ -750,30 +791,26 @@ mod tests {
 
     #[test]
     fn backoff_draws_desynchronize_concurrent_retries() {
-        // The thundering-herd fix: the same (seed, site, attempt) at
-        // distinct draw indices must yield distinct delays, all still
-        // inside the attempt's [base, 2*base) window.
-        let delays: Vec<Duration> = (0..16).map(|draw| backoff_delay(9, 4, 1, draw)).collect();
+        // The thundering-herd fix: the same (seed, site, attempt) for
+        // distinct keys must yield distinct delays, all still inside
+        // the attempt's [base, 2*base) window.
+        let delays: Vec<Duration> = (0..16).map(|key| backoff_delay(9, 4, 1, key)).collect();
         let base = Duration::from_micros(1000);
-        for (draw, d) in delays.iter().enumerate() {
-            assert!(*d >= base && *d < base * 2, "draw {draw}: {d:?} outside window");
+        for (key, d) in delays.iter().enumerate() {
+            assert!(*d >= base && *d < base * 2, "key {key}: {d:?} outside window");
         }
         let mut unique = delays.clone();
         unique.sort();
         unique.dedup();
         assert!(
             unique.len() > 12,
-            "16 draws collapsed to {} distinct delays — herd not broken",
+            "16 keys collapsed to {} distinct delays — herd not broken",
             unique.len()
         );
-        // Replayable: the draw index fully determines the jitter.
+        // Replayable: the key fully determines the jitter.
         assert_eq!(backoff_delay(9, 4, 1, 7), backoff_delay(9, 4, 1, 7));
-        // Seed changes move every draw.
+        // Seed changes move every key's jitter.
         assert_ne!(backoff_delay(9, 4, 1, 7), backoff_delay(10, 4, 1, 7));
-        // The global draw counter is strictly monotonic.
-        let a = next_backoff_draw();
-        let b = next_backoff_draw();
-        assert!(b > a);
     }
 
     #[test]
@@ -810,16 +847,17 @@ mod tests {
 
     #[test]
     fn suppress_disables_injection() {
+        let _alone = SUPPRESSION.write().unwrap_or_else(|e| e.into_inner());
         let inj = FaultInjector::from_spec("corrupt_bitstream=1.0,drop_rtp=1.0", 0).unwrap();
         suppress(|| {
             let mut data = vec![1u8; 8];
-            assert!(!inj.corrupt_sample(&mut data));
-            assert!(!inj.drop_rtp_packet());
+            assert!(!inj.corrupt_sample("cam-0", 0, &mut data));
+            assert!(!inj.drop_rtp_packet("cam-0", 0));
             // Nesting keeps suppression on.
-            suppress(|| assert!(!inj.drop_rtp_packet()));
-            assert!(!inj.drop_rtp_packet());
+            suppress(|| assert!(!inj.drop_rtp_packet("cam-0", 1)));
+            assert!(!inj.drop_rtp_packet("cam-0", 2));
         });
-        assert!(inj.drop_rtp_packet(), "suppression must lift on exit");
+        assert!(inj.drop_rtp_packet("cam-0", 0), "suppression must lift on exit");
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl Container {
         Ok(Self { tracks, data: bytes, data_start })
     }
 
-    /// Open and parse a container file.
-    pub fn open(path: &std::path::Path) -> Result<Self> {
-        Self::parse(std::fs::read(path)?)
-    }
-
     /// Random access to a sample as an owned zero-copy [`BufSlice`]
     /// view (shares the container's buffer; useful for handing samples
     /// to pipes or threads without copying and without a borrow).

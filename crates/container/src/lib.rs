@@ -211,7 +211,7 @@ mod tests {
         let t = w.add_track(TrackKind::Video, b"cfg".to_vec());
         w.push_sample(t, b"abc", Timestamp::ZERO, true);
         std::fs::write(&path, w.finish()).unwrap();
-        let c = Container::open(&path).unwrap();
+        let c = Container::parse(std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(c.sample(0, 0).unwrap(), b"abc");
         std::fs::remove_file(&path).unwrap();
     }

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use visual_road::base::fault::{self, FaultInjector};
+use visual_road::base::fault::{self, FaultInjector, FaultPlan};
 use visual_road::base::json::{Fixed, Layout::Inline, Writer};
 use visual_road::base::obs::serve::MetricsServer;
 use visual_road::prelude::*;
@@ -364,18 +364,32 @@ fn load_profile(flags: &Flags) -> Result<Option<CalibrationProfile>, String> {
         .transpose()
 }
 
-/// Install the fault plan — `--faults SPEC [--fault-seed S]` — and
-/// announce it. Callers do this only after dataset generation, so
-/// chaos runs exercise the query path against a pristine dataset.
-fn install_fault_plan(flags: &Flags) -> Result<Option<Arc<FaultInjector>>, String> {
+/// The fault plan — `--faults SPEC [--fault-seed S]` — read with the
+/// other flags, before anything runs. A `panic_kernel` query must be
+/// one `QueryKind::parse` knows, in either spelling; the plan keeps
+/// its short label, the one a pipeline's kernel is labelled with.
+fn fault_plan(flags: &Flags) -> Result<Option<Arc<FaultInjector>>, String> {
     let Some(spec) = flags.get("faults") else {
         return Ok(None);
     };
     let seed = flags.parsed("fault-seed", 0u64)?;
-    let inj = Arc::new(FaultInjector::from_spec(spec, seed).map_err(|e| e.to_string())?);
-    fault::install(Some(Arc::clone(&inj)));
-    eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
-    Ok(Some(inj))
+    let mut plan = FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?;
+    if let Some((query, _)) = &mut plan.panic_kernel {
+        let kind = QueryKind::parse(query)
+            .ok_or_else(|| format!("--faults: panic_kernel names no query: {query:?}"))?;
+        *query = kind.short_label().to_ascii_lowercase();
+    }
+    Ok(Some(Arc::new(FaultInjector::new(plan, seed))))
+}
+
+/// Install the fault plan and announce it. Callers do this only after
+/// dataset generation, so chaos runs exercise the query path against
+/// a pristine dataset.
+fn install_fault_plan(injector: &Option<Arc<FaultInjector>>) {
+    if let Some(inj) = injector {
+        fault::install(Some(Arc::clone(inj)));
+        eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
+    }
 }
 
 /// `--serve-metrics PORT`: the loopback, read-only metrics endpoint.
@@ -514,6 +528,7 @@ fn cmd_run(flags: &Flags) -> Exit {
     if let Some(mode) = flags.get("optimizer") {
         cfg.optimizer = mode.parse()?;
     }
+    let injector = fault_plan(flags)?;
     let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
 
     // Allocator scope tracking: VR_ALLOC_TRACK, or implied by
@@ -522,7 +537,7 @@ fn cmd_run(flags: &Flags) -> Exit {
     if cfg.explain == visual_road::ExplainMode::Analyze {
         vr_base::obs::alloc::set_tracking(true);
     }
-    let injector = install_fault_plan(flags)?;
+    install_fault_plan(&injector);
 
     // Tracing is opt-in, enabled only after dataset generation so the
     // profile covers the query path, not the generator. Collapsed-stacks
@@ -662,8 +677,9 @@ fn cmd_serve(flags: &Flags) -> Exit {
         },
     };
 
+    let injector = fault_plan(flags)?;
     let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
-    install_fault_plan(flags)?;
+    install_fault_plan(&injector);
     let metrics_server = start_metrics_endpoint(flags)?;
 
     let server = QueryServer::start(dataset, engines, cfg).map_err(|e| e.to_string())?;
@@ -1040,6 +1056,21 @@ mod tests {
         for (command, flag) in refused {
             let error = parse(command, &[&format!("--{flag}"), "4"]).unwrap_err();
             assert_eq!(error, format!("unknown flag --{flag} for {command}"));
+        }
+    }
+
+    #[test]
+    fn a_panic_kernel_query_fires_in_either_spelling_or_is_refused() {
+        let plan = |spec: &str| {
+            let args = ["--faults".to_string(), spec.to_string()];
+            fault_plan(&Flags::parse("run", &args, flags_of("run")).unwrap())
+        };
+        let error = plan("panic_kernel=Q99:frame2").unwrap_err();
+        assert_eq!(error, "--faults: panic_kernel names no query: \"q99\"");
+        // Either spelling fires on the label the query's kernel runs under.
+        for spec in ["panic_kernel=Q2(a):frame2", "panic_kernel=q2a:frame2"] {
+            let inj = plan(spec).unwrap().unwrap();
+            assert!(inj.kernel_panic_due(QueryKind::Q2aGrayscale.short_label(), 2), "{spec}");
         }
     }
 

@@ -764,7 +764,7 @@ impl<'d> Vcd<'d> {
 pub fn ingest_online_pipe(input: &InputVideo, speedup: f64) -> Result<usize> {
     use vr_storage::pipe::PipeRegistry;
     let registry = PipeRegistry::new();
-    let writer = registry.create(&input.name, 4)?;
+    let mut writer = registry.create(&input.name, 4)?;
     let reader = registry.open(&input.name)?;
     std::thread::scope(|scope| -> Result<usize> {
         // Zero-copy: each pipe message is a view into the container's
@@ -826,7 +826,7 @@ pub fn ingest_online(input: &InputVideo, speedup: f64) -> Result<usize> {
             // A dropped packet vanishes on the wire; the jitter buffer
             // discovers the gap and skips past it.
             if let Some(inj) = vr_base::fault::global() {
-                if inj.drop_rtp_packet() {
+                if inj.drop_rtp_packet(&input.name, produced) {
                     continue;
                 }
             }

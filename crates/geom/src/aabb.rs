@@ -10,14 +10,6 @@ pub struct Aabb3 {
 }
 
 impl Aabb3 {
-    /// Construct from two opposite corners (in any order).
-    pub fn new(a: Vec3, b: Vec3) -> Self {
-        Self {
-            min: Vec3::new(a.x.min(b.x), a.y.min(b.y), a.z.min(b.z)),
-            max: Vec3::new(a.x.max(b.x), a.y.max(b.y), a.z.max(b.z)),
-        }
-    }
-
     /// A box centered at `c` with full extents `(sx, sy, sz)`.
     pub fn centered(c: Vec3, sx: f32, sy: f32, sz: f32) -> Self {
         let half = Vec3::new(sx / 2.0, sy / 2.0, sz / 2.0);
@@ -27,11 +19,6 @@ impl Aabb3 {
     /// Center point.
     pub fn center(&self) -> Vec3 {
         (self.min + self.max) / 2.0
-    }
-
-    /// Full extents along each axis.
-    pub fn size(&self) -> Vec3 {
-        self.max - self.min
     }
 
     /// The eight corner points.
@@ -47,16 +34,6 @@ impl Aabb3 {
             Vec3::new(a.x, b.y, b.z),
             Vec3::new(b.x, b.y, b.z),
         ]
-    }
-
-    /// Whether a point lies inside (inclusive).
-    pub fn contains(&self, p: Vec3) -> bool {
-        p.x >= self.min.x
-            && p.x <= self.max.x
-            && p.y >= self.min.y
-            && p.y <= self.max.y
-            && p.z >= self.min.z
-            && p.z <= self.max.z
     }
 
     /// Translate by `d`.
@@ -95,7 +72,6 @@ impl Aabb3 {
         }
         Some(t0)
     }
-
 }
 
 #[cfg(test)]
@@ -103,25 +79,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_orders_corners() {
-        let b = Aabb3::new(Vec3::new(1.0, 5.0, -1.0), Vec3::new(0.0, 2.0, 3.0));
-        assert_eq!(b.min, Vec3::new(0.0, 2.0, -1.0));
-        assert_eq!(b.max, Vec3::new(1.0, 5.0, 3.0));
-    }
-
-    #[test]
     fn centered_round_trip() {
         let b = Aabb3::centered(Vec3::new(1.0, 2.0, 3.0), 4.0, 2.0, 6.0);
         assert_eq!(b.center(), Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(b.size(), Vec3::new(4.0, 2.0, 6.0));
-    }
-
-    #[test]
-    fn containment_and_intersection() {
-        let a = Aabb3::centered(Vec3::ZERO, 2.0, 2.0, 2.0);
-        assert!(a.contains(Vec3::ZERO));
-        assert!(a.contains(Vec3::new(1.0, 1.0, 1.0))); // inclusive boundary
-        assert!(!a.contains(Vec3::new(1.1, 0.0, 0.0)));
+        assert_eq!(b.max - b.min, Vec3::new(4.0, 2.0, 6.0));
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl Rect {
         self.intersect(&Rect::from_origin_size(0, 0, w, h))
     }
 
-    /// Translate by `(dx, dy)`.
-    pub fn shifted(&self, dx: i32, dy: i32) -> Rect {
-        Rect { x0: self.x0 + dx, y0: self.y0 + dy, x1: self.x1 + dx, y1: self.y1 + dy }
-    }
-
     /// Grow by `m` pixels on every side (negative shrinks).
     pub fn inflated(&self, m: i32) -> Rect {
         Rect::new(self.x0 - m, self.y0 - m, self.x1 + m, self.y1 + m)
@@ -166,9 +161,9 @@ mod tests {
     fn pascal_voc_threshold_examples() {
         // Shifting a 10x10 box by 2 pixels keeps IoU above 0.5 ...
         let a = Rect::from_origin_size(0, 0, 10, 10);
-        assert!(a.jaccard_distance(&a.shifted(2, 0)) < 0.5);
+        assert!(a.jaccard_distance(&Rect::from_origin_size(2, 0, 10, 10)) < 0.5);
         // ... shifting by 5 pixels pushes the distance past 0.5.
-        assert!(a.jaccard_distance(&a.shifted(5, 5)) > 0.5);
+        assert!(a.jaccard_distance(&Rect::from_origin_size(5, 5, 10, 10)) > 0.5);
     }
 
     #[test]
@@ -259,19 +254,6 @@ mod randomized_tests {
                 assert!(c.x0 >= 0 && c.y0 >= 0);
                 assert!(c.x1 <= w as i32 && c.y1 <= h as i32);
             }
-        }
-    }
-
-    #[test]
-    fn prop_shift_preserves_area() {
-        let mut rng = VrRng::seed_from(0x9ec7_0005);
-        for _ in 0..256 {
-            let a = arb_rect(&mut rng);
-            let dx = rng.range_i64(-50, 50) as i32;
-            let dy = rng.range_i64(-50, 50) as i32;
-            assert_eq!(a.shifted(dx, dy).area(), a.area());
-            // Shifting is invertible.
-            assert_eq!(a.shifted(dx, dy).shifted(-dx, -dy), a);
         }
     }
 

@@ -28,11 +28,6 @@ impl Vec2 {
         self.x * o.x + self.y * o.y
     }
 
-    /// 2D cross product (z-component of the 3D cross of the embeddings).
-    pub fn cross(self, o: Vec2) -> f32 {
-        self.x * o.y - self.y * o.x
-    }
-
     pub fn length(self) -> f32 {
         self.dot(self).sqrt()
     }
@@ -100,11 +95,6 @@ impl Vec3 {
         (len > 1e-12).then(|| self / len)
     }
 
-    /// Linear interpolation: `self` at `t = 0`, `o` at `t = 1`.
-    pub fn lerp(self, o: Vec3, t: f32) -> Vec3 {
-        self + (o - self) * t
-    }
-
     /// Distance to another point.
     pub fn distance(self, o: Vec3) -> f32 {
         (o - self).length()
@@ -155,7 +145,6 @@ mod tests {
         let a = Vec2::new(3.0, 4.0);
         assert!(close(a.length(), 5.0));
         assert!(close(a.dot(Vec2::new(1.0, 0.0)), 3.0));
-        assert!(close(a.cross(Vec2::new(1.0, 0.0)), -4.0));
         let n = a.normalized().unwrap();
         assert!(close(n.length(), 1.0));
         assert!(Vec2::ZERO.normalized().is_none());
@@ -177,11 +166,11 @@ mod tests {
 
     #[test]
     fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
+        let a = Vec2::new(0.0, 0.0);
+        let b = Vec2::new(2.0, 4.0);
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
+        assert_eq!(a.lerp(b, 0.5), Vec2::new(1.0, 2.0));
     }
 
     #[test]

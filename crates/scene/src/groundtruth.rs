@@ -7,13 +7,13 @@
 //!
 //! Ground truth is computed directly from scene geometry: entity
 //! bounding boxes are projected through the camera, and occlusion is
-//! decided by ray tests against the tile's buildings. The result can
-//! be serialized into the container's metadata track.
+//! decided by ray tests against the tile's buildings. The VCG writes
+//! each traffic camera's unoccluded truth objects into its container's
+//! metadata track as `OutputBox` rows.
 
 use crate::city::{CityCamera, VisualCity};
 use crate::entity::ObjectClass;
-use vr_base::{Error, LicensePlate, Result};
-use vr_bitstream::bytesio::{ByteReader, ByteWriter};
+use vr_base::LicensePlate;
 use vr_geom::{Rect, Vec3};
 
 /// Maximum distance at which an entity is enumerated in ground truth.
@@ -62,78 +62,6 @@ impl FrameTruth {
     /// Visible (non-occluded) objects of a class.
     pub fn visible(&self, class: ObjectClass) -> impl Iterator<Item = &TruthObject> {
         self.objects.iter().filter(move |o| o.class == class && !o.occluded)
-    }
-
-    /// Serialize for the container's metadata track.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u32(self.objects.len() as u32);
-        for o in &self.objects {
-            w.put_u8(match o.class {
-                ObjectClass::Vehicle => 0,
-                ObjectClass::Pedestrian => 1,
-            });
-            w.put_u32(o.entity_id);
-            w.put_i32(o.rect.x0);
-            w.put_i32(o.rect.y0);
-            w.put_i32(o.rect.x1);
-            w.put_i32(o.rect.y1);
-            w.put_f32(o.distance);
-            let flags = (o.occluded as u8) | ((o.plate_visible as u8) << 1);
-            w.put_u8(flags);
-            match o.plate {
-                Some(p) => {
-                    w.put_u8(1);
-                    w.put_bytes(&p.0);
-                }
-                None => w.put_u8(0),
-            }
-        }
-        w.finish()
-    }
-
-    /// Parse a serialized frame truth.
-    pub fn deserialize(data: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(data);
-        let n = r.get_u32()? as usize;
-        if n > 1 << 20 {
-            return Err(Error::Corrupt(format!("absurd truth object count {n}")));
-        }
-        let mut objects = Vec::with_capacity(n);
-        for _ in 0..n {
-            let class = match r.get_u8()? {
-                0 => ObjectClass::Vehicle,
-                1 => ObjectClass::Pedestrian,
-                other => return Err(Error::Corrupt(format!("unknown class {other}"))),
-            };
-            let entity_id = r.get_u32()?;
-            let rect = Rect {
-                x0: r.get_i32()?,
-                y0: r.get_i32()?,
-                x1: r.get_i32()?,
-                y1: r.get_i32()?,
-            };
-            let distance = r.get_f32()?;
-            let flags = r.get_u8()?;
-            let plate = if r.get_u8()? == 1 {
-                let b = r.get_bytes(6)?;
-                let mut chars = [0u8; 6];
-                chars.copy_from_slice(b);
-                Some(LicensePlate(chars))
-            } else {
-                None
-            };
-            objects.push(TruthObject {
-                class,
-                entity_id,
-                rect,
-                distance,
-                occluded: flags & 1 != 0,
-                plate_visible: flags & 2 != 0,
-                plate,
-            });
-        }
-        Ok(Self { objects })
     }
 }
 
@@ -375,21 +303,6 @@ mod tests {
             frame_truth(&a, cam_a, 3.0, 480, 270),
             frame_truth(&b, cam_b, 3.0, 480, 270)
         );
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let city = city();
-        for cam in city.cameras().iter().take(4) {
-            let truth = frame_truth(&city, cam, 2.5, 960, 540);
-            let bytes = truth.serialize();
-            let back = FrameTruth::deserialize(&bytes).unwrap();
-            assert_eq!(truth, back);
-        }
-        // Corrupt data is rejected.
-        assert!(FrameTruth::deserialize(&[0xFF; 3]).is_err());
-        let empty = FrameTruth::default();
-        assert_eq!(FrameTruth::deserialize(&empty.serialize()).unwrap(), empty);
     }
 
     #[test]

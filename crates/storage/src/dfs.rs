@@ -115,7 +115,7 @@ impl MiniDfs {
     /// surfaces.
     pub fn get(&self, name: &str) -> Result<SharedBuf> {
         let _span = vr_base::obs::trace::span("storage", "dfs.get");
-        fault::with_retry_io("dfs.get", IoOp::Read, || self.get_inner(name))
+        fault::with_retry_io("dfs.get", IoOp::Read, name, 0, || self.get_inner(name))
     }
 
     fn get_inner(&self, name: &str) -> Result<SharedBuf> {

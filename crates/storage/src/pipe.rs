@@ -18,6 +18,10 @@ use vr_base::{BufSlice, Error, Result};
 /// copying them per message.
 pub struct PipeWriter {
     tx: SyncSender<BufSlice>,
+    /// The pipe's name and the messages written so far: the key of an
+    /// injected write fault.
+    name: String,
+    sent: u64,
 }
 
 /// Reading half of a pipe (forward-only, blocking).
@@ -31,11 +35,13 @@ impl PipeWriter {
     /// `SharedBuf`, or a zero-copy container-sample view). Fails when
     /// the reader is gone; transient (injected) write faults are
     /// retried with bounded, seeded backoff.
-    pub fn write(&self, data: impl Into<BufSlice>) -> Result<()> {
+    pub fn write(&mut self, data: impl Into<BufSlice>) -> Result<()> {
         let mut data = Some(data.into());
-        fault::with_retry_io("pipe.write", IoOp::Write, || {
+        self.sent += 1;
+        let tx = &self.tx;
+        fault::with_retry_io("pipe.write", IoOp::Write, &self.name, self.sent, || {
             let payload = data.take().expect("payload consumed only by a successful send");
-            match self.tx.send(payload) {
+            match tx.send(payload) {
                 Ok(()) => Ok(()),
                 Err(SendError(payload)) => {
                     data = Some(payload);
@@ -79,7 +85,7 @@ impl PipeRegistry {
         }
         let (tx, rx) = sync_channel(capacity.max(1));
         pipes.insert(name.to_string(), rx);
-        Ok(PipeWriter { tx })
+        Ok(PipeWriter { tx, name: name.to_string(), sent: 0 })
     }
 
     /// Claim the reading end of a named pipe (each pipe has one
@@ -101,7 +107,7 @@ mod tests {
     #[test]
     fn messages_flow_in_order() {
         let reg = PipeRegistry::new();
-        let w = reg.create("cam-0", 8).unwrap();
+        let mut w = reg.create("cam-0", 8).unwrap();
         let r = reg.open("cam-0").unwrap();
         w.write(vec![1]).unwrap();
         w.write(vec![2]).unwrap();
@@ -122,7 +128,7 @@ mod tests {
     #[test]
     fn writer_blocks_when_full() {
         let reg = PipeRegistry::new();
-        let w = reg.create("slow", 1).unwrap();
+        let mut w = reg.create("slow", 1).unwrap();
         let r = reg.open("slow").unwrap();
         w.write(vec![0]).unwrap();
         // A second write must block until the reader drains.
@@ -144,7 +150,7 @@ mod tests {
     #[test]
     fn broken_pipe_is_an_error() {
         let reg = PipeRegistry::new();
-        let w = reg.create("b", 4).unwrap();
+        let mut w = reg.create("b", 4).unwrap();
         let r = reg.open("b").unwrap();
         drop(r);
         assert!(w.write(vec![1]).is_err());

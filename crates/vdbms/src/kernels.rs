@@ -67,7 +67,7 @@ impl SampleDecoder {
                 let corrupted;
                 let payload: &[u8] = if let Some(inj) = fault::global() {
                     let mut owned = sample.to_vec();
-                    inj.corrupt_sample(&mut owned);
+                    inj.corrupt_sample(&input.name, index as u64, &mut owned);
                     corrupted = owned;
                     &corrupted
                 } else {

@@ -750,7 +750,7 @@ impl<'c> Pipeline<'c> {
 
     /// Open a streaming scan over a whole input.
     pub(crate) fn stream_scan<'a>(&self, input: &'a InputVideo) -> Result<DecodeScan<'a>> {
-        self.absorb_stall("decode");
+        self.absorb_stall(StageKind::Decode);
         Ok(self.decode_scan(FrameStream::open(input)?))
     }
 
@@ -761,7 +761,7 @@ impl<'c> Pipeline<'c> {
         from: usize,
         to: usize,
     ) -> Result<DecodeScan<'a>> {
-        self.absorb_stall("decode");
+        self.absorb_stall(StageKind::Decode);
         Ok(self.decode_scan(FrameStream::range(input, from, to)?))
     }
 
@@ -776,7 +776,7 @@ impl<'c> Pipeline<'c> {
         frames: Arc<Vec<Frame>>,
         range: std::ops::Range<usize>,
     ) -> MemoryScan {
-        self.absorb_stall("scan");
+        self.absorb_stall(StageKind::Scan);
         MemoryScan::new(info, frames, range, self.ctx.metrics.clone())
     }
 
@@ -795,7 +795,7 @@ impl<'c> Pipeline<'c> {
     ) -> Result<StreamResult> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_streaming");
-        self.absorb_stall("kernel");
+        self.absorb_stall(StageKind::Kernel);
         self.stream(&mut [source], false, kernel)
     }
 
@@ -809,7 +809,7 @@ impl<'c> Pipeline<'c> {
     ) -> Result<StreamResult> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_streaming_multi");
-        self.absorb_stall("kernel");
+        self.absorb_stall(StageKind::Kernel);
         self.stream(sources, true, kernel)
     }
 
@@ -918,7 +918,7 @@ impl<'c> Pipeline<'c> {
     ) -> Result<EncodedVideo> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_eager");
-        self.absorb_stall("kernel");
+        self.absorb_stall(StageKind::Kernel);
         // Clamp the requested fan-out by the context budget AND the
         // machine's parallelism: threads beyond the core count only
         // pay spawn overhead (the workers4-slower-than-workers1
@@ -962,7 +962,7 @@ impl<'c> Pipeline<'c> {
     ) -> Result<EncodedVideo> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_sequence");
-        self.absorb_stall("kernel");
+        self.absorb_stall(StageKind::Kernel);
         let info = source.info();
         let frames = self.drain(source)?;
         let n = frames.len() as u64;
@@ -985,7 +985,7 @@ impl<'c> Pipeline<'c> {
     ) -> Result<StreamResult> {
         let _req = self.request_span();
         let _span = trace::span("pipeline", "run_short_circuit");
-        self.absorb_stall("kernel");
+        self.absorb_stall(StageKind::Kernel);
         self.stream(&mut [source], false, &mut Gated { gate, kernel })
     }
 
@@ -1060,12 +1060,12 @@ impl<'c> Pipeline<'c> {
         self.ctx.request_id.as_ref().map(|r| trace::span_dyn("request", || r.to_string()))
     }
 
-    /// Sleep out an injected stall at a named stage entry (the
-    /// watchdog's budget is far above any plan's stall, so an absorbed
-    /// stall degrades latency without tripping anything).
-    fn absorb_stall(&self, stage: &str) {
+    /// Sleep out an injected stall at a stage's entry (the watchdog's
+    /// budget is far above any plan's stall, so an absorbed stall
+    /// degrades latency without tripping anything).
+    fn absorb_stall(&self, stage: StageKind) {
         if let Some(inj) = fault::global() {
-            if let Some(d) = inj.stall(stage) {
+            if let Some(d) = inj.stall(stage.label()) {
                 std::thread::sleep(d);
                 fault::note_stall_absorbed();
             }
@@ -1086,7 +1086,7 @@ impl<'c> Pipeline<'c> {
     /// Sink stage: apply the context's result mode (persist or
     /// discard), recording Sink time and persisted bytes.
     pub(crate) fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
-        self.absorb_stall("sink");
+        self.absorb_stall(StageKind::Sink);
         let frames = output.primary_video().map(|v| v.len() as u64).unwrap_or(0);
         let bytes = self.ctx.metrics.timed(
             StageKind::Sink,
@@ -1122,7 +1122,7 @@ struct EncodeStage<'p, 'c> {
 
 impl<'p, 'c> EncodeStage<'p, 'c> {
     fn new(pl: &'p Pipeline<'c>, info: VideoInfo) -> Self {
-        pl.absorb_stall("encode");
+        pl.absorb_stall(StageKind::Encode);
         Self { pl, info, encoder: None, packets: Vec::new(), boxes: Vec::new(), any_boxes: false }
     }
 
@@ -1210,6 +1210,16 @@ mod tests {
         assert!(text.contains("kernel 0ns/0fr/0B"), "{text}");
         let decode = snap.stage(StageKind::Decode).latency;
         assert_eq!((decode.count, decode.sum, decode.buckets[0]), (2, 150, 2));
+    }
+
+    /// A plan can stall each stage `absorb_stall` is called with.
+    #[test]
+    fn every_stage_label_is_a_stall_stage() {
+        for kind in StageKind::ALL {
+            let spec = format!("stall_stage={}:1ms", kind.label());
+            let inj = fault::FaultInjector::from_spec(&spec, 0).unwrap();
+            assert_eq!(inj.stall(kind.label()), Some(Duration::from_millis(1)), "{spec}");
+        }
     }
 
     #[test]

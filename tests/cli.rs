@@ -105,7 +105,7 @@ fn read_tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
 fn assert_same_tree(base: &BTreeMap<PathBuf, Vec<u8>>, other: &BTreeMap<PathBuf, Vec<u8>>, what: &str) {
     assert_eq!(base.keys().collect::<Vec<_>>(), other.keys().collect::<Vec<_>>(), "{what}: files");
     for (name, bytes) in base {
-        assert!(other[name] == *bytes, "{what}: {} differs from the plain run", name.display());
+        assert!(other[name] == *bytes, "{what}: {} differs", name.display());
     }
 }
 
@@ -137,13 +137,14 @@ fn traced_untraced_and_served_runs_write_identical_results() {
 }
 
 /// A flag the command does not read — misspelled, or one that no
-/// longer exists — and a count or speedup that is not positive each
-/// exit 1 while the flags are parsed, before any dataset is generated,
-/// naming the flag.
+/// longer exists — a count or speedup that is not positive, and a fault
+/// plan naming a stage or query that does not exist each exit 1 while
+/// the flags are parsed, before any dataset is generated, naming the
+/// flag.
 #[test]
 fn bad_flags_and_values_are_refused_before_generation() {
     let _quiet = shared();
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["run", "--batch", "0"], "--batch"),
         (&["run", "--online", "0"], "--online"),
         (&["run", "--online", "-2"], "--online"),
@@ -152,6 +153,8 @@ fn bad_flags_and_values_are_refused_before_generation() {
         (&["run", "--workers", "2"], "--workers for run"),
         (&["serve", "--drain-timeout-ms", "5"], "--drain-timeout-ms for serve"),
         (&["run", "--optimizer", "explain"], "--optimizer"),
+        (&["run", "--faults", "stall_stage=kernal:5ms"], "--faults"),
+        (&["run", "--faults", "panic_kernel=Q99:frame2"], "--faults"),
     ];
     for (args, named) in cases {
         let (child, _) = Bounded::spawn(Command::new(BIN).args(args), RUN_LIMIT);
@@ -166,30 +169,45 @@ fn bad_flags_and_values_are_refused_before_generation() {
 /// The chaos schedule: the full suite on every engine in write mode
 /// under a deadline, then an online run losing a fifth of its RTP
 /// packets. Both finish, and the fault-accounting check they end with
-/// passes (it exits 1 on a mismatch).
+/// passes (it exits 1 on a mismatch). Each fault is keyed by what it
+/// hits, so both replay at one worker and at four: the same files, byte
+/// for byte, and the same `degraded:` and `fault accounting:` lines.
 #[test]
 fn chaos_runs_exit_zero() {
     let _quiet = shared();
-    let out = scratch("chaos");
+    let dir = scratch("chaos");
     let faults = "corrupt_bitstream=0.01,stall_stage=kernel:2ms,io_fail=write:0.02,panic_kernel=q4:frame2";
     let tile = ["--scale", "1", "--res", "128x72", "--duration", "0.4", "--batch", "2", "--no-validate"];
-    let batch = [
-        &["run", "--engine", "all", "--full-suite"][..],
-        &tile,
-        &["--write", path(&out), "--deadline-ms", "30000", "--faults", faults, "--fault-seed", "7"],
-    ]
-    .concat();
-    let online = [
-        &["run", "--engine", "reference", "--queries", "Q1,Q2a"][..],
-        &tile,
-        &["--online", "1000", "--faults", "drop_rtp=0.2", "--fault-seed", "11"],
-    ]
-    .concat();
-    for args in [batch, online] {
-        let stdout = visualroad(&args, &[("VR_WORKERS", "4")]).stdout;
-        assert!(String::from_utf8_lossy(&stdout).contains("fault accounting: OK"), "{args:?}");
-    }
+    let verdict = |args: &[&str], workers: &str| -> Vec<String> {
+        let stdout = visualroad(args, &[("VR_WORKERS", workers)]).stdout;
+        let stdout = String::from_utf8_lossy(&stdout);
+        assert!(stdout.contains("fault accounting: OK"), "{args:?}");
+        let kept = |l: &&str| l.contains("degraded:") || l.starts_with("fault accounting:");
+        stdout.lines().filter(kept).map(str::to_string).collect()
+    };
+    let run = |workers: &str| {
+        let out = dir.join(format!("workers-{workers}"));
+        let batch = [
+            &["run", "--engine", "all", "--full-suite"][..],
+            &tile,
+            &["--write", path(&out), "--deadline-ms", "30000", "--faults", faults, "--fault-seed", "7"],
+        ]
+        .concat();
+        let online = [
+            &["run", "--engine", "reference", "--queries", "Q1,Q2a"][..],
+            &tile,
+            &["--online", "1000", "--faults", "drop_rtp=0.2", "--fault-seed", "11"],
+        ]
+        .concat();
+        let lines = (verdict(&batch, workers), verdict(&online, workers));
+        (read_tree(&out), lines)
+    };
+    let (tree, lines) = run("4");
+    let (tree_1, lines_1) = run("1");
+    assert_same_tree(&tree, &tree_1, "VR_WORKERS=1");
+    assert_eq!(lines, lines_1, "degraded: and fault accounting: lines at VR_WORKERS=1");
 }
+
 
 /// The zero-copy data plane's budget: a sequential batch Q1 costs at
 /// most 150 stage-scoped heap allocations (about 107 today, 585 before
