@@ -17,6 +17,7 @@ STAGES=(guard build test)
 
 stage_guard() {
     echo "-- warnings are errors across every target"
+    # RUSTFLAGS replaces .cargo/config.toml's target-cpu; a check's lints do not depend on codegen.
     RUSTFLAGS="-D warnings" cargo check -q --release --offline --all-targets
     # Informational: each crate's non-test and test lines of code, as
     # the repo's own instrument (vr_bench::loc, the Figure 7 counter)

@@ -553,8 +553,8 @@ pub fn note_stall_absorbed() {
 // Bounded retry with deterministic backoff
 // ---------------------------------------------------------------------------
 
-/// Attempts (including the first) [`with_retry`] makes before giving
-/// up on a transiently failing storage operation.
+/// Attempts (including the first) [`with_retry_io`] makes before
+/// giving up on a transiently failing storage operation.
 pub const RETRY_MAX_ATTEMPTS: u32 = 4;
 
 /// The backoff before retry number `attempt` (0-based): an exponential
@@ -584,24 +584,19 @@ fn is_transient(kind: std::io::ErrorKind) -> bool {
     )
 }
 
-/// Run a storage operation with bounded retry-with-backoff. Transient
-/// I/O failures are retried up to [`RETRY_MAX_ATTEMPTS`] total
-/// attempts with [`backoff_delay`] sleeps between them; every retry is
-/// recorded in the degradation counters, and exhausting the budget
-/// records a give-up and surfaces the last error. Everything else
-/// (not-found, corruption, broken pipe) propagates immediately —
-/// retrying cannot help.
+/// Run a storage operation the fault plan may fail with bounded
+/// retry-with-backoff. Transient I/O failures are retried up to
+/// [`RETRY_MAX_ATTEMPTS`] total attempts with [`backoff_delay`] sleeps
+/// between them; every retry is recorded in the degradation counters,
+/// and exhausting the budget records a give-up and surfaces the last
+/// error. Everything else (not-found, corruption, broken pipe)
+/// propagates immediately — retrying cannot help.
 ///
-/// `site` names the call site (hashed into the jitter stream).
-pub fn with_retry<T>(site: &str, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-    retry(site, || 0, |_| f())
-}
-
-/// [`with_retry`] over a storage operation the fault plan may fail.
-/// `object` names what the operation touches (a file, a pipe) and
-/// `seq` which operation on it (a pipe's message count, 0 for a whole
-/// file). Every attempt first asks the injector whether it fails, keyed
-/// by `(site, object, seq, attempt)`, so an injected failure takes the
+/// `site` names the call site (hashed into the jitter stream),
+/// `object` what the operation touches (a file, a pipe) and `seq`
+/// which operation on it (a pipe's message count, 0 for a whole file).
+/// Every attempt first asks the injector whether it fails, keyed by
+/// `(site, object, seq, attempt)`, so an injected failure takes the
 /// same backoff path as a real one and hits the same attempts at any
 /// worker count. The key is computed only when an injector is
 /// installed or an attempt fails.
@@ -619,7 +614,7 @@ pub fn with_retry_io<T>(
     })
 }
 
-/// The loop behind [`with_retry`] and [`with_retry_io`]: `f` runs
+/// The loop behind [`with_retry_io`]: `f` runs
 /// attempt number `attempt`; `key` names what is retried in the
 /// backoff jitter.
 fn retry<T>(site: &str, key: impl Fn() -> u64, mut f: impl FnMut(u32) -> Result<T>) -> Result<T> {
@@ -813,10 +808,12 @@ mod tests {
         assert_ne!(backoff_delay(9, 4, 1, 7), backoff_delay(10, 4, 1, 7));
     }
 
+    /// With no injector installed (no test in this crate installs
+    /// one), `with_retry_io` fails only where `f` does.
     #[test]
     fn with_retry_retries_transients_and_gives_up() {
         let mut calls = 0;
-        let out: Result<u32> = with_retry("test-ok", || {
+        let out: Result<u32> = with_retry_io("test-ok", IoOp::Read, "obj", 0, || {
             calls += 1;
             if calls < 3 {
                 Err(Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "x")))
@@ -828,7 +825,7 @@ mod tests {
         assert_eq!(calls, 3);
 
         let mut calls = 0;
-        let out: Result<u32> = with_retry("test-exhaust", || {
+        let out: Result<u32> = with_retry_io("test-exhaust", IoOp::Read, "obj", 0, || {
             calls += 1;
             Err(Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "x")))
         });
@@ -837,7 +834,7 @@ mod tests {
 
         // Non-transient errors pass straight through.
         let mut calls = 0;
-        let out: Result<u32> = with_retry("test-hard", || {
+        let out: Result<u32> = with_retry_io("test-hard", IoOp::Write, "obj", 0, || {
             calls += 1;
             Err(Error::NotFound("gone".into()))
         });

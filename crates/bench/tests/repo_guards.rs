@@ -4,9 +4,9 @@
 //! payload reader, one video-track resolver and one sample→frame
 //! loop, full-frame kernels that walk plane rows instead of reading
 //! pixels through `Frame`, `unsafe` refused by every crate root, two
-//! `VR_*` environment variables, and a `ci.sh` that stays a stage
-//! table. Each guard is a function over text, shown failing on a bad
-//! input below.
+//! `VR_*` environment variables, a `ci.sh` that stays a stage table,
+//! and one build setting in `.cargo/config.toml`. Each guard is a
+//! function over text, shown failing on a bad input below.
 
 use std::path::{Path, PathBuf};
 
@@ -154,6 +154,18 @@ fn within_line_budget(script: &str) -> bool {
     script.lines().count() <= CI_MAX_LINES
 }
 
+/// The only build setting `.cargo/config.toml` may hold: code
+/// generation for the build host's vector unit on x86-64.
+const BUILD_SETTING: [&str; 2] =
+    ["[target.'cfg(target_arch = \"x86_64\")']", "rustflags = [\"-C\", \"target-cpu=native\"]"];
+
+/// Whether a cargo config holds exactly [`BUILD_SETTING`] and no other
+/// table or key (comments and blank lines aside).
+fn holds_one_build_setting(config: &str) -> bool {
+    let lines = config.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#'));
+    lines.eq(BUILD_SETTING)
+}
+
 fn repo() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -225,6 +237,8 @@ fn the_repository_passes_every_guard() {
 
     let ci = read(&root.join("ci.sh"));
     assert!(within_line_budget(&ci), "ci.sh has {} lines", ci.lines().count());
+    let config = read(&root.join(".cargo/config.toml"));
+    assert!(holds_one_build_setting(&config), ".cargo/config.toml holds another setting:\n{config}");
 }
 
 #[test]
@@ -287,4 +301,13 @@ fn each_guard_rejects_a_bad_input() {
 
     assert!(within_line_budget(&"x\n".repeat(CI_MAX_LINES)));
     assert!(!within_line_budget(&"x\n".repeat(CI_MAX_LINES + 1)), "a 151-line script");
+
+    let setting = format!("# why\n{}\n\n{}\n", BUILD_SETTING[0], BUILD_SETTING[1]);
+    assert!(holds_one_build_setting(&setting));
+    assert!(!holds_one_build_setting(""), "no setting");
+    assert!(!holds_one_build_setting(&format!("{setting}[profile.release]\nlto = true\n")), "a second knob");
+    let portable = setting.replace("native", "x86-64-v3");
+    assert!(!holds_one_build_setting(&portable), "another target");
+    let more_flags = setting.replace("\"]", "\", \"-C\", \"codegen-units=1\"]");
+    assert!(!holds_one_build_setting(&more_flags), "a second flag");
 }

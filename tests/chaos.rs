@@ -12,8 +12,9 @@
 //! being absent) serialize on a static mutex: `fault::install` is
 //! process-wide and the default test harness runs threads in parallel.
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use visual_road::base::fault::{self, FaultInjector, RETRY_MAX_ATTEMPTS};
+use visual_road::base::fault::{self, FaultInjector, IoOp, RETRY_MAX_ATTEMPTS};
 use visual_road::base::{Error, VrRng};
 use visual_road::codec::{encode_sequence, EncoderConfig, ResilientDecoder};
 use visual_road::container::{Container, ContainerWriter, TrackKind};
@@ -30,6 +31,15 @@ fn injector_lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
+}
+
+/// A tiny dataset generated while no other test's injector is
+/// installed: the generator decodes the camera videos for the
+/// panorama, so an injector installed meanwhile would corrupt them and
+/// count the concealment in that test's recovery counters.
+fn clean_dataset(seed: u64) -> Dataset {
+    let _guard = injector_lock();
+    tiny_dataset(seed)
 }
 
 /// A guard that clears the global injector even if the test panics, so
@@ -132,10 +142,10 @@ fn seeded_corruptions_never_panic_and_always_terminate() {
 }
 
 /// The backoff schedule is a pure function of (seed, site, attempt,
-/// draw), grows with the attempt number, and stays
-/// milliseconds-bounded so an exhausted retry budget cannot stall a
-/// query noticeably. Distinct draw indices (one per concurrent sleep)
-/// decorrelate simultaneous retries at the same site.
+/// key), the key naming the retried object; it grows with the attempt
+/// number and stays milliseconds-bounded, so an exhausted retry budget
+/// cannot stall a query noticeably. Retries of distinct objects at the
+/// same site and attempt draw distinct jitter.
 #[test]
 fn retry_backoff_schedule_is_deterministic_and_bounded() {
     let a = fault::backoff_delay(7, 11, 0, 0);
@@ -150,9 +160,10 @@ fn retry_backoff_schedule_is_deterministic_and_bounded() {
     assert_ne!(fault::backoff_delay(7, 11, 0, 1), fault::backoff_delay(7, 11, 0, 2));
 }
 
-/// `with_retry` absorbs transient failures (counting each retry),
+/// `with_retry_io` absorbs transient failures (counting each retry),
 /// gives up after the bounded budget (counting the give-up), and does
-/// not retry permanent errors.
+/// not retry permanent errors. The lock keeps every injector out, so
+/// only `op`'s own errors fail an attempt.
 #[test]
 fn with_retry_accounts_retries_and_give_ups() {
     let _guard = injector_lock();
@@ -162,7 +173,7 @@ fn with_retry_accounts_retries_and_give_ups() {
     let mut calls = 0u32;
     let transient =
         || Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "injected"));
-    let out = fault::with_retry("chaos-test-a", || {
+    let out = fault::with_retry_io("chaos-test-a", IoOp::Read, "object", 0, || {
         calls += 1;
         if calls <= 2 { Err(transient()) } else { Ok(calls) }
     });
@@ -170,7 +181,7 @@ fn with_retry_accounts_retries_and_give_ups() {
 
     // Never succeeds: budget exhausted, error surfaces.
     let mut attempts = 0u32;
-    let out: Result<(), Error> = fault::with_retry("chaos-test-b", || {
+    let out: Result<(), Error> = fault::with_retry_io("chaos-test-b", IoOp::Write, "object", 0, || {
         attempts += 1;
         Err(transient())
     });
@@ -179,7 +190,7 @@ fn with_retry_accounts_retries_and_give_ups() {
 
     // Permanent errors surface immediately with no accounting.
     let mut permanent_calls = 0u32;
-    let out: Result<(), Error> = fault::with_retry("chaos-test-c", || {
+    let out: Result<(), Error> = fault::with_retry_io("chaos-test-c", IoOp::Read, "object", 0, || {
         permanent_calls += 1;
         Err(Error::NotFound("x".into()))
     });
@@ -196,7 +207,7 @@ fn with_retry_accounts_retries_and_give_ups() {
 /// the count of contained panics matches the count of injected ones.
 #[test]
 fn watchdog_contains_injected_stage_panics() {
-    let dataset = tiny_dataset(43);
+    let dataset = clean_dataset(43);
     let (_guard, inj) =
         InstallGuard::install(FaultInjector::from_spec("panic_kernel=q2a:frame3", 1).unwrap());
 
@@ -218,7 +229,7 @@ fn watchdog_contains_injected_stage_panics() {
 /// corruption accounting.
 #[test]
 fn corrupted_bitstreams_are_concealed_not_fatal() {
-    let dataset = tiny_dataset(44);
+    let dataset = clean_dataset(44);
     let (_guard, inj) =
         InstallGuard::install(FaultInjector::from_spec("corrupt_bitstream=0.05", 9).unwrap());
 
@@ -298,7 +309,7 @@ fn clean_runs_report_zero_degradation() {
 /// still complete.
 #[test]
 fn online_rtp_drops_are_skipped_and_accounted() {
-    let dataset = tiny_dataset(47);
+    let dataset = clean_dataset(47);
     let (_guard, inj) =
         InstallGuard::install(FaultInjector::from_spec("drop_rtp=0.08", 3).unwrap());
 
@@ -325,7 +336,7 @@ fn online_rtp_drops_are_skipped_and_accounted() {
 /// RTP packets. Every injected fault is matched by its recovery counter.
 #[test]
 fn chaos_schedule_accounts_for_every_injected_fault() {
-    let dataset = tiny_dataset(48);
+    let dataset = clean_dataset(48);
     let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos-schedule");
     let _ = std::fs::remove_dir_all(&out);
     let run = |spec: &str, seed: u64, cfg: VcdConfig, engines: Vec<Box<dyn Vdbms>>, queries: &[QueryKind]| {
@@ -367,4 +378,67 @@ fn chaos_schedule_accounts_for_every_injected_fault() {
     let reference: Vec<Box<dyn Vdbms>> = vec![Box::new(ReferenceEngine::new())];
     let injected = run("drop_rtp=0.2", 11, online, reference, &[QueryKind::Q1Select, QueryKind::Q2aGrayscale]);
     assert!(injected.drop_rtp > 0, "{injected:?}");
+}
+
+/// A chaos run replays: one write-mode batch under a fixed plan writes
+/// the same bytes for every instance, and reports the same degradation
+/// and the same fault accounting, at one batch worker and at four.
+/// Every decision is keyed by what it hits; a decision drawn from a
+/// shared counter would land on whichever sample or write reached the
+/// counter first, which moves with the four workers' interleaving.
+/// Each instance's pipeline runs on one worker: with two, the decode
+/// stage runs ahead of a kernel that panics by a varying number of
+/// frames, and the failed instance's concealed and skipped counts vary
+/// with it.
+#[test]
+fn chaos_runs_replay_at_every_batch_width() {
+    let dataset = clean_dataset(49);
+    let queries = [QueryKind::Q1Select, QueryKind::Q2aGrayscale];
+    let spec = "corrupt_bitstream=0.2,io_fail=write:0.5,panic_kernel=q2a:frame5";
+    let run = |workers: usize| {
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("replay{workers}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = visual_road::storage::FlatStore::open(&dir).unwrap();
+        let (guard, inj) = InstallGuard::install(FaultInjector::from_spec(spec, 5).unwrap());
+        let before = fault::degradation_snapshot();
+        let cfg = VcdConfig {
+            validate: false,
+            batch_size: Some(4),
+            pipeline_workers: Some(1),
+            batch_workers: Some(workers),
+            write_store: Some(store.clone()),
+            ..Default::default()
+        };
+        let report = Vcd::new(&dataset, cfg).run_queries(&mut ReferenceEngine::new(), &queries);
+        let counts = (inj.injected(), fault::degradation_snapshot().since(&before));
+        drop(guard);
+        let report = report.unwrap();
+        let degradation: Vec<DegradationStats> = queries
+            .iter()
+            .map(|&q| match &report.query(q).unwrap().status {
+                QueryStatus::Completed { degradation, .. } => *degradation,
+                other => panic!("{q:?} at {workers} workers: {other:?}"),
+            })
+            .collect();
+        let read = |name: String| {
+            let bytes = store.get(&name).unwrap().to_vec();
+            (name, bytes)
+        };
+        let files: BTreeMap<String, Vec<u8>> = store.list().unwrap().into_iter().map(read).collect();
+        (files, degradation, counts)
+    };
+    let (files, degradation, (injected, recovered)) = run(1);
+    assert!(fault::accounting_mismatches(&injected, &recovered).is_empty(), "{recovered:?}");
+    let kinds = [injected.corrupt_bitstream, injected.io_fail_write, injected.kernel_panics];
+    assert!(kinds.iter().all(|&n| n > 0), "{injected:?}");
+    // Three tries, since four workers can happen to run a small batch
+    // in the sequential order.
+    for _ in 0..3 {
+        let (files_4, degradation_4, counts_4) = run(4);
+        assert_eq!(files.keys().collect::<Vec<_>>(), files_4.keys().collect::<Vec<_>>());
+        for (name, bytes) in &files {
+            assert!(files_4[name] == *bytes, "{name} differs at 4 batch workers");
+        }
+        assert_eq!((&degradation, (injected, recovered)), (&degradation_4, counts_4), "at 4 batch workers");
+    }
 }
