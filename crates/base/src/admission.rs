@@ -12,9 +12,9 @@
 //!   instead of growing an unbounded backlog;
 //! * **per-tenant concurrency quotas** — one tenant cannot occupy
 //!   every slot and starve the rest;
-//! * **priority-aware load shedding** — when the saturation gauge
-//!   (published to the metrics registry as `admission.saturation`)
-//!   crosses the degrade threshold, low-priority requests are admitted
+//! * **priority-aware load shedding** — when saturation (occupied
+//!   slots plus queue length over the concurrency limit) crosses the
+//!   degrade threshold, low-priority requests are admitted
 //!   *degraded* (the caller runs them on a cheaper configuration);
 //!   past the shed threshold they are rejected outright. High-priority
 //!   requests are only ever refused by a full queue, their own
@@ -28,10 +28,8 @@
 //!   `Draining` rejection) while [`await_idle`](AdmissionController::await_idle)
 //!   lets the owner flush in-flight work before shutting down.
 //!
-//! Every decision is counted, globally and per tenant, and the counts
-//! are mirrored into the process metrics registry under `admission.*`
-//! so the stress driver and the live `/metrics` endpoint see the same
-//! accounting the server reports.
+//! Every decision is counted per tenant in one ledger, which `STATS`
+//! serves and the stress driver reconciles against its own counts.
 
 use crate::json::{self, Layout::{Block, Inline}, Value, Writer};
 use crate::obs::slo::SloTracker;
@@ -65,7 +63,7 @@ impl std::str::FromStr for Priority {
 }
 
 impl Priority {
-    /// Stable lowercase label used on the wire, in logs and in metrics.
+    /// Stable lowercase label used on the wire and in logs.
     pub(crate) fn label(&self) -> &'static str {
         match self {
             Priority::High => "high",
@@ -118,7 +116,7 @@ impl ShedReason {
         Self::ALL.into_iter().find(|r| r.label() == label)
     }
 
-    /// Stable lower-snake label used in wire responses and metrics.
+    /// Stable lower-snake label used in wire responses and logs.
     pub fn label(&self) -> &'static str {
         match self {
             ShedReason::Saturated => "saturated",
@@ -260,10 +258,8 @@ pub struct TenantCounters {
     pub admitted: u64,
     /// Admitted after blocking in the queue (subset of `admitted`).
     pub queue_waited: u64,
-    /// Total microseconds admitted requests spent queued. The full
-    /// distribution is in the `admission.queue_wait_us.<tenant>`
-    /// registry histogram; the ledger keeps the total so the stress
-    /// driver can cross-check without scraping `/metrics`.
+    /// Total microseconds admitted requests spent queued. Each
+    /// request's own wait is in its query-log record.
     pub queue_wait_us: u64,
     /// Admitted with the degraded flag set (subset of `admitted`).
     pub degraded: u64,
@@ -546,18 +542,8 @@ impl AdmissionController {
         (st.active + st.queued) as f64 / self.cfg.max_concurrent as f64
     }
 
-    /// Publish the live occupancy to the metrics registry — the
-    /// saturation gauge is the signal the shedding policy keys on, and
-    /// exposing it makes the decision auditable from `/metrics`.
-    fn publish_gauges(&self, st: &State) {
-        crate::obs::metrics::gauge("admission.active").set(st.active as f64);
-        crate::obs::metrics::gauge("admission.queued").set(st.queued as f64);
-        crate::obs::metrics::gauge("admission.saturation").set(self.saturation(st));
-    }
-
     fn note_shed(&self, st: &mut State, tenant: &str, reason: ShedReason) -> ShedReason {
         *st.counters.entry(tenant.to_string()).or_default().shed_slot(reason) += 1;
-        crate::obs::metrics::counter(&format!("admission.shed.{}", reason.label())).inc();
         reason
     }
 
@@ -588,8 +574,7 @@ impl AdmissionController {
         if !allowed {
             return Err(self.note_shed(&mut st, tenant, ShedReason::BreakerOpen));
         }
-        // Load shedding for low priority, off the same saturation
-        // number the gauge publishes.
+        // Load shedding for low priority.
         let saturation = self.saturation(&st);
         let degraded = if priority == Priority::Low {
             if saturation >= self.cfg.shed_load {
@@ -616,12 +601,10 @@ impl AdmissionController {
             let wait_start = Instant::now();
             waited = true;
             st.queued += 1;
-            self.publish_gauges(&st);
             loop {
                 if st.draining {
                     st.queued -= 1;
                     self.release_probe(&mut st, tenant, probe);
-                    self.publish_gauges(&st);
                     return Err(self.note_shed(&mut st, tenant, ShedReason::Draining));
                 }
                 if st.active < self.cfg.max_concurrent
@@ -638,7 +621,6 @@ impl AdmissionController {
                         if now >= d {
                             st.queued -= 1;
                             self.release_probe(&mut st, tenant, probe);
-                            self.publish_gauges(&st);
                             return Err(self.note_shed(
                                 &mut st,
                                 tenant,
@@ -657,28 +639,15 @@ impl AdmissionController {
         }
         st.active += 1;
         *st.per_tenant_active.entry(tenant.to_string()).or_insert(0) += 1;
-        let wait_us = queue_wait.as_micros() as u64;
-        {
-            let c = st.counters.entry(tenant.to_string()).or_default();
-            c.admitted += 1;
-            if degraded {
-                c.degraded += 1;
-            }
-            if waited {
-                c.queue_waited += 1;
-                c.queue_wait_us += wait_us;
-            }
-        }
-        crate::obs::metrics::counter("admission.admitted").inc();
+        let c = st.counters.entry(tenant.to_string()).or_default();
+        c.admitted += 1;
         if degraded {
-            crate::obs::metrics::counter("admission.degraded").inc();
+            c.degraded += 1;
         }
-        // Every admission lands in the tenant's queue-wait histogram
-        // (zero for a free slot), so its count equals `admitted` and
-        // p50/p95/p99 describe what admission actually cost the tenant.
-        crate::obs::metrics::histogram(&format!("admission.queue_wait_us.{tenant}"))
-            .observe(wait_us);
-        self.publish_gauges(&st);
+        if waited {
+            c.queue_waited += 1;
+            c.queue_wait_us += queue_wait.as_micros() as u64;
+        }
         drop(st);
         Ok(Permit {
             controller: std::sync::Arc::clone(self),
@@ -726,10 +695,6 @@ impl AdmissionController {
             }
             c.breaker_trips += trips_after - trips_before;
         }
-        if trips_after > trips_before {
-            crate::obs::metrics::counter("admission.breaker_trips").inc();
-        }
-        self.publish_gauges(&st);
         let idle = st.active == 0;
         drop(st);
         self.slot_freed.notify_all();
@@ -745,7 +710,6 @@ impl AdmissionController {
     pub fn begin_drain(&self) {
         let mut st = self.state.lock();
         st.draining = true;
-        self.publish_gauges(&st);
         drop(st);
         self.slot_freed.notify_all();
     }
@@ -776,10 +740,8 @@ impl AdmissionController {
         let c = st.counters.entry(tenant.to_string()).or_default();
         if index {
             c.index_served += 1;
-            crate::obs::metrics::counter("admission.index_served").inc();
         } else {
             c.rescan_served += 1;
-            crate::obs::metrics::counter("admission.rescan_served").inc();
         }
     }
 

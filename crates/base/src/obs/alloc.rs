@@ -230,13 +230,13 @@ impl Drop for ScopeGuard {
 // Tests
 // ---------------------------------------------------------------------------
 
+/// Tracking is process-global; tests that flip it on serialise on this.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::Mutex;
-
-    /// Tracking is process-global; tests that flip it on serialise.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     /// Run `f` under a scope and return its result with the delta.
     fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocDelta) {

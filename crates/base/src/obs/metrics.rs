@@ -2,10 +2,10 @@
 //! latency histograms with deterministic snapshots.
 //!
 //! Every process-wide telemetry value has a name here and exports
-//! through one code path (`--metrics-out`, the live `/metrics`
-//! endpoint). Per-query accounting is not read back from it: a query's
-//! stage record is its execution context's `PipelineMetrics`, which
-//! mirrors each record into the `stage.*` series here.
+//! through one code path (`--metrics-out`). Per-query accounting is
+//! not read back from it: a query's stage record is its execution
+//! context's `PipelineMetrics`, which mirrors each record into the
+//! `stage.*` series here.
 //!
 //! Design constraints (DESIGN.md, "observability"):
 //!
@@ -16,9 +16,9 @@
 //!   handles the caller caches (an `Arc`); the registry map is only
 //!   locked on first lookup.
 //! * **deterministic snapshots** — [`MetricsSnapshot`] stores its
-//!   series in `BTreeMap`s, so [`MetricsSnapshot::to_json`] and
-//!   [`MetricsSnapshot::to_prometheus`] render in a stable order
-//!   regardless of registration order or thread interleaving.
+//!   series in `BTreeMap`s, so [`MetricsSnapshot::to_json`] renders
+//!   in a stable order regardless of registration order or thread
+//!   interleaving.
 //! * **monotonic registry** — metrics are never unregistered or reset
 //!   under concurrent writers.
 
@@ -410,67 +410,6 @@ impl MetricsSnapshot {
         w.finish()
     }
 
-    /// Render in the Prometheus text exposition format (version 0.0.4)
-    /// — the flavour served by `--serve-metrics` at `/metrics`.
-    ///
-    /// Instrument names are sanitised to `[a-zA-Z0-9_:]` (dots become
-    /// underscores) and prefixed `vr_`; histograms expand to the
-    /// conventional cumulative `_bucket{le="..."}` series plus `_sum`
-    /// and `_count`. BTreeMap iteration keeps the output
-    /// deterministic.
-    pub(crate) fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let name = prometheus_name(k);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            let name = prometheus_name(k);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", fmt_f64(*v)));
-        }
-        for (k, h) in &self.histograms {
-            let name = prometheus_name(k);
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (i, &n) in h.buckets.iter().enumerate() {
-                cumulative += n;
-                match BUCKET_BOUNDS_NANOS.get(i) {
-                    Some(bound) => out.push_str(&format!(
-                        "{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"
-                    )),
-                    None => out.push_str(&format!(
-                        "{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"
-                    )),
-                }
-            }
-            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
-        }
-        out
-    }
-}
-
-/// Sanitise a registry name into a legal Prometheus metric name:
-/// `vr_` prefix, every character outside `[a-zA-Z0-9_:]` replaced by
-/// an underscore.
-fn prometheus_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 3);
-    out.push_str("vr_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 /// Validate a [`MetricsSnapshot::to_json`] document. `source` names it
@@ -594,27 +533,6 @@ mod tests {
         // Plain set still overwrites downwards.
         g.set(1.0);
         assert_eq!(g.get(), 1.0);
-    }
-
-    #[test]
-    fn prometheus_export_is_wellformed_and_cumulative() {
-        let registry = Registry::new();
-        registry.counter("a.count").add(2);
-        registry.gauge("b.gauge").set(0.5);
-        let h = registry.histogram("stage.kernel.nanos");
-        h.observe(1_500);
-        h.observe(900);
-        let text = registry.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE vr_a_count counter\nvr_a_count 2\n"));
-        assert!(text.contains("# TYPE vr_b_gauge gauge\nvr_b_gauge 0.5\n"));
-        assert!(text.contains("# TYPE vr_stage_kernel_nanos histogram\n"));
-        // Buckets are cumulative: the 2_000 bound has seen both
-        // observations, the 1_000 bound only the 900ns one.
-        assert!(text.contains("vr_stage_kernel_nanos_bucket{le=\"1000\"} 1\n"));
-        assert!(text.contains("vr_stage_kernel_nanos_bucket{le=\"2000\"} 2\n"));
-        assert!(text.contains("vr_stage_kernel_nanos_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("vr_stage_kernel_nanos_sum 2400\n"));
-        assert!(text.contains("vr_stage_kernel_nanos_count 2\n"));
     }
 
     #[test]

@@ -7,28 +7,22 @@
 //! * [`trace`] — a span tracer ([`trace::span`] guards record
 //!   enter/exit with monotonic timestamps, thread track ids, and
 //!   parent links) plus a chrome-trace (`trace_event` JSON) exporter
-//!   for `chrome://tracing` / Perfetto. Off by default; enabled by the
-//!   CLI via `--trace-out`.
+//!   for `chrome://tracing` / Perfetto, which also draw it as a flame
+//!   chart. Off by default; enabled by the CLI via `--trace-out`.
 //! * [`metrics`] — named counters, gauges, and fixed-bucket latency
 //!   histograms (p50/p95/p99 snapshots) in a process-global
-//!   [`metrics::Registry`], exported as deterministic JSON (and
-//!   Prometheus text for the live endpoint). It sums over the whole
-//!   process; a query's own stage record is its execution context's
-//!   `PipelineMetrics`, which mirrors every record into it.
+//!   [`metrics::Registry`], exported as deterministic JSON
+//!   (`--metrics-out`). It sums over the whole process; a query's own
+//!   stage record is its execution context's `PipelineMetrics`, which
+//!   mirrors every record into it.
 //!
-//! Layer 2 (EXPLAIN ANALYZE support) builds three more surfaces on the
-//! same contract:
+//! Layer 2 (EXPLAIN ANALYZE support) builds one more on the same
+//! contract:
 //!
 //! * [`alloc`] — a counting `GlobalAlloc` wrapper with per-thread
 //!   scoped accounting (allocations, bytes, high-water marks), one
 //!   relaxed flag load per allocation when tracking is off
-//!   (`VR_ALLOC_TRACK` / [`alloc::set_tracking`]);
-//! * [`folded`] — collapsed-stacks (flamegraph) export of the span
-//!   buffer, with a self-time invariant check;
-//! * [`serve`] — a loopback-bound `TcpListener` endpoint
-//!   (`/metrics`, `/metrics.json`, `/healthz`, `/explain`, plus
-//!   registered views such as `/slo` and `/requests`) serving
-//!   read-only snapshots while a run is in flight.
+//!   (`VR_ALLOC_TRACK` / [`alloc::set_tracking`]).
 //!
 //! Layer 3 (request-scoped serving observability) adds two more:
 //!
@@ -36,8 +30,8 @@
 //!   structured JSON-lines query log with deterministic field order,
 //!   plan digests, and slow-query `EXPLAIN ANALYZE` exemplars;
 //! * [`slo`] — per-`tenant/priority` latency objectives with
-//!   rolling-window error-budget burn rates, surfaced via `/slo` and
-//!   the `STATS` `slo` block.
+//!   rolling-window error-budget burn rates, surfaced as the `STATS`
+//!   `slo` block.
 //!
 //! ### Span taxonomy
 //!
@@ -64,9 +58,7 @@
 // The counting `GlobalAlloc` impl is the only `unsafe` in the workspace.
 #[allow(unsafe_code)]
 pub mod alloc;
-pub mod folded;
 pub mod metrics;
 pub mod qlog;
-pub mod serve;
 pub mod slo;
 pub mod trace;

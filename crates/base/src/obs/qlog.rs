@@ -19,21 +19,16 @@
 //!   span-tracer lane (`request.req-NNNNNN.<tenant>` in chrome-trace);
 //!   unique but not ordered in the file.
 //!
-//! A bounded in-memory ring of the most recent rendered lines backs
-//! the live `/requests` view, so the log is inspectable even when no
-//! `--qlog-out` file was configured. [`parse`] reads a log back into
-//! the records that wrote it.
+//! A log with no `--qlog-out` file renders nothing: it only numbers
+//! the records. [`parse`] reads a log back into the records that wrote
+//! it.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::time::Duration;
 
 use crate::admission::{Priority, ShedReason};
 use crate::json::{self, Layout::Inline, Value, Writer};
 use crate::sync::Mutex;
-
-/// Most recent rendered records retained for the `/requests` view.
-const RING_CAP: usize = 256;
 
 /// Identity of one in-flight request, minted at arrival and carried
 /// by the server through planning, execution and the query log.
@@ -143,19 +138,19 @@ pub fn fnv64_hex(data: &str) -> String {
 struct Inner {
     seq: u64,
     writer: Option<std::io::BufWriter<std::fs::File>>,
-    ring: VecDeque<String>,
 }
 
-/// Append-only query log: an optional JSONL file plus the in-memory
-/// ring behind `/requests`. One instance per server.
+/// Append-only query log over an optional JSONL file. One instance per
+/// server.
 pub struct QueryLog {
     slow: Option<Duration>,
     inner: Mutex<Inner>,
 }
 
 impl QueryLog {
-    /// Open a log. `path` is the JSONL sink (`None` = ring only);
-    /// `slow` is the slow-query threshold (`None` disables exemplars).
+    /// Open a log. `path` is the JSONL sink (`None`: records are
+    /// numbered, not rendered); `slow` is the slow-query threshold
+    /// (`None` disables exemplars).
     pub fn open(path: Option<&str>, slow: Option<Duration>) -> std::io::Result<Self> {
         let writer = match path {
             Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p)?)),
@@ -163,7 +158,7 @@ impl QueryLog {
         };
         Ok(Self {
             slow,
-            inner: Mutex::new(Inner { seq: 0, writer, ring: VecDeque::new() }),
+            inner: Mutex::new(Inner { seq: 0, writer }),
         })
     }
 
@@ -172,35 +167,20 @@ impl QueryLog {
         self.slow
     }
 
-    /// Assign the next `seq`, render, and append one record. The file
-    /// write is flushed per record so crash-truncated logs still end
-    /// on a line boundary. Returns the assigned `seq`.
+    /// Assign the next `seq` and, with a file sink, render and append
+    /// one record. The file write is flushed per record so
+    /// crash-truncated logs still end on a line boundary. Returns the
+    /// assigned `seq`.
     pub fn append(&self, rec: &RequestRecord) -> u64 {
         let mut inner = self.inner.lock();
         inner.seq += 1;
         let seq = inner.seq;
-        let line = self.render(seq, rec);
         if let Some(w) = inner.writer.as_mut() {
             // Log I/O must never fail a query: drop the line on error.
-            let _ = writeln!(w, "{line}");
+            let _ = writeln!(w, "{}", self.render(seq, rec));
             let _ = w.flush();
         }
-        if inner.ring.len() == RING_CAP {
-            inner.ring.pop_front();
-        }
-        inner.ring.push_back(line);
         seq
-    }
-
-    /// The retained tail of the log as JSONL — the `/requests` view.
-    pub fn recent_jsonl(&self) -> String {
-        let inner = self.inner.lock();
-        let mut out = String::new();
-        for line in &inner.ring {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
     }
 
     /// Render one record with the fixed field order. Every field is
@@ -362,18 +342,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seq_is_strictly_increasing_and_ring_is_bounded() {
-        let log = QueryLog::open(None, None).unwrap();
-        for i in 0..(RING_CAP as u64 + 10) {
-            assert_eq!(log.append(&record(i + 1)), i + 1);
+    /// Append `records` to a log with a file sink named after `tag`;
+    /// the file's text.
+    fn logged(tag: &str, slow: Option<Duration>, records: &[RequestRecord]) -> String {
+        let path =
+            std::env::temp_dir().join(format!("vr_qlog_{tag}_{}.jsonl", std::process::id()));
+        {
+            let log = QueryLog::open(path.to_str(), slow).unwrap();
+            for (seq, r) in (1..).zip(records) {
+                assert_eq!(log.append(r), seq);
+            }
         }
-        let recent = log.recent_jsonl();
-        let lines: Vec<&str> = recent.lines().collect();
-        assert_eq!(lines.len(), RING_CAP);
-        // Oldest lines were evicted; the tail keeps the newest seqs.
-        assert!(lines[0].contains("\"seq\": 11,"));
-        assert!(lines[RING_CAP - 1].contains(&format!("\"seq\": {},", RING_CAP as u64 + 10)));
+        let body = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        body
+    }
+
+    #[test]
+    fn seq_is_strictly_increasing() {
+        let records: Vec<RequestRecord> = (1..=10).map(record).collect();
+        let body = logged("seq", None, &records);
+        let lines: Vec<&str> = body.lines().collect();
+        assert_eq!(lines.len(), 10);
+        for (seq, line) in (1..).zip(&lines) {
+            assert!(line.starts_with(&format!("{{\"seq\": {seq}, ")), "{line}");
+        }
+    }
+
+    /// Without a file sink `append` only numbers the record: it renders
+    /// nothing and allocates nothing.
+    #[test]
+    fn a_log_without_a_sink_allocates_nothing() {
+        use super::super::alloc::{self, ScopeGuard};
+        let log = QueryLog::open(None, Some(Duration::from_millis(1))).unwrap();
+        let rec = record(1);
+        let _serial = alloc::TEST_LOCK.lock();
+        alloc::set_tracking(true);
+        let scope = ScopeGuard::begin();
+        let seqs = [log.append(&rec), log.append(&rec)];
+        let delta = scope.finish();
+        alloc::set_tracking(false);
+        assert_eq!(seqs, [1, 2]);
+        assert_eq!(delta.allocs, 0, "{delta:?}");
     }
 
     #[test]
@@ -385,16 +395,7 @@ mod tests {
 
     #[test]
     fn file_sink_writes_one_line_per_record() {
-        let path = std::env::temp_dir()
-            .join(format!("vr_qlog_test_{}.jsonl", std::process::id()));
-        let path_s = path.to_str().unwrap().to_string();
-        {
-            let log = QueryLog::open(Some(&path_s), None).unwrap();
-            log.append(&record(1));
-            log.append(&record(2));
-        }
-        let body = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let body = logged("sink", None, &[record(1), record(2)]);
         let lines: Vec<&str> = body.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"seq\": 1,"));
@@ -427,11 +428,8 @@ mod tests {
 
     #[test]
     fn parse_reads_back_what_append_wrote() {
-        let log = QueryLog::open(None, Some(Duration::from_millis(1))).unwrap();
-        for r in settled() {
-            log.append(&r);
-        }
-        let logged = parse(&log.recent_jsonl(), "ring").unwrap();
+        let body = logged("read_back", Some(Duration::from_millis(1)), &settled());
+        let logged = parse(&body, "q.jsonl").unwrap();
         let expected: Vec<Logged> = (1..)
             .zip(settled())
             .map(|(seq, record)| Logged { seq, slow_us: 1000, record })
@@ -443,11 +441,7 @@ mod tests {
     /// editing one field of a valid log.
     #[test]
     fn parse_refuses_each_broken_rule() {
-        let log = QueryLog::open(None, Some(Duration::from_millis(1))).unwrap();
-        for r in settled() {
-            log.append(&r);
-        }
-        let good = log.recent_jsonl();
+        let good = logged("refused", Some(Duration::from_millis(1)), &settled());
         let first = good.lines().next().unwrap();
         let refused = |text: &str, why: &str| {
             let err = parse(text, "q.jsonl").unwrap_err();

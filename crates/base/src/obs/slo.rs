@@ -163,16 +163,9 @@ impl SloTracker {
         fraction / (1.0 - self.cfg.target)
     }
 
-    /// Deterministic JSON document behind `/slo`: policy header plus
-    /// one line per `tenant/priority` class (BTreeMap order).
-    pub fn render_json(&self) -> String {
-        let mut w = Writer::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
-
-    /// [`render_json`](Self::render_json) as the writer's next value
-    /// — how `STATS` nests its `slo` block.
+    /// The tracker as the writer's next value — `STATS`'s `slo` block:
+    /// policy header plus one line per `tenant/priority` class
+    /// (BTreeMap order).
     pub(crate) fn write_json(&self, w: &mut Writer) {
         let classes = self.classes.lock();
         w.object(Block).key("objective_ms").object(Inline);
@@ -203,6 +196,33 @@ mod tests {
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
+    }
+
+    /// The tracker's block as a document of its own.
+    fn render_json(t: &SloTracker) -> String {
+        let mut w = Writer::new();
+        t.write_json(&mut w);
+        w.finish()
+    }
+
+    const SLO: &str = "{\n  \"objective_ms\": {\"high\": 10, \"low\": 250},\n  \"target\": 0.900,\n  \"window\": 4,\n  \"tenants\": {\n    \"bronze/low\": {\"total\": 1, \"violations\": 1, \"window_total\": 1, \"window_violations\": 1, \"bad_fraction\": 1.000, \"burn_rate\": 10.000},\n    \"gold/high\": {\"total\": 3, \"violations\": 1, \"window_total\": 3, \"window_violations\": 1, \"bad_fraction\": 0.333, \"burn_rate\": 3.333}\n  }\n}\n";
+    const SLO_EMPTY: &str = "{\n  \"objective_ms\": {\"high\": 5000, \"low\": 30000},\n  \"target\": 0.950,\n  \"window\": 256,\n  \"tenants\": {}\n}\n";
+
+    /// Byte for byte what the hand-rolled renderer wrote (captured on
+    /// the commit before `json::Writer`), and documents the strict
+    /// parser accepts.
+    #[test]
+    fn slo_block_is_pinned() {
+        let t = SloTracker::new(SloConfig { high: ms(10), low: ms(250), target: 0.9, window: 4 });
+        t.record("bronze", Priority::Low, Outcome::Shed, Duration::ZERO);
+        t.record("gold", Priority::High, Outcome::Ok, ms(1));
+        t.record("gold", Priority::High, Outcome::Ok, ms(50));
+        t.record("gold", Priority::High, Outcome::Ok, ms(2));
+        assert_eq!(render_json(&t), SLO);
+        assert_eq!(render_json(&SloTracker::new(SloConfig::default())), SLO_EMPTY);
+        for doc in [SLO, SLO_EMPTY] {
+            crate::json::parse(doc).unwrap();
+        }
     }
 
     #[test]

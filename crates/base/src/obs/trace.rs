@@ -119,7 +119,7 @@ fn record(event: TraceEvent) {
         events.push(event);
     } else {
         // Not silent: the drop is visible both in the chrome-trace
-        // `otherData` footer and as a registry counter on `/metrics`.
+        // `otherData` footer and as a registry counter (`--metrics-out`).
         DROPPED.fetch_add(1, Ordering::Relaxed);
         super::metrics::counter("obs.spans_dropped").inc();
     }
@@ -207,17 +207,6 @@ pub(crate) fn dropped() -> u64 {
 pub fn drain() -> Vec<TraceEvent> {
     std::mem::take(&mut *EVENTS.lock())
 }
-
-/// Copy the buffered events without draining them (exporters that
-/// must coexist — chrome trace and folded stacks — both read this).
-pub(crate) fn events() -> Vec<TraceEvent> {
-    EVENTS.lock().clone()
-}
-
-/// Serialises tests — across this crate's modules — that enable the
-/// process-global tracer.
-#[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// Serialize the buffered events as a chrome-trace (`trace_event`)
 /// JSON document without draining them. Loadable in `chrome://tracing`
@@ -314,7 +303,10 @@ fn parse_event(v: &Value, index: usize) -> Result<Event<'_>, String> {
 /// 3. B/E pairs balance per track: replaying each `tid`'s events in
 ///    file order, every `E` must close the innermost open `B` with the
 ///    same name, timestamps must be non-decreasing within a track, and
-///    every track's stack must be empty at the end;
+///    every track's stack must be empty at the end. So on each track
+///    a span's children begin after it begins, end before it ends and
+///    do not overlap one another: no span's self time (its duration
+///    less its children's) is negative;
 /// 4. every `required` span name appears as a `B` event, and at least
 ///    one scheduler instance span (`cat == "scheduler"`, name
 ///    `instance.*`) is present.
@@ -379,9 +371,9 @@ pub fn validate(text: &str, source: &str, required: &[&str]) -> Result<TraceSumm
 mod tests {
     use super::*;
 
-    // The tracer is process-global; tests that flip it on must not
-    // interleave — they share `super::TEST_LOCK` with the folded
-    // exporter's tests. (Other crates' tests never enable tracing.)
+    /// The tracer is process-global; tests that flip it on must not
+    /// interleave. (Other crates' tests never enable tracing.)
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn with_tracer<R>(f: impl FnOnce() -> R) -> R {
         let _guard = TEST_LOCK.lock();
@@ -490,7 +482,7 @@ mod tests {
         let events = drain();
         // 4 spans produce 8 events; a cap of 4 buffers the first 4 and
         // drops the rest — visibly, in both the static counter (the
-        // chrome-trace footer) and the metrics registry (`/metrics`).
+        // chrome-trace footer) and the metrics registry.
         assert_eq!(events.len(), 4);
         assert_eq!(dropped() - dropped_before, 4);
         assert_eq!(metric.get() - metric_before, 4);

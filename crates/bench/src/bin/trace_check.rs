@@ -1,24 +1,21 @@
 //! Validator for the observability artifacts: chrome-trace profiles
-//! (`visualroad run --trace-out`), metrics snapshots (`--metrics-out`),
-//! collapsed-stack flamegraph files (`--folded-out`) and query logs
-//! (`visualroad serve --qlog-out`). The command line over the readers
-//! that sit beside each writer, whose docs list their checks:
-//! `vr_base::obs::trace::validate` (the required span names default to
-//! the five pipeline stages `scan,decode,kernel,encode,sink`),
-//! `obs::metrics::validate`, `obs::folded::validate` and
-//! `obs::qlog::parse`.
+//! (`visualroad run --trace-out`), metrics snapshots (`--metrics-out`)
+//! and query logs (`visualroad serve --qlog-out`). The command line
+//! over the readers that sit beside each writer, whose docs list their
+//! checks: `vr_base::obs::trace::validate` (the required span names
+//! default to the five pipeline stages `scan,decode,kernel,encode,sink`),
+//! `obs::metrics::validate` and `obs::qlog::parse`.
 //!
 //! ```text
 //! trace_check [<trace.json>] [--require name1,name2,...]
-//!             [--metrics snap.json]... [--folded folded.txt]...
-//!             [--qlog qlog.jsonl]...
+//!             [--metrics snap.json]... [--qlog qlog.jsonl]...
 //! ```
 //!
 //! Exit code 0 when every requested artifact passes, 1 with a
 //! diagnostic on the first violation.
 
 use std::process::ExitCode;
-use vr_base::obs::{folded, metrics, qlog, trace};
+use vr_base::obs::{metrics, qlog, trace};
 
 const DEFAULT_REQUIRED: &str = "scan,decode,kernel,encode,sink";
 
@@ -29,7 +26,6 @@ fn read(path: &str) -> Result<String, String> {
 fn run() -> Result<String, String> {
     let mut path = None;
     let mut metrics_paths: Vec<String> = Vec::new();
-    let mut folded_paths: Vec<String> = Vec::new();
     let mut qlog_paths: Vec<String> = Vec::new();
     let mut required = DEFAULT_REQUIRED.to_string();
     let mut args = std::env::args().skip(1);
@@ -38,9 +34,8 @@ fn run() -> Result<String, String> {
         match arg.as_str() {
             "--require" => required = value("a comma-separated name list")?,
             "--metrics" => metrics_paths.push(value("a snapshot path")?),
-            "--folded" => folded_paths.push(value("a collapsed-stacks path")?),
             "--qlog" => qlog_paths.push(value("a query-log path")?),
-            _ if path.is_none() => path = Some(arg),
+            _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
             _ => return Err(format!("unexpected argument {arg:?}")),
         }
     }
@@ -48,10 +43,6 @@ fn run() -> Result<String, String> {
     for m in &metrics_paths {
         metrics::validate(&read(m)?, m)?;
         summary.push(format!("metrics OK: {m}"));
-    }
-    for f in &folded_paths {
-        let lines = folded::validate(&read(f)?, f)?;
-        summary.push(format!("folded OK: {f} ({lines} stacks)"));
     }
     for q in &qlog_paths {
         let records = qlog::parse(&read(q)?, q)?.len();
@@ -61,7 +52,7 @@ fn run() -> Result<String, String> {
         if summary.is_empty() {
             return Err(
                 "usage: trace_check [<trace.json>] [--require names] [--metrics snap.json] \
-                 [--folded folded.txt] [--qlog qlog.jsonl]"
+                 [--qlog qlog.jsonl]"
                     .into(),
             );
         }

@@ -86,9 +86,6 @@ fn metrics(count: u32) -> String {
     )
 }
 
-const FOLDED: &str = "instance.q1.0 40\ninstance.q1.0;decode 12\ninstance.q1.0;scan 7\n";
-const BAD_FOLDED: &str = "instance.q1.0 40\ninstance.q1.0;;scan 7\n";
-
 /// A query-log record as `QueryLog` renders it.
 fn record(seq: u32, req: u32, outcome: &str, shed_reason: &str, route: &str) -> String {
     format!(
@@ -105,11 +102,15 @@ fn qlog(seqs: [u32; 2]) -> String {
 }
 
 const TRACE_USAGE: &str = "trace_check: usage: trace_check [<trace.json>] [--require names] \
-    [--metrics snap.json] [--folded folded.txt] [--qlog qlog.jsonl]\n";
+    [--metrics snap.json] [--qlog qlog.jsonl]\n";
 
 #[test]
 fn trace_check_without_arguments_prints_its_usage() {
-    trace_check(&scratch("usage", &[]), &[], 1, "", TRACE_USAGE);
+    let dir = scratch("usage", &[]);
+    trace_check(&dir, &[], 1, "", TRACE_USAGE);
+    // The collapsed-stacks reader is gone: its option is refused.
+    let refused = "trace_check: unexpected argument \"--folded\"\n";
+    trace_check(&dir, &["--folded", "x"], 1, "", refused);
 }
 
 #[test]
@@ -119,24 +120,15 @@ fn trace_check_passes_a_good_set_of_artifacts() {
         &[
             ("trace.json", &trace(false)),
             ("metrics.json", &metrics(3)),
-            ("folded.txt", FOLDED),
             ("qlog.jsonl", &qlog([1, 2])),
         ],
     );
-    let args = [
-        "trace.json",
-        "--metrics",
-        "metrics.json",
-        "--folded",
-        "folded.txt",
-        "--qlog",
-        "qlog.jsonl",
-    ];
+    let args = ["trace.json", "--metrics", "metrics.json", "--qlog", "qlog.jsonl"];
     trace_check(
         &dir,
         &args,
         0,
-        "metrics OK: metrics.json\nfolded OK: folded.txt (3 stacks)\nqlog OK: qlog.jsonl (2 records)\n\
+        "metrics OK: metrics.json\nqlog OK: qlog.jsonl (2 records)\n\
          trace OK: 16 events, 8 spans, 8 distinct names, 2 tracks, 1 scheduler instances\n",
         "",
     );
@@ -149,7 +141,6 @@ fn trace_check_names_the_first_violation_of_each_artifact() {
         &[
             ("trace.json", &trace(true)),
             ("metrics.json", &metrics(4)),
-            ("folded.txt", BAD_FOLDED),
             ("qlog.jsonl", &qlog([2, 2])),
         ],
     );
@@ -166,13 +157,6 @@ fn trace_check_names_the_first_violation_of_each_artifact() {
         1,
         "",
         "trace_check: metrics.json: histogram \"stage.decode\" buckets sum to 3 but count is 4\n",
-    );
-    trace_check(
-        &dir,
-        &["--folded", "folded.txt"],
-        1,
-        "",
-        "trace_check: folded.txt:2: empty frame in stack \"instance.q1.0;;scan\"\n",
     );
     trace_check(
         &dir,

@@ -6,7 +6,7 @@
 //! index/rescan route split. A driver that outlives its limit or
 //! panics fails its test, as does a drain that never ends.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -16,7 +16,6 @@ use visual_road::base::admission::AdmissionConfig;
 use visual_road::base::fault::{self, FaultInjector};
 use visual_road::base::json::{self, Value};
 use visual_road::base::obs::qlog::{self, Logged};
-use visual_road::base::obs::serve::MetricsServer;
 use visual_road::base::obs::slo::SloConfig;
 use visual_road::server::{QueryServer, ServerConfig};
 use visual_road::vdbms::{BatchEngine, QueryKind};
@@ -29,8 +28,8 @@ use common::tiny_dataset;
 /// How long a driver run, and then the drain, may take.
 const FLEET_LIMIT: Duration = Duration::from_secs(600);
 
-/// A fleet's fault plan, the `/slo` and `/requests` views and the
-/// metrics registry are process-global: one fleet at a time.
+/// A fleet's fault plan and the metrics registry are process-global:
+/// one fleet at a time.
 static FLEET: Mutex<()> = Mutex::new(());
 
 /// A started fleet server; the fault plan it was started under is
@@ -149,20 +148,10 @@ fn chaos_fleet_keeps_an_exact_ledger() {
     qlog_validates(&qlog);
 }
 
-/// GET `route` from the metrics endpoint; the response body.
-fn http_get(addr: SocketAddr, route: &str) -> String {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    write!(conn, "GET {route} HTTP/1.0\r\n\r\n").unwrap();
-    let mut response = String::new();
-    conn.read_to_string(&mut response).unwrap();
-    let (_, body) = response.split_once("\r\n\r\n").expect("an HTTP response");
-    body.to_string()
-}
-
-/// The same fleet against a stalling server with SLO tracking: a
-/// slow-query exemplar carrying the annotated plan lands in the log,
-/// `/slo` shows the shed bronze tenant burning error budget and gold
-/// with zero violations, `/requests` serves log records, and a
+/// The same fleet against a stalling server with SLO tracking: the
+/// query log holds records and a slow-query exemplar carrying the
+/// annotated plan, `STATS`'s `slo` block shows the shed bronze tenant
+/// burning error budget and gold with zero violations, and a
 /// `SHUTDOWN` on the wire drains cleanly.
 #[test]
 fn slo_fleet_burns_the_shed_tenants_budget_and_spares_gold() {
@@ -174,37 +163,36 @@ fn slo_fleet_burns_the_shed_tenants_budget_and_spares_gold() {
         ..chaos_server(&qlog)
     };
     let fleet = Fleet::start(cfg, Some("stall_stage=kernel:5ms"));
-    let endpoint = MetricsServer::start(0).unwrap();
     fleet.stress(&[
         "--tenants", "gold:high:2,bronze:low:6", "--requests", "20", "--queries", "Q1,Q2a",
         "--deadline-ms", "3000", "--p99-bound-ms", "6000", "--expect-shedding",
         "--require-high-zero-shed", "--qlog", path(&qlog),
     ]);
     let records = qlog_validates(&qlog);
+    assert!(records.iter().any(|r| r.seq >= 1), "the query log holds no records");
     assert!(
         records.iter().any(|r| r.record.exemplar.as_ref().is_some_and(|e| e.contains("wall="))),
         "no slow-query exemplar with an annotated plan"
     );
 
-    let slo = json::parse(&http_get(endpoint.addr(), "/slo")).unwrap();
-    let class = |key: &str| slo.get("tenants").and_then(|t| t.get(key)).cloned();
-    let bronze = class("bronze/low").expect("a bronze/low class in /slo");
-    let gold = class("gold/high").expect("a gold/high class in /slo");
+    let mut conn = TcpStream::connect(fleet.addr()).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut request = |line: &str| {
+        writeln!(conn, "{line}").unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    };
+    let stats = request("STATS");
+    let stats = json::parse(stats.strip_prefix("STATS ").expect("a STATS reply")).unwrap();
+    let class = |key: &str| stats.get("slo")?.get("tenants")?.get(key).cloned();
+    let bronze = class("bronze/low").expect("a bronze/low class in the slo block");
+    let gold = class("gold/high").expect("a gold/high class in the slo block");
     let field = |c: &Value, k: &str| c.get(k).and_then(Value::as_f64).unwrap();
     assert!(field(&bronze, "burn_rate") > 0.0, "bronze sheds yet burns nothing: {bronze:?}");
     assert_eq!(field(&gold, "violations"), 0.0, "gold burned error budget: {gold:?}");
-    let requests = http_get(endpoint.addr(), "/requests");
-    assert!(
-        requests.lines().any(|l| json::parse(l).is_ok_and(|r| r.get("seq").is_some())),
-        "/requests served no query-log records"
-    );
-    endpoint.stop();
 
-    let mut conn = TcpStream::connect(fleet.addr()).unwrap();
-    writeln!(conn, "SHUTDOWN").unwrap();
-    let mut reply = String::new();
-    BufReader::new(conn).read_line(&mut reply).unwrap();
-    assert_eq!(reply.trim_end(), "OK draining");
+    assert_eq!(request("SHUTDOWN"), "OK draining");
     fleet.drained();
 }
 

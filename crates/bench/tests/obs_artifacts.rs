@@ -1,13 +1,14 @@
 //! The observability readers over the artifacts of an in-process run
 //! of every engine on Q1 and Q2(c): the chrome trace and metrics
-//! snapshot of a traced run at four workers, and the collapsed stacks
-//! of an EXPLAIN ANALYZE run at one worker, the regime where per-node
+//! snapshot of a traced run at four workers, and the chrome trace of
+//! an EXPLAIN ANALYZE run at one worker, the regime where per-node
 //! self times must sum to no more than the wall time (every plan is
-//! checked for that). `tests/cli.rs` reads the plans the binary writes.
+//! checked for that, and the trace's spans must nest on every track).
+//! `tests/cli.rs` reads the plans the binary writes.
 
 use std::path::Path;
 
-use visual_road::base::obs::{alloc, folded, metrics, trace};
+use visual_road::base::obs::{alloc, metrics, trace};
 use visual_road::prelude::*;
 
 #[path = "../../../tests/common/mod.rs"]
@@ -49,12 +50,12 @@ fn run_all_engines(dataset: &Dataset, workers: usize, explain: ExplainMode) -> V
 }
 
 #[test]
-fn traces_metrics_plans_and_folded_stacks_validate() {
+fn traces_metrics_and_plans_validate() {
     let dataset = tiny_dataset(0);
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs-artifacts");
     std::fs::create_dir_all(&dir).unwrap();
-    let (trace_json, metrics_json, stacks) =
-        (dir.join("trace.json"), dir.join("metrics.json"), dir.join("folded.txt"));
+    let (trace_json, metrics_json, analyzed) =
+        (dir.join("trace.json"), dir.join("metrics.json"), dir.join("analyzed.json"));
 
     trace::set_enabled(true);
     run_all_engines(&dataset, 4, ExplainMode::Off);
@@ -67,7 +68,7 @@ fn traces_metrics_plans_and_folded_stacks_validate() {
     trace::set_enabled(true);
     let plans = run_all_engines(&dataset, 1, ExplainMode::Analyze);
     trace::set_enabled(false);
-    folded::save(stacks.to_str().unwrap()).unwrap();
+    trace::save(analyzed.to_str().unwrap()).unwrap();
     assert!(!plans.is_empty(), "no EXPLAIN ANALYZE plans");
 
     // What `trace_check` checks, with its default required spans.
@@ -75,5 +76,5 @@ fn traces_metrics_plans_and_folded_stacks_validate() {
     let stages = ["scan", "decode", "kernel", "encode", "sink"];
     trace::validate(&read(&trace_json), "trace.json", &stages).unwrap();
     metrics::validate(&read(&metrics_json), "metrics.json").unwrap();
-    folded::validate(&read(&stacks), "folded.txt").unwrap();
+    trace::validate(&read(&analyzed), "analyzed.json", &stages).unwrap();
 }

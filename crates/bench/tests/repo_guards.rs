@@ -2,7 +2,7 @@
 //! dependency in any manifest, one scoped-thread executor in
 //! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
 //! payload reader, one video-track resolver and one sample→frame
-//! loop, full-frame kernels that walk plane rows instead of reading
+//! loop, one socket bound (the query server's listener), full-frame kernels that walk plane rows instead of reading
 //! pixels through `Frame`, `unsafe` refused by every crate root, two
 //! `VR_*` environment variables, a `ci.sh` that stays a stage table,
 //! and one build setting in `.cargo/config.toml`. Each guard is a
@@ -76,6 +76,18 @@ fn defines_channel(src: &str) -> bool {
 fn reads_panic_payload(src: &str) -> bool {
     let reader = ["downcast_ref::<", "&str>"].concat();
     src.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).any(|l| l.contains(&reader))
+}
+
+/// Lines of a source's code above its inline test module
+/// ([`vr_bench::loc::split_tests`], so a `#[cfg(test)]` helper higher
+/// up hides nothing) that bind a TCP listener or a UDP socket. Under
+/// `crates/*/src` only the query server's listener may: every other
+/// view of a run is a file or a wire verb. The patterns are assembled
+/// here so this file does not match itself.
+fn binds_listener(src: &str) -> usize {
+    let binds = [["TcpListener", "::bind("].concat(), ["UdpSocket", "::bind("].concat()];
+    let (code, _) = vr_bench::loc::split_tests(src);
+    code.lines().filter(|l| binds.iter().any(|b| l.contains(b.as_str()))).count()
 }
 
 /// The only environment variables the crates read: the worker budget
@@ -221,6 +233,7 @@ fn the_repository_passes_every_guard() {
     let sync = crates.join("base/src/sync.rs");
     let io = crates.join("vdbms/src/io.rs");
     let mut env_vars = std::collections::BTreeSet::new();
+    let mut binds = Vec::new();
     for src in &sources {
         let text = read(src);
         let what = src.display();
@@ -232,7 +245,14 @@ fn the_repository_passes_every_guard() {
         if *src != sync {
             assert!(!reads_panic_payload(&text), "a panic payload reader outside sync.rs: {what}");
         }
+        let rel = src.strip_prefix(&crates).unwrap();
+        let n = binds_listener(&text);
+        if n > 0 && rel.components().nth(1).is_some_and(|c| c.as_os_str() == "src") {
+            binds.push((rel.to_path_buf(), n));
+        }
     }
+    let server = (PathBuf::from("core/src/server.rs"), 1);
+    assert_eq!(binds, [server], "the sockets bound under crates/*/src");
     assert_eq!(env_vars.iter().collect::<Vec<_>>(), ENV_VARS, "the VR_* variables read under crates/");
 
     let ci = read(&root.join("ci.sh"));
@@ -273,6 +293,14 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(env_vars_read(&two), ["VR_WORKERS", "VR_TRACE"], "a third variable");
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{getter}TRACE\");\n}}\n");
     assert!(env_vars_read(&in_tests).is_empty(), "the test module does not count");
+
+    let bind = ["let listener = TcpListener", "::bind((\"127.0.0.1\", port))?;\n"].concat();
+    let server = format!("fn start() {{\n{bind}}}\n#[cfg(test)]\nmod tests {{\n{bind}}}\n");
+    assert_eq!(binds_listener(&server), 1, "the test module does not count");
+    let endpoint = format!("#[cfg(test)]\nfn helper() {{}}\npub fn start(port: u16) {{\n{bind}}}\n");
+    assert_eq!(binds_listener(&endpoint), 1, "a second listener, in another file, below a test helper");
+    let udp = ["let s = UdpSocket", "::bind(addr)?;\n"].concat();
+    assert_eq!(binds_listener(&format!("fn beacon() {{\n{udp}}}\n")), 1, "a UDP socket");
 
     let lookup = ["let t = c.track_of_kind(", "TrackKind::Video).unwrap();\n"].concat();
     assert_eq!(resolves_video_track(&format!("fn f(c: &C) {{\n{lookup}}}\n")), 1);

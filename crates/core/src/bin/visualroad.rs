@@ -16,7 +16,6 @@ use std::time::Instant;
 
 use visual_road::base::fault::{self, FaultInjector, FaultPlan};
 use visual_road::base::json::{Fixed, Layout::Inline, Writer};
-use visual_road::base::obs::serve::MetricsServer;
 use visual_road::prelude::*;
 use visual_road::storage::FlatStore;
 use visual_road::vdbms::{CalibrationProfile, QueryKind};
@@ -36,8 +35,7 @@ const COMMANDS: [Command; 7] = [
         &[
             "engine", "queries", "full-suite", "scale", "res", "duration", "seed", "batch",
             "online", "write", "no-validate", "faults", "fault-seed", "deadline-ms", "trace-out",
-            "metrics-out", "explain", "explain-analyze", "explain-out", "folded-out",
-            "serve-metrics", "optimizer", "profile",
+            "metrics-out", "explain", "explain-analyze", "explain-out", "optimizer", "profile",
         ],
         cmd_run,
     ),
@@ -46,8 +44,8 @@ const COMMANDS: [Command; 7] = [
         &[
             "port", "engine", "queries", "full-suite", "scale", "res", "duration", "seed",
             "workers", "max-concurrent", "queue-depth", "tenant-quota", "degrade-load",
-            "shed-load", "deadline-ms", "faults", "fault-seed", "serve-metrics", "use-index",
-            "index", "qlog-out", "slow-query-ms", "slo",
+            "shed-load", "deadline-ms", "faults", "fault-seed", "use-index", "index",
+            "qlog-out", "slow-query-ms", "slo",
         ],
         cmd_serve,
     ),
@@ -95,7 +93,6 @@ USAGE:
                  [--faults SPEC] [--fault-seed S]
                  [--deadline-ms N] [--trace-out FILE] [--metrics-out FILE]
                  [--explain | --explain-analyze] [--explain-out FILE]
-                 [--folded-out FILE] [--serve-metrics PORT]
                  [--optimizer on|off] [--profile FILE]
       Generate a dataset and drive the chosen engine(s) through the
       benchmark, printing the report. The driver's batch scheduler and
@@ -122,14 +119,9 @@ USAGE:
       and allocator-scope peak memory (alloc tracking is switched on
       for the run), exiting nonzero if any plan fails its self-time
       invariant. --explain-out also writes the plans to FILE (a JSON
-      document when FILE ends in .json, text otherwise). --folded-out
-      enables tracing and writes the span tree as collapsed stacks
-      (flamegraph.pl / inferno input). --serve-metrics starts a
-      loopback-bound read-only HTTP endpoint for the duration of the
-      run (/metrics Prometheus text, /metrics.json, /healthz,
-      /explain for the in-flight batch); PORT 0 picks an ephemeral
-      port, printed on stderr. VR_ALLOC_TRACK=1 enables allocator
-      scope tracking without --explain-analyze.
+      document when FILE ends in .json, text otherwise).
+      VR_ALLOC_TRACK=1 enables allocator scope tracking without
+      --explain-analyze.
       --optimizer switches the cost-based optimizer: off (default)
       keeps every engine's hand-tuned plan choices; on lets the cost
       model pick execution policy, fan-out, and cascade order, and
@@ -144,7 +136,7 @@ USAGE:
                    [--workers N] [--max-concurrent N]
                    [--queue-depth N] [--tenant-quota N]
                    [--degrade-load F] [--shed-load F] [--deadline-ms N]
-                   [--faults SPEC] [--fault-seed S] [--serve-metrics PORT]
+                   [--faults SPEC] [--fault-seed S]
                    [--use-index | --index FILE]
                    [--qlog-out FILE] [--slow-query-ms N]
                    [--slo high=MS,low=MS[,target=F][,window=N]]
@@ -169,9 +161,7 @@ USAGE:
       work for up to 10 s, then exit 0 on a clean drain (1
       otherwise), printing the final per-tenant admission accounting
       as JSON on stdout. --faults installs a deterministic fault
-      plan for chaos serving; --serve-metrics additionally exposes
-      the read-only metrics endpoint, whose admission.* series
-      mirror the server's accounting. --use-index ingests a semantic
+      plan for chaos serving. --use-index ingests a semantic
       side index at startup (--index FILE loads a prebuilt .vrsx
       instead; an unusable file falls back to rescan with a warning)
       and serves the semantic query class S1 (count) / S2 (top-k) /
@@ -182,9 +172,8 @@ USAGE:
       --slow-query-ms captures a full EXPLAIN ANALYZE exemplar inline
       in the log for requests at or over the threshold. --slo sets
       per-priority latency objectives (milliseconds) for the
-      per-tenant SLO tracker: the final STATS gains an `slo` block,
-      and with --serve-metrics the endpoint serves /slo (burn rates)
-      and /requests (recent query-log records).
+      per-tenant SLO tracker: STATS gains an `slo` block (burn
+      rates).
 
   visualroad ingest [--scale L] [--res WxH] [--duration SECS] [--seed S]
                     [--density D] [--nodes N] [--out FILE]
@@ -392,20 +381,6 @@ fn install_fault_plan(injector: &Option<Arc<FaultInjector>>) {
     }
 }
 
-/// `--serve-metrics PORT`: the loopback, read-only metrics endpoint.
-/// It serves registry snapshots and must never perturb results
-/// (`tests/cli.rs` diffs a served vs. unserved run byte for byte).
-fn start_metrics_endpoint(flags: &Flags) -> Result<Option<MetricsServer>, String> {
-    let complaint = "--serve-metrics wants a port number (0 = ephemeral)";
-    let Some(port) = flags.checked("serve-metrics", any::<u16>, complaint)? else {
-        return Ok(None);
-    };
-    let server =
-        MetricsServer::start(port).map_err(|e| format!("cannot bind metrics endpoint: {e}"))?;
-    eprintln!("serving metrics on http://{}", server.addr());
-    Ok(Some(server))
-}
-
 /// Write `body` to `path`, creating the directory it goes in. `what`
 /// names the content in the error message ("cannot write <what><path>").
 fn write_creating_parent(path: &str, what: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
@@ -540,15 +515,12 @@ fn cmd_run(flags: &Flags) -> Exit {
     install_fault_plan(&injector);
 
     // Tracing is opt-in, enabled only after dataset generation so the
-    // profile covers the query path, not the generator. Collapsed-stacks
-    // export folds the span buffer, so it implies tracing even without a
-    // chrome-trace destination.
-    let (trace_out, folded_out) = (flags.get("trace-out"), flags.get("folded-out"));
-    if trace_out.is_some() || folded_out.is_some() {
+    // profile covers the query path, not the generator.
+    let trace_out = flags.get("trace-out");
+    if trace_out.is_some() {
         vr_base::obs::trace::set_enabled(true);
     }
 
-    let server = start_metrics_endpoint(flags)?;
     let vcd = Vcd::new(&dataset, cfg);
 
     // EXPLAIN without execution: print (and optionally save) each
@@ -600,16 +572,8 @@ fn cmd_run(flags: &Flags) -> Exit {
         }
     })?;
 
-    if trace_out.is_some() || folded_out.is_some() {
-        vr_base::obs::trace::set_enabled(false);
-    }
-    // Both exports copy the span buffer; neither drains it.
-    if let Some(path) = folded_out {
-        let n = vr_base::obs::folded::save(path)
-            .map_err(|e| format!("cannot write folded stacks to {path}: {e}"))?;
-        eprintln!("wrote {n} folded stacks to {path}");
-    }
     if let Some(path) = trace_out {
+        vr_base::obs::trace::set_enabled(false);
         let n = vr_base::obs::trace::save(path)
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("wrote {n} trace events to {path}");
@@ -618,8 +582,6 @@ fn cmd_run(flags: &Flags) -> Exit {
         write_metrics_snapshot(path)?;
     }
 
-    // Stop the endpoint before verdicts so nothing polls a dead run.
-    drop(server);
     let fault_code = injector.as_deref().map_or(0, verify_fault_accounting);
     if explain_violations > 0 {
         eprintln!("error: {explain_violations} plan(s) failed EXPLAIN ANALYZE verification");
@@ -680,7 +642,6 @@ fn cmd_serve(flags: &Flags) -> Exit {
     let injector = fault_plan(flags)?;
     let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
     install_fault_plan(&injector);
-    let metrics_server = start_metrics_endpoint(flags)?;
 
     let server = QueryServer::start(dataset, engines, cfg).map_err(|e| e.to_string())?;
     // The bound address goes to stdout so drivers can scrape it even
@@ -715,9 +676,6 @@ fn cmd_serve(flags: &Flags) -> Exit {
 
     let report = server.wait();
     print!("{}", report.stats_json);
-    if let Some(ms) = metrics_server {
-        ms.stop();
-    }
     if report.clean {
         eprintln!("drained cleanly");
         Ok(0)
@@ -1038,7 +996,7 @@ mod tests {
         let stale = USAGE.replacen("[--batch N]", "[--batch N] [--workers N]", 1);
         assert_ne!(usage_flags(&stale, "run"), accepted("run"), "a flag run does not read");
         let names: BTreeSet<_> = COMMANDS.iter().flat_map(|(_, flags, _)| flags.iter()).collect();
-        assert_eq!(names.len(), 46, "distinct flag names");
+        assert_eq!(names.len(), 44, "distinct flag names");
     }
 
     #[test]
@@ -1051,8 +1009,15 @@ mod tests {
         let expected = [("batch", Some("2")), ("no-validate", None), ("seed", Some("3"))]
             .map(|(n, v)| (n.to_string(), v.map(str::to_string)));
         assert_eq!(given, expected);
-        let refused =
-            [("presets", "scale"), ("run", "worker"), ("run", "workers"), ("serve", "drain-timeout-ms")];
+        let refused = [
+            ("presets", "scale"),
+            ("run", "worker"),
+            ("run", "workers"),
+            ("serve", "drain-timeout-ms"),
+            ("run", "serve-metrics"),
+            ("run", "folded-out"),
+            ("serve", "serve-metrics"),
+        ];
         for (command, flag) in refused {
             let error = parse(command, &[&format!("--{flag}"), "4"]).unwrap_err();
             assert_eq!(error, format!("unknown flag --{flag} for {command}"));

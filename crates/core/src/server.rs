@@ -3,9 +3,8 @@
 //!
 //! The batch CLI runs one benchmark and exits; this module keeps the
 //! same engines resident and serves query requests from many
-//! concurrent client sessions over the loopback TCP substrate
-//! established by `vr-base::obs::serve`. Every request carries a
-//! tenant id, a priority class, and an optional deadline, and passes
+//! concurrent client sessions over loopback TCP. Every request carries
+//! a tenant id, a priority class, and an optional deadline, and passes
 //! through the [`vr_base::admission`] controller before it may touch
 //! an engine — that layer (bounded queue, per-tenant quotas,
 //! priority-aware shedding, per-tenant circuit breakers, drain) is
@@ -70,7 +69,7 @@ use std::time::{Duration, Instant};
 use vr_base::admission::{AdmissionConfig, AdmissionController, Priority, ShedReason};
 use vr_base::obs::qlog::{self, Outcome, QueryLog, RequestCtx, RequestRecord};
 use vr_base::obs::slo::{SloConfig, SloTracker};
-use vr_base::obs::{metrics, serve, trace};
+use vr_base::obs::trace;
 use vr_base::sync::CancelToken;
 use vr_base::Error;
 use vr_vdbms::{CalibrationProfile, ExecContext, QueryInstance, QueryKind, Vdbms};
@@ -108,15 +107,15 @@ pub struct ServerConfig {
     /// unusable (corrupt/truncated/stale) file fails CLOSED: the
     /// server logs a warning and serves semantic queries by rescan.
     pub index_path: Option<String>,
-    /// JSONL sink for the structured query log (`--qlog-out`). The
-    /// in-memory ring behind `/requests` is kept either way.
+    /// JSONL sink for the structured query log (`--qlog-out`). Without
+    /// one, no record is rendered.
     pub qlog_path: Option<String>,
     /// Slow-query threshold: a completed request at or above it gets a
     /// full `EXPLAIN ANALYZE` exemplar embedded in its log record.
     /// `None` disables exemplar capture.
     pub slow_query: Option<Duration>,
     /// Per-priority latency objectives and error-budget policy for the
-    /// SLO tracker behind `/slo` and the `STATS` `slo` block.
+    /// SLO tracker behind the `STATS` `slo` block.
     pub slo: SloConfig,
 }
 
@@ -168,9 +167,9 @@ struct Shared {
     /// Structured query log: one record per request that reached
     /// admission, appended at settlement (before the response line is
     /// written, so drivers can reconcile log vs ledger exactly).
-    qlog: Arc<QueryLog>,
+    qlog: QueryLog,
     /// Per-tenant/priority latency objectives and burn rates.
-    slo: Arc<SloTracker>,
+    slo: SloTracker,
     /// Arrival-order request id mint (1-based, deterministic for a
     /// deterministic request sequence).
     next_request: AtomicU64,
@@ -248,25 +247,8 @@ impl QueryServer {
         };
         let router = SemanticRouter::new(&dataset, index, CalibrationProfile::builtin());
 
-        let qlog = Arc::new(
-            QueryLog::open(cfg.qlog_path.as_deref(), cfg.slow_query).map_err(Error::Io)?,
-        );
-        let slo = Arc::new(SloTracker::new(cfg.slo.clone()));
-        // Publish the live views on the loopback metrics endpoint.
-        // The view registry is process-global like the registry
-        // itself: with several servers in one process the last
-        // registration wins, and views stay registered after drain
-        // (a stale closure only holds an `Arc` of a quiet log).
-        {
-            let view_log = Arc::clone(&qlog);
-            serve::set_view("/requests", "application/jsonl; charset=utf-8", move || {
-                view_log.recent_jsonl()
-            });
-            let view_slo = Arc::clone(&slo);
-            serve::set_view("/slo", "application/json; charset=utf-8", move || {
-                view_slo.render_json()
-            });
-        }
+        let qlog = QueryLog::open(cfg.qlog_path.as_deref(), cfg.slow_query).map_err(Error::Io)?;
+        let slo = SloTracker::new(cfg.slo.clone());
 
         let shared = Arc::new(Shared {
             dataset,
@@ -424,7 +406,6 @@ fn session(stream: TcpStream, shared: Arc<Shared>) {
                 if request.is_empty() {
                     continue;
                 }
-                metrics::counter("server.requests").inc();
                 let response = handle_request(request, &shared);
                 let stop_after = request.eq_ignore_ascii_case("SHUTDOWN");
                 if writer.write_all(response.as_bytes()).is_err()
@@ -587,7 +568,6 @@ impl<'a> Work<'a> {
                     workers: if degraded { DEGRADED_WORKERS } else { shared.cfg.workers.max(1) },
                     query_label: label.to_string(),
                     cancel: deadline.map_or_else(CancelToken::new, CancelToken::with_deadline),
-                    tenant: Some(Arc::from(req.tenant.as_str())),
                     request_id: Some(Arc::from(format!("{}.{}", req.label(), req.tenant))),
                     ..ExecContext::default()
                 };
@@ -720,8 +700,6 @@ fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
             let result = planned.run(shared, online);
             let latency = t0.elapsed();
             record.latency = latency;
-            metrics::histogram(&format!("server.latency.{priority}"))
-                .observe(latency.as_nanos() as u64);
             let (route, degraded, latency_us) =
                 (planned.route(), record.degraded as u8, latency.as_micros());
             let (outcome, response) = match result {
@@ -751,12 +729,6 @@ fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
             } else {
                 permit.succeed();
             }
-            metrics::counter(match outcome {
-                Outcome::Ok => "server.exec_ok",
-                Outcome::Cancelled => "server.exec_cancelled",
-                _ => "server.exec_err",
-            })
-            .inc();
             if outcome == Outcome::Ok {
                 record.route = Some(route);
                 shared.admission.note_route(tenant, route == "index");
@@ -1038,7 +1010,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_carries_the_slo_block_and_the_endpoint_serves_views() {
+    fn stats_carries_the_slo_block_with_its_policy_and_burn_rates() {
         let server = start_server(ServerConfig {
             queries: vec![QueryKind::Q1Select],
             // A generous objective keeps the one OK below it even on a
@@ -1053,33 +1025,15 @@ mod tests {
         assert!(stats.contains("\"slo\": {"), "stats slo block: {stats}");
         assert!(stats.contains("\"alpha/high\""), "slo class: {stats}");
         assert!(stats.contains("\"burn_rate\": 0.000"), "fast ok burns nothing: {stats}");
-
-        // The loopback endpoint serves the registered /slo and
-        // /requests views. The view registry is process-global (last
-        // registration wins), so parallel server tests may have
-        // re-registered: assert schema, not this server's counts.
-        fn http_get(addr: SocketAddr, path: &str) -> String {
-            use std::io::Read;
-            let mut stream = TcpStream::connect(addr).unwrap();
-            write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            response
-        }
-        let ms = serve::MetricsServer::start(0).unwrap();
-        let slo = http_get(ms.addr(), "/slo");
-        assert!(slo.starts_with("HTTP/1.1 200 OK"), "/slo response: {slo}");
-        assert!(slo.contains("application/json"), "/slo content type: {slo}");
+        // The block carries the tracker's policy: its objectives,
+        // target and window.
+        let slo = &stats[stats.find("\"slo\": {").unwrap()..];
         assert!(
-            slo.contains("\"objective_ms\"")
-                && slo.contains("\"target\"")
-                && slo.contains("\"window\""),
-            "/slo schema: {slo}"
+            slo.contains("\"objective_ms\": {\"high\": 60000,")
+                && slo.contains("\"target\": 0.950")
+                && slo.contains("\"window\": 256"),
+            "slo schema: {slo}"
         );
-        let reqs = http_get(ms.addr(), "/requests");
-        assert!(reqs.starts_with("HTTP/1.1 200 OK"), "/requests response: {reqs}");
-        assert!(reqs.contains("application/jsonl"), "/requests content type: {reqs}");
-        ms.stop();
 
         request(&mut conn, "SHUTDOWN");
         assert!(server.wait().clean);

@@ -24,7 +24,7 @@ use crate::report::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vr_base::obs::{metrics, serve, trace};
+use vr_base::obs::{metrics, trace};
 use vr_base::rng::mix64;
 use vr_base::sync::{panic_message, run_jobs, stage_panic, CancelToken};
 use vr_base::{fault, BufSlice, Error, Resolution, Result, VrRng};
@@ -106,8 +106,7 @@ pub struct VcdConfig {
     /// instead of blocking or failing the batch.
     pub instance_deadline: Option<Duration>,
     /// Plan-tree reporting: off, or EXPLAIN ANALYZE (annotated
-    /// post-execution). The in-flight plan is also published to the
-    /// live endpoint's `/explain` route.
+    /// post-execution).
     pub explain: ExplainMode,
     /// Cost-based optimizer switch: `Off` keeps every engine's
     /// hand-tuned plan choices; `On` installs an
@@ -368,23 +367,15 @@ impl<'d> Vcd<'d> {
             return Ok(QueryReport { kind, batch_size, status: QueryStatus::Unsupported });
         }
         let ctx = self.exec_context(kind);
-        // Plan description for the batch: built (and published to the
-        // live endpoint's /explain route) before the measured window
-        // opens, so describing the plan never perturbs the
+        // Plan description for the batch: built before the measured
+        // window opens, so describing the plan never perturbs the
         // measurement. Instances of one batch share a plan shape — the
         // first instance stands for all of them. With the optimizer
         // enabled the plan is always built here even without EXPLAIN:
         // planning is what caches the cost-based decision that both
         // the scheduler below and the engine's `execute` consult.
         let analyze = self.cfg.explain == ExplainMode::Analyze;
-        let plan = (analyze || self.optimizer.is_some())
-            .then(|| {
-                let plan = engine.plan(&batch[0], &ctx);
-                if analyze {
-                    serve::set_explain(plan.render_text());
-                }
-                plan
-            });
+        let plan = (analyze || self.optimizer.is_some()).then(|| engine.plan(&batch[0], &ctx));
         let plan_key = engine.plan_key(&batch[0]);
         let budget = self
             .cfg
@@ -519,12 +510,11 @@ impl<'d> Vcd<'d> {
         folded
     }
 
-    /// The EXPLAIN ANALYZE artifact of a finished batch, also published
-    /// to the live endpoint's `/explain` route: the plan annotated with
-    /// the batch's stage snapshot and verified against its wall time;
-    /// with the optimizer on, its chosen-vs-rejected table follows and
-    /// the estimate is confronted with the measured per-instance
-    /// latency.
+    /// The EXPLAIN ANALYZE artifact of a finished batch: the plan
+    /// annotated with the batch's stage snapshot and verified against
+    /// its wall time; with the optimizer on, its chosen-vs-rejected
+    /// table follows and the estimate is confronted with the measured
+    /// per-instance latency.
     fn explain_info(
         &self,
         mut plan: PlanNode,
@@ -552,7 +542,6 @@ impl<'d> Vcd<'d> {
                 ));
             }
         }
-        serve::set_explain(text.clone());
         ExplainInfo { text, json: plan.render_json(), verify_error }
     }
 

@@ -161,11 +161,6 @@ pub struct ExecContext {
     /// consult it in `plan()`/`execute()`; `None` (the default) keeps
     /// their hand-tuned choices.
     pub optimizer: Option<Arc<crate::cost::Optimizer>>,
-    /// Tenant the query executes on behalf of (the query server sets
-    /// this per request). When present, the pipeline sink attributes
-    /// delivered frames/bytes to `tenant.<id>.*` registry counters so
-    /// multi-tenant accounting survives down to the data plane.
-    pub tenant: Option<Arc<str>>,
     /// Request-scoped identity (e.g. `req-000042.gold`, or
     /// `instance.q1.3` for batch instances). When present, every
     /// top-level pipeline `run_*` opens a `request`-category span named
@@ -183,7 +178,6 @@ impl Default for ExecContext {
             query_label: String::new(),
             cancel: vr_base::sync::CancelToken::new(),
             optimizer: None,
-            tenant: None,
             request_id: None,
         }
     }

@@ -116,8 +116,8 @@ struct AtomicStage {
 /// ANALYZE and `calibrate` read it through [`PipelineMetrics::snapshot`].
 /// Every record is also mirrored into the process-global
 /// [`vr_base::obs::metrics`] registry (`stage.<s>.{nanos,frames,bytes}`,
-/// `alloc.stage.<s>.*`, `pipeline.contention_nanos`) for `/metrics` and
-/// `--metrics-out`, which sum over every context in the process.
+/// `alloc.stage.<s>.*`, `pipeline.contention_nanos`) for
+/// `--metrics-out`, which sums over every context in the process.
 #[derive(Default)]
 pub struct PipelineMetrics {
     stages: [AtomicStage; 5],
@@ -928,8 +928,8 @@ impl<'c> Pipeline<'c> {
             .min(vr_base::sync::hardware_parallelism())
             .max(1);
         // Surface the effective fan-out (optimizer-chosen or
-        // hand-tuned, after clamping) so /metrics and the optimizer
-        // gate can see what actually ran.
+        // hand-tuned, after clamping) so `--metrics-out` and the
+        // optimizer gate can see what actually ran.
         vr_base::obs::metrics::gauge("pipeline.eager_fanout").set(workers as f64);
         let info = source.info();
         let mut frames = self.drain(source)?;
@@ -1093,13 +1093,6 @@ impl<'c> Pipeline<'c> {
             || self.ctx.result_mode.sink(instance_index, output),
             |sunk| sunk.as_ref().ok().map(|&bytes| (frames, bytes as u64)),
         )?;
-        // Multi-tenant attribution: when the server tagged this
-        // context with a tenant, credit the delivered volume to it so
-        // /metrics can apportion data-plane throughput per tenant.
-        if let Some(tenant) = &self.ctx.tenant {
-            metrics::counter(&format!("tenant.{tenant}.sink.frames")).add(frames);
-            metrics::counter(&format!("tenant.{tenant}.sink.bytes")).add(bytes as u64);
-        }
         Ok(bytes)
     }
 }

@@ -1,5 +1,5 @@
 //! The `visualroad` binary, spawned: what only a process shows. Result
-//! bytes with telemetry on and off, chaos runs that exit 0, the
+//! bytes with tracing on and off, chaos runs that exit 0, the
 //! allocation budget, EXPLAIN ANALYZE and its exit code, `generate`
 //! at one node and at every core, `ingest` and `search` over a damaged
 //! side index and its latency, and the `serve` lifecycle (stdin,
@@ -15,7 +15,7 @@ use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use visual_road::base::json::{self, Value};
-use visual_road::base::obs::{folded, qlog, trace};
+use visual_road::base::obs::{qlog, trace};
 
 #[path = "common/child.rs"]
 mod child;
@@ -109,11 +109,11 @@ fn assert_same_tree(base: &BTreeMap<PathBuf, Vec<u8>>, other: &BTreeMap<PathBuf,
     }
 }
 
-/// Telemetry never feeds back into results: a traced run and a run
-/// serving `/metrics` write the bytes the plain run writes, at four
-/// workers — which also makes the three runs run-to-run identical.
+/// Telemetry never feeds back into results: a traced run writes the
+/// bytes the plain run writes, at four workers — which also makes the
+/// two runs run-to-run identical.
 #[test]
-fn traced_untraced_and_served_runs_write_identical_results() {
+fn traced_and_untraced_runs_write_identical_results() {
     let _quiet = shared();
     let dir = scratch("telemetry");
     let run = |name: &str, extra: &[&str], env: &[(&str, &str)]| {
@@ -130,10 +130,7 @@ fn traced_untraced_and_served_runs_write_identical_results() {
     let (traced, _) = run("traced", &["--trace-out", path(&profile)], &[]);
     let stages = ["scan", "decode", "kernel", "encode", "sink"];
     trace::validate(&std::fs::read_to_string(&profile).unwrap(), path(&profile), &stages).unwrap();
-    let (served, stderr) = run("served", &["--serve-metrics", "0"], &[]);
-    assert!(stderr.contains("serving metrics on http://127.0.0.1:"), "{stderr}");
     assert_same_tree(&base, &traced, "--trace-out");
-    assert_same_tree(&base, &served, "--serve-metrics 0");
 }
 
 /// A flag the command does not read — misspelled, or one that no
@@ -144,7 +141,7 @@ fn traced_untraced_and_served_runs_write_identical_results() {
 #[test]
 fn bad_flags_and_values_are_refused_before_generation() {
     let _quiet = shared();
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["run", "--batch", "0"], "--batch"),
         (&["run", "--online", "0"], "--online"),
         (&["run", "--online", "-2"], "--online"),
@@ -152,6 +149,9 @@ fn bad_flags_and_values_are_refused_before_generation() {
         (&["run", "--worker", "4"], "--worker for run"),
         (&["run", "--workers", "2"], "--workers for run"),
         (&["serve", "--drain-timeout-ms", "5"], "--drain-timeout-ms for serve"),
+        (&["run", "--serve-metrics", "0"], "--serve-metrics for run"),
+        (&["run", "--folded-out", "f.txt"], "--folded-out for run"),
+        (&["serve", "--serve-metrics", "0"], "--serve-metrics for serve"),
         (&["run", "--optimizer", "explain"], "--optimizer"),
         (&["run", "--faults", "stall_stage=kernal:5ms"], "--faults"),
         (&["run", "--faults", "panic_kernel=Q99:frame2"], "--faults"),
@@ -249,14 +249,14 @@ fn annotates(line: &str, stage: &str) -> bool {
 
 /// EXPLAIN ANALYZE at one worker, where a plan's self times must sum to
 /// no more than its wall time and the binary exits 1 on one that does
-/// not: every stage is an annotated plan node, and the collapsed stacks
-/// are written as `frame;frame;... count` lines.
+/// not: every stage is an annotated plan node, and the span tree of the
+/// same run is a chrome trace whose spans nest on every track.
 #[test]
-fn explain_analyze_annotates_every_stage_and_writes_folded_stacks() {
+fn explain_analyze_annotates_every_stage_and_writes_a_valid_trace() {
     let _quiet = shared();
     let dir = scratch("explain");
-    let (plans, stacks) = (dir.join("plans.txt"), dir.join("folded.txt"));
-    let extra = ["--explain-analyze", "--explain-out", path(&plans), "--folded-out", path(&stacks)];
+    let (plans, profile) = (dir.join("plans.txt"), dir.join("trace.json"));
+    let extra = ["--explain-analyze", "--explain-out", path(&plans), "--trace-out", path(&profile)];
     visualroad(&[&RUN_ARGS[..], &extra].concat(), &[("VR_WORKERS", "1")]);
     let plans = std::fs::read_to_string(&plans).unwrap();
     for stage in ["scan", "decode", "kernel", "encode", "sink"] {
@@ -265,7 +265,8 @@ fn explain_analyze_annotates_every_stage_and_writes_folded_stacks() {
             "no annotated {stage:?} plan node with nonzero wall time:\n{plans}"
         );
     }
-    folded::validate(&std::fs::read_to_string(&stacks).unwrap(), path(&stacks)).unwrap();
+    let stages = ["scan", "decode", "kernel", "encode", "sink"];
+    trace::validate(&std::fs::read_to_string(&profile).unwrap(), path(&profile), &stages).unwrap();
 }
 
 #[test]
@@ -436,16 +437,15 @@ fn serve_sessions_drain_cleanly_and_exit_zero() {
     let records = qlog::parse(&std::fs::read_to_string(&qlog).unwrap(), path(&qlog)).unwrap();
     assert_eq!(records.len(), 2, "one record a request");
 
-    // SLO tracking and the metrics endpoint, drained over the wire.
+    // SLO tracking, drained over the wire.
     let slo = [
         "--faults", "stall_stage=kernel:5ms", "--fault-seed", "7", "--slow-query-ms", "1",
-        "--slo", "high=6000,low=60000,target=0.95,window=512", "--serve-metrics", "0",
+        "--slo", "high=6000,low=60000,target=0.95,window=512",
     ];
     let serve = Serve::start(&[&base[..], &admission, &slo].concat());
     assert!(serve.request("EXEC tenant=gold priority=high query=Q2a").starts_with("OK "));
     assert_eq!(serve.request("SHUTDOWN"), "OK draining");
-    let (stats, stderr) = serve.finish();
-    assert!(stderr.contains("serving metrics on http://127.0.0.1:"), "{stderr}");
+    let (stats, _) = serve.finish();
     assert!(stats.get("slo").is_some(), "final STATS has no slo block: {stats:?}");
 
     // The semantic index, ingested at start-up.
