@@ -144,6 +144,8 @@ struct Inner {
 /// server.
 pub struct QueryLog {
     slow: Option<Duration>,
+    /// Whether records are rendered to a file (fixed at open).
+    sink: bool,
     inner: Mutex<Inner>,
 }
 
@@ -158,6 +160,7 @@ impl QueryLog {
         };
         Ok(Self {
             slow,
+            sink: writer.is_some(),
             inner: Mutex::new(Inner { seq: 0, writer }),
         })
     }
@@ -165,6 +168,17 @@ impl QueryLog {
     /// The configured slow-query threshold, if any.
     pub fn slow_threshold(&self) -> Option<Duration> {
         self.slow
+    }
+
+    /// The plan digest a record carries: [`fnv64_hex`] of the plan text
+    /// `explain` renders. Without a file sink no record is rendered, so
+    /// the digest is empty and `explain` is never called.
+    pub fn plan_digest<S: AsRef<str>>(&self, explain: impl FnOnce() -> S) -> String {
+        if self.sink {
+            fnv64_hex(explain().as_ref())
+        } else {
+            String::new()
+        }
     }
 
     /// Assign the next `seq` and, with a file sink, render and append
@@ -384,6 +398,19 @@ mod tests {
         alloc::set_tracking(false);
         assert_eq!(seqs, [1, 2]);
         assert_eq!(delta.allocs, 0, "{delta:?}");
+    }
+
+    #[test]
+    fn a_log_without_a_sink_never_asks_for_the_plan() {
+        let sinkless = QueryLog::open(None, None).unwrap();
+        let digest = sinkless.plan_digest(|| -> &str { panic!("the plan was rendered") });
+        assert_eq!(digest, "");
+        let path =
+            std::env::temp_dir().join(format!("vr_qlog_digest_{}.jsonl", std::process::id()));
+        let sunk = QueryLog::open(path.to_str(), None).unwrap();
+        assert_eq!(sunk.plan_digest(|| "plan"), fnv64_hex("plan"));
+        drop(sunk);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -39,12 +39,16 @@ fn registry_dependencies(manifest: &str) -> Vec<&str> {
         .collect()
 }
 
-/// `std::thread::scope` lines above the first `#[cfg(test)]` line.
+/// The code of a source above its inline test module
+/// ([`vr_bench::loc::split_tests`]): a `#[cfg(test)]` item higher up
+/// (a test-only `use`, an oracle) hides nothing below it.
+fn code(src: &str) -> &str {
+    vr_bench::loc::split_tests(src).0
+}
+
+/// `std::thread::scope` lines above the test module.
 fn scopes_above_tests(src: &str) -> usize {
-    src.lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .filter(|l| l.contains("std::thread::scope"))
-        .count()
+    code(src).lines().filter(|l| l.contains("std::thread::scope")).count()
 }
 
 /// Whether a source brings its own JSON escaper: the old helper's name
@@ -70,67 +74,58 @@ fn defines_channel(src: &str) -> bool {
 }
 
 /// Whether a source reads a panic payload (a `downcast_ref` to
-/// `&str`) above its first `#[cfg(test)]` line: only
-/// `vr_base::sync::panic_message` may. The pattern is assembled here
-/// so this file does not match itself.
+/// `&str`) above its test module: only `vr_base::sync::panic_message`
+/// may. The pattern is assembled here so this file does not match
+/// itself.
 fn reads_panic_payload(src: &str) -> bool {
     let reader = ["downcast_ref::<", "&str>"].concat();
-    src.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).any(|l| l.contains(&reader))
+    code(src).lines().any(|l| l.contains(&reader))
 }
 
-/// Lines of a source's code above its inline test module
-/// ([`vr_bench::loc::split_tests`], so a `#[cfg(test)]` helper higher
-/// up hides nothing) that bind a TCP listener or a UDP socket. Under
-/// `crates/*/src` only the query server's listener may: every other
-/// view of a run is a file or a wire verb. The patterns are assembled
-/// here so this file does not match itself.
+/// Lines above a source's test module that bind a TCP listener or a
+/// UDP socket. Under `crates/*/src` only the query server's listener
+/// may: every other view of a run is a file or a wire verb. The
+/// patterns are assembled here so this file does not match itself.
 fn binds_listener(src: &str) -> usize {
     let binds = [["TcpListener", "::bind("].concat(), ["UdpSocket", "::bind("].concat()];
-    let (code, _) = vr_bench::loc::split_tests(src);
-    code.lines().filter(|l| binds.iter().any(|b| l.contains(b.as_str()))).count()
+    code(src).lines().filter(|l| binds.iter().any(|b| l.contains(b.as_str()))).count()
 }
 
 /// The only environment variables the crates read: the worker budget
 /// and allocator tracking. Every other setting is a flag or a constant.
 const ENV_VARS: [&str; 2] = ["VR_ALLOC_TRACK", "VR_WORKERS"];
 
-/// The `VR_*` names a source reads through `env::var` above its first
-/// `#[cfg(test)]` line. The pattern is assembled here so this file
-/// does not match itself.
+/// The `VR_*` names a source reads through `env::var` above its test
+/// module. The pattern is assembled here so this file does not match
+/// itself.
 fn env_vars_read(src: &str) -> Vec<&str> {
     let getter = ["env::var", "(\""].concat();
     let getter = getter.as_str();
-    src.lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+    code(src)
+        .lines()
         .flat_map(|l| l.split(getter).skip(1))
         .filter_map(|rest| rest.split('"').next())
         .filter(|name| name.starts_with("VR_"))
         .collect()
 }
 
-/// Lines above the first `#[cfg(test)]` line that look up a video
-/// track: only `InputVideo::video_track` in `vdbms/src/io.rs` may. The
-/// pattern is assembled here so this file does not match itself.
+/// Lines above the test module that look up a video track: only
+/// `InputVideo::video_track` in `vdbms/src/io.rs` may. The pattern is
+/// assembled here so this file does not match itself.
 fn resolves_video_track(src: &str) -> usize {
     let lookup = ["track_of_kind(", "TrackKind::Video)"].concat();
-    src.lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .filter(|l| l.contains(&lookup))
-        .count()
+    code(src).lines().filter(|l| l.contains(&lookup)).count()
 }
 
-/// Lines above the first `#[cfg(test)]` line that open a sample
-/// decoder. `SampleDecoder` is private to `vdbms/src/kernels.rs`, so
-/// the compiler refuses one anywhere else; inside that file exactly one
+/// Lines above the test module that open a sample decoder.
+/// `SampleDecoder` is private to `vdbms/src/kernels.rs`, so the
+/// compiler refuses one anywhere else; inside that file exactly one
 /// line may open one — `FrameStream`'s constructor, the one
 /// sample→frame loop. The pattern is assembled here so this file does
 /// not match itself.
 fn opens_sample_decoder(src: &str) -> usize {
     let open = ["SampleDecoder", "::new("].concat();
-    src.lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .filter(|l| l.contains(&open))
-        .count()
+    code(src).lines().filter(|l| l.contains(&open)).count()
 }
 
 /// The full-frame kernels that must walk plane rows: Q4's resample and
@@ -138,7 +133,7 @@ fn opens_sample_decoder(src: &str) -> usize {
 const ROW_KERNELS: [&str; 3] =
     ["frame/src/ops.rs", "vision/src/alpr.rs", "vision/src/yolo.rs"];
 
-/// Whether no line above the first `#[cfg(test)]` line reads a pixel
+/// Whether no line above the test module reads a pixel
 /// through `Frame`'s three-plane accessor (`.get(x, y)`) or
 /// `is_omega(`, each of which resolves all three copy-on-write planes
 /// per call. Only [`ROW_KERNELS`] are held to it: the engine sources
@@ -150,9 +145,7 @@ const ROW_KERNELS: [&str; 3] =
 fn reads_plane_rows(src: &str) -> bool {
     let get = [".get(", "x, y)"].concat();
     let omega = ["is_", "omega("].concat();
-    !src.lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .any(|l| l.contains(&get) || l.contains(&omega))
+    !code(src).lines().any(|l| l.contains(&get) || l.contains(&omega))
 }
 
 /// Whether a crate root makes `unsafe` a compiler error: `forbid`, or
@@ -273,6 +266,9 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(scopes_above_tests(one), 1, "the test module does not count");
     let two = one.replacen("fn stream", "fn second() {\n    std::thread::scope(|s| {});\n}\nfn stream", 1);
     assert_eq!(scopes_above_tests(&two), 2);
+    // A test-only `use` above the code hides nothing below it.
+    let hidden = |bad: &str| format!("#[cfg(test)]\nuse crate::oracle;\n{bad}");
+    assert_eq!(scopes_above_tests(&hidden(&two)), 2, "below a test-only use");
 
     assert!(!brings_own_escaper("w.member(\"name\", name);"));
     assert!(brings_own_escaper(&format!("fn {}(s: &str) -> String {{ todo!() }}", ["json", "escape"].join("_"))));
@@ -285,12 +281,14 @@ fn each_guard_rejects_a_bad_input() {
 
     let reader = ["let m = p.downcast_ref::<", "&str>();\n"].concat();
     assert!(reads_panic_payload(&format!("fn message(p: P) {{\n{reader}}}\n")));
+    assert!(reads_panic_payload(&hidden(&format!("fn message(p: P) {{\n{reader}}}\n"))));
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{reader}}}\n");
     assert!(!reads_panic_payload(&in_tests), "the test module does not count");
 
     let getter = ["std::env::", "var(\"VR_"].concat();
     let two = format!("if let Ok(v) = {getter}WORKERS\") {{}}\nlet t = {getter}TRACE\").ok();\n");
     assert_eq!(env_vars_read(&two), ["VR_WORKERS", "VR_TRACE"], "a third variable");
+    assert_eq!(env_vars_read(&hidden(&two)), ["VR_WORKERS", "VR_TRACE"], "below a test-only use");
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{getter}TRACE\");\n}}\n");
     assert!(env_vars_read(&in_tests).is_empty(), "the test module does not count");
 
@@ -304,6 +302,7 @@ fn each_guard_rejects_a_bad_input() {
 
     let lookup = ["let t = c.track_of_kind(", "TrackKind::Video).unwrap();\n"].concat();
     assert_eq!(resolves_video_track(&format!("fn f(c: &C) {{\n{lookup}}}\n")), 1);
+    assert_eq!(resolves_video_track(&hidden(&format!("fn f(c: &C) {{\n{lookup}}}\n"))), 1);
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{lookup}}}\n");
     assert_eq!(resolves_video_track(&in_tests), 0, "the test module does not count");
 
@@ -312,6 +311,7 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(opens_sample_decoder(&stream), 1, "the stream's constructor");
     let loop_of_its_own = format!("{stream}\npub fn decode_all() {{\n    {open}}}\n");
     assert_eq!(opens_sample_decoder(&loop_of_its_own), 2, "a decode loop beside the stream");
+    assert_eq!(opens_sample_decoder(&hidden(&loop_of_its_own)), 2, "below a test-only use");
     let in_tests = format!("{stream}#[cfg(test)]\nmod tests {{\n{open}}}\n");
     assert_eq!(opens_sample_decoder(&in_tests), 1, "the test module does not count");
 
@@ -320,6 +320,7 @@ fn each_guard_rejects_a_bad_input() {
     assert!(reads_plane_rows("fn f() {\nlet l = frame.get_y(x, y);\n}\n"), "a sparse luma read");
     assert!(!reads_plane_rows(&format!("fn f() {{\n{pixel}}}\n")), "a three-plane read");
     assert!(!reads_plane_rows(&format!("fn f() {{\n{omega}}}\n")), "an ω test");
+    assert!(!reads_plane_rows(&hidden(&format!("fn f() {{\n{pixel}}}\n"))), "below a test-only use");
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{pixel}{omega}}}\n");
     assert!(reads_plane_rows(&in_tests), "the test module does not count");
 

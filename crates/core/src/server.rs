@@ -67,7 +67,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vr_base::admission::{AdmissionConfig, AdmissionController, Priority, ShedReason};
-use vr_base::obs::qlog::{self, Outcome, QueryLog, RequestCtx, RequestRecord};
+use vr_base::obs::qlog::{Outcome, QueryLog, RequestCtx, RequestRecord};
 use vr_base::obs::slo::{SloConfig, SloTracker};
 use vr_base::obs::trace;
 use vr_base::sync::CancelToken;
@@ -696,7 +696,7 @@ fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
             record.degraded = permit.degraded();
             record.queue_wait = permit.queue_wait();
             let planned = work.plan(shared, &req, label, record.degraded, deadline);
-            record.plan_digest = qlog::fnv64_hex(&planned.explain(None));
+            record.plan_digest = shared.qlog.plan_digest(|| planned.explain(None));
             let result = planned.run(shared, online);
             let latency = t0.elapsed();
             record.latency = latency;

@@ -28,6 +28,7 @@ use vr_base::obs::{metrics, trace};
 use vr_base::rng::mix64;
 use vr_base::sync::{panic_message, run_jobs, stage_panic, CancelToken};
 use vr_base::{fault, BufSlice, Error, Resolution, Result, VrRng};
+use vr_codec::{Decoder, EncodedVideo};
 use vr_frame::metrics::{psnr_y, PsnrStats, VALIDATION_THRESHOLD_DB};
 use vr_scene::groundtruth::frame_truth;
 use vr_storage::rtp::{RtpDepacketizer, RtpPacketizer};
@@ -643,22 +644,9 @@ impl<'d> Vcd<'d> {
                     let (Some(va), Some(vb)) = (a.primary_video(), b.primary_video()) else {
                         continue;
                     };
-                    if va.len() != vb.len()
-                        && (va.len() as i64 - vb.len() as i64).unsigned_abs() as usize
-                            > vb.len() / 10 + 1
-                    {
-                        length_mismatch = true;
-                        continue;
-                    }
-                    let fa = va.decode_all()?;
-                    let fb = vb.decode_all()?;
-                    for (x, y) in fa.iter().zip(&fb) {
-                        if x.width() != y.width() || x.height() != y.height() {
-                            length_mismatch = true;
-                            break;
-                        }
-                        psnr_values.push(psnr_y(x, y));
-                    }
+                    let (psnr, mismatch) = compare_frames(va, vb)?;
+                    psnr_values.extend(psnr);
+                    length_mismatch |= mismatch;
                 }
             }
         }
@@ -742,6 +730,45 @@ impl<'d> Vcd<'d> {
             }
         }
         Ok((found, total, false_pos))
+    }
+}
+
+/// Frame validation of one answer against the reference answer: the
+/// luma PSNR of each frame of their common prefix, up to the first
+/// frame whose size differs, and whether the two disagree in length
+/// (by more than a tenth of the reference, plus one) or in frame size.
+///
+/// The two are decoded in lockstep, so one frame of each is resident
+/// whatever the length. Both are decoded to their ends all the same: a
+/// decode error anywhere in either surfaces, and when both fail it is
+/// the answer's first error.
+fn compare_frames(answer: &EncodedVideo, reference: &EncodedVideo) -> Result<(Vec<f64>, bool)> {
+    let (na, nr) = (answer.len(), reference.len());
+    if na.abs_diff(nr) > nr / 10 + 1 {
+        return Ok((Vec::new(), true));
+    }
+    let mut da = Decoder::new(answer.info);
+    let mut dr = Decoder::new(reference.info);
+    let mut reference_error = None;
+    let mut psnr = Vec::with_capacity(na.min(nr));
+    let mut mismatch = false;
+    for i in 0..na.max(nr) {
+        let x = answer.packets.get(i).map(|p| da.decode(&p.data)).transpose()?;
+        let y = match reference.packets.get(i).filter(|_| reference_error.is_none()) {
+            Some(p) => dr.decode(&p.data).map_err(|e| reference_error = Some(e)).ok(),
+            None => None,
+        };
+        if let (Some(x), Some(y), false) = (&x, &y, mismatch) {
+            if x.width() != y.width() || x.height() != y.height() {
+                mismatch = true;
+            } else {
+                psnr.push(psnr_y(x, y));
+            }
+        }
+    }
+    match reference_error {
+        Some(e) => Err(e),
+        None => Ok((psnr, mismatch)),
     }
 }
 
@@ -830,4 +857,159 @@ pub fn ingest_online(input: &InputVideo, speedup: f64) -> Result<usize> {
     }
     vr_base::fault::note_skipped_packets(rx.skipped());
     Ok(bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vr_base::obs::alloc;
+    use vr_codec::{encode_sequence, EncoderConfig, Packet};
+    use vr_frame::Frame;
+
+    /// The comparison before the two answers were decoded in lockstep:
+    /// each decoded whole, then the common prefix compared.
+    fn compare_frames_oracle(
+        va: &EncodedVideo,
+        vb: &EncodedVideo,
+    ) -> Result<(Vec<f64>, bool)> {
+        let mut psnr_values = Vec::new();
+        let mut length_mismatch = false;
+        if va.len() != vb.len()
+            && (va.len() as i64 - vb.len() as i64).unsigned_abs() as usize > vb.len() / 10 + 1
+        {
+            return Ok((psnr_values, true));
+        }
+        let fa = va.decode_all()?;
+        let fb = vb.decode_all()?;
+        for (x, y) in fa.iter().zip(&fb) {
+            if x.width() != y.width() || x.height() != y.height() {
+                length_mismatch = true;
+                break;
+            }
+            psnr_values.push(psnr_y(x, y));
+        }
+        Ok((psnr_values, length_mismatch))
+    }
+
+    /// `n` frames of a drifting gradient with a moving block.
+    fn clip(w: u32, h: u32, n: usize) -> Vec<Frame> {
+        (0..n)
+            .map(|t| {
+                let mut f = Frame::new(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        f.set_y(x, y, ((x * 3 + y + t as u32 * 4) % 200 + 20) as u8);
+                    }
+                }
+                let bx = (t as u32 * 5) % (w - 16);
+                for y in 8..24 {
+                    for x in bx..bx + 16 {
+                        f.set_y(x, y, 235);
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    fn encode(frames: &[Frame], qp: u8) -> EncodedVideo {
+        encode_sequence(&EncoderConfig::constant_qp(qp).with_gop(10), frames).unwrap()
+    }
+
+    /// A copy of `v` with packet `i` replaced by `data`.
+    fn corrupt(v: &EncodedVideo, i: usize, data: &[u8]) -> EncodedVideo {
+        let mut v = v.clone();
+        v.packets[i] = Packet { data: data.to_vec(), keyframe: false };
+        v
+    }
+
+    /// Bit-for-bit: the same PSNR values, verdict and error.
+    fn same(got: Result<(Vec<f64>, bool)>, want: Result<(Vec<f64>, bool)>, case: &str) {
+        match (got, want) {
+            (Ok((g, gm)), Ok((w, wm))) => {
+                let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g), bits(&w), "{case}: PSNR values");
+                assert_eq!(gm, wm, "{case}: mismatch verdict");
+            }
+            (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{case}: error"),
+            (g, w) => panic!("{case}: got {g:?}, the oracle gave {w:?}"),
+        }
+    }
+
+    #[test]
+    fn lockstep_comparison_matches_the_decode_all_oracle() {
+        let frames = clip(64, 48, 30);
+        let reference = encode(&frames, 10);
+        let reencoded = encode(&frames, 30);
+        let longer = encode(&clip(64, 48, 32), 12);
+        let shorter = encode(&frames[..20], 10);
+        let wider = encode(&clip(96, 48, 30), 10);
+        // A frame type no decoder knows, and a QP out of range: the
+        // two errors read differently, so the winner shows.
+        let (bad_type, bad_qp) = ([0xee, 10, 0], [0, 99, 0]);
+        let cases = [
+            ("equal answers", reference.clone(), reference.clone()),
+            ("a re-encoded answer", reencoded.clone(), reference.clone()),
+            ("a longer answer within the tolerance", longer.clone(), reference.clone()),
+            ("a shorter reference within the tolerance", reference.clone(), longer.clone()),
+            ("unequal lengths", shorter.clone(), reference.clone()),
+            ("a width mismatch", wider.clone(), reference.clone()),
+            ("a corrupt answer tail", corrupt(&reencoded, 29, &bad_type), reference.clone()),
+            ("a corrupt reference tail", reencoded.clone(), corrupt(&reference, 28, &bad_qp)),
+            ("a corrupt tail past the prefix", corrupt(&longer, 31, &bad_type), reference.clone()),
+            (
+                "both corrupt, the reference first",
+                corrupt(&reencoded, 29, &bad_type),
+                corrupt(&reference, 3, &bad_qp),
+            ),
+            (
+                "both corrupt, the answer first",
+                corrupt(&reencoded, 2, &bad_type),
+                corrupt(&reference, 27, &bad_qp),
+            ),
+            ("a corrupt answer of another width", corrupt(&wider, 25, &bad_qp), reference.clone()),
+        ];
+        for (case, answer, reference) in &cases {
+            same(compare_frames(answer, reference), compare_frames_oracle(answer, reference), case);
+        }
+        let (psnr, mismatch) = compare_frames(&reencoded, &reference).unwrap();
+        assert_eq!((psnr.len(), mismatch), (30, false));
+        assert!(compare_frames(&wider, &reference).unwrap().1, "a width mismatch is reported");
+        let both = compare_frames(&cases[9].1, &cases[9].2).unwrap_err().to_string();
+        assert!(!both.contains("QP 99"), "the answer's error wins: {both}");
+    }
+
+    /// Peak bytes one thread allocates while `compare` runs.
+    fn peak_bytes(compare: impl FnOnce() -> Result<(Vec<f64>, bool)>) -> u64 {
+        let scope = alloc::ScopeGuard::begin();
+        compare().unwrap();
+        scope.finish().peak_bytes
+    }
+
+    /// The validator's memory does not grow with the answer: tripling a
+    /// 30-frame answer moves its peak by less than four frames, where
+    /// decoding both answers whole first grows it by 2 × 60 frames.
+    #[test]
+    fn validation_peak_does_not_grow_with_the_answer() {
+        let (w, h) = (160, 96);
+        let frame_bytes = (w * h * 3 / 2) as u64;
+        let frames = clip(w, h, 90);
+        let pair = |n: usize| (encode(&frames[..n], 24), encode(&frames[..n], 10));
+        let (short, long) = (pair(30), pair(90));
+        alloc::set_tracking(true);
+        // Warm-up: lazily built codec tables allocate once per process.
+        peak_bytes(|| compare_frames(&short.0, &short.1));
+        let lockstep = [&short, &long].map(|(a, r)| peak_bytes(|| compare_frames(a, r)));
+        let whole = [&short, &long].map(|(a, r)| peak_bytes(|| compare_frames_oracle(a, r)));
+        alloc::set_tracking(false);
+        assert!(lockstep[0] > 0, "alloc tracking recorded nothing");
+        assert!(
+            lockstep[1] < lockstep[0] + 4 * frame_bytes,
+            "lockstep peak {lockstep:?} B grew by four frames ({frame_bytes} B each) or more"
+        );
+        assert!(
+            whole[1] >= whole[0] + 100 * frame_bytes,
+            "the whole-decode oracle's peak {whole:?} B should grow by about 120 frames"
+        );
+    }
 }

@@ -44,6 +44,7 @@ use std::time::Instant;
 use vr_base::sync::Mutex;
 use vr_base::{Error, Result};
 use vr_codec::VideoInfo;
+use vr_frame::tile::TileGrid;
 use vr_frame::{ops, Frame};
 use vr_scene::ObjectClass;
 use vr_vision::cost::CostModel;
@@ -466,7 +467,8 @@ impl Vdbms for BatchEngine {
                 let (dx, dy) = (*dx, *dy);
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let out = pl.run_sequence(&mut scan, |frames, info| {
-                    crate::kernels::subquery_reencode(&frames, info, dx, dy, bitrates)
+                    let grid = TileGrid::new(info.width, info.height, dx, dy);
+                    crate::kernels::subquery_reencode(frames, info, &grid, bitrates)
                 })?;
                 QueryOutput::Video(out)
             }
@@ -535,7 +537,7 @@ impl Vdbms for BatchEngine {
                 };
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let out = pl.run_sequence(&mut scan, |frames, _| {
-                    Ok(reference::q7_object_detection(&frames, class, cfg))
+                    Ok(reference::q7_object_detection(frames, class, cfg))
                 })?;
                 QueryOutput::Video(out)
             }
@@ -562,7 +564,7 @@ impl Vdbms for BatchEngine {
                 let (hb, lb, client) = (*high_bitrate, *low_bitrate, *client);
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let out = pl.run_sequence(&mut scan, |frames, info| {
-                    reference::q10_tile_encode(&frames, info, hb, lb, high_tiles, client)
+                    reference::q10_tile_encode(frames, info, hb, lb, high_tiles, client)
                 })?;
                 QueryOutput::Video(out)
             }

@@ -32,6 +32,7 @@ use crate::plan::PlanNode;
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
 use crate::reference;
 use vr_base::{Error, Result, Timestamp};
+use vr_frame::tile::TileGrid;
 use vr_frame::{ops, Frame};
 use vr_vision::cost::CostModel;
 use vr_vision::{Detection, YoloConfig};
@@ -175,7 +176,8 @@ impl Vdbms for FunctionalEngine {
                 let (dx, dy) = (*dx, *dy);
                 let mut scan = pl.stream_scan(inp)?;
                 let out = pl.run_sequence(&mut scan, |frames, info| {
-                    crate::kernels::subquery_reencode(&frames, info, dx, dy, bitrates)
+                    let grid = TileGrid::new(info.width, info.height, dx, dy);
+                    crate::kernels::subquery_reencode(frames, info, &grid, bitrates)
                 })?;
                 QueryOutput::Video(out)
             }
@@ -249,7 +251,7 @@ impl Vdbms for FunctionalEngine {
                 let class = *class;
                 let mut scan = pl.stream_scan(input(0)?)?;
                 let out = pl.run_sequence(&mut scan, |frames, _| {
-                    Ok(reference::q7_object_detection(&frames, class, YoloConfig::default()))
+                    Ok(reference::q7_object_detection(frames, class, YoloConfig::default()))
                 })?;
                 QueryOutput::Video(out)
             }
@@ -275,7 +277,7 @@ impl Vdbms for FunctionalEngine {
                 let (hb, lb, client) = (*high_bitrate, *low_bitrate, *client);
                 let mut scan = pl.stream_scan(input(0)?)?;
                 let out = pl.run_sequence(&mut scan, |frames, info| {
-                    reference::q10_tile_encode(&frames, info, hb, lb, high_tiles, client)
+                    reference::q10_tile_encode(frames, info, hb, lb, high_tiles, client)
                 })?;
                 QueryOutput::Video(out)
             }

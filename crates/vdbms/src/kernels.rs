@@ -14,8 +14,7 @@
 use crate::io::{InputVideo, OutputBox};
 use vr_base::{fault, Error, Result};
 use vr_codec::{
-    encode_sequence, DecodeOutcome, Decoder, EncoderConfig, RateControlMode,
-    ResilientDecoder, VideoInfo,
+    DecodeOutcome, Decoder, Encoder, EncoderConfig, RateControlMode, ResilientDecoder, VideoInfo,
 };
 use vr_container::{SampleInfo, TrackKind};
 use vr_frame::tile::TileGrid;
@@ -344,20 +343,23 @@ pub fn filter_class(detections: Vec<Detection>, class: ObjectClass) -> Vec<Detec
     detections.into_iter().filter(|d| d.class == class).collect()
 }
 
-/// Q3 core: partition each frame into (dx, dy) tiles, re-encode each
-/// tile's temporal sequence at its assigned bitrate, decode, and
-/// recombine. Returns the recombined frames (engines then encode the
-/// final output themselves).
+/// Q3 core (and Q10's, over a uniform grid): partition each frame
+/// into the grid's tiles, re-encode each tile's temporal sequence at
+/// its assigned bitrate, decode, and recombine. Returns the recombined
+/// frames (engines then encode the final output themselves).
+///
+/// Each tile keeps one encoder and one decoder that advance together,
+/// and frame `t` is replaced by the stitch of the tiles' frame `t`: a
+/// tile's encoder sees the same crops in the same order as a whole
+/// sequence encode would, so the bytes match it, while only one
+/// frame's tiles are resident beside the frames themselves.
 pub fn subquery_reencode(
-    frames: &[Frame],
+    mut frames: Vec<Frame>,
     info: VideoInfo,
-    dx: u32,
-    dy: u32,
+    grid: &TileGrid,
     bitrates: &[u32],
 ) -> Result<Vec<Frame>> {
     assert!(!frames.is_empty());
-    let (w, h) = (frames[0].width(), frames[0].height());
-    let grid = TileGrid::new(w, h, dx, dy);
     if bitrates.len() != grid.len() {
         return Err(Error::InvalidConfig(format!(
             "Q3 got {} bitrates for a {}-tile grid",
@@ -365,30 +367,34 @@ pub fn subquery_reencode(
             grid.len()
         )));
     }
-    // Per tile: gather the tile across time, encode at its bitrate,
-    // decode back.
     let rects = grid.rects();
-    let mut decoded_tiles: Vec<Vec<Frame>> = Vec::with_capacity(rects.len());
-    for (rect, &bitrate) in rects.iter().zip(bitrates) {
-        let tile_frames: Vec<Frame> =
-            frames.iter().map(|f| ops::crop(f, *rect)).collect();
-        let cfg = EncoderConfig {
-            profile: info.profile,
-            rate: RateControlMode::Bitrate(bitrate),
-            gop: info.gop,
-            frame_rate: info.frame_rate,
-        };
-        let encoded = encode_sequence(&cfg, &tile_frames)?;
-        decoded_tiles.push(encoded.decode_all()?);
+    let mut coders = rects
+        .iter()
+        .zip(bitrates)
+        .map(|(rect, &bitrate)| {
+            let cfg = EncoderConfig {
+                profile: info.profile,
+                rate: RateControlMode::Bitrate(bitrate),
+                gop: info.gop,
+                frame_rate: info.frame_rate,
+            };
+            let encoder = Encoder::new(cfg, rect.width(), rect.height())?;
+            let decoder = Decoder::new(encoder.info());
+            Ok((encoder, decoder))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    for frame in &mut frames {
+        let tiles = rects
+            .iter()
+            .zip(&mut coders)
+            .map(|(rect, (encoder, decoder))| {
+                let packet = encoder.encode(&ops::crop(frame, *rect))?;
+                decoder.decode(&packet.data)
+            })
+            .collect::<Result<Vec<Frame>>>()?;
+        *frame = grid.stitch(&tiles);
     }
-    // Recombine per time step.
-    let mut out = Vec::with_capacity(frames.len());
-    for t in 0..frames.len() {
-        let tiles_at_t: Vec<Frame> =
-            decoded_tiles.iter().map(|tile| tile[t].clone()).collect();
-        out.push(grid.stitch(&tiles_at_t));
-    }
-    Ok(out)
+    Ok(frames)
 }
 
 /// Q9's direction table for one rig and one pair of sizes: for every
@@ -598,7 +604,7 @@ fn blend([tl, tr, bl, br]: [u8; 4], tx: f32, ty: f32) -> u8 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::query::FaceParams;
     use vr_codec::Profile;
@@ -842,6 +848,97 @@ mod tests {
         }
     }
 
+    /// The Q3 kernel before tiles advanced in lockstep: every tile's
+    /// whole crop sequence encoded, then decoded whole, then stitched.
+    fn subquery_reencode_oracle(
+        frames: &[Frame],
+        info: VideoInfo,
+        dx: u32,
+        dy: u32,
+        bitrates: &[u32],
+    ) -> Result<Vec<Frame>> {
+        assert!(!frames.is_empty());
+        let (w, h) = (frames[0].width(), frames[0].height());
+        let grid = TileGrid::new(w, h, dx, dy);
+        if bitrates.len() != grid.len() {
+            return Err(Error::InvalidConfig(format!(
+                "Q3 got {} bitrates for a {}-tile grid",
+                bitrates.len(),
+                grid.len()
+            )));
+        }
+        // Per tile: gather the tile across time, encode at its bitrate,
+        // decode back.
+        let rects = grid.rects();
+        let mut decoded_tiles: Vec<Vec<Frame>> = Vec::with_capacity(rects.len());
+        for (rect, &bitrate) in rects.iter().zip(bitrates) {
+            let tile_frames: Vec<Frame> =
+                frames.iter().map(|f| ops::crop(f, *rect)).collect();
+            let cfg = EncoderConfig {
+                profile: info.profile,
+                rate: RateControlMode::Bitrate(bitrate),
+                gop: info.gop,
+                frame_rate: info.frame_rate,
+            };
+            let encoded = vr_codec::encode_sequence(&cfg, &tile_frames)?;
+            decoded_tiles.push(encoded.decode_all()?);
+        }
+        // Recombine per time step.
+        let mut out = Vec::with_capacity(frames.len());
+        for t in 0..frames.len() {
+            let tiles_at_t: Vec<Frame> =
+                decoded_tiles.iter().map(|tile| tile[t].clone()).collect();
+            out.push(grid.stitch(&tiles_at_t));
+        }
+        Ok(out)
+    }
+
+    /// `n` frames of moving gradients and a drifting block, so every
+    /// tile has motion to code and the rate controller has work to do.
+    pub(crate) fn moving_frames(w: u32, h: u32, n: usize) -> Vec<Frame> {
+        (0..n)
+            .map(|t| {
+                let mut f = Frame::new(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        let v = (x * 3 + y * 2 + t as u32 * 5) % 220;
+                        f.set_y(x, y, v as u8 + 16);
+                    }
+                }
+                let bx = (t as u32 * 3) % w.saturating_sub(8).max(1);
+                for y in 4..(12.min(h)) {
+                    for x in bx..(bx + 8).min(w) {
+                        f.set(x, y, Yuv::new(230, 60, 200));
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn subquery_reencode_matches_the_whole_sequence_oracle() {
+        let (w, h) = (96, 64);
+        let frames = moving_frames(w, h, 7);
+        let cases = [(3, 32, 32, 1 << 18), (7, 48, 24, 1 << 15), (2, 40, 64, 1 << 21)];
+        for (gop, dx, dy, bitrate) in cases {
+            let info = VideoInfo {
+                profile: Profile::HevcLike,
+                width: w,
+                height: h,
+                frame_rate: vr_base::FrameRate(30),
+                gop,
+            };
+            let grid = TileGrid::new(w, h, dx, dy);
+            // Unequal bitrates, so each tile's rate controller differs.
+            let bitrates: Vec<u32> =
+                (0..grid.len() as u32).map(|i| bitrate >> (i % 3)).collect();
+            let want = subquery_reencode_oracle(&frames, info, dx, dy, &bitrates).unwrap();
+            let got = subquery_reencode(frames.clone(), info, &grid, &bitrates).unwrap();
+            assert!(got == want, "grid {dx}x{dy} at {bitrate} b/s differs from the oracle");
+        }
+    }
+
     #[test]
     fn subquery_reencode_validates_bitrate_count() {
         let frames = vec![Frame::filled(64, 64, Yuv::gray(90)); 3];
@@ -852,8 +949,9 @@ mod tests {
             frame_rate: vr_base::FrameRate(30),
             gop: 3,
         };
-        assert!(subquery_reencode(&frames, info, 32, 32, &[1 << 18]).is_err());
-        let out = subquery_reencode(&frames, info, 32, 32, &[1 << 20; 4]).unwrap();
+        let grid = TileGrid::new(64, 64, 32, 32);
+        assert!(subquery_reencode(frames.clone(), info, &grid, &[1 << 18]).is_err());
+        let out = subquery_reencode(frames.clone(), info, &grid, &[1 << 20; 4]).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].width(), 64);
         // Flat frames survive re-encode nearly unchanged.

@@ -950,7 +950,7 @@ impl<'c> Pipeline<'c> {
         if let Some(e) = first_err.lock().take() {
             return Err(e);
         }
-        self.encode_frames(&frames, info)
+        self.encode_frames(frames, info)
     }
 
     /// Whole-sequence policy: materialize, apply a sequence kernel
@@ -967,7 +967,7 @@ impl<'c> Pipeline<'c> {
         let frames = self.drain(source)?;
         let n = frames.len() as u64;
         let out = self.kernel_stage(n, 0, || kernel(frames, info))?;
-        self.encode_frames(&out, info)
+        self.encode_frames(out, info)
     }
 
     /// Short-circuit policy: a gate routes each frame to the cheap
@@ -1074,11 +1074,15 @@ impl<'c> Pipeline<'c> {
 
     /// Encode a finished frame sequence (dimensions taken from the
     /// first frame, stream parameters from `info`), recording Encode
-    /// time and output bytes.
-    pub(crate) fn encode_frames(&self, frames: &[Frame], info: VideoInfo) -> Result<EncodedVideo> {
+    /// time and output bytes. Each frame is dropped once encoded.
+    pub(crate) fn encode_frames(
+        &self,
+        frames: Vec<Frame>,
+        info: VideoInfo,
+    ) -> Result<EncodedVideo> {
         let mut stage = EncodeStage::new(self, info);
         for f in frames {
-            stage.consume(KernelOut::from(f.clone()))?;
+            stage.consume(KernelOut::from(f))?;
         }
         Ok(stage.into_result()?.video)
     }

@@ -9,7 +9,7 @@
 //! diverge.
 
 use crate::engine::Vdbms;
-use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
+use crate::io::{ExecContext, InputVideo, QueryOutput};
 use crate::kernels::{
     boxes_frame, caption_track, filter_class, subquery_reencode, StitchMap,
 };
@@ -179,7 +179,8 @@ pub fn execute_reference(
             let mut scan = pl.stream_scan(input(0)?)?;
             let (dx, dy) = (*dx, *dy);
             let out = pl.run_sequence(&mut scan, |frames, info| {
-                subquery_reencode(&frames, info, dx, dy, bitrates)
+                let grid = TileGrid::new(info.width, info.height, dx, dy);
+                subquery_reencode(frames, info, &grid, bitrates)
             })?;
             Ok(QueryOutput::Video(out))
         }
@@ -230,7 +231,7 @@ pub fn execute_reference(
             let mut scan = pl.stream_scan(input(0)?)?;
             let class = *class;
             let out = pl.run_sequence(&mut scan, |frames, _| {
-                Ok(q7_object_detection(&frames, class, YoloConfig::default()))
+                Ok(q7_object_detection(frames, class, YoloConfig::default()))
             })?;
             Ok(QueryOutput::Video(out))
         }
@@ -258,7 +259,7 @@ pub fn execute_reference(
             let mut scan = pl.stream_scan(input(0)?)?;
             let (hb, lb, client) = (*high_bitrate, *low_bitrate, *client);
             let out = pl.run_sequence(&mut scan, |frames, info| {
-                q10_tile_encode(&frames, info, hb, lb, high_tiles, client)
+                q10_tile_encode(frames, info, hb, lb, high_tiles, client)
             })?;
             Ok(QueryOutput::Video(out))
         }
@@ -277,26 +278,6 @@ pub fn q1_select(
     let last = (t2.frame_index(info.frame_rate) as usize).min(frames.len().saturating_sub(1));
     let first = first.min(last);
     frames[first..=last].iter().map(|f| ops::crop(f, rect)).collect()
-}
-
-/// Q2(c) reference: detect, filter to the class, paint class-colored
-/// boxes on ω.
-pub fn q2c_boxes(
-    frames: &[Frame],
-    class: ObjectClass,
-    cfg: YoloConfig,
-) -> (Vec<Frame>, Vec<Vec<OutputBox>>) {
-    let mut detector = YoloDetector::new(cfg);
-    let mut out_frames = Vec::with_capacity(frames.len());
-    let mut out_boxes = Vec::with_capacity(frames.len());
-    for f in frames {
-        let dets = filter_class(detector.detect(f), class);
-        out_frames.push(boxes_frame(f.width(), f.height(), &dets));
-        out_boxes.push(
-            dets.iter().map(|d| OutputBox { class: d.class, rect: d.rect }).collect(),
-        );
-    }
-    (out_frames, out_boxes)
 }
 
 /// Q2(d) reference: m-frame mean background, relative-threshold mask.
@@ -336,15 +317,20 @@ pub fn q2d_masking(frames: &[Frame], m: u32, epsilon: f64) -> Vec<Frame> {
 }
 
 /// Q7 reference: `Q2d(Q6a(V, Q2c(V)))` per Table 6, with the composite
-/// masking window fixed at (m = 10, ε = 0.2).
-pub fn q7_object_detection(frames: &[Frame], class: ObjectClass, cfg: YoloConfig) -> Vec<Frame> {
-    let (box_frames, _) = q2c_boxes(frames, class, cfg);
-    let unioned: Vec<Frame> = frames
-        .iter()
-        .zip(&box_frames)
-        .map(|(f, b)| ops::coalesce(f, b))
-        .collect();
-    q2d_masking(&unioned, 10, 0.2)
+/// masking window fixed at (m = 10, ε = 0.2). Detect → box frame →
+/// coalesce runs frame by frame, each frame replaced by its union with
+/// its own box frame.
+pub fn q7_object_detection(
+    mut frames: Vec<Frame>,
+    class: ObjectClass,
+    cfg: YoloConfig,
+) -> Vec<Frame> {
+    let mut detector = YoloDetector::new(cfg);
+    for f in &mut frames {
+        let dets = filter_class(detector.detect(f), class);
+        *f = ops::coalesce(f, &boxes_frame(f.width(), f.height(), &dets));
+    }
+    q2d_masking(&frames, 10, 0.2)
 }
 
 /// The Q8 tracking kernel: per-frame plate recognition with ≤3-frame
@@ -474,13 +460,13 @@ pub fn q9_stitch(
             })
             .collect::<Vec<Frame>>()
     });
-    pl.encode_frames(&out, VideoInfo { width: out_w, height: out_h, ..info })
+    pl.encode_frames(out, VideoInfo { width: out_w, height: out_h, ..info })
 }
 
 /// Q10 reference: 3×3 two-bitrate tile re-encode, then downsample to
 /// the client resolution (Table 8: `V' = Q5(Q3(V, j → b_j), r)`).
 pub fn q10_tile_encode(
-    frames: &[Frame],
+    frames: Vec<Frame>,
     info: VideoInfo,
     high_bitrate: u32,
     low_bitrate: u32,
@@ -489,34 +475,14 @@ pub fn q10_tile_encode(
 ) -> Result<Vec<Frame>> {
     assert!(!frames.is_empty());
     let (w, h) = (frames[0].width(), frames[0].height());
-    let grid = TileGrid::uniform(w, h, 3, 3);
     let bitrates: Vec<u32> = high_tiles
         .iter()
         .map(|&hi| if hi { high_bitrate } else { low_bitrate })
         .collect();
-    // Reuse the Q3 kernel with the uniform grid by re-encoding each
-    // tile sequence at its bitrate.
-    let rects = grid.rects();
-    let mut decoded_tiles: Vec<Vec<Frame>> = Vec::with_capacity(9);
-    for (rect, &bitrate) in rects.iter().zip(&bitrates) {
-        let tile_frames: Vec<Frame> = frames.iter().map(|f| ops::crop(f, *rect)).collect();
-        let cfg = vr_codec::EncoderConfig {
-            profile: info.profile,
-            rate: vr_codec::RateControlMode::Bitrate(bitrate),
-            gop: info.gop,
-            frame_rate: info.frame_rate,
-        };
-        decoded_tiles.push(vr_codec::encode_sequence(&cfg, &tile_frames)?.decode_all()?);
-    }
-    let mut out = Vec::with_capacity(frames.len());
-    for t in 0..frames.len() {
-        let tiles: Vec<Frame> = decoded_tiles.iter().map(|d| d[t].clone()).collect();
-        let stitched = grid.stitch(&tiles);
-        out.push(ops::downsample(
-            &stitched,
-            client.width.clamp(2, w),
-            client.height.clamp(2, h),
-        ));
+    let grid = TileGrid::uniform(w, h, 3, 3);
+    let mut out = subquery_reencode(frames, info, &grid, &bitrates)?;
+    for f in &mut out {
+        *f = ops::downsample(f, client.width.clamp(2, w), client.height.clamp(2, h));
     }
     Ok(out)
 }
@@ -524,6 +490,7 @@ pub fn q10_tile_encode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::OutputBox;
     use vr_frame::Yuv;
 
     fn frames(n: usize) -> Vec<Frame> {
@@ -538,6 +505,86 @@ mod tests {
                 f
             })
             .collect()
+    }
+
+    /// The Q10 kernel before it called the shared tile kernel: its own
+    /// copy of the whole-sequence tile loop, then a downsample.
+    fn q10_tile_encode_oracle(
+        frames: &[Frame],
+        info: VideoInfo,
+        high_bitrate: u32,
+        low_bitrate: u32,
+        high_tiles: &[bool; 9],
+        client: Resolution,
+    ) -> Result<Vec<Frame>> {
+        assert!(!frames.is_empty());
+        let (w, h) = (frames[0].width(), frames[0].height());
+        let grid = TileGrid::uniform(w, h, 3, 3);
+        let bitrates: Vec<u32> = high_tiles
+            .iter()
+            .map(|&hi| if hi { high_bitrate } else { low_bitrate })
+            .collect();
+        // Reuse the Q3 kernel with the uniform grid by re-encoding each
+        // tile sequence at its bitrate.
+        let rects = grid.rects();
+        let mut decoded_tiles: Vec<Vec<Frame>> = Vec::with_capacity(9);
+        for (rect, &bitrate) in rects.iter().zip(&bitrates) {
+            let tile_frames: Vec<Frame> = frames.iter().map(|f| ops::crop(f, *rect)).collect();
+            let cfg = vr_codec::EncoderConfig {
+                profile: info.profile,
+                rate: vr_codec::RateControlMode::Bitrate(bitrate),
+                gop: info.gop,
+                frame_rate: info.frame_rate,
+            };
+            decoded_tiles.push(vr_codec::encode_sequence(&cfg, &tile_frames)?.decode_all()?);
+        }
+        let mut out = Vec::with_capacity(frames.len());
+        for t in 0..frames.len() {
+            let tiles: Vec<Frame> = decoded_tiles.iter().map(|d| d[t].clone()).collect();
+            let stitched = grid.stitch(&tiles);
+            out.push(ops::downsample(
+                &stitched,
+                client.width.clamp(2, w),
+                client.height.clamp(2, h),
+            ));
+        }
+        Ok(out)
+    }
+
+    /// The detection pass Q7 used to call: every frame's box frame
+    /// (and boxes), for the whole video.
+    fn q2c_boxes_oracle(
+        frames: &[Frame],
+        class: ObjectClass,
+        cfg: YoloConfig,
+    ) -> (Vec<Frame>, Vec<Vec<OutputBox>>) {
+        let mut detector = YoloDetector::new(cfg);
+        let mut out_frames = Vec::with_capacity(frames.len());
+        let mut out_boxes = Vec::with_capacity(frames.len());
+        for f in frames {
+            let dets = filter_class(detector.detect(f), class);
+            out_frames.push(boxes_frame(f.width(), f.height(), &dets));
+            out_boxes.push(
+                dets.iter().map(|d| OutputBox { class: d.class, rect: d.rect }).collect(),
+            );
+        }
+        (out_frames, out_boxes)
+    }
+
+    /// Q7 before it ran frame by frame: whole-video box frames, then a
+    /// whole-video union.
+    fn q7_object_detection_oracle(
+        frames: &[Frame],
+        class: ObjectClass,
+        cfg: YoloConfig,
+    ) -> Vec<Frame> {
+        let (box_frames, _) = q2c_boxes_oracle(frames, class, cfg);
+        let unioned: Vec<Frame> = frames
+            .iter()
+            .zip(&box_frames)
+            .map(|(f, b)| ops::coalesce(f, b))
+            .collect();
+        q2d_masking(&unioned, 10, 0.2)
     }
 
     #[test]
@@ -602,7 +649,7 @@ mod tests {
                 }
             }
         }
-        let out = q7_object_detection(&fs, ObjectClass::Vehicle, YoloConfig::fast());
+        let out = q7_object_detection(fs.clone(), ObjectClass::Vehicle, YoloConfig::fast());
         assert_eq!(out.len(), fs.len());
         // Far corner is background → ω.
         assert!(out[6].is_omega(60, 44));
@@ -621,9 +668,46 @@ mod tests {
         let mut high = [false; 9];
         high[4] = true;
         let out =
-            q10_tile_encode(&fs, info, 1 << 21, 1 << 16, &high, Resolution::new(32, 24))
+            q10_tile_encode(fs, info, 1 << 21, 1 << 16, &high, Resolution::new(32, 24))
                 .unwrap();
         assert_eq!(out.len(), 4);
         assert_eq!((out[0].width(), out[0].height()), (32, 24));
+    }
+
+    #[test]
+    fn q7_matches_the_three_vector_oracle() {
+        let fs = crate::kernels::tests::moving_frames(96, 64, 14);
+        for (class, cfg) in [
+            (ObjectClass::Vehicle, YoloConfig::fast()),
+            (ObjectClass::Pedestrian, YoloConfig::fast()),
+            (ObjectClass::Vehicle, YoloConfig::default()),
+        ] {
+            let want = q7_object_detection_oracle(&fs, class, cfg.clone());
+            let got = q7_object_detection(fs.clone(), class, cfg);
+            assert!(got == want, "{class:?}: Q7 differs from the oracle");
+        }
+    }
+
+    #[test]
+    fn q10_matches_its_own_tile_loop() {
+        let (w, h) = (96, 72);
+        let fs = crate::kernels::tests::moving_frames(w, h, 6);
+        for (gop, hb, lb, client) in [
+            (6, 1 << 21, 1 << 16, Resolution::new(48, 36)),
+            (2, 1 << 19, 1 << 13, Resolution::new(96, 72)),
+            (3, 1 << 17, 1 << 17, Resolution::new(30, 20)),
+        ] {
+            let info = VideoInfo {
+                profile: vr_codec::Profile::H264Like,
+                width: w,
+                height: h,
+                frame_rate: vr_base::FrameRate(30),
+                gop,
+            };
+            let high: [bool; 9] = std::array::from_fn(|i| i % 2 == gop as usize % 2);
+            let want = q10_tile_encode_oracle(&fs, info, hb, lb, &high, client).unwrap();
+            let got = q10_tile_encode(fs.clone(), info, hb, lb, &high, client).unwrap();
+            assert!(got == want, "gop {gop}, {hb}/{lb} b/s: Q10 differs from the oracle");
+        }
     }
 }
