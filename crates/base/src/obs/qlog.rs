@@ -165,9 +165,18 @@ impl QueryLog {
         })
     }
 
-    /// The configured slow-query threshold, if any.
-    pub fn slow_threshold(&self) -> Option<Duration> {
-        self.slow
+    /// The `EXPLAIN ANALYZE` exemplar a record of a request that took
+    /// `latency` carries: the text `explain` renders, when the latency
+    /// is at or over the slow-query threshold and the log has a file
+    /// sink. Without a sink no record is rendered, so `explain` is
+    /// never called.
+    pub fn exemplar<S: Into<String>>(
+        &self,
+        latency: Duration,
+        explain: impl FnOnce() -> S,
+    ) -> Option<String> {
+        let slow = self.sink && self.slow.is_some_and(|t| latency >= t);
+        slow.then(|| explain().into())
     }
 
     /// The plan digest a record carries: [`fnv64_hex`] of the plan text
@@ -410,6 +419,24 @@ mod tests {
         let sunk = QueryLog::open(path.to_str(), None).unwrap();
         assert_eq!(sunk.plan_digest(|| "plan"), fnv64_hex("plan"));
         drop(sunk);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_log_without_a_sink_never_renders_an_exemplar() {
+        let slow = Duration::from_millis(1);
+        let sinkless = QueryLog::open(None, Some(slow)).unwrap();
+        let never = || -> &str { panic!("the exemplar was rendered") };
+        assert_eq!(sinkless.exemplar(Duration::from_secs(1), never), None);
+        let path =
+            std::env::temp_dir().join(format!("vr_qlog_exemplar_{}.jsonl", std::process::id()));
+        let sunk = QueryLog::open(path.to_str(), Some(slow)).unwrap();
+        assert_eq!(sunk.exemplar(slow, || "plan"), Some("plan".to_string()));
+        assert_eq!(sunk.exemplar(slow / 2, never), None, "under the threshold");
+        drop(sunk);
+        let unthresholded = QueryLog::open(path.to_str(), None).unwrap();
+        assert_eq!(unthresholded.exemplar(Duration::from_secs(1), never), None);
+        drop(unthresholded);
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,7 +2,7 @@
 //! dependency in any manifest, one scoped-thread executor in
 //! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
 //! payload reader, one video-track resolver and one sample→frame
-//! loop, one socket bound (the query server's listener), full-frame kernels that walk plane rows instead of reading
+//! loop, two drained scans (the eager policy and Q9's faces), one socket bound (the query server's listener), full-frame kernels that walk plane rows instead of reading
 //! pixels through `Frame`, `unsafe` refused by every crate root, two
 //! `VR_*` environment variables, a `ci.sh` that stays a stage table,
 //! and one build setting in `.cargo/config.toml`. Each guard is a
@@ -128,6 +128,19 @@ fn opens_sample_decoder(src: &str) -> usize {
     code(src).lines().filter(|l| l.contains(&open)).count()
 }
 
+/// Lines above the test module that drain a scan into a vector
+/// (`Pipeline::drain`): a call of `.drain(` on anything but a range.
+/// Under `vdbms/src` exactly two may — `run_eager`'s, the batch
+/// engine's materializing policy, and `q9_stitch`'s, which holds four
+/// faces until a lockstep multi-source executor replaces it; every
+/// other query streams. The pattern is assembled here so this file
+/// does not match itself.
+fn drains_a_scan(src: &str) -> usize {
+    let call = [".drain", "("].concat();
+    let range = [call.as_str(), ".."].concat();
+    code(src).lines().filter(|l| l.matches(&call).count() > l.matches(&range).count()).count()
+}
+
 /// The full-frame kernels that must walk plane rows: Q4's resample and
 /// Q6's coalesce, the plate finder and the detector.
 const ROW_KERNELS: [&str; 3] =
@@ -217,6 +230,17 @@ fn the_repository_passes_every_guard() {
     for src in sources.iter().filter(|p| **p != writer) {
         assert!(!brings_own_escaper(&read(src)), "a JSON escaper outside json.rs: {}", src.display());
     }
+    let vdbms = crates.join("vdbms/src");
+    let drains: std::collections::BTreeMap<String, usize> = sources
+        .iter()
+        .filter_map(|src| {
+            let n = drains_a_scan(&read(src));
+            let name = src.strip_prefix(&vdbms).ok()?.display().to_string();
+            (n > 0).then_some((name, n))
+        })
+        .collect();
+    let drains: Vec<(&str, usize)> = drains.iter().map(|(f, &n)| (f.as_str(), n)).collect();
+    assert_eq!(drains, [("pipeline.rs", 1), ("reference.rs", 1)], "scans drained under vdbms/src");
     let kernels = read(&crates.join("vdbms/src/kernels.rs"));
     assert_eq!(opens_sample_decoder(&kernels), 1, "a sample decoder outside FrameStream's constructor");
     for kernel in ROW_KERNELS {
@@ -314,6 +338,17 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(opens_sample_decoder(&hidden(&loop_of_its_own)), 2, "below a test-only use");
     let in_tests = format!("{stream}#[cfg(test)]\nmod tests {{\n{open}}}\n");
     assert_eq!(opens_sample_decoder(&in_tests), 1, "the test module does not count");
+
+    let drain = ["let frames = self.drain", "(source)?;\n"].concat();
+    let eager = format!("fn run_eager() {{\n{drain}    buf.drain(..).all(emit);\n}}\n");
+    assert_eq!(drains_a_scan(&eager), 1, "a range drain does not count");
+    let q2d = ["let frames = pl.drain", "(&mut scan)?;\n"].concat();
+    let third = format!("{eager}fn q2d() {{\n{q2d}}}\n");
+    assert_eq!(drains_a_scan(&third), 2, "a third drain in an engine source");
+    let helper = format!("#[cfg(test)]\nfn oracle() {{}}\n{third}");
+    assert_eq!(drains_a_scan(&helper), 2, "below a test-only helper");
+    let in_tests = format!("{eager}#[cfg(test)]\nmod tests {{\n{q2d}}}\n");
+    assert_eq!(drains_a_scan(&in_tests), 1, "the test module does not count");
 
     let pixel = ["let p = frame.get(", "x, y);\n"].concat();
     let omega = ["if !overlay.is_", "omega(x, y) {}\n"].concat();

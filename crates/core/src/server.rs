@@ -732,8 +732,7 @@ fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
             if outcome == Outcome::Ok {
                 record.route = Some(route);
                 shared.admission.note_route(tenant, route == "index");
-                let slow = shared.qlog.slow_threshold().is_some_and(|t| latency >= t);
-                record.exemplar = slow.then(|| planned.explain(Some(latency)).into_owned());
+                record.exemplar = shared.qlog.exemplar(latency, || planned.explain(Some(latency)));
             }
             response
         }

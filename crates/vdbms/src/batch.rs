@@ -24,17 +24,22 @@
 //!   eagerly materializes every output frame of the batch; the
 //!   allocation tracker rejects it.
 //!
-//! Every query runs through the shared pipeline's **eager** policy:
-//! a [`MemoryScan`](crate::pipeline::MemoryScan) over the frame table
-//! feeds data-parallel or whole-sequence kernels, with decode cost
-//! recorded at materialization and table reads recorded as Scan work.
+//! Every single-input query reads the materialized frame table through
+//! a [`MemoryScan`](crate::pipeline::MemoryScan): the stateless
+//! per-pixel kernels run data-parallel under the shared pipeline's
+//! **eager** policy, and the stateful ones (Q2(c), Q2(d), Q3, Q6, Q7,
+//! Q10) stream the table through the shared kernels. Decode cost is
+//! recorded at materialization and table reads as Scan work.
 
 use crate::cascade::CascadeConfig;
 use crate::cost::{CandidateSpace, KernelClass, PlanChoice, QueryWork};
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, QueryOutput};
-use crate::kernels::{boxes_frame, decode_all_parallel, filter_class};
-use crate::pipeline::{self, DiffGate, FrameKernel, KernelOut, Pipeline, PipelineMetrics, StageKind};
+use crate::kernels::{boxes_frame, decode_all_parallel, filter_class, TileReencode};
+use crate::pipeline::{
+    self, DiffGate, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
+    PipelineMetrics, StageKind, TemporalMaskKernel,
+};
 use crate::plan::{PlanNode, Policy};
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
 use crate::reference;
@@ -44,7 +49,6 @@ use std::time::Instant;
 use vr_base::sync::Mutex;
 use vr_base::{Error, Result};
 use vr_codec::VideoInfo;
-use vr_frame::tile::TileGrid;
 use vr_frame::{ops, Frame};
 use vr_scene::ObjectClass;
 use vr_vision::cost::CostModel;
@@ -455,22 +459,15 @@ impl Vdbms for BatchEngine {
             }
             QuerySpec::Q2d { m, epsilon } => {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
-                let (m, epsilon) = (*m, *epsilon);
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
-                let out = pl.run_sequence(&mut scan, |frames, _| {
-                    Ok(reference::q2d_masking(&frames, m, epsilon))
-                })?;
-                QueryOutput::Video(out)
+                let mut kernel = TemporalMaskKernel::new(*m, *epsilon, scan.len());
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q3 { dx, dy, bitrates } => {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
-                let (dx, dy) = (*dx, *dy);
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
-                let out = pl.run_sequence(&mut scan, |frames, info| {
-                    let grid = TileGrid::new(info.width, info.height, dx, dy);
-                    crate::kernels::subquery_reencode(frames, info, &grid, bitrates)
-                })?;
-                QueryOutput::Video(out)
+                let mut kernel = TileReencode::q3(info, *dx, *dy, bitrates)?;
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q4 { alpha, beta } => {
                 // Eager materialization of the upsampled batch: check
@@ -529,17 +526,14 @@ impl Vdbms for BatchEngine {
             }
             QuerySpec::Q7 { class } => {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
-                let class = *class;
                 let cfg = YoloConfig {
                     macs_per_pixel: YoloConfig::default().macs_per_pixel
                         + self.cfg.nn_framework_macs_per_pixel,
                     ..YoloConfig::default()
                 };
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
-                let out = pl.run_sequence(&mut scan, |frames, _| {
-                    Ok(reference::q7_object_detection(frames, class, cfg))
-                })?;
-                QueryOutput::Video(out)
+                let mut kernel = ObjectDetection::new(*class, cfg, scan.len());
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q8 { plate } => {
                 let videos: Result<Vec<&InputVideo>> = instance
@@ -561,12 +555,10 @@ impl Vdbms for BatchEngine {
             )?),
             QuerySpec::Q10 { high_bitrate, low_bitrate, high_tiles, client } => {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
-                let (hb, lb, client) = (*high_bitrate, *low_bitrate, *client);
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
-                let out = pl.run_sequence(&mut scan, |frames, info| {
-                    reference::q10_tile_encode(frames, info, hb, lb, high_tiles, client)
-                })?;
-                QueryOutput::Video(out)
+                let mut kernel =
+                    TileReencode::q10(info, *high_bitrate, *low_bitrate, high_tiles, *client)?;
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
         };
         pl.sink(instance.index, &output)?;
@@ -609,10 +601,10 @@ impl Vdbms for BatchEngine {
                 }
             }
             QuerySpec::Q2d { m, .. } => {
-                (Policy::Sequence, ScanOp::Memory, format!("temporal-mask(m={m})"))
+                (Policy::Streaming, ScanOp::Memory, format!("temporal-mask(m={m})"))
             }
             QuerySpec::Q3 { .. } => {
-                (Policy::Sequence, ScanOp::Memory, "subquery-reencode".to_string())
+                (Policy::Streaming, ScanOp::Memory, "subquery-reencode".to_string())
             }
             QuerySpec::Q4 { alpha, beta } => (
                 Policy::Eager,
@@ -625,7 +617,7 @@ impl Vdbms for BatchEngine {
                 (Policy::Streaming, ScanOp::Memory, "caption-overlay".to_string())
             }
             QuerySpec::Q7 { class } => (
-                Policy::Sequence,
+                Policy::Streaming,
                 ScanOp::Memory,
                 format!("object-detection({class:?})+framework"),
             ),
@@ -638,7 +630,7 @@ impl Vdbms for BatchEngine {
                 (Policy::StreamingMulti, ScanOp::Multi(4), "panoramic-stitch".to_string())
             }
             QuerySpec::Q10 { .. } => {
-                (Policy::Sequence, ScanOp::Memory, "tile-encode".to_string())
+                (Policy::Streaming, ScanOp::Memory, "tile-encode".to_string())
             }
         };
         crate::plan::build(

@@ -5,13 +5,15 @@
 //! GOP-at-a-time with GPU kernels. Architectural consequences
 //! reproduced here by construction:
 //!
-//! * **Streaming execution.** Per-frame queries run the shared
-//!   pipeline's streaming policy — decode, process, and release one
-//!   frame at a time (bounded memory — no thrash at large scale
-//!   factors, Figure 6). Q1 uses the keyframe-seeking range scan
-//!   (the lazy algebra's temporal predicate pushdown) and Q2(d) the
-//!   windowed [`TemporalMaskKernel`] (only the m-frame ring is
-//!   resident).
+//! * **Streaming execution.** Every single-input query runs the
+//!   shared pipeline's streaming policy — decode, process, and release
+//!   one frame at a time (bounded memory — no thrash at large scale
+//!   factors, Figure 6). Q1 uses the keyframe-seeking range scan (the
+//!   lazy algebra's temporal predicate pushdown); Q2(d) and Q7 hold
+//!   only their m-frame window ([`TemporalMaskKernel`],
+//!   [`ObjectDetection`]), and Q3/Q10 one frame's tiles
+//!   ([`TileReencode`]). Q8 streams its cameras in order; Q9 drains
+//!   its four faces before stitching.
 //! * **Fast fixed-point kernels.** The shared `vr-frame` kernels *are*
 //!   the fixed-point fast path ("GPU").
 //! * **Device-memory pool.** Q3/Q4 hold per-video device allocations
@@ -26,13 +28,14 @@
 
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, QueryOutput};
-use crate::kernels::{boxes_frame, caption_track};
-use crate::pipeline::{self, DetectBoxes, FrameSource, Pipeline, TemporalMaskKernel};
+use crate::kernels::{boxes_frame, caption_track, TileReencode};
+use crate::pipeline::{
+    self, DetectBoxes, FrameSource, ObjectDetection, Pipeline, TemporalMaskKernel,
+};
 use crate::plan::PlanNode;
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
 use crate::reference;
 use vr_base::{Error, Result, Timestamp};
-use vr_frame::tile::TileGrid;
 use vr_frame::{ops, Frame};
 use vr_vision::cost::CostModel;
 use vr_vision::{Detection, YoloConfig};
@@ -173,13 +176,9 @@ impl Vdbms for FunctionalEngine {
             QuerySpec::Q3 { dx, dy, bitrates } => {
                 let inp = input(0)?;
                 self.claim_device_slot(&inp.name)?;
-                let (dx, dy) = (*dx, *dy);
                 let mut scan = pl.stream_scan(inp)?;
-                let out = pl.run_sequence(&mut scan, |frames, info| {
-                    let grid = TileGrid::new(info.width, info.height, dx, dy);
-                    crate::kernels::subquery_reencode(frames, info, &grid, bitrates)
-                })?;
-                QueryOutput::Video(out)
+                let mut kernel = TileReencode::q3(scan.info(), *dx, *dy, bitrates)?;
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q4 { alpha, beta } => {
                 let inp = input(0)?;
@@ -248,12 +247,9 @@ impl Vdbms for FunctionalEngine {
                 QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q7 { class } => {
-                let class = *class;
                 let mut scan = pl.stream_scan(input(0)?)?;
-                let out = pl.run_sequence(&mut scan, |frames, _| {
-                    Ok(reference::q7_object_detection(frames, class, YoloConfig::default()))
-                })?;
-                QueryOutput::Video(out)
+                let mut kernel = ObjectDetection::new(*class, YoloConfig::default(), scan.len());
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q8 { plate } => {
                 let videos: Result<Vec<&InputVideo>> = instance
@@ -274,12 +270,10 @@ impl Vdbms for FunctionalEngine {
                 *output,
             )?),
             QuerySpec::Q10 { high_bitrate, low_bitrate, high_tiles, client } => {
-                let (hb, lb, client) = (*high_bitrate, *low_bitrate, *client);
                 let mut scan = pl.stream_scan(input(0)?)?;
-                let out = pl.run_sequence(&mut scan, |frames, info| {
-                    reference::q10_tile_encode(frames, info, hb, lb, high_tiles, client)
-                })?;
-                QueryOutput::Video(out)
+                let (hb, lb) = (*high_bitrate, *low_bitrate);
+                let mut kernel = TileReencode::q10(scan.info(), hb, lb, high_tiles, *client)?;
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
         };
         pl.sink(instance.index, &output)?;
@@ -289,8 +283,7 @@ impl Vdbms for FunctionalEngine {
     fn plan(&self, instance: &QueryInstance, ctx: &ExecContext) -> PlanNode {
         use crate::plan::{Policy, ScanOp};
         // The lazy algebra streams everything; Q1's temporal predicate
-        // pushes down into a keyframe-seeking range scan, and Q2d
-        // streams through the bounded look-ahead window kernel.
+        // pushes down into a keyframe-seeking range scan.
         let (policy, scan, kernel) = match &instance.spec {
             QuerySpec::Q1 { .. } => (Policy::Streaming, ScanOp::Range, "crop".to_string()),
             QuerySpec::Q2a => {
@@ -306,7 +299,7 @@ impl Vdbms for FunctionalEngine {
                 (Policy::Streaming, ScanOp::Stream, format!("temporal-mask-window(m={m})"))
             }
             QuerySpec::Q3 { .. } => {
-                (Policy::Sequence, ScanOp::Stream, "subquery-reencode".to_string())
+                (Policy::Streaming, ScanOp::Stream, "subquery-reencode".to_string())
             }
             QuerySpec::Q4 { alpha, beta } => (
                 Policy::Streaming,
@@ -319,7 +312,7 @@ impl Vdbms for FunctionalEngine {
                 (Policy::Streaming, ScanOp::Stream, "caption-overlay(scalar)".to_string())
             }
             QuerySpec::Q7 { class } => {
-                (Policy::Sequence, ScanOp::Stream, format!("object-detection({class:?})"))
+                (Policy::Streaming, ScanOp::Stream, format!("object-detection({class:?})"))
             }
             QuerySpec::Q8 { .. } => (
                 Policy::StreamingMulti,
@@ -330,7 +323,7 @@ impl Vdbms for FunctionalEngine {
                 (Policy::StreamingMulti, ScanOp::Multi(4), "panoramic-stitch".to_string())
             }
             QuerySpec::Q10 { .. } => {
-                (Policy::Sequence, ScanOp::Stream, "tile-encode".to_string())
+                (Policy::Streaming, ScanOp::Stream, "tile-encode".to_string())
             }
         };
         crate::plan::build(

@@ -201,8 +201,8 @@ pub(crate) mod tests {
         encoded_input(name, 9, 2, |x, y, i| x * 5 + y * 3 + i * 11)
     }
 
-    /// `n` frames whose luma at `(x, y)` of frame `i` is `luma(x, y, i)`,
-    /// encoded at QP 16 and the given GOP, muxed as an input.
+    /// `n` 32×32 frames whose luma at `(x, y)` of frame `i` is
+    /// `luma(x, y, i)`, as [`frames_input`] muxes them.
     fn encoded_input(
         name: &str,
         n: usize,
@@ -220,8 +220,13 @@ pub(crate) mod tests {
                 f
             })
             .collect();
+        frames_input(name, &frames, gop)
+    }
+
+    /// `frames` encoded at QP 16 and the given GOP, muxed as an input.
+    pub(crate) fn frames_input(name: &str, frames: &[Frame], gop: u32) -> InputVideo {
         let cfg = EncoderConfig { gop, ..EncoderConfig::constant_qp(16) };
-        let video = encode_sequence(&cfg, &frames).unwrap();
+        let video = encode_sequence(&cfg, frames).unwrap();
         let mut w = ContainerWriter::new();
         let t = w.add_track(TrackKind::Video, video.info.serialize());
         for (i, p) in video.packets.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Shared query kernels.
 //!
 //! Correct single implementations of the operations every engine
-//! needs (decode, stitching, box overlays, Q3 re-encode).
+//! needs (decode, stitching, box overlays, the Q3/Q10 tile re-encode).
 //! [`FrameStream`] is the one loop that turns an input's samples into
 //! frames — whole-track, keyframe-seeking range, and GOP-parallel
 //! decode are all streams over it.
@@ -12,14 +12,15 @@
 //! path, which doubles as the reference implementation.
 
 use crate::io::{InputVideo, OutputBox};
-use vr_base::{fault, Error, Result};
+use crate::pipeline::{FrameKernel, KernelOut};
+use vr_base::{fault, Error, Resolution, Result};
 use vr_codec::{
     DecodeOutcome, Decoder, Encoder, EncoderConfig, RateControlMode, ResilientDecoder, VideoInfo,
 };
 use vr_container::{SampleInfo, TrackKind};
 use vr_frame::tile::TileGrid;
 use vr_frame::{draw, ops, round_u8, Frame};
-use vr_geom::{Camera, Equirect, Vec3};
+use vr_geom::{Camera, Equirect, Rect, Vec3};
 use vr_scene::ObjectClass;
 use vr_vision::Detection;
 use vr_vtt::WebVtt;
@@ -343,58 +344,98 @@ pub fn filter_class(detections: Vec<Detection>, class: ObjectClass) -> Vec<Detec
     detections.into_iter().filter(|d| d.class == class).collect()
 }
 
-/// Q3 core (and Q10's, over a uniform grid): partition each frame
-/// into the grid's tiles, re-encode each tile's temporal sequence at
-/// its assigned bitrate, decode, and recombine. Returns the recombined
-/// frames (engines then encode the final output themselves).
+/// Q3's kernel, and Q10's over a uniform 3×3 grid: cut each frame into
+/// the grid's tiles, re-encode each tile at its bitrate, decode it
+/// back, and emit the stitch of the decoded tiles.
 ///
 /// Each tile keeps one encoder and one decoder that advance together,
-/// and frame `t` is replaced by the stitch of the tiles' frame `t`: a
-/// tile's encoder sees the same crops in the same order as a whole
-/// sequence encode would, so the bytes match it, while only one
-/// frame's tiles are resident beside the frames themselves.
-pub fn subquery_reencode(
-    mut frames: Vec<Frame>,
-    info: VideoInfo,
-    grid: &TileGrid,
-    bitrates: &[u32],
-) -> Result<Vec<Frame>> {
-    assert!(!frames.is_empty());
-    if bitrates.len() != grid.len() {
-        return Err(Error::InvalidConfig(format!(
-            "Q3 got {} bitrates for a {}-tile grid",
-            bitrates.len(),
-            grid.len()
-        )));
+/// so frame `t` maps to the stitch of the tiles' frame `t` and one
+/// frame's tiles are resident; a tile's encoder sees the same crops in
+/// the same order as a whole-sequence encode would, so the bytes match
+/// it. Q10 then downsamples each stitch to the client resolution.
+pub(crate) struct TileReencode {
+    grid: TileGrid,
+    rects: Vec<Rect>,
+    coders: Vec<(Encoder, Decoder)>,
+    /// Q10's client resolution, clamped to the frame.
+    client: Option<(u32, u32)>,
+}
+
+impl TileReencode {
+    /// Q3 over frames of `info`'s size: a `dx`×`dy` tile grid, tile `j`
+    /// at `bitrates[j]`.
+    pub(crate) fn q3(info: VideoInfo, dx: u32, dy: u32, bitrates: &[u32]) -> Result<Self> {
+        Self::new(info, TileGrid::new(info.width, info.height, dx, dy), bitrates, None)
     }
-    let rects = grid.rects();
-    let mut coders = rects
-        .iter()
-        .zip(bitrates)
-        .map(|(rect, &bitrate)| {
-            let cfg = EncoderConfig {
-                profile: info.profile,
-                rate: RateControlMode::Bitrate(bitrate),
-                gop: info.gop,
-                frame_rate: info.frame_rate,
-            };
-            let encoder = Encoder::new(cfg, rect.width(), rect.height())?;
-            let decoder = Decoder::new(encoder.info());
-            Ok((encoder, decoder))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    for frame in &mut frames {
-        let tiles = rects
+
+    /// Q10 (Table 8, `V' = Q5(Q3(V, j → b_j), r)`): a uniform 3×3 grid,
+    /// the `high_tiles` at `high_bitrate` and the rest at
+    /// `low_bitrate`, then a downsample to `client`.
+    pub(crate) fn q10(
+        info: VideoInfo,
+        high_bitrate: u32,
+        low_bitrate: u32,
+        high_tiles: &[bool; 9],
+        client: Resolution,
+    ) -> Result<Self> {
+        let (w, h) = (info.width, info.height);
+        let bitrates: Vec<u32> =
+            high_tiles.iter().map(|&hi| if hi { high_bitrate } else { low_bitrate }).collect();
+        let client = (client.width.clamp(2, w), client.height.clamp(2, h));
+        Self::new(info, TileGrid::uniform(w, h, 3, 3), &bitrates, Some(client))
+    }
+
+    fn new(
+        info: VideoInfo,
+        grid: TileGrid,
+        bitrates: &[u32],
+        client: Option<(u32, u32)>,
+    ) -> Result<Self> {
+        if bitrates.len() != grid.len() {
+            return Err(Error::InvalidConfig(format!(
+                "Q3 got {} bitrates for a {}-tile grid",
+                bitrates.len(),
+                grid.len()
+            )));
+        }
+        let rects = grid.rects();
+        let coders = rects
             .iter()
-            .zip(&mut coders)
+            .zip(bitrates)
+            .map(|(rect, &bitrate)| {
+                let cfg = EncoderConfig {
+                    profile: info.profile,
+                    rate: RateControlMode::Bitrate(bitrate),
+                    gop: info.gop,
+                    frame_rate: info.frame_rate,
+                };
+                let encoder = Encoder::new(cfg, rect.width(), rect.height())?;
+                let decoder = Decoder::new(encoder.info());
+                Ok((encoder, decoder))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Self { grid, rects, coders, client })
+    }
+}
+
+impl FrameKernel for TileReencode {
+    fn push(&mut self, frame: Frame, _index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
+        let tiles = self
+            .rects
+            .iter()
+            .zip(&mut self.coders)
             .map(|(rect, (encoder, decoder))| {
-                let packet = encoder.encode(&ops::crop(frame, *rect))?;
+                let packet = encoder.encode(&ops::crop(&frame, *rect))?;
                 decoder.decode(&packet.data)
             })
             .collect::<Result<Vec<Frame>>>()?;
-        *frame = grid.stitch(&tiles);
+        let stitched = self.grid.stitch(&tiles);
+        out.push(KernelOut::from(match self.client {
+            Some((w, h)) => ops::downsample(&stitched, w, h),
+            None => stitched,
+        }));
+        Ok(())
     }
-    Ok(frames)
 }
 
 /// Q9's direction table for one rig and one pair of sizes: for every
@@ -848,6 +889,53 @@ pub(crate) mod tests {
         }
     }
 
+    /// The Q3 kernel before it streamed: the whole video in, each
+    /// tile's encoder and decoder advanced in lockstep, frame `t`
+    /// replaced by the stitch of the tiles' frame `t`.
+    pub(crate) fn subquery_reencode(
+        mut frames: Vec<Frame>,
+        info: VideoInfo,
+        grid: &TileGrid,
+        bitrates: &[u32],
+    ) -> Result<Vec<Frame>> {
+        assert!(!frames.is_empty());
+        if bitrates.len() != grid.len() {
+            return Err(Error::InvalidConfig(format!(
+                "Q3 got {} bitrates for a {}-tile grid",
+                bitrates.len(),
+                grid.len()
+            )));
+        }
+        let rects = grid.rects();
+        let mut coders = rects
+            .iter()
+            .zip(bitrates)
+            .map(|(rect, &bitrate)| {
+                let cfg = EncoderConfig {
+                    profile: info.profile,
+                    rate: RateControlMode::Bitrate(bitrate),
+                    gop: info.gop,
+                    frame_rate: info.frame_rate,
+                };
+                let encoder = Encoder::new(cfg, rect.width(), rect.height())?;
+                let decoder = Decoder::new(encoder.info());
+                Ok((encoder, decoder))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        for frame in &mut frames {
+            let tiles = rects
+                .iter()
+                .zip(&mut coders)
+                .map(|(rect, (encoder, decoder))| {
+                    let packet = encoder.encode(&ops::crop(frame, *rect))?;
+                    decoder.decode(&packet.data)
+                })
+                .collect::<Result<Vec<Frame>>>()?;
+            *frame = grid.stitch(&tiles);
+        }
+        Ok(frames)
+    }
+
     /// The Q3 kernel before tiles advanced in lockstep: every tile's
     /// whole crop sequence encoded, then decoded whole, then stitched.
     fn subquery_reencode_oracle(
@@ -916,42 +1004,42 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// The streaming tile kernel, the lockstep whole-video form and the
+    /// per-tile whole-sequence form agree byte for byte.
     #[test]
     fn subquery_reencode_matches_the_whole_sequence_oracle() {
         let (w, h) = (96, 64);
         let frames = moving_frames(w, h, 7);
-        let cases = [(3, 32, 32, 1 << 18), (7, 48, 24, 1 << 15), (2, 40, 64, 1 << 21)];
+        let cases = [
+            (3, 32, 32, 1 << 18),
+            (7, 48, 24, 1 << 15),
+            (2, 40, 64, 1 << 21),
+            (4, 96, 64, 1 << 16),
+            (5, 18, 30, 1 << 17),
+        ];
         for (gop, dx, dy, bitrate) in cases {
-            let info = VideoInfo {
-                profile: Profile::HevcLike,
-                width: w,
-                height: h,
-                frame_rate: vr_base::FrameRate(30),
-                gop,
-            };
+            let info = crate::pipeline::tests::video_info(Profile::HevcLike, w, h, gop);
             let grid = TileGrid::new(w, h, dx, dy);
             // Unequal bitrates, so each tile's rate controller differs.
             let bitrates: Vec<u32> =
                 (0..grid.len() as u32).map(|i| bitrate >> (i % 3)).collect();
             let want = subquery_reencode_oracle(&frames, info, dx, dy, &bitrates).unwrap();
-            let got = subquery_reencode(frames.clone(), info, &grid, &bitrates).unwrap();
-            assert!(got == want, "grid {dx}x{dy} at {bitrate} b/s differs from the oracle");
+            let whole = subquery_reencode(frames.clone(), info, &grid, &bitrates).unwrap();
+            let what = format!("grid {dx}x{dy} at {bitrate} b/s, gop {gop}");
+            assert!(whole == want, "{what} differs from the oracle");
+            crate::pipeline::tests::assert_streams_as(&frames, info, &want, |_| {
+                TileReencode::q3(info, dx, dy, &bitrates).unwrap()
+            }, &what);
         }
     }
 
     #[test]
     fn subquery_reencode_validates_bitrate_count() {
         let frames = vec![Frame::filled(64, 64, Yuv::gray(90)); 3];
-        let info = VideoInfo {
-            profile: Profile::H264Like,
-            width: 64,
-            height: 64,
-            frame_rate: vr_base::FrameRate(30),
-            gop: 3,
-        };
-        let grid = TileGrid::new(64, 64, 32, 32);
-        assert!(subquery_reencode(frames.clone(), info, &grid, &[1 << 18]).is_err());
-        let out = subquery_reencode(frames.clone(), info, &grid, &[1 << 20; 4]).unwrap();
+        let info = crate::pipeline::tests::video_info(Profile::H264Like, 64, 64, 3);
+        assert!(TileReencode::q3(info, 32, 32, &[1 << 18]).is_err());
+        let mut kernel = TileReencode::q3(info, 32, 32, &[1 << 20; 4]).unwrap();
+        let out = crate::pipeline::tests::kernel_frames(&mut kernel, &frames).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].width(), 64);
         // Flat frames survive re-encode nearly unchanged.

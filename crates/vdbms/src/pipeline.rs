@@ -7,10 +7,13 @@
 //!
 //! * **eager** ([`Pipeline::run_eager`]): materialize every frame,
 //!   run a data-parallel kernel over the whole batch, encode at the
-//!   end — the Scanner-style dataflow (batch engine).
-//! * **streaming** ([`Pipeline::run_streaming`]): one frame resident
-//!   at a time, incremental encode — the LightDB-style lazy algebra
-//!   (functional engine) and the reference implementation.
+//!   end — the Scanner-style dataflow (the batch engine's stateless
+//!   per-pixel queries).
+//! * **streaming** ([`Pipeline::run_streaming`]): frames flow one at a
+//!   time through a push kernel that holds only the window it needs,
+//!   into an incremental encoder — the LightDB-style lazy algebra
+//!   (functional engine), the reference implementation, and the batch
+//!   engine's stateful kernels over its frame table.
 //! * **short-circuit** ([`Pipeline::run_short_circuit`]): a
 //!   difference-detector gate routes each frame to a cheap or a full
 //!   kernel — the NoScope-style inference cascade (cascade engine).
@@ -20,10 +23,14 @@
 //! keyframe-seeking range of it ([`Pipeline::range_scan`]) — and
 //! [`MemoryScan`] reads an already-decoded frame table.
 //!
-//! Whole-sequence operators (Q2(d)'s temporal mean, Q3's tile
-//! re-encode, the composite queries) run under
-//! [`Pipeline::run_sequence`], and multi-camera queries (Q8) under
-//! [`Pipeline::run_streaming_multi`].
+//! Every single-input query streams, and each kernel states what it
+//! keeps resident: one frame for the per-frame maps and for the Q3/Q10
+//! tile re-encode ([`crate::kernels::TileReencode`], one encoder and
+//! one decoder per tile), the m-frame window for Q2(d)'s
+//! [`TemporalMaskKernel`] and Q7's [`ObjectDetection`] (m = 10).
+//! Multi-camera queries (Q8) run under [`Pipeline::run_streaming_multi`];
+//! Q9's stitch drains its four faces ([`Pipeline::drain`]), which
+//! only the eager policy does besides it.
 //!
 //! The streaming, multi-source and short-circuit policies share one
 //! executor: a stream of scan events, one kernel loop, the encode
@@ -68,7 +75,7 @@ pub enum StageKind {
     Scan,
     /// Bitstream decode.
     Decode,
-    /// The query's transform (per-frame or whole-sequence).
+    /// The query's transform (per-frame or windowed).
     Kernel,
     /// Result encode.
     Encode,
@@ -512,11 +519,13 @@ impl FrameKernel for DetectBoxes {
     }
 }
 
-/// Streaming Q2(d): an m-frame look-ahead ring with a rolling luma
-/// sum, so only the window (never the whole video) is resident. For
-/// frame `j` the window covers `[j, j+m)` until the stream drains,
-/// after which it freezes on the final full window — matching the
-/// reference implementation's clamped formulation exactly.
+/// Q2(d), the one implementation every engine runs: an m-frame
+/// look-ahead ring with a rolling luma sum, so at most m + 1 frames
+/// (the window and the incoming one) are resident, never the whole
+/// video. Frame `j` is masked against the rounded mean of the window
+/// `[j, j+m)` until the stream drains, after which the window freezes
+/// on the final full m frames (the paper's `j..j+m` clamped at the
+/// end).
 pub(crate) struct TemporalMaskKernel {
     m: usize,
     epsilon: f64,
@@ -591,6 +600,39 @@ impl FrameKernel for TemporalMaskKernel {
             self.emit(idx.min(self.window.len().saturating_sub(1)), out)?;
         }
         Ok(())
+    }
+}
+
+/// Q7, `Q2d(Q6a(V, Q2c(V)))` (Table 6), the one implementation every
+/// engine runs: each frame is detected, filtered to one class and
+/// coalesced with its own box frame, and the union goes straight into
+/// a [`TemporalMaskKernel`] with the composite's fixed window (m = 10,
+/// ε = 0.2), so at most m + 1 frames are resident. The batch engine
+/// passes a detector config that carries its framework cost.
+pub(crate) struct ObjectDetection {
+    detector: YoloDetector,
+    class: ObjectClass,
+    mask: TemporalMaskKernel,
+}
+
+impl ObjectDetection {
+    /// `total` is the source's frame count, as for
+    /// [`TemporalMaskKernel::new`].
+    pub(crate) fn new(class: ObjectClass, cfg: YoloConfig, total: usize) -> Self {
+        let mask = TemporalMaskKernel::new(10, 0.2, total);
+        Self { detector: YoloDetector::new(cfg), class, mask }
+    }
+}
+
+impl FrameKernel for ObjectDetection {
+    fn push(&mut self, frame: Frame, index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
+        let dets = filter_class(self.detector.detect(&frame), self.class);
+        let boxes = boxes_frame(frame.width(), frame.height(), &dets);
+        self.mask.push(vr_frame::ops::coalesce(&frame, &boxes), index, out)
+    }
+
+    fn finish(&mut self, out: &mut Vec<KernelOut>) -> Result<()> {
+        self.mask.finish(out)
     }
 }
 
@@ -953,23 +995,6 @@ impl<'c> Pipeline<'c> {
         self.encode_frames(frames, info)
     }
 
-    /// Whole-sequence policy: materialize, apply a sequence kernel
-    /// (temporal aggregation, tiling, composites), encode.
-    pub(crate) fn run_sequence(
-        &self,
-        source: &mut dyn FrameSource,
-        kernel: impl FnOnce(Vec<Frame>, VideoInfo) -> Result<Vec<Frame>>,
-    ) -> Result<EncodedVideo> {
-        let _req = self.request_span();
-        let _span = trace::span("pipeline", "run_sequence");
-        self.absorb_stall(StageKind::Kernel);
-        let info = source.info();
-        let frames = self.drain(source)?;
-        let n = frames.len() as u64;
-        let out = self.kernel_stage(n, 0, || kernel(frames, info))?;
-        self.encode_frames(out, info)
-    }
-
     /// Short-circuit policy: a gate routes each frame to the cheap
     /// (`escalate = false`) or full (`escalate = true`) path of the
     /// kernel; everything still flows through the shared encode stage.
@@ -1175,7 +1200,7 @@ impl<'p, 'c> EncodeStage<'p, 'c> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::io::tests::tiny_input;
     use crate::kernels::decode_all;
@@ -1187,6 +1212,65 @@ mod tests {
 
     fn ctx_workers(workers: usize) -> ExecContext {
         ExecContext { workers, ..ExecContext::default() }
+    }
+
+    /// Allocation tracking is process-global: this crate's tests that
+    /// switch it on and off serialise on this.
+    pub(crate) static ALLOC_LOCK: vr_base::sync::Mutex<()> = vr_base::sync::Mutex::new(());
+
+    /// Stream parameters for test frames of `width`×`height`.
+    pub(crate) fn video_info(
+        profile: vr_codec::Profile,
+        width: u32,
+        height: u32,
+        gop: u32,
+    ) -> VideoInfo {
+        VideoInfo { profile, width, height, frame_rate: vr_base::FrameRate(30), gop }
+    }
+
+    /// What a kernel emits for `frames` pushed in order, then `finish`.
+    pub(crate) fn kernel_frames(
+        kernel: &mut dyn FrameKernel,
+        frames: &[Frame],
+    ) -> Result<Vec<Frame>> {
+        let mut out = Vec::new();
+        for (i, f) in frames.iter().enumerate() {
+            kernel.push(f.clone(), i, &mut out)?;
+        }
+        kernel.finish(&mut out)?;
+        Ok(out.into_iter().map(|ko| ko.frame).collect())
+    }
+
+    /// A streaming kernel against a whole-video oracle's frames `want`,
+    /// byte for byte: a fresh kernel from `make(frames.len())` emits
+    /// exactly `want` when pushed `frames`, and streamed over a memory
+    /// scan of `frames` at pipeline workers 1 and 2 it encodes to the
+    /// packets of `want`.
+    pub(crate) fn assert_streams_as<K: FrameKernel>(
+        frames: &[Frame],
+        info: VideoInfo,
+        want: &[Frame],
+        mut make: impl FnMut(usize) -> K,
+        what: &str,
+    ) {
+        let got = kernel_frames(&mut make(frames.len()), frames).unwrap();
+        assert!(got == want, "{what}: the kernel's frames differ from the oracle's");
+        let ctx = ctx();
+        let expect = Pipeline::new(&ctx).encode_frames(want.to_vec(), info).unwrap();
+        for workers in [1, 2] {
+            let ctx = ctx_workers(workers);
+            let pl = Pipeline::new(&ctx);
+            let mut scan = pl.memory_scan(info, Arc::new(frames.to_vec()), 0..usize::MAX);
+            let mut kernel = make(scan.len());
+            let streamed = pl.run_streaming(&mut scan, &mut kernel).unwrap().video;
+            let same = packets(&streamed) == packets(&expect);
+            assert!(same, "{what}: workers={workers} packets differ");
+        }
+    }
+
+    /// A video's packet payloads.
+    fn packets(video: &EncodedVideo) -> Vec<&[u8]> {
+        video.packets.iter().map(|p| p.data.as_slice()).collect()
     }
 
     #[test]
@@ -1310,23 +1394,24 @@ mod tests {
         assert!(Pipeline::new(&ctx).range_scan(&input, 3, 1).is_err());
     }
 
+    /// The one Q2(d) kernel against the whole-video form it replaced,
+    /// byte for byte, over a decoded 4-frame input and 14 moving
+    /// frames, at windows of one frame, several, the composite's ten,
+    /// and more frames than the video has.
     #[test]
     fn temporal_mask_matches_reference_masking() {
-        let ctx = ctx();
-        let pl = Pipeline::new(&ctx);
-        let input = tiny_input("pipe-mask.vrmf");
-        let (_, frames) = decode_all(&input).unwrap();
-        for m in [1u32, 2, 3, 4, 9] {
-            let eps = 0.2;
-            let expect = crate::reference::q2d_masking(&frames, m, eps);
-            let mut scan = pl.stream_scan(&input).unwrap();
-            let mut kernel = TemporalMaskKernel::new(m, eps, scan.len());
-            let got = pl.run_streaming(&mut scan, &mut kernel).unwrap();
-            let got = got.video.decode_all().unwrap();
-            assert_eq!(got.len(), expect.len(), "m={m}");
-            for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
-                let p = vr_frame::metrics::psnr_y(a, b);
-                assert!(p > 45.0, "m={m} frame {i}: {p} dB");
+        let (info, decoded) = decode_all(&tiny_input("pipe-mask.vrmf")).unwrap();
+        let moving = crate::kernels::tests::moving_frames(48, 32, 14);
+        let moving_info = video_info(vr_codec::Profile::H264Like, 48, 32, 5);
+        for m in [1u32, 2, 3, 4, 9, 10, 15] {
+            for eps in [0.2, 0.05] {
+                for (frames, info) in [(&decoded, info), (&moving, moving_info)] {
+                    let what = format!("m={m} eps={eps}, {} frames", frames.len());
+                    let expect = crate::reference::tests::q2d_masking(frames, m, eps);
+                    assert_streams_as(frames, info, &expect, |total| {
+                        TemporalMaskKernel::new(m, eps, total)
+                    }, &what);
+                }
             }
         }
     }
@@ -1702,6 +1787,7 @@ mod tests {
             pl.sink(0, &QueryOutput::Video(r.video)).unwrap();
             ctx.metrics.snapshot()
         };
+        let _serial = ALLOC_LOCK.lock();
         alloc::set_tracking(true);
         // Warm-up run: lazily initialized state (codec tables, global
         // registry entries) allocates once per process.

@@ -36,11 +36,14 @@ use vr_base::json::{Layout::Inline, Writer};
 pub enum Policy {
     /// `run_eager`: materialize, data-parallel kernel, encode at end.
     Eager,
-    /// `run_streaming`: one frame resident at a time.
+    /// `run_streaming`: frames pushed one at a time through a kernel
+    /// that keeps only its window resident.
     Streaming,
     /// `run_streaming_multi`: N synchronized streaming sources.
     StreamingMulti,
-    /// `run_sequence`: whole-sequence operator over a drained scan.
+    /// A whole-sequence operator over a drained scan. No engine runs
+    /// one (every single-input query streams); it stays a cost-model
+    /// candidate, which `benchmark/src/probes.rs` lists.
     Sequence,
     /// `run_short_circuit`: a gate routes frames to cheap/full kernels.
     ShortCircuit,

@@ -3,26 +3,26 @@
 //! use in verifying benchmark results").
 //!
 //! Streaming scans through the shared physical-operator pipeline with
-//! no scheduling tricks. The per-query functions are `pub` so the
-//! composite queries and the other engines can reuse the exact
-//! reference semantics where their architecture does not deliberately
-//! diverge.
+//! no scheduling tricks. Each query's kernel is the shared one
+//! (`pipeline`, `kernels`) that the other engines also run where their
+//! architecture does not deliberately diverge; the multi-camera
+//! queries are `pub` here for the same reuse.
 
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, QueryOutput};
-use crate::kernels::{
-    boxes_frame, caption_track, filter_class, subquery_reencode, StitchMap,
+use crate::kernels::{boxes_frame, caption_track, StitchMap, TileReencode};
+use crate::pipeline::{
+    self, DetectBoxes, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
+    TemporalMaskKernel,
 };
-use crate::pipeline::{self, DetectBoxes, FrameKernel, FrameSource, KernelOut, Pipeline};
 use crate::plan::PlanNode;
 use crate::query::{FaceParams, QueryInstance, QueryKind, QuerySpec};
 use vr_base::{Error, LicensePlate, Resolution, Result, Timestamp};
 use vr_codec::{EncodedVideo, VideoInfo};
-use vr_frame::tile::TileGrid;
 use vr_frame::{ops, Frame};
 use vr_geom::Rect;
 use vr_scene::ObjectClass;
-use vr_vision::{AlprRecognizer, Detection, YoloConfig, YoloDetector};
+use vr_vision::{AlprRecognizer, Detection, YoloConfig};
 use vr_vtt::{render_cues_frame, CaptionStyle};
 
 /// The reference engine.
@@ -73,10 +73,10 @@ impl Vdbms for ReferenceEngine {
                 (Policy::Streaming, ScanOp::Stream, format!("detect_boxes({class:?})"))
             }
             QuerySpec::Q2d { m, .. } => {
-                (Policy::Sequence, ScanOp::Stream, format!("temporal-mask(m={m})"))
+                (Policy::Streaming, ScanOp::Stream, format!("temporal-mask(m={m})"))
             }
             QuerySpec::Q3 { .. } => {
-                (Policy::Sequence, ScanOp::Stream, "subquery-reencode".to_string())
+                (Policy::Streaming, ScanOp::Stream, "subquery-reencode".to_string())
             }
             QuerySpec::Q4 { alpha, beta } => (
                 Policy::Streaming,
@@ -89,7 +89,7 @@ impl Vdbms for ReferenceEngine {
                 (Policy::Streaming, ScanOp::Stream, "caption-overlay".to_string())
             }
             QuerySpec::Q7 { class } => {
-                (Policy::Sequence, ScanOp::Stream, format!("object-detection({class:?})"))
+                (Policy::Streaming, ScanOp::Stream, format!("object-detection({class:?})"))
             }
             QuerySpec::Q8 { .. } => (
                 Policy::StreamingMulti,
@@ -100,7 +100,7 @@ impl Vdbms for ReferenceEngine {
                 (Policy::StreamingMulti, ScanOp::Multi(4), "panoramic-stitch".to_string())
             }
             QuerySpec::Q10 { .. } => {
-                (Policy::Sequence, ScanOp::Stream, "tile-encode".to_string())
+                (Policy::Streaming, ScanOp::Stream, "tile-encode".to_string())
             }
         };
         crate::plan::build(
@@ -120,7 +120,8 @@ impl Vdbms for ReferenceEngine {
 
 /// Execute an instance with the reference semantics (shared with the
 /// driver's validation path, which must not double-sink results).
-/// Every arm runs through the shared pipeline's streaming policy.
+/// Every single-input arm streams through the shared pipeline (Q8 over
+/// its cameras in turn); Q9 drains its four faces before stitching.
 pub fn execute_reference(
     instance: &QueryInstance,
     inputs: &[InputVideo],
@@ -169,20 +170,13 @@ pub fn execute_reference(
         }
         QuerySpec::Q2d { m, epsilon } => {
             let mut scan = pl.stream_scan(input(0)?)?;
-            let (m, epsilon) = (*m, *epsilon);
-            let out = pl.run_sequence(&mut scan, |frames, _| {
-                Ok(q2d_masking(&frames, m, epsilon))
-            })?;
-            Ok(QueryOutput::Video(out))
+            let mut kernel = TemporalMaskKernel::new(*m, *epsilon, scan.len());
+            Ok(QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video))
         }
         QuerySpec::Q3 { dx, dy, bitrates } => {
             let mut scan = pl.stream_scan(input(0)?)?;
-            let (dx, dy) = (*dx, *dy);
-            let out = pl.run_sequence(&mut scan, |frames, info| {
-                let grid = TileGrid::new(info.width, info.height, dx, dy);
-                subquery_reencode(frames, info, &grid, bitrates)
-            })?;
-            Ok(QueryOutput::Video(out))
+            let mut kernel = TileReencode::q3(scan.info(), *dx, *dy, bitrates)?;
+            Ok(QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video))
         }
         QuerySpec::Q4 { alpha, beta } => {
             let mut scan = pl.stream_scan(input(0)?)?;
@@ -229,11 +223,8 @@ pub fn execute_reference(
         }
         QuerySpec::Q7 { class } => {
             let mut scan = pl.stream_scan(input(0)?)?;
-            let class = *class;
-            let out = pl.run_sequence(&mut scan, |frames, _| {
-                Ok(q7_object_detection(frames, class, YoloConfig::default()))
-            })?;
-            Ok(QueryOutput::Video(out))
+            let mut kernel = ObjectDetection::new(*class, YoloConfig::default(), scan.len());
+            Ok(QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video))
         }
         QuerySpec::Q8 { plate } => {
             let videos: Result<Vec<_>> =
@@ -257,11 +248,9 @@ pub fn execute_reference(
         }
         QuerySpec::Q10 { high_bitrate, low_bitrate, high_tiles, client } => {
             let mut scan = pl.stream_scan(input(0)?)?;
-            let (hb, lb, client) = (*high_bitrate, *low_bitrate, *client);
-            let out = pl.run_sequence(&mut scan, |frames, info| {
-                q10_tile_encode(frames, info, hb, lb, high_tiles, client)
-            })?;
-            Ok(QueryOutput::Video(out))
+            let mut kernel =
+                TileReencode::q10(scan.info(), *high_bitrate, *low_bitrate, high_tiles, *client)?;
+            Ok(QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video))
         }
     }
 }
@@ -278,59 +267,6 @@ pub fn q1_select(
     let last = (t2.frame_index(info.frame_rate) as usize).min(frames.len().saturating_sub(1));
     let first = first.min(last);
     frames[first..=last].iter().map(|f| ops::crop(f, rect)).collect()
-}
-
-/// Q2(d) reference: m-frame mean background, relative-threshold mask.
-/// Uses rolling window sums, so cost is O(frames · pixels), not
-/// O(frames · m · pixels).
-pub fn q2d_masking(frames: &[Frame], m: u32, epsilon: f64) -> Vec<Frame> {
-    assert!(!frames.is_empty());
-    let m = (m as usize).clamp(1, frames.len());
-    let len = frames[0].y.len();
-    // Rolling sum over the luma plane of the window [j, j+m).
-    let mut sum: Vec<u32> = vec![0; len];
-    for f in frames.iter().take(m) {
-        for (s, &p) in sum.iter_mut().zip(&f.y) {
-            *s += p as u32;
-        }
-    }
-    let mut background = Frame::new(frames[0].width(), frames[0].height());
-    let mut out = Vec::with_capacity(frames.len());
-    for j in 0..frames.len() {
-        for (b, &s) in background.y.iter_mut().zip(&sum) {
-            *b = ((s + (m as u32) / 2) / m as u32) as u8;
-        }
-        out.push(ops::background_mask(&frames[j], &background, epsilon));
-        // Slide the window: drop frame j, add frame j+m (when it
-        // exists; near the end the window shrinks to the tail and we
-        // keep the last full window instead, matching the paper's
-        // j..j+m formulation clamped at the boundary).
-        if j + m < frames.len() {
-            for ((s, &old), &new) in
-                sum.iter_mut().zip(&frames[j].y).zip(&frames[j + m].y)
-            {
-                *s = *s - old as u32 + new as u32;
-            }
-        }
-    }
-    out
-}
-
-/// Q7 reference: `Q2d(Q6a(V, Q2c(V)))` per Table 6, with the composite
-/// masking window fixed at (m = 10, ε = 0.2). Detect → box frame →
-/// coalesce runs frame by frame, each frame replaced by its union with
-/// its own box frame.
-pub fn q7_object_detection(
-    mut frames: Vec<Frame>,
-    class: ObjectClass,
-    cfg: YoloConfig,
-) -> Vec<Frame> {
-    let mut detector = YoloDetector::new(cfg);
-    for f in &mut frames {
-        let dets = filter_class(detector.detect(f), class);
-        *f = ops::coalesce(f, &boxes_frame(f.width(), f.height(), &dets));
-    }
-    q2d_masking(&frames, 10, 0.2)
 }
 
 /// The Q8 tracking kernel: per-frame plate recognition with ≤3-frame
@@ -463,35 +399,84 @@ pub fn q9_stitch(
     pl.encode_frames(out, VideoInfo { width: out_w, height: out_h, ..info })
 }
 
-/// Q10 reference: 3×3 two-bitrate tile re-encode, then downsample to
-/// the client resolution (Table 8: `V' = Q5(Q3(V, j → b_j), r)`).
-pub fn q10_tile_encode(
-    frames: Vec<Frame>,
-    info: VideoInfo,
-    high_bitrate: u32,
-    low_bitrate: u32,
-    high_tiles: &[bool; 9],
-    client: Resolution,
-) -> Result<Vec<Frame>> {
-    assert!(!frames.is_empty());
-    let (w, h) = (frames[0].width(), frames[0].height());
-    let bitrates: Vec<u32> = high_tiles
-        .iter()
-        .map(|&hi| if hi { high_bitrate } else { low_bitrate })
-        .collect();
-    let grid = TileGrid::uniform(w, h, 3, 3);
-    let mut out = subquery_reencode(frames, info, &grid, &bitrates)?;
-    for f in &mut out {
-        *f = ops::downsample(f, client.width.clamp(2, w), client.height.clamp(2, h));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::io::OutputBox;
+    use crate::kernels::filter_class;
+    use crate::pipeline::tests::{assert_streams_as, kernel_frames, video_info};
+    use vr_frame::tile::TileGrid;
     use vr_frame::Yuv;
+    use vr_vision::YoloDetector;
+
+    /// Q2(d) before it streamed: the whole video in, rolling window
+    /// sums over the luma plane, the window clamped at the end.
+    pub(crate) fn q2d_masking(frames: &[Frame], m: u32, epsilon: f64) -> Vec<Frame> {
+        assert!(!frames.is_empty());
+        let m = (m as usize).clamp(1, frames.len());
+        let len = frames[0].y.len();
+        // Rolling sum over the luma plane of the window [j, j+m).
+        let mut sum: Vec<u32> = vec![0; len];
+        for f in frames.iter().take(m) {
+            for (s, &p) in sum.iter_mut().zip(&f.y) {
+                *s += p as u32;
+            }
+        }
+        let mut background = Frame::new(frames[0].width(), frames[0].height());
+        let mut out = Vec::with_capacity(frames.len());
+        for j in 0..frames.len() {
+            for (b, &s) in background.y.iter_mut().zip(&sum) {
+                *b = ((s + (m as u32) / 2) / m as u32) as u8;
+            }
+            out.push(ops::background_mask(&frames[j], &background, epsilon));
+            // Slide the window: drop frame j, add frame j+m (when it
+            // exists; near the end keep the last full window).
+            if j + m < frames.len() {
+                for ((s, &old), &new) in
+                    sum.iter_mut().zip(&frames[j].y).zip(&frames[j + m].y)
+                {
+                    *s = *s - old as u32 + new as u32;
+                }
+            }
+        }
+        out
+    }
+
+    /// Q7 before it streamed: every frame coalesced with its box frame
+    /// in place, then the whole video masked.
+    pub(crate) fn q7_object_detection(
+        mut frames: Vec<Frame>,
+        class: ObjectClass,
+        cfg: YoloConfig,
+    ) -> Vec<Frame> {
+        let mut detector = YoloDetector::new(cfg);
+        for f in &mut frames {
+            let dets = filter_class(detector.detect(f), class);
+            *f = ops::coalesce(f, &boxes_frame(f.width(), f.height(), &dets));
+        }
+        q2d_masking(&frames, 10, 0.2)
+    }
+
+    /// Q10 before it streamed: the whole-video tile re-encode, then a
+    /// downsample of every frame.
+    fn q10_tile_encode(
+        frames: Vec<Frame>,
+        info: VideoInfo,
+        high_bitrate: u32,
+        low_bitrate: u32,
+        high_tiles: &[bool; 9],
+        client: Resolution,
+    ) -> Result<Vec<Frame>> {
+        let (w, h) = (frames[0].width(), frames[0].height());
+        let bitrates: Vec<u32> =
+            high_tiles.iter().map(|&hi| if hi { high_bitrate } else { low_bitrate }).collect();
+        let grid = TileGrid::uniform(w, h, 3, 3);
+        let mut out = crate::kernels::tests::subquery_reencode(frames, info, &grid, &bitrates)?;
+        for f in &mut out {
+            *f = ops::downsample(f, client.width.clamp(2, w), client.height.clamp(2, h));
+        }
+        Ok(out)
+    }
 
     fn frames(n: usize) -> Vec<Frame> {
         (0..n)
@@ -649,7 +634,8 @@ mod tests {
                 }
             }
         }
-        let out = q7_object_detection(fs.clone(), ObjectClass::Vehicle, YoloConfig::fast());
+        let mut kernel = ObjectDetection::new(ObjectClass::Vehicle, YoloConfig::fast(), fs.len());
+        let out = kernel_frames(&mut kernel, &fs).unwrap();
         assert_eq!(out.len(), fs.len());
         // Far corner is background → ω.
         assert!(out[6].is_omega(60, 44));
@@ -658,33 +644,38 @@ mod tests {
     #[test]
     fn q10_produces_client_resolution() {
         let fs = frames(4);
-        let info = VideoInfo {
-            profile: vr_codec::Profile::H264Like,
-            width: 64,
-            height: 48,
-            frame_rate: vr_base::FrameRate(30),
-            gop: 4,
-        };
+        let info = video_info(vr_codec::Profile::H264Like, 64, 48, 4);
         let mut high = [false; 9];
         high[4] = true;
-        let out =
-            q10_tile_encode(fs, info, 1 << 21, 1 << 16, &high, Resolution::new(32, 24))
-                .unwrap();
+        let mut kernel =
+            TileReencode::q10(info, 1 << 21, 1 << 16, &high, Resolution::new(32, 24)).unwrap();
+        let out = kernel_frames(&mut kernel, &fs).unwrap();
         assert_eq!(out.len(), 4);
         assert_eq!((out[0].width(), out[0].height()), (32, 24));
     }
 
+    /// The streaming kernel, the in-place whole-video form and the
+    /// three-vector form agree byte for byte, at 14 frames and at 6
+    /// (fewer than the window's m = 10).
     #[test]
     fn q7_matches_the_three_vector_oracle() {
-        let fs = crate::kernels::tests::moving_frames(96, 64, 14);
-        for (class, cfg) in [
-            (ObjectClass::Vehicle, YoloConfig::fast()),
-            (ObjectClass::Pedestrian, YoloConfig::fast()),
-            (ObjectClass::Vehicle, YoloConfig::default()),
-        ] {
-            let want = q7_object_detection_oracle(&fs, class, cfg.clone());
-            let got = q7_object_detection(fs.clone(), class, cfg);
-            assert!(got == want, "{class:?}: Q7 differs from the oracle");
+        let info = video_info(vr_codec::Profile::H264Like, 96, 64, 30);
+        for n in [14, 6] {
+            let fs = crate::kernels::tests::moving_frames(96, 64, n);
+            for (class, cfg) in [
+                (ObjectClass::Vehicle, YoloConfig::fast()),
+                (ObjectClass::Pedestrian, YoloConfig::fast()),
+                (ObjectClass::Vehicle, YoloConfig::default()),
+                (ObjectClass::Pedestrian, YoloConfig::default()),
+            ] {
+                let want = q7_object_detection_oracle(&fs, class, cfg.clone());
+                let whole = q7_object_detection(fs.clone(), class, cfg.clone());
+                assert!(whole == want, "{class:?}, {n} frames: Q7 differs from the oracle");
+                let what = format!("Q7 {class:?} ({} MACs/px), {n} frames", cfg.macs_per_pixel);
+                assert_streams_as(&fs, info, &want, |total| {
+                    ObjectDetection::new(class, cfg.clone(), total)
+                }, &what);
+            }
         }
     }
 
@@ -697,17 +688,92 @@ mod tests {
             (2, 1 << 19, 1 << 13, Resolution::new(96, 72)),
             (3, 1 << 17, 1 << 17, Resolution::new(30, 20)),
         ] {
-            let info = VideoInfo {
-                profile: vr_codec::Profile::H264Like,
-                width: w,
-                height: h,
-                frame_rate: vr_base::FrameRate(30),
-                gop,
-            };
+            let info = video_info(vr_codec::Profile::H264Like, w, h, gop);
             let high: [bool; 9] = std::array::from_fn(|i| i % 2 == gop as usize % 2);
             let want = q10_tile_encode_oracle(&fs, info, hb, lb, &high, client).unwrap();
-            let got = q10_tile_encode(fs.clone(), info, hb, lb, &high, client).unwrap();
-            assert!(got == want, "gop {gop}, {hb}/{lb} b/s: Q10 differs from the oracle");
+            let whole = q10_tile_encode(fs.clone(), info, hb, lb, &high, client).unwrap();
+            let what = format!("gop {gop}, {hb}/{lb} b/s, client {client}");
+            assert!(whole == want, "{what}: Q10 differs from the oracle");
+            assert_streams_as(&fs, info, &want, |_| {
+                TileReencode::q10(info, hb, lb, &high, client).unwrap()
+            }, &what);
+        }
+    }
+
+    /// Peak live bytes above entry on this thread while `run` answers,
+    /// less the answer's own packets (which grow with the input
+    /// whatever the kernel keeps resident).
+    fn peak_beside_the_answer(run: impl FnOnce() -> EncodedVideo) -> u64 {
+        let scope = vr_base::obs::alloc::ScopeGuard::begin();
+        let answer = run();
+        let peak = scope.finish().peak_bytes;
+        let packets: usize = answer.packets.iter().map(|p| p.data.capacity()).sum();
+        peak.saturating_sub(packets as u64)
+    }
+
+    /// Reference Q7 (fast detector) and Q3 keep a window, not the video:
+    /// at one pipeline worker, tripling a 30-frame 160×96 input moves
+    /// their peak by less than four frames, where draining the input
+    /// into the whole-video forms first grows it by 40 frames or more.
+    #[test]
+    fn streaming_peak_does_not_grow_with_the_input() {
+        let (w, h) = (160, 96);
+        let frame_bytes = (w * h * 3 / 2) as u64;
+        let frames = crate::kernels::tests::moving_frames(w, h, 90);
+        let inputs =
+            [30, 90].map(|n| crate::io::tests::frames_input("peak.vrmf", &frames[..n], 30));
+        let info = inputs[0].video_info().unwrap();
+        let ctx = ExecContext { workers: 1, ..ExecContext::default() };
+        let pl = Pipeline::new(&ctx);
+        let bitrates = [1 << 18; 6];
+        let q7 = |input: &InputVideo| {
+            let mut scan = pl.stream_scan(input).unwrap();
+            let mut kernel =
+                ObjectDetection::new(ObjectClass::Vehicle, YoloConfig::fast(), scan.len());
+            pl.run_streaming(&mut scan, &mut kernel).unwrap().video
+        };
+        let q3 = |input: &InputVideo| {
+            let mut scan = pl.stream_scan(input).unwrap();
+            let mut kernel = TileReencode::q3(info, 64, 48, &bitrates).unwrap();
+            pl.run_streaming(&mut scan, &mut kernel).unwrap().video
+        };
+        let drained = |input: &InputVideo| pl.drain(&mut pl.stream_scan(input).unwrap()).unwrap();
+        let q7_whole = |input: &InputVideo| {
+            let out = q7_object_detection(drained(input), ObjectClass::Vehicle, YoloConfig::fast());
+            pl.encode_frames(out, info).unwrap()
+        };
+        let q3_whole = |input: &InputVideo| {
+            let grid = TileGrid::new(w, h, 64, 48);
+            let frames = drained(input);
+            let out = crate::kernels::tests::subquery_reencode(frames, info, &grid, &bitrates);
+            let out = out.unwrap();
+            pl.encode_frames(out, info).unwrap()
+        };
+        let _serial = crate::pipeline::tests::ALLOC_LOCK.lock();
+        vr_base::obs::alloc::set_tracking(true);
+        // Warm-up: lazily built codec and detector tables allocate once
+        // per process.
+        peak_beside_the_answer(|| q7(&inputs[0]));
+        peak_beside_the_answer(|| q3(&inputs[0]));
+        let peaks = |run: &dyn Fn(&InputVideo) -> EncodedVideo| {
+            inputs.each_ref().map(|input| peak_beside_the_answer(|| run(input)))
+        };
+        let streamed = [peaks(&q7), peaks(&q3)];
+        let whole = [peaks(&q7_whole), peaks(&q3_whole)];
+        vr_base::obs::alloc::set_tracking(false);
+        for (query, [short, long]) in ["Q7", "Q3"].into_iter().zip(streamed) {
+            assert!(short > 0, "{query}: alloc tracking recorded nothing");
+            assert!(
+                long < short + 4 * frame_bytes,
+                "{query}: the streamed peak {short} -> {long} B grew by four frames \
+                 ({frame_bytes} B each) or more"
+            );
+        }
+        for (query, [short, long]) in ["Q7", "Q3"].into_iter().zip(whole) {
+            assert!(
+                long >= short + 40 * frame_bytes,
+                "{query}: the whole-video peak {short} -> {long} B should grow by 40 frames"
+            );
         }
     }
 }

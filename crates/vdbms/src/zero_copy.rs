@@ -161,6 +161,7 @@ fn q1_batch_alloc_budget_is_pinned() {
         ctx.metrics.snapshot()
     };
 
+    let _serial = crate::pipeline::tests::ALLOC_LOCK.lock();
     alloc::set_tracking(true);
     // Warm-up: lazily initialized process state (codec basis tables,
     // registries) allocates once.
