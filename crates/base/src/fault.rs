@@ -24,6 +24,10 @@
 //! panic_kernel=q4:frame37       # panic in the kernel of query q4 at frame 37
 //! ```
 //!
+//! `frame K` counts the frames pushed into the query's kernel, from 0:
+//! the scanned frames of a single-input query, each camera's own frames
+//! for Q8, and for Q9 the face frames, four per stitched frame.
+//!
 //! The seed comes from `--fault-seed` (default 0). Each decision is
 //! `mix64(seed ^ SITE_SALT[site], key)`, where the key names what the
 //! fault hits: a sample is its input's name and sample index, an RTP
@@ -73,7 +77,9 @@ pub struct FaultPlan {
     pub io_fail_read: f64,
     /// Probability of a transient storage write failure.
     pub io_fail_write: f64,
-    /// Panic in the kernel stage of `(query label, frame index)`.
+    /// Panic in the kernel stage of `(query label, frame index)`. The
+    /// index counts frames pushed into the kernel: for Q9, face frames,
+    /// four per stitched frame.
     pub panic_kernel: Option<(String, u64)>,
 }
 

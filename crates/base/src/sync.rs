@@ -9,8 +9,6 @@
 //!   that return guards directly instead of a poison `Result` (a
 //!   poisoned lock means a panicked holder; propagating the panic is
 //!   the only sane response in this codebase),
-//! * a [`parallel_chunks`] helper for the batch engine's in-place
-//!   data-parallel frame maps,
 //! * [`run_jobs`], the one indexed worker pool: the generator's camera
 //!   and panorama jobs, the VCD's query instances and GOP-parallel
 //!   decode all fan out through it,
@@ -103,37 +101,6 @@ impl Condvar {
     pub(crate) fn notify_all(&self) {
         self.0.notify_all()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Data-parallel map
-// ---------------------------------------------------------------------------
-
-/// Apply `f` to every element of `items` in place, splitting the slice
-/// across `workers` scoped threads. `f` receives `(global_index,
-/// &mut item)`. With one worker (or one item) runs inline.
-pub fn parallel_chunks<T: Send, F>(items: &mut [T], workers: usize, f: F)
-where
-    F: Fn(usize, &mut T) + Send + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (c, part) in items.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (i, item) in part.iter_mut().enumerate() {
-                    f(c * chunk + i, item);
-                }
-            });
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -365,18 +332,5 @@ mod tests {
         assert_eq!(rw.read().len(), 2);
         rw.write().push(3);
         assert_eq!(*rw.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn parallel_chunks_covers_all_indices() {
-        let mut data = vec![0usize; 37];
-        parallel_chunks(&mut data, 4, |i, slot| *slot = i * 2);
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-        // Single-worker inline path.
-        let mut small = vec![0usize; 3];
-        parallel_chunks(&mut small, 1, |i, slot| *slot = i + 10);
-        assert_eq!(small, vec![10, 11, 12]);
     }
 }

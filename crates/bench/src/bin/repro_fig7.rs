@@ -5,48 +5,9 @@
 //! and counts the non-empty, non-comment lines of each query's match
 //! arm (see `vr_bench::loc`). Shared kernels — the code every engine
 //! leans on, analogous to the paper's "supporting extension"
-//! bars — are reported separately.
-
-use vr_bench::loc::{
-    loc, query_arm_loc, BATCH_SRC, CASCADE_SRC, FUNCTIONAL_SRC, KERNELS_SRC, QUERY_ARMS,
-    REFERENCE_SRC,
-};
-use vr_bench::table::TextTable;
+//! bars — are reported separately. `results/repro_fig7.txt` holds this
+//! output, and a `vr_bench::loc` test keeps it current.
 
 fn main() {
-    let engines: [(&str, &str); 4] = [
-        ("reference", REFERENCE_SRC),
-        ("batch", BATCH_SRC),
-        ("functional", FUNCTIONAL_SRC),
-        ("cascade", CASCADE_SRC),
-    ];
-
-    let mut t = TextTable::new(&["query", "reference", "batch", "functional", "cascade"]);
-    for (label, arm) in QUERY_ARMS {
-        let cells = engines
-            .iter()
-            .map(|(_, src)| {
-                let n = query_arm_loc(src, arm);
-                if n == 0 {
-                    "N/A".to_string()
-                } else {
-                    n.to_string()
-                }
-            })
-            .collect();
-        t.row(label, cells);
-    }
-    println!("Figure 7 reproduction — LOC of each query's implementation per engine:\n");
-    println!("{}", t.render());
-
-    let mut t = TextTable::new(&["engine", "module LOC", "shared kernels LOC"]);
-    for (name, src) in engines {
-        t.row(name, vec![loc(src).to_string(), loc(KERNELS_SRC).to_string()]);
-    }
-    println!("Supporting code (whole engine module + the shared kernel library):\n");
-    println!("{}", t.render());
-    println!(
-        "Note: like the paper's NoScope bars, the cascade engine implements only\n\
-         Q1 and Q2(c); its per-query LOC is small because the engine is narrow."
-    );
+    print!("{}", vr_bench::loc::figure7());
 }

@@ -8,6 +8,8 @@
 //! non-comment lines of each `QuerySpec::…` arm. Shared kernel code
 //! is the "supporting extension" bucket.
 
+use crate::table::TextTable;
+
 /// Engine sources, embedded at compile time so the measurement always
 /// reflects the code that actually ran.
 pub const REFERENCE_SRC: &str = include_str!("../../vdbms/src/reference.rs");
@@ -29,8 +31,18 @@ pub fn loc(source: &str) -> usize {
 /// `#[cfg(test)]` line followed by a `mod … {` line: the code above it,
 /// then the tests from it on (empty when the file has none). A
 /// `#[cfg(test)]` static, function or out-of-line module above it
-/// counts as code.
+/// counts as code. A file whose header (inner doc comments and inner
+/// attributes, before any item) holds `#![cfg(test)]` is tests whole.
 pub fn split_tests(source: &str) -> (&str, &str) {
+    let header = source.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with("//"));
+    for line in header {
+        if line == "#![cfg(test)]" {
+            return ("", source);
+        }
+        if !line.starts_with("#![") {
+            break;
+        }
+    }
     let opens_module = |next: &str| next.trim_end().ends_with('{') && next.contains("mod ");
     let at = source.match_indices("#[cfg(test)]\n").map(|(at, _)| at).find(|&at| {
         (at == 0 || source[..at].ends_with('\n'))
@@ -52,7 +64,10 @@ pub fn query_arm_loc(source: &str, arm: &str) -> usize {
         // Only match *pattern* positions (arm openings), not
         // constructor uses inside other arms: the pattern line ends
         // with `=> {` or contains `=>` after the needle.
-        if line.starts_with(&needle) && lines[i].contains("=>") {
+        let at_identifier_end = line.strip_prefix(&needle).is_some_and(|rest| {
+            !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+        });
+        if at_identifier_end && lines[i].contains("=>") {
             let mut depth = 0i64;
             let mut j = i;
             loop {
@@ -95,6 +110,42 @@ pub const QUERY_ARMS: [(&str, &str); 14] = [
     ("Q10", "Q10"),
 ];
 
+/// The Figure 7 reproduction, as `repro_fig7` prints it and
+/// `results/repro_fig7.txt` holds it: each query's arm LOC per engine,
+/// then each engine module's and the shared kernels' non-test LOC.
+pub fn figure7() -> String {
+    let engines: [(&str, &str); 4] = [
+        ("reference", REFERENCE_SRC),
+        ("batch", BATCH_SRC),
+        ("functional", FUNCTIONAL_SRC),
+        ("cascade", CASCADE_SRC),
+    ];
+    let mut arms = TextTable::new(&["query", "reference", "batch", "functional", "cascade"]);
+    for (label, arm) in QUERY_ARMS {
+        let cells = engines
+            .iter()
+            .map(|(_, src)| match query_arm_loc(src, arm) {
+                0 => "N/A".to_string(),
+                n => n.to_string(),
+            })
+            .collect();
+        arms.row(label, cells);
+    }
+    let kernels = loc(split_tests(KERNELS_SRC).0);
+    let mut modules = TextTable::new(&["engine", "module LOC", "shared kernels LOC"]);
+    for (name, src) in engines {
+        modules.row(name, vec![loc(split_tests(src).0).to_string(), kernels.to_string()]);
+    }
+    format!(
+        "Figure 7 reproduction — LOC of each query's implementation per engine:\n\n{}\n\
+         Supporting code (whole engine module + the shared kernel library, tests excluded):\n\n{}\n\
+         Note: like the paper's NoScope bars, the cascade engine implements only\n\
+         Q1 and Q2(c); its per-query LOC is small because the engine is narrow.\n",
+        arms.render(),
+        modules.render(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +168,11 @@ mod tests {
         assert_eq!((loc(above), loc(below)), (6, 6));
         assert_eq!(split_tests(code), (code, ""));
         assert_eq!(split_tests(""), ("", ""));
+        // A test-only file is tests from its first line.
+        let test_only = "//! Parity suites.\n\n#![cfg(test)]\n\nuse super::*;\nfn t() {}\n";
+        assert_eq!(split_tests(test_only), ("", test_only));
+        let gated_item = "#![forbid(unsafe_code)]\nfn a() {}\nmod m {\n    #![cfg(test)]\n}\n";
+        assert_eq!(split_tests(gated_item), (gated_item, ""));
     }
 
     #[test]
@@ -130,11 +186,15 @@ match spec {
     QuerySpec::Q2a => {
         one_liner();
     }
+    QuerySpec::Q10 { client } => {
+        ten();
+    }
     _ => {}
 }
 "#;
         assert_eq!(query_arm_loc(src, "Q1"), 4); // pattern + 2 + close
         assert_eq!(query_arm_loc(src, "Q2a"), 3);
+        assert_eq!(query_arm_loc(src, "Q10"), 3);
         assert_eq!(query_arm_loc(src, "Q99"), 0);
     }
 
@@ -153,5 +213,15 @@ match spec {
         assert!(loc(BATCH_SRC) > 100);
         assert!(loc(FUNCTIONAL_SRC) > 100);
         assert!(loc(KERNELS_SRC) > 100);
+    }
+
+    /// `results/repro_fig7.txt` is what `repro_fig7` prints for this
+    /// tree. On a mismatch, regenerate it:
+    /// `cargo run --release -p vr-bench --bin repro_fig7 > results/repro_fig7.txt`.
+    #[test]
+    fn committed_figure7_matches_the_sources() {
+        let committed = include_str!("../../../results/repro_fig7.txt");
+        let printed = figure7();
+        assert!(committed == printed, "results/repro_fig7.txt is stale; it now reads:\n{printed}");
     }
 }

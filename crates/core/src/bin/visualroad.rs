@@ -103,9 +103,11 @@ USAGE:
       positive. --faults installs a deterministic fault plan seeded
       by --fault-seed (default 0), e.g.
       corrupt_bitstream=0.01,drop_rtp=0.05,stall_stage=kernel:20ms,
-      io_fail=read:0.02,panic_kernel=q4:frame37; after the run the
-      injected-fault counts are checked against the recovery counters
-      and any mismatch exits nonzero. --deadline-ms enforces a
+      io_fail=read:0.02,panic_kernel=q4:frame37 (frame K counts the
+      frames pushed into the query's kernel; for Q9, face frames, four
+      per stitched frame); after the run the injected-fault counts are
+      checked against the recovery counters and any mismatch exits
+      nonzero. --deadline-ms enforces a
       per-instance latency deadline via cooperative cancellation.
       --trace-out enables span tracing and writes a chrome-trace
       (trace_event JSON) profile loadable in chrome://tracing or

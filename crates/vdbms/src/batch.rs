@@ -24,12 +24,13 @@
 //!   eagerly materializes every output frame of the batch; the
 //!   allocation tracker rejects it.
 //!
-//! Every single-input query reads the materialized frame table through
-//! a [`MemoryScan`](crate::pipeline::MemoryScan): the stateless
-//! per-pixel kernels run data-parallel under the shared pipeline's
-//! **eager** policy, and the stateful ones (Q2(c), Q2(d), Q3, Q6, Q7,
-//! Q10) stream the table through the shared kernels. Decode cost is
-//! recorded at materialization and table reads as Scan work.
+//! Every single-input query streams the materialized frame table
+//! through a [`MemoryScan`](crate::pipeline::MemoryScan) and the shared
+//! pipeline: the per-pixel maps (Q1, Q2(a), Q2(b), Q5) one frame at a
+//! time, the stateful kernels (Q2(c), Q2(d), Q3, Q6, Q7, Q10) with
+//! their windows. Scanner's worker pool is the VCD's instance
+//! scheduler, which runs a batch's instances side by side. Decode cost
+//! is recorded at materialization and table reads as Scan work.
 
 use crate::cascade::CascadeConfig;
 use crate::cost::{CandidateSpace, KernelClass, PlanChoice, QueryWork};
@@ -62,7 +63,8 @@ const UPSAMPLE_BUDGET_BYTES: usize = 64 << 20;
 /// Batch-engine configuration.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Worker threads for data-parallel kernels.
+    /// Worker threads for the GOP-parallel decode that fills the frame
+    /// table on a miss.
     pub workers: usize,
     /// Frame-table cache capacity in bytes (decoded frames). The
     /// default models a machine holding a handful of decoded videos.
@@ -122,8 +124,9 @@ impl BatchEngine {
     }
 
     /// Ask the context's cost-based optimizer (when installed) for the
-    /// plan it prefers for this query; `None` keeps the hand-tuned
-    /// defaults. Work figures come from the optimizer's advertised
+    /// plan it prefers for this query — Q2(c)'s order, framework path
+    /// or cascade, is the one decision; `None` keeps the hand-tuned
+    /// default. Work figures come from the optimizer's advertised
     /// workload and the query spec — never from decoded data — so the
     /// decision is deterministic and identical between `plan()`
     /// (EXPLAIN) and `execute()`.
@@ -132,25 +135,6 @@ impl BatchEngine {
         let wl = opt.workload();
         let key = self.plan_key(instance);
         match &instance.spec {
-            QuerySpec::Q1 { rect, .. } => {
-                let r = rect.clipped(wl.width, wl.height);
-                let out_pixels = ((r.x1 - r.x0 + 1).max(2) as u64)
-                    * ((r.y1 - r.y0 + 1).max(2) as u64);
-                Some(opt.decide(
-                    &key,
-                    QueryWork {
-                        frames: wl.frames,
-                        in_pixels: wl.pixels(),
-                        out_pixels,
-                        kernel: KernelClass::PerPixel { factor: SLOW_CROP_FACTOR },
-                        vectors: 0,
-                    },
-                    &CandidateSpace {
-                        policies: vec![Policy::Eager],
-                        max_fanout: self.cfg.workers.min(ctx.workers).max(1),
-                    },
-                ))
-            }
             QuerySpec::Q2c { .. } => Some(opt.decide(
                 &key,
                 QueryWork {
@@ -236,11 +220,6 @@ impl Default for BatchEngine {
         Self::new()
     }
 }
-
-/// Cost-model weight of [`slow_float_crop`] relative to the calibrated
-/// light per-pixel kernel: the float resample machinery costs roughly
-/// three row-copy crops per output pixel.
-const SLOW_CROP_FACTOR: f64 = 3.0;
 
 /// The deliberately naive resize path (float math, per-pixel bounds
 /// checks, chroma resampled at full resolution) used for Q1's crop.
@@ -382,29 +361,22 @@ impl Vdbms for BatchEngine {
                     .min(frames.len().saturating_sub(1));
                 let first = (t1.frame_index(info.frame_rate) as usize).min(last);
                 let rect = *rect;
-                // Kernel fan-out: cost-model choice when the optimizer
-                // is on (sequential below the parallelism break-even),
-                // else the hand-tuned worker-pool size.
-                let fanout = self
-                    .choice(instance, ctx)
-                    .map(|c| c.workers)
-                    .unwrap_or(self.cfg.workers);
                 let mut scan = pl.memory_scan(info, frames, first..last + 1);
-                let out = pl.run_eager(&mut scan, fanout, |f| slow_float_crop(f, rect))?;
-                QueryOutput::Video(out)
+                let mut kernel = pipeline::map(move |f, _| slow_float_crop(&f, rect));
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q2a => {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
-                QueryOutput::Video(pl.run_eager(&mut scan, self.cfg.workers, ops::grayscale)?)
+                let mut kernel = pipeline::map(|f, _| ops::grayscale(&f));
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q2b { d } => {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
                 let d = *d;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
-                let out =
-                    pl.run_eager(&mut scan, self.cfg.workers, move |f| ops::gaussian_blur(f, d))?;
-                QueryOutput::Video(out)
+                let mut kernel = pipeline::map(move |f, _| ops::gaussian_blur(&f, d));
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q2c { class } => {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
@@ -489,10 +461,10 @@ impl Vdbms for BatchEngine {
                 let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
                 let (alpha, beta) = (*alpha, *beta);
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
-                let out = pl.run_eager(&mut scan, self.cfg.workers, move |f| {
-                    ops::downsample(f, (f.width() / alpha).max(2), (f.height() / beta).max(2))
-                })?;
-                QueryOutput::Video(out)
+                let mut kernel = pipeline::map(move |f, _| {
+                    ops::downsample(&f, (f.width() / alpha).max(2), (f.height() / beta).max(2))
+                });
+                QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q6a => {
                 let inp = input(0)?;
@@ -570,19 +542,19 @@ impl Vdbms for BatchEngine {
         // One arm per `execute` arm: the eager dataflow materializes
         // into the frame table, so every single-input query scans
         // memory; Q8/Q9 delegate to the reference multi-stream
-        // helpers. Q1 and Q2(c) consult the optimizer exactly as
-        // `execute` does, so EXPLAIN shows the plan that will run.
+        // helpers. Q2(c) consults the optimizer exactly as `execute`
+        // does, so EXPLAIN shows the plan that will run. Q4 names the
+        // eager policy: its plan is the upsampled batch materialized
+        // whole, which the budget check refuses before anything runs.
         let choice = self.choice(instance, ctx);
         let mut gate = None;
-        let mut fanout = None;
         let (policy, scan, kernel) = match &instance.spec {
             QuerySpec::Q1 { .. } => {
-                fanout = choice.map(|c| c.workers);
-                (Policy::Eager, ScanOp::Memory, "slow_float_crop".to_string())
+                (Policy::Streaming, ScanOp::Memory, "slow_float_crop".to_string())
             }
-            QuerySpec::Q2a => (Policy::Eager, ScanOp::Memory, "grayscale".to_string()),
+            QuerySpec::Q2a => (Policy::Streaming, ScanOp::Memory, "grayscale".to_string()),
             QuerySpec::Q2b { d } => {
-                (Policy::Eager, ScanOp::Memory, format!("gaussian_blur(d={d})"))
+                (Policy::Streaming, ScanOp::Memory, format!("gaussian_blur(d={d})"))
             }
             QuerySpec::Q2c { class } => {
                 if choice.map(|c| c.policy == Policy::ShortCircuit).unwrap_or(false) {
@@ -611,7 +583,7 @@ impl Vdbms for BatchEngine {
                 ScanOp::Memory,
                 format!("interpolate-bilinear(x{alpha},x{beta}) budget-checked"),
             ),
-            QuerySpec::Q5 { .. } => (Policy::Eager, ScanOp::Memory, "downsample".to_string()),
+            QuerySpec::Q5 { .. } => (Policy::Streaming, ScanOp::Memory, "downsample".to_string()),
             QuerySpec::Q6a => (Policy::Streaming, ScanOp::Memory, "box-overlay".to_string()),
             QuerySpec::Q6b => {
                 (Policy::Streaming, ScanOp::Memory, "caption-overlay".to_string())
@@ -641,7 +613,6 @@ impl Vdbms for BatchEngine {
                 scan,
                 kernel,
                 gate,
-                fanout,
             },
             ctx,
         )
@@ -655,6 +626,8 @@ impl Vdbms for BatchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::{encode_frames, packets};
+    use vr_base::Timestamp;
 
     #[test]
     fn cache_hits_on_repeated_access() {
@@ -741,5 +714,42 @@ mod tests {
         assert_eq!(slow.width(), fast.width());
         let p = vr_frame::metrics::psnr_y(&slow, &fast);
         assert!(p > 50.0, "slow and fast crops must agree: {p}");
+    }
+
+    /// The four per-pixel arms (Q1, Q2(a), Q2(b), Q5), streamed over the
+    /// frame table, against the eager form they replaced — every frame
+    /// of the scanned range mapped, then the sequence encoded — packet
+    /// for packet at pipeline workers 1 and 2, the table read as Scan
+    /// work and decoded once, at materialization.
+    #[test]
+    fn batch_arms_stream_as_map_then_encode() {
+        let input = crate::io::tests::gop2_input("batch-arms.vrmf");
+        let (info, frames) = crate::kernels::decode_all(&input).unwrap();
+        let rect = vr_geom::Rect::new(3, 5, 24, 20);
+        let at = |i| Timestamp::of_frame(i, info.frame_rate);
+        let arms: [(QuerySpec, std::ops::Range<usize>, &dyn Fn(&Frame) -> Frame); 4] = [
+            (QuerySpec::Q1 { rect, t1: at(2), t2: at(6) }, 2..7, &|f| slow_float_crop(f, rect)),
+            (QuerySpec::Q2a, 0..9, &ops::grayscale),
+            (QuerySpec::Q2b { d: 5 }, 0..9, &|f| ops::gaussian_blur(f, 5)),
+            (QuerySpec::Q5 { alpha: 2, beta: 4 }, 0..9, &|f| ops::downsample(f, 16, 8)),
+        ];
+        for (spec, range, kernel) in arms {
+            let mapped = frames[range.clone()].iter().map(kernel).collect();
+            let ctx = ExecContext { workers: 1, ..ExecContext::default() };
+            let want = encode_frames(&Pipeline::new(&ctx), mapped, info).unwrap();
+            for workers in [1, 2] {
+                let ctx = ExecContext { workers, ..ExecContext::default() };
+                let instance = QueryInstance { index: 0, spec: spec.clone(), inputs: vec![0] };
+                let out = BatchEngine::new().execute(&instance, &[input.clone()], &ctx).unwrap();
+                let QueryOutput::Video(got) = out else { panic!("{spec:?}: not a video") };
+                let same = packets(&got) == packets(&want);
+                assert!(same, "{spec:?} workers={workers}: packets differ");
+                let snap = ctx.metrics.snapshot();
+                let scanned = range.len() as u64;
+                assert_eq!(snap.stage(StageKind::Scan).frames, scanned, "{spec:?}");
+                assert_eq!(snap.stage(StageKind::Kernel).frames, scanned, "{spec:?}");
+                assert_eq!(snap.stage(StageKind::Decode).frames, 9, "{spec:?}");
+            }
+        }
     }
 }

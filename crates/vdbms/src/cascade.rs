@@ -263,7 +263,6 @@ impl Vdbms for CascadeEngine {
                 scan: ScanOp::Stream,
                 kernel,
                 gate,
-                fanout: None,
             },
             ctx,
         )

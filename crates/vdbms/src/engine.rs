@@ -64,7 +64,6 @@ pub trait Vdbms: Send + Sync {
                 scan: crate::plan::ScanOp::Stream,
                 kernel: "kernel".to_string(),
                 gate: None,
-                fanout: None,
             },
             ctx,
         )

@@ -334,7 +334,6 @@ impl Vdbms for FunctionalEngine {
                 scan,
                 kernel,
                 gate: None,
-                fanout: None,
             },
             ctx,
         )

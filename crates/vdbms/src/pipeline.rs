@@ -5,15 +5,11 @@
 //! only in which scan operator feeds the pipeline and which execution
 //! policy drives it:
 //!
-//! * **eager** ([`Pipeline::run_eager`]): materialize every frame,
-//!   run a data-parallel kernel over the whole batch, encode at the
-//!   end — the Scanner-style dataflow (the batch engine's stateless
-//!   per-pixel queries).
 //! * **streaming** ([`Pipeline::run_streaming`]): frames flow one at a
 //!   time through a push kernel that holds only the window it needs,
 //!   into an incremental encoder — the LightDB-style lazy algebra
-//!   (functional engine), the reference implementation, and the batch
-//!   engine's stateful kernels over its frame table.
+//!   (functional engine), the reference implementation, and every
+//!   batch-engine query over its frame table.
 //! * **short-circuit** ([`Pipeline::run_short_circuit`]): a
 //!   difference-detector gate routes each frame to a cheap or a full
 //!   kernel — the NoScope-style inference cascade (cascade engine).
@@ -23,14 +19,14 @@
 //! keyframe-seeking range of it ([`Pipeline::range_scan`]) — and
 //! [`MemoryScan`] reads an already-decoded frame table.
 //!
-//! Every single-input query streams, and each kernel states what it
-//! keeps resident: one frame for the per-frame maps and for the Q3/Q10
+//! Every query streams, and each kernel states what it keeps
+//! resident: one frame for the per-frame maps and for the Q3/Q10
 //! tile re-encode ([`crate::kernels::TileReencode`], one encoder and
 //! one decoder per tile), the m-frame window for Q2(d)'s
-//! [`TemporalMaskKernel`] and Q7's [`ObjectDetection`] (m = 10).
-//! Multi-camera queries (Q8) run under [`Pipeline::run_streaming_multi`];
-//! Q9's stitch drains its four faces ([`Pipeline::drain`]), which
-//! only the eager policy does besides it.
+//! [`TemporalMaskKernel`] and Q7's [`ObjectDetection`] (m = 10), one
+//! round of four faces for Q9's stitch, which reads its face scans in
+//! lockstep. Multi-camera queries (Q8) run under
+//! [`Pipeline::run_streaming_multi`]. No scan is drained into a vector.
 //!
 //! The streaming, multi-source and short-circuit policies share one
 //! executor: a stream of scan events, one kernel loop, the encode
@@ -56,7 +52,7 @@ use std::sync::mpsc::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vr_base::obs::{alloc, metrics, trace};
-use vr_base::sync::{panic_message, parallel_chunks, stage_panic};
+use vr_base::sync::{panic_message, stage_panic};
 use vr_base::{fault, Error, Result};
 use vr_codec::{EncodedVideo, Encoder, EncoderConfig, RateControlMode, VideoInfo};
 use vr_frame::Frame;
@@ -948,53 +944,6 @@ impl<'c> Pipeline<'c> {
         Ok(())
     }
 
-    /// Eager policy: materialize every frame, run a stateless kernel
-    /// data-parallel over the batch, encode the whole output. The
-    /// engine's worker request is clamped by the context's budget, so
-    /// `VR_WORKERS=1` forces the sequential kernel here too.
-    pub(crate) fn run_eager(
-        &self,
-        source: &mut dyn FrameSource,
-        workers: usize,
-        kernel: impl Fn(&Frame) -> Frame + Send + Sync,
-    ) -> Result<EncodedVideo> {
-        let _req = self.request_span();
-        let _span = trace::span("pipeline", "run_eager");
-        self.absorb_stall(StageKind::Kernel);
-        // Clamp the requested fan-out by the context budget AND the
-        // machine's parallelism: threads beyond the core count only
-        // pay spawn overhead (the workers4-slower-than-workers1
-        // single-core regression).
-        let workers = workers
-            .min(self.ctx.workers)
-            .min(vr_base::sync::hardware_parallelism())
-            .max(1);
-        // Surface the effective fan-out (optimizer-chosen or
-        // hand-tuned, after clamping) so `--metrics-out` and the
-        // optimizer gate can see what actually ran.
-        vr_base::obs::metrics::gauge("pipeline.eager_fanout").set(workers as f64);
-        let info = source.info();
-        let mut frames = self.drain(source)?;
-        let n = frames.len() as u64;
-        // Per-item containment: a worker that panics (injected or
-        // organic) poisons only its own frame; the first error wins.
-        let first_err: vr_base::sync::Mutex<Option<Error>> = vr_base::sync::Mutex::new(None);
-        self.kernel_span(n, || {
-            parallel_chunks(&mut frames, workers, |i, f| {
-                match self.guarded(i, || Ok(kernel(f))).and_then(|call| call()) {
-                    Ok(nf) => *f = nf,
-                    Err(e) => {
-                        first_err.lock().get_or_insert(e);
-                    }
-                }
-            });
-        });
-        if let Some(e) = first_err.lock().take() {
-            return Err(e);
-        }
-        self.encode_frames(frames, info)
-    }
-
     /// Short-circuit policy: a gate routes each frame to the cheap
     /// (`escalate = false`) or full (`escalate = true`) path of the
     /// kernel; everything still flows through the shared encode stage.
@@ -1012,22 +961,6 @@ impl<'c> Pipeline<'c> {
         let _span = trace::span("pipeline", "run_short_circuit");
         self.absorb_stall(StageKind::Kernel);
         self.stream(&mut [source], false, &mut Gated { gate, kernel })
-    }
-
-    /// Drain a source into a vector (Scan/Decode time recorded by the
-    /// source itself).
-    pub(crate) fn drain(&self, source: &mut dyn FrameSource) -> Result<Vec<Frame>> {
-        let mut frames = Vec::with_capacity(source.len());
-        while let Some(f) = source.next_frame() {
-            self.check_cancelled(frames.len())?;
-            frames.push(f?);
-        }
-        Ok(frames)
-    }
-
-    /// Time a closure as Kernel-stage work over `frames` frames.
-    pub(crate) fn kernel_span<T>(&self, frames: u64, f: impl FnOnce() -> T) -> T {
-        self.ctx.metrics.timed(StageKind::Kernel, f, |_| Some((frames, 0)))
     }
 
     /// The guard around every kernel call. Cooperative cancellation is
@@ -1062,7 +995,7 @@ impl<'c> Pipeline<'c> {
         f: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         let call = self.guarded(index, f)?;
-        self.kernel_span(frames, call)
+        self.ctx.metrics.timed(StageKind::Kernel, call, |_| Some((frames, 0)))
     }
 
     /// Error out if the context's cancellation token has fired (the
@@ -1095,21 +1028,6 @@ impl<'c> Pipeline<'c> {
                 fault::note_stall_absorbed();
             }
         }
-    }
-
-    /// Encode a finished frame sequence (dimensions taken from the
-    /// first frame, stream parameters from `info`), recording Encode
-    /// time and output bytes. Each frame is dropped once encoded.
-    pub(crate) fn encode_frames(
-        &self,
-        frames: Vec<Frame>,
-        info: VideoInfo,
-    ) -> Result<EncodedVideo> {
-        let mut stage = EncodeStage::new(self, info);
-        for f in frames {
-            stage.consume(KernelOut::from(f))?;
-        }
-        Ok(stage.into_result()?.video)
     }
 
     /// Sink stage: apply the context's result mode (persist or
@@ -1228,6 +1146,26 @@ pub(crate) mod tests {
         VideoInfo { profile, width, height, frame_rate: vr_base::FrameRate(30), gop }
     }
 
+    /// Every frame a source yields, in order (Scan/Decode time recorded
+    /// by the source itself): the whole-video input of an oracle.
+    pub(crate) fn drain(source: &mut dyn FrameSource) -> Result<Vec<Frame>> {
+        std::iter::from_fn(|| source.next_frame()).collect()
+    }
+
+    /// A finished frame sequence through the shared encode stage
+    /// (dimensions from the first frame, stream parameters from `info`).
+    pub(crate) fn encode_frames(
+        pl: &Pipeline,
+        frames: Vec<Frame>,
+        info: VideoInfo,
+    ) -> Result<EncodedVideo> {
+        let mut stage = EncodeStage::new(pl, info);
+        for f in frames {
+            stage.consume(KernelOut::from(f))?;
+        }
+        Ok(stage.into_result()?.video)
+    }
+
     /// What a kernel emits for `frames` pushed in order, then `finish`.
     pub(crate) fn kernel_frames(
         kernel: &mut dyn FrameKernel,
@@ -1256,7 +1194,7 @@ pub(crate) mod tests {
         let got = kernel_frames(&mut make(frames.len()), frames).unwrap();
         assert!(got == want, "{what}: the kernel's frames differ from the oracle's");
         let ctx = ctx();
-        let expect = Pipeline::new(&ctx).encode_frames(want.to_vec(), info).unwrap();
+        let expect = encode_frames(&Pipeline::new(&ctx), want.to_vec(), info).unwrap();
         for workers in [1, 2] {
             let ctx = ctx_workers(workers);
             let pl = Pipeline::new(&ctx);
@@ -1269,7 +1207,7 @@ pub(crate) mod tests {
     }
 
     /// A video's packet payloads.
-    fn packets(video: &EncodedVideo) -> Vec<&[u8]> {
+    pub(crate) fn packets(video: &EncodedVideo) -> Vec<&[u8]> {
         video.packets.iter().map(|p| p.data.as_slice()).collect()
     }
 
@@ -1322,31 +1260,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn eager_and_streaming_policies_encode_identically() {
-        let input = tiny_input("pipe-eq.vrmf");
-        let ctx_a = ctx();
-        let pl_a = Pipeline::new(&ctx_a);
-        let mut scan = pl_a.stream_scan(&input).unwrap();
-        let mut kernel = map(|f, _| ops::grayscale(&f));
-        let streamed = pl_a.run_streaming(&mut scan, &mut kernel).unwrap();
-
-        let ctx_b = ctx();
-        let pl_b = Pipeline::new(&ctx_b);
-        let (info, frames) = decode_all(&input).unwrap();
-        let mut scan = pl_b.memory_scan(info, Arc::new(frames), 0..usize::MAX);
-        let eager = pl_b.run_eager(&mut scan, 2, ops::grayscale).unwrap();
-
-        assert_eq!(streamed.video.len(), eager.len());
-        for (a, b) in streamed.video.packets.iter().zip(&eager.packets) {
-            assert_eq!(a.data, b.data, "policies must produce identical bitstreams");
-        }
-        // The eager run reads from memory: Scan recorded, not Decode.
-        let snap = ctx_b.metrics.snapshot();
-        assert_eq!(snap.stage(StageKind::Scan).frames, 4);
-        assert_eq!(snap.stage(StageKind::Decode).frames, 0);
-    }
-
-    #[test]
     fn range_scan_matches_full_decode() {
         let ctx = ctx();
         let pl = Pipeline::new(&ctx);
@@ -1355,7 +1268,7 @@ pub(crate) mod tests {
         for (from, to) in [(0usize, 3usize), (1, 2), (3, 3)] {
             let mut scan = pl.range_scan(&input, from, to).unwrap();
             assert_eq!(scan.len(), to - from + 1);
-            let got = pl.drain(&mut scan).unwrap();
+            let got = drain(&mut scan).unwrap();
             for (i, f) in got.iter().enumerate() {
                 assert_eq!(f, &all[from + i], "range {from}..={to} frame {i}");
             }
@@ -1374,7 +1287,7 @@ pub(crate) mod tests {
             let ctx = ctx();
             let pl = Pipeline::new(&ctx);
             let mut scan = pl.range_scan(&input, from, to).unwrap();
-            let got = pl.drain(&mut scan).unwrap();
+            let got = drain(&mut scan).unwrap();
             let decode = ctx.metrics.snapshot().stage(StageKind::Decode);
             (got, decode.invocations, decode.frames)
         };

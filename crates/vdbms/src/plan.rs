@@ -3,7 +3,7 @@
 //!
 //! Every engine describes the plan it *would* run for a query instance
 //! as a [`PlanNode`] tree — operator kind, execution policy, worker
-//! fan-out, and fault/retry wrappers — via [`crate::Vdbms::plan`].
+//! budget, and fault/retry wrappers — via [`crate::Vdbms::plan`].
 //! The description is deterministic and renderable before execution
 //! (`--explain`); after execution the same tree is annotated from the
 //! context's [`PipelineSnapshot`] with wall time, self vs. child time,
@@ -31,10 +31,15 @@ use crate::io::{ExecContext, ResultMode};
 use crate::pipeline::{PipelineSnapshot, StageKind};
 use vr_base::json::{Layout::Inline, Writer};
 
-/// The execution policy driving a plan (one per `Pipeline::run_*`).
+/// The execution policy driving a plan: one per `Pipeline::run_*`,
+/// plus the cost-model candidates no executor runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// `run_eager`: materialize, data-parallel kernel, encode at end.
+    /// Materialize every frame, map the kernel over them data-parallel,
+    /// encode at the end. No engine runs one (every query streams); it
+    /// stays a cost-model candidate, which `benchmark/src/probes.rs`
+    /// lists, and names the batch engine's Q4 plan, the eager upsample
+    /// its budget check refuses.
     Eager,
     /// `run_streaming`: frames pushed one at a time through a kernel
     /// that keeps only its window resident.
@@ -164,9 +169,6 @@ pub(crate) struct PlanDesc {
     pub kernel: String,
     /// Short-circuit gate description, when the policy has one.
     pub gate: Option<String>,
-    /// Optimizer-chosen eager fan-out. `None` (hand-tuned defaults)
-    /// renders the context's worker budget, as before.
-    pub fanout: Option<usize>,
 }
 
 /// Build the canonical plan tree for a description under a context.
@@ -215,10 +217,6 @@ pub(crate) fn build(desc: &PlanDesc, ctx: &ExecContext) -> PlanNode {
     };
 
     let mut kernel_detail = desc.kernel.clone();
-    let fanout = desc.fanout.unwrap_or(workers);
-    if desc.policy == Policy::Eager && fanout > 1 {
-        kernel_detail.push_str(&format!(" fan-out={fanout}"));
-    }
     if let Some(gate) = &desc.gate {
         kernel_detail.push_str(&format!(" gate={gate}"));
     }
@@ -513,7 +511,7 @@ mod tests {
         let plan = BatchEngine::new().plan(&q1(), &ctx());
         assert_eq!(
             plan.render_text(),
-            "query (Q1 engine=batch policy=eager workers=1)\n\
+            "query (Q1 engine=batch policy=streaming workers=1)\n\
              \x20 sink (mode=stream)\n\
              \x20   encode (constant-qp)\n\
              \x20     kernel (slow_float_crop)\n\

@@ -12,8 +12,8 @@ use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, QueryOutput};
 use crate::kernels::{boxes_frame, caption_track, StitchMap, TileReencode};
 use crate::pipeline::{
-    self, DetectBoxes, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
-    TemporalMaskKernel,
+    self, DecodeScan, DetectBoxes, FrameKernel, FrameSource, KernelOut, ObjectDetection,
+    Pipeline, TemporalMaskKernel,
 };
 use crate::plan::PlanNode;
 use crate::query::{FaceParams, QueryInstance, QueryKind, QuerySpec};
@@ -111,7 +111,6 @@ impl Vdbms for ReferenceEngine {
                 scan,
                 kernel,
                 gate: None,
-                fanout: None,
             },
             ctx,
         )
@@ -121,7 +120,7 @@ impl Vdbms for ReferenceEngine {
 /// Execute an instance with the reference semantics (shared with the
 /// driver's validation path, which must not double-sink results).
 /// Every single-input arm streams through the shared pipeline (Q8 over
-/// its cameras in turn); Q9 drains its four faces before stitching.
+/// its cameras in turn, Q9 over its four faces in lockstep).
 pub fn execute_reference(
     instance: &QueryInstance,
     inputs: &[InputVideo],
@@ -365,38 +364,89 @@ pub fn q8_vehicle_tracking(
     Ok(pl.run_streaming_multi(&mut sources, &mut kernel)?.video)
 }
 
-/// Q9 reference: decode the four faces and stitch per frame.
+/// Q9's four face scans read in lockstep: face 0, 1, 2 and 3 of frame
+/// 0, then of frame 1, and so on up to the shortest face. Each scan
+/// records its own Decode time; this source adds none.
+struct Lockstep<'a> {
+    faces: [DecodeScan<'a>; 4],
+    next: usize,
+    end: usize,
+}
+
+impl<'a> Lockstep<'a> {
+    fn new(faces: [DecodeScan<'a>; 4]) -> Self {
+        let rounds = faces.iter().map(|f| f.len()).min().unwrap_or(0);
+        Self { faces, next: 0, end: 4 * rounds }
+    }
+}
+
+impl FrameSource for Lockstep<'_> {
+    fn info(&self) -> VideoInfo {
+        self.faces[0].info()
+    }
+
+    fn len(&self) -> usize {
+        self.end - self.next
+    }
+
+    fn next_frame(&mut self) -> Option<Result<Frame>> {
+        if self.next >= self.end {
+            return None;
+        }
+        let frame = self.faces[self.next % 4].next_frame()?;
+        self.next += 1;
+        Some(frame)
+    }
+}
+
+/// Q9's kernel: holds one round of face frames and emits their stitch.
+/// The direction table is built at the first round, as Kernel work.
+struct Stitch<'p> {
+    params: &'p [FaceParams; 4],
+    face: (u32, u32),
+    out: (u32, u32),
+    map: Option<StitchMap>,
+    round: Vec<Frame>,
+}
+
+impl FrameKernel for Stitch<'_> {
+    fn push(&mut self, frame: Frame, _index: usize, out: &mut Vec<KernelOut>) -> Result<()> {
+        self.round.push(frame);
+        let Ok(faces) = <&[Frame; 4]>::try_from(self.round.as_slice()) else {
+            return Ok(());
+        };
+        let ((fw, fh), (ow, oh)) = (self.face, self.out);
+        let map = self.map.get_or_insert_with(|| StitchMap::new(self.params, fw, fh, ow, oh));
+        let mut stitched = Frame::new(ow, oh);
+        map.apply(faces, &mut stitched);
+        self.round.clear();
+        out.push(KernelOut::from(stitched));
+        Ok(())
+    }
+}
+
+/// Q9 reference: stream the four faces in lockstep and stitch each
+/// round into one equirectangular frame.
 pub fn q9_stitch(
     pl: &Pipeline,
     faces: &[&InputVideo; 4],
     params: &[FaceParams; 4],
     output: Resolution,
 ) -> Result<EncodedVideo> {
-    let mut decoded = Vec::with_capacity(4);
-    let mut info = None;
-    for face in faces {
-        let mut scan = pl.stream_scan(face)?;
-        info.get_or_insert(scan.info());
-        decoded.push(pl.drain(&mut scan)?);
-    }
-    let info = info.unwrap();
-    let n = decoded.iter().map(|d| d.len()).min().unwrap_or(0);
-    if n == 0 {
+    let [a, b, c, d] = faces.map(|face| pl.stream_scan(face));
+    let mut source = Lockstep::new([a?, b?, c?, d?]);
+    if source.len() == 0 {
         return Err(Error::InvalidConfig("Q9 faces are empty".into()));
     }
-    let out_w = output.width.max(4) & !1;
-    let out_h = output.height.max(4) & !1;
-    let out = pl.kernel_span(n as u64, || {
-        let map = StitchMap::new(params, info.width, info.height, out_w, out_h);
-        (0..n)
-            .map(|t| {
-                let mut frame = Frame::new(out_w, out_h);
-                map.apply(&std::array::from_fn(|i| decoded[i][t].clone()), &mut frame);
-                frame
-            })
-            .collect::<Vec<Frame>>()
-    });
-    pl.encode_frames(out, VideoInfo { width: out_w, height: out_h, ..info })
+    let info = source.info();
+    let mut kernel = Stitch {
+        params,
+        face: (info.width, info.height),
+        out: (output.width.max(4) & !1, output.height.max(4) & !1),
+        map: None,
+        round: Vec::with_capacity(4),
+    };
+    Ok(pl.run_streaming(&mut source, &mut kernel)?.video)
 }
 
 #[cfg(test)]
@@ -404,7 +454,11 @@ pub(crate) mod tests {
     use super::*;
     use crate::io::OutputBox;
     use crate::kernels::filter_class;
-    use crate::pipeline::tests::{assert_streams_as, kernel_frames, video_info};
+    use crate::pipeline::tests::{
+        assert_streams_as, drain, encode_frames, kernel_frames, packets, video_info,
+    };
+    use crate::pipeline::StageKind;
+    use vr_container::{ContainerWriter, TrackKind};
     use vr_frame::tile::TileGrid;
     use vr_frame::Yuv;
     use vr_vision::YoloDetector;
@@ -440,6 +494,60 @@ pub(crate) mod tests {
             }
         }
         out
+    }
+
+    /// Q9 before it streamed: every face drained whole, then each frame
+    /// stitched and the panorama encoded.
+    fn q9_stitch_drained(
+        pl: &Pipeline,
+        faces: &[&InputVideo; 4],
+        params: &[FaceParams; 4],
+        output: Resolution,
+    ) -> Result<EncodedVideo> {
+        let mut decoded = Vec::with_capacity(4);
+        let mut info = None;
+        for face in faces {
+            let mut scan = pl.stream_scan(face)?;
+            info.get_or_insert(scan.info());
+            decoded.push(drain(&mut scan)?);
+        }
+        let info = info.unwrap();
+        let n = decoded.iter().map(|d| d.len()).min().unwrap_or(0);
+        if n == 0 {
+            return Err(Error::InvalidConfig("Q9 faces are empty".into()));
+        }
+        let out_w = output.width.max(4) & !1;
+        let out_h = output.height.max(4) & !1;
+        let map = StitchMap::new(params, info.width, info.height, out_w, out_h);
+        let out = (0..n)
+            .map(|t| {
+                let mut frame = Frame::new(out_w, out_h);
+                map.apply(&std::array::from_fn(|i| decoded[i][t].clone()), &mut frame);
+                frame
+            })
+            .collect::<Vec<Frame>>();
+        encode_frames(pl, out, VideoInfo { width: out_w, height: out_h, ..info })
+    }
+
+    /// Four rig faces one quarter-turn apart.
+    fn face_params() -> [FaceParams; 4] {
+        std::array::from_fn(|i| FaceParams {
+            yaw: i as f32 * std::f32::consts::FRAC_PI_2,
+            pitch: 0.2 * i as f32 - 0.3,
+            hfov_deg: 110.0,
+        })
+    }
+
+    /// Face `i` of a rig: `n` `w`×`h` moving frames, each face starting
+    /// at a different point of the motion.
+    fn face_input(i: usize, w: u32, h: u32, n: usize) -> InputVideo {
+        let frames = crate::kernels::tests::moving_frames(w, h, n + 3 * i);
+        crate::io::tests::frames_input(&format!("face{i}.vrmf"), &frames[3 * i..], 5)
+    }
+
+    /// A rig's four face inputs, borrowed.
+    fn faces(rig: &[InputVideo]) -> [&InputVideo; 4] {
+        std::array::from_fn(|i| &rig[i])
     }
 
     /// Q7 before it streamed: every frame coalesced with its box frame
@@ -700,6 +808,52 @@ pub(crate) mod tests {
         }
     }
 
+    /// The lockstep Q9 against its drained form, packet for packet, at
+    /// pipeline workers 1 and 2: four equal faces, faces of unequal
+    /// lengths (the panorama stops at the shortest), and an empty face,
+    /// which both forms refuse with the same error.
+    #[test]
+    fn q9_matches_the_drained_stitch() {
+        let params = face_params();
+        let output = Resolution::new(98, 47);
+        for lengths in [[6, 6, 6, 6], [7, 4, 6, 5], [3, 5, 5, 5]] {
+            let inputs: Vec<InputVideo> =
+                (0..4).map(|i| face_input(i, 48, 32, lengths[i])).collect();
+            let faces = faces(&inputs);
+            let ctx = ExecContext { workers: 1, ..ExecContext::default() };
+            let want = q9_stitch_drained(&Pipeline::new(&ctx), &faces, &params, output).unwrap();
+            let shortest = *lengths.iter().min().unwrap();
+            assert_eq!(want.len(), shortest, "{lengths:?}");
+            assert_eq!((want.info.width, want.info.height), (98, 46), "{lengths:?}");
+            for workers in [1, 2] {
+                let ctx = ExecContext { workers, ..ExecContext::default() };
+                let got = q9_stitch(&Pipeline::new(&ctx), &faces, &params, output).unwrap();
+                let same = packets(&got) == packets(&want);
+                assert!(same, "faces of {lengths:?} frames, workers={workers}: packets differ");
+                let snap = ctx.metrics.snapshot();
+                let (decoded, stitched) = (4 * shortest as u64, shortest as u64);
+                assert_eq!(snap.stage(StageKind::Decode).frames, decoded, "{lengths:?}");
+                assert_eq!(snap.stage(StageKind::Kernel).frames, decoded, "{lengths:?}");
+                assert_eq!(snap.stage(StageKind::Encode).frames, stitched, "{lengths:?}");
+            }
+        }
+        let mut w = ContainerWriter::new();
+        let info = video_info(vr_codec::Profile::H264Like, 48, 32, 5);
+        w.add_track(TrackKind::Video, info.serialize());
+        let empty = InputVideo::from_bytes("face-empty.vrmf", w.finish()).unwrap();
+        let full = face_input(0, 48, 32, 4);
+        let faces = [&full, &full, &empty, &full];
+        let ctx = ExecContext { workers: 1, ..ExecContext::default() };
+        let pl = Pipeline::new(&ctx);
+        for result in [
+            q9_stitch_drained(&pl, &faces, &params, output),
+            q9_stitch(&pl, &faces, &params, output),
+        ] {
+            let error = result.err().map(|e| e.to_string()).unwrap_or_default();
+            assert!(error.contains("Q9 faces are empty"), "{error:?}");
+        }
+    }
+
     /// Peak live bytes above entry on this thread while `run` answers,
     /// less the answer's own packets (which grow with the input
     /// whatever the kernel keeps resident).
@@ -737,17 +891,17 @@ pub(crate) mod tests {
             let mut kernel = TileReencode::q3(info, 64, 48, &bitrates).unwrap();
             pl.run_streaming(&mut scan, &mut kernel).unwrap().video
         };
-        let drained = |input: &InputVideo| pl.drain(&mut pl.stream_scan(input).unwrap()).unwrap();
+        let drained = |input: &InputVideo| drain(&mut pl.stream_scan(input).unwrap()).unwrap();
         let q7_whole = |input: &InputVideo| {
             let out = q7_object_detection(drained(input), ObjectClass::Vehicle, YoloConfig::fast());
-            pl.encode_frames(out, info).unwrap()
+            encode_frames(&pl, out, info).unwrap()
         };
         let q3_whole = |input: &InputVideo| {
             let grid = TileGrid::new(w, h, 64, 48);
             let frames = drained(input);
             let out = crate::kernels::tests::subquery_reencode(frames, info, &grid, &bitrates);
             let out = out.unwrap();
-            pl.encode_frames(out, info).unwrap()
+            encode_frames(&pl, out, info).unwrap()
         };
         let _serial = crate::pipeline::tests::ALLOC_LOCK.lock();
         vr_base::obs::alloc::set_tracking(true);
@@ -775,5 +929,43 @@ pub(crate) mod tests {
                 "{query}: the whole-video peak {short} -> {long} B should grow by 40 frames"
             );
         }
+    }
+
+    /// Q9 holds one round of faces, not the video: at one pipeline
+    /// worker, tripling four 20-frame 96×64 faces moves its peak by less
+    /// than four face frames, where draining the faces first grows it by
+    /// a hundred or more.
+    #[test]
+    fn q9_peak_does_not_grow_with_the_faces() {
+        let (w, h) = (96, 64);
+        let frame_bytes = (w * h * 3 / 2) as u64;
+        let rigs = [20, 60].map(|n| (0..4).map(|i| face_input(i, w, h, n)).collect::<Vec<_>>());
+        let params = face_params();
+        let output = Resolution::new(192, 96);
+        let ctx = ExecContext { workers: 1, ..ExecContext::default() };
+        let pl = Pipeline::new(&ctx);
+        let _serial = crate::pipeline::tests::ALLOC_LOCK.lock();
+        vr_base::obs::alloc::set_tracking(true);
+        // Warm-up: lazily built codec tables allocate once per process.
+        peak_beside_the_answer(|| q9_stitch(&pl, &faces(&rigs[0]), &params, output).unwrap());
+        let [short, long] = rigs.each_ref().map(|rig| {
+            peak_beside_the_answer(|| q9_stitch(&pl, &faces(rig), &params, output).unwrap())
+        });
+        let [drained_short, drained_long] = rigs.each_ref().map(|rig| {
+            peak_beside_the_answer(|| {
+                q9_stitch_drained(&pl, &faces(rig), &params, output).unwrap()
+            })
+        });
+        vr_base::obs::alloc::set_tracking(false);
+        assert!(short > 0, "alloc tracking recorded nothing");
+        assert!(
+            long < short + 4 * frame_bytes,
+            "the lockstep peak {short} -> {long} B grew by four face frames \
+             ({frame_bytes} B each) or more"
+        );
+        assert!(
+            drained_long >= drained_short + 100 * frame_bytes,
+            "the drained peak {drained_short} -> {drained_long} B should grow by 100 face frames"
+        );
     }
 }

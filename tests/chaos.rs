@@ -224,6 +224,32 @@ fn watchdog_contains_injected_stage_panics() {
     assert!(degradation.faults_active);
 }
 
+/// Q9's stitch is a kernel like every other: a panic injected at its
+/// frame 1 (a face frame — the stitch is pushed four per panorama
+/// frame, so this is the second face of the first round) fails every
+/// instance, is contained at the stage boundary, and each injected
+/// panic is matched by a recovered one.
+#[test]
+fn q9_kernel_panics_are_contained_and_accounted() {
+    let dataset = clean_dataset(50);
+    let (_guard, inj) =
+        InstallGuard::install(FaultInjector::from_spec("panic_kernel=q9:frame1", 1).unwrap());
+    let before = fault::degradation_snapshot();
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
+    let report = vcd.run_queries(&mut ReferenceEngine::new(), &[QueryKind::Q9PanoramicStitching]);
+    let recovered = fault::degradation_snapshot().since(&before);
+    let report = report.unwrap();
+    let q = report.query(QueryKind::Q9PanoramicStitching).unwrap();
+    let QueryStatus::Completed { degradation, .. } = &q.status else {
+        panic!("chaos batch must complete (degraded), got {:?}", q.status);
+    };
+    assert_eq!(degradation.failed_instances, 2, "every instance hits face frame 1");
+    assert_eq!(inj.injected().kernel_panics, 2);
+    assert_eq!(degradation.recovered.stage_panics, 2);
+    let mismatches = fault::accounting_mismatches(&inj.injected(), &recovered);
+    assert!(mismatches.is_empty(), "{mismatches:?}");
+}
+
 /// Corrupted samples are skipped at the CRC check, concealed by the
 /// resilient decoder, and the batch still completes with exact
 /// corruption accounting.

@@ -23,11 +23,11 @@ fn optimized_config() -> VcdConfig {
 /// Two identical runs make identical plan choices. The feedback loop
 /// rescales *estimates* from measured (noisy) latencies, so the
 /// scale-dependent `est_nanos` may drift between runs — but the chosen
-/// policy/fan-out and the scale-free raw estimate must not.
+/// policy and the scale-free raw estimate must not.
 #[test]
 fn plan_choices_are_deterministic_across_runs() {
     let dataset = tiny_dataset(61);
-    let kinds = [QueryKind::Q1Select, QueryKind::Q2cBoxes];
+    let kinds = [QueryKind::Q2cBoxes];
     let run = || {
         let vcd = Vcd::new(&dataset, optimized_config());
         let mut engine = BatchEngine::new();
@@ -53,7 +53,7 @@ fn estimates_stay_within_error_bounds_on_ci_queries() {
     let dataset = tiny_dataset(62);
     let vcd = Vcd::new(&dataset, optimized_config());
     let mut engine = BatchEngine::new();
-    vcd.run_queries(&mut engine, &[QueryKind::Q1Select, QueryKind::Q2cBoxes]).unwrap();
+    vcd.run_queries(&mut engine, &[QueryKind::Q2cBoxes]).unwrap();
     let opt = vcd.optimizer().unwrap();
     let mut checked = 0;
     for d in opt.decisions() {
@@ -68,7 +68,7 @@ fn estimates_stay_within_error_bounds_on_ci_queries() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 2, "expected one decision per CI query");
+    assert_eq!(checked, 1, "expected one decision per CI query");
 }
 
 /// EXPLAIN grows the optimizer's candidate table: the chosen plan
@@ -77,23 +77,19 @@ fn estimates_stay_within_error_bounds_on_ci_queries() {
 #[test]
 fn explain_renders_chosen_and_rejected_plans() {
     let dataset = tiny_dataset(63);
-    // Four pipeline workers open the fan-out dimension of the
-    // candidate space, so Q1 has rejected rows to render. (EXPLAIN
-    // never executes; the budget costs nothing here.)
-    let vcd = Vcd::new(
-        &dataset,
-        VcdConfig { pipeline_workers: Some(4), ..optimized_config() },
-    );
-    let plans = vcd.explain(&BatchEngine::new(), &[QueryKind::Q1Select]).unwrap();
+    // Q2(c) weighs the framework path against the cascade order, so
+    // one of the two is a rejected row to render.
+    let vcd = Vcd::new(&dataset, optimized_config());
+    let plans = vcd.explain(&BatchEngine::new(), &[QueryKind::Q2cBoxes]).unwrap();
     let (kind, text) = &plans[0];
-    assert_eq!(*kind, QueryKind::Q1Select);
+    assert_eq!(*kind, QueryKind::Q2cBoxes);
     assert!(
         text.contains("plans considered (cost-based optimizer):"),
         "missing candidate table:\n{text}"
     );
     assert!(text.contains("  -> "), "no chosen marker:\n{text}");
     assert!(text.contains("rejected (+"), "no rejected rows with overrun:\n{text}");
-    // The chosen row carries the policy/fan-out label and an estimate.
+    // The chosen row carries the policy/workers label and an estimate.
     let chosen_line = text
         .lines()
         .find(|l| l.trim_start().starts_with("->"))
@@ -103,18 +99,17 @@ fn explain_renders_chosen_and_rejected_plans() {
     assert!(chosen_line.ends_with("chosen"), "chosen tail missing: {chosen_line}");
 }
 
-/// The two known-good picks: on temporally-coherent generated video,
-/// the batch engine's Q2(c) plan must take the short-circuit cascade
-/// order, and Q1 must not fan out on a machine without the cores to
-/// pay for it — on `tiny_dataset`, and at the 256x144 shape the old
-/// optimizer gate benchmarked (Q2(c) over 12 frames, Q1 over 48 at
-/// four workers), decided through `plan` as an engine does.
+/// The known-good pick: on temporally-coherent generated video, the
+/// batch engine's Q2(c) plan must take the short-circuit cascade order
+/// — on `tiny_dataset`, and at the 256x144 shape the old optimizer
+/// gate benchmarked (Q2(c) over 12 frames at four workers), decided
+/// through `plan` as an engine does.
 #[test]
 fn optimizer_picks_cascade_skip_order_for_q2c() {
     let dataset = tiny_dataset(64);
     let vcd = Vcd::new(&dataset, optimized_config());
     let mut engine = BatchEngine::new();
-    vcd.run_queries(&mut engine, &[QueryKind::Q1Select, QueryKind::Q2cBoxes]).unwrap();
+    vcd.run_queries(&mut engine, &[QueryKind::Q2cBoxes]).unwrap();
     let opt = vcd.optimizer().unwrap();
     let q2c = opt.decision("batch (Scanner-like)/Q2(c)").expect("Q2(c) decision");
     assert!(
@@ -122,16 +117,8 @@ fn optimizer_picks_cascade_skip_order_for_q2c() {
         "Q2(c) chose [{}] over the cascade-skip order",
         q2c.chosen.label()
     );
-    let q1 = opt.decision("batch (Scanner-like)/Q1").expect("Q1 decision");
-    let cores = vr_base::sync::hardware_parallelism();
-    assert!(
-        q1.chosen.workers <= cores.max(1),
-        "Q1 fanned out to {} workers on a {cores}-core machine",
-        q1.chosen.workers
-    );
 
     use std::sync::Arc;
-    use visual_road::base::Timestamp;
     use visual_road::vdbms::{
         CalibrationProfile, ExecContext, Optimizer, QueryInstance, QuerySpec, Workload,
     };
@@ -149,14 +136,6 @@ fn optimizer_picks_cascade_skip_order_for_q2c() {
     let vehicle = visual_road::scene::ObjectClass::Vehicle;
     let q2c = pick(12, QuerySpec::Q2c { class: vehicle });
     assert!(q2c.label().contains("short-circuit"), "Q2(c) at 12 frames chose [{}]", q2c.label());
-    let rect = visual_road::geom::Rect::new(10, 10, 200, 120);
-    let t2 = Timestamp::from_micros(1_400_000);
-    let q1 = pick(48, QuerySpec::Q1 { rect, t1: Timestamp::ZERO, t2 });
-    assert!(
-        q1.workers <= cores.max(1),
-        "Q1 at 48 frames fanned out to {} workers on a {cores}-core machine",
-        q1.workers
-    );
 }
 
 /// EXPLAIN ANALYZE reports the estimate-vs-measured error for the
@@ -170,10 +149,10 @@ fn explain_analyze_reports_estimate_vs_measured_error() {
         VcdConfig { explain: ExplainMode::Analyze, ..optimized_config() },
     );
     let mut engine = BatchEngine::new();
-    let report = vcd.run_queries(&mut engine, &[QueryKind::Q1Select]).unwrap();
+    let report = vcd.run_queries(&mut engine, &[QueryKind::Q2cBoxes]).unwrap();
     let QueryStatus::Completed { explain: Some(explain), .. } = &report.queries[0].status
     else {
-        panic!("Q1 did not complete with an explain artifact");
+        panic!("Q2(c) did not complete with an explain artifact");
     };
     assert!(
         explain.text.contains("plans considered (cost-based optimizer):"),
@@ -206,9 +185,9 @@ fn optimizer_off_records_no_decisions() {
     );
     assert!(vcd.optimizer().is_none());
     let mut engine = BatchEngine::new();
-    let report = vcd.run_queries(&mut engine, &[QueryKind::Q1Select]).unwrap();
+    let report = vcd.run_queries(&mut engine, &[QueryKind::Q2cBoxes]).unwrap();
     assert!(matches!(report.queries[0].status, QueryStatus::Completed { .. }));
-    let plans = vcd.explain(&BatchEngine::new(), &[QueryKind::Q1Select]).unwrap();
+    let plans = vcd.explain(&BatchEngine::new(), &[QueryKind::Q2cBoxes]).unwrap();
     assert!(
         !plans[0].1.contains("plans considered"),
         "optimizer table rendered with the optimizer off"
