@@ -2,9 +2,10 @@
 //! dependency in any manifest, one scoped-thread executor in
 //! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
 //! payload reader, one video-track resolver and one sample→frame
-//! loop, no scan drained under `vdbms/src`, one socket bound (the
-//! query server's listener), full-frame kernels that walk plane rows
-//! instead of reading pixels through `Frame`, `unsafe` refused by every crate root, two
+//! loop, no scan drained under `vdbms/src`, no plan built on a policy
+//! no engine runs, one socket bound (the query server's listener),
+//! full-frame kernels that walk plane rows instead of reading pixels
+//! through `Frame`, `unsafe` refused by every crate root, two
 //! `VR_*` environment variables, a `ci.sh` that stays a stage table,
 //! and one build setting in `.cargo/config.toml`. Each guard is a
 //! function over text, shown failing on a bad input below.
@@ -140,6 +141,21 @@ fn drains_a_scan(src: &str) -> usize {
     code(src).lines().filter(|l| l.matches(&call).count() > l.matches(&range).count()).count()
 }
 
+/// Code lines above the test module that name `Policy::Eager` or
+/// `Policy::Sequence`, which no engine runs. They stay only because
+/// the benchmark's optimizer probe names them, so under `crates/*/src`
+/// only `plan.rs`'s `label` match may (the enum declares them bare);
+/// comment lines do not count. The patterns are assembled here so
+/// this file does not match itself.
+fn names_unrun_policy(src: &str) -> usize {
+    let names = ["Eager", "Sequence"].map(|v| ["Policy", "::", v].concat());
+    code(src)
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .filter(|l| names.iter().any(|n| l.contains(n.as_str())))
+        .count()
+}
+
 /// The full-frame kernels that must walk plane rows: Q4's resample and
 /// Q6's coalesce, the plate finder and the detector.
 const ROW_KERNELS: [&str; 3] =
@@ -250,6 +266,7 @@ fn the_repository_passes_every_guard() {
     let io = crates.join("vdbms/src/io.rs");
     let mut env_vars = std::collections::BTreeSet::new();
     let mut binds = Vec::new();
+    let mut unrun = Vec::new();
     for src in &sources {
         let text = read(src);
         let what = src.display();
@@ -262,13 +279,20 @@ fn the_repository_passes_every_guard() {
             assert!(!reads_panic_payload(&text), "a panic payload reader outside sync.rs: {what}");
         }
         let rel = src.strip_prefix(&crates).unwrap();
-        let n = binds_listener(&text);
-        if n > 0 && rel.components().nth(1).is_some_and(|c| c.as_os_str() == "src") {
-            binds.push((rel.to_path_buf(), n));
+        if rel.components().nth(1).is_some_and(|c| c.as_os_str() == "src") {
+            let (n, m) = (binds_listener(&text), names_unrun_policy(&text));
+            if n > 0 {
+                binds.push((rel.to_path_buf(), n));
+            }
+            if m > 0 {
+                unrun.push((rel.to_path_buf(), m));
+            }
         }
     }
     let server = (PathBuf::from("core/src/server.rs"), 1);
     assert_eq!(binds, [server], "the sockets bound under crates/*/src");
+    let label = (PathBuf::from("vdbms/src/plan.rs"), 2);
+    assert_eq!(unrun, [label], "unrun policies named under crates/*/src");
     assert_eq!(env_vars.iter().collect::<Vec<_>>(), ENV_VARS, "the VR_* variables read under crates/");
 
     let ci = read(&root.join("ci.sh"));
@@ -347,6 +371,16 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(drains_a_scan(&helper), 1, "below a test-only helper");
     let in_tests = format!("{stream}#[cfg(test)]\nmod tests {{\n{q9}}}\n");
     assert_eq!(drains_a_scan(&in_tests), 0, "the test module does not count");
+
+    let (eager, sequence) = (["Policy", "::Eager"].concat(), ["Policy", "::Sequence"].concat());
+    let label = format!("match self {{\n    {eager} => \"eager\",\n    {sequence} => \"sequence\",\n}}\n");
+    assert_eq!(names_unrun_policy(&label), 2, "plan.rs's label match");
+    let space = format!("fn space() {{\n    let s = CandidateSpace {{ policies: vec![{eager}], max_fanout: 4 }};\n}}\n");
+    assert_eq!(names_unrun_policy(&space), 1, "a candidate space that lists one");
+    assert_eq!(names_unrun_policy(&hidden(&space)), 1, "below a test-only use");
+    assert_eq!(names_unrun_policy(&format!("/// Priced like [`{eager}`].\nfn f() {{}}\n")), 0, "a doc comment");
+    let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{space}}}\n");
+    assert_eq!(names_unrun_policy(&in_tests), 0, "the test module does not count");
 
     let pixel = ["let p = frame.get(", "x, y);\n"].concat();
     let omega = ["if !overlay.is_", "omega(x, y) {}\n"].concat();

@@ -126,11 +126,12 @@ USAGE:
       --explain-analyze.
       --optimizer switches the cost-based optimizer: off (default)
       keeps every engine's hand-tuned plan choices; on lets the cost
-      model pick execution policy, fan-out, and cascade order, and
-      --explain / --explain-analyze attach each chosen-vs-rejected
-      plan table to the plan tree. --profile loads a calibration
-      profile written by `visualroad calibrate` (default: the
-      built-in seed table); parse failures exit nonzero.
+      model pick Q2(c)'s cascade order and the driver's instance
+      fan-out, and --explain / --explain-analyze attach each
+      chosen-vs-rejected plan table to the plan tree. --profile
+      loads a calibration profile written by `visualroad calibrate`
+      (default: the built-in seed table); parse failures exit
+      nonzero.
 
   visualroad serve [--port P] [--engine NAME|all]
                    [--queries Q1,Q2a,...|--full-suite]
@@ -690,9 +691,9 @@ fn cmd_serve(flags: &Flags) -> Exit {
 /// `visualroad calibrate`: run probe queries on a generated dataset,
 /// derive per-unit costs from the per-stage metrics in the reports,
 /// and persist the optimizer's calibration profile as deterministic
-/// JSON. Scheduling constants (thread spawn, parallel efficiency,
-/// gate cost) keep their built-in seeds — they need contended
-/// multi-core probes this single pass cannot provide.
+/// JSON. The thread-spawn cost, the gate cost and the index probe
+/// cost keep their built-in seeds — this single sequential pass does
+/// not exercise them.
 fn cmd_calibrate(flags: &Flags) -> Exit {
     use visual_road::vdbms::{PipelineSnapshot, StageKind, StageSnapshot};
     let hyper = hyper_from(flags)?;
@@ -764,11 +765,6 @@ fn cmd_calibrate(flags: &Flags) -> Exit {
     if cheap + full > 0 {
         profile.cascade_skip_rate = cheap as f64 / (cheap + full) as f64;
     }
-    // A refreshed profile restarts the feedback loop from scratch.
-    profile.samples = 0;
-    profile.observed_error = 0.0;
-    profile.scale = 1.0;
-
     write_creating_parent(out, "profile to ", profile.to_json())?;
     eprintln!("wrote calibration profile to {out}");
     print!("{}", profile.to_json());

@@ -142,8 +142,8 @@ pub struct Vcd<'d> {
     dataset: &'d Dataset,
     cfg: VcdConfig,
     /// Shared cost-based optimizer (present when the config enables
-    /// it); one instance per driver so plan decisions and measured
-    /// feedback accumulate across that driver's batches.
+    /// it); one instance per driver, so each plan decision is made
+    /// once and reused across that driver's batches.
     optimizer: Option<Arc<Optimizer>>,
 }
 
@@ -422,20 +422,13 @@ impl<'d> Vcd<'d> {
         // validation below runs under its own context.
         let stages = ctx.metrics.snapshot();
         let latencies = &folded.latencies;
-        // Feedback path: fold the batch's mean measured per-instance
-        // latency into the optimizer's profile (EWMA) so later batches
-        // — and the persisted profile — score with observed costs.
-        if let Some(opt) = &self.optimizer {
-            if !latencies.is_empty() {
-                opt.feedback(&plan_key, latencies.iter().sum::<u64>() / latencies.len() as u64);
-            }
-        }
-        let fan_out = ctx.workers.max(1) * workers;
-        let explain = plan
-            .filter(|_| analyze)
-            .map(|plan| self.explain_info(plan, &plan_key, &stages, runtime, fan_out));
         let scheduler =
             SchedulerStats::from_durations(workers, latencies, runtime, self.cfg.instance_deadline);
+        let fan_out = ctx.workers.max(1) * workers;
+        let mean = scheduler.mean_instance_nanos;
+        let explain = plan
+            .filter(|_| analyze)
+            .map(|plan| self.explain_info(plan, &plan_key, &stages, runtime, fan_out, mean));
         metrics::gauge("scheduler.worker_utilization").set(scheduler.worker_utilization);
         metrics::gauge("scheduler.workers").set(workers as f64);
 
@@ -514,8 +507,8 @@ impl<'d> Vcd<'d> {
     /// The EXPLAIN ANALYZE artifact of a finished batch: the plan
     /// annotated with the batch's stage snapshot and verified against
     /// its wall time; with the optimizer on, its chosen-vs-rejected
-    /// table follows and the estimate is confronted with the measured
-    /// per-instance latency.
+    /// table follows and the estimate is confronted with the batch's
+    /// mean per-instance latency.
     fn explain_info(
         &self,
         mut plan: PlanNode,
@@ -523,6 +516,7 @@ impl<'d> Vcd<'d> {
         stages: &PipelineSnapshot,
         runtime: Duration,
         fan_out: usize,
+        mean_instance_nanos: u64,
     ) -> ExplainInfo {
         plan.annotate(stages, runtime.as_nanos() as u64);
         // Measured stage work may legitimately exceed wall time when
@@ -533,14 +527,15 @@ impl<'d> Vcd<'d> {
         if let Some(opt) = &self.optimizer {
             if let Some(decision) = opt.decision(plan_key) {
                 text.push_str(&decision.render_text());
-            }
-            if let Some((est, measured)) = opt.observed(plan_key) {
-                let err = (est as f64 - measured as f64).abs() / (measured as f64).max(1.0) * 100.0;
-                text.push_str(&format!(
-                    "optimizer: est {} vs measured {} per instance (error {err:.1}%)\n",
-                    vr_vdbms::cost::fmt_cost(est),
-                    vr_vdbms::cost::fmt_cost(measured),
-                ));
+                if mean_instance_nanos > 0 {
+                    let (est, measured) = (decision.chosen.est_nanos, mean_instance_nanos);
+                    let err = (est as f64 - measured as f64).abs() / measured as f64 * 100.0;
+                    text.push_str(&format!(
+                        "optimizer: est {} vs measured {} per instance (error {err:.1}%)\n",
+                        vr_vdbms::cost::fmt_cost(est),
+                        vr_vdbms::cost::fmt_cost(measured),
+                    ));
+                }
             }
         }
         ExplainInfo { text, json: plan.render_json(), verify_error }

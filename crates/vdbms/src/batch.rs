@@ -28,9 +28,11 @@
 //! through a [`MemoryScan`](crate::pipeline::MemoryScan) and the shared
 //! pipeline: the per-pixel maps (Q1, Q2(a), Q2(b), Q5) one frame at a
 //! time, the stateful kernels (Q2(c), Q2(d), Q3, Q6, Q7, Q10) with
-//! their windows. Scanner's worker pool is the VCD's instance
-//! scheduler, which runs a batch's instances side by side. Decode cost
-//! is recorded at materialization and table reads as Scan work.
+//! their windows. Q8 and Q9 read their cameras through the reference
+//! engine's multi-stream scans and never touch the table ([`scan_op`]).
+//! Scanner's worker pool is the VCD's instance scheduler, which runs a
+//! batch's instances side by side. Decode cost is recorded at
+//! materialization and table reads as Scan work.
 
 use crate::cascade::CascadeConfig;
 use crate::cost::{CandidateSpace, KernelClass, PlanChoice, QueryWork};
@@ -41,7 +43,7 @@ use crate::pipeline::{
     self, DiffGate, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
     PipelineMetrics, StageKind, TemporalMaskKernel,
 };
-use crate::plan::{PlanNode, Policy};
+use crate::plan::{PlanNode, Policy, ScanOp};
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
 use crate::reference;
 use std::collections::HashMap;
@@ -221,6 +223,18 @@ impl Default for BatchEngine {
     }
 }
 
+/// How an arm reads its inputs: through the frame table for every
+/// single-input query, through its own decode scans for Q8 and Q9 (the
+/// reference engine's multi-stream helpers). `plan` describes it and
+/// `prepare_batch` fills the table only for the arms that read it.
+fn scan_op(instance: &QueryInstance) -> ScanOp {
+    match instance.spec {
+        QuerySpec::Q8 { .. } => ScanOp::Multi(instance.inputs.len()),
+        QuerySpec::Q9 { .. } => ScanOp::Multi(4),
+        _ => ScanOp::Memory,
+    }
+}
+
 /// The deliberately naive resize path (float math, per-pixel bounds
 /// checks, chroma resampled at full resolution) used for Q1's crop.
 fn slow_float_crop(frame: &Frame, rect: vr_geom::Rect) -> Frame {
@@ -306,13 +320,13 @@ impl Vdbms for BatchEngine {
         ctx: &ExecContext,
     ) {
         // Eager batch materialization: the dataflow decodes every
-        // input of the batch into the frame table before kernels run.
-        // When the working set fits the cache this amortizes decode
-        // across the whole batch (and, without quiescing, across
-        // batches); when it does not, entries evict each other during
-        // materialization and instances re-decode on miss — the
-        // memory-thrash regime the paper observes at large scale
-        // factors.
+        // input its table arms read (`scan_op`) into the frame table
+        // before kernels run. When the working set fits the cache this
+        // amortizes decode across the whole batch (and, without
+        // quiescing, across batches); when it does not, entries evict
+        // each other during materialization and instances re-decode on
+        // miss — the memory-thrash regime the paper observes at large
+        // scale factors.
         let workers = self
             .cfg
             .workers
@@ -320,7 +334,7 @@ impl Vdbms for BatchEngine {
             .min(vr_base::sync::hardware_parallelism())
             .max(1);
         let mut seen = std::collections::HashSet::new();
-        for instance in instances {
+        for instance in instances.iter().filter(|i| scan_op(i) == ScanOp::Memory) {
             for &i in &instance.inputs {
                 if let Some(input) = inputs.get(i) {
                     if seen.insert(&input.name) {
@@ -538,79 +552,47 @@ impl Vdbms for BatchEngine {
     }
 
     fn plan(&self, instance: &QueryInstance, ctx: &ExecContext) -> PlanNode {
-        use crate::plan::ScanOp;
-        // One arm per `execute` arm: the eager dataflow materializes
-        // into the frame table, so every single-input query scans
-        // memory; Q8/Q9 delegate to the reference multi-stream
-        // helpers. Q2(c) consults the optimizer exactly as `execute`
-        // does, so EXPLAIN shows the plan that will run. Q4 names the
-        // eager policy: its plan is the upsampled batch materialized
-        // whole, which the budget check refuses before anything runs.
+        // One arm per `execute` arm, over the scan `scan_op` names.
+        // Q2(c) consults the optimizer exactly as `execute` does, so
+        // EXPLAIN shows the plan that will run. Q4's plan is the
+        // upsampled batch materialized whole, which the budget check
+        // refuses before any kernel runs.
         let choice = self.choice(instance, ctx);
         let mut gate = None;
-        let (policy, scan, kernel) = match &instance.spec {
-            QuerySpec::Q1 { .. } => {
-                (Policy::Streaming, ScanOp::Memory, "slow_float_crop".to_string())
-            }
-            QuerySpec::Q2a => (Policy::Streaming, ScanOp::Memory, "grayscale".to_string()),
-            QuerySpec::Q2b { d } => {
-                (Policy::Streaming, ScanOp::Memory, format!("gaussian_blur(d={d})"))
-            }
+        let (policy, kernel) = match &instance.spec {
+            QuerySpec::Q1 { .. } => (Policy::Streaming, "slow_float_crop".to_string()),
+            QuerySpec::Q2a => (Policy::Streaming, "grayscale".to_string()),
+            QuerySpec::Q2b { d } => (Policy::Streaming, format!("gaussian_blur(d={d})")),
             QuerySpec::Q2c { class } => {
                 if choice.map(|c| c.policy == Policy::ShortCircuit).unwrap_or(false) {
                     gate = Some("frame-diff".to_string());
-                    (
-                        Policy::ShortCircuit,
-                        ScanOp::Memory,
-                        format!("detect_boxes({class:?})+cascade"),
-                    )
+                    (Policy::ShortCircuit, format!("detect_boxes({class:?})+cascade"))
                 } else {
-                    (
-                        Policy::Streaming,
-                        ScanOp::Memory,
-                        format!("detect_boxes({class:?})+framework"),
-                    )
+                    (Policy::Streaming, format!("detect_boxes({class:?})+framework"))
                 }
             }
-            QuerySpec::Q2d { m, .. } => {
-                (Policy::Streaming, ScanOp::Memory, format!("temporal-mask(m={m})"))
-            }
-            QuerySpec::Q3 { .. } => {
-                (Policy::Streaming, ScanOp::Memory, "subquery-reencode".to_string())
-            }
+            QuerySpec::Q2d { m, .. } => (Policy::Streaming, format!("temporal-mask(m={m})")),
+            QuerySpec::Q3 { .. } => (Policy::Streaming, "subquery-reencode".to_string()),
             QuerySpec::Q4 { alpha, beta } => (
-                Policy::Eager,
-                ScanOp::Memory,
+                Policy::Refused,
                 format!("interpolate-bilinear(x{alpha},x{beta}) budget-checked"),
             ),
-            QuerySpec::Q5 { .. } => (Policy::Streaming, ScanOp::Memory, "downsample".to_string()),
-            QuerySpec::Q6a => (Policy::Streaming, ScanOp::Memory, "box-overlay".to_string()),
-            QuerySpec::Q6b => {
-                (Policy::Streaming, ScanOp::Memory, "caption-overlay".to_string())
+            QuerySpec::Q5 { .. } => (Policy::Streaming, "downsample".to_string()),
+            QuerySpec::Q6a => (Policy::Streaming, "box-overlay".to_string()),
+            QuerySpec::Q6b => (Policy::Streaming, "caption-overlay".to_string()),
+            QuerySpec::Q7 { class } => {
+                (Policy::Streaming, format!("object-detection({class:?})+framework"))
             }
-            QuerySpec::Q7 { class } => (
-                Policy::Streaming,
-                ScanOp::Memory,
-                format!("object-detection({class:?})+framework"),
-            ),
-            QuerySpec::Q8 { .. } => (
-                Policy::StreamingMulti,
-                ScanOp::Multi(instance.inputs.len()),
-                "plate-track".to_string(),
-            ),
-            QuerySpec::Q9 { .. } => {
-                (Policy::StreamingMulti, ScanOp::Multi(4), "panoramic-stitch".to_string())
-            }
-            QuerySpec::Q10 { .. } => {
-                (Policy::Streaming, ScanOp::Memory, "tile-encode".to_string())
-            }
+            QuerySpec::Q8 { .. } => (Policy::StreamingMulti, "plate-track".to_string()),
+            QuerySpec::Q9 { .. } => (Policy::StreamingMulti, "panoramic-stitch".to_string()),
+            QuerySpec::Q10 { .. } => (Policy::Streaming, "tile-encode".to_string()),
         };
         crate::plan::build(
             &crate::plan::PlanDesc {
                 engine: "batch",
                 query: instance.spec.kind().label(),
                 policy,
-                scan,
+                scan: scan_op(instance),
                 kernel,
                 gate,
             },

@@ -1,13 +1,14 @@
 //! Cost-based optimization over the plan trees.
 //!
-//! PR 5's plan trees report *measured* per-stage cost, but the choices
-//! that produce those plans — execution policy, worker fan-out,
-//! cascade order — were hand-picked constants. This module closes the
-//! loop: a [`CalibrationProfile`] holds per-unit costs (ns per decoded
-//! pixel, ns per NN multiply-accumulate, thread-spawn overhead, ...)
-//! calibrated from the metrics registry; an [`Optimizer`] enumerates
-//! the candidate plans an engine could run for a query, scores each
-//! with the profile, and picks the cheapest. Engines consult the
+//! The plan trees report *measured* per-stage cost; this module prices
+//! the decisions engines make before they run: Q2(c)'s kernel order
+//! (framework path or cascade) on the batch and cascade engines, the
+//! semantic route (index probe or rescan), and the driver's instance
+//! fan-out. A [`CalibrationProfile`] holds per-unit costs (ns per
+//! decoded pixel, ns per NN multiply-accumulate, thread-spawn
+//! overhead, ...) calibrated from the metrics registry; an
+//! [`Optimizer`] scores each candidate an engine can run for a query
+//! with the profile and picks the cheapest. Engines consult the
 //! optimizer through [`crate::ExecContext::optimizer`]; when it is
 //! absent they fall back to their hand-tuned defaults, so existing
 //! behaviour is unchanged unless the optimizer is switched on.
@@ -28,10 +29,10 @@
 //! 2. **Refresh**: `visualroad calibrate` runs probe queries, derives
 //!    per-unit costs from the per-stage metrics, and persists the
 //!    profile as deterministic flat JSON.
-//! 3. **Feedback**: after each executed batch the driver calls
-//!    [`Optimizer::feedback`] with the measured cost; an EWMA folds
-//!    the measured/estimated ratio into the profile's `scale` and
-//!    tracks `observed_error`, so EXPLAIN ANALYZE can report drift.
+//! 3. **Check**: EXPLAIN ANALYZE prints each decision's estimate
+//!    beside the batch's measured mean instance latency. Nothing is
+//!    folded back: an estimate is a function of the profile and the
+//!    query alone, so one engine's run never moves another's.
 //!
 //! A *stale* profile (calibrated on different hardware or an older
 //! kernel set) does not break correctness — every candidate plan is a
@@ -46,7 +47,7 @@ use vr_vision::yolo::NETWORK_INPUT_PIXELS;
 
 /// Profile format version; [`CalibrationProfile::parse`] rejects
 /// anything else so schema drift fails fast in the CI guard stage.
-pub(crate) const PROFILE_VERSION: u64 = 2;
+pub(crate) const PROFILE_VERSION: u64 = 3;
 
 /// Per-unit execution costs the optimizer scores candidate plans with.
 ///
@@ -56,15 +57,6 @@ pub(crate) const PROFILE_VERSION: u64 = 2;
 pub struct CalibrationProfile {
     /// Schema version ([`PROFILE_VERSION`]).
     pub version: u64,
-    /// Feedback samples folded into the profile so far.
-    pub samples: u64,
-    /// EWMA of `|estimated - measured| / measured` across feedback
-    /// samples — the calibration-drift figure EXPLAIN ANALYZE reports.
-    pub observed_error: f64,
-    /// EWMA of `measured / estimated`: a global correction factor the
-    /// feedback loop maintains so estimates track the current machine
-    /// without re-deriving every coefficient.
-    pub scale: f64,
     /// Decode cost per source pixel.
     pub decode_ns_per_pixel: f64,
     /// Encode cost per output pixel.
@@ -84,19 +76,13 @@ pub struct CalibrationProfile {
     /// Fraction of frames a difference gate keeps on the cheap path
     /// (temporally-coherent video; the paper's cascade premise).
     pub cascade_skip_rate: f64,
-    /// Cost of spawning one worker thread (parallel break-even).
+    /// Cost of spawning one worker thread: the break-even of the
+    /// driver's instance fan-out ([`Optimizer::batch_fanout`]).
     pub thread_spawn_ns: f64,
-    /// Marginal speedup per additional core: effective parallelism is
-    /// `1 + (cores_used - 1) * parallel_efficiency`.
-    pub parallel_efficiency: f64,
     /// Semantic-index probe cost per indexed vector in scope — models
     /// the whole in-memory answer (HNSW walk or record sweep) as a
     /// linear pass, which upper-bounds the sublinear graph search.
     pub index_probe_ns_per_vector: f64,
-    /// Ingest-time index construction cost per vector (association +
-    /// embedding + quantization + HNSW insert), used to amortize
-    /// build-vs-rescan decisions and to sanity-bound bench results.
-    pub index_build_ns_per_vector: f64,
 }
 
 /// What a serialized field's value must satisfy.
@@ -110,8 +96,6 @@ enum Rule {
     Positive,
     /// A rate in `[0, 1)`.
     BelowOne,
-    /// A share in `[0, 1]`.
-    UpToOne,
 }
 
 impl Rule {
@@ -122,7 +106,6 @@ impl Rule {
             Rule::Any => (true, "a number"),
             Rule::Positive => (v > 0.0, "positive"),
             Rule::BelowOne => ((0.0..1.0).contains(&v), "in [0,1)"),
-            Rule::UpToOne => ((0.0..=1.0).contains(&v), "in [0,1]"),
         };
         (!holds).then_some(wording)
     }
@@ -152,11 +135,8 @@ macro_rules! fields {
 /// [`CalibrationProfile::parse`] reads and validates against. A
 /// profile with a field missing or a field not listed here was written
 /// by a different schema and is stale by definition.
-const FIELDS: [Field; 16] = fields! {
+const FIELDS: [Field; 11] = fields! {
     version: Whole,
-    samples: Whole,
-    observed_error: Any,
-    scale: Positive,
     decode_ns_per_pixel: Positive,
     encode_ns_per_pixel: Positive,
     scan_ns_per_frame: Any,
@@ -166,9 +146,7 @@ const FIELDS: [Field; 16] = fields! {
     nn_ns_per_mac: Positive,
     cascade_skip_rate: BelowOne,
     thread_spawn_ns: Positive,
-    parallel_efficiency: UpToOne,
     index_probe_ns_per_vector: Positive,
-    index_build_ns_per_vector: Positive,
 };
 
 impl CalibrationProfile {
@@ -183,9 +161,6 @@ impl CalibrationProfile {
     pub fn builtin() -> Self {
         Self {
             version: PROFILE_VERSION,
-            samples: 0,
-            observed_error: 0.0,
-            scale: 1.0,
             decode_ns_per_pixel: 3.8,
             encode_ns_per_pixel: 12.5,
             scan_ns_per_frame: 2_000.0,
@@ -195,9 +170,7 @@ impl CalibrationProfile {
             nn_ns_per_mac: 0.37,
             cascade_skip_rate: 0.6,
             thread_spawn_ns: 200_000.0,
-            parallel_efficiency: 0.75,
             index_probe_ns_per_vector: 250.0,
-            index_build_ns_per_vector: 40_000.0,
         }
     }
 
@@ -366,9 +339,10 @@ pub struct CandidateSpace {
     /// Executable policies. [`Policy::ShortCircuit`] is only listed
     /// when the engine has a cascade order for the query.
     pub policies: Vec<Policy>,
-    /// Largest eager fan-out the engine may use (its worker budget
-    /// clamped by the context); non-eager policies always run one
-    /// plan-level worker.
+    /// Read by nothing: the cost model prices no plan-level fan-out.
+    /// It stays only because `benchmark/src/probes.rs`, which changes
+    /// in its own PRs, names it; that probe is retargeted first, then
+    /// this field goes.
     pub max_fanout: usize,
 }
 
@@ -377,19 +351,14 @@ pub struct CandidateSpace {
 pub struct PlanChoice {
     /// Execution policy.
     pub policy: Policy,
-    /// Eager kernel fan-out (1 for non-eager policies).
-    pub workers: usize,
-    /// Estimated cost in nanoseconds (profile `scale` applied).
+    /// Estimated cost in nanoseconds.
     pub est_nanos: u64,
-    /// Estimate before the feedback scale — what feedback divides the
-    /// measurement by to update `scale`.
-    pub raw_est_nanos: u64,
 }
 
 impl PlanChoice {
     /// Short label for decision tables and bench plan records.
-    pub fn label(&self) -> String {
-        format!("{} workers={}", self.policy.label(), self.workers)
+    pub fn label(&self) -> &'static str {
+        self.policy.label()
     }
 }
 
@@ -412,7 +381,7 @@ impl PlanDecision {
         let chosen_est = self.chosen.est_nanos.max(1) as f64;
         let mut row = |marker: &str, c: &PlanChoice, tail: String| {
             out.push_str(&format!(
-                "{marker}{:<26} est {:>9}  {tail}\n",
+                "{marker}{:<16} est {:>9}  {tail}\n",
                 c.label(),
                 fmt_cost(c.est_nanos)
             ));
@@ -445,12 +414,10 @@ pub fn fmt_cost(nanos: u64) -> String {
 /// so `plan()` (EXPLAIN) and `execute()` are guaranteed to agree
 /// within a run.
 pub struct Optimizer {
-    profile: Mutex<CalibrationProfile>,
+    profile: CalibrationProfile,
     workload: Workload,
     cores: usize,
     decisions: Mutex<BTreeMap<String, PlanDecision>>,
-    /// Per-key (estimated, measured) from the last feedback call.
-    observed: Mutex<BTreeMap<String, (u64, u64)>>,
 }
 
 impl fmt::Debug for Optimizer {
@@ -466,16 +433,14 @@ impl fmt::Debug for Optimizer {
 impl Optimizer {
     /// Create an optimizer over a profile. Physical parallelism is
     /// read from the machine (not `VR_WORKERS`): a worker budget above
-    /// the core count cannot speed a compute-bound kernel up, and the
-    /// single-core regression this model exists to fix (batch Q1
-    /// slower at four workers than at one) is exactly that case.
+    /// the core count cannot speed compute-bound instances up, so on a
+    /// single core [`Optimizer::batch_fanout`] keeps them sequential.
     pub fn new(profile: CalibrationProfile) -> Self {
         Self {
-            profile: Mutex::new(profile),
+            profile,
             workload: Workload::default(),
             cores: vr_base::sync::hardware_parallelism(),
             decisions: Mutex::new(BTreeMap::new()),
-            observed: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -486,7 +451,7 @@ impl Optimizer {
     }
 
     /// Override the detected core count (tests pin both sides of the
-    /// parallel break-even with this).
+    /// instance fan-out's break-even with this).
     #[cfg(test)]
     fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores.max(1);
@@ -498,11 +463,6 @@ impl Optimizer {
         self.workload
     }
 
-    /// Snapshot of the current profile (feedback mutates it).
-    pub fn profile(&self) -> CalibrationProfile {
-        self.profile.lock().clone()
-    }
-
     /// Score every candidate and return the cheapest; cached per key,
     /// so repeated calls (plan, then execute, per instance) return the
     /// identical choice.
@@ -510,29 +470,18 @@ impl Optimizer {
         if let Some(d) = self.decisions.lock().get(key) {
             return d.chosen;
         }
-        let p = self.profile.lock().clone();
-        let mut candidates: Vec<PlanChoice> = Vec::new();
-        for &policy in &space.policies {
-            let fanouts: Vec<usize> = match policy {
-                Policy::Eager => fanouts(space.max_fanout),
-                _ => vec![1],
-            };
-            for w in fanouts {
-                let raw = self.raw_cost(&p, &work, policy, w);
-                candidates.push(PlanChoice {
-                    policy,
-                    workers: w,
-                    est_nanos: (raw * p.scale).round() as u64,
-                    raw_est_nanos: raw.round() as u64,
-                });
-            }
-        }
+        let mut candidates: Vec<PlanChoice> = space
+            .policies
+            .iter()
+            .map(|&policy| PlanChoice {
+                policy,
+                est_nanos: self.cost(&work, policy).round() as u64,
+            })
+            .collect();
         debug_assert!(!candidates.is_empty(), "empty candidate space for {key}");
-        // Cheapest wins; ties break toward fewer workers so equal-cost
-        // plans never spawn threads for nothing.
-        candidates.sort_by(|a, b| {
-            a.est_nanos.cmp(&b.est_nanos).then(a.workers.cmp(&b.workers))
-        });
+        // Cheapest wins; the stable sort keeps the engine's listed
+        // order among equal estimates.
+        candidates.sort_by_key(|c| c.est_nanos);
         let chosen = candidates[0];
         let decision = PlanDecision {
             key: key.to_string(),
@@ -553,36 +502,6 @@ impl Optimizer {
         self.decisions.lock().values().cloned().collect()
     }
 
-    /// Fold a measured per-instance cost back into the profile: EWMA
-    /// the measured/estimated ratio into `scale` and the relative
-    /// error into `observed_error`. Called by the driver after each
-    /// batch; a key without a decision is ignored.
-    pub fn feedback(&self, key: &str, measured_nanos: u64) {
-        if measured_nanos == 0 {
-            return;
-        }
-        let Some(d) = self.decision(key) else { return };
-        let mut p = self.profile.lock();
-        let est = d.chosen.est_nanos.max(1) as f64;
-        let err = (measured_nanos as f64 - est).abs() / measured_nanos as f64;
-        let ratio = measured_nanos as f64 / d.chosen.raw_est_nanos.max(1) as f64;
-        if p.samples == 0 {
-            p.observed_error = err;
-            p.scale = ratio;
-        } else {
-            p.observed_error = 0.7 * p.observed_error + 0.3 * err;
-            p.scale = 0.7 * p.scale + 0.3 * ratio;
-        }
-        p.samples += 1;
-        self.observed.lock().insert(key.to_string(), (d.chosen.est_nanos, measured_nanos));
-    }
-
-    /// (estimated, measured) nanoseconds from the last feedback for a
-    /// key — the figures behind EXPLAIN ANALYZE's error line.
-    pub fn observed(&self, key: &str) -> Option<(u64, u64)> {
-        self.observed.lock().get(key).copied()
-    }
-
     /// Cost-based fan-out for the driver's instance scheduler:
     /// dispatching instances across threads only pays when physical
     /// cores exist and the per-instance work amortizes a spawn.
@@ -590,23 +509,18 @@ impl Optimizer {
         if self.cores <= 1 {
             return 1;
         }
-        let spawn = self.profile.lock().thread_spawn_ns;
-        if (est_instance_nanos as f64) < spawn * 4.0 {
+        if (est_instance_nanos as f64) < self.profile.thread_spawn_ns * 4.0 {
             return 1;
         }
         budget.clamp(1, instances.max(1))
     }
 
-    /// Estimate one candidate before the feedback scale. Every stage
-    /// is `work x per-unit cost`; the eager policy divides kernel work
-    /// by effective parallelism and pays spawn overhead per worker.
-    fn raw_cost(
-        &self,
-        p: &CalibrationProfile,
-        work: &QueryWork,
-        policy: Policy,
-        workers: usize,
-    ) -> f64 {
+    /// Estimate one candidate: every stage is `work x per-unit cost`.
+    /// Only [`Policy::IndexScan`] and [`Policy::ShortCircuit`] change
+    /// the formula; every other policy, [`Policy::Eager`] and
+    /// [`Policy::Sequence`] included, is priced as a stream.
+    fn cost(&self, work: &QueryWork, policy: Policy) -> f64 {
+        let p = &self.profile;
         // An index probe never touches pixels: its cost is the linear
         // record sweep (or HNSW walk, which it upper-bounds) alone.
         if policy == Policy::IndexScan {
@@ -640,31 +554,8 @@ impl Optimizer {
                 }
             }
         };
-        let used = workers.min(self.cores).max(1) as f64;
-        let eff = 1.0 + (used - 1.0) * p.parallel_efficiency;
-        let (kernel_total, overhead) = if policy == Policy::Eager && workers > 1 {
-            (frames * kernel_frame / eff, workers as f64 * p.thread_spawn_ns)
-        } else {
-            (frames * kernel_frame, 0.0)
-        };
-        frames * per_frame_fixed + kernel_total + overhead
+        frames * per_frame_fixed + frames * kernel_frame
     }
-}
-
-/// Eager fan-out candidates: powers of two up to the budget, plus the
-/// budget itself (so `VR_WORKERS=6` still considers 6).
-fn fanouts(max_fanout: usize) -> Vec<usize> {
-    let max = max_fanout.max(1);
-    let mut v = vec![1];
-    let mut w = 2;
-    while w < max {
-        v.push(w);
-        w *= 2;
-    }
-    if max > 1 {
-        v.push(max);
-    }
-    v
 }
 
 // ---------------------------------------------------------------------------
@@ -674,16 +565,6 @@ fn fanouts(max_fanout: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn q1_work() -> QueryWork {
-        QueryWork {
-            frames: 48,
-            in_pixels: 256 * 144,
-            out_pixels: 192 * 112,
-            kernel: KernelClass::PerPixel { factor: 3.0 },
-            vectors: 0,
-        }
-    }
 
     fn q2c_work() -> QueryWork {
         QueryWork {
@@ -699,10 +580,6 @@ mod tests {
         }
     }
 
-    fn eager_space(max: usize) -> CandidateSpace {
-        CandidateSpace { policies: vec![Policy::Eager], max_fanout: max }
-    }
-
     #[test]
     fn profile_parse_rejects_corruption() {
         let good = CalibrationProfile::builtin().to_json();
@@ -714,13 +591,14 @@ mod tests {
         rejects("[]", "not a JSON object");
         rejects(&good.replace("12.500000", "\"fast\""), "non-numeric");
         rejects(&good.replace("nn_ns_per_mac", "nn_ns_per_flop"), "unknown field");
-        rejects(&good.replace("  \"scale\": 1.000000,\n", ""), "missing field `scale`");
-        rejects(&good.replace("{\n", "{\n  \"scale\": 1.0,\n"), "duplicate key");
-        rejects(&good.replace("\"version\": 2", "\"version\": 9"), "version");
-        rejects(&good.replace("\"version\": 2", "\"version\": 2.5"), "whole number");
-        rejects(&good.replace("\"scale\": 1.0", "\"scale\": -1.0"), "`scale` must be positive");
+        let gate = "  \"gate_ns_per_pixel\": 1.000000,\n";
+        rejects(&good.replace(gate, ""), "missing field `gate_ns_per_pixel`");
+        rejects(&good.replace("{\n", &format!("{{\n{gate}")), "duplicate key");
+        rejects(&good.replace("\"version\": 3", "\"version\": 9"), "version");
+        rejects(&good.replace("\"version\": 3", "\"version\": 3.5"), "whole number");
+        rejects(&good.replace(gate, &gate.replace("1.0", "-1.0")), "`gate_ns_per_pixel` must be positive");
         rejects(&good.replace("0.600000", "1.000000"), "`cascade_skip_rate` must be in [0,1)");
-        rejects(&good.replace("0.750000", "1.500000"), "`parallel_efficiency` must be in [0,1]");
+        rejects(&good.replace("200000.000000", "0.000000"), "`thread_spawn_ns` must be positive");
         // A truncated file (corrupt checked-in artifact) fails fast.
         rejects(&good[..good.len() / 2], "calibration profile");
     }
@@ -744,39 +622,6 @@ mod tests {
         // Repeated asks hit the cache and stay identical.
         assert_eq!(ca, a.decide("batch/Q2(c)", q2c_work(), &space));
         assert_eq!(a.decision("batch/Q2(c)"), b.decision("batch/Q2(c)"));
-    }
-
-    #[test]
-    fn single_core_chooses_sequential_fanout() {
-        let opt = Optimizer::new(CalibrationProfile::builtin())
-            .with_cores(1)
-            .with_workload(Workload { width: 256, height: 144, frames: 48 });
-        let c = opt.decide("batch/Q1", q1_work(), &eager_space(4));
-        assert_eq!(c.policy, Policy::Eager);
-        assert_eq!(
-            c.workers, 1,
-            "one core: fan-out gains nothing and pays spawn overhead"
-        );
-    }
-
-    #[test]
-    fn multi_core_fans_out_when_kernel_work_amortizes_spawns() {
-        let opt = Optimizer::new(CalibrationProfile::builtin())
-            .with_cores(4)
-            .with_workload(Workload { width: 256, height: 144, frames: 48 });
-        let c = opt.decide("batch/Q1", q1_work(), &eager_space(4));
-        assert!(c.workers > 1, "4 cores and 48 heavy frames should fan out");
-        // But a tiny workload stays sequential: below the break-even
-        // the spawn overhead dominates.
-        let tiny = QueryWork {
-            frames: 2,
-            in_pixels: 32 * 32,
-            out_pixels: 32 * 32,
-            kernel: KernelClass::PerPixel { factor: 1.0 },
-            vectors: 0,
-        };
-        let t = opt.decide("batch/tiny", tiny, &eager_space(4));
-        assert_eq!(t.workers, 1);
     }
 
     #[test]
@@ -807,45 +652,51 @@ mod tests {
             gate_ns_per_pixel: 1.0,
             nn_ns_per_mac: 0.5,
             cascade_skip_rate: 0.5,
-            thread_spawn_ns: 100_000.0,
-            parallel_efficiency: 0.5,
             ..CalibrationProfile::builtin()
         };
         let opt = Optimizer::new(profile)
-            .with_cores(2)
             .with_workload(Workload { width: 100, height: 100, frames: 10 });
+        // 10 frames of 10 000 px: 302 000 ns of codec and bookkeeping
+        // per frame; the full model runs 4 MACs over the 416x416
+        // network floor (346 112 ns), the cascade a 10 000 ns gate, a
+        // 1-MAC cheap model (86 528 ns) and half the full model.
         let work = QueryWork {
             frames: 10,
             in_pixels: 10_000,
             out_pixels: 10_000,
-            kernel: KernelClass::PerPixel { factor: 1.0 },
+            kernel: KernelClass::Nn {
+                macs_per_pixel: 4.0,
+                framework_macs_per_pixel: 0.0,
+                cheap_macs_per_pixel: 1.0,
+            },
             vectors: 0,
         };
-        opt.decide("batch/Q1", work, &eager_space(2));
-        let d = opt.decision("batch/Q1").unwrap();
+        let space = CandidateSpace {
+            policies: vec![Policy::Streaming, Policy::ShortCircuit],
+            max_fanout: 1,
+        };
+        opt.decide("batch/Q2(c)", work, &space);
+        let d = opt.decision("batch/Q2(c)").unwrap();
         let expected = concat!(
             "plans considered (cost-based optimizer):\n",
-            "  -> eager workers=1            est    3.22ms  chosen\n",
-            "     eager workers=2            est    3.35ms  rejected (+4.1%)\n",
+            "  -> short-circuit    est    5.72ms  chosen\n",
+            "     streaming        est    6.48ms  rejected (+13.4%)\n",
         );
         assert_eq!(d.render_text(), expected);
     }
 
     #[test]
-    fn feedback_tracks_scale_and_observed_error() {
-        let opt = Optimizer::new(CalibrationProfile::builtin()).with_cores(1);
-        let c = opt.decide("batch/Q1", q1_work(), &eager_space(1));
-        // Measured exactly double the estimate: scale converges toward
-        // 2, error toward 0.5.
-        opt.feedback("batch/Q1", c.est_nanos * 2);
-        let p = opt.profile();
-        assert_eq!(p.samples, 1);
-        assert!((p.scale - 2.0).abs() < 0.05, "scale={}", p.scale);
-        assert!((p.observed_error - 0.5).abs() < 0.05, "err={}", p.observed_error);
-        assert_eq!(opt.observed("batch/Q1"), Some((c.est_nanos, c.est_nanos * 2)));
-        // A key without a decision is ignored.
-        opt.feedback("nope/Q9", 123);
-        assert_eq!(opt.profile().samples, 1);
+    fn eager_and_sequence_are_priced_as_streams() {
+        let opt = Optimizer::new(CalibrationProfile::builtin());
+        let space = CandidateSpace {
+            policies: vec![Policy::Eager, Policy::Streaming, Policy::Sequence],
+            max_fanout: 8,
+        };
+        opt.decide("probe/Q2(c)", q2c_work(), &space);
+        let d = opt.decision("probe/Q2(c)").unwrap();
+        assert_eq!(d.chosen.policy, Policy::Eager, "ties keep the listed order");
+        let ests: Vec<u64> = d.rejected.iter().map(|c| c.est_nanos).collect();
+        assert_eq!(ests, [d.chosen.est_nanos; 2], "{}", d.render_text());
     }
 
     #[test]
@@ -877,12 +728,5 @@ mod tests {
         let text = d.render_text();
         assert!(text.contains("index-scan"), "{text}");
         assert!(text.contains("rejected"), "{text}");
-    }
-
-    #[test]
-    fn fanout_candidates_are_powers_of_two_plus_budget() {
-        assert_eq!(fanouts(1), vec![1]);
-        assert_eq!(fanouts(4), vec![1, 2, 4]);
-        assert_eq!(fanouts(6), vec![1, 2, 4, 6]);
     }
 }

@@ -73,7 +73,7 @@ pub trait Vdbms: Send + Sync {
     /// the cost-based optimizer's caches (`"{name}/{kind label}"`).
     /// The driver uses it to look up the cached
     /// [`PlanDecision`](crate::cost::PlanDecision) for explain output
-    /// and feedback.
+    /// and the scheduler's instance fan-out.
     fn plan_key(&self, instance: &QueryInstance) -> String {
         format!("{}/{}", self.name(), instance.spec.kind().label())
     }

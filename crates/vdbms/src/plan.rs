@@ -32,29 +32,30 @@ use crate::pipeline::{PipelineSnapshot, StageKind};
 use vr_base::json::{Layout::Inline, Writer};
 
 /// The execution policy driving a plan: one per `Pipeline::run_*`,
-/// plus the cost-model candidates no executor runs.
+/// the index probe, and the batch engine's refusal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// Materialize every frame, map the kernel over them data-parallel,
-    /// encode at the end. No engine runs one (every query streams); it
-    /// stays a cost-model candidate, which `benchmark/src/probes.rs`
-    /// lists, and names the batch engine's Q4 plan, the eager upsample
-    /// its budget check refuses.
+    /// Not a plan: no engine runs or lists it, and the cost model
+    /// prices it as [`Policy::Streaming`]. It stays only because
+    /// `benchmark/src/probes.rs`, which changes in its own PRs, names
+    /// it; that probe is retargeted first, then this variant goes.
     Eager,
     /// `run_streaming`: frames pushed one at a time through a kernel
     /// that keeps only its window resident.
     Streaming,
     /// `run_streaming_multi`: N synchronized streaming sources.
     StreamingMulti,
-    /// A whole-sequence operator over a drained scan. No engine runs
-    /// one (every single-input query streams); it stays a cost-model
-    /// candidate, which `benchmark/src/probes.rs` lists.
+    /// Not a plan, for the same reason and with the same pricing as
+    /// [`Policy::Eager`].
     Sequence,
     /// `run_short_circuit`: a gate routes frames to cheap/full kernels.
     ShortCircuit,
     /// Semantic-index probe: answer from the ingest-time side index
     /// without decoding a single frame.
     IndexScan,
+    /// A plan the engine refuses before any kernel runs: the batch
+    /// engine's Q4, whose upsampled batch its budget check rejects.
+    Refused,
 }
 
 impl Policy {
@@ -67,6 +68,7 @@ impl Policy {
             Policy::Sequence => "sequence",
             Policy::ShortCircuit => "short-circuit",
             Policy::IndexScan => "index-scan",
+            Policy::Refused => "refused",
         }
     }
 }

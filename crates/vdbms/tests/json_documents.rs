@@ -11,7 +11,7 @@ use vr_vdbms::{CalibrationProfile, ExecContext, ReferenceEngine, Vdbms};
 
 const PLAN: &str = "{\"op\": \"query\", \"detail\": \"Q2(c) engine=reference policy=streaming workers=1\", \"stage\": null, \"stats\": null, \"children\": [{\"op\": \"sink\", \"detail\": \"mode=stream\", \"stage\": \"sink\", \"stats\": null, \"children\": [{\"op\": \"encode\", \"detail\": \"constant-qp\", \"stage\": \"encode\", \"stats\": null, \"children\": [{\"op\": \"kernel\", \"detail\": \"detect_boxes(Vehicle)\", \"stage\": \"kernel\", \"stats\": null, \"children\": [{\"op\": \"scan:stream\", \"detail\": \"decode-on-read\", \"stage\": \"decode\", \"stats\": null, \"children\": []}]}]}]}]}\n";
 const ANALYZED: &str = "{\"op\": \"query\", \"detail\": \"Q1 engine=reference policy=streaming workers=1\", \"stage\": null, \"stats\": {\"wall_nanos\": 10000, \"self_nanos\": 2500, \"frames_in\": 8, \"frames_out\": 8, \"bytes_in\": 512, \"bytes_out\": 512, \"invocations\": 0, \"allocs\": 0, \"alloc_bytes\": 0, \"peak_alloc_bytes\": 0}, \"children\": [{\"op\": \"sink\", \"detail\": \"mode=stream\", \"stage\": \"sink\", \"stats\": {\"wall_nanos\": 7500, \"self_nanos\": 500, \"frames_in\": 8, \"frames_out\": 8, \"bytes_in\": 512, \"bytes_out\": 512, \"invocations\": 1, \"allocs\": 0, \"alloc_bytes\": 0, \"peak_alloc_bytes\": 0}, \"children\": [{\"op\": \"encode\", \"detail\": \"constant-qp\", \"stage\": \"encode\", \"stats\": {\"wall_nanos\": 7000, \"self_nanos\": 1000, \"frames_in\": 8, \"frames_out\": 8, \"bytes_in\": 0, \"bytes_out\": 512, \"invocations\": 1, \"allocs\": 0, \"alloc_bytes\": 0, \"peak_alloc_bytes\": 0}, \"children\": [{\"op\": \"kernel\", \"detail\": \"crop+temporal-select\", \"stage\": \"kernel\", \"stats\": {\"wall_nanos\": 6000, \"self_nanos\": 2000, \"frames_in\": 8, \"frames_out\": 8, \"bytes_in\": 1024, \"bytes_out\": 0, \"invocations\": 1, \"allocs\": 0, \"alloc_bytes\": 0, \"peak_alloc_bytes\": 0}, \"children\": [{\"op\": \"scan:stream\", \"detail\": \"decode-on-read\", \"stage\": \"decode\", \"stats\": {\"wall_nanos\": 4000, \"self_nanos\": 4000, \"frames_in\": 0, \"frames_out\": 8, \"bytes_in\": 0, \"bytes_out\": 1024, \"invocations\": 1, \"allocs\": 0, \"alloc_bytes\": 0, \"peak_alloc_bytes\": 0}, \"children\": []}]}]}]}]}\n";
-const BUILTIN_PROFILE: &str = "{\n  \"version\": 2,\n  \"samples\": 0,\n  \"observed_error\": 0.000000,\n  \"scale\": 1.000000,\n  \"decode_ns_per_pixel\": 3.800000,\n  \"encode_ns_per_pixel\": 12.500000,\n  \"scan_ns_per_frame\": 2000.000000,\n  \"sink_ns_per_frame\": 2000.000000,\n  \"kernel_ns_per_pixel\": 1.600000,\n  \"gate_ns_per_pixel\": 1.000000,\n  \"nn_ns_per_mac\": 0.370000,\n  \"cascade_skip_rate\": 0.600000,\n  \"thread_spawn_ns\": 200000.000000,\n  \"parallel_efficiency\": 0.750000,\n  \"index_probe_ns_per_vector\": 250.000000,\n  \"index_build_ns_per_vector\": 40000.000000\n}\n";
+const BUILTIN_PROFILE: &str = "{\n  \"version\": 3,\n  \"decode_ns_per_pixel\": 3.800000,\n  \"encode_ns_per_pixel\": 12.500000,\n  \"scan_ns_per_frame\": 2000.000000,\n  \"sink_ns_per_frame\": 2000.000000,\n  \"kernel_ns_per_pixel\": 1.600000,\n  \"gate_ns_per_pixel\": 1.000000,\n  \"nn_ns_per_mac\": 0.370000,\n  \"cascade_skip_rate\": 0.600000,\n  \"thread_spawn_ns\": 200000.000000,\n  \"index_probe_ns_per_vector\": 250.000000\n}\n";
 
 fn instance(spec: QuerySpec) -> QueryInstance {
     QueryInstance { index: 0, spec, inputs: vec![0] }

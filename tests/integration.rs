@@ -83,6 +83,98 @@ fn q2c_semantic_validation_passes() {
     }
 }
 
+/// The reference engine with two broken answers: a Q2(a) answer
+/// keeps only the first half of its frames, and every Q2(c) box moves
+/// right by two box widths.
+struct Mutated(ReferenceEngine);
+
+impl Vdbms for Mutated {
+    fn name(&self) -> &'static str {
+        "mutated-reference"
+    }
+
+    fn supports(&self, kind: QueryKind) -> bool {
+        self.0.supports(kind)
+    }
+
+    fn execute(
+        &self,
+        instance: &QueryInstance,
+        inputs: &[visual_road::vdbms::InputVideo],
+        ctx: &ExecContext,
+    ) -> vr_base::Result<QueryOutput> {
+        Ok(match self.0.execute(instance, inputs, ctx)? {
+            QueryOutput::Video(mut video) if instance.spec == QuerySpec::Q2a => {
+                video.packets.truncate(video.packets.len() / 2);
+                QueryOutput::Video(video)
+            }
+            QueryOutput::BoxedVideo { video, mut boxes } => {
+                for b in boxes.iter_mut().flatten() {
+                    let dx = 2 * b.rect.width() as i32;
+                    (b.rect.x0, b.rect.x1) = (b.rect.x0 + dx, b.rect.x1 + dx);
+                }
+                QueryOutput::BoxedVideo { video, boxes }
+            }
+            other => other,
+        })
+    }
+}
+
+/// The validator can say no: half of Q2(a)'s frames missing, or Q2(c)'s
+/// boxes moved past the ε = 0.5 Jaccard threshold, fail the batch; the
+/// unwrapped reference passes the same batches.
+#[test]
+fn the_validator_rejects_broken_answers() {
+    let dataset = tiny_dataset(12);
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
+    let kinds = [QueryKind::Q2aGrayscale, QueryKind::Q2cBoxes];
+    let validate = |engine: &mut dyn Vdbms| {
+        let report = vcd.run_queries(engine, &kinds).unwrap();
+        let summaries = report.queries.iter().map(|q| match &q.status {
+            QueryStatus::Completed { validation, .. } => validation.clone(),
+            other => panic!("{} on {}: {other:?}", q.kind.label(), report.engine),
+        });
+        summaries.collect::<Vec<_>>()
+    };
+    let control = validate(&mut ReferenceEngine::new());
+    assert!(control.iter().all(|v| v.passed), "the reference validates: {control:?}");
+    // The control is judged on frames (Q2(a)) and on boxes (Q2(c)).
+    assert!(control[0].psnr.is_some() && control[1].semantic_agreement.is_some(), "{control:?}");
+    let broken = validate(&mut Mutated(ReferenceEngine::new()));
+    assert!(broken.iter().all(|v| !v.passed), "both mutations are caught: {broken:?}");
+}
+
+/// The batch engine's frame table holds only what its arms read: Q8
+/// and Q9 stream their own scans, so they decode exactly the frames
+/// the reference engine decodes and leave the table untouched, while a
+/// table arm (Q2(a)) fills and hits it as before.
+#[test]
+fn the_batch_table_decodes_only_what_its_arms_read() {
+    use visual_road::vdbms::StageKind;
+    let dataset = tiny_dataset(5);
+    let cfg = VcdConfig { batch_size: Some(2), validate: false, ..Default::default() };
+    let vcd = Vcd::new(&dataset, cfg);
+    let decoded = |engine: &mut dyn Vdbms, kind: QueryKind| {
+        let report = vcd.run_queries(engine, &[kind]).unwrap();
+        let QueryStatus::Completed { stages, .. } = &report.queries[0].status else {
+            panic!("{} on {}: {report}", kind.label(), report.engine);
+        };
+        stages.stage(StageKind::Decode).frames
+    };
+    for kind in [QueryKind::Q8VehicleTracking, QueryKind::Q9PanoramicStitching] {
+        let mut batch = BatchEngine::new();
+        let want = decoded(&mut ReferenceEngine::new(), kind);
+        assert_eq!(decoded(&mut batch, kind), want, "{}", kind.label());
+        assert_eq!(batch.cache_stats(), (0, 0), "{} reads no table", kind.label());
+    }
+    // Both instances read one camera: one miss fills the table, each
+    // instance hits it (the figures the engine recorded before Q8 and
+    // Q9 left the table).
+    let mut batch = BatchEngine::new();
+    assert_eq!(decoded(&mut batch, QueryKind::Q2aGrayscale), 12, "one 12-frame camera");
+    assert_eq!(batch.cache_stats(), (2, 1), "(hits, misses)");
+}
+
 /// The batch (Scanner-like) engine must fail Q4 with resource
 /// exhaustion while the functional (LightDB-like) engine completes it
 /// (§6.2).

@@ -426,9 +426,9 @@ fn wire_and_log_are_pinned() {
         "{\"seq\": 1, \"req\": 1, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"Q1\", \"engine\": \"batch\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"bedfaed1495a9c82\", \"slow_us\": 0, \"exemplar\": null}",
         "{\"seq\": 2, \"req\": 2, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"q2(a)\", \"engine\": \"batch\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"1bb81672a324626d\", \"slow_us\": 0, \"exemplar\": null}",
         "{\"seq\": 3, \"req\": 3, \"tenant\": \"gold\", \"priority\": \"low\", \"query\": \"Q1\", \"engine\": \"cascade\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"bb7b86afcc58cbc4\", \"slow_us\": 0, \"exemplar\": null}",
-        "{\"seq\": 4, \"req\": 4, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S1\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"b5e8e5fe552347dd\", \"slow_us\": 0, \"exemplar\": null}",
-        "{\"seq\": 5, \"req\": 5, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S2\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"b5e8e5fe552347dd\", \"slow_us\": 0, \"exemplar\": null}",
-        "{\"seq\": 6, \"req\": 6, \"tenant\": \"bronze\", \"priority\": \"low\", \"query\": \"S3\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": 0, \"plan_digest\": \"b5e8e5fe552347dd\", \"slow_us\": 0, \"exemplar\": null}",
+        "{\"seq\": 4, \"req\": 4, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S1\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"51eea1017183e5eb\", \"slow_us\": 0, \"exemplar\": null}",
+        "{\"seq\": 5, \"req\": 5, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S2\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"51eea1017183e5eb\", \"slow_us\": 0, \"exemplar\": null}",
+        "{\"seq\": 6, \"req\": 6, \"tenant\": \"bronze\", \"priority\": \"low\", \"query\": \"S3\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": 0, \"plan_digest\": \"51eea1017183e5eb\", \"slow_us\": 0, \"exemplar\": null}",
         "{\"seq\": 7, \"req\": 7, \"tenant\": \"rush\", \"priority\": \"high\", \"query\": \"Q1\", \"engine\": \"batch\", \"outcome\": \"cancelled\", \"shed_reason\": null, \"degraded\": false, \"route\": null, \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": 0, \"plan_digest\": \"bedfaed1495a9c82\", \"slow_us\": 0, \"exemplar\": null}",
         "{\"seq\": 8, \"req\": 8, \"tenant\": \"rush\", \"priority\": \"high\", \"query\": \"Q2a\", \"engine\": \"batch\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": 60000, \"plan_digest\": \"1bb81672a324626d\", \"slow_us\": 0, \"exemplar\": null}",
         "{\"seq\": 9, \"req\": 10, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"Q1\", \"engine\": \"batch\", \"outcome\": \"shed\", \"shed_reason\": \"queue_full\", \"degraded\": false, \"route\": null, \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"\", \"slow_us\": 0, \"exemplar\": null}",
@@ -482,11 +482,11 @@ fn wire_and_log_are_pinned() {
         "session B qlog",
         &b.qlog,
         &[
-        "{\"seq\": 1, \"req\": 1, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S1\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"8e956d8040eef1b2\", \"slow_us\": 0, \"exemplar\": null}",
-        "{\"seq\": 2, \"req\": 2, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S2\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"8e956d8040eef1b2\", \"slow_us\": 0, \"exemplar\": null}",
-        "{\"seq\": 3, \"req\": 3, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S3\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"8e956d8040eef1b2\", \"slow_us\": 0, \"exemplar\": null}",
+        "{\"seq\": 1, \"req\": 1, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S1\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"6858ea4f95d502bf\", \"slow_us\": 0, \"exemplar\": null}",
+        "{\"seq\": 2, \"req\": 2, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S2\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"6858ea4f95d502bf\", \"slow_us\": 0, \"exemplar\": null}",
+        "{\"seq\": 3, \"req\": 3, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S3\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"6858ea4f95d502bf\", \"slow_us\": 0, \"exemplar\": null}",
         "{\"seq\": 4, \"req\": 4, \"tenant\": \"bronze\", \"priority\": \"low\", \"query\": \"Q1\", \"engine\": \"batch\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": true, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"9bdad764825dffce\", \"slow_us\": 0, \"exemplar\": null}",
-        "{\"seq\": 5, \"req\": 5, \"tenant\": \"bronze\", \"priority\": \"low\", \"query\": \"S1\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": true, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"8e956d8040eef1b2\", \"slow_us\": 0, \"exemplar\": null}",
+        "{\"seq\": 5, \"req\": 5, \"tenant\": \"bronze\", \"priority\": \"low\", \"query\": \"S1\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": true, \"route\": \"rescan\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"6858ea4f95d502bf\", \"slow_us\": 0, \"exemplar\": null}",
         ],
     );
 
@@ -515,7 +515,7 @@ fn wire_and_log_are_pinned() {
         "session C qlog",
         &c.qlog,
         &[
-        "{\"seq\": 1, \"req\": 1, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S2\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"b5e8e5fe552347dd\", \"slow_us\": 0, \"exemplar\": \"plans considered (cost-based optimizer):\\n  -> index-scan workers=1       est    7.25us  chosen\\n     streaming workers=1        est  112.00us  rejected (+1444.8%)\\n\"}",
+        "{\"seq\": 1, \"req\": 1, \"tenant\": \"gold\", \"priority\": \"high\", \"query\": \"S2\", \"engine\": \"semantic\", \"outcome\": \"ok\", \"shed_reason\": null, \"degraded\": false, \"route\": \"index\", \"queue_wait_us\": 0, \"latency_us\": 0, \"deadline_ms\": null, \"plan_digest\": \"51eea1017183e5eb\", \"slow_us\": 0, \"exemplar\": \"plans considered (cost-based optimizer):\\n  -> index-scan       est    7.25us  chosen\\n     streaming        est  112.00us  rejected (+1444.8%)\\n\"}",
         ],
     );
 }
