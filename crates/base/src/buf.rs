@@ -8,9 +8,9 @@
 //!   is a refcount bump; the bytes are read exactly once (at the
 //!   storage layer) and every downstream consumer borrows them.
 //! * [`BufSlice`] — an owned zero-copy range view into a `SharedBuf`
-//!   (a container sample, a pipe message). Holding a slice keeps the
-//!   whole backing buffer alive, so long-lived holders should copy out
-//!   if they only need a tiny range of a huge file.
+//!   (a container sample). Holding a slice keeps the whole backing
+//!   buffer alive, so long-lived holders should copy out if they only
+//!   need a tiny range of a huge file.
 //! * [`FramePool`] — an arena that recycles plane-sized `Vec<u8>`
 //!   buffers (wrapped in unique `Arc`s) so steady-state decode/encode
 //!   loops allocate nothing per frame.

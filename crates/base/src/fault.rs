@@ -599,8 +599,8 @@ fn is_transient(kind: std::io::ErrorKind) -> bool {
 /// propagates immediately — retrying cannot help.
 ///
 /// `site` names the call site (hashed into the jitter stream),
-/// `object` what the operation touches (a file, a pipe) and `seq`
-/// which operation on it (a pipe's message count, 0 for a whole file).
+/// `object` what the operation touches (a file) and `seq` which
+/// operation on it (0 for a whole file, the flat store's only kind).
 /// Every attempt first asks the injector whether it fails, keyed by
 /// `(site, object, seq, attempt)`, so an injected failure takes the
 /// same backoff path as a real one and hits the same attempts at any

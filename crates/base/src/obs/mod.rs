@@ -43,7 +43,7 @@
 //! | `server`    | `request.req-<id>.<tenant>`             | query server per-request lanes |
 //! | `request`   | `<request id>` wrapping each `run_*`    | vr-vdbms pipeline entry, when `ExecContext::request_id` is set |
 //! | `vcd`       | `batch.<query>`, `validate`             | per-query driver |
-//! | `storage`   | `flat.put`/`flat.get`/`dfs.put`/`dfs.get` | storage backends |
+//! | `storage`   | `flat.put`/`flat.get`                   | the flat store |
 //! | `fault`     | `retry_backoff`                         | fault-injector recovery paths |
 //!
 //! ### Metric naming

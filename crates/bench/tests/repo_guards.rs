@@ -2,13 +2,14 @@
 //! dependency in any manifest, one scoped-thread executor in
 //! `pipeline.rs`, one JSON escaper, no channel but std's, one panic
 //! payload reader, one video-track resolver and one sample→frame
-//! loop, no scan drained under `vdbms/src`, no plan built on a policy
-//! no engine runs, one socket bound (the query server's listener),
-//! full-frame kernels that walk plane rows instead of reading pixels
-//! through `Frame`, `unsafe` refused by every crate root, two
-//! `VR_*` environment variables, a `ci.sh` that stays a stage table,
-//! and one build setting in `.cargo/config.toml`. Each guard is a
-//! function over text, shown failing on a bad input below.
+//! loop, one paced online read path, no scan drained under
+//! `vdbms/src`, no plan built on a policy no engine runs, one socket
+//! bound (the query server's listener), full-frame kernels that walk
+//! plane rows instead of reading pixels through `Frame`, `unsafe`
+//! refused by every crate root, two `VR_*` environment variables, a
+//! `ci.sh` that stays a stage table, and one build setting in
+//! `.cargo/config.toml`. Each guard is a function over text, shown
+//! failing on a bad input below.
 
 use std::path::{Path, PathBuf};
 
@@ -128,6 +129,21 @@ fn resolves_video_track(src: &str) -> usize {
 fn opens_sample_decoder(src: &str) -> usize {
     let open = ["SampleDecoder", "::new("].concat();
     code(src).lines().filter(|l| l.contains(&open)).count()
+}
+
+/// Lines above the test module that construct a piece of online
+/// mode's read path: a pacer, an RTP packetizer or a depacketizer.
+/// Under `crates/*/src` only `vdbms/src/kernels.rs` may, in the paced
+/// feed of `FrameStream`, so online mode has one read path and no
+/// ingest beside it. The patterns are assembled here so this file does
+/// not match itself.
+fn builds_paced_reader(src: &str) -> usize {
+    let ctors = [
+        ["Pacer", "::with_speedup("].concat(),
+        ["RtpPacketizer", "::new("].concat(),
+        ["RtpDepacketizer", "::new("].concat(),
+    ];
+    code(src).lines().filter(|l| ctors.iter().any(|c| l.contains(c.as_str()))).count()
 }
 
 /// Lines above the test module that drain a scan into a vector: a
@@ -267,6 +283,7 @@ fn the_repository_passes_every_guard() {
     let mut env_vars = std::collections::BTreeSet::new();
     let mut binds = Vec::new();
     let mut unrun = Vec::new();
+    let mut paced = Vec::new();
     for src in &sources {
         let text = read(src);
         let what = src.display();
@@ -287,8 +304,14 @@ fn the_repository_passes_every_guard() {
             if m > 0 {
                 unrun.push((rel.to_path_buf(), m));
             }
+            let p = builds_paced_reader(&text);
+            if p > 0 {
+                paced.push((rel.to_path_buf(), p));
+            }
         }
     }
+    let feed = (PathBuf::from("vdbms/src/kernels.rs"), 3);
+    assert_eq!(paced, [feed], "online read paths built under crates/*/src");
     let server = (PathBuf::from("core/src/server.rs"), 1);
     assert_eq!(binds, [server], "the sockets bound under crates/*/src");
     let label = (PathBuf::from("vdbms/src/plan.rs"), 2);
@@ -361,6 +384,15 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(opens_sample_decoder(&hidden(&loop_of_its_own)), 2, "below a test-only use");
     let in_tests = format!("{stream}#[cfg(test)]\nmod tests {{\n{open}}}\n");
     assert_eq!(opens_sample_decoder(&in_tests), 1, "the test module does not count");
+
+    let feed = ["pacer: Pacer", "::with_speedup(rate, s),\ntx: RtpPacketizer", "::new(ssrc, 1400),\n", "rx: RtpDepacketizer", "::new(ssrc),\n"].concat();
+    assert_eq!(builds_paced_reader(&format!("fn new() {{\n{feed}}}\n")), 3, "the feed's constructor");
+    let ingest = ["let pacer = Pacer", "::with_speedup(info.frame_rate, speedup);\n"].concat();
+    assert_eq!(builds_paced_reader(&format!("fn ingest() {{\n{ingest}}}\n")), 1, "an ingest of its own");
+    assert_eq!(builds_paced_reader(&hidden(&format!("fn ingest() {{\n{ingest}}}\n"))), 1, "below a test-only use");
+    assert_eq!(builds_paced_reader("/// See [`RtpPacketizer::new`].\nfn f() {}\n"), 0, "a doc link");
+    let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{ingest}}}\n");
+    assert_eq!(builds_paced_reader(&in_tests), 0, "the test module does not count");
 
     let stream = "fn drive() {\n    buf.drain(..).all(emit);\n}\n";
     assert_eq!(drains_a_scan(stream), 0, "a range drain does not count");

@@ -99,8 +99,11 @@ USAGE:
       each engine's pipelined executor use the VR_WORKERS environment
       variable's worker count, else all cores (1 forces the sequential
       paths). --batch overrides the 4·L instances per query and
-      --online paces inputs at SPEEDUP times real time; both must be
-      positive. --faults installs a deterministic fault plan seeded
+      --online has the engines read every input as a forward-only RTP
+      stream released at SPEEDUP times its capture rate, decoded as it
+      arrives (a drop_rtp loss is a concealed frame, and the deadline
+      covers the reads); both must be positive. --faults installs a
+      deterministic fault plan seeded
       by --fault-seed (default 0), e.g.
       corrupt_bitstream=0.01,drop_rtp=0.05,stall_stage=kernel:20ms,
       io_fail=read:0.02,panic_kernel=q4:frame37 (frame K counts the

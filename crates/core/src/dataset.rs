@@ -141,16 +141,6 @@ impl Dataset {
         Ok(())
     }
 
-    /// Stage every video on a distributed file system — the HDFS
-    /// staging path of offline mode ("or a distributed file system
-    /// (we currently support HDFS)", §3.2).
-    pub fn write_to_dfs(&self, dfs: &vr_storage::MiniDfs) -> Result<()> {
-        for video in &self.videos {
-            dfs.put(&video.name, video.container.raw_bytes())?;
-        }
-        Ok(())
-    }
-
     /// Reload a dataset's videos from a store (the city and meta must
     /// be regenerated from the hyperparameters, which is cheap).
     pub fn reload_videos(&mut self, store: &FlatStore) -> Result<()> {

@@ -49,8 +49,10 @@
 //! the cheap configuration — and reports `degraded=1`. A deadline is
 //! armed on the instance's `CancelToken`, so past-deadline work
 //! unwinds cooperatively and answers `CANCELLED` instead of holding
-//! its slot. `online=<speedup>` streams the instance's inputs through
-//! the paced RTP ingest first (the online half of a mixed workload).
+//! its slot. `online=<speedup>` has the engine read the instance's
+//! inputs as online mode does, each a forward-only stream paced at
+//! `speedup`× its capture rate, so the deadline covers the paced reads
+//! (the online half of a mixed workload).
 //!
 //! `SHUTDOWN` begins a graceful drain: admission stops (queued
 //! waiters are refused `draining`), in-flight requests finish (their
@@ -78,7 +80,7 @@ use crate::dataset::Dataset;
 use crate::semantic::{
     acquire_index, SemanticAnswer, SemanticPlan, SemanticQuery, SemanticRouter,
 };
-use crate::vcd::{ingest_inputs_online, Vcd, VcdConfig};
+use crate::vcd::{Vcd, VcdConfig};
 
 /// Pipeline workers for a request admitted degraded: the cheap
 /// configuration low-priority work falls back to under load.
@@ -495,7 +497,6 @@ enum Planned<'a> {
 enum Failure {
     /// Its deadline fired mid-flight.
     Cancelled,
-    Ingest(Error),
     Exec(Error),
 }
 
@@ -550,9 +551,9 @@ impl<'a> Work<'a> {
     /// instance — round-robin, so concurrent sessions spread across
     /// distinct instances like a batch does; a shed request never gets
     /// this far and takes no turn — and a context carrying the
-    /// request's identity, deadline and worker budget (the cheap
-    /// configuration when admission degraded it). A semantic query is
-    /// routed.
+    /// request's identity, deadline, worker budget (the cheap
+    /// configuration when admission degraded it) and online pace. A
+    /// semantic query is routed.
     fn plan(
         self,
         shared: &'a Shared,
@@ -560,6 +561,7 @@ impl<'a> Work<'a> {
         label: &str,
         degraded: bool,
         deadline: Option<Instant>,
+        online: Option<f64>,
     ) -> Planned<'a> {
         match self {
             Work::Pixel { engine, pool } => {
@@ -569,6 +571,7 @@ impl<'a> Work<'a> {
                     query_label: label.to_string(),
                     cancel: deadline.map_or_else(CancelToken::new, CancelToken::with_deadline),
                     request_id: Some(Arc::from(format!("{}.{}", req.label(), req.tenant))),
+                    online,
                     ..ExecContext::default()
                 };
                 let instance = &pool.instances[turn % pool.instances.len()];
@@ -605,21 +608,10 @@ impl Planned<'_> {
 
     /// Do the work. `Ok` holds what the `OK` line carries after its
     /// route: nothing for a pixel query, the answer for a semantic one.
-    fn run(
-        &self,
-        shared: &Shared,
-        online: Option<f64>,
-    ) -> Result<Option<SemanticAnswer>, Failure> {
-        let videos = &shared.dataset.videos;
+    fn run(&self, shared: &Shared) -> Result<Option<SemanticAnswer>, Failure> {
         match self {
             Planned::Pixel { engine, instance, ctx } => {
-                // The online half of a mixed workload: pace the inputs
-                // through RTP ingest first, inside the measured latency
-                // (a live camera's frames are not free).
-                if let Some(speedup) = online {
-                    ingest_inputs_online(videos, instance, speedup).map_err(Failure::Ingest)?;
-                }
-                match engine.execute(instance, videos, ctx) {
+                match engine.execute(instance, &shared.dataset.videos, ctx) {
                     Ok(_) => Ok(None),
                     Err(Error::Cancelled(_)) => Err(Failure::Cancelled),
                     Err(e) => Err(Failure::Exec(e)),
@@ -695,9 +687,9 @@ fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
         Ok(permit) => {
             record.degraded = permit.degraded();
             record.queue_wait = permit.queue_wait();
-            let planned = work.plan(shared, &req, label, record.degraded, deadline);
+            let planned = work.plan(shared, &req, label, record.degraded, deadline, online);
             record.plan_digest = shared.qlog.plan_digest(|| planned.explain(None));
-            let result = planned.run(shared, online);
+            let result = planned.run(shared);
             let latency = t0.elapsed();
             record.latency = latency;
             let (route, degraded, latency_us) =
@@ -715,7 +707,6 @@ fn exec(kv: &BTreeMap<&str, &str>, shared: &Arc<Shared>) -> String {
                     Outcome::Cancelled,
                     format!("CANCELLED tenant={tenant} query={label} latency_us={latency_us}"),
                 ),
-                Err(Failure::Ingest(e)) => (Outcome::Err, format!("ERR ingest: {e}")),
                 Err(Failure::Exec(e)) => {
                     (Outcome::Err, format!("ERR tenant={tenant} query={label}: {e}"))
                 }

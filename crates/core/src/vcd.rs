@@ -6,9 +6,10 @@
 //!
 //! * builds a **query batch** of 4·L instances per query, drawing
 //!   free parameters uniformly from the Table 3 domains;
-//! * in **online mode**, streams each input through an RTP
-//!   packetizer throttled to the camera's capture rate before the
-//!   engine may consume it;
+//! * in **online mode**, has engines read each input as a forward-only
+//!   stream, carried over RTP and released at the camera's capture
+//!   rate ([`ExecContext::online`]): the engine decodes each sample as
+//!   it arrives, and a sample the wire loses is a concealed frame;
 //! * in **write mode**, engines persist results (persistence time is
 //!   measured); **streaming mode** discards them;
 //! * validates results by **frame validation** (per-frame PSNR ≥ 40 dB
@@ -26,17 +27,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vr_base::obs::{metrics, trace};
 use vr_base::rng::mix64;
-use vr_base::sync::{panic_message, run_jobs, stage_panic, CancelToken};
-use vr_base::{fault, BufSlice, Error, Resolution, Result, VrRng};
+use vr_base::sync::{run_jobs, CancelToken};
+use vr_base::{fault, Error, Resolution, Result, VrRng};
 use vr_codec::{Decoder, EncodedVideo};
 use vr_frame::metrics::{psnr_y, PsnrStats, VALIDATION_THRESHOLD_DB};
 use vr_scene::groundtruth::frame_truth;
-use vr_storage::rtp::{RtpDepacketizer, RtpPacketizer};
-use vr_storage::{FlatStore, Pacer};
+use vr_storage::FlatStore;
 use vr_vdbms::query::{QueryInstance, QuerySpec};
 use vr_vdbms::reference::execute_reference;
 use vr_vdbms::{
-    CalibrationProfile, ExecContext, InputVideo, Optimizer, OptimizerMode, PipelineSnapshot,
+    CalibrationProfile, ExecContext, Optimizer, OptimizerMode, PipelineSnapshot,
     PlanNode, QueryKind, QueryOutput, ResultMode, Vdbms, Workload,
 };
 
@@ -332,6 +332,10 @@ impl<'d> Vcd<'d> {
                 .max(1),
             query_label: kind.short_label().to_string(),
             optimizer: self.optimizer.clone(),
+            online: match self.cfg.mode {
+                ExecutionMode::Online { speedup } => Some(speedup),
+                ExecutionMode::Offline => None,
+            },
             ..ExecContext::default()
         }
     }
@@ -545,11 +549,11 @@ impl<'d> Vcd<'d> {
     /// ([`run_jobs`]) and return one slot per instance: its result plus
     /// its latency in nanoseconds.
     ///
-    /// Each instance is one job: open its span, start its clock, pace
-    /// its inputs through RTP when the driver is in online mode (inside
-    /// the worker, concurrently, the way a rack of live cameras would),
-    /// execute it under its own context. With one worker the jobs run
-    /// on the calling thread — the classic sequential driver, no thread
+    /// Each instance is one job: open its span, arm its context, start
+    /// its clock, execute it under that context. In online mode the
+    /// context paces every read of its inputs, so the deadline and the
+    /// clock cover the paced reads. With one worker the jobs run on the
+    /// calling thread — the classic sequential driver, no thread
     /// spawned.
     ///
     /// In degrade mode a failure costs that instance only: it is a
@@ -569,16 +573,9 @@ impl<'d> Vcd<'d> {
         run_jobs(batch.len(), workers, name, |i| {
             let instance = &batch[i];
             let _span = trace::span_dyn("scheduler", || name(i));
-            let t0 = Instant::now();
-            let ingested = match self.cfg.mode {
-                ExecutionMode::Online { speedup } => {
-                    ingest_inputs_online(videos, instance, speedup).map(|_| ())
-                }
-                ExecutionMode::Offline => Ok(()),
-            };
             let ictx = self.instance_context(ctx, i);
-            let result = ingested.and_then(|()| engine.execute(instance, videos, &ictx));
-            match result {
+            let t0 = Instant::now();
+            match engine.execute(instance, videos, &ictx) {
                 Err(e) if !degrade => Err(e),
                 result => Ok((result, t0.elapsed().as_nanos() as u64)),
             }
@@ -765,93 +762,6 @@ fn compare_frames(answer: &EncodedVideo, reference: &EncodedVideo) -> Result<(Ve
         Some(e) => Err(e),
         None => Ok((psnr, mismatch)),
     }
-}
-
-/// Stream one input's video track through a named pipe at the capture
-/// rate — the single-machine online transport ("a VDBMS may access
-/// each video using either a named pipe … or via the RTP protocol",
-/// §3.2). A producer thread paces frame writes; the consumer blocks
-/// on reads, exactly as it would on a FIFO. Returns bytes delivered.
-pub fn ingest_online_pipe(input: &InputVideo, speedup: f64) -> Result<usize> {
-    use vr_storage::pipe::PipeRegistry;
-    let registry = PipeRegistry::new();
-    let mut writer = registry.create(&input.name, 4)?;
-    let reader = registry.open(&input.name)?;
-    std::thread::scope(|scope| -> Result<usize> {
-        // Zero-copy: each pipe message is a view into the container's
-        // shared buffer, not a per-sample copy.
-        let producer =
-            scope.spawn(move || paced_samples(input, speedup, |_, sample| writer.write(sample)));
-        let mut bytes = 0usize;
-        while let Some(frame) = reader.read() {
-            bytes += frame.len();
-        }
-        producer.join().unwrap_or_else(|p| Err(stage_panic(panic_message(p))))?;
-        Ok(bytes)
-    })
-}
-
-/// Walk one input's video samples in order, releasing sample `i` no
-/// earlier than its capture time (at `speedup`× real time) — the
-/// ingest both online transports share.
-fn paced_samples(
-    input: &InputVideo,
-    speedup: f64,
-    mut send: impl FnMut(usize, BufSlice) -> Result<()>,
-) -> Result<()> {
-    let info = input.video_info()?;
-    let (track, t) = input.video_track()?;
-    let pacer = Pacer::with_speedup(info.frame_rate, speedup.max(1e-3));
-    for i in 0..t.samples.len() {
-        pacer.wait_for_frame(i as u64);
-        send(i, input.container.sample_slice(track, i)?)?;
-    }
-    Ok(())
-}
-
-/// Online ingest of one query instance: every input it reads goes
-/// through paced RTP first — an engine may not read faster than the
-/// cameras capture. The driver's online mode and the server's
-/// `online=<speedup>` are this one loop. Returns the bytes delivered.
-pub(crate) fn ingest_inputs_online(
-    videos: &[InputVideo],
-    instance: &QueryInstance,
-    speedup: f64,
-) -> Result<usize> {
-    instance.inputs.iter().map(|&i| ingest_online(&videos[i], speedup)).sum()
-}
-
-/// Stream one input's video track through paced RTP (online-mode
-/// ingest): packets are released at the capture rate and reassembled;
-/// the returned count is the bytes delivered.
-pub fn ingest_online(input: &InputVideo, speedup: f64) -> Result<usize> {
-    let mut tx = RtpPacketizer::new(input.name.len() as u32 + 1, 1400);
-    let mut rx = RtpDepacketizer::new(input.name.len() as u32 + 1);
-    let mut bytes = 0usize;
-    // Packets produced by the sender — the depacketizer needs the
-    // final sequence number to account for tail loss exactly.
-    let mut produced: u64 = 0;
-    paced_samples(input, speedup, |i, sample| {
-        for pkt in tx.packetize(&sample, (i as u32).wrapping_mul(3000)) {
-            produced += 1;
-            // A dropped packet vanishes on the wire; the jitter buffer
-            // discovers the gap and skips past it.
-            if let Some(inj) = vr_base::fault::global() {
-                if inj.drop_rtp_packet(&input.name, produced) {
-                    continue;
-                }
-            }
-            for frame in rx.push(&pkt)? {
-                bytes += frame.len();
-            }
-        }
-        Ok(())
-    })?;
-    for frame in rx.finish(produced as u16) {
-        bytes += frame.len();
-    }
-    vr_base::fault::note_skipped_packets(rx.skipped());
-    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -1,30 +1,24 @@
 //! Storage and transport substrate.
 //!
-//! The VCD stages inputs and exposes them to engines under test in
-//! several ways (§3.2):
+//! The VCD exposes inputs to engines under test in two modes (§3.2):
 //!
 //! * **flat files** on a local file system ([`flat::FlatStore`]) —
-//!   offline mode, single node;
-//! * a **distributed file system** ([`dfs::MiniDfs`], the HDFS
-//!   analogue) — offline mode for distributed engines: replicated
-//!   fixed-size blocks over in-process "datanodes" with failover;
-//! * **named pipes** ([`pipe`]) — online mode on a single machine:
-//!   blocking bounded channels keyed by name;
-//! * **RTP** ([`rtp`]) — online mode over a network: RFC 3550-style
-//!   packetization with sequence numbers, fragmentation, marker bits,
-//!   and a reordering jitter buffer;
+//!   offline mode: the dataset, and write mode's results;
+//! * **RTP** ([`rtp`]) — online mode: RFC 3550-style packetization
+//!   with sequence numbers, fragmentation, marker bits, and a
+//!   reordering depacketizer that settles loss at sample boundaries;
 //! * a **real-time pacer** ([`pacer`]) that throttles delivery to the
 //!   camera's capture rate ("the VCD blocks on attempts to read video
 //!   data beyond this rate").
+//!
+//! The online pieces are composed in one place, the paced feed of
+//! `vr_vdbms::kernels::FrameStream`.
 
 #![forbid(unsafe_code)]
 
-pub mod dfs;
 pub mod flat;
 pub mod pacer;
-pub mod pipe;
 pub mod rtp;
 
-pub use dfs::MiniDfs;
 pub use flat::FlatStore;
 pub use pacer::Pacer;

@@ -5,7 +5,11 @@
 //! 12-byte header (version, marker on the final fragment of a frame,
 //! payload type, sequence number, media timestamp, SSRC). The
 //! depacketizer reorders by sequence number in a bounded jitter
-//! buffer and reassembles frames.
+//! buffer and reassembles frames; [`RtpDepacketizer::finish`] settles
+//! every gap up to a sequence number, which online mode's feed calls
+//! at each sample boundary, so a sample is known whole or lost there.
+//! Any packet that is not this stream's fails closed with
+//! [`Error::Corrupt`].
 
 use std::collections::BTreeMap;
 use vr_base::{Error, Result};
@@ -230,11 +234,12 @@ impl RtpDepacketizer {
         self.discard_until_marker = true;
     }
 
-    /// End of stream: the sender produced packets up to (excluding)
-    /// `end_seq`. Flushes everything still reorderable, declares any
-    /// remaining gaps lost, and returns the frames recovered. After
-    /// this, [`skipped`](Self::skipped) is the exact count of packets
-    /// that never arrived.
+    /// Settle the stream up to `end_seq`: the sender produced packets
+    /// up to (excluding) it. Flushes everything still reorderable,
+    /// declares any remaining gaps lost, and returns the frames
+    /// recovered. After this, [`skipped`](Self::skipped) is the exact
+    /// count of packets that never arrived. Called at a frame boundary
+    /// it leaves no frame torn, so the stream may continue past it.
     pub fn finish(&mut self, end_seq: u16) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();
         self.drain_ready(&mut frames);
@@ -422,5 +427,106 @@ mod tests {
             got.extend(rx.push(&p).unwrap());
         }
         assert_eq!(got, vec![frame]);
+    }
+
+    /// Fail closed: every truncation of a valid packet, a foreign
+    /// version or SSRC, a header-only packet, duplicated and reordered
+    /// packets, and 10 000 seeded random byte strings give
+    /// `Err(Corrupt)` or well-formed frames (never more bytes than were
+    /// pushed, and the reorder buffer within its bound), never a
+    /// panic; an in-order stream reassembles its input exactly.
+    #[test]
+    fn depacketizer_fails_closed_on_hostile_input() {
+        let mut rng = vr_base::VrRng::seed_from(0x5EED_0B7F);
+        let ok_or_corrupt = |r: Result<Vec<Vec<u8>>>, pushed: usize, what: &str| match r {
+            Ok(frames) => {
+                let got: usize = frames.iter().map(Vec::len).sum();
+                assert!(got <= pushed, "{what}: {got} bytes out of {pushed} in");
+            }
+            Err(Error::Corrupt(_)) => {}
+            Err(e) => panic!("{what}: {e:?} is not Corrupt"),
+        };
+
+        let mut tx = RtpPacketizer::new(11, 64);
+        let frame: Vec<u8> = (0..150u32).map(|i| i as u8).collect();
+        let packets = tx.packetize(&frame, 0);
+        for packet in &packets {
+            for len in 0..=packet.len() {
+                let r = RtpDepacketizer::new(11).push(&packet[..len]);
+                if len < HEADER_LEN {
+                    assert!(matches!(r, Err(Error::Corrupt(_))), "a {len}-byte packet");
+                }
+                ok_or_corrupt(r, len, "a truncated packet");
+            }
+            for version in [0u8, 1, 3] {
+                let mut bad = packet.clone();
+                bad[0] = (bad[0] & 0x3F) | (version << 6);
+                let r = RtpDepacketizer::new(11).push(&bad);
+                assert!(matches!(r, Err(Error::Corrupt(_))), "version {version}");
+            }
+            let r = RtpDepacketizer::new(12).push(packet);
+            assert!(matches!(r, Err(Error::Corrupt(_))), "a foreign SSRC");
+        }
+        let header_only = &packets[packets.len() - 1][..HEADER_LEN];
+        let mut rx = RtpDepacketizer::with_initial_sequence(11, packets.len() as u16 - 1);
+        assert_eq!(rx.push(header_only).unwrap(), vec![Vec::<u8>::new()], "an empty frame");
+
+        for round in 0..50 {
+            let frames: Vec<Vec<u8>> = (0..rng.range(1, 6))
+                .map(|_| (0..rng.range(0, 600)).map(|_| rng.next_u32() as u8).collect())
+                .collect();
+            let mut tx = RtpPacketizer::new(11, rng.range(HEADER_LEN + 1, 200));
+            let packets: Vec<Vec<u8>> = frames
+                .iter()
+                .enumerate()
+                .flat_map(|(i, f)| tx.packetize(f, i as u32 * 3000))
+                .collect();
+            let end = packets.len() as u16;
+            let mut rx = RtpDepacketizer::new(11);
+            let mut got = Vec::new();
+            for p in &packets {
+                got.extend(rx.push(p).unwrap());
+            }
+            got.extend(rx.finish(end));
+            assert_eq!((&got, rx.skipped()), (&frames, 0), "round {round}: in order");
+            // Duplicated and reordered within the jitter window.
+            let mut shuffled: Vec<&Vec<u8>> = packets.iter().chain(packets.iter().step_by(3)).collect();
+            for w in shuffled.chunks_mut(DEFAULT_JITTER_CAPACITY / 2) {
+                rng.shuffle(w);
+            }
+            let mut rx = RtpDepacketizer::new(11);
+            let mut got = Vec::new();
+            for p in shuffled {
+                got.extend(rx.push(p).unwrap());
+            }
+            got.extend(rx.finish(end));
+            assert_eq!((&got, rx.skipped()), (&frames, 0), "round {round}: reordered");
+        }
+
+        let mut rx = RtpDepacketizer::new(11);
+        let mut pushed = 0;
+        for i in 0..10_000 {
+            let mut bytes: Vec<u8> = (0..rng.range(0, 80)).map(|_| rng.next_u32() as u8).collect();
+            if i % 2 == 0 && bytes.len() >= HEADER_LEN {
+                // A header this stream accepts, over random payload.
+                let seq = rx.next_seq.wrapping_add(rng.range(0, 200) as u16);
+                let header = RtpHeader {
+                    version: 2,
+                    marker: rng.chance(0.3),
+                    payload_type: PAYLOAD_TYPE_VIDEO,
+                    sequence: seq,
+                    timestamp: rng.next_u32(),
+                    ssrc: 11,
+                };
+                let mut packet = Vec::with_capacity(bytes.len());
+                header.write(&mut packet);
+                packet.extend_from_slice(&bytes[HEADER_LEN..]);
+                bytes = packet;
+            }
+            pushed += bytes.len();
+            ok_or_corrupt(rx.push(&bytes), pushed, "a random byte string");
+            assert!(rx.buffer.len() <= DEFAULT_JITTER_CAPACITY, "the reorder buffer grew unbounded");
+        }
+        ok_or_corrupt(Ok(rx.finish(rx.next_seq.wrapping_add(7))), pushed, "settling the fuzz stream");
     }
 }

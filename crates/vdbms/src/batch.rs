@@ -38,10 +38,10 @@ use crate::cascade::CascadeConfig;
 use crate::cost::{CandidateSpace, KernelClass, PlanChoice, QueryWork};
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, QueryOutput};
-use crate::kernels::{boxes_frame, decode_all_parallel, filter_class, TileReencode};
+use crate::kernels::{boxes_frame, decode_frames, filter_class, TileReencode};
 use crate::pipeline::{
     self, DiffGate, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
-    PipelineMetrics, StageKind, TemporalMaskKernel,
+    StageKind, TemporalMaskKernel,
 };
 use crate::plan::{PlanNode, Policy, ScanOp};
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
@@ -92,6 +92,8 @@ struct TableEntry {
     frames: Arc<Vec<Frame>>,
     bytes: usize,
     last_used: u64,
+    /// Whether the frames came from an online (paced) read.
+    online: bool,
 }
 
 /// The Scanner-like engine.
@@ -161,34 +163,46 @@ impl BatchEngine {
 
     /// Materialize an input into the frame table (decode on miss,
     /// evicting least-recently-used entries to stay under capacity).
-    /// A miss decodes GOP-parallel across `workers` threads and its
-    /// cost is recorded as pipeline Decode work; a hit costs nothing
-    /// here (reading the table shows up as Scan work when the frames
-    /// flow through a memory scan).
+    /// A miss decodes GOP-parallel across the context's decode workers,
+    /// or, online, ingests the paced stream whole first (Scanner loads
+    /// a table before its kernels run); its cost is recorded as
+    /// pipeline Decode work. A hit costs nothing here (reading the
+    /// table shows up as Scan work when the frames flow through a
+    /// memory scan); online it needs a table filled by an online read,
+    /// so a camera is ingested once and no offline table stands in.
     fn materialize(
         &self,
         input: &InputVideo,
-        metrics: &PipelineMetrics,
-        workers: usize,
+        ctx: &ExecContext,
     ) -> Result<(VideoInfo, Arc<Vec<Frame>>)> {
         let now = {
             let mut c = self.clock.lock();
             *c += 1;
             *c
         };
+        let online = ctx.online.is_some();
         {
             let mut table = self.table.lock();
-            if let Some(entry) = table.get_mut(&input.name) {
+            if let Some(entry) = table.get_mut(&input.name).filter(|e| e.online == online) {
                 entry.last_used = now;
                 self.stats.lock().0 += 1;
                 return Ok((entry.info, entry.frames.clone()));
             }
         }
         self.stats.lock().1 += 1;
+        // Decode fan-out is clamped by the machine's parallelism as
+        // well as the budget: GOP-parallel decode across more threads
+        // than cores only adds spawn overhead.
+        let workers = self
+            .cfg
+            .workers
+            .min(ctx.workers)
+            .min(vr_base::sync::hardware_parallelism())
+            .max(1);
         let t0 = Instant::now();
-        let (info, frames) = decode_all_parallel(input, workers)?;
+        let (info, frames) = decode_frames(input, workers, ctx.online)?;
         let bytes: usize = frames.iter().map(|f| f.sample_count()).sum();
-        metrics.record(
+        ctx.metrics.record(
             StageKind::Decode,
             t0.elapsed().as_nanos() as u64,
             frames.len() as u64,
@@ -196,6 +210,8 @@ impl BatchEngine {
         );
         let frames = Arc::new(frames);
         let mut table = self.table.lock();
+        // A table of the other read mode gives way to this one.
+        table.remove(&input.name);
         // Evict LRU entries until the new entry fits.
         let mut total: usize = table.values().map(|e| e.bytes).sum();
         while total + bytes > self.cfg.cache_bytes && !table.is_empty() {
@@ -210,7 +226,7 @@ impl BatchEngine {
         if bytes <= self.cfg.cache_bytes {
             table.insert(
                 input.name.clone(),
-                TableEntry { info, frames: frames.clone(), bytes, last_used: now },
+                TableEntry { info, frames: frames.clone(), bytes, last_used: now, online },
             );
         }
         Ok((info, frames))
@@ -326,19 +342,14 @@ impl Vdbms for BatchEngine {
         // quiescing, across batches); when it does not, entries evict
         // each other during materialization and instances re-decode on
         // miss — the memory-thrash regime the paper observes at large
-        // scale factors.
-        let workers = self
-            .cfg
-            .workers
-            .min(ctx.workers)
-            .min(vr_base::sync::hardware_parallelism())
-            .max(1);
+        // scale factors. Online, this is where each camera's stream is
+        // ingested, paced, before any instance runs.
         let mut seen = std::collections::HashSet::new();
         for instance in instances.iter().filter(|i| scan_op(i) == ScanOp::Memory) {
             for &i in &instance.inputs {
                 if let Some(input) = inputs.get(i) {
                     if seen.insert(&input.name) {
-                        let _ = self.materialize(input, &ctx.metrics, workers);
+                        let _ = self.materialize(input, ctx);
                     }
                 }
             }
@@ -351,15 +362,6 @@ impl Vdbms for BatchEngine {
         inputs: &[InputVideo],
         ctx: &ExecContext,
     ) -> Result<QueryOutput> {
-        // Decode fan-out is clamped by the machine's parallelism as
-        // well as the budget: GOP-parallel decode across more threads
-        // than cores only adds spawn overhead.
-        let workers = self
-            .cfg
-            .workers
-            .min(ctx.workers)
-            .min(vr_base::sync::hardware_parallelism())
-            .max(1);
         let pl = Pipeline::new(ctx);
         let input = |i: usize| -> Result<&InputVideo> {
             instance
@@ -370,7 +372,7 @@ impl Vdbms for BatchEngine {
         };
         let output = match &instance.spec {
             QuerySpec::Q1 { rect, t1, t2 } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let last = (t2.frame_index(info.frame_rate) as usize)
                     .min(frames.len().saturating_sub(1));
                 let first = (t1.frame_index(info.frame_rate) as usize).min(last);
@@ -380,20 +382,20 @@ impl Vdbms for BatchEngine {
                 QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q2a => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let mut kernel = pipeline::map(|f, _| ops::grayscale(&f));
                 QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q2b { d } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let d = *d;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let mut kernel = pipeline::map(move |f, _| ops::gaussian_blur(&f, d));
                 QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q2c { class } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let cascade_order = self
                     .choice(instance, ctx)
@@ -444,13 +446,13 @@ impl Vdbms for BatchEngine {
                 QueryOutput::BoxedVideo { video: r.video, boxes: r.boxes.unwrap_or_default() }
             }
             QuerySpec::Q2d { m, epsilon } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let mut kernel = TemporalMaskKernel::new(*m, *epsilon, scan.len());
                 QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q3 { dx, dy, bitrates } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let mut kernel = TileReencode::q3(info, *dx, *dy, bitrates)?;
                 QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
@@ -460,7 +462,7 @@ impl Vdbms for BatchEngine {
                 // the allocation against the budget — and fail, as
                 // Scanner does ("quickly allocates all available
                 // memory and thereafter fails to make progress").
-                let (_info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (_info, frames) = self.materialize(input(0)?, ctx)?;
                 let out_bytes: usize = frames
                     .iter()
                     .map(|f| f.sample_count() * (*alpha as usize) * (*beta as usize))
@@ -472,7 +474,7 @@ impl Vdbms for BatchEngine {
                 )));
             }
             QuerySpec::Q5 { alpha, beta } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let (alpha, beta) = (*alpha, *beta);
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let mut kernel = pipeline::map(move |f, _| {
@@ -482,7 +484,7 @@ impl Vdbms for BatchEngine {
             }
             QuerySpec::Q6a => {
                 let inp = input(0)?;
-                let (info, frames) = self.materialize(inp, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(inp, ctx)?;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let mut kernel = pipeline::try_map(|f: Frame, i: usize| {
                     let boxes = crate::kernels::box_track(inp, i)?;
@@ -497,7 +499,7 @@ impl Vdbms for BatchEngine {
             }
             QuerySpec::Q6b => {
                 let inp = input(0)?;
-                let (info, frames) = self.materialize(inp, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(inp, ctx)?;
                 let doc = crate::kernels::caption_track(inp)?;
                 let style = vr_vtt::CaptionStyle::default();
                 let rate = info.frame_rate;
@@ -511,7 +513,7 @@ impl Vdbms for BatchEngine {
                 QueryOutput::Video(pl.run_streaming(&mut scan, &mut kernel)?.video)
             }
             QuerySpec::Q7 { class } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let cfg = YoloConfig {
                     macs_per_pixel: YoloConfig::default().macs_per_pixel
                         + self.cfg.nn_framework_macs_per_pixel,
@@ -540,7 +542,7 @@ impl Vdbms for BatchEngine {
                 *output,
             )?),
             QuerySpec::Q10 { high_bitrate, low_bitrate, high_tiles, client } => {
-                let (info, frames) = self.materialize(input(0)?, &ctx.metrics, workers)?;
+                let (info, frames) = self.materialize(input(0)?, ctx)?;
                 let mut scan = pl.memory_scan(info, frames, 0..usize::MAX);
                 let mut kernel =
                     TileReencode::q10(info, *high_bitrate, *low_bitrate, high_tiles, *client)?;
@@ -614,16 +616,33 @@ mod tests {
     #[test]
     fn cache_hits_on_repeated_access() {
         let engine = BatchEngine::new();
-        let metrics = PipelineMetrics::default();
+        let ctx = ExecContext { workers: 1, ..ExecContext::default() };
         let input = crate::io::tests::tiny_input("cache-a.vrmf");
-        engine.materialize(&input, &metrics, 1).unwrap();
-        engine.materialize(&input, &metrics, 1).unwrap();
-        engine.materialize(&input, &metrics, 1).unwrap();
+        engine.materialize(&input, &ctx).unwrap();
+        engine.materialize(&input, &ctx).unwrap();
+        engine.materialize(&input, &ctx).unwrap();
         let (hits, misses) = engine.cache_stats();
         assert_eq!(misses, 1);
         assert_eq!(hits, 2);
         // Only the miss decodes.
-        assert_eq!(metrics.snapshot().stage(StageKind::Decode).frames, 4);
+        assert_eq!(ctx.metrics.snapshot().stage(StageKind::Decode).frames, 4);
+    }
+
+    /// An online read fills a table of its own: an offline table does
+    /// not stand in for a paced ingest, nor an online one (which may
+    /// hold frames concealed after packet loss) for an offline read.
+    #[test]
+    fn each_read_mode_fills_its_own_table() {
+        let engine = BatchEngine::new();
+        let offline = ExecContext { workers: 1, ..ExecContext::default() };
+        let online = ExecContext { online: Some(1000.0), ..offline.clone() };
+        let input = crate::io::tests::tiny_input("cache-online.vrmf");
+        let (_, a) = engine.materialize(&input, &offline).unwrap();
+        let (_, b) = engine.materialize(&input, &online).unwrap();
+        engine.materialize(&input, &online).unwrap();
+        engine.materialize(&input, &offline).unwrap();
+        assert_eq!(engine.cache_stats(), (1, 3), "(hits, misses)");
+        assert_eq!(a, b, "with no fault plan both reads decode the same frames");
     }
 
     #[test]
@@ -632,10 +651,10 @@ mod tests {
             cache_bytes: 1, // nothing fits
             ..Default::default()
         });
-        let metrics = PipelineMetrics::default();
+        let ctx = ExecContext { workers: 1, ..ExecContext::default() };
         let input = crate::io::tests::tiny_input("thrash.vrmf");
-        engine.materialize(&input, &metrics, 1).unwrap();
-        engine.materialize(&input, &metrics, 1).unwrap();
+        engine.materialize(&input, &ctx).unwrap();
+        engine.materialize(&input, &ctx).unwrap();
         let (hits, misses) = engine.cache_stats();
         assert_eq!(hits, 0, "nothing should fit the cache");
         assert_eq!(misses, 2);
@@ -649,12 +668,12 @@ mod tests {
             cache_bytes: 8000,
             ..Default::default()
         });
-        let metrics = PipelineMetrics::default();
+        let ctx = ExecContext { workers: 1, ..ExecContext::default() };
         let a = crate::io::tests::tiny_input("lru-a.vrmf");
         let b = crate::io::tests::tiny_input("lru-b.vrmf");
-        engine.materialize(&a, &metrics, 1).unwrap(); // miss, cached
-        engine.materialize(&b, &metrics, 1).unwrap(); // miss, evicts a
-        engine.materialize(&a, &metrics, 1).unwrap(); // miss again
+        engine.materialize(&a, &ctx).unwrap(); // miss, cached
+        engine.materialize(&b, &ctx).unwrap(); // miss, evicts a
+        engine.materialize(&a, &ctx).unwrap(); // miss again
         let (hits, misses) = engine.cache_stats();
         assert_eq!(misses, 3);
         assert_eq!(hits, 0);
@@ -678,11 +697,11 @@ mod tests {
     #[test]
     fn quiesce_drops_cache() {
         let mut engine = BatchEngine::new();
-        let metrics = PipelineMetrics::default();
+        let ctx = ExecContext { workers: 1, ..ExecContext::default() };
         let input = crate::io::tests::tiny_input("q.vrmf");
-        engine.materialize(&input, &metrics, 1).unwrap();
+        engine.materialize(&input, &ctx).unwrap();
         engine.quiesce();
-        engine.materialize(&input, &metrics, 1).unwrap();
+        engine.materialize(&input, &ctx).unwrap();
         assert_eq!(engine.cache_stats().1, 2, "post-quiesce access re-decodes");
     }
 

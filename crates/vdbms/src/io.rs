@@ -167,6 +167,11 @@ pub struct ExecContext {
     /// after it, so chrome-trace output attributes each pipeline run to
     /// the request (and tenant) that caused it.
     pub request_id: Option<Arc<str>>,
+    /// Online mode (§3.2): `Some(speedup)` reads every input as a
+    /// forward-only stream paced at `speedup`× its camera's capture
+    /// rate and carried over RTP ([`crate::kernels::FrameStream::paced`]);
+    /// `None` (the default) reads the container's sample table.
+    pub online: Option<f64>,
 }
 
 impl Default for ExecContext {
@@ -179,6 +184,7 @@ impl Default for ExecContext {
             cancel: vr_base::sync::CancelToken::new(),
             optimizer: None,
             request_id: None,
+            online: None,
         }
     }
 }

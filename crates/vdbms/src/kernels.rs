@@ -3,8 +3,8 @@
 //! Correct single implementations of the operations every engine
 //! needs (decode, stitching, box overlays, the Q3/Q10 tile re-encode).
 //! [`FrameStream`] is the one loop that turns an input's samples into
-//! frames — whole-track, keyframe-seeking range, and GOP-parallel
-//! decode are all streams over it.
+//! frames — whole-track, keyframe-seeking range, GOP-parallel and
+//! online (paced RTP) decode are all streams over it.
 //! Engines differ in *scheduling* (eager vs streamed, cached vs not)
 //! and in a few deliberately divergent kernels (the batch engine's
 //! slow resize, the functional engine's scalar captioner) — those
@@ -22,6 +22,8 @@ use vr_frame::tile::TileGrid;
 use vr_frame::{draw, ops, round_u8, Frame};
 use vr_geom::{Camera, Equirect, Rect, Vec3};
 use vr_scene::ObjectClass;
+use vr_storage::rtp::{RtpDepacketizer, RtpPacketizer};
+use vr_storage::Pacer;
 use vr_vision::Detection;
 use vr_vtt::WebVtt;
 
@@ -73,22 +75,115 @@ impl SampleDecoder {
                 } else {
                     sample
                 };
-                // Demuxer integrity check: a payload that fails its
-                // index CRC is skipped (never fed to the decoder) and
-                // the frame concealed to keep cadence.
-                if vr_bitstream::crc32(payload) != sinfo.crc {
-                    fault::note_skipped_sample();
-                    let frame = dec.conceal_missing();
-                    fault::note_concealed(1);
-                    return Ok(frame);
+                Ok(decode_checked(dec, sinfo, payload))
+            }
+        }
+    }
+
+    /// Decode sample `index` as the online feed delivered it: `None`
+    /// when the wire lost it, which the resilient path conceals (only
+    /// a fault plan drops packets, and only under one is the path
+    /// resilient; a loss on the fast path is an error).
+    fn decode_received(
+        &mut self,
+        input: &InputVideo,
+        sinfo: SampleInfo,
+        index: usize,
+        received: Option<Vec<u8>>,
+    ) -> Result<Frame> {
+        match (self, received) {
+            (SampleDecoder::Fast(dec), Some(payload)) => dec.decode(&payload),
+            (SampleDecoder::Fast(_), None) => {
+                Err(Error::Corrupt(format!("sample {index} of {} lost on the wire", input.name)))
+            }
+            (SampleDecoder::Resilient(dec), Some(mut payload)) => {
+                if let Some(inj) = fault::global() {
+                    inj.corrupt_sample(&input.name, index as u64, &mut payload);
                 }
-                let (frame, outcome) = dec.decode(payload, sinfo.keyframe);
-                if outcome == DecodeOutcome::Concealed {
-                    fault::note_concealed(1);
-                }
+                Ok(decode_checked(dec, sinfo, &payload))
+            }
+            (SampleDecoder::Resilient(dec), None) => {
+                let frame = dec.conceal_missing();
+                fault::note_concealed(1);
                 Ok(frame)
             }
         }
+    }
+}
+
+/// The resilient path's demuxer integrity check: a payload that fails
+/// its index CRC is skipped (never fed to the decoder) and the frame
+/// concealed to keep cadence.
+fn decode_checked(dec: &mut ResilientDecoder, sinfo: SampleInfo, payload: &[u8]) -> Frame {
+    if vr_bitstream::crc32(payload) != sinfo.crc {
+        fault::note_skipped_sample();
+        let frame = dec.conceal_missing();
+        fault::note_concealed(1);
+        return frame;
+    }
+    let (frame, outcome) = dec.decode(payload, sinfo.keyframe);
+    if outcome == DecodeOutcome::Concealed {
+        fault::note_concealed(1);
+    }
+    frame
+}
+
+/// Largest packet the online feed sends, header included.
+const RTP_MTU: usize = 1400;
+
+/// Online mode's sample source (§3.2): an input's samples as a live
+/// camera sends them. Sample `i` is released at its capture time (at
+/// the feed's speedup), sent as RTP packets, any the fault plan drops
+/// vanish on the wire, and the rest are reassembled. The depacketizer
+/// is settled at every sample boundary, so a sample is known whole or
+/// lost when it is due: no read-ahead, and no jitter window involved.
+struct PacedFeed {
+    pacer: Pacer,
+    tx: RtpPacketizer,
+    rx: RtpDepacketizer,
+    /// Packets sent so far; the next packet's drop decision is keyed
+    /// by this count plus one.
+    sent: u64,
+}
+
+impl PacedFeed {
+    /// A feed whose capture clock starts now.
+    fn new(input: &InputVideo, info: VideoInfo, speedup: f64) -> Self {
+        let ssrc = input.name.len() as u32 + 1;
+        Self {
+            pacer: Pacer::with_speedup(info.frame_rate, speedup.max(1e-3)),
+            tx: RtpPacketizer::new(ssrc, RTP_MTU),
+            rx: RtpDepacketizer::new(ssrc),
+            sent: 0,
+        }
+    }
+
+    /// Block until sample `index` of `track` is captured, then send it
+    /// and receive it: its bytes, or `None` when a packet was lost.
+    /// Lost packets are counted as skipped here, sample by sample.
+    fn receive(
+        &mut self,
+        input: &InputVideo,
+        track: usize,
+        index: usize,
+    ) -> Result<Option<Vec<u8>>> {
+        self.pacer.wait_for_frame(index as u64);
+        let sample = input.container.sample(track, index)?;
+        let skipped = self.rx.skipped();
+        let mut received = Vec::with_capacity(1);
+        for packet in self.tx.packetize(sample, (index as u32).wrapping_mul(3000)) {
+            self.sent += 1;
+            if fault::global().is_some_and(|inj| inj.drop_rtp_packet(&input.name, self.sent)) {
+                continue;
+            }
+            received.extend(self.rx.push(&packet)?);
+        }
+        received.extend(self.rx.finish(self.sent as u16));
+        let lost = self.rx.skipped() - skipped;
+        if lost > 0 {
+            fault::note_skipped_packets(lost);
+        }
+        Ok(received.pop())
     }
 }
 
@@ -107,6 +202,17 @@ pub fn decode_all_parallel(
     input: &InputVideo,
     workers: usize,
 ) -> Result<(VideoInfo, Vec<Frame>)> {
+    decode_frames(input, workers, None)
+}
+
+/// [`decode_all_parallel`] read the way `online` says
+/// ([`FrameStream::paced`]): online, one paced stream, since GOP chunks
+/// cannot be read out of a forward-only stream.
+pub(crate) fn decode_frames(
+    input: &InputVideo,
+    workers: usize,
+    online: Option<f64>,
+) -> Result<(VideoInfo, Vec<Frame>)> {
     let info = input.video_info()?;
     let (track, t) = input.video_track()?;
     let samples = &t.samples[..];
@@ -115,8 +221,13 @@ pub fn decode_all_parallel(
     // a keyframe cannot be chunked; neither can a trivial one.
     let gop_starts: Vec<usize> = (0..n).filter(|&i| samples[i].keyframe).collect();
     let stream = |from, end| FrameStream::over(input, track, samples, info, from, end);
-    if workers <= 1 || n < 2 || gop_starts.first() != Some(&0) || gop_starts.len() < 2 {
-        return Ok((info, stream(0, n).collect_frames()?));
+    if online.is_some()
+        || workers <= 1
+        || n < 2
+        || gop_starts.first() != Some(&0)
+        || gop_starts.len() < 2
+    {
+        return Ok((info, stream(0, n).paced(online).collect_frames()?));
     }
     let _span = vr_base::obs::trace::span("decoder", "decode_parallel");
     let chunks = workers.min(gop_starts.len());
@@ -142,13 +253,16 @@ pub fn decode_all_parallel(
 /// (one frame resident at a time) — the one loop that turns samples
 /// into frames. A stream over frames `[from, to]` pre-rolls from the
 /// last keyframe at or before `from`: the random-access path offline
-/// mode's sample index exists for.
+/// mode's sample index exists for. A [`paced`](Self::paced) stream
+/// takes its samples from online mode's feed instead.
 pub struct FrameStream<'a> {
     input: &'a InputVideo,
     track: usize,
     samples: &'a [SampleInfo],
     info: VideoInfo,
     decoder: SampleDecoder,
+    /// Online mode's paced feed; `None` reads the sample table.
+    feed: Option<PacedFeed>,
     /// Next sample to decode.
     next: usize,
     /// First sample yielded as a frame; samples before it are pre-roll.
@@ -193,7 +307,20 @@ impl<'a> FrameStream<'a> {
         end: usize,
     ) -> Self {
         let decoder = SampleDecoder::new(info);
-        Self { input, track, samples, info, decoder, next: from, from, end }
+        Self { input, track, samples, info, decoder, feed: None, next: from, from, end }
+    }
+
+    /// Read the stream the way online mode exposes a video when
+    /// `online` holds a speedup: forward only from sample 0, each
+    /// sample received from a [`PacedFeed`] whose capture clock starts
+    /// now (pre-roll is received and dropped, as there is no seeking).
+    /// `None` leaves the stream reading the sample table.
+    pub(crate) fn paced(mut self, online: Option<f64>) -> Self {
+        if let Some(speedup) = online {
+            self.feed = Some(PacedFeed::new(self.input, self.info, speedup));
+            self.next = 0;
+        }
+        self
     }
 
     /// Stream parameters.
@@ -219,7 +346,13 @@ impl<'a> FrameStream<'a> {
         }
         let i = self.next;
         self.next += 1;
-        Some((self.decoder.decode_sample(self.input, self.track, i), i >= self.from))
+        let frame = match &mut self.feed {
+            Some(feed) => feed.receive(self.input, self.track, i).and_then(|received| {
+                self.decoder.decode_received(self.input, self.samples[i], i, received)
+            }),
+            None => self.decoder.decode_sample(self.input, self.track, i),
+        };
+        Some((frame, i >= self.from))
     }
 
     /// The next frame of the range, or the error of a failed decode,
@@ -1080,6 +1213,23 @@ mod range_tests {
         assert_eq!(part.len(), 2);
         // Inverted range errors.
         assert!(decode_range(&input, 3, 1).is_err());
+    }
+
+    /// A paced stream decodes the frames the sample table gives, whole
+    /// or over a range (read from sample 0), and the batch engine's
+    /// table fill reads one paced stream at any worker count.
+    #[test]
+    fn paced_streams_match_the_sample_table() {
+        let input = crate::io::tests::gop2_input("paced.vrmf");
+        let (_, all) = decode_all(&input).unwrap();
+        for (from, to) in [(0usize, 8usize), (3, 6), (5, 5)] {
+            let paced = FrameStream::range(&input, from, to).unwrap().paced(Some(1000.0));
+            assert_eq!(paced.collect_frames().unwrap(), all[from..=to], "range {from}..={to}");
+        }
+        for workers in [1usize, 4] {
+            let (_, frames) = decode_frames(&input, workers, Some(1000.0)).unwrap();
+            assert_eq!(frames, all, "workers={workers}");
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!
 //! Two scan operators feed it: [`DecodeScan`] decodes through a
 //! [`FrameStream`] — the whole track ([`Pipeline::stream_scan`]) or a
-//! keyframe-seeking range of it ([`Pipeline::range_scan`]) — and
-//! [`MemoryScan`] reads an already-decoded frame table.
+//! keyframe-seeking range of it ([`Pipeline::range_scan`]), paced in
+//! online mode ([`ExecContext::online`]) — and [`MemoryScan`] reads an
+//! already-decoded frame table.
 //!
 //! Every query streams, and each kernel states what it keeps
 //! resident: one frame for the per-frame maps and for the Q3/Q10
@@ -328,8 +329,9 @@ fn one_frame(frame: &Result<Frame>) -> Option<(u64, u64)> {
 
 /// Decode scan over a [`FrameStream`]: the whole video track (the
 /// lazy access path) or a keyframe-seeking range of it (temporal
-/// predicate pushdown). Records Decode time per sample, pre-roll
-/// included.
+/// predicate pushdown), read from the sample table or, online, from
+/// the paced feed. Records Decode time per sample, pre-roll included;
+/// online, that time includes the wait for the sample's capture time.
 pub(crate) struct DecodeScan<'a> {
     stream: FrameStream<'a>,
     metrics: Arc<PipelineMetrics>,
@@ -803,8 +805,10 @@ impl<'c> Pipeline<'c> {
         Ok(self.decode_scan(FrameStream::range(input, from, to)?))
     }
 
+    /// A decode scan in the context's read mode: online, the stream
+    /// is paced.
     fn decode_scan<'a>(&self, stream: FrameStream<'a>) -> DecodeScan<'a> {
-        DecodeScan { stream, metrics: self.ctx.metrics.clone() }
+        DecodeScan { stream: stream.paced(self.ctx.online), metrics: self.ctx.metrics.clone() }
     }
 
     /// Open a scan over already-decoded frames.
@@ -1305,6 +1309,53 @@ pub(crate) mod tests {
         assert_eq!((got.as_slice(), invocations), (&all[5..], 5));
         let ctx = ctx();
         assert!(Pipeline::new(&ctx).range_scan(&input, 3, 1).is_err());
+    }
+
+    /// Online, a range scan cannot seek: it reads forward from sample
+    /// 0 and drops the pre-roll, and yields the frames offline yields.
+    #[test]
+    fn online_range_scan_reads_from_sample_zero() {
+        let input = crate::io::tests::gop2_input("pipe-online-seek.vrmf");
+        let (_, all) = decode_all(&input).unwrap();
+        for (from, to) in [(0, 8), (3, 5), (8, 8)] {
+            let ctx = ExecContext { online: Some(1000.0), ..ctx() };
+            let pl = Pipeline::new(&ctx);
+            let got = drain(&mut pl.range_scan(&input, from, to).unwrap()).unwrap();
+            let decode = ctx.metrics.snapshot().stage(StageKind::Decode);
+            assert_eq!(got, all[from..=to], "range {from}..={to}");
+            assert_eq!(decode.invocations, to as u64 + 1, "range {from}..={to}");
+        }
+    }
+
+    /// Online, ingest is a stage of the scan, not a prelude: the kernel
+    /// receives frame 0 before the feed releases the last sample. The
+    /// last release is at least `(n − 1)` capture intervals after the
+    /// scan opened, so frame 0's arrival is compared with that instant.
+    #[test]
+    fn online_kernel_receives_frame_zero_before_the_last_release() {
+        let input = crate::io::tests::gop2_input("pipe-online-order.vrmf");
+        let n = input.frame_count() as u32;
+        let speedup = 2.0;
+        let rate = input.video_info().unwrap().frame_rate;
+        let interval = Duration::from_secs_f64(rate.frame_interval_secs() / speedup);
+        for workers in [1, 2] {
+            let ctx = ExecContext { online: Some(speedup), ..ctx_workers(workers) };
+            let pl = Pipeline::new(&ctx);
+            let opened = Instant::now();
+            let mut scan = pl.stream_scan(&input).unwrap();
+            let mut first = None;
+            let mut kernel = map(|f, i| {
+                if i == 0 {
+                    first = Some(Instant::now());
+                }
+                f
+            });
+            pl.run_streaming(&mut scan, &mut kernel).unwrap();
+            let done = opened.elapsed();
+            let last_release = opened + interval * (n - 1);
+            assert!(first.unwrap() < last_release, "workers {workers}: frame 0 came after the last release");
+            assert!(done >= interval * (n - 1), "workers {workers}: read in {done:?}, unpaced");
+        }
     }
 
     /// The one Q2(d) kernel against the whole-video form it replaced,

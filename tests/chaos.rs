@@ -21,6 +21,7 @@ use visual_road::container::{Container, ContainerWriter, TrackKind};
 use visual_road::frame::Frame;
 use visual_road::prelude::*;
 use visual_road::report::DegradationStats;
+use visual_road::vdbms::ExecContext;
 
 mod common;
 use common::tiny_dataset;
@@ -354,6 +355,93 @@ fn online_rtp_drops_are_skipped_and_accounted() {
         panic!("online chaos batch must complete, got {:?}", q.status);
     };
     assert_eq!(degradation.recovered.skipped_packets, inj.injected().drop_rtp);
+}
+
+/// The validator says no: online under `drop_rtp=1.0` the wire loses
+/// every packet of reference Q2(a)'s input, every frame is concealed,
+/// and the batch fails validation. The same run with no fault plan
+/// passes at 99 dB.
+#[test]
+fn online_packet_loss_fails_validation() {
+    let dataset = clean_dataset(50);
+    let cfg = VcdConfig {
+        batch_size: Some(1),
+        mode: ExecutionMode::Online { speedup: 1000.0 },
+        ..Default::default()
+    };
+    let run = || {
+        let vcd = Vcd::new(&dataset, cfg.clone());
+        let report = vcd.run_queries(&mut ReferenceEngine::new(), &[QueryKind::Q2aGrayscale]);
+        match &report.unwrap().queries[0].status {
+            QueryStatus::Completed { validation, degradation, frames, .. } => {
+                (validation.clone(), *degradation, *frames as u64)
+            }
+            other => panic!("the online batch must complete, got {other:?}"),
+        }
+    };
+    let (clean, _, _) = {
+        let _guard = injector_lock();
+        run()
+    };
+    let psnr = clean.psnr.expect("Q2(a) is judged on frames");
+    assert!(clean.passed && psnr.min >= 99.0, "{clean:?}");
+    let (_guard, inj) =
+        InstallGuard::install(FaultInjector::from_spec("drop_rtp=1.0", 0).unwrap());
+    let (lossy, degradation, frames) = run();
+    assert!(!lossy.passed, "an answer of concealed frames passed: {lossy:?}");
+    assert_eq!(degradation.recovered.concealed_frames, frames, "{degradation:?}");
+    assert_eq!(degradation.recovered.skipped_packets, inj.injected().drop_rtp);
+    assert_eq!(degradation.recovered.skipped_samples, 0, "a lost sample is not a CRC skip");
+}
+
+/// Loss reaches the answer: online under `drop_rtp`, every sample the
+/// wire loses is a concealed frame. The lost samples are counted by
+/// replaying the injector's keyed decisions over the feed's
+/// packetization (sample `i` goes out as `ceil(size / 1388)` packets,
+/// at least one, numbered from 1 along the stream). The fault
+/// accounting holds, and the degraded answer differs from the offline
+/// one.
+#[test]
+fn online_losses_are_concealed_frames() {
+    let dataset = clean_dataset(51);
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
+    let instance = &vcd.batch(QueryKind::Q2aGrayscale).unwrap()[0];
+    let input = &dataset.videos[instance.inputs[0]];
+    let engine = ReferenceEngine::new();
+    let answer = |ctx: &ExecContext| {
+        let out = engine.execute(instance, &dataset.videos, ctx).unwrap();
+        let video = out.primary_video().unwrap();
+        video.packets.iter().map(|p| p.data.clone()).collect::<Vec<_>>()
+    };
+    let offline = {
+        let _guard = injector_lock();
+        answer(&ExecContext { workers: 1, ..ExecContext::default() })
+    };
+    let (spec, seed) = ("drop_rtp=0.3", 9);
+    let (_guard, inj) = InstallGuard::install(FaultInjector::from_spec(spec, seed).unwrap());
+    let replay = FaultInjector::from_spec(spec, seed).unwrap();
+    let mut sent = 0u64;
+    let samples = &input.video_track().unwrap().1.samples;
+    let lost = samples
+        .iter()
+        .filter(|s| {
+            let packets = (s.size as u64).div_ceil(1388).max(1);
+            (0..packets).fold(false, |lost, _| {
+                sent += 1;
+                replay.drop_rtp_packet(&input.name, sent) | lost
+            })
+        })
+        .count() as u64;
+    assert!(lost > 0 && lost < samples.len() as u64, "{lost} of {} samples lost", samples.len());
+    let before = fault::degradation_snapshot();
+    let online = answer(&ExecContext { workers: 1, online: Some(1000.0), ..ExecContext::default() });
+    let recovered = fault::degradation_snapshot().since(&before);
+    let mismatches = fault::accounting_mismatches(&inj.injected(), &recovered);
+    assert!(mismatches.is_empty(), "{mismatches:?}");
+    assert_eq!(inj.injected().drop_rtp, replay.injected().drop_rtp, "the replay drops what the feed dropped");
+    assert!(recovered.concealed_frames >= lost, "{lost} samples lost: {recovered:?}");
+    assert_eq!(recovered.skipped_samples, 0, "{recovered:?}");
+    assert_ne!(online, offline, "the degraded answer equals the offline one");
 }
 
 /// The chaos schedule `visualroad run --faults ... --fault-seed 7`

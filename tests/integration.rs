@@ -4,9 +4,8 @@
 
 use visual_road::prelude::*;
 use visual_road::storage::FlatStore;
-use visual_road::vcd::ingest_online;
 use visual_road::vdbms::query::{QueryInstance, QuerySpec};
-use visual_road::vdbms::{ExecContext, QueryKind, QueryOutput, Vdbms};
+use visual_road::vdbms::{ExecContext, OutputBox, QueryKind, QueryOutput, Vdbms};
 use vr_frame::metrics::psnr_y;
 
 mod common;
@@ -249,21 +248,113 @@ fn write_and_streaming_modes() {
     store.destroy().unwrap();
 }
 
-/// Online-mode ingest streams all video bytes through paced RTP.
+/// An answer's bytes: every packet of every video, and Q2(c)'s boxes.
+fn answer_bytes(out: &QueryOutput) -> (Vec<Vec<u8>>, Vec<Vec<OutputBox>>) {
+    let (videos, boxes) = match out {
+        QueryOutput::Video(v) => (vec![v], Vec::new()),
+        QueryOutput::Videos(vs) => (vs.iter().collect(), Vec::new()),
+        QueryOutput::BoxedVideo { video, boxes } => (vec![video], boxes.clone()),
+    };
+    let packets = videos.iter().flat_map(|v| v.packets.iter().map(|p| p.data.clone())).collect();
+    (packets, boxes)
+}
+
+/// Online mode reads each input once, as a paced scan, and with no
+/// fault plan delivers every byte: every engine's answer to every
+/// query it supports (or its error) is the same online as offline,
+/// byte for byte. The online reads run pipelined at two workers, the
+/// offline ones at one; a fresh engine per query, so the batch engine
+/// fills its frame table from the paced feed.
 #[test]
 fn online_ingest_delivers_every_byte() {
     let dataset = tiny_dataset(16);
-    let idx = dataset.traffic_indices()[0];
-    let input = &dataset.videos[idx];
-    let expected: usize = {
-        let track = input
-            .container
-            .track_of_kind(visual_road::container::TrackKind::Video)
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
+    let offline = ExecContext { workers: 1, ..ExecContext::default() };
+    let online = ExecContext { workers: 2, online: Some(1000.0), ..ExecContext::default() };
+    let engines: [fn() -> Box<dyn Vdbms>; 4] = [
+        || Box::new(ReferenceEngine::new()),
+        || Box::new(BatchEngine::new()),
+        || Box::new(FunctionalEngine::new()),
+        || Box::new(CascadeEngine::new()),
+    ];
+    let mut compared = 0;
+    for new_engine in engines {
+        for kind in QueryKind::ALL {
+            let engine = new_engine();
+            if !engine.supports(kind) {
+                continue;
+            }
+            let instance = &vcd.batch(kind).unwrap()[0];
+            let answer = |ctx: &ExecContext| {
+                let out = engine.execute(instance, &dataset.videos, ctx);
+                out.map(|o| answer_bytes(&o)).map_err(|e| e.to_string())
+            };
+            let (got, want) = (answer(&online), answer(&offline));
+            assert!(got == want, "{} {}: online differs from offline", engine.name(), kind.label());
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 3 * QueryKind::ALL.len() + 2, "every engine x query pair it supports");
+}
+
+/// Online, every engine's instance takes at least its input's paced
+/// duration, (n − 1) / (fps · speedup): the read blocks on the capture
+/// clock whichever scan the engine runs. The cascade, which has no
+/// Q2(a), is timed on Q1 (a whole-track scan there).
+#[test]
+fn every_engine_reads_online_at_the_capture_rate() {
+    let dataset = tiny_dataset(23);
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
+    let speedup = 4.0;
+    let ctx = ExecContext { workers: 1, online: Some(speedup), ..ExecContext::default() };
+    let engines: Vec<Box<dyn Vdbms>> = vec![
+        Box::new(ReferenceEngine::new()),
+        Box::new(BatchEngine::new()),
+        Box::new(FunctionalEngine::new()),
+        Box::new(CascadeEngine::new()),
+    ];
+    for engine in &engines {
+        let kind = [QueryKind::Q2aGrayscale, QueryKind::Q1Select]
+            .into_iter()
+            .find(|&k| engine.supports(k))
             .unwrap();
-        input.container.tracks()[track].samples.iter().map(|s| s.size as usize).sum()
+        let instance = &vcd.batch(kind).unwrap()[0];
+        let input = &dataset.videos[instance.inputs[0]];
+        let interval = input.video_info().unwrap().frame_rate.frame_interval_secs();
+        let paced = (input.frame_count() - 1) as f64 * interval / speedup;
+        let t0 = std::time::Instant::now();
+        engine.execute(instance, &dataset.videos, &ctx).unwrap();
+        let took = t0.elapsed().as_secs_f64();
+        assert!(took >= paced, "{} {}: {took:.3}s < paced {paced:.3}s", engine.name(), kind.label());
+    }
+}
+
+/// The instance deadline covers the paced reads: online at real time
+/// over a one-second clip, a 100 ms deadline cancels reference Q2(a)
+/// at the next frame, long before the clip has been captured.
+#[test]
+fn online_deadline_covers_the_paced_reads() {
+    let hyper =
+        Hyperparameters::new(1, Resolution::new(128, 72), Duration::from_secs(1.0), 24).unwrap();
+    let gen = GenConfig { density_scale: 0.2, generate_panoramas: false, ..Default::default() };
+    let dataset = Vcg::new(gen).generate(&hyper).unwrap();
+    let cfg = VcdConfig {
+        batch_size: Some(1),
+        validate: false,
+        mode: visual_road::ExecutionMode::Online { speedup: 1.0 },
+        instance_deadline: Some(std::time::Duration::from_millis(100)),
+        ..Default::default()
     };
-    let bytes = ingest_online(input, 1000.0).unwrap();
-    assert_eq!(bytes, expected);
+    let report =
+        Vcd::new(&dataset, cfg).run_queries(&mut ReferenceEngine::new(), &[QueryKind::Q2aGrayscale]);
+    let QueryStatus::Completed { degradation, scheduler, .. } = &report.unwrap().queries[0].status
+    else {
+        panic!("a cancelled instance is a degraded row, not a failed batch");
+    };
+    assert_eq!(degradation.cancelled_instances, 1, "{degradation:?}");
+    let capture = dataset.videos[dataset.traffic_indices()[0]].frame_count() as f64 / 30.0;
+    let latency = scheduler.max_instance_nanos as f64 / 1e9;
+    assert!(latency < capture / 2.0, "instance took {latency:.3}s of a {capture:.1}s capture");
 }
 
 /// Online mode is slower than offline because ingest is paced.
@@ -335,41 +426,6 @@ fn q1_outputs_are_mutually_consistent() {
             let p = psnr_y(a, b);
             assert!(p >= 40.0, "engine {ei} diverges from reference: {p} dB");
         }
-    }
-}
-
-/// The named-pipe online transport delivers every byte, paced.
-#[test]
-fn pipe_ingest_delivers_every_byte() {
-    let dataset = tiny_dataset(19);
-    let idx = dataset.traffic_indices()[0];
-    let input = &dataset.videos[idx];
-    let expected: usize = {
-        let track = input
-            .container
-            .track_of_kind(visual_road::container::TrackKind::Video)
-            .unwrap();
-        input.container.tracks()[track].samples.iter().map(|s| s.size as usize).sum()
-    };
-    let bytes = visual_road::vcd::ingest_online_pipe(input, 1000.0).unwrap();
-    assert_eq!(bytes, expected);
-}
-
-/// Offline mode can stage inputs on the mini distributed file system
-/// (the HDFS analogue) and read them back intact, surviving a
-/// datanode failure.
-#[test]
-fn dataset_stages_on_dfs_with_failover() {
-    let dataset = tiny_dataset(20);
-    let dfs = visual_road::storage::MiniDfs::new(3, 2, 32 * 1024).unwrap();
-    dataset.write_to_dfs(&dfs).unwrap();
-    assert_eq!(dfs.file_count(), dataset.videos.len());
-    dfs.kill_datanode(1);
-    for video in &dataset.videos {
-        let bytes = dfs.get(&video.name).unwrap();
-        assert_eq!(bytes, video.container.raw_bytes(), "{}", video.name);
-        // And the staged copy still parses as a container.
-        visual_road::vdbms::InputVideo::from_bytes(video.name.clone(), bytes).unwrap();
     }
 }
 
