@@ -464,8 +464,10 @@ impl PlanNode {
 mod tests {
     use crate::io::ExecContext;
     use crate::pipeline::{PipelineMetrics, StageKind};
-    use crate::query::{QueryInstance, QuerySpec, SampleContext};
-    use crate::{BatchEngine, CascadeEngine, FunctionalEngine, ReferenceEngine, Vdbms};
+    use crate::query::{QueryInstance, QueryKind, QuerySpec, SampleContext};
+    use crate::{BatchEngine, CalibrationProfile, CascadeEngine, FunctionalEngine, Optimizer};
+    use crate::{ReferenceEngine, Vdbms};
+    use std::sync::Arc;
     use vr_base::Timestamp;
 
     fn q1() -> QueryInstance {
@@ -548,6 +550,12 @@ mod tests {
         );
     }
 
+    /// Every supported engine x query plan, at pipeline workers 1 and
+    /// 2, then batch's and cascade's Q2(c) under the built-in
+    /// optimizer, is pinned byte for byte by `results/explain_plans.txt`,
+    /// so any change to what an engine's EXPLAIN says shows up there as
+    /// a reviewable diff. Each plan is described twice: plans are
+    /// deterministic descriptions, not measurements.
     #[test]
     fn every_engine_produces_a_plan_for_every_supported_query() {
         let engines: Vec<Box<dyn Vdbms>> = vec![
@@ -559,30 +567,41 @@ mod tests {
         let sample = SampleContext::default();
         let resolution = vr_base::Resolution { width: 128, height: 72 };
         let duration = vr_base::Duration::from_secs(1.0);
-        let ctx = ctx();
-        for engine in &engines {
-            for kind in crate::query::QueryKind::ALL {
-                if !engine.supports(kind) {
-                    continue;
+        let render = |engine: &dyn Vdbms, kind: QueryKind, ctx: &ExecContext| {
+            let mut rng = vr_base::VrRng::seed_from(7);
+            let spec = QuerySpec::sample(kind, &mut rng, resolution, duration, &sample);
+            let inputs = match kind {
+                QueryKind::Q8VehicleTracking => vec![0, 1, 2],
+                QueryKind::Q9PanoramicStitching => vec![0, 1, 2, 3],
+                _ => vec![0],
+            };
+            let instance = QueryInstance { index: 0, spec, inputs };
+            let plan = engine.plan(&instance, ctx);
+            assert_eq!(plan, engine.plan(&instance, ctx), "{} {kind:?}", engine.name());
+            format!("== {} {} ==\n{}", engine.name(), kind.label(), plan.render_text())
+        };
+        let mut rendered = String::new();
+        for workers in [1, 2] {
+            let ctx = ExecContext { workers, ..ExecContext::default() };
+            for engine in &engines {
+                for kind in QueryKind::ALL.into_iter().filter(|&k| engine.supports(k)) {
+                    rendered.push_str(&render(engine.as_ref(), kind, &ctx));
                 }
-                let mut rng = vr_base::VrRng::seed_from(7);
-                let instance = QueryInstance {
-                    index: 0,
-                    spec: QuerySpec::sample(kind, &mut rng, resolution, duration, &sample),
-                    inputs: vec![0],
-                };
-                let plan = engine.plan(&instance, &ctx);
-                assert_eq!(plan.op, "query", "{} {kind:?}", engine.name());
-                assert!(
-                    plan.render_text().contains("engine="),
-                    "{} {kind:?} plan lacks engine tag",
-                    engine.name()
-                );
-                // The same call twice yields the same tree: plans are
-                // deterministic descriptions, not measurements.
-                assert_eq!(plan, engine.plan(&instance, &ctx));
             }
         }
+        // The built-in profile takes the cascade order; a profile
+        // calibrated on video where the gate skips no frame rules it out.
+        let builtin = CalibrationProfile::builtin();
+        for skip_rate in [builtin.cascade_skip_rate, 0.0] {
+            let profile = CalibrationProfile { cascade_skip_rate: skip_rate, ..builtin.clone() };
+            let ctx = ExecContext { optimizer: Some(Arc::new(Optimizer::new(profile))), ..ctx() };
+            rendered.push_str(&format!("== optimizer: cascade_skip_rate={skip_rate} ==\n"));
+            for engine in [&engines[1], &engines[3]] {
+                rendered.push_str(&render(engine.as_ref(), QueryKind::Q2cBoxes, &ctx));
+            }
+        }
+        let committed = include_str!("../../../results/explain_plans.txt");
+        assert!(committed == rendered, "results/explain_plans.txt is stale; it now reads:\n{rendered}");
     }
 
     #[test]
