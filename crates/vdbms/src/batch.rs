@@ -43,7 +43,7 @@ use crate::pipeline::{
     self, DiffGate, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
     StageKind, TemporalMaskKernel,
 };
-use crate::plan::{PlanNode, Policy, ScanOp};
+use crate::plan::{PlanDesc, PlanNode, Policy, ScanOp};
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
 use crate::reference;
 use std::collections::HashMap;
@@ -554,52 +554,28 @@ impl Vdbms for BatchEngine {
     }
 
     fn plan(&self, instance: &QueryInstance, ctx: &ExecContext) -> PlanNode {
-        // One arm per `execute` arm, over the scan `scan_op` names.
-        // Q2(c) consults the optimizer exactly as `execute` does, so
-        // EXPLAIN shows the plan that will run. Q4's plan is the
+        // The scan `scan_op` names, and each kernel the engine swaps
+        // in. Q2(c) consults the optimizer exactly as `execute` does,
+        // so EXPLAIN shows the order that will run. Q4's plan is the
         // upsampled batch materialized whole, which the budget check
         // refuses before any kernel runs.
-        let choice = self.choice(instance, ctx);
-        let mut gate = None;
-        let (policy, kernel) = match &instance.spec {
-            QuerySpec::Q1 { .. } => (Policy::Streaming, "slow_float_crop".to_string()),
-            QuerySpec::Q2a => (Policy::Streaming, "grayscale".to_string()),
-            QuerySpec::Q2b { d } => (Policy::Streaming, format!("gaussian_blur(d={d})")),
-            QuerySpec::Q2c { class } => {
-                if choice.map(|c| c.policy == Policy::ShortCircuit).unwrap_or(false) {
-                    gate = Some("frame-diff".to_string());
-                    (Policy::ShortCircuit, format!("detect_boxes({class:?})+cascade"))
-                } else {
-                    (Policy::Streaming, format!("detect_boxes({class:?})+framework"))
-                }
+        let mut desc = PlanDesc::of(self.name(), instance);
+        desc.scan = scan_op(instance);
+        let cascade_order = |c: PlanChoice| c.policy == Policy::ShortCircuit;
+        match instance.spec {
+            QuerySpec::Q1 { .. } => desc.kernel = "slow_float_crop".into(),
+            QuerySpec::Q2c { .. } if self.choice(instance, ctx).is_some_and(cascade_order) => {
+                desc.kernel.push_str("+cascade");
+                desc.gate = Some("frame-diff");
             }
-            QuerySpec::Q2d { m, .. } => (Policy::Streaming, format!("temporal-mask(m={m})")),
-            QuerySpec::Q3 { .. } => (Policy::Streaming, "subquery-reencode".to_string()),
-            QuerySpec::Q4 { alpha, beta } => (
-                Policy::Refused,
-                format!("interpolate-bilinear(x{alpha},x{beta}) budget-checked"),
-            ),
-            QuerySpec::Q5 { .. } => (Policy::Streaming, "downsample".to_string()),
-            QuerySpec::Q6a => (Policy::Streaming, "box-overlay".to_string()),
-            QuerySpec::Q6b => (Policy::Streaming, "caption-overlay".to_string()),
-            QuerySpec::Q7 { class } => {
-                (Policy::Streaming, format!("object-detection({class:?})+framework"))
+            QuerySpec::Q2c { .. } | QuerySpec::Q7 { .. } => desc.kernel.push_str("+framework"),
+            QuerySpec::Q4 { .. } => {
+                desc.kernel.push_str(" budget-checked");
+                desc.refused = true;
             }
-            QuerySpec::Q8 { .. } => (Policy::StreamingMulti, "plate-track".to_string()),
-            QuerySpec::Q9 { .. } => (Policy::StreamingMulti, "panoramic-stitch".to_string()),
-            QuerySpec::Q10 { .. } => (Policy::Streaming, "tile-encode".to_string()),
-        };
-        crate::plan::build(
-            &crate::plan::PlanDesc {
-                engine: "batch",
-                query: instance.spec.kind().label(),
-                policy,
-                scan: scan_op(instance),
-                kernel,
-                gate,
-            },
-            ctx,
-        )
+            _ => {}
+        }
+        crate::plan::build(&desc, ctx)
     }
 
     fn quiesce(&mut self) {

@@ -17,7 +17,7 @@ use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
 use crate::kernels::{boxes_frame, filter_class};
 use crate::pipeline::{self, DiffGate, FrameSource, KernelOut, Pipeline};
-use crate::plan::{PlanNode, Policy};
+use crate::plan::{PlanDesc, PlanNode, Policy};
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
 use vr_base::{Error, Result};
 
@@ -228,44 +228,16 @@ impl Vdbms for CascadeEngine {
     }
 
     fn plan(&self, instance: &QueryInstance, ctx: &ExecContext) -> PlanNode {
-        use crate::plan::ScanOp;
-        let (policy, kernel, gate) = match &instance.spec {
-            QuerySpec::Q1 { .. } => {
-                (Policy::Streaming, "crop+temporal-select".to_string(), None)
-            }
-            QuerySpec::Q2c { class } => {
-                // Same optimizer consultation as `execute`, so EXPLAIN
-                // shows the order that will run; without an optimizer
-                // the cascade is the architecture's default.
-                let short = self
-                    .choice(instance, ctx)
-                    .map(|c| c.policy == Policy::ShortCircuit)
-                    .unwrap_or(true);
-                if short {
-                    (
-                        Policy::ShortCircuit,
-                        format!("detect_boxes({class:?})"),
-                        Some("frame-diff".to_string()),
-                    )
-                } else {
-                    (Policy::Streaming, format!("detect_boxes({class:?})"), None)
-                }
-            }
-            // supports() rejects everything else; the plan still says
-            // so instead of panicking.
-            _ => (Policy::Streaming, "unsupported".to_string(), None),
-        };
-        crate::plan::build(
-            &crate::plan::PlanDesc {
-                engine: "cascade",
-                query: instance.spec.kind().label(),
-                policy,
-                scan: ScanOp::Stream,
-                kernel,
-                gate,
-            },
-            ctx,
-        )
+        // Q2(c) consults the optimizer as `execute` does, so EXPLAIN
+        // shows the order that will run; without an optimizer the
+        // cascade is the architecture's default.
+        let mut desc = PlanDesc::of(self.name(), instance);
+        if matches!(instance.spec, QuerySpec::Q2c { .. })
+            && self.choice(instance, ctx).map_or(true, |c| c.policy == Policy::ShortCircuit)
+        {
+            desc.gate = Some("frame-diff");
+        }
+        crate::plan::build(&desc, ctx)
     }
 }
 

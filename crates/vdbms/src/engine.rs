@@ -50,23 +50,14 @@ pub trait Vdbms: Send + Sync {
 
     /// Describe the physical plan the engine would run for this
     /// instance under this context, without executing anything
-    /// (EXPLAIN). The default is a generic streaming chain; engines
-    /// override it to expose their real policy, scan operator, and
-    /// kernel per query. Must be deterministic for a given
-    /// (instance, context) pair — the driver renders it before
-    /// execution and annotates the same tree afterwards.
+    /// (EXPLAIN). The default is the query's shared description
+    /// ([`PlanDesc::of`](crate::plan::PlanDesc::of)), the plan the
+    /// reference engine runs; an engine overrides it only to state
+    /// where its scan, kernel or policy differs. Must be deterministic
+    /// for a given (instance, context) pair — the driver renders it
+    /// before execution and annotates the same tree afterwards.
     fn plan(&self, instance: &QueryInstance, ctx: &ExecContext) -> crate::plan::PlanNode {
-        crate::plan::build(
-            &crate::plan::PlanDesc {
-                engine: self.name(),
-                query: instance.spec.kind().label(),
-                policy: crate::plan::Policy::Streaming,
-                scan: crate::plan::ScanOp::Stream,
-                kernel: "kernel".to_string(),
-                gate: None,
-            },
-            ctx,
-        )
+        crate::plan::build(&crate::plan::PlanDesc::of(self.name(), instance), ctx)
     }
 
     /// Stable identifier for this engine's decision on a query kind in

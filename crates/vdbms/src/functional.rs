@@ -12,8 +12,8 @@
 //!   lazy algebra's temporal predicate pushdown); Q2(d) and Q7 hold
 //!   only their m-frame window ([`TemporalMaskKernel`],
 //!   [`ObjectDetection`]), and Q3/Q10 one frame's tiles
-//!   ([`TileReencode`]). Q8 streams its cameras in order; Q9 drains
-//!   its four faces before stitching.
+//!   ([`TileReencode`]). Q8 streams its cameras in order; Q9 reads
+//!   its four faces in lockstep.
 //! * **Fast fixed-point kernels.** The shared `vr-frame` kernels *are*
 //!   the fixed-point fast path ("GPU").
 //! * **Device-memory pool.** Q3/Q4 hold per-video device allocations
@@ -32,7 +32,7 @@ use crate::kernels::{boxes_frame, caption_track, TileReencode};
 use crate::pipeline::{
     self, DetectBoxes, FrameSource, ObjectDetection, Pipeline, TemporalMaskKernel,
 };
-use crate::plan::PlanNode;
+use crate::plan::{PlanDesc, PlanNode, ScanOp};
 use crate::query::{QueryInstance, QueryKind, QuerySpec};
 use crate::reference;
 use vr_base::{Error, Result, Timestamp};
@@ -281,62 +281,17 @@ impl Vdbms for FunctionalEngine {
     }
 
     fn plan(&self, instance: &QueryInstance, ctx: &ExecContext) -> PlanNode {
-        use crate::plan::{Policy, ScanOp};
-        // The lazy algebra streams everything; Q1's temporal predicate
-        // pushes down into a keyframe-seeking range scan.
-        let (policy, scan, kernel) = match &instance.spec {
-            QuerySpec::Q1 { .. } => (Policy::Streaming, ScanOp::Range, "crop".to_string()),
-            QuerySpec::Q2a => {
-                (Policy::Streaming, ScanOp::Stream, "grayscale-in-place".to_string())
-            }
-            QuerySpec::Q2b { d } => {
-                (Policy::Streaming, ScanOp::Stream, format!("gaussian_blur(d={d})"))
-            }
-            QuerySpec::Q2c { class } => {
-                (Policy::Streaming, ScanOp::Stream, format!("detect_boxes({class:?})"))
-            }
-            QuerySpec::Q2d { m, .. } => {
-                (Policy::Streaming, ScanOp::Stream, format!("temporal-mask-window(m={m})"))
-            }
-            QuerySpec::Q3 { .. } => {
-                (Policy::Streaming, ScanOp::Stream, "subquery-reencode".to_string())
-            }
-            QuerySpec::Q4 { alpha, beta } => (
-                Policy::Streaming,
-                ScanOp::Stream,
-                format!("interpolate-bilinear(x{alpha},x{beta})"),
-            ),
-            QuerySpec::Q5 { .. } => (Policy::Streaming, ScanOp::Stream, "downsample".to_string()),
-            QuerySpec::Q6a => (Policy::Streaming, ScanOp::Stream, "box-overlay".to_string()),
-            QuerySpec::Q6b => {
-                (Policy::Streaming, ScanOp::Stream, "caption-overlay(scalar)".to_string())
-            }
-            QuerySpec::Q7 { class } => {
-                (Policy::Streaming, ScanOp::Stream, format!("object-detection({class:?})"))
-            }
-            QuerySpec::Q8 { .. } => (
-                Policy::StreamingMulti,
-                ScanOp::Multi(instance.inputs.len()),
-                "plate-track".to_string(),
-            ),
-            QuerySpec::Q9 { .. } => {
-                (Policy::StreamingMulti, ScanOp::Multi(4), "panoramic-stitch".to_string())
-            }
-            QuerySpec::Q10 { .. } => {
-                (Policy::Streaming, ScanOp::Stream, "tile-encode".to_string())
-            }
-        };
-        crate::plan::build(
-            &crate::plan::PlanDesc {
-                engine: "functional",
-                query: instance.spec.kind().label(),
-                policy,
-                scan,
-                kernel,
-                gate: None,
-            },
-            ctx,
-        )
+        // Q1's temporal predicate pushes down into a keyframe-seeking
+        // range scan; Q2(a) converts in place; Q6(b) composites through
+        // the scalar path.
+        let mut desc = PlanDesc::of(self.name(), instance);
+        match instance.spec {
+            QuerySpec::Q1 { .. } => (desc.scan, desc.kernel) = (ScanOp::Range, "crop".into()),
+            QuerySpec::Q2a => desc.kernel = "grayscale-in-place".into(),
+            QuerySpec::Q6b => desc.kernel = "caption-overlay(scalar)".into(),
+            _ => {}
+        }
+        crate::plan::build(&desc, ctx)
     }
 
     fn quiesce(&mut self) {

@@ -1,10 +1,13 @@
 //! Plan trees: EXPLAIN / EXPLAIN ANALYZE for the physical-operator
 //! pipeline.
 //!
-//! Every engine describes the plan it *would* run for a query instance
-//! as a [`PlanNode`] tree — operator kind, execution policy, worker
-//! budget, and fault/retry wrappers — via [`crate::Vdbms::plan`].
-//! The description is deterministic and renderable before execution
+//! A query's plan is described once, by [`PlanDesc::of`]: its scan and
+//! kernel, the ones the reference engine runs. An engine's
+//! [`crate::Vdbms::plan`] states only where it really differs (the
+//! batch engine's frame-table scan, the cascade's gate), and [`build`]
+//! turns the description into a [`PlanNode`] tree: operator kind,
+//! execution policy, worker budget, and fault/retry wrappers.
+//! The tree is deterministic and renderable before execution
 //! (`--explain`); after execution the same tree is annotated from the
 //! context's [`PipelineSnapshot`] with wall time, self vs. child time,
 //! frames/bytes in and out, and the allocator scopes' peak-memory
@@ -29,6 +32,7 @@
 use crate::cost::fmt_cost;
 use crate::io::{ExecContext, ResultMode};
 use crate::pipeline::{PipelineSnapshot, StageKind};
+use crate::query::{QueryInstance, QuerySpec};
 use vr_base::json::{Layout::Inline, Writer};
 
 /// The execution policy driving a plan: one per `Pipeline::run_*`,
@@ -155,22 +159,71 @@ impl PlanNode {
     }
 }
 
-/// Everything an engine states about the plan it would run; `build`
-/// turns it into the canonical tree.
+/// Everything a plan states; [`build`] turns it into the canonical
+/// tree.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanDesc {
-    /// Engine name (`reference`, `batch`, ...).
+    /// Engine name up to its first space (`reference`, `batch`, ...).
     pub engine: &'static str,
     /// Query label (`Q1`, `Q2(c)`, ...).
     pub query: &'static str,
-    /// Execution policy.
-    pub policy: Policy,
     /// Scan operator.
     pub scan: ScanOp,
-    /// Kernel description, e.g. `crop+select`, `detect_boxes(vehicle)`.
+    /// Kernel description, e.g. `crop+temporal-select`,
+    /// `detect_boxes(Vehicle)`.
     pub kernel: String,
-    /// Short-circuit gate description, when the policy has one.
-    pub gate: Option<String>,
+    /// Short-circuit gate description, when the plan has one.
+    pub gate: Option<&'static str>,
+    /// Whether the engine refuses the plan before any kernel runs.
+    pub refused: bool,
+}
+
+impl PlanDesc {
+    /// The shared description of `instance`'s plan on the engine named
+    /// `name`: a streaming scan of its one input (Q8's cameras and Q9's
+    /// four faces read side by side) into the query's kernel.
+    pub(crate) fn of(name: &'static str, instance: &QueryInstance) -> Self {
+        let kernel = match &instance.spec {
+            QuerySpec::Q1 { .. } => "crop+temporal-select".to_string(),
+            QuerySpec::Q2a => "grayscale".to_string(),
+            QuerySpec::Q2b { d } => format!("gaussian_blur(d={d})"),
+            QuerySpec::Q2c { class } => format!("detect_boxes({class:?})"),
+            QuerySpec::Q2d { m, .. } => format!("temporal-mask(m={m})"),
+            QuerySpec::Q3 { .. } => "subquery-reencode".to_string(),
+            QuerySpec::Q4 { alpha, beta } => format!("interpolate-bilinear(x{alpha},x{beta})"),
+            QuerySpec::Q5 { .. } => "downsample".to_string(),
+            QuerySpec::Q6a => "box-overlay".to_string(),
+            QuerySpec::Q6b => "caption-overlay".to_string(),
+            QuerySpec::Q7 { class } => format!("object-detection({class:?})"),
+            QuerySpec::Q8 { .. } => "plate-track".to_string(),
+            QuerySpec::Q9 { .. } => "panoramic-stitch".to_string(),
+            QuerySpec::Q10 { .. } => "tile-encode".to_string(),
+        };
+        let scan = match instance.spec {
+            QuerySpec::Q8 { .. } => ScanOp::Multi(instance.inputs.len()),
+            QuerySpec::Q9 { .. } => ScanOp::Multi(4),
+            _ => ScanOp::Stream,
+        };
+        Self {
+            engine: name.split(' ').next().unwrap_or(name),
+            query: instance.spec.kind().label(),
+            scan,
+            kernel,
+            gate: None,
+            refused: false,
+        }
+    }
+
+    /// The execution policy the description implies: a refusal, a
+    /// gate's short circuit, or a streaming run over one or N sources.
+    fn policy(&self) -> Policy {
+        match (self.refused, self.gate, self.scan) {
+            (true, ..) => Policy::Refused,
+            (_, Some(_), _) => Policy::ShortCircuit,
+            (_, _, ScanOp::Multi(_)) => Policy::StreamingMulti,
+            _ => Policy::Streaming,
+        }
+    }
 }
 
 /// Build the canonical plan tree for a description under a context.
@@ -219,7 +272,7 @@ pub(crate) fn build(desc: &PlanDesc, ctx: &ExecContext) -> PlanNode {
     };
 
     let mut kernel_detail = desc.kernel.clone();
-    if let Some(gate) = &desc.gate {
+    if let Some(gate) = desc.gate {
         kernel_detail.push_str(&format!(" gate={gate}"));
     }
     let kernel = PlanNode::stage("kernel", kernel_detail, StageKind::Kernel).with_input(scan);
@@ -246,7 +299,7 @@ pub(crate) fn build(desc: &PlanDesc, ctx: &ExecContext) -> PlanNode {
             "{} engine={} policy={} workers={workers}",
             desc.query,
             desc.engine,
-            desc.policy.label()
+            desc.policy().label()
         ),
         stage: None,
         children: vec![resilient],

@@ -15,7 +15,6 @@ use crate::pipeline::{
     self, DecodeScan, DetectBoxes, FrameKernel, FrameSource, KernelOut, ObjectDetection,
     Pipeline, TemporalMaskKernel,
 };
-use crate::plan::PlanNode;
 use crate::query::{FaceParams, QueryInstance, QueryKind, QuerySpec};
 use vr_base::{Error, LicensePlate, Resolution, Result, Timestamp};
 use vr_codec::{EncodedVideo, VideoInfo};
@@ -56,64 +55,6 @@ impl Vdbms for ReferenceEngine {
         let output = execute_reference(instance, inputs, ctx)?;
         Pipeline::new(ctx).sink(instance.index, &output)?;
         Ok(output)
-    }
-
-    fn plan(&self, instance: &QueryInstance, ctx: &ExecContext) -> PlanNode {
-        use crate::plan::{Policy, ScanOp};
-        // One arm per `execute_reference` arm: same policy, same scan.
-        let (policy, scan, kernel) = match &instance.spec {
-            QuerySpec::Q1 { .. } => {
-                (Policy::Streaming, ScanOp::Stream, "crop+temporal-select".to_string())
-            }
-            QuerySpec::Q2a => (Policy::Streaming, ScanOp::Stream, "grayscale".to_string()),
-            QuerySpec::Q2b { d } => {
-                (Policy::Streaming, ScanOp::Stream, format!("gaussian_blur(d={d})"))
-            }
-            QuerySpec::Q2c { class } => {
-                (Policy::Streaming, ScanOp::Stream, format!("detect_boxes({class:?})"))
-            }
-            QuerySpec::Q2d { m, .. } => {
-                (Policy::Streaming, ScanOp::Stream, format!("temporal-mask(m={m})"))
-            }
-            QuerySpec::Q3 { .. } => {
-                (Policy::Streaming, ScanOp::Stream, "subquery-reencode".to_string())
-            }
-            QuerySpec::Q4 { alpha, beta } => (
-                Policy::Streaming,
-                ScanOp::Stream,
-                format!("interpolate-bilinear(x{alpha},x{beta})"),
-            ),
-            QuerySpec::Q5 { .. } => (Policy::Streaming, ScanOp::Stream, "downsample".to_string()),
-            QuerySpec::Q6a => (Policy::Streaming, ScanOp::Stream, "box-overlay".to_string()),
-            QuerySpec::Q6b => {
-                (Policy::Streaming, ScanOp::Stream, "caption-overlay".to_string())
-            }
-            QuerySpec::Q7 { class } => {
-                (Policy::Streaming, ScanOp::Stream, format!("object-detection({class:?})"))
-            }
-            QuerySpec::Q8 { .. } => (
-                Policy::StreamingMulti,
-                ScanOp::Multi(instance.inputs.len()),
-                "plate-track".to_string(),
-            ),
-            QuerySpec::Q9 { .. } => {
-                (Policy::StreamingMulti, ScanOp::Multi(4), "panoramic-stitch".to_string())
-            }
-            QuerySpec::Q10 { .. } => {
-                (Policy::Streaming, ScanOp::Stream, "tile-encode".to_string())
-            }
-        };
-        crate::plan::build(
-            &crate::plan::PlanDesc {
-                engine: "reference",
-                query: instance.spec.kind().label(),
-                policy,
-                scan,
-                kernel,
-                gate: None,
-            },
-            ctx,
-        )
     }
 }
 
