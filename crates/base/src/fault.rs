@@ -598,35 +598,24 @@ fn is_transient(kind: std::io::ErrorKind) -> bool {
 /// error. Everything else (not-found, corruption, broken pipe)
 /// propagates immediately — retrying cannot help.
 ///
-/// `site` names the call site (hashed into the jitter stream),
-/// `object` what the operation touches (a file) and `seq` which
-/// operation on it (0 for a whole file, the flat store's only kind).
-/// Every attempt first asks the injector whether it fails, keyed by
-/// `(site, object, seq, attempt)`, so an injected failure takes the
-/// same backoff path as a real one and hits the same attempts at any
-/// worker count. The key is computed only when an injector is
-/// installed or an attempt fails.
+/// `site` names the call site (hashed into the jitter stream) and
+/// `object` what the operation touches (a whole file). Every attempt
+/// first asks the injector whether it fails, keyed by `(site, object,
+/// attempt)`, so an injected failure takes the same backoff path as a
+/// real one and hits the same attempts at any worker count. The key is
+/// computed only when an injector is installed or an attempt fails.
 pub fn with_retry_io<T>(
     site: &str,
     op: IoOp,
     object: &str,
-    seq: u64,
     mut f: impl FnMut() -> Result<T>,
 ) -> Result<T> {
-    let key = || mix64(mix64(name_hash(site), name_hash(object)), seq);
-    retry(site, key, |attempt| {
-        let injected = global().and_then(|inj| inj.io_fail(op, mix64(key(), attempt as u64)));
-        injected.map_or_else(&mut f, Err)
-    })
-}
-
-/// The loop behind [`with_retry_io`]: `f` runs
-/// attempt number `attempt`; `key` names what is retried in the
-/// backoff jitter.
-fn retry<T>(site: &str, key: impl Fn() -> u64, mut f: impl FnMut(u32) -> Result<T>) -> Result<T> {
+    // The trailing 0 keeps the key chaos schedules were recorded with.
+    let key = || mix64(mix64(name_hash(site), name_hash(object)), 0);
     let mut attempt = 0u32;
     loop {
-        match f(attempt) {
+        let injected = global().and_then(|inj| inj.io_fail(op, mix64(key(), attempt as u64)));
+        match injected.map_or_else(&mut f, Err) {
             Err(Error::Io(io)) if is_transient(io.kind()) => {
                 if attempt + 1 >= RETRY_MAX_ATTEMPTS {
                     degradation().io_give_ups.inc();
@@ -819,7 +808,7 @@ mod tests {
     #[test]
     fn with_retry_retries_transients_and_gives_up() {
         let mut calls = 0;
-        let out: Result<u32> = with_retry_io("test-ok", IoOp::Read, "obj", 0, || {
+        let out: Result<u32> = with_retry_io("test-ok", IoOp::Read, "obj", || {
             calls += 1;
             if calls < 3 {
                 Err(Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "x")))
@@ -831,7 +820,7 @@ mod tests {
         assert_eq!(calls, 3);
 
         let mut calls = 0;
-        let out: Result<u32> = with_retry_io("test-exhaust", IoOp::Read, "obj", 0, || {
+        let out: Result<u32> = with_retry_io("test-exhaust", IoOp::Read, "obj", || {
             calls += 1;
             Err(Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "x")))
         });
@@ -840,7 +829,7 @@ mod tests {
 
         // Non-transient errors pass straight through.
         let mut calls = 0;
-        let out: Result<u32> = with_retry_io("test-hard", IoOp::Write, "obj", 0, || {
+        let out: Result<u32> = with_retry_io("test-hard", IoOp::Write, "obj", || {
             calls += 1;
             Err(Error::NotFound("gone".into()))
         });

@@ -633,10 +633,7 @@ impl<'d> Vcd<'d> {
                     gt_false_pos += false_pos;
                 }
                 (a, b) => {
-                    let (Some(va), Some(vb)) = (a.primary_video(), b.primary_video()) else {
-                        continue;
-                    };
-                    let (psnr, mismatch) = compare_frames(va, vb)?;
+                    let (psnr, mismatch) = compare_frames(a.video(), b.video())?;
                     psnr_values.extend(psnr);
                     length_mismatch |= mismatch;
                 }

@@ -56,7 +56,7 @@ impl FlatStore {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        fault::with_retry_io("flat.put", IoOp::Write, name, 0, || {
+        fault::with_retry_io("flat.put", IoOp::Write, name, || {
             std::fs::write(&path, data)?;
             Ok(())
         })
@@ -72,7 +72,7 @@ impl FlatStore {
     pub fn get(&self, name: &str) -> Result<SharedBuf> {
         let _span = vr_base::obs::trace::span("storage", "flat.get");
         let path = self.path_of(name)?;
-        fault::with_retry_io("flat.get", IoOp::Read, name, 0, || {
+        fault::with_retry_io("flat.get", IoOp::Read, name, || {
             let map_err = |e: std::io::Error| {
                 if e.kind() == std::io::ErrorKind::NotFound {
                     Error::NotFound(format!("{name} in {}", self.root.display()))

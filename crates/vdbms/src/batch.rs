@@ -38,7 +38,7 @@ use crate::cascade::CascadeConfig;
 use crate::cost::{CandidateSpace, KernelClass, PlanChoice, QueryWork};
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, QueryOutput};
-use crate::kernels::{boxes_frame, decode_frames, filter_class, TileReencode};
+use crate::kernels::{boxes_frame, decode_all_parallel, decode_paced, filter_class, TileReencode};
 use crate::pipeline::{
     self, DiffGate, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
     StageKind, TemporalMaskKernel,
@@ -165,7 +165,8 @@ impl BatchEngine {
     /// evicting least-recently-used entries to stay under capacity).
     /// A miss decodes GOP-parallel across the context's decode workers,
     /// or, online, ingests the paced stream whole first (Scanner loads
-    /// a table before its kernels run); its cost is recorded as
+    /// a table before its kernels run) until the context's deadline
+    /// cancels it, which leaves no entry; its cost is recorded as
     /// pipeline Decode work. A hit costs nothing here (reading the
     /// table shows up as Scan work when the frames flow through a
     /// memory scan); online it needs a table filled by an online read,
@@ -200,7 +201,10 @@ impl BatchEngine {
             .min(vr_base::sync::hardware_parallelism())
             .max(1);
         let t0 = Instant::now();
-        let (info, frames) = decode_frames(input, workers, ctx.online)?;
+        let (info, frames) = match ctx.online {
+            Some(speedup) => decode_paced(input, speedup, &ctx.cancel)?,
+            None => decode_all_parallel(input, workers)?,
+        };
         let bytes: usize = frames.iter().map(|f| f.sample_count()).sum();
         ctx.metrics.record(
             StageKind::Decode,

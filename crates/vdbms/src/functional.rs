@@ -346,7 +346,7 @@ mod tests {
             inputs: vec![0],
         };
         let out = engine.execute(&instance, &inputs, &ExecContext::default()).unwrap();
-        let video = out.primary_video().unwrap();
+        let video = out.video();
         assert_eq!((video.info.width, video.info.height), (64, 64));
         assert_eq!(video.len(), 4);
         video.decode_all().unwrap();

@@ -64,11 +64,8 @@ pub struct OutputBox {
 /// What a query produces.
 #[derive(Debug, Clone)]
 pub enum QueryOutput {
-    /// A single encoded video (most queries).
+    /// A single encoded video (every query but Q2(c)).
     Video(EncodedVideo),
-    /// A video per requested item (Q7 emits one per class/input pair
-    /// when driven with multiple).
-    Videos(Vec<EncodedVideo>),
     /// An encoded video plus the serialized box stream (Q2(c): "the
     /// VCD exposes B in two formats", §4.1).
     BoxedVideo { video: EncodedVideo, boxes: Vec<Vec<OutputBox>> },
@@ -77,19 +74,13 @@ pub enum QueryOutput {
 impl QueryOutput {
     /// Total encoded payload bytes (what write mode persists).
     pub fn size_bytes(&self) -> usize {
-        match self {
-            QueryOutput::Video(v) => v.size_bytes(),
-            QueryOutput::Videos(vs) => vs.iter().map(|v| v.size_bytes()).sum(),
-            QueryOutput::BoxedVideo { video, .. } => video.size_bytes(),
-        }
+        self.video().size_bytes()
     }
 
-    /// The primary video of the result.
-    pub fn primary_video(&self) -> Option<&EncodedVideo> {
+    /// The result's video (Q2(c)'s boxes ride beside it).
+    pub fn video(&self) -> &EncodedVideo {
         match self {
-            QueryOutput::Video(v) => Some(v),
-            QueryOutput::Videos(vs) => vs.first(),
-            QueryOutput::BoxedVideo { video, .. } => Some(video),
+            QueryOutput::Video(video) | QueryOutput::BoxedVideo { video, .. } => video,
         }
     }
 }
@@ -111,28 +102,20 @@ impl ResultMode {
         match self {
             ResultMode::Streaming => Ok(0),
             ResultMode::Write { store, prefix } => {
-                let mut total = 0;
-                let videos: Vec<&EncodedVideo> = match output {
-                    QueryOutput::Video(v) => vec![v],
-                    QueryOutput::Videos(vs) => vs.iter().collect(),
-                    QueryOutput::BoxedVideo { video, .. } => vec![video],
-                };
-                for (vi, video) in videos.iter().enumerate() {
-                    let mut w = vr_container::ContainerWriter::new();
-                    let t = w.add_track(TrackKind::Video, video.info.serialize());
-                    for (i, p) in video.packets.iter().enumerate() {
-                        w.push_sample(
-                            t,
-                            &p.data,
-                            vr_base::Timestamp::of_frame(i as u64, video.info.frame_rate),
-                            p.keyframe,
-                        );
-                    }
-                    let bytes = w.finish();
-                    total += bytes.len();
-                    store.put(&format!("{prefix}-{instance_index}-{vi}.vrmf"), &bytes)?;
+                let video = output.video();
+                let mut w = vr_container::ContainerWriter::new();
+                let t = w.add_track(TrackKind::Video, video.info.serialize());
+                for (i, p) in video.packets.iter().enumerate() {
+                    w.push_sample(
+                        t,
+                        &p.data,
+                        vr_base::Timestamp::of_frame(i as u64, video.info.frame_rate),
+                        p.keyframe,
+                    );
                 }
-                Ok(total)
+                let bytes = w.finish();
+                store.put(&format!("{prefix}-{instance_index}-0.vrmf"), &bytes)?;
+                Ok(bytes.len())
             }
         }
     }
@@ -262,7 +245,6 @@ pub(crate) mod tests {
         };
         let out = QueryOutput::Video(video);
         assert!(out.size_bytes() > 0);
-        assert!(out.primary_video().is_some());
 
         assert_eq!(ResultMode::Streaming.sink(0, &out).unwrap(), 0);
 

@@ -13,6 +13,7 @@
 
 use crate::io::{InputVideo, OutputBox};
 use crate::pipeline::{FrameKernel, KernelOut};
+use vr_base::sync::CancelToken;
 use vr_base::{fault, Error, Resolution, Result};
 use vr_codec::{
     DecodeOutcome, Decoder, Encoder, EncoderConfig, RateControlMode, ResilientDecoder, VideoInfo,
@@ -202,17 +203,6 @@ pub fn decode_all_parallel(
     input: &InputVideo,
     workers: usize,
 ) -> Result<(VideoInfo, Vec<Frame>)> {
-    decode_frames(input, workers, None)
-}
-
-/// [`decode_all_parallel`] read the way `online` says
-/// ([`FrameStream::paced`]): online, one paced stream, since GOP chunks
-/// cannot be read out of a forward-only stream.
-pub(crate) fn decode_frames(
-    input: &InputVideo,
-    workers: usize,
-    online: Option<f64>,
-) -> Result<(VideoInfo, Vec<Frame>)> {
     let info = input.video_info()?;
     let (track, t) = input.video_track()?;
     let samples = &t.samples[..];
@@ -221,13 +211,8 @@ pub(crate) fn decode_frames(
     // a keyframe cannot be chunked; neither can a trivial one.
     let gop_starts: Vec<usize> = (0..n).filter(|&i| samples[i].keyframe).collect();
     let stream = |from, end| FrameStream::over(input, track, samples, info, from, end);
-    if online.is_some()
-        || workers <= 1
-        || n < 2
-        || gop_starts.first() != Some(&0)
-        || gop_starts.len() < 2
-    {
-        return Ok((info, stream(0, n).paced(online).collect_frames()?));
+    if workers <= 1 || n < 2 || gop_starts.first() != Some(&0) || gop_starts.len() < 2 {
+        return Ok((info, stream(0, n).collect_frames()?));
     }
     let _span = vr_base::obs::trace::span("decoder", "decode_parallel");
     let chunks = workers.min(gop_starts.len());
@@ -246,6 +231,29 @@ pub(crate) fn decode_frames(
         stream(from, end).collect_frames()
     })?;
     let frames: Vec<Frame> = parts.into_iter().flatten().collect();
+    Ok((info, frames))
+}
+
+/// Decode every frame of an input read online at `speedup`
+/// ([`FrameStream::paced`]): one paced stream, since GOP chunks cannot
+/// be read out of a forward-only stream. `cancel` is polled after every
+/// sample, so a deadline ends the capture early with
+/// [`Error::Cancelled`].
+pub(crate) fn decode_paced(
+    input: &InputVideo,
+    speedup: f64,
+    cancel: &CancelToken,
+) -> Result<(VideoInfo, Vec<Frame>)> {
+    let stream = FrameStream::open(input)?.paced(Some(speedup));
+    let info = stream.info();
+    let mut frames = Vec::with_capacity(stream.len());
+    for frame in stream {
+        frames.push(frame?);
+        if cancel.cancelled() {
+            let at = frames.len();
+            return Err(Error::Cancelled(format!("online read of {} at frame {at}", input.name)));
+        }
+    }
     Ok((info, frames))
 }
 
@@ -1216,8 +1224,8 @@ mod range_tests {
     }
 
     /// A paced stream decodes the frames the sample table gives, whole
-    /// or over a range (read from sample 0), and the batch engine's
-    /// table fill reads one paced stream at any worker count.
+    /// or over a range (read from sample 0), and so does the batch
+    /// engine's online table fill.
     #[test]
     fn paced_streams_match_the_sample_table() {
         let input = crate::io::tests::gop2_input("paced.vrmf");
@@ -1226,10 +1234,8 @@ mod range_tests {
             let paced = FrameStream::range(&input, from, to).unwrap().paced(Some(1000.0));
             assert_eq!(paced.collect_frames().unwrap(), all[from..=to], "range {from}..={to}");
         }
-        for workers in [1usize, 4] {
-            let (_, frames) = decode_frames(&input, workers, Some(1000.0)).unwrap();
-            assert_eq!(frames, all, "workers={workers}");
-        }
+        let (_, frames) = decode_paced(&input, 1000.0, &CancelToken::new()).unwrap();
+        assert_eq!(frames, all);
     }
 
     #[test]

@@ -1038,7 +1038,7 @@ impl<'c> Pipeline<'c> {
     /// discard), recording Sink time and persisted bytes.
     pub(crate) fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
         self.absorb_stall(StageKind::Sink);
-        let frames = output.primary_video().map(|v| v.len() as u64).unwrap_or(0);
+        let frames = output.video().len() as u64;
         let bytes = self.ctx.metrics.timed(
             StageKind::Sink,
             || self.ctx.result_mode.sink(instance_index, output),

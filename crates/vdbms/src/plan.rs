@@ -654,7 +654,8 @@ mod tests {
             }
         }
         let committed = include_str!("../../../results/explain_plans.txt");
-        assert!(committed == rendered, "results/explain_plans.txt is stale; it now reads:\n{rendered}");
+        let stale = "results/explain_plans.txt is stale; it now reads";
+        assert!(committed == rendered, "{stale}:\n{rendered}");
     }
 
     #[test]

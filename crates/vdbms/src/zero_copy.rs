@@ -66,18 +66,11 @@ fn q1() -> QueryInstance {
 /// Flatten a query output into one comparable byte string: stream
 /// parameters, then every packet's keyframe flag and payload.
 fn fingerprint(out: &QueryOutput) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    let videos: Vec<&vr_codec::EncodedVideo> = match out {
-        QueryOutput::Video(v) => vec![v],
-        QueryOutput::Videos(vs) => vs.iter().collect(),
-        QueryOutput::BoxedVideo { video, .. } => vec![video],
-    };
-    for v in videos {
-        bytes.extend_from_slice(&v.info.serialize());
-        for p in &v.packets {
-            bytes.push(p.keyframe as u8);
-            bytes.extend_from_slice(&p.data);
-        }
+    let v = out.video();
+    let mut bytes = v.info.serialize();
+    for p in &v.packets {
+        bytes.push(p.keyframe as u8);
+        bytes.extend_from_slice(&p.data);
     }
     bytes
 }

@@ -174,7 +174,7 @@ fn with_retry_accounts_retries_and_give_ups() {
     let mut calls = 0u32;
     let transient =
         || Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "injected"));
-    let out = fault::with_retry_io("chaos-test-a", IoOp::Read, "object", 0, || {
+    let out = fault::with_retry_io("chaos-test-a", IoOp::Read, "object", || {
         calls += 1;
         if calls <= 2 { Err(transient()) } else { Ok(calls) }
     });
@@ -182,7 +182,7 @@ fn with_retry_accounts_retries_and_give_ups() {
 
     // Never succeeds: budget exhausted, error surfaces.
     let mut attempts = 0u32;
-    let out: Result<(), Error> = fault::with_retry_io("chaos-test-b", IoOp::Write, "object", 0, || {
+    let out: Result<(), Error> = fault::with_retry_io("chaos-test-b", IoOp::Write, "object", || {
         attempts += 1;
         Err(transient())
     });
@@ -191,7 +191,7 @@ fn with_retry_accounts_retries_and_give_ups() {
 
     // Permanent errors surface immediately with no accounting.
     let mut permanent_calls = 0u32;
-    let out: Result<(), Error> = fault::with_retry_io("chaos-test-c", IoOp::Read, "object", 0, || {
+    let out: Result<(), Error> = fault::with_retry_io("chaos-test-c", IoOp::Read, "object", || {
         permanent_calls += 1;
         Err(Error::NotFound("x".into()))
     });
@@ -410,7 +410,7 @@ fn online_losses_are_concealed_frames() {
     let engine = ReferenceEngine::new();
     let answer = |ctx: &ExecContext| {
         let out = engine.execute(instance, &dataset.videos, ctx).unwrap();
-        let video = out.primary_video().unwrap();
+        let video = out.video();
         video.packets.iter().map(|p| p.data.clone()).collect::<Vec<_>>()
     };
     let offline = {

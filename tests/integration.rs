@@ -248,15 +248,13 @@ fn write_and_streaming_modes() {
     store.destroy().unwrap();
 }
 
-/// An answer's bytes: every packet of every video, and Q2(c)'s boxes.
+/// An answer's bytes: every packet of its video, and Q2(c)'s boxes.
 fn answer_bytes(out: &QueryOutput) -> (Vec<Vec<u8>>, Vec<Vec<OutputBox>>) {
-    let (videos, boxes) = match out {
-        QueryOutput::Video(v) => (vec![v], Vec::new()),
-        QueryOutput::Videos(vs) => (vs.iter().collect(), Vec::new()),
-        QueryOutput::BoxedVideo { video, boxes } => (vec![video], boxes.clone()),
+    let boxes = match out {
+        QueryOutput::BoxedVideo { boxes, .. } => boxes.clone(),
+        QueryOutput::Video(_) => Vec::new(),
     };
-    let packets = videos.iter().flat_map(|v| v.packets.iter().map(|p| p.data.clone())).collect();
-    (packets, boxes)
+    (out.video().packets.iter().map(|p| p.data.clone()).collect(), boxes)
 }
 
 /// Online mode reads each input once, as a paced scan, and with no
@@ -331,7 +329,9 @@ fn every_engine_reads_online_at_the_capture_rate() {
 
 /// The instance deadline covers the paced reads: online at real time
 /// over a one-second clip, a 100 ms deadline cancels reference Q2(a)
-/// at the next frame, long before the clip has been captured.
+/// at the next frame, long before the clip has been captured. So it
+/// does the batch engine's table fill, called as the server calls it
+/// (no `prepare_batch`), which then leaves no table entry behind.
 #[test]
 fn online_deadline_covers_the_paced_reads() {
     let hyper =
@@ -355,6 +355,21 @@ fn online_deadline_covers_the_paced_reads() {
     let capture = dataset.videos[dataset.traffic_indices()[0]].frame_count() as f64 / 30.0;
     let latency = scheduler.max_instance_nanos as f64 / 1e9;
     assert!(latency < capture / 2.0, "instance took {latency:.3}s of a {capture:.1}s capture");
+
+    let engine = visual_road::vdbms::BatchEngine::new();
+    let inputs = vec![dataset.traffic_indices()[0]];
+    let instance = QueryInstance { index: 0, spec: QuerySpec::Q2a, inputs };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(100);
+    let cancel = vr_base::sync::CancelToken::with_deadline(deadline);
+    let ctx = ExecContext { workers: 1, online: Some(1.0), cancel, ..ExecContext::default() };
+    let t0 = std::time::Instant::now();
+    let out = engine.execute(&instance, &dataset.videos, &ctx);
+    let latency = t0.elapsed().as_secs_f64();
+    assert!(matches!(out, Err(vr_base::Error::Cancelled(_))), "{out:?}");
+    assert!(latency < capture / 2.0, "batch read took {latency:.3}s of a {capture:.1}s capture");
+    let ctx = ExecContext { workers: 1, online: Some(1000.0), ..ExecContext::default() };
+    engine.execute(&instance, &dataset.videos, &ctx).unwrap();
+    assert_eq!(engine.cache_stats(), (0, 2), "(hits, misses): the cancelled read left no table");
 }
 
 /// Online mode is slower than offline because ingest is paced.
