@@ -250,8 +250,8 @@ pub(crate) fn decode_paced(
     for frame in stream {
         frames.push(frame?);
         if cancel.cancelled() {
-            let at = frames.len();
-            return Err(Error::Cancelled(format!("online read of {} at frame {at}", input.name)));
+            let at = format!("online read of {} at frame {}", input.name, frames.len());
+            return Err(Error::Cancelled(at));
         }
     }
     Ok((info, frames))

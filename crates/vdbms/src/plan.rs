@@ -205,7 +205,7 @@ impl PlanDesc {
             _ => ScanOp::Stream,
         };
         Self {
-            engine: name.split(' ').next().unwrap_or(name),
+            engine: name.split_once(' ').map_or(name, |(head, _)| head),
             query: instance.spec.kind().label(),
             scan,
             kernel,
