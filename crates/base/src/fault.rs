@@ -40,9 +40,9 @@
 //! # Accounting
 //!
 //! Each injection increments a per-kind counter on the injector
-//! ([`FaultInjector::injected`]); each *recovery* increments a global
-//! [`Degradation`] counter (concealed frames, skipped samples/packets,
-//! retries, contained panics). [`accounting_mismatches`] checks the two
+//! ([`FaultInjector::injected`]); each *recovery* increments a process-wide
+//! recovery counter (concealed frames, skipped samples/packets,
+//! retries, contained panics), read through [`degradation_snapshot`]. [`accounting_mismatches`] checks the two
 //! sides against each other — e.g. every corrupted sample must show up
 //! as a CRC-skipped sample, every injected panic as a contained one.
 
@@ -393,42 +393,24 @@ pub fn suppress<T>(f: impl FnOnce() -> T) -> T {
 // Degradation accounting (the recovery side)
 // ---------------------------------------------------------------------------
 
-/// Global recovery counters: what the system *did* about injected (or
-/// real) faults. Snapshot/delta these per query batch.
-///
-/// The counters live in the process-global [`crate::obs::metrics`]
-/// registry under `degradation.*`, so they appear in metrics exports
-/// alongside the pipeline telemetry; this struct caches the handles so
-/// the hot recovery paths stay one relaxed atomic add.
-#[derive(Debug)]
-struct Degradation {
-    concealed_frames: Arc<crate::obs::metrics::Counter>,
-    skipped_samples: Arc<crate::obs::metrics::Counter>,
-    skipped_packets: Arc<crate::obs::metrics::Counter>,
-    io_retries: Arc<crate::obs::metrics::Counter>,
-    io_give_ups: Arc<crate::obs::metrics::Counter>,
-    stage_panics: Arc<crate::obs::metrics::Counter>,
-    stalls_absorbed: Arc<crate::obs::metrics::Counter>,
-}
-
-fn degradation() -> &'static Degradation {
-    static DEGRADATION: std::sync::OnceLock<Degradation> = std::sync::OnceLock::new();
-    DEGRADATION.get_or_init(|| {
-        let c = crate::obs::metrics::counter;
-        Degradation {
-            concealed_frames: c("degradation.concealed_frames"),
-            skipped_samples: c("degradation.skipped_samples"),
-            skipped_packets: c("degradation.skipped_packets"),
-            io_retries: c("degradation.io_retries"),
-            io_give_ups: c("degradation.io_give_ups"),
-            stage_panics: c("degradation.stage_panics"),
-            stalls_absorbed: c("degradation.stalls_absorbed"),
-        }
-    })
-}
+// Recovery counters: what the system *did* about injected (or real)
+// faults. One relaxed add per recovery on the hot paths below.
+static CONCEALED_FRAMES: AtomicU64 = AtomicU64::new(0);
+static SKIPPED_SAMPLES: AtomicU64 = AtomicU64::new(0);
+static SKIPPED_PACKETS: AtomicU64 = AtomicU64::new(0);
+static IO_RETRIES: AtomicU64 = AtomicU64::new(0);
+static IO_GIVE_UPS: AtomicU64 = AtomicU64::new(0);
+static STAGE_PANICS: AtomicU64 = AtomicU64::new(0);
+static STALLS_ABSORBED: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time copy of the recovery counters; subtract snapshots
 /// to get a batch's delta.
+///
+/// The counters are process-wide statics: every recovery in the
+/// process lands in them, whichever query it served, so a batch's
+/// figure is the difference of two snapshots taken around its window.
+/// Stage figures, by contrast, belong to the execution context that ran
+/// the stage (`PipelineMetrics`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationSnapshot {
     /// Frames replaced by last-good-frame (or black) concealment.
@@ -469,15 +451,15 @@ impl DegradationSnapshot {
 
 /// Current recovery-counter totals.
 pub fn degradation_snapshot() -> DegradationSnapshot {
-    let d = degradation();
+    let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
     DegradationSnapshot {
-        concealed_frames: d.concealed_frames.get(),
-        skipped_samples: d.skipped_samples.get(),
-        skipped_packets: d.skipped_packets.get(),
-        io_retries: d.io_retries.get(),
-        io_give_ups: d.io_give_ups.get(),
-        stage_panics: d.stage_panics.get(),
-        stalls_absorbed: d.stalls_absorbed.get(),
+        concealed_frames: get(&CONCEALED_FRAMES),
+        skipped_samples: get(&SKIPPED_SAMPLES),
+        skipped_packets: get(&SKIPPED_PACKETS),
+        io_retries: get(&IO_RETRIES),
+        io_give_ups: get(&IO_GIVE_UPS),
+        stage_panics: get(&STAGE_PANICS),
+        stalls_absorbed: get(&STALLS_ABSORBED),
     }
 }
 
@@ -532,27 +514,27 @@ pub fn accounting_mismatches(
 
 /// Record concealed frames.
 pub fn note_concealed(n: u64) {
-    degradation().concealed_frames.add(n);
+    CONCEALED_FRAMES.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Record demuxer-skipped samples.
 pub fn note_skipped_sample() {
-    degradation().skipped_samples.inc();
+    SKIPPED_SAMPLES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record depacketizer-skipped packets.
 pub fn note_skipped_packets(n: u64) {
-    degradation().skipped_packets.add(n);
+    SKIPPED_PACKETS.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Record a contained stage panic.
 pub(crate) fn note_stage_panic() {
-    degradation().stage_panics.inc();
+    STAGE_PANICS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record an absorbed stage stall.
 pub fn note_stall_absorbed() {
-    degradation().stalls_absorbed.inc();
+    STALLS_ABSORBED.fetch_add(1, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -618,10 +600,10 @@ pub fn with_retry_io<T>(
         match injected.map_or_else(&mut f, Err) {
             Err(Error::Io(io)) if is_transient(io.kind()) => {
                 if attempt + 1 >= RETRY_MAX_ATTEMPTS {
-                    degradation().io_give_ups.inc();
+                    IO_GIVE_UPS.fetch_add(1, Ordering::Relaxed);
                     return Err(Error::Io(io));
                 }
-                degradation().io_retries.inc();
+                IO_RETRIES.fetch_add(1, Ordering::Relaxed);
                 let seed = global().map_or(0, |inj| inj.seed());
                 let _span = crate::obs::trace::span("fault", "retry_backoff");
                 std::thread::sleep(backoff_delay(seed, name_hash(site), attempt, key()));

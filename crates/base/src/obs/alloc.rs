@@ -12,7 +12,8 @@
 //! * **tracking off (the default)** — one relaxed load of the
 //!   tracking flag per allocation and deallocation. No shared write,
 //!   no thread-local access.
-//! * **tracking on** (`VR_ALLOC_TRACK=1` or [`set_tracking`]) —
+//! * **tracking on** ([`set_tracking`]; `visualroad run
+//!   --explain-analyze` switches it on) —
 //!   additionally maintains per-thread counters (allocations, bytes,
 //!   live bytes, peak live bytes) in const-initialised `Cell`s, which
 //!   [`ScopeGuard`] brackets into per-scope deltas. The accounting
@@ -65,16 +66,6 @@ pub(crate) fn tracking_enabled() -> bool {
 /// Turn per-thread accounting on or off.
 pub fn set_tracking(on: bool) {
     TRACK.store(on, Ordering::Relaxed);
-}
-
-/// Enable tracking if the `VR_ALLOC_TRACK` environment variable is set
-/// to anything other than `0` or the empty string.
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("VR_ALLOC_TRACK") {
-        if !v.is_empty() && v != "0" {
-            set_tracking(true);
-        }
-    }
 }
 
 #[inline]

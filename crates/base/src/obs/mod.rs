@@ -1,4 +1,4 @@
-//! Observability: span tracing and a process-global metrics registry.
+//! Observability: span tracing and stage latency histograms.
 //!
 //! This module is the workspace's single telemetry surface. It has two
 //! halves with one shared contract — *telemetry must never feed back
@@ -9,12 +9,9 @@
 //!   parent links) plus a chrome-trace (`trace_event` JSON) exporter
 //!   for `chrome://tracing` / Perfetto, which also draw it as a flame
 //!   chart. Off by default; enabled by the CLI via `--trace-out`.
-//! * [`metrics`] — named counters, gauges, and fixed-bucket latency
-//!   histograms (p50/p95/p99 snapshots) in a process-global
-//!   [`metrics::Registry`], exported as deterministic JSON
-//!   (`--metrics-out`). It sums over the whole process; a query's own
-//!   stage record is its execution context's `PipelineMetrics`, which
-//!   mirrors every record into it.
+//! * [`metrics`] — the fixed-bucket latency histogram (p50/p95/p99
+//!   snapshots) each stage of an execution context's `PipelineMetrics`
+//!   keeps. A stage's figures belong to that context.
 //!
 //! Layer 2 (EXPLAIN ANALYZE support) builds one more on the same
 //! contract:
@@ -22,7 +19,7 @@
 //! * [`alloc`] — a counting `GlobalAlloc` wrapper with per-thread
 //!   scoped accounting (allocations, bytes, high-water marks), one
 //!   relaxed flag load per allocation when tracking is off
-//!   (`VR_ALLOC_TRACK` / [`alloc::set_tracking`]).
+//!   ([`alloc::set_tracking`]).
 //!
 //! Layer 3 (request-scoped serving observability) adds two more:
 //!
@@ -46,14 +43,16 @@
 //! | `storage`   | `flat.put`/`flat.get`                   | the flat store |
 //! | `fault`     | `retry_backoff`                         | fault-injector recovery paths |
 //!
-//! ### Metric naming
+//! ### Where each figure lives
 //!
-//! Dotted lowercase names, unit as the last segment where one applies:
-//! `stage.decode.nanos` (histogram), `stage.decode.frames` (counter),
-//! `degradation.io_retries` (counter),
-//! `scheduler.worker_utilization` (gauge), and for the allocator
-//! scopes `alloc.<scope>.allocs` / `alloc.<scope>.bytes` (counters)
-//! plus `alloc.<scope>.peak_bytes` (max-merged gauge).
+//! Each figure has one home and one reader. A stage's latencies,
+//! frames, bytes and allocator figures are in its context's
+//! `PipelineMetrics`, printed on the report's `stages:` and `obs:`
+//! lines and on EXPLAIN ANALYZE's plan nodes; the scheduler's workers
+//! and utilization are in `SchedulerStats` (`sched:`); the recovery
+//! counts are process-wide statics in `crate::fault`, diffed over a
+//! batch's window (`degraded:`); dropped trace events are the chrome
+//! trace's `dropped` footer.
 
 // The counting `GlobalAlloc` impl is the only `unsafe` in the workspace.
 #[allow(unsafe_code)]

@@ -13,8 +13,11 @@
 //!   call site, no allocation, no lock ([`span_dyn`] takes a closure so
 //!   dynamic names are never even built);
 //! * enabled — events append to a global mutex-guarded buffer, capped
-//!   at [`MAX_EVENTS`] (overflow increments a drop counter rather than
-//!   growing without bound).
+//!   at [`MAX_EVENTS`]: a span opened at the cap is refused whole (its
+//!   `B` and `E` count as dropped in the export's footer), and a span
+//!   whose `B` was buffered always buffers its `E`, so every exported
+//!   span closes. The buffer can pass the cap by at most the spans open
+//!   when it was reached.
 //!
 //! Timestamps exist **only** in exporter output: nothing downstream of
 //! a query reads them, so enabling tracing cannot perturb query
@@ -30,8 +33,8 @@ use std::time::Instant;
 use crate::json::{self, Fixed, Layout::Inline, Value, Writer};
 use crate::sync::Mutex;
 
-/// Default cap on buffered events (~2M); beyond it events are counted
-/// as dropped instead of buffered. At ~100 bytes/event this bounds the
+/// Default cap on buffered events (~2M); beyond it new spans are
+/// counted as dropped instead of buffered. At ~100 bytes/event this bounds the
 /// tracer's memory to ~200 MB worst case.
 pub(crate) const MAX_EVENTS: usize = 1 << 21;
 
@@ -106,22 +109,25 @@ fn current_tid() -> u64 {
     })
 }
 
-/// Override the event cap. The cap applies to future [`record`] calls
-/// only; already-buffered events are never discarded.
+/// Override the event cap. The cap applies to spans opened after the
+/// call only; already-buffered events are never discarded.
 #[cfg(test)]
 fn set_event_cap(cap: usize) {
     EVENT_CAP.store(cap, Ordering::Relaxed);
 }
 
-fn record(event: TraceEvent) {
+/// Buffer a span's `B` event, or refuse the whole span when the
+/// buffer is at its cap: both of its events then count as dropped (not
+/// silent: the chrome-trace `otherData` footer reports them). Returns
+/// whether the span was buffered.
+fn record_begin(event: TraceEvent) -> bool {
     let mut events = EVENTS.lock();
     if events.len() < EVENT_CAP.load(Ordering::Relaxed) {
         events.push(event);
+        true
     } else {
-        // Not silent: the drop is visible both in the chrome-trace
-        // `otherData` footer and as a registry counter (`--metrics-out`).
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        super::metrics::counter("obs.spans_dropped").inc();
+        DROPPED.fetch_add(2, Ordering::Relaxed);
+        false
     }
 }
 
@@ -156,7 +162,7 @@ pub fn span_dyn(cat: &'static str, name: impl FnOnce() -> String) -> Span {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let tid = current_tid();
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
-    record(TraceEvent {
+    let begin = TraceEvent {
         name: name.clone(),
         cat,
         phase: Phase::Begin,
@@ -164,7 +170,10 @@ pub fn span_dyn(cat: &'static str, name: impl FnOnce() -> String) -> Span {
         tid,
         span: id,
         parent,
-    });
+    };
+    if !record_begin(begin) {
+        return Span(None);
+    }
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
     Span(Some(SpanInner { name, cat, id, tid }))
 }
@@ -184,8 +193,9 @@ impl Drop for Span {
             });
             // The End event reuses the opening thread's track id so
             // B/E pairs stay balanced per track even if the guard is
-            // dropped on another thread.
-            record(TraceEvent {
+            // dropped on another thread. It is buffered past the cap:
+            // its Begin was.
+            EVENTS.lock().push(TraceEvent {
                 name: inner.name,
                 cat: inner.cat,
                 phase: Phase::End,
@@ -198,7 +208,8 @@ impl Drop for Span {
     }
 }
 
-/// Events discarded because the buffer hit [`MAX_EVENTS`].
+/// Events discarded because the buffer was at its cap: two per
+/// refused span.
 pub(crate) fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
@@ -472,20 +483,49 @@ mod tests {
         set_enabled(true);
         set_event_cap(4);
         let dropped_before = dropped();
-        let metric = crate::obs::metrics::counter("obs.spans_dropped");
-        let metric_before = metric.get();
         for i in 0..4 {
             let _s = span_dyn("test", || format!("cap{i}"));
         }
         set_event_cap(MAX_EVENTS);
         set_enabled(false);
         let events = drain();
-        // 4 spans produce 8 events; a cap of 4 buffers the first 4 and
-        // drops the rest — visibly, in both the static counter (the
-        // chrome-trace footer) and the metrics registry.
+        // 4 spans produce 8 events; a cap of 4 buffers the first two
+        // spans and refuses the other two whole — visibly, in the
+        // counter the chrome-trace footer reports.
         assert_eq!(events.len(), 4);
         assert_eq!(dropped() - dropped_before, 4);
-        assert_eq!(metric.get() - metric_before, 4);
+    }
+
+    /// A span left open when the buffer reaches its cap still closes in
+    /// the export, and spans opened at the cap are refused whole, so
+    /// the writer's own file passes [`validate`].
+    #[test]
+    fn spans_open_across_the_cap_close_in_the_export() {
+        let _guard = TEST_LOCK.lock();
+        drain();
+        set_enabled(true);
+        set_event_cap(3);
+        let dropped_before = dropped();
+        {
+            let _instance = span("scheduler", "instance.q1.0");
+            {
+                let _decode = span("pipeline", "decode");
+            }
+            // The buffer now holds its cap of 3 events: the kernel
+            // span and its child are refused, B and E alike.
+            let _kernel = span("pipeline", "kernel");
+            let _inner = span("pipeline", "inner");
+        }
+        set_event_cap(MAX_EVENTS);
+        set_enabled(false);
+        let mut buf = Vec::new();
+        let written = write_chrome_trace(&mut buf).unwrap();
+        drain();
+        // The instance's B and E, the decode span's B and E.
+        assert_eq!(written, 4);
+        assert_eq!(dropped() - dropped_before, 4);
+        let summary = validate(&String::from_utf8(buf).unwrap(), "capped.json", &["decode"]);
+        assert_eq!(summary.map(|t| (t.spans, t.instances)), Ok((2, 1)));
     }
 
     /// Byte for byte what the hand-rolled exporter wrote for these

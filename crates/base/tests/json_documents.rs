@@ -2,8 +2,8 @@
 //!
 //! The constants were captured from the commit before `vr_base::json`
 //! replaced the hand-rolled renderers (this file, run there, printed
-//! them), so a writer change that moves a byte of `metrics.json`,
-//! `STATS` or the query log fails here before a CI grep does. Each
+//! them), so a writer change that moves a byte of `STATS` or the
+//! query log fails here before a CI grep does. Each
 //! document must also be one `json::parse` accepts. The chrome trace
 //! and the `slo` block on its own are pinned in `obs::trace`'s and
 //! `obs::slo`'s own tests (they need private renderers).
@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 use vr_base::admission::{AdmissionSnapshot, Priority, TenantCounters};
 use vr_base::json;
-use vr_base::obs::metrics::Registry;
 use vr_base::obs::qlog::{Outcome, QueryLog, RequestRecord};
 use vr_base::obs::slo::{SloConfig, SloTracker};
 
@@ -20,25 +19,6 @@ use vr_base::obs::slo::{SloConfig, SloTracker};
 fn pinned(actual: &str, golden: &str) {
     assert_eq!(actual, golden);
     json::parse(actual).expect("the strict parser reads what the writer wrote");
-}
-
-const METRICS_EMPTY: &str = "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n";
-const METRICS: &str = "{\n  \"counters\": {\n    \"a.count\": 2,\n    \"we\\\"ird\\\\name\": 1\n  },\n  \"gauges\": {\n    \"b.gauge\": 0.5,\n    \"c.nan\": 0,\n    \"d.whole\": 3\n  },\n  \"histograms\": {\n    \"stage.kernel.nanos\": {\"count\": 2, \"sum_nanos\": 2400, \"mean_nanos\": 1200, \"p50_nanos\": 1000, \"p95_nanos\": 2000, \"p99_nanos\": 2000, \"buckets\": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]},\n    \"stage.sink.nanos\": {\"count\": 1, \"sum_nanos\": 7, \"mean_nanos\": 7, \"p50_nanos\": 7, \"p95_nanos\": 7, \"p99_nanos\": 7, \"buckets\": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n  }\n}\n";
-
-#[test]
-fn metrics_json() {
-    pinned(&Registry::new().snapshot().to_json(), METRICS_EMPTY);
-    let registry = Registry::new();
-    registry.counter("a.count").add(2);
-    registry.counter("we\"ird\\name").add(1);
-    registry.gauge("b.gauge").set(0.5);
-    registry.gauge("c.nan").set(f64::NAN);
-    registry.gauge("d.whole").set(3.0);
-    let h = registry.histogram("stage.kernel.nanos");
-    h.observe(1_500);
-    h.observe(900);
-    registry.histogram("stage.sink.nanos").observe(7);
-    pinned(&registry.snapshot().to_json(), METRICS);
 }
 
 fn snapshot() -> AdmissionSnapshot {

@@ -1,21 +1,20 @@
 //! Validator for the observability artifacts: chrome-trace profiles
-//! (`visualroad run --trace-out`), metrics snapshots (`--metrics-out`)
-//! and query logs (`visualroad serve --qlog-out`). The command line
-//! over the readers that sit beside each writer, whose docs list their
-//! checks: `vr_base::obs::trace::validate` (the required span names
-//! default to the five pipeline stages `scan,decode,kernel,encode,sink`),
-//! `obs::metrics::validate` and `obs::qlog::parse`.
+//! (`visualroad run --trace-out`) and query logs (`visualroad serve
+//! --qlog-out`). The command line over the readers that sit beside
+//! each writer, whose docs list their checks:
+//! `vr_base::obs::trace::validate` (the required span names default to
+//! the five pipeline stages `scan,decode,kernel,encode,sink`) and
+//! `obs::qlog::parse`.
 //!
 //! ```text
-//! trace_check [<trace.json>] [--require name1,name2,...]
-//!             [--metrics snap.json]... [--qlog qlog.jsonl]...
+//! trace_check [<trace.json>] [--require name1,name2,...] [--qlog qlog.jsonl]...
 //! ```
 //!
 //! Exit code 0 when every requested artifact passes, 1 with a
 //! diagnostic on the first violation.
 
 use std::process::ExitCode;
-use vr_base::obs::{metrics, qlog, trace};
+use vr_base::obs::{qlog, trace};
 
 const DEFAULT_REQUIRED: &str = "scan,decode,kernel,encode,sink";
 
@@ -25,7 +24,6 @@ fn read(path: &str) -> Result<String, String> {
 
 fn run() -> Result<String, String> {
     let mut path = None;
-    let mut metrics_paths: Vec<String> = Vec::new();
     let mut qlog_paths: Vec<String> = Vec::new();
     let mut required = DEFAULT_REQUIRED.to_string();
     let mut args = std::env::args().skip(1);
@@ -33,17 +31,12 @@ fn run() -> Result<String, String> {
         let mut value = |what: &str| args.next().ok_or(format!("{arg} needs {what}"));
         match arg.as_str() {
             "--require" => required = value("a comma-separated name list")?,
-            "--metrics" => metrics_paths.push(value("a snapshot path")?),
             "--qlog" => qlog_paths.push(value("a query-log path")?),
             _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
             _ => return Err(format!("unexpected argument {arg:?}")),
         }
     }
     let mut summary: Vec<String> = Vec::new();
-    for m in &metrics_paths {
-        metrics::validate(&read(m)?, m)?;
-        summary.push(format!("metrics OK: {m}"));
-    }
     for q in &qlog_paths {
         let records = qlog::parse(&read(q)?, q)?.len();
         summary.push(format!("qlog OK: {q} ({records} records)"));
@@ -51,9 +44,7 @@ fn run() -> Result<String, String> {
     let Some(path) = path else {
         if summary.is_empty() {
             return Err(
-                "usage: trace_check [<trace.json>] [--require names] [--metrics snap.json] \
-                 [--qlog qlog.jsonl]"
-                    .into(),
+                "usage: trace_check [<trace.json>] [--require names] [--qlog qlog.jsonl]".into(),
             );
         }
         return Ok(summary.join("\n"));

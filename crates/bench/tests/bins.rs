@@ -77,15 +77,6 @@ fn trace(swap: bool) -> String {
     )
 }
 
-/// A metrics snapshot whose one histogram holds `count` observations.
-fn metrics(count: u32) -> String {
-    format!(
-        "{{\n  \"counters\": {{\n    \"vcd.queries\": 4\n  }},\n  \"gauges\": {{\n    \"admission.saturation\": 0.5\n  }},\n  \
-         \"histograms\": {{\n    \"stage.decode\": {{\"count\": {count}, \"sum_nanos\": 30, \"mean_nanos\": 10, \
-         \"p50_nanos\": 8, \"p95_nanos\": 16, \"p99_nanos\": 16, \"buckets\": [0, 2, 1]}}\n  }}\n}}\n"
-    )
-}
-
 /// A query-log record as `QueryLog` renders it.
 fn record(seq: u32, req: u32, outcome: &str, shed_reason: &str, route: &str) -> String {
     format!(
@@ -101,34 +92,33 @@ fn qlog(seqs: [u32; 2]) -> String {
         + &record(seqs[1], 1, "shed", "\"quota\"", "null")
 }
 
-const TRACE_USAGE: &str = "trace_check: usage: trace_check [<trace.json>] [--require names] \
-    [--metrics snap.json] [--qlog qlog.jsonl]\n";
+const TRACE_USAGE: &str =
+    "trace_check: usage: trace_check [<trace.json>] [--require names] [--qlog qlog.jsonl]\n";
 
 #[test]
 fn trace_check_without_arguments_prints_its_usage() {
     let dir = scratch("usage", &[]);
     trace_check(&dir, &[], 1, "", TRACE_USAGE);
-    // The collapsed-stacks reader is gone: its option is refused.
-    let refused = "trace_check: unexpected argument \"--folded\"\n";
-    trace_check(&dir, &["--folded", "x"], 1, "", refused);
+    // The collapsed-stacks and metrics-snapshot readers are gone: their
+    // options are refused.
+    for gone in ["--folded", "--metrics"] {
+        let refused = format!("trace_check: unexpected argument \"{gone}\"\n");
+        trace_check(&dir, &[gone, "x"], 1, "", &refused);
+    }
 }
 
 #[test]
 fn trace_check_passes_a_good_set_of_artifacts() {
     let dir = scratch(
         "good",
-        &[
-            ("trace.json", &trace(false)),
-            ("metrics.json", &metrics(3)),
-            ("qlog.jsonl", &qlog([1, 2])),
-        ],
+        &[("trace.json", &trace(false)), ("qlog.jsonl", &qlog([1, 2]))],
     );
-    let args = ["trace.json", "--metrics", "metrics.json", "--qlog", "qlog.jsonl"];
+    let args = ["trace.json", "--qlog", "qlog.jsonl"];
     trace_check(
         &dir,
         &args,
         0,
-        "metrics OK: metrics.json\nqlog OK: qlog.jsonl (2 records)\n\
+        "qlog OK: qlog.jsonl (2 records)\n\
          trace OK: 16 events, 8 spans, 8 distinct names, 2 tracks, 1 scheduler instances\n",
         "",
     );
@@ -138,11 +128,7 @@ fn trace_check_passes_a_good_set_of_artifacts() {
 fn trace_check_names_the_first_violation_of_each_artifact() {
     let dir = scratch(
         "bad",
-        &[
-            ("trace.json", &trace(true)),
-            ("metrics.json", &metrics(4)),
-            ("qlog.jsonl", &qlog([2, 2])),
-        ],
+        &[("trace.json", &trace(true)), ("qlog.jsonl", &qlog([2, 2]))],
     );
     trace_check(
         &dir,
@@ -150,13 +136,6 @@ fn trace_check_names_the_first_violation_of_each_artifact() {
         1,
         "",
         "trace_check: event 10: E \"encode\" closes B \"sink\" on tid 1\n",
-    );
-    trace_check(
-        &dir,
-        &["--metrics", "metrics.json"],
-        1,
-        "",
-        "trace_check: metrics.json: histogram \"stage.decode\" buckets sum to 3 but count is 4\n",
     );
     trace_check(
         &dir,

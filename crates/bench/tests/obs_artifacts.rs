@@ -1,6 +1,6 @@
 //! The observability readers over the artifacts of an in-process run
-//! of every engine on Q1 and Q2(c): the chrome trace and metrics
-//! snapshot of a traced run at four workers, and the chrome trace of
+//! of every engine on Q1 and Q2(c): the chrome trace of a traced run
+//! at four workers, and the chrome trace of
 //! an EXPLAIN ANALYZE run at one worker, the regime where per-node
 //! self times must sum to no more than the wall time (every plan is
 //! checked for that, and the trace's spans must nest on every track).
@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use visual_road::base::obs::{alloc, metrics, trace};
+use visual_road::base::obs::{alloc, trace};
 use visual_road::prelude::*;
 
 #[path = "../../../tests/common/mod.rs"]
@@ -50,19 +50,17 @@ fn run_all_engines(dataset: &Dataset, workers: usize, explain: ExplainMode) -> V
 }
 
 #[test]
-fn traces_metrics_and_plans_validate() {
+fn traces_and_plans_validate() {
     let dataset = tiny_dataset(0);
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs-artifacts");
     std::fs::create_dir_all(&dir).unwrap();
-    let (trace_json, metrics_json, analyzed) =
-        (dir.join("trace.json"), dir.join("metrics.json"), dir.join("analyzed.json"));
+    let (trace_json, analyzed) = (dir.join("trace.json"), dir.join("analyzed.json"));
 
     trace::set_enabled(true);
     run_all_engines(&dataset, 4, ExplainMode::Off);
     trace::set_enabled(false);
     trace::save(trace_json.to_str().unwrap()).unwrap();
     trace::drain();
-    std::fs::write(&metrics_json, metrics::snapshot().to_json()).unwrap();
 
     alloc::set_tracking(true);
     trace::set_enabled(true);
@@ -75,6 +73,5 @@ fn traces_metrics_and_plans_validate() {
     let read = |p: &Path| std::fs::read_to_string(p).unwrap();
     let stages = ["scan", "decode", "kernel", "encode", "sink"];
     trace::validate(&read(&trace_json), "trace.json", &stages).unwrap();
-    metrics::validate(&read(&metrics_json), "metrics.json").unwrap();
     trace::validate(&read(&analyzed), "analyzed.json", &stages).unwrap();
 }

@@ -94,9 +94,9 @@ fn binds_listener(src: &str) -> usize {
     code(src).lines().filter(|l| binds.iter().any(|b| l.contains(b.as_str()))).count()
 }
 
-/// The only environment variables the crates read: the worker budget
-/// and allocator tracking. Every other setting is a flag or a constant.
-const ENV_VARS: [&str; 2] = ["VR_ALLOC_TRACK", "VR_WORKERS"];
+/// The only environment variable the crates read: the worker budget.
+/// Every other setting is a flag or a constant.
+const ENV_VARS: [&str; 1] = ["VR_WORKERS"];
 
 /// The `VR_*` names a source reads through `env::var` above its test
 /// module. The pattern is assembled here so this file does not match

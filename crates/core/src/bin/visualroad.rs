@@ -35,7 +35,7 @@ const COMMANDS: [Command; 7] = [
         &[
             "engine", "queries", "full-suite", "scale", "res", "duration", "seed", "batch",
             "online", "write", "no-validate", "faults", "fault-seed", "deadline-ms", "trace-out",
-            "metrics-out", "explain", "explain-analyze", "explain-out", "optimizer", "profile",
+            "explain", "explain-analyze", "explain-out", "optimizer", "profile",
         ],
         cmd_run,
     ),
@@ -91,7 +91,7 @@ USAGE:
                  [--scale L] [--res WxH] [--duration SECS] [--seed S]
                  [--batch N] [--online SPEEDUP] [--write DIR] [--no-validate]
                  [--faults SPEC] [--fault-seed S]
-                 [--deadline-ms N] [--trace-out FILE] [--metrics-out FILE]
+                 [--deadline-ms N] [--trace-out FILE]
                  [--explain | --explain-analyze] [--explain-out FILE]
                  [--optimizer on|off] [--profile FILE]
       Generate a dataset and drive the chosen engine(s) through the
@@ -114,10 +114,8 @@ USAGE:
       per-instance latency deadline via cooperative cancellation.
       --trace-out enables span tracing and writes a chrome-trace
       (trace_event JSON) profile loadable in chrome://tracing or
-      Perfetto. --metrics-out writes the process-global metrics
-      registry (counters/gauges/latency histograms) as JSON. Tracing
-      never changes query results: timestamps exist only in the
-      exported profile.
+      Perfetto. Tracing never changes query results: timestamps exist
+      only in the exported profile.
       --explain prints each engine's plan tree per query and exits
       without executing anything; --explain-analyze executes, then
       annotates each plan node with wall/self time, frame/byte flow,
@@ -125,8 +123,6 @@ USAGE:
       for the run), exiting nonzero if any plan fails its self-time
       invariant. --explain-out also writes the plans to FILE (a JSON
       document when FILE ends in .json, text otherwise).
-      VR_ALLOC_TRACK=1 enables allocator scope tracking without
-      --explain-analyze.
       --optimizer switches the cost-based optimizer: off (default)
       keeps every engine's hand-tuned plan choices; on lets the cost
       model pick Q2(c)'s cascade order and the driver's instance
@@ -398,14 +394,6 @@ fn write_creating_parent(path: &str, what: &str, body: impl AsRef<[u8]>) -> Resu
     std::fs::write(path, body).map_err(|e| format!("cannot write {what}{path}: {e}"))
 }
 
-/// Write the process-global metrics registry to `path` as JSON.
-fn write_metrics_snapshot(path: &str) -> Result<(), String> {
-    let body = vr_base::obs::metrics::snapshot().to_json();
-    std::fs::write(path, body).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-    eprintln!("wrote metrics snapshot to {path}");
-    Ok(())
-}
-
 /// `--explain-out FILE`, if given.
 fn write_plans(flags: &Flags, body: impl FnOnce(&str) -> String) -> Result<(), String> {
     if let Some(path) = flags.get("explain-out") {
@@ -512,9 +500,8 @@ fn cmd_run(flags: &Flags) -> Exit {
     let injector = fault_plan(flags)?;
     let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
 
-    // Allocator scope tracking: VR_ALLOC_TRACK, or implied by
-    // --explain-analyze (whose plan nodes report peak memory).
-    vr_base::obs::alloc::init_from_env();
+    // Allocator scope tracking, for --explain-analyze's plan nodes,
+    // which report allocations and peak memory.
     if cfg.explain == visual_road::ExplainMode::Analyze {
         vr_base::obs::alloc::set_tracking(true);
     }
@@ -583,9 +570,6 @@ fn cmd_run(flags: &Flags) -> Exit {
         let n = vr_base::obs::trace::save(path)
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("wrote {n} trace events to {path}");
-    }
-    if let Some(path) = flags.get("metrics-out") {
-        write_metrics_snapshot(path)?;
     }
 
     let fault_code = injector.as_deref().map_or(0, verify_fault_accounting);

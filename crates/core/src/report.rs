@@ -89,7 +89,11 @@ impl SchedulerStats {
 pub struct DegradationStats {
     /// What the recovery layers absorbed during the batch: concealed
     /// frames, skipped samples and packets, I/O retries and give-ups,
-    /// contained stage panics, absorbed stalls.
+    /// contained stage panics, absorbed stalls. The counts are
+    /// process-wide statics, diffed over the batch's window, so a
+    /// recovery made by another batch running at the same time lands
+    /// here too; the stage figures, by contrast, belong to the batch's
+    /// own execution context.
     pub recovered: DegradationSnapshot,
     /// Instances cancelled (deadline or explicit token) and folded as
     /// degraded rows instead of failing the batch.

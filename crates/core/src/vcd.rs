@@ -25,7 +25,7 @@ use crate::report::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vr_base::obs::{metrics, trace};
+use vr_base::obs::trace;
 use vr_base::rng::mix64;
 use vr_base::sync::{run_jobs, CancelToken};
 use vr_base::{fault, Error, Resolution, Result, VrRng};
@@ -433,8 +433,6 @@ impl<'d> Vcd<'d> {
         let explain = plan
             .filter(|_| analyze)
             .map(|plan| self.explain_info(plan, &plan_key, &stages, runtime, fan_out, mean));
-        metrics::gauge("scheduler.worker_utilization").set(scheduler.worker_utilization);
-        metrics::gauge("scheduler.workers").set(workers as f64);
 
         let validation = if self.cfg.validate {
             // Validation (reference runs + PSNR) happens outside the

@@ -39,9 +39,7 @@
 //! into the [`PipelineMetrics`] carried by the [`ExecContext`] — the
 //! one record of what a stage did. The VCD snapshots it once per query
 //! batch; the report prints the per-stage totals and quantiles from
-//! that snapshot, and EXPLAIN ANALYZE and `calibrate` read it too. The
-//! process-global registry holds only a mirror of every record, summed
-//! over all contexts, for the exporters.
+//! that snapshot, and EXPLAIN ANALYZE and `calibrate` read it too.
 
 use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
 use crate::kernels::{boxes_frame, filter_class, FrameStream};
@@ -118,49 +116,10 @@ struct AtomicStage {
 ///
 /// This is the one record of what a stage did: the report, EXPLAIN
 /// ANALYZE and `calibrate` read it through [`PipelineMetrics::snapshot`].
-/// Every record is also mirrored into the process-global
-/// [`vr_base::obs::metrics`] registry (`stage.<s>.{nanos,frames,bytes}`,
-/// `alloc.stage.<s>.*`, `pipeline.contention_nanos`) for
-/// `--metrics-out`, which sums over every context in the process.
 #[derive(Default)]
 pub struct PipelineMetrics {
     stages: [AtomicStage; 5],
     contention_nanos: AtomicU64,
-}
-
-/// One stage's registry series.
-struct StageMirror {
-    nanos: Arc<metrics::Histogram>,
-    frames: Arc<metrics::Counter>,
-    bytes: Arc<metrics::Counter>,
-    allocs: Arc<metrics::Counter>,
-    alloc_bytes: Arc<metrics::Counter>,
-    alloc_peak: Arc<metrics::Gauge>,
-}
-
-/// The registry handles every context mirrors into, looked up once per
-/// process.
-struct Mirror {
-    stages: [StageMirror; 5],
-    contention: Arc<metrics::Counter>,
-}
-
-fn mirror() -> &'static Mirror {
-    static MIRROR: std::sync::OnceLock<Mirror> = std::sync::OnceLock::new();
-    MIRROR.get_or_init(|| Mirror {
-        stages: StageKind::ALL.map(|kind| {
-            let series = |name: &str| format!("stage.{}.{name}", kind.label());
-            StageMirror {
-                nanos: metrics::histogram(&series("nanos")),
-                frames: metrics::counter(&series("frames")),
-                bytes: metrics::counter(&series("bytes")),
-                allocs: metrics::counter(&format!("alloc.{}", series("allocs"))),
-                alloc_bytes: metrics::counter(&format!("alloc.{}", series("bytes"))),
-                alloc_peak: metrics::gauge(&format!("alloc.{}", series("peak_bytes"))),
-            }
-        }),
-        contention: metrics::counter("pipeline.contention_nanos"),
-    })
 }
 
 impl PipelineMetrics {
@@ -170,14 +129,6 @@ impl PipelineMetrics {
         s.latency.observe(nanos);
         s.frames.fetch_add(frames, Ordering::Relaxed);
         s.bytes.fetch_add(bytes, Ordering::Relaxed);
-        let m = &mirror().stages[stage.idx()];
-        m.nanos.observe(nanos);
-        if frames > 0 {
-            m.frames.add(frames);
-        }
-        if bytes > 0 {
-            m.bytes.add(bytes);
-        }
     }
 
     /// Run `f` as one invocation of `stage`, inside a trace span named
@@ -213,17 +164,12 @@ impl PipelineMetrics {
         s.allocs.fetch_add(delta.allocs, Ordering::Relaxed);
         s.alloc_bytes.fetch_add(delta.bytes, Ordering::Relaxed);
         s.alloc_peak.fetch_max(delta.peak_bytes, Ordering::Relaxed);
-        let m = &mirror().stages[stage.idx()];
-        m.allocs.add(delta.allocs);
-        m.alloc_bytes.add(delta.bytes);
-        m.alloc_peak.set_max(delta.peak_bytes as f64);
     }
 
     /// Add time a pipelined stage spent blocked on a full channel
     /// (backpressure from the next stage).
     fn record_contention(&self, nanos: u64) {
         self.contention_nanos.fetch_add(nanos, Ordering::Relaxed);
-        mirror().contention.add(nanos);
     }
 
     /// Current totals.

@@ -1,6 +1,6 @@
 //! The `visualroad` binary, spawned: what only a process shows. Result
 //! bytes with tracing on and off, chaos runs that exit 0, the
-//! allocation budget, EXPLAIN ANALYZE and its exit code, `generate`
+//! allocation budget and its independence of query order, EXPLAIN ANALYZE and its exit code, `generate`
 //! at one node and at every core, `ingest` and `search` over a damaged
 //! side index and its latency, and the `serve` lifecycle (stdin,
 //! `serving on ADDR`, drain, exit code). Every child is killed, and its
@@ -141,7 +141,7 @@ fn traced_and_untraced_runs_write_identical_results() {
 #[test]
 fn bad_flags_and_values_are_refused_before_generation() {
     let _quiet = shared();
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["run", "--batch", "0"], "--batch"),
         (&["run", "--online", "0"], "--online"),
         (&["run", "--online", "-2"], "--online"),
@@ -151,6 +151,7 @@ fn bad_flags_and_values_are_refused_before_generation() {
         (&["serve", "--drain-timeout-ms", "5"], "--drain-timeout-ms for serve"),
         (&["run", "--serve-metrics", "0"], "--serve-metrics for run"),
         (&["run", "--folded-out", "f.txt"], "--folded-out for run"),
+        (&["run", "--metrics-out", "m.json"], "--metrics-out for run"),
         (&["serve", "--serve-metrics", "0"], "--serve-metrics for serve"),
         (&["run", "--optimizer", "explain"], "--optimizer"),
         (&["run", "--faults", "stall_stage=kernal:5ms"], "--faults"),
@@ -209,32 +210,69 @@ fn chaos_runs_exit_zero() {
 }
 
 
+/// The plan documents `--explain-out FILE.json` wrote, each read as its
+/// query's label and the `(stage, allocs, alloc_bytes,
+/// peak_alloc_bytes)` of every plan node that is a stage.
+fn stage_allocations(plans: &Path) -> Vec<(String, Vec<(String, [u64; 3])>)> {
+    fn walk(node: &Value, out: &mut Vec<(String, [u64; 3])>) {
+        if let Some(stage) = node.get("stage").and_then(Value::as_str) {
+            let stats = node.get("stats").unwrap();
+            let figures = ["allocs", "alloc_bytes", "peak_alloc_bytes"].map(|k| num(stats, k) as u64);
+            out.push((stage.to_string(), figures));
+        }
+        for child in node.get("children").and_then(Value::as_array).unwrap() {
+            walk(child, out);
+        }
+    }
+    let doc = read_json(plans);
+    let entries = doc.as_array().unwrap().iter().map(|entry| {
+        let mut stages = Vec::new();
+        walk(entry.get("plan").unwrap(), &mut stages);
+        (text(entry, "query").to_string(), stages)
+    });
+    entries.collect()
+}
+
 /// The zero-copy data plane's budget: a sequential batch Q1 costs at
-/// most 150 stage-scoped heap allocations (about 107 today, 585 before
-/// shared buffers).
+/// most 150 stage-scoped heap allocations (109 today, 585 before
+/// shared buffers), read off its EXPLAIN ANALYZE plan.
 #[test]
 fn batch_q1_stays_within_its_allocation_budget() {
     let _quiet = shared();
-    let metrics = scratch("alloc").join("metrics.json");
+    let plans = scratch("alloc").join("plans.json");
     let args = [
         "run", "--engine", "batch", "--queries", "Q1", "--scale", "1", "--res", "128x72",
-        "--duration", "0.4", "--batch", "2", "--no-validate", "--metrics-out", path(&metrics),
+        "--duration", "0.4", "--batch", "2", "--no-validate", "--explain-analyze", "--explain-out",
+        path(&plans),
     ];
-    visualroad(&args, &[("VR_WORKERS", "1"), ("VR_ALLOC_TRACK", "1")]);
-    let doc = read_json(&metrics);
-    let total = stage_allocations(doc.get("counters").and_then(Value::as_object).unwrap());
-    assert!(total > 0.0, "alloc tracking recorded nothing");
-    assert!(total <= 150.0, "Q1 batch allocated {total} times per query (budget 150)");
+    visualroad(&args, &[("VR_WORKERS", "1")]);
+    let plans = stage_allocations(&plans);
+    assert_eq!(plans.len(), 1, "one plan for batch Q1");
+    let total: u64 = plans[0].1.iter().map(|(_, [allocs, ..])| allocs).sum();
+    assert!(total > 0, "alloc tracking recorded nothing");
+    assert!(total <= 150, "Q1 batch allocated {total} times per query (budget 150)");
 }
 
-/// The sum of the `alloc.stage.<stage>.allocs` counters.
-fn stage_allocations(counters: &BTreeMap<String, Value>) -> f64 {
-    let per_stage = |name: &str| {
-        name.strip_prefix("alloc.stage.")
-            .and_then(|s| s.strip_suffix(".allocs"))
-            .is_some_and(|stage| !stage.is_empty() && stage.bytes().all(|b| b.is_ascii_lowercase()))
+/// A stage's allocation figures are its own, not its position's: each
+/// query's stage nodes read the same allocations, bytes and peak
+/// whether the query runs first in the process or second.
+#[test]
+fn stage_allocations_do_not_depend_on_query_order() {
+    let _quiet = shared();
+    let dir = scratch("alloc-order");
+    let run = |queries: &str| {
+        let plans = dir.join(format!("{queries}.json"));
+        let args = [
+            "run", "--engine", "reference", "--queries", queries, "--scale", "1", "--res",
+            "128x72", "--duration", "0.4", "--batch", "2", "--no-validate", "--explain-analyze",
+            "--explain-out", path(&plans),
+        ];
+        visualroad(&args, &[("VR_WORKERS", "1")]);
+        stage_allocations(&plans).into_iter().collect::<BTreeMap<_, _>>()
     };
-    counters.iter().filter(|(k, _)| per_stage(k)).map(|(_, v)| v.as_f64().unwrap()).sum()
+    let (q1_first, q2a_first) = (run("Q1,Q2a"), run("Q2a,Q1"));
+    assert_eq!(q1_first.len(), 2, "two plans: {q1_first:?}");
+    assert_eq!(q1_first, q2a_first, "stage (allocs, alloc_bytes, peak_alloc_bytes) by query");
 }
 
 /// Whether a plan line annotates the `stage` node with a nonzero wall
