@@ -40,9 +40,10 @@
 //! # Accounting
 //!
 //! Each injection increments a per-kind counter on the injector
-//! ([`FaultInjector::injected`]); each *recovery* increments a process-wide
-//! recovery counter (concealed frames, skipped samples/packets,
-//! retries, contained panics), read through [`degradation_snapshot`]. [`accounting_mismatches`] checks the two
+//! ([`FaultInjector::injected`]); each *recovery* increments a
+//! process-wide recovery counter (concealed frames, skipped
+//! samples/packets, retries, contained panics), read through
+//! [`degradation_snapshot`]. [`accounting_mismatches`] checks the two
 //! sides against each other — e.g. every corrupted sample must show up
 //! as a CRC-skipped sample, every injected panic as a contained one.
 

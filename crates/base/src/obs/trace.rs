@@ -34,8 +34,8 @@ use crate::json::{self, Fixed, Layout::Inline, Value, Writer};
 use crate::sync::Mutex;
 
 /// Default cap on buffered events (~2M); beyond it new spans are
-/// counted as dropped instead of buffered. At ~100 bytes/event this bounds the
-/// tracer's memory to ~200 MB worst case.
+/// counted as dropped instead of buffered. At ~100 bytes/event this
+/// bounds the tracer's memory to ~200 MB worst case.
 pub(crate) const MAX_EVENTS: usize = 1 << 21;
 
 static EVENT_CAP: AtomicUsize = AtomicUsize::new(MAX_EVENTS);

@@ -981,7 +981,7 @@ mod tests {
         let stale = USAGE.replacen("[--batch N]", "[--batch N] [--workers N]", 1);
         assert_ne!(usage_flags(&stale, "run"), accepted("run"), "a flag run does not read");
         let names: BTreeSet<_> = COMMANDS.iter().flat_map(|(_, flags, _)| flags.iter()).collect();
-        assert_eq!(names.len(), 44, "distinct flag names");
+        assert_eq!(names.len(), 43, "distinct flag names");
     }
 
     #[test]
