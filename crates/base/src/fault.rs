@@ -8,8 +8,12 @@
 //! recovery paths in CI this module provides a **seeded, deterministic
 //! fault injector**: one [`FaultPlan`] parsed from a `--faults` spec,
 //! one [`FaultInjector`] whose every decision is a pure function of
-//! `(seed, site, key)`, and a process-global install point the storage
-//! readers, demuxer, decoder, and pipeline stages consult.
+//! `(seed, site, key)`. The injector belongs to a run, not to the
+//! process: a run's execution context carries it (`ExecContext::faults`
+//! in `vr-vdbms`), and the demuxer, decoder, online feed, pipeline
+//! stages and storage writes of that run consult it there. A context
+//! without one is fault-free by construction — the driver's reference
+//! validation and dataset generation run that way.
 //!
 //! # Spec grammar (`--faults`)
 //!
@@ -40,17 +44,18 @@
 //! # Accounting
 //!
 //! Each injection increments a per-kind counter on the injector
-//! ([`FaultInjector::injected`]); each *recovery* increments a
-//! process-wide recovery counter (concealed frames, skipped
-//! samples/packets, retries, contained panics), read through
-//! [`degradation_snapshot`]. [`accounting_mismatches`] checks the two
+//! ([`FaultInjector::injected`]); each *recovery* (a concealed frame,
+//! a skipped sample or packet, a retry, a contained panic, an absorbed
+//! stall) increments a [`RecoveryCounters`] of the run that made it.
+//! Like the stage figures, those counters belong to the run's context
+//! (its `PipelineMetrics`), so two batches in one process never count
+//! each other's recoveries. [`accounting_mismatches`] checks the two
 //! sides against each other — e.g. every corrupted sample must show up
 //! as a CRC-skipped sample, every injected panic as a contained one.
 
 use crate::rng::{mix64, VrRng};
 use crate::{Error, Result};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -233,10 +238,9 @@ impl FaultInjector {
         self.seed
     }
 
-    /// The site's decision for `key`: true with probability `p`, never
-    /// while injection is suppressed.
+    /// The site's decision for `key`: true with probability `p`.
     fn decide(&self, site: usize, p: f64, key: u64) -> bool {
-        if p <= 0.0 || suppressed() {
+        if p <= 0.0 {
             return false;
         }
         let h = mix64(self.seed ^ SITE_SALT[site], key);
@@ -279,9 +283,6 @@ impl FaultInjector {
     /// once per call when the plan names the stage; callers invoke it
     /// once per pipeline run). The caller sleeps; the injector counts.
     pub fn stall(&self, stage: &str) -> Option<Duration> {
-        if suppressed() {
-            return None;
-        }
         match &self.plan.stall_stage {
             Some((s, d)) if s == stage => {
                 self.injected[2].fetch_add(1, Ordering::Relaxed);
@@ -314,9 +315,6 @@ impl FaultInjector {
     /// label and frame index. The caller panics inside its containment
     /// scope; the injector counts the injection first.
     pub fn kernel_panic_due(&self, query_label: &str, frame: u64) -> bool {
-        if suppressed() {
-            return false;
-        }
         match &self.plan.panic_kernel {
             Some((q, f)) if *f == frame && q.eq_ignore_ascii_case(query_label) => {
                 self.injected[5].fetch_add(1, Ordering::Relaxed);
@@ -340,78 +338,55 @@ impl FaultInjector {
 }
 
 // ---------------------------------------------------------------------------
-// Global install point
-// ---------------------------------------------------------------------------
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static SUPPRESS: AtomicUsize = AtomicUsize::new(0);
-static GLOBAL: RwLock<Option<Arc<FaultInjector>>> = RwLock::new(None);
-
-/// Install (or clear, with `None`) the process-global injector every
-/// fault hook consults.
-pub fn install(injector: Option<Arc<FaultInjector>>) {
-    let mut slot = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
-    ACTIVE.store(injector.is_some(), Ordering::Release);
-    *slot = injector;
-}
-
-/// The installed injector, if any. The inactive path is a single
-/// atomic load, so fault hooks cost nothing when faults are off.
-pub fn global() -> Option<Arc<FaultInjector>> {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    GLOBAL.read().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Whether a global injector is installed (cheap).
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
-}
-
-/// Whether injection is currently suppressed (see [`suppress`]).
-fn suppressed() -> bool {
-    SUPPRESS.load(Ordering::Acquire) > 0
-}
-
-/// Run `f` with injection suppressed — the driver's validation pass
-/// re-executes queries through a reference engine, and those runs must
-/// be fault-free so the achieved-PSNR comparison has a clean baseline.
-/// Nesting is fine; the flag is a depth counter.
-pub fn suppress<T>(f: impl FnOnce() -> T) -> T {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            SUPPRESS.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    SUPPRESS.fetch_add(1, Ordering::AcqRel);
-    let _g = Guard;
-    f()
-}
-
-// ---------------------------------------------------------------------------
 // Degradation accounting (the recovery side)
 // ---------------------------------------------------------------------------
 
-// Recovery counters: what the system *did* about injected (or real)
-// faults. One relaxed add per recovery on the hot paths below.
-static CONCEALED_FRAMES: AtomicU64 = AtomicU64::new(0);
-static SKIPPED_SAMPLES: AtomicU64 = AtomicU64::new(0);
-static SKIPPED_PACKETS: AtomicU64 = AtomicU64::new(0);
-static IO_RETRIES: AtomicU64 = AtomicU64::new(0);
-static IO_GIVE_UPS: AtomicU64 = AtomicU64::new(0);
-static STAGE_PANICS: AtomicU64 = AtomicU64::new(0);
-static STALLS_ABSORBED: AtomicU64 = AtomicU64::new(0);
+/// What a recovery layer did about one fault, injected or real: one
+/// kind per [`DegradationSnapshot`] field, in its order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recovery {
+    ConcealedFrame,
+    SkippedSample,
+    SkippedPacket,
+    IoRetry,
+    IoGiveUp,
+    StagePanic,
+    StallAbsorbed,
+}
 
-/// A point-in-time copy of the recovery counters; subtract snapshots
-/// to get a batch's delta.
-///
-/// The counters are process-wide statics: every recovery in the
-/// process lands in them, whichever query it served, so a batch's
-/// figure is the difference of two snapshots taken around its window.
-/// Stage figures, by contrast, belong to the execution context that ran
-/// the stage (`PipelineMetrics`).
+/// One run's recovery counters: one relaxed add per recovery, indexed
+/// by [`Recovery`]. Each execution context's `PipelineMetrics` holds
+/// one beside its stage records, so a batch's figure is what its own
+/// hooks recovered, whatever else the process runs at the same time.
+#[derive(Debug, Default)]
+pub struct RecoveryCounters([AtomicU64; 7]);
+
+impl RecoveryCounters {
+    /// Count `n` recoveries of one kind.
+    pub fn add(&self, what: Recovery, n: u64) {
+        self.0[what as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The totals so far.
+    pub fn snapshot(&self) -> DegradationSnapshot {
+        let [concealed_frames, skipped_samples, skipped_packets, io_retries, io_give_ups, stage_panics, stalls_absorbed] =
+            self.0.each_ref().map(|c| c.load(Ordering::Relaxed));
+        DegradationSnapshot {
+            concealed_frames,
+            skipped_samples,
+            skipped_packets,
+            io_retries,
+            io_give_ups,
+            stage_panics,
+            stalls_absorbed,
+        }
+    }
+}
+
+/// A run's recovery totals at a point in time ([`RecoveryCounters`]):
+/// what the system *did* about injected (or real) faults. Like the
+/// stage figures, they belong to the execution context that made the
+/// recoveries; the VCD reads a batch's off its context's snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationSnapshot {
     /// Frames replaced by last-good-frame (or black) concealment.
@@ -431,36 +406,24 @@ pub struct DegradationSnapshot {
 }
 
 impl DegradationSnapshot {
-    /// Counters accumulated since `earlier` (saturating).
-    pub fn since(&self, earlier: &DegradationSnapshot) -> DegradationSnapshot {
-        DegradationSnapshot {
-            concealed_frames: self.concealed_frames.saturating_sub(earlier.concealed_frames),
-            skipped_samples: self.skipped_samples.saturating_sub(earlier.skipped_samples),
-            skipped_packets: self.skipped_packets.saturating_sub(earlier.skipped_packets),
-            io_retries: self.io_retries.saturating_sub(earlier.io_retries),
-            io_give_ups: self.io_give_ups.saturating_sub(earlier.io_give_ups),
-            stage_panics: self.stage_panics.saturating_sub(earlier.stage_panics),
-            stalls_absorbed: self.stalls_absorbed.saturating_sub(earlier.stalls_absorbed),
-        }
-    }
-
     /// Whether any degradation was recorded.
     pub fn any(&self) -> bool {
         *self != DegradationSnapshot::default()
     }
 }
 
-/// Current recovery-counter totals.
-pub fn degradation_snapshot() -> DegradationSnapshot {
-    let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-    DegradationSnapshot {
-        concealed_frames: get(&CONCEALED_FRAMES),
-        skipped_samples: get(&SKIPPED_SAMPLES),
-        skipped_packets: get(&SKIPPED_PACKETS),
-        io_retries: get(&IO_RETRIES),
-        io_give_ups: get(&IO_GIVE_UPS),
-        stage_panics: get(&STAGE_PANICS),
-        stalls_absorbed: get(&STALLS_ABSORBED),
+/// The totals of several runs (a process's batches, say).
+impl std::iter::Sum for DegradationSnapshot {
+    fn sum<I: Iterator<Item = Self>>(runs: I) -> Self {
+        runs.fold(Self::default(), |a, b| DegradationSnapshot {
+            concealed_frames: a.concealed_frames + b.concealed_frames,
+            skipped_samples: a.skipped_samples + b.skipped_samples,
+            skipped_packets: a.skipped_packets + b.skipped_packets,
+            io_retries: a.io_retries + b.io_retries,
+            io_give_ups: a.io_give_ups + b.io_give_ups,
+            stage_panics: a.stage_panics + b.stage_panics,
+            stalls_absorbed: a.stalls_absorbed + b.stalls_absorbed,
+        })
     }
 }
 
@@ -513,31 +476,6 @@ pub fn accounting_mismatches(
     bad
 }
 
-/// Record concealed frames.
-pub fn note_concealed(n: u64) {
-    CONCEALED_FRAMES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Record demuxer-skipped samples.
-pub fn note_skipped_sample() {
-    SKIPPED_SAMPLES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record depacketizer-skipped packets.
-pub fn note_skipped_packets(n: u64) {
-    SKIPPED_PACKETS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Record a contained stage panic.
-pub(crate) fn note_stage_panic() {
-    STAGE_PANICS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record an absorbed stage stall.
-pub fn note_stall_absorbed() {
-    STALLS_ABSORBED.fetch_add(1, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Bounded retry with deterministic backoff
 // ---------------------------------------------------------------------------
@@ -573,21 +511,24 @@ fn is_transient(kind: std::io::ErrorKind) -> bool {
     )
 }
 
-/// Run a storage operation the fault plan may fail with bounded
+/// Run a storage operation a run's fault plan may fail with bounded
 /// retry-with-backoff. Transient I/O failures are retried up to
 /// [`RETRY_MAX_ATTEMPTS`] total attempts with [`backoff_delay`] sleeps
-/// between them; every retry is recorded in the degradation counters,
-/// and exhausting the budget records a give-up and surfaces the last
-/// error. Everything else (not-found, corruption, broken pipe)
-/// propagates immediately — retrying cannot help.
+/// between them; every retry is counted in `recovered`, the run's
+/// counters, and exhausting the budget counts a give-up and surfaces
+/// the last error. Everything else (not-found, corruption, broken
+/// pipe) propagates immediately — retrying cannot help.
 ///
 /// `site` names the call site (hashed into the jitter stream) and
-/// `object` what the operation touches (a whole file). Every attempt
-/// first asks the injector whether it fails, keyed by `(site, object,
-/// attempt)`, so an injected failure takes the same backoff path as a
-/// real one and hits the same attempts at any worker count. The key is
-/// computed only when an injector is installed or an attempt fails.
+/// `object` what the operation touches (a whole file). With `faults`,
+/// every attempt first asks the injector whether it fails, keyed by
+/// `(site, object, attempt)`, so an injected failure takes the same
+/// backoff path as a real one and hits the same attempts at any worker
+/// count. The key is computed only when an injector is given or an
+/// attempt fails.
 pub fn with_retry_io<T>(
+    faults: Option<&FaultInjector>,
+    recovered: &RecoveryCounters,
     site: &str,
     op: IoOp,
     object: &str,
@@ -597,15 +538,15 @@ pub fn with_retry_io<T>(
     let key = || mix64(mix64(name_hash(site), name_hash(object)), 0);
     let mut attempt = 0u32;
     loop {
-        let injected = global().and_then(|inj| inj.io_fail(op, mix64(key(), attempt as u64)));
+        let injected = faults.and_then(|inj| inj.io_fail(op, mix64(key(), attempt as u64)));
         match injected.map_or_else(&mut f, Err) {
             Err(Error::Io(io)) if is_transient(io.kind()) => {
                 if attempt + 1 >= RETRY_MAX_ATTEMPTS {
-                    IO_GIVE_UPS.fetch_add(1, Ordering::Relaxed);
+                    recovered.add(Recovery::IoGiveUp, 1);
                     return Err(Error::Io(io));
                 }
-                IO_RETRIES.fetch_add(1, Ordering::Relaxed);
-                let seed = global().map_or(0, |inj| inj.seed());
+                recovered.add(Recovery::IoRetry, 1);
+                let seed = faults.map_or(0, FaultInjector::seed);
                 let _span = crate::obs::trace::span("fault", "retry_backoff");
                 std::thread::sleep(backoff_delay(seed, name_hash(site), attempt, key()));
                 attempt += 1;
@@ -618,15 +559,6 @@ pub fn with_retry_io<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `suppress` is process-wide, and the tests run on parallel threads:
-    /// the test of it takes this lock alone, and every test that expects
-    /// an injection takes it shared.
-    static SUPPRESSION: RwLock<()> = RwLock::new(());
-
-    fn unsuppressed() -> std::sync::RwLockReadGuard<'static, ()> {
-        SUPPRESSION.read().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn parse_full_spec() {
@@ -668,7 +600,6 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_replayable() {
-        let _unsuppressed = unsuppressed();
         let plan = FaultPlan::parse("corrupt_bitstream=0.25").unwrap();
         // Sample n's decision and flip pattern: its payload if damaged.
         let hit = |inj: &FaultInjector, n: u64| {
@@ -705,7 +636,6 @@ mod tests {
 
     #[test]
     fn corruption_always_changes_the_payload() {
-        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("corrupt_bitstream=1.0", 3).unwrap();
         for len in [1usize, 2, 7, 100] {
             let orig = vec![0xA5u8; len];
@@ -720,7 +650,6 @@ mod tests {
 
     #[test]
     fn io_fail_counts_per_op() {
-        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("io_fail=read:1.0", 0).unwrap();
         assert!(inj.io_fail(IoOp::Read, 0).is_some());
         assert!(inj.io_fail(IoOp::Write, 0).is_none());
@@ -730,7 +659,6 @@ mod tests {
 
     #[test]
     fn stall_matches_stage_label_only() {
-        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("stall_stage=kernel:5ms", 0).unwrap();
         assert_eq!(inj.stall("kernel"), Some(Duration::from_millis(5)));
         assert_eq!(inj.stall("decode"), None);
@@ -739,7 +667,6 @@ mod tests {
 
     #[test]
     fn kernel_panic_targets_query_and_frame() {
-        let _unsuppressed = unsuppressed();
         let inj = FaultInjector::from_spec("panic_kernel=q4:frame3", 0).unwrap();
         assert!(!inj.kernel_panic_due("q1", 3));
         assert!(!inj.kernel_panic_due("q4", 2));
@@ -786,12 +713,12 @@ mod tests {
         assert_ne!(backoff_delay(9, 4, 1, 7), backoff_delay(10, 4, 1, 7));
     }
 
-    /// With no injector installed (no test in this crate installs
-    /// one), `with_retry_io` fails only where `f` does.
+    /// With no injector, `with_retry_io` fails only where `f` does.
     #[test]
     fn with_retry_retries_transients_and_gives_up() {
+        let recovered = RecoveryCounters::default();
         let mut calls = 0;
-        let out: Result<u32> = with_retry_io("test-ok", IoOp::Read, "obj", || {
+        let out: Result<u32> = with_retry_io(None, &recovered, "test-ok", IoOp::Read, "obj", || {
             calls += 1;
             if calls < 3 {
                 Err(Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "x")))
@@ -803,7 +730,7 @@ mod tests {
         assert_eq!(calls, 3);
 
         let mut calls = 0;
-        let out: Result<u32> = with_retry_io("test-exhaust", IoOp::Read, "obj", || {
+        let out: Result<u32> = with_retry_io(None, &recovered, "test-exhaust", IoOp::Read, "obj", || {
             calls += 1;
             Err(Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "x")))
         });
@@ -812,45 +739,14 @@ mod tests {
 
         // Non-transient errors pass straight through.
         let mut calls = 0;
-        let out: Result<u32> = with_retry_io("test-hard", IoOp::Write, "obj", || {
+        let out: Result<u32> = with_retry_io(None, &recovered, "test-hard", IoOp::Write, "obj", || {
             calls += 1;
             Err(Error::NotFound("gone".into()))
         });
         assert!(matches!(out, Err(Error::NotFound(_))));
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn suppress_disables_injection() {
-        let _alone = SUPPRESSION.write().unwrap_or_else(|e| e.into_inner());
-        let inj = FaultInjector::from_spec("corrupt_bitstream=1.0,drop_rtp=1.0", 0).unwrap();
-        suppress(|| {
-            let mut data = vec![1u8; 8];
-            assert!(!inj.corrupt_sample("cam-0", 0, &mut data));
-            assert!(!inj.drop_rtp_packet("cam-0", 0));
-            // Nesting keeps suppression on.
-            suppress(|| assert!(!inj.drop_rtp_packet("cam-0", 1)));
-            assert!(!inj.drop_rtp_packet("cam-0", 2));
-        });
-        assert!(inj.drop_rtp_packet("cam-0", 0), "suppression must lift on exit");
-    }
-
-    #[test]
-    fn degradation_snapshot_deltas() {
-        let before = degradation_snapshot();
-        note_concealed(3);
-        note_skipped_sample();
-        note_skipped_packets(2);
-        note_stage_panic();
-        note_stall_absorbed();
-        let delta = degradation_snapshot().since(&before);
-        assert_eq!(delta.concealed_frames, 3);
-        assert_eq!(delta.skipped_samples, 1);
-        assert_eq!(delta.skipped_packets, 2);
-        assert_eq!(delta.stage_panics, 1);
-        assert_eq!(delta.stalls_absorbed, 1);
-        assert!(delta.any());
-        assert!(!DegradationSnapshot::default().any());
+        let counted = recovered.snapshot();
+        assert_eq!((counted.io_retries, counted.io_give_ups), (2 + 3, 1));
     }
 
     #[test]

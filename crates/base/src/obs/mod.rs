@@ -50,9 +50,10 @@
 //! `PipelineMetrics`, printed on the report's `stages:` and `obs:`
 //! lines and on EXPLAIN ANALYZE's plan nodes; the scheduler's workers
 //! and utilization are in `SchedulerStats` (`sched:`); the recovery
-//! counts are process-wide statics in `crate::fault`, diffed over a
-//! batch's window (`degraded:`); dropped trace events are the chrome
-//! trace's `dropped` footer.
+//! counts are in the same `PipelineMetrics`, a
+//! `crate::fault::RecoveryCounters` beside the stage records
+//! (`degraded:`); dropped trace events are the chrome trace's
+//! `dropped` footer.
 
 // The counting `GlobalAlloc` impl is the only `unsafe` in the workspace.
 #[allow(unsafe_code)]

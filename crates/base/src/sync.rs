@@ -5,18 +5,17 @@
 //! "std-only substitution"). Bounded channels are
 //! `std::sync::mpsc::sync_channel`; this module adds —
 //!
-//! * [`Mutex`] / [`RwLock`] / [`Condvar`] wrappers over `std::sync`
+//! * [`Mutex`] / [`Condvar`] wrappers over `std::sync`
 //!   that return guards directly instead of a poison `Result` (a
 //!   poisoned lock means a panicked holder; propagating the panic is
 //!   the only sane response in this codebase),
 //! * [`run_jobs`], the one indexed worker pool: the generator's camera
 //!   and panorama jobs, the VCD's query instances and GOP-parallel
 //!   decode all fan out through it,
-//! * [`panic_message`] and [`stage_panic`], the one place a caught
-//!   panic becomes an [`Error::StagePanic`],
+//! * [`panic_message`], the one reader of a caught panic's payload,
 //! * the worker budget and a cooperative [`CancelToken`].
 
-use crate::{fault, Error, Result};
+use crate::{Error, Result};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,30 +44,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0.lock().expect("vr_base::sync::Mutex poisoned: a holder panicked")
-    }
-}
-
-/// A reader-writer lock whose `read()`/`write()` return guards
-/// directly (see [`Mutex`] for the poisoning policy).
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Wrap a value.
-    pub const fn new(value: T) -> Self {
-        Self(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.0.read().expect("vr_base::sync::RwLock poisoned: a holder panicked")
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.0.write().expect("vr_base::sync::RwLock poisoned: a holder panicked")
     }
 }
 
@@ -115,8 +90,8 @@ impl Condvar {
 /// of the workers, so with one worker (or one job) nothing is spawned;
 /// and the memory its jobs free stays with the thread that goes on to
 /// use the results, where a spawned thread's would sit resident and
-/// unused once it exits. A panicking job becomes [`stage_panic`]'s
-/// error, named `name(i): payload`. Workers stop taking jobs once they
+/// unused once it exits. A panicking job becomes an
+/// [`Error::StagePanic`] named `name(i): payload`. Workers stop taking jobs once they
 /// see a failure; since indices are handed out in order, every job
 /// below a failed one has still run, so the error returned is the
 /// lowest-index job's — the one a sequential run stops at.
@@ -136,7 +111,7 @@ pub fn run_jobs<T: Send + Sync>(
                 return;
             }
             let result = catch_unwind(AssertUnwindSafe(|| job(i)))
-                .unwrap_or_else(|p| Err(stage_panic(format!("{}: {}", name(i), panic_message(p)))));
+                .unwrap_or_else(|p| Err(Error::StagePanic(format!("{}: {}", name(i), panic_message(p)))));
             if result.is_err() {
                 failed.store(true, Ordering::Relaxed);
             }
@@ -164,14 +139,6 @@ pub fn panic_message(p: Box<dyn Any + Send>) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// A panic contained at a stage boundary, as a typed error: counts it
-/// in fault accounting and wraps `message` (usually
-/// [`panic_message`]'s) in [`Error::StagePanic`].
-pub fn stage_panic(message: String) -> Error {
-    fault::note_stage_panic();
-    Error::StagePanic(message)
 }
 
 // ---------------------------------------------------------------------------
@@ -324,13 +291,9 @@ mod tests {
     }
 
     #[test]
-    fn mutex_and_rwlock_guard_directly() {
+    fn mutex_guards_directly() {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        let rw = RwLock::new(vec![1, 2]);
-        assert_eq!(rw.read().len(), 2);
-        rw.write().push(3);
-        assert_eq!(*rw.read(), vec![1, 2, 3]);
     }
 }

@@ -13,7 +13,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use visual_road::base::admission::AdmissionConfig;
-use visual_road::base::fault::{self, FaultInjector};
+use visual_road::base::fault::FaultInjector;
 use visual_road::base::json::{self, Value};
 use visual_road::base::obs::qlog::{self, Logged};
 use visual_road::base::obs::slo::SloConfig;
@@ -28,27 +28,22 @@ use common::tiny_dataset;
 /// How long a driver run, and then the drain, may take.
 const FLEET_LIMIT: Duration = Duration::from_secs(600);
 
-/// A fleet's fault plan and the metrics registry are process-global:
-/// one fleet at a time.
+/// One fleet at a time: each drives its server to saturation and
+/// asserts latency bounds and deadlines, which a second fleet sharing
+/// the host's cores at the same time would move.
 static FLEET: Mutex<()> = Mutex::new(());
 
-/// A started fleet server; the fault plan it was started under is
-/// cleared when it drops, even if the test panics.
+/// A started fleet server.
 struct Fleet {
     server: Option<QueryServer>,
     _lock: MutexGuard<'static, ()>,
 }
 
 impl Fleet {
-    fn start(cfg: ServerConfig, faults: Option<&str>) -> Self {
+    fn start(cfg: ServerConfig) -> Self {
         let lock = FLEET.lock().unwrap_or_else(|e| e.into_inner());
-        let dataset = tiny_dataset(0);
-        // After generation, as the CLI does: faults hit the query path
-        // of a pristine dataset.
-        if let Some(spec) = faults {
-            fault::install(Some(Arc::new(FaultInjector::from_spec(spec, 7).unwrap())));
-        }
-        let server = QueryServer::start(dataset, vec![Box::new(BatchEngine::new())], cfg).unwrap();
+        let server =
+            QueryServer::start(tiny_dataset(0), vec![Box::new(BatchEngine::new())], cfg).unwrap();
         Self { server: Some(server), _lock: lock }
     }
 
@@ -86,10 +81,10 @@ impl Fleet {
     }
 }
 
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        fault::install(None);
-    }
+/// The fault plan a fleet's server runs under, at the seed
+/// `visualroad serve` is given.
+fn plan(spec: &str) -> Option<Arc<FaultInjector>> {
+    Some(Arc::new(FaultInjector::from_spec(spec, 7).unwrap()))
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -137,8 +132,8 @@ fn chaos_server(qlog: &Path) -> ServerConfig {
 fn chaos_fleet_keeps_an_exact_ledger() {
     let dir = scratch("chaos");
     let qlog = dir.join("qlog.jsonl");
-    let fleet =
-        Fleet::start(chaos_server(&qlog), Some("corrupt_bitstream=0.02,stall_stage=kernel:5ms"));
+    let faults = plan("corrupt_bitstream=0.02,stall_stage=kernel:5ms");
+    let fleet = Fleet::start(ServerConfig { faults, ..chaos_server(&qlog) });
     fleet.stress(&[
         "--tenants", "gold:high:2,bronze:low:6", "--requests", "20", "--queries", "Q1,Q2a",
         "--deadline-ms", "3000", "--p99-bound-ms", "6000", "--expect-shedding",
@@ -160,9 +155,10 @@ fn slo_fleet_burns_the_shed_tenants_budget_and_spares_gold() {
     let cfg = ServerConfig {
         slow_query: Some(Duration::from_millis(1)),
         slo: SloConfig::parse("high=6000,low=60000,target=0.95,window=512").unwrap(),
+        faults: plan("stall_stage=kernel:5ms"),
         ..chaos_server(&qlog)
     };
-    let fleet = Fleet::start(cfg, Some("stall_stage=kernel:5ms"));
+    let fleet = Fleet::start(cfg);
     fleet.stress(&[
         "--tenants", "gold:high:2,bronze:low:6", "--requests", "20", "--queries", "Q1,Q2a",
         "--deadline-ms", "3000", "--p99-bound-ms", "6000", "--expect-shedding",
@@ -214,7 +210,7 @@ fn index_fleet_splits_routes_exactly() {
         use_index: true,
         ..ServerConfig::default()
     };
-    let fleet = Fleet::start(cfg, None);
+    let fleet = Fleet::start(cfg);
     let report = fleet.stress(&[
         "--tenants", "gold:high:2", "--requests", "10", "--queries", "Q1,S1,S2",
         "--deadline-ms", "5000", "--p99-bound-ms", "10000", "--shutdown",

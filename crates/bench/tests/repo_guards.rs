@@ -6,9 +6,9 @@
 //! `vdbms/src`, no plan built on a policy no engine runs, one socket
 //! bound (the query server's listener), full-frame kernels that walk
 //! plane rows instead of reading pixels through `Frame`, `unsafe`
-//! refused by every crate root, two `VR_*` environment variables, a
-//! `ci.sh` that stays a stage table, and one build setting in
-//! `.cargo/config.toml`. Each guard is a function over text, shown
+//! refused by every crate root, two `VR_*` environment variables, the
+//! pinned list of process-global atomics and locks, a `ci.sh` that
+//! stays a stage table, and one build setting in `.cargo/config.toml`. Each guard is a function over text, shown
 //! failing on a bad input below.
 
 use std::path::{Path, PathBuf};
@@ -110,6 +110,45 @@ fn env_vars_read(src: &str) -> Vec<&str> {
         .filter_map(|rest| rest.split('"').next())
         .filter(|name| name.starts_with("VR_"))
         .collect()
+}
+
+/// The process-global state the crates keep: every non-test `static`
+/// under `crates/*/src` that holds an atomic or a lock, as `file:
+/// NAME`. Tracing and allocator tracking are switched for the whole
+/// process; what a run does — its fault plan, its recoveries, its stage
+/// figures — belongs to its execution context, so `fault.rs` has none.
+/// A value computed once (`OnceLock`) is not state that changes and
+/// does not count.
+const GLOBAL_STATE: [&str; 7] = [
+    "base/src/obs/alloc.rs: TRACK",
+    "base/src/obs/trace.rs: DROPPED",
+    "base/src/obs/trace.rs: ENABLED",
+    "base/src/obs/trace.rs: EVENTS",
+    "base/src/obs/trace.rs: EVENT_CAP",
+    "base/src/obs/trace.rs: NEXT_SPAN_ID",
+    "base/src/obs/trace.rs: NEXT_TID",
+];
+
+/// The names of a source's `static` items above its test module whose
+/// type holds an atomic or a lock, skipping one marked `#[cfg(test)]`.
+/// The patterns are assembled here so this file does not match itself.
+fn global_state(src: &str) -> Vec<&str> {
+    let kinds = ["Atomic", "Mutex", "RwLock"];
+    let mut test_only = false;
+    let mut names = Vec::new();
+    for line in code(src).lines().map(str::trim_start) {
+        let item = line.trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+        if let Some((name, ty)) = item.strip_prefix(["static", " "].concat().as_str()).and_then(|d| d.split_once(':')) {
+            let ty = ty.split('=').next().unwrap_or(ty);
+            if !test_only && kinds.iter().any(|k| ty.contains(k)) {
+                names.push(name.trim());
+            }
+        }
+        if !line.is_empty() {
+            test_only = line == "#[cfg(test)]";
+        }
+    }
+    names
 }
 
 /// Lines above the test module that look up a video track: only
@@ -284,6 +323,7 @@ fn the_repository_passes_every_guard() {
     let mut binds = Vec::new();
     let mut unrun = Vec::new();
     let mut paced = Vec::new();
+    let mut global = std::collections::BTreeSet::new();
     for src in &sources {
         let text = read(src);
         let what = src.display();
@@ -308,6 +348,7 @@ fn the_repository_passes_every_guard() {
             if p > 0 {
                 paced.push((rel.to_path_buf(), p));
             }
+            global.extend(global_state(&text).into_iter().map(|n| format!("{}: {n}", rel.display())));
         }
     }
     let feed = (PathBuf::from("vdbms/src/kernels.rs"), 3);
@@ -317,6 +358,7 @@ fn the_repository_passes_every_guard() {
     let label = (PathBuf::from("vdbms/src/plan.rs"), 2);
     assert_eq!(unrun, [label], "unrun policies named under crates/*/src");
     assert_eq!(env_vars.iter().collect::<Vec<_>>(), ENV_VARS, "the VR_* variables read under crates/");
+    assert_eq!(global.iter().collect::<Vec<_>>(), GLOBAL_STATE, "process-global atomics and locks under crates/*/src");
 
     let ci = read(&root.join("ci.sh"));
     assert!(within_line_budget(&ci), "ci.sh has {} lines", ci.lines().count());
@@ -361,6 +403,18 @@ fn each_guard_rejects_a_bad_input() {
     assert_eq!(env_vars_read(&hidden(&two)), ["VR_WORKERS", "VR_TRACE"], "below a test-only use");
     let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{getter}TRACE\");\n}}\n");
     assert!(env_vars_read(&in_tests).is_empty(), "the test module does not count");
+
+    let st = |decl: &str| ["static", " ", decl].concat();
+    let injector = format!("{}\n", st("GLOBAL: RwLock<Option<Arc<FaultInjector>>> = RwLock::new(None);"));
+    let counter = format!("{}\n", st("CONCEALED: AtomicU64 = AtomicU64::new(0);"));
+    let once = format!("    {}\n", st("BUDGET: OnceLock<usize> = OnceLock::new();"));
+    let fault = format!("{injector}pub {counter}fn budget() {{\n{once}}}\n");
+    assert_eq!(global_state(&fault), ["GLOBAL", "CONCEALED"], "an injector and a counter, not a value computed once");
+    assert_eq!(global_state(&hidden(&fault)), ["GLOBAL", "CONCEALED"], "below a test-only use");
+    let test_lock = format!("#[cfg(test)]\npub(crate) {}\n", st("TEST_LOCK: Mutex<()> = Mutex::new(());"));
+    assert!(global_state(&test_lock).is_empty(), "a test-only item");
+    let in_tests = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n{counter}}}\n");
+    assert!(global_state(&in_tests).is_empty(), "the test module does not count");
 
     let bind = ["let listener = TcpListener", "::bind((\"127.0.0.1\", port))?;\n"].concat();
     let server = format!("fn start() {{\n{bind}}}\n#[cfg(test)]\nmod tests {{\n{bind}}}\n");

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use visual_road::base::fault::{self, FaultInjector, FaultPlan};
+use visual_road::base::fault::{self, DegradationSnapshot, FaultInjector, FaultPlan};
 use visual_road::base::json::{Fixed, Layout::Inline, Writer};
 use visual_road::prelude::*;
 use visual_road::storage::FlatStore;
@@ -373,12 +373,11 @@ fn fault_plan(flags: &Flags) -> Result<Option<Arc<FaultInjector>>, String> {
     Ok(Some(Arc::new(FaultInjector::new(plan, seed))))
 }
 
-/// Install the fault plan and announce it. Callers do this only after
-/// dataset generation, so chaos runs exercise the query path against
-/// a pristine dataset.
-fn install_fault_plan(injector: &Option<Arc<FaultInjector>>) {
+/// Announce the fault plan the run goes on under. Dataset generation
+/// never sees it, so chaos runs exercise the query path against a
+/// pristine dataset.
+fn announce_fault_plan(injector: &Option<Arc<FaultInjector>>) {
     if let Some(inj) = injector {
-        fault::install(Some(Arc::clone(inj)));
         eprintln!("fault plan active (seed {}): {:?}", inj.seed(), inj.plan());
     }
 }
@@ -498,6 +497,7 @@ fn cmd_run(flags: &Flags) -> Exit {
         cfg.optimizer = mode.parse()?;
     }
     let injector = fault_plan(flags)?;
+    cfg.faults = injector.clone();
     let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
 
     // Allocator scope tracking, for --explain-analyze's plan nodes,
@@ -505,7 +505,7 @@ fn cmd_run(flags: &Flags) -> Exit {
     if cfg.explain == visual_road::ExplainMode::Analyze {
         vr_base::obs::alloc::set_tracking(true);
     }
-    install_fault_plan(&injector);
+    announce_fault_plan(&injector);
 
     // Tracing is opt-in, enabled only after dataset generation so the
     // profile covers the query path, not the generator.
@@ -533,9 +533,11 @@ fn cmd_run(flags: &Flags) -> Exit {
     let mut explain_doc = String::new();
     let mut explain_json: Vec<String> = Vec::new();
     let mut explain_violations = 0usize;
+    let mut recovered = Vec::new();
     for engine in engines.iter_mut() {
         let report = vcd.run_queries(engine.as_mut(), &queries).map_err(|e| e.to_string())?;
         println!("{report}");
+        recovered.push(report.recovered());
         for q in &report.queries {
             let QueryStatus::Completed { explain: Some(info), .. } = &q.status else {
                 continue;
@@ -572,7 +574,8 @@ fn cmd_run(flags: &Flags) -> Exit {
         eprintln!("wrote {n} trace events to {path}");
     }
 
-    let fault_code = injector.as_deref().map_or(0, verify_fault_accounting);
+    let recovered = recovered.into_iter().sum();
+    let fault_code = injector.as_deref().map_or(0, |inj| verify_fault_accounting(inj, &recovered));
     if explain_violations > 0 {
         eprintln!("error: {explain_violations} plan(s) failed EXPLAIN ANALYZE verification");
         return Ok(1);
@@ -627,11 +630,11 @@ fn cmd_serve(flags: &Flags) -> Exit {
             Some(spec) => SloConfig::parse(spec).map_err(|e| format!("--slo: {e}"))?,
             None => SloConfig::default(),
         },
+        faults: fault_plan(flags)?,
     };
 
-    let injector = fault_plan(flags)?;
     let dataset = generate_dataset("generating dataset ...", GenConfig::default(), &hyper)?;
-    install_fault_plan(&injector);
+    announce_fault_plan(&cfg.faults);
 
     let server = QueryServer::start(dataset, engines, cfg).map_err(|e| e.to_string())?;
     // The bound address goes to stdout so drivers can scrape it even
@@ -897,16 +900,16 @@ fn cmd_search(flags: &Flags) -> Exit {
     Ok(0)
 }
 
-/// Print the injected and recovered fault counts, then every
-/// [`fault::accounting_mismatches`] line; nonzero on any mismatch.
-fn verify_fault_accounting(inj: &FaultInjector) -> i32 {
+/// Print the injected fault counts and `recovered`, the sum of the
+/// run's report rows, then every [`fault::accounting_mismatches`]
+/// line; nonzero on any mismatch.
+fn verify_fault_accounting(inj: &FaultInjector, recovered: &DegradationSnapshot) -> i32 {
     let injected = inj.injected();
-    let recovered = fault::degradation_snapshot();
     println!(
         "fault accounting: injected {injected:?}\n\
          fault accounting: recovered {recovered:?}"
     );
-    let bad = fault::accounting_mismatches(&injected, &recovered);
+    let bad = fault::accounting_mismatches(&injected, recovered);
     if bad.is_empty() {
         println!("fault accounting: OK");
         0

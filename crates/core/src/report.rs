@@ -13,7 +13,7 @@ use vr_frame::metrics::PsnrStats;
 use vr_vdbms::{PipelineSnapshot, QueryKind, StageKind};
 
 /// Validation outcome for a query batch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ValidationSummary {
     /// Per-frame PSNR statistics against the reference output (frame
     /// validation), aggregated over the batch.
@@ -89,11 +89,10 @@ impl SchedulerStats {
 pub struct DegradationStats {
     /// What the recovery layers absorbed during the batch: concealed
     /// frames, skipped samples and packets, I/O retries and give-ups,
-    /// contained stage panics, absorbed stalls. The counts are
-    /// process-wide statics, diffed over the batch's window, so a
-    /// recovery made by another batch running at the same time lands
-    /// here too; the stage figures, by contrast, belong to the batch's
-    /// own execution context.
+    /// contained stage panics, absorbed stalls. Like the stage
+    /// figures, the counts belong to the batch's own execution context
+    /// (its `PipelineMetrics`): a batch running beside it at the same
+    /// time counts its recoveries in its own.
     pub recovered: DegradationSnapshot,
     /// Instances cancelled (deadline or explicit token) and folded as
     /// degraded rows instead of failing the batch.
@@ -240,6 +239,15 @@ impl BenchmarkReport {
     /// Total runtime across completed queries.
     pub fn total_runtime(&self) -> WallDuration {
         self.queries.iter().filter_map(|q| q.runtime()).sum()
+    }
+
+    /// What the completed batches recovered from, summed over rows.
+    pub fn recovered(&self) -> DegradationSnapshot {
+        let rows = self.queries.iter().filter_map(|q| match &q.status {
+            QueryStatus::Completed { degradation, .. } => Some(degradation.recovered),
+            _ => None,
+        });
+        rows.sum()
     }
 }
 

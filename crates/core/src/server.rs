@@ -119,6 +119,9 @@ pub struct ServerConfig {
     /// Per-priority latency objectives and error-budget policy for the
     /// SLO tracker behind the `STATS` `slo` block.
     pub slo: SloConfig,
+    /// The fault plan every pixel request runs under
+    /// ([`ExecContext::faults`]); `None` serves fault-free.
+    pub faults: Option<Arc<vr_base::fault::FaultInjector>>,
 }
 
 impl Default for ServerConfig {
@@ -134,6 +137,7 @@ impl Default for ServerConfig {
             qlog_path: None,
             slow_query: None,
             slo: SloConfig::default(),
+            faults: None,
         }
     }
 }
@@ -572,6 +576,7 @@ impl<'a> Work<'a> {
                     cancel: deadline.map_or_else(CancelToken::new, CancelToken::with_deadline),
                     request_id: Some(Arc::from(format!("{}.{}", req.label(), req.tenant))),
                     online,
+                    faults: shared.cfg.faults.clone(),
                     ..ExecContext::default()
                 };
                 let instance = &pool.instances[turn % pool.instances.len()];
@@ -968,18 +973,17 @@ mod tests {
 
     #[test]
     fn slow_query_exemplar_captures_the_annotated_plan() {
-        use vr_base::fault::{self, FaultInjector};
+        use vr_base::fault::FaultInjector;
         let path =
             std::env::temp_dir().join(format!("vr_qlog_slow_{}.jsonl", std::process::id()));
         // A 5ms injected kernel stall guarantees the request lands over
         // the 1ms slow-query threshold.
-        fault::install(Some(Arc::new(
-            FaultInjector::from_spec("stall_stage=kernel:5ms", 7).unwrap(),
-        )));
+        let stall = FaultInjector::from_spec("stall_stage=kernel:5ms", 7).unwrap();
         let server = start_server(ServerConfig {
             queries: vec![QueryKind::Q1Select],
             qlog_path: Some(path.to_str().unwrap().to_string()),
             slow_query: Some(Duration::from_millis(1)),
+            faults: Some(Arc::new(stall)),
             ..ServerConfig::default()
         });
         let mut conn = TcpStream::connect(server.addr()).unwrap();
@@ -987,7 +991,6 @@ mod tests {
         assert!(r.starts_with("OK "), "stalled exec still completes: {r}");
         request(&mut conn, "SHUTDOWN");
         assert!(server.wait().clean);
-        fault::install(None);
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = body.lines().collect();

@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 use vr_base::obs::trace;
 use vr_base::rng::mix64;
 use vr_base::sync::{run_jobs, CancelToken};
-use vr_base::{fault, Error, Resolution, Result, VrRng};
+use vr_base::fault::FaultInjector;
+use vr_base::{Error, Resolution, Result, VrRng};
 use vr_codec::{Decoder, EncodedVideo};
 use vr_frame::metrics::{psnr_y, PsnrStats, VALIDATION_THRESHOLD_DB};
 use vr_scene::groundtruth::frame_truth;
@@ -117,6 +118,10 @@ pub struct VcdConfig {
     /// Calibration profile the optimizer scores with; `None` seeds
     /// from [`CalibrationProfile::builtin`].
     pub profile: Option<CalibrationProfile>,
+    /// The fault plan every batch runs under ([`ExecContext::faults`]);
+    /// `None` runs fault-free. Reference validation never runs under
+    /// it.
+    pub faults: Option<Arc<FaultInjector>>,
 }
 
 impl Default for VcdConfig {
@@ -133,6 +138,7 @@ impl Default for VcdConfig {
             explain: ExplainMode::Off,
             optimizer: OptimizerMode::Off,
             profile: None,
+            faults: None,
         }
     }
 }
@@ -336,6 +342,7 @@ impl<'d> Vcd<'d> {
                 ExecutionMode::Online { speedup } => Some(speedup),
                 ExecutionMode::Offline => None,
             },
+            faults: self.cfg.faults.clone(),
             ..ExecContext::default()
         }
     }
@@ -361,7 +368,7 @@ impl<'d> Vcd<'d> {
     /// enforced. Off by default, preserving the classic semantics
     /// where the first failing instance decides the batch.
     fn degrade_mode(&self) -> bool {
-        fault::active() || self.cfg.instance_deadline.is_some()
+        self.cfg.faults.is_some() || self.cfg.instance_deadline.is_some()
     }
 
     /// Execute one query's batch on the engine; measure and validate.
@@ -403,7 +410,6 @@ impl<'d> Vcd<'d> {
             None => budget,
         };
         let batch_span = trace::span_dyn("vcd", || format!("batch.{}", kind.label()));
-        let deg_before = fault::degradation_snapshot();
         let start = Instant::now();
         engine.prepare_batch(&batch, &self.dataset.videos, &ctx);
         // `prepare_batch` needed the exclusive reference; dispatch
@@ -417,13 +423,13 @@ impl<'d> Vcd<'d> {
             }
         };
         let runtime = start.elapsed();
-        let recovered = fault::degradation_snapshot().since(&deg_before);
         drop(batch_span);
 
         let folded = self.fold(slots, &batch, &ctx);
         let fps = folded.frames as f64 / runtime.as_secs_f64().max(1e-9);
-        // Everything the engine's pipeline recorded over the batch;
-        // validation below runs under its own context.
+        // Everything the engine's pipeline recorded over the batch, and
+        // what its fault hooks recovered; validation below runs under
+        // its own context.
         let stages = ctx.metrics.snapshot();
         let latencies = &folded.latencies;
         let scheduler =
@@ -436,18 +442,18 @@ impl<'d> Vcd<'d> {
 
         let validation = if self.cfg.validate {
             // Validation (reference runs + PSNR) happens outside the
-            // measured window AND outside the fault plan: injecting
-            // faults into the correctness oracle would make every
-            // verdict meaningless.
+            // measured window AND outside the fault plan (its context
+            // carries none): injecting faults into the correctness
+            // oracle would make every verdict meaningless.
             let _span = trace::span("vcd", "validate");
-            fault::suppress(|| self.validate_batch(&folded.completed))?
+            self.validate_batch(&folded.completed)?
         } else {
             ValidationSummary { passed: true, ..Default::default() }
         };
 
-        let faults_active = fault::active();
+        let faults_active = self.cfg.faults.is_some();
         let degradation = DegradationStats {
-            recovered,
+            recovered: stages.recovered,
             cancelled_instances: folded.cancelled_instances,
             failed_instances: folded.failed_instances,
             achieved_psnr_db: if faults_active {
@@ -591,8 +597,9 @@ impl<'d> Vcd<'d> {
         // The oracle shares nothing with the measured engine's context:
         // the defaults give it its own stage metrics (validation work
         // must not pollute the batch's aggregates), streaming results,
-        // and no optimizer — it always runs the hand-written reference
-        // plan. One worker, because the reference defines correct
+        // no fault plan — so it is fault-free by construction — and no
+        // optimizer — it always runs the hand-written reference plan.
+        // One worker, because the reference defines correct
         // output and must not depend on the host's parallelism.
         let ref_ctx = ExecContext { workers: 1, ..ExecContext::default() };
         let mut psnr_values: Vec<f64> = Vec::new();
@@ -877,6 +884,51 @@ mod tests {
         assert!(compare_frames(&wider, &reference).unwrap().1, "a width mismatch is reported");
         let both = compare_frames(&cases[9].1, &cases[9].2).unwrap_err().to_string();
         assert!(!both.contains("QP 99"), "the answer's error wins: {both}");
+    }
+
+    /// A faulted batch's reference validation runs with no injector:
+    /// its verdict and PSNR are those of a driver with no fault plan
+    /// validating the same answers, which the plan damaged.
+    #[test]
+    fn faulted_batches_validate_against_a_fault_free_reference() {
+        use crate::vcg::{GenConfig, Vcg};
+        use vr_vdbms::{QueryKind, ReferenceEngine};
+        let hyper = vr_base::Hyperparameters::new(
+            1,
+            Resolution::new(96, 54),
+            vr_base::Duration::from_secs(0.3),
+            12,
+        )
+        .unwrap();
+        let dataset = Vcg::new(GenConfig::default()).generate(&hyper).unwrap();
+        let plan = FaultInjector::from_spec("corrupt_bitstream=0.3", 4).unwrap();
+        let cfg = VcdConfig {
+            batch_size: Some(2),
+            pipeline_workers: Some(1),
+            faults: Some(Arc::new(plan)),
+            ..VcdConfig::default()
+        };
+        let faulted = Vcd::new(&dataset, cfg.clone());
+        let kind = QueryKind::Q2aGrayscale;
+        let report = faulted.run_queries(&mut ReferenceEngine::new(), &[kind]).unwrap();
+        let QueryStatus::Completed { validation, degradation, .. } = &report.queries[0].status else {
+            panic!("{report}");
+        };
+        assert!(degradation.recovered.skipped_samples > 0, "{degradation:?}");
+        // The batch's answers again, under the same keyed plan.
+        let ctx = faulted.exec_context(kind);
+        let batch = faulted.batch(kind).unwrap();
+        let engine = ReferenceEngine::new();
+        let answers: Vec<_> = batch
+            .iter()
+            .map(|i| (i, engine.execute(i, &dataset.videos, &ctx).unwrap()))
+            .collect();
+        let clean = Vcd::new(&dataset, VcdConfig { faults: None, ..cfg });
+        let unfaulted = clean.validate_batch(&answers).unwrap();
+        assert_eq!(*validation, unfaulted);
+        let psnr = unfaulted.psnr.expect("Q2(a) is judged on frames");
+        assert!(psnr.min < 99.0, "the plan left the answers clean: {psnr:?}");
+        assert_eq!(degradation.achieved_psnr_db, Some(psnr.mean));
     }
 
     /// Peak bytes one thread allocates while `compare` runs.

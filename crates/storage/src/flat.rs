@@ -6,7 +6,7 @@
 //! can never escape the store root.
 
 use std::path::{Path, PathBuf};
-use vr_base::fault::{self, IoOp};
+use vr_base::fault::{self, FaultInjector, IoOp, RecoveryCounters};
 use vr_base::{Error, Result, SharedBuf};
 
 /// A flat-file store rooted at a directory.
@@ -48,15 +48,29 @@ impl FlatStore {
         Ok(self.root.join(name))
     }
 
-    /// Write (create or replace) a file. Transient I/O failures
-    /// (injected or real) are retried with bounded, seeded backoff.
+    /// Write (create or replace) a file outside any run: nothing
+    /// injects or counts its retries ([`Self::put_in_run`]).
     pub fn put(&self, name: &str, data: &[u8]) -> Result<()> {
+        self.put_in_run(name, data, None, &RecoveryCounters::default())
+    }
+
+    /// Write (create or replace) a file. Transient I/O failures are
+    /// retried with bounded, seeded backoff: `faults`, the writing
+    /// run's plan, may fail an attempt, and every retry (injected or
+    /// real) is counted in `recovered`, the run's counters.
+    pub fn put_in_run(
+        &self,
+        name: &str,
+        data: &[u8],
+        faults: Option<&FaultInjector>,
+        recovered: &RecoveryCounters,
+    ) -> Result<()> {
         let _span = vr_base::obs::trace::span("storage", "flat.put");
         let path = self.path_of(name)?;
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        fault::with_retry_io("flat.put", IoOp::Write, name, || {
+        fault::with_retry_io(faults, recovered, "flat.put", IoOp::Write, name, || {
             std::fs::write(&path, data)?;
             Ok(())
         })
@@ -66,13 +80,15 @@ impl FlatStore {
     /// consumers (container parse, pipeline, pipes) share without
     /// copying. The buffer is preallocated from the file length so the
     /// read is a single allocation with no growth reallocations.
-    /// Transient I/O failures (injected or real) are retried with
-    /// bounded, seeded backoff; a missing file is [`Error::NotFound`]
-    /// immediately (retrying cannot help).
+    /// Transient I/O failures are retried with bounded, seeded backoff
+    /// (no run reads through here, so nothing injects or counts them);
+    /// a missing file is [`Error::NotFound`] immediately (retrying
+    /// cannot help).
     pub fn get(&self, name: &str) -> Result<SharedBuf> {
         let _span = vr_base::obs::trace::span("storage", "flat.get");
         let path = self.path_of(name)?;
-        fault::with_retry_io("flat.get", IoOp::Read, name, || {
+        let uncounted = RecoveryCounters::default();
+        fault::with_retry_io(None, &uncounted, "flat.get", IoOp::Read, name, || {
             let map_err = |e: std::io::Error| {
                 if e.kind() == std::io::ErrorKind::NotFound {
                     Error::NotFound(format!("{name} in {}", self.root.display()))

@@ -38,7 +38,7 @@ use crate::cascade::CascadeConfig;
 use crate::cost::{CandidateSpace, KernelClass, PlanChoice, QueryWork};
 use crate::engine::Vdbms;
 use crate::io::{ExecContext, InputVideo, QueryOutput};
-use crate::kernels::{boxes_frame, decode_all_parallel, decode_paced, filter_class, TileReencode};
+use crate::kernels::{boxes_frame, decode_paced, decode_parallel, filter_class, TileReencode};
 use crate::pipeline::{
     self, DiffGate, FrameKernel, FrameSource, KernelOut, ObjectDetection, Pipeline,
     StageKind, TemporalMaskKernel,
@@ -202,8 +202,8 @@ impl BatchEngine {
             .max(1);
         let t0 = Instant::now();
         let (info, frames) = match ctx.online {
-            Some(speedup) => decode_paced(input, speedup, &ctx.cancel)?,
-            None => decode_all_parallel(input, workers)?,
+            Some(speedup) => decode_paced(input, speedup, ctx)?,
+            None => decode_parallel(input, workers, ctx)?,
         };
         let bytes: usize = frames.iter().map(|f| f.sample_count()).sum();
         ctx.metrics.record(

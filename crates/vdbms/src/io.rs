@@ -1,6 +1,7 @@
 //! Inputs, outputs, and execution context shared by every engine.
 
 use std::sync::Arc;
+use vr_base::fault::FaultInjector;
 use vr_base::{Error, Result};
 use vr_codec::EncodedVideo;
 use vr_container::{Container, Track, TrackKind};
@@ -95,32 +96,6 @@ pub enum ResultMode {
     Streaming,
 }
 
-impl ResultMode {
-    /// Apply the mode to a finished output (serialize + write, or
-    /// drop). Returns the bytes persisted.
-    pub(crate) fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
-        match self {
-            ResultMode::Streaming => Ok(0),
-            ResultMode::Write { store, prefix } => {
-                let video = output.video();
-                let mut w = vr_container::ContainerWriter::new();
-                let t = w.add_track(TrackKind::Video, video.info.serialize());
-                for (i, p) in video.packets.iter().enumerate() {
-                    w.push_sample(
-                        t,
-                        &p.data,
-                        vr_base::Timestamp::of_frame(i as u64, video.info.frame_rate),
-                        p.keyframe,
-                    );
-                }
-                let bytes = w.finish();
-                store.put(&format!("{prefix}-{instance_index}-0.vrmf"), &bytes)?;
-                Ok(bytes.len())
-            }
-        }
-    }
-}
-
 /// Execution context handed to engines.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
@@ -155,6 +130,12 @@ pub struct ExecContext {
     /// rate and carried over RTP ([`crate::kernels::FrameStream::paced`]);
     /// `None` (the default) reads the container's sample table.
     pub online: Option<f64>,
+    /// The run's fault plan. Every fault hook — the demuxer's
+    /// corruption, the online feed's packet loss, stage stalls, kernel
+    /// panics, storage write failures — reads it here, and counts its
+    /// recoveries in [`Self::metrics`]. `None` (the default) is a
+    /// fault-free run, whatever else the process runs.
+    pub faults: Option<Arc<FaultInjector>>,
 }
 
 impl Default for ExecContext {
@@ -168,6 +149,36 @@ impl Default for ExecContext {
             optimizer: None,
             request_id: None,
             online: None,
+            faults: None,
+        }
+    }
+}
+
+impl ExecContext {
+    /// Apply the result mode to a finished output (serialize + write,
+    /// or drop). Returns the bytes persisted. The write runs under the
+    /// context's fault plan, its retries counted in its metrics.
+    pub(crate) fn sink(&self, instance_index: usize, output: &QueryOutput) -> Result<usize> {
+        match &self.result_mode {
+            ResultMode::Streaming => Ok(0),
+            ResultMode::Write { store, prefix } => {
+                let video = output.video();
+                let mut w = vr_container::ContainerWriter::new();
+                let t = w.add_track(TrackKind::Video, video.info.serialize());
+                for (i, p) in video.packets.iter().enumerate() {
+                    w.push_sample(
+                        t,
+                        &p.data,
+                        vr_base::Timestamp::of_frame(i as u64, video.info.frame_rate),
+                        p.keyframe,
+                    );
+                }
+                let bytes = w.finish();
+                let name = format!("{prefix}-{instance_index}-0.vrmf");
+                let (faults, recovered) = (self.faults.as_deref(), self.metrics.recovered());
+                store.put_in_run(&name, &bytes, faults, recovered)?;
+                Ok(bytes.len())
+            }
         }
     }
 }
@@ -246,11 +257,11 @@ pub(crate) mod tests {
         let out = QueryOutput::Video(video);
         assert!(out.size_bytes() > 0);
 
-        assert_eq!(ResultMode::Streaming.sink(0, &out).unwrap(), 0);
+        assert_eq!(ExecContext::default().sink(0, &out).unwrap(), 0);
 
         let store = FlatStore::temp("io-write").unwrap();
-        let mode = ResultMode::Write { store: store.clone(), prefix: "q1".into() };
-        let written = mode.sink(3, &out).unwrap();
+        let result_mode = ResultMode::Write { store: store.clone(), prefix: "q1".into() };
+        let written = ExecContext { result_mode, ..ExecContext::default() }.sink(3, &out).unwrap();
         assert!(written > 0);
         assert!(store.exists("q1-3-0.vrmf"));
         // And the persisted result re-opens as a container.

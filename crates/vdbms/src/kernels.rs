@@ -11,10 +11,11 @@
 //! live in the engine modules; everything here is the shared fast
 //! path, which doubles as the reference implementation.
 
-use crate::io::{InputVideo, OutputBox};
-use crate::pipeline::{FrameKernel, KernelOut};
-use vr_base::sync::CancelToken;
-use vr_base::{fault, Error, Resolution, Result};
+use crate::io::{ExecContext, InputVideo, OutputBox};
+use crate::pipeline::{FrameKernel, KernelOut, PipelineMetrics};
+use std::sync::Arc;
+use vr_base::fault::{FaultInjector, Recovery};
+use vr_base::{Error, Resolution, Result};
 use vr_codec::{
     DecodeOutcome, Decoder, Encoder, EncoderConfig, RateControlMode, ResilientDecoder, VideoInfo,
 };
@@ -28,27 +29,45 @@ use vr_storage::Pacer;
 use vr_vision::Detection;
 use vr_vtt::WebVtt;
 
+/// A run's fault plan and the metrics its recoveries land in: what a
+/// [`FrameStream`] takes of its execution context to decode under the
+/// plan ([`FrameStream::faulted`]).
+struct RunFaults {
+    injector: Arc<FaultInjector>,
+    metrics: Arc<PipelineMetrics>,
+}
+
+impl RunFaults {
+    fn recover(&self, what: Recovery, n: u64) {
+        self.metrics.recovered().add(what, n);
+    }
+}
+
 /// The shared sample→frame decode step, switching between the fast
 /// path (zero-copy decode, any error propagates) and the resilient
-/// path used while a fault plan is active (corruption injection, CRC
+/// path used under a run's fault plan (corruption injection, CRC
 /// skip-and-conceal at the demuxer boundary, decoder resync at the
 /// next keyframe). Every engine decode route goes through this, so
 /// injected faults surface the same way everywhere and the fast path
 /// stays bit-identical when faults are off.
 enum SampleDecoder {
-    /// No fault plan installed: plain decode.
+    /// No fault plan: plain decode.
     Fast(Decoder),
-    /// Fault plan active: conceal instead of fail.
-    Resilient(ResilientDecoder),
+    /// A fault plan: conceal instead of fail, and count.
+    Resilient(ResilientDecoder, RunFaults),
 }
 
 impl SampleDecoder {
-    /// Pick the path for this run (sticky for the decoder's lifetime).
+    /// The plain decoder a stream opens with.
     fn new(info: VideoInfo) -> Self {
-        if fault::active() {
-            SampleDecoder::Resilient(ResilientDecoder::new(info))
-        } else {
-            SampleDecoder::Fast(Decoder::new(info))
+        SampleDecoder::Fast(Decoder::new(info))
+    }
+
+    /// The run's fault plan, when the path is resilient.
+    fn faults(&self) -> Option<&RunFaults> {
+        match self {
+            SampleDecoder::Fast(_) => None,
+            SampleDecoder::Resilient(_, faults) => Some(faults),
         }
     }
 
@@ -61,22 +80,12 @@ impl SampleDecoder {
     ) -> Result<Frame> {
         match self {
             SampleDecoder::Fast(dec) => dec.decode(input.container.sample(track, index)?),
-            SampleDecoder::Resilient(dec) => {
+            SampleDecoder::Resilient(dec, faults) => {
                 let sinfo = input.container.tracks()[track].samples[index];
-                let sample = input.container.sample(track, index)?;
-                // The sample is only copied when an injector may
-                // mutate it; otherwise the decoder reads the shared
-                // container bytes in place.
-                let corrupted;
-                let payload: &[u8] = if let Some(inj) = fault::global() {
-                    let mut owned = sample.to_vec();
-                    inj.corrupt_sample(&input.name, index as u64, &mut owned);
-                    corrupted = owned;
-                    &corrupted
-                } else {
-                    sample
-                };
-                Ok(decode_checked(dec, sinfo, payload))
+                // The injector may mutate the sample: decode a copy.
+                let mut payload = input.container.sample(track, index)?.to_vec();
+                faults.injector.corrupt_sample(&input.name, index as u64, &mut payload);
+                Ok(decode_checked(dec, faults, sinfo, &payload))
             }
         }
     }
@@ -97,16 +106,13 @@ impl SampleDecoder {
             (SampleDecoder::Fast(_), None) => {
                 Err(Error::Corrupt(format!("sample {index} of {} lost on the wire", input.name)))
             }
-            (SampleDecoder::Resilient(dec), Some(mut payload)) => {
-                if let Some(inj) = fault::global() {
-                    inj.corrupt_sample(&input.name, index as u64, &mut payload);
-                }
-                Ok(decode_checked(dec, sinfo, &payload))
+            (SampleDecoder::Resilient(dec, faults), Some(mut payload)) => {
+                faults.injector.corrupt_sample(&input.name, index as u64, &mut payload);
+                Ok(decode_checked(dec, faults, sinfo, &payload))
             }
-            (SampleDecoder::Resilient(dec), None) => {
-                let frame = dec.conceal_missing();
-                fault::note_concealed(1);
-                Ok(frame)
+            (SampleDecoder::Resilient(dec, faults), None) => {
+                faults.recover(Recovery::ConcealedFrame, 1);
+                Ok(dec.conceal_missing())
             }
         }
     }
@@ -115,16 +121,20 @@ impl SampleDecoder {
 /// The resilient path's demuxer integrity check: a payload that fails
 /// its index CRC is skipped (never fed to the decoder) and the frame
 /// concealed to keep cadence.
-fn decode_checked(dec: &mut ResilientDecoder, sinfo: SampleInfo, payload: &[u8]) -> Frame {
+fn decode_checked(
+    dec: &mut ResilientDecoder,
+    faults: &RunFaults,
+    sinfo: SampleInfo,
+    payload: &[u8],
+) -> Frame {
     if vr_bitstream::crc32(payload) != sinfo.crc {
-        fault::note_skipped_sample();
-        let frame = dec.conceal_missing();
-        fault::note_concealed(1);
-        return frame;
+        faults.recover(Recovery::SkippedSample, 1);
+        faults.recover(Recovery::ConcealedFrame, 1);
+        return dec.conceal_missing();
     }
     let (frame, outcome) = dec.decode(payload, sinfo.keyframe);
     if outcome == DecodeOutcome::Concealed {
-        fault::note_concealed(1);
+        faults.recover(Recovery::ConcealedFrame, 1);
     }
     frame
 }
@@ -161,12 +171,14 @@ impl PacedFeed {
 
     /// Block until sample `index` of `track` is captured, then send it
     /// and receive it: its bytes, or `None` when a packet was lost.
-    /// Lost packets are counted as skipped here, sample by sample.
+    /// Under a fault plan, its packets may be dropped on the wire, and
+    /// the lost ones are counted as skipped here, sample by sample.
     fn receive(
         &mut self,
         input: &InputVideo,
         track: usize,
         index: usize,
+        faults: Option<&RunFaults>,
     ) -> Result<Option<Vec<u8>>> {
         self.pacer.wait_for_frame(index as u64);
         let sample = input.container.sample(track, index)?;
@@ -174,15 +186,15 @@ impl PacedFeed {
         let mut received = Vec::with_capacity(1);
         for packet in self.tx.packetize(sample, (index as u32).wrapping_mul(3000)) {
             self.sent += 1;
-            if fault::global().is_some_and(|inj| inj.drop_rtp_packet(&input.name, self.sent)) {
+            if faults.is_some_and(|f| f.injector.drop_rtp_packet(&input.name, self.sent)) {
                 continue;
             }
             received.extend(self.rx.push(&packet)?);
         }
         received.extend(self.rx.finish(self.sent as u16));
         let lost = self.rx.skipped() - skipped;
-        if lost > 0 {
-            fault::note_skipped_packets(lost);
+        if let Some(faults) = faults.filter(|_| lost > 0) {
+            faults.recover(Recovery::SkippedPacket, lost);
         }
         Ok(received.pop())
     }
@@ -203,6 +215,16 @@ pub fn decode_all_parallel(
     input: &InputVideo,
     workers: usize,
 ) -> Result<(VideoInfo, Vec<Frame>)> {
+    decode_parallel(input, workers, &ExecContext::default())
+}
+
+/// [`decode_all_parallel`] under the context's fault plan: every
+/// chunk's stream is [`faulted`](FrameStream::faulted) with it.
+pub(crate) fn decode_parallel(
+    input: &InputVideo,
+    workers: usize,
+    ctx: &ExecContext,
+) -> Result<(VideoInfo, Vec<Frame>)> {
     let info = input.video_info()?;
     let (track, t) = input.video_track()?;
     let samples = &t.samples[..];
@@ -210,7 +232,7 @@ pub fn decode_all_parallel(
     // GOP starts: every keyframe index. A stream that does not open on
     // a keyframe cannot be chunked; neither can a trivial one.
     let gop_starts: Vec<usize> = (0..n).filter(|&i| samples[i].keyframe).collect();
-    let stream = |from, end| FrameStream::over(input, track, samples, info, from, end);
+    let stream = |from, end| FrameStream::over(input, track, samples, info, from, end).faulted(ctx);
     if workers <= 1 || n < 2 || gop_starts.first() != Some(&0) || gop_starts.len() < 2 {
         return Ok((info, stream(0, n).collect_frames()?));
     }
@@ -235,21 +257,22 @@ pub fn decode_all_parallel(
 }
 
 /// Decode every frame of an input read online at `speedup`
-/// ([`FrameStream::paced`]): one paced stream, since GOP chunks cannot
-/// be read out of a forward-only stream. `cancel` is polled after every
+/// ([`FrameStream::paced`]) under the context's fault plan: one paced
+/// stream, since GOP chunks cannot be read out of a forward-only
+/// stream. The context's cancellation token is polled after every
 /// sample, so a deadline ends the capture early with
 /// [`Error::Cancelled`].
 pub(crate) fn decode_paced(
     input: &InputVideo,
     speedup: f64,
-    cancel: &CancelToken,
+    ctx: &ExecContext,
 ) -> Result<(VideoInfo, Vec<Frame>)> {
-    let stream = FrameStream::open(input)?.paced(Some(speedup));
+    let stream = FrameStream::open(input)?.paced(Some(speedup)).faulted(ctx);
     let info = stream.info();
     let mut frames = Vec::with_capacity(stream.len());
     for frame in stream {
         frames.push(frame?);
-        if cancel.cancelled() {
+        if ctx.cancel.cancelled() {
             let at = format!("online read of {} at frame {}", input.name, frames.len());
             return Err(Error::Cancelled(at));
         }
@@ -331,6 +354,19 @@ impl<'a> FrameStream<'a> {
         self
     }
 
+    /// Decode under the context's fault plan when it has one: the plan
+    /// may corrupt each sample (and, paced, drop its packets), a
+    /// damaged sample is skipped and concealed instead of failing the
+    /// stream, and every recovery is counted in the context's metrics.
+    /// Without a plan the stream keeps the plain decoder.
+    pub(crate) fn faulted(mut self, ctx: &ExecContext) -> Self {
+        if let Some(injector) = ctx.faults.clone() {
+            let faults = RunFaults { injector, metrics: ctx.metrics.clone() };
+            self.decoder = SampleDecoder::Resilient(ResilientDecoder::new(self.info), faults);
+        }
+        self
+    }
+
     /// Stream parameters.
     pub fn info(&self) -> VideoInfo {
         self.info
@@ -355,9 +391,10 @@ impl<'a> FrameStream<'a> {
         let i = self.next;
         self.next += 1;
         let frame = match &mut self.feed {
-            Some(feed) => feed.receive(self.input, self.track, i).and_then(|received| {
-                self.decoder.decode_received(self.input, self.samples[i], i, received)
-            }),
+            Some(feed) => {
+                let received = feed.receive(self.input, self.track, i, self.decoder.faults());
+                received.and_then(|r| self.decoder.decode_received(self.input, self.samples[i], i, r))
+            }
             None => self.decoder.decode_sample(self.input, self.track, i),
         };
         Some((frame, i >= self.from))
@@ -1234,7 +1271,7 @@ mod range_tests {
             let paced = FrameStream::range(&input, from, to).unwrap().paced(Some(1000.0));
             assert_eq!(paced.collect_frames().unwrap(), all[from..=to], "range {from}..={to}");
         }
-        let (_, frames) = decode_paced(&input, 1000.0, &CancelToken::new()).unwrap();
+        let (_, frames) = decode_paced(&input, 1000.0, &ExecContext::default()).unwrap();
         assert_eq!(frames, all);
     }
 

@@ -37,9 +37,12 @@
 //!
 //! Every operator records its invocation latency, frames, and bytes
 //! into the [`PipelineMetrics`] carried by the [`ExecContext`] — the
-//! one record of what a stage did. The VCD snapshots it once per query
-//! batch; the report prints the per-stage totals and quantiles from
-//! that snapshot, and EXPLAIN ANALYZE and `calibrate` read it too.
+//! one record of what a stage did — and every fault hook counts its
+//! recoveries there too, against the context's own fault plan
+//! ([`ExecContext::faults`]). The VCD snapshots it once per query
+//! batch; the report prints the per-stage totals and quantiles and the
+//! batch's recoveries from that snapshot, and EXPLAIN ANALYZE and
+//! `calibrate` read it too.
 
 use crate::io::{ExecContext, InputVideo, OutputBox, QueryOutput};
 use crate::kernels::{boxes_frame, filter_class, FrameStream};
@@ -51,8 +54,9 @@ use std::sync::mpsc::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vr_base::obs::{alloc, metrics, trace};
-use vr_base::sync::{panic_message, stage_panic};
-use vr_base::{fault, Error, Result};
+use vr_base::fault::{DegradationSnapshot, Recovery, RecoveryCounters};
+use vr_base::sync::panic_message;
+use vr_base::{Error, Result};
 use vr_codec::{EncodedVideo, Encoder, EncoderConfig, RateControlMode, VideoInfo};
 use vr_frame::Frame;
 use vr_scene::ObjectClass;
@@ -112,14 +116,17 @@ struct AtomicStage {
 }
 
 /// Per-stage counters shared by every operator of one execution
-/// context. Thread-safe (pipelined stages run on worker threads).
+/// context, and the context's recovery counters beside them.
+/// Thread-safe (pipelined stages run on worker threads).
 ///
-/// This is the one record of what a stage did: the report, EXPLAIN
-/// ANALYZE and `calibrate` read it through [`PipelineMetrics::snapshot`].
+/// This is the one record of what a stage did and of what the run
+/// recovered from: the report, EXPLAIN ANALYZE and `calibrate` read it
+/// through [`PipelineMetrics::snapshot`].
 #[derive(Default)]
 pub struct PipelineMetrics {
     stages: [AtomicStage; 5],
     contention_nanos: AtomicU64,
+    recovered: RecoveryCounters,
 }
 
 impl PipelineMetrics {
@@ -172,6 +179,12 @@ impl PipelineMetrics {
         self.contention_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
+    /// The run's recovery counters, which every fault hook of the
+    /// context counts into.
+    pub fn recovered(&self) -> &RecoveryCounters {
+        &self.recovered
+    }
+
     /// Current totals.
     pub fn snapshot(&self) -> PipelineSnapshot {
         PipelineSnapshot {
@@ -190,6 +203,7 @@ impl PipelineMetrics {
                 }
             }),
             contention_nanos: self.contention_nanos.load(Ordering::Relaxed),
+            recovered: self.recovered.snapshot(),
         }
     }
 }
@@ -219,7 +233,8 @@ pub struct StageSnapshot {
     pub latency: metrics::HistogramSnapshot,
 }
 
-/// All five stages' totals at a point in time.
+/// All five stages' totals, and the run's recoveries, at a point in
+/// time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineSnapshot {
     /// Indexed by [`StageKind`] order.
@@ -227,6 +242,9 @@ pub struct PipelineSnapshot {
     /// Nanoseconds pipelined stages spent blocked on full inter-stage
     /// channels (zero on the sequential path).
     pub contention_nanos: u64,
+    /// What the context's fault hooks recovered from (all zero on a
+    /// clean run).
+    pub recovered: DegradationSnapshot,
 }
 
 impl PipelineSnapshot {
@@ -646,12 +664,19 @@ fn send_stage<T>(
     }
 }
 
+/// A panic contained at a stage boundary, as a typed error, counted
+/// in the run's recoveries.
+fn stage_panic(metrics: &PipelineMetrics, p: Box<dyn std::any::Any + Send>) -> Error {
+    metrics.recovered.add(Recovery::StagePanic, 1);
+    Error::StagePanic(panic_message(p))
+}
+
 /// Contain a panic at a stage boundary: a panicking stage (injected or
 /// organic) degrades into a typed [`Error::StagePanic`] instead of
 /// unwinding through the executor and poisoning its channels.
-fn contain_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
+fn contain_panic<T>(metrics: &PipelineMetrics, f: impl FnOnce() -> Result<T>) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .unwrap_or_else(|p| Err(stage_panic(panic_message(p))))
+        .unwrap_or_else(|p| Err(stage_panic(metrics, p)))
 }
 
 /// Watchdog bound on one inter-stage channel wait: generous enough
@@ -754,7 +779,8 @@ impl<'c> Pipeline<'c> {
     /// A decode scan in the context's read mode: online, the stream
     /// is paced.
     fn decode_scan<'a>(&self, stream: FrameStream<'a>) -> DecodeScan<'a> {
-        DecodeScan { stream: stream.paced(self.ctx.online), metrics: self.ctx.metrics.clone() }
+        let stream = stream.paced(self.ctx.online).faulted(self.ctx);
+        DecodeScan { stream, metrics: self.ctx.metrics.clone() }
     }
 
     /// Open a scan over already-decoded frames.
@@ -855,7 +881,7 @@ impl<'c> Pipeline<'c> {
             // the encoder drains what it has and returns.
             drop(frx);
             drop(ktx);
-            let encoded = encoder.join().unwrap_or_else(|p| Err(stage_panic(panic_message(p))));
+            let encoded = encoder.join().unwrap_or_else(|p| Err(stage_panic(metrics, p)));
             driven.and(encoded)
         })
     }
@@ -913,39 +939,30 @@ impl<'c> Pipeline<'c> {
         self.stream(&mut [source], false, &mut Gated { gate, kernel })
     }
 
-    /// The guard around every kernel call. Cooperative cancellation is
-    /// checked now; the call that comes back runs `f` with an injected
-    /// kernel panic firing inside the containment scope, so any panic
-    /// (injected or organic) becomes a typed error at the stage
-    /// boundary.
-    fn guarded<T>(
-        &self,
-        index: usize,
-        f: impl FnOnce() -> Result<T>,
-    ) -> Result<impl FnOnce() -> Result<T>> {
-        self.check_cancelled(index)?;
-        let due = fault::global()
-            .map(|inj| inj.kernel_panic_due(&self.ctx.query_label, index as u64))
-            .unwrap_or(false);
-        Ok(move || {
-            contain_panic(|| {
-                if due {
-                    panic!("injected kernel panic (frame {index})");
-                }
-                f()
-            })
-        })
-    }
-
     /// One guarded kernel invocation, timed as Kernel work.
+    /// Cooperative cancellation is checked first; then `f` runs with
+    /// the context's injected kernel panic firing inside the
+    /// containment scope, so any panic (injected or organic) becomes a
+    /// typed error at the stage boundary.
     fn kernel_stage<T>(
         &self,
         frames: u64,
         index: usize,
         f: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
-        let call = self.guarded(index, f)?;
-        self.ctx.metrics.timed(StageKind::Kernel, call, |_| Some((frames, 0)))
+        self.check_cancelled(index)?;
+        let faults = self.ctx.faults.as_ref();
+        let due = faults.is_some_and(|inj| inj.kernel_panic_due(&self.ctx.query_label, index as u64));
+        let metrics = &*self.ctx.metrics;
+        let call = || {
+            contain_panic(metrics, || {
+                if due {
+                    panic!("injected kernel panic (frame {index})");
+                }
+                f()
+            })
+        };
+        metrics.timed(StageKind::Kernel, call, |_| Some((frames, 0)))
     }
 
     /// Error out if the context's cancellation token has fired (the
@@ -972,11 +989,9 @@ impl<'c> Pipeline<'c> {
     /// budget is far above any plan's stall, so an absorbed stall
     /// degrades latency without tripping anything).
     fn absorb_stall(&self, stage: StageKind) {
-        if let Some(inj) = fault::global() {
-            if let Some(d) = inj.stall(stage.label()) {
-                std::thread::sleep(d);
-                fault::note_stall_absorbed();
-            }
+        if let Some(d) = self.ctx.faults.as_ref().and_then(|inj| inj.stall(stage.label())) {
+            std::thread::sleep(d);
+            self.ctx.metrics.recovered.add(Recovery::StallAbsorbed, 1);
         }
     }
 
@@ -987,7 +1002,7 @@ impl<'c> Pipeline<'c> {
         let frames = output.video().len() as u64;
         let bytes = self.ctx.metrics.timed(
             StageKind::Sink,
-            || self.ctx.result_mode.sink(instance_index, output),
+            || self.ctx.sink(instance_index, output),
             |sunk| sunk.as_ref().ok().map(|&bytes| (frames, bytes as u64)),
         )?;
         Ok(bytes)
@@ -1181,12 +1196,44 @@ pub(crate) mod tests {
         assert_eq!((decode.count, decode.sum, decode.buckets[0]), (2, 150, 2));
     }
 
+    /// Recoveries are counted per context, like stage figures: each
+    /// metrics record snapshots only its own, and a fresh one is zero.
+    #[test]
+    fn recoveries_are_counted_per_context() {
+        let (m, other) = (PipelineMetrics::default(), PipelineMetrics::default());
+        m.recovered().add(Recovery::ConcealedFrame, 3);
+        m.recovered().add(Recovery::SkippedSample, 1);
+        m.recovered().add(Recovery::SkippedPacket, 2);
+        m.recovered().add(Recovery::IoRetry, 4);
+        m.recovered().add(Recovery::IoGiveUp, 1);
+        m.recovered().add(Recovery::StagePanic, 1);
+        m.recovered().add(Recovery::StallAbsorbed, 1);
+        let recovered = m.snapshot().recovered;
+        assert_eq!(
+            recovered,
+            DegradationSnapshot {
+                concealed_frames: 3,
+                skipped_samples: 1,
+                skipped_packets: 2,
+                io_retries: 4,
+                io_give_ups: 1,
+                stage_panics: 1,
+                stalls_absorbed: 1,
+            }
+        );
+        assert!(recovered.any());
+        assert_eq!(other.snapshot(), PipelineSnapshot::default(), "another context counts nothing");
+        assert!(!DegradationSnapshot::default().any());
+        let total: DegradationSnapshot = [recovered, recovered].into_iter().sum();
+        assert_eq!(total.concealed_frames, 6);
+    }
+
     /// A plan can stall each stage `absorb_stall` is called with.
     #[test]
     fn every_stage_label_is_a_stall_stage() {
         for kind in StageKind::ALL {
             let spec = format!("stall_stage={}:1ms", kind.label());
-            let inj = fault::FaultInjector::from_spec(&spec, 0).unwrap();
+            let inj = vr_base::fault::FaultInjector::from_spec(&spec, 0).unwrap();
             assert_eq!(inj.stall(kind.label()), Some(Duration::from_millis(1)), "{spec}");
         }
     }

@@ -231,7 +231,7 @@ impl PlanDesc {
 /// the same tree (the explain snapshot tests pin this per engine).
 pub(crate) fn build(desc: &PlanDesc, ctx: &ExecContext) -> PlanNode {
     let workers = ctx.workers.max(1);
-    let faults = vr_base::fault::global().is_some();
+    let faults = ctx.faults.is_some();
 
     // Scan: fused decode for stream/range scans, separate batch decode
     // under a materialized table.

@@ -1,20 +1,20 @@
 //! Chaos suite: deterministic fault injection against the full query
 //! path.
 //!
-//! The contract under test (ISSUE: robustness tentpole): with a fault
-//! plan active the system *degrades* — concealed frames, skipped
-//! packets, retried I/O, contained panics, cancelled stragglers — but
-//! never panics, never hangs, and accounts for every injected fault in
+//! The contract under test: with a fault plan active the system
+//! *degrades* — concealed frames, skipped packets, retried I/O,
+//! contained panics, cancelled stragglers — but never panics, never
+//! hangs, and accounts for every injected fault in
 //! [`DegradationStats`]. With faults off, behaviour is bit-identical
 //! to the clean path (pinned by `pipeline_parity.rs`).
 //!
-//! Tests that install the process-global injector (or depend on it
-//! being absent) serialize on a static mutex: `fault::install` is
-//! process-wide and the default test harness runs threads in parallel.
+//! Each test hands its injector to the run it tests (`VcdConfig` or
+//! `ExecContext`) and reads the recoveries off that run's report or
+//! metrics, so the tests run in parallel like any others.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use visual_road::base::fault::{self, FaultInjector, IoOp, RETRY_MAX_ATTEMPTS};
+use std::sync::Arc;
+use visual_road::base::fault::{self, FaultInjector, IoOp, RecoveryCounters, RETRY_MAX_ATTEMPTS};
 use visual_road::base::{Error, VrRng};
 use visual_road::codec::{encode_sequence, EncoderConfig, ResilientDecoder};
 use visual_road::container::{Container, ContainerWriter, TrackKind};
@@ -26,40 +26,9 @@ use visual_road::vdbms::ExecContext;
 mod common;
 use common::tiny_dataset;
 
-/// Serialize tests that touch the global injector / recovery counters.
-fn injector_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// A tiny dataset generated while no other test's injector is
-/// installed: the generator decodes the camera videos for the
-/// panorama, so an injector installed meanwhile would corrupt them and
-/// count the concealment in that test's recovery counters.
-fn clean_dataset(seed: u64) -> Dataset {
-    let _guard = injector_lock();
-    tiny_dataset(seed)
-}
-
-/// A guard that clears the global injector even if the test panics, so
-/// one failing chaos test cannot poison the faults-off tests behind it.
-struct InstallGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl InstallGuard {
-    fn install(inj: FaultInjector) -> (Self, std::sync::Arc<FaultInjector>) {
-        let guard = Self(injector_lock());
-        let inj = std::sync::Arc::new(inj);
-        fault::install(Some(std::sync::Arc::clone(&inj)));
-        (guard, inj)
-    }
-}
-
-impl Drop for InstallGuard {
-    fn drop(&mut self) {
-        fault::install(None);
-    }
+/// A fault plan, as a run's config takes it.
+fn plan(spec: &str, seed: u64) -> Option<Arc<FaultInjector>> {
+    Some(Arc::new(FaultInjector::from_spec(spec, seed).unwrap()))
 }
 
 /// A muxed clip (the unit the corruption loop mangles).
@@ -163,18 +132,17 @@ fn retry_backoff_schedule_is_deterministic_and_bounded() {
 
 /// `with_retry_io` absorbs transient failures (counting each retry),
 /// gives up after the bounded budget (counting the give-up), and does
-/// not retry permanent errors. The lock keeps every injector out, so
-/// only `op`'s own errors fail an attempt.
+/// not retry permanent errors. No injector is given, so only `op`'s own
+/// errors fail an attempt.
 #[test]
 fn with_retry_accounts_retries_and_give_ups() {
-    let _guard = injector_lock();
-    let before = fault::degradation_snapshot();
+    let recovered = RecoveryCounters::default();
 
     // Fails twice, then succeeds: two retries, no give-up.
     let mut calls = 0u32;
     let transient =
         || Error::Io(std::io::Error::new(std::io::ErrorKind::Interrupted, "injected"));
-    let out = fault::with_retry_io("chaos-test-a", IoOp::Read, "object", || {
+    let out = fault::with_retry_io(None, &recovered, "chaos-test-a", IoOp::Read, "object", || {
         calls += 1;
         if calls <= 2 { Err(transient()) } else { Ok(calls) }
     });
@@ -182,7 +150,7 @@ fn with_retry_accounts_retries_and_give_ups() {
 
     // Never succeeds: budget exhausted, error surfaces.
     let mut attempts = 0u32;
-    let out: Result<(), Error> = fault::with_retry_io("chaos-test-b", IoOp::Write, "object", || {
+    let out: Result<(), Error> = fault::with_retry_io(None, &recovered, "chaos-test-b", IoOp::Write, "object", || {
         attempts += 1;
         Err(transient())
     });
@@ -191,14 +159,14 @@ fn with_retry_accounts_retries_and_give_ups() {
 
     // Permanent errors surface immediately with no accounting.
     let mut permanent_calls = 0u32;
-    let out: Result<(), Error> = fault::with_retry_io("chaos-test-c", IoOp::Read, "object", || {
+    let out: Result<(), Error> = fault::with_retry_io(None, &recovered, "chaos-test-c", IoOp::Read, "object", || {
         permanent_calls += 1;
         Err(Error::NotFound("x".into()))
     });
     assert!(out.is_err());
     assert_eq!(permanent_calls, 1);
 
-    let delta = fault::degradation_snapshot().since(&before);
+    let delta = recovered.snapshot();
     assert_eq!(delta.io_retries, 2 + (RETRY_MAX_ATTEMPTS as u64 - 1));
     assert_eq!(delta.io_give_ups, 1);
 }
@@ -208,11 +176,11 @@ fn with_retry_accounts_retries_and_give_ups() {
 /// the count of contained panics matches the count of injected ones.
 #[test]
 fn watchdog_contains_injected_stage_panics() {
-    let dataset = clean_dataset(43);
-    let (_guard, inj) =
-        InstallGuard::install(FaultInjector::from_spec("panic_kernel=q2a:frame3", 1).unwrap());
+    let dataset = tiny_dataset(43);
+    let faults = plan("panic_kernel=q2a:frame3", 1);
+    let inj = faults.clone().unwrap();
 
-    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), faults, ..Default::default() });
     let mut engine = ReferenceEngine::new();
     let report = vcd.run_queries(&mut engine, &[QueryKind::Q2aGrayscale]).unwrap();
     let q = report.query(QueryKind::Q2aGrayscale).unwrap();
@@ -232,14 +200,13 @@ fn watchdog_contains_injected_stage_panics() {
 /// panic is matched by a recovered one.
 #[test]
 fn q9_kernel_panics_are_contained_and_accounted() {
-    let dataset = clean_dataset(50);
-    let (_guard, inj) =
-        InstallGuard::install(FaultInjector::from_spec("panic_kernel=q9:frame1", 1).unwrap());
-    let before = fault::degradation_snapshot();
-    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
+    let dataset = tiny_dataset(50);
+    let faults = plan("panic_kernel=q9:frame1", 1);
+    let inj = faults.clone().unwrap();
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), faults, ..Default::default() });
     let report = vcd.run_queries(&mut ReferenceEngine::new(), &[QueryKind::Q9PanoramicStitching]);
-    let recovered = fault::degradation_snapshot().since(&before);
     let report = report.unwrap();
+    let recovered = report.recovered();
     let q = report.query(QueryKind::Q9PanoramicStitching).unwrap();
     let QueryStatus::Completed { degradation, .. } = &q.status else {
         panic!("chaos batch must complete (degraded), got {:?}", q.status);
@@ -256,11 +223,11 @@ fn q9_kernel_panics_are_contained_and_accounted() {
 /// corruption accounting.
 #[test]
 fn corrupted_bitstreams_are_concealed_not_fatal() {
-    let dataset = clean_dataset(44);
-    let (_guard, inj) =
-        InstallGuard::install(FaultInjector::from_spec("corrupt_bitstream=0.05", 9).unwrap());
+    let dataset = tiny_dataset(44);
+    let faults = plan("corrupt_bitstream=0.05", 9);
+    let inj = faults.clone().unwrap();
 
-    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), ..Default::default() });
+    let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(2), faults, ..Default::default() });
     let mut engine = ReferenceEngine::new();
     let report = vcd.run_queries(&mut engine, &[QueryKind::Q1Select]).unwrap();
     let q = report.query(QueryKind::Q1Select).unwrap();
@@ -279,7 +246,6 @@ fn corrupted_bitstreams_are_concealed_not_fatal() {
 /// instead of blocking on it.
 #[test]
 fn deadline_cancellation_is_enforced_and_accounted() {
-    let _guard = injector_lock();
     let dataset = tiny_dataset(45);
     let vcd = Vcd::new(
         &dataset,
@@ -300,7 +266,7 @@ fn deadline_cancellation_is_enforced_and_accounted() {
     assert_eq!(degradation.cancelled_instances, 3, "{degradation:?}");
     assert_eq!(degradation.failed_instances, 0);
     assert_eq!(scheduler.deadline_misses, 3);
-    assert!(!degradation.faults_active, "no fault plan was installed");
+    assert!(!degradation.faults_active, "the run has no fault plan");
 }
 
 /// With no fault plan and no deadline, the report carries an all-zero
@@ -308,7 +274,6 @@ fn deadline_cancellation_is_enforced_and_accounted() {
 /// batch (classic semantics are preserved bit-for-bit).
 #[test]
 fn clean_runs_report_zero_degradation() {
-    let _guard = injector_lock();
     let dataset = tiny_dataset(46);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
     let mut engine = ReferenceEngine::new();
@@ -336,15 +301,16 @@ fn clean_runs_report_zero_degradation() {
 /// still complete.
 #[test]
 fn online_rtp_drops_are_skipped_and_accounted() {
-    let dataset = clean_dataset(47);
-    let (_guard, inj) =
-        InstallGuard::install(FaultInjector::from_spec("drop_rtp=0.08", 3).unwrap());
+    let dataset = tiny_dataset(47);
+    let faults = plan("drop_rtp=0.08", 3);
+    let inj = faults.clone().unwrap();
 
     let vcd = Vcd::new(
         &dataset,
         VcdConfig {
             batch_size: Some(2),
             mode: ExecutionMode::Online { speedup: 1000.0 },
+            faults,
             ..Default::default()
         },
     );
@@ -363,14 +329,14 @@ fn online_rtp_drops_are_skipped_and_accounted() {
 /// passes at 99 dB.
 #[test]
 fn online_packet_loss_fails_validation() {
-    let dataset = clean_dataset(50);
+    let dataset = tiny_dataset(50);
     let cfg = VcdConfig {
         batch_size: Some(1),
         mode: ExecutionMode::Online { speedup: 1000.0 },
         ..Default::default()
     };
-    let run = || {
-        let vcd = Vcd::new(&dataset, cfg.clone());
+    let run = |faults: Option<Arc<FaultInjector>>| {
+        let vcd = Vcd::new(&dataset, VcdConfig { faults, ..cfg.clone() });
         let report = vcd.run_queries(&mut ReferenceEngine::new(), &[QueryKind::Q2aGrayscale]);
         match &report.unwrap().queries[0].status {
             QueryStatus::Completed { validation, degradation, frames, .. } => {
@@ -379,15 +345,12 @@ fn online_packet_loss_fails_validation() {
             other => panic!("the online batch must complete, got {other:?}"),
         }
     };
-    let (clean, _, _) = {
-        let _guard = injector_lock();
-        run()
-    };
+    let (clean, _, _) = run(None);
     let psnr = clean.psnr.expect("Q2(a) is judged on frames");
     assert!(clean.passed && psnr.min >= 99.0, "{clean:?}");
-    let (_guard, inj) =
-        InstallGuard::install(FaultInjector::from_spec("drop_rtp=1.0", 0).unwrap());
-    let (lossy, degradation, frames) = run();
+    let faults = plan("drop_rtp=1.0", 0);
+    let inj = faults.clone().unwrap();
+    let (lossy, degradation, frames) = run(faults);
     assert!(!lossy.passed, "an answer of concealed frames passed: {lossy:?}");
     assert_eq!(degradation.recovered.concealed_frames, frames, "{degradation:?}");
     assert_eq!(degradation.recovered.skipped_packets, inj.injected().drop_rtp);
@@ -403,7 +366,7 @@ fn online_packet_loss_fails_validation() {
 /// one.
 #[test]
 fn online_losses_are_concealed_frames() {
-    let dataset = clean_dataset(51);
+    let dataset = tiny_dataset(51);
     let vcd = Vcd::new(&dataset, VcdConfig { batch_size: Some(1), ..Default::default() });
     let instance = &vcd.batch(QueryKind::Q2aGrayscale).unwrap()[0];
     let input = &dataset.videos[instance.inputs[0]];
@@ -413,12 +376,10 @@ fn online_losses_are_concealed_frames() {
         let video = out.video();
         video.packets.iter().map(|p| p.data.clone()).collect::<Vec<_>>()
     };
-    let offline = {
-        let _guard = injector_lock();
-        answer(&ExecContext { workers: 1, ..ExecContext::default() })
-    };
+    let offline = answer(&ExecContext { workers: 1, ..ExecContext::default() });
     let (spec, seed) = ("drop_rtp=0.3", 9);
-    let (_guard, inj) = InstallGuard::install(FaultInjector::from_spec(spec, seed).unwrap());
+    let faults = plan(spec, seed);
+    let inj = faults.clone().unwrap();
     let replay = FaultInjector::from_spec(spec, seed).unwrap();
     let mut sent = 0u64;
     let samples = &input.video_track().unwrap().1.samples;
@@ -433,9 +394,9 @@ fn online_losses_are_concealed_frames() {
         })
         .count() as u64;
     assert!(lost > 0 && lost < samples.len() as u64, "{lost} of {} samples lost", samples.len());
-    let before = fault::degradation_snapshot();
-    let online = answer(&ExecContext { workers: 1, online: Some(1000.0), ..ExecContext::default() });
-    let recovered = fault::degradation_snapshot().since(&before);
+    let ctx = ExecContext { workers: 1, online: Some(1000.0), faults, ..ExecContext::default() };
+    let online = answer(&ctx);
+    let recovered = ctx.metrics.snapshot().recovered;
     let mismatches = fault::accounting_mismatches(&inj.injected(), &recovered);
     assert!(mismatches.is_empty(), "{mismatches:?}");
     assert_eq!(inj.injected().drop_rtp, replay.injected().drop_rtp, "the replay drops what the feed dropped");
@@ -450,19 +411,17 @@ fn online_losses_are_concealed_frames() {
 /// RTP packets. Every injected fault is matched by its recovery counter.
 #[test]
 fn chaos_schedule_accounts_for_every_injected_fault() {
-    let dataset = clean_dataset(48);
+    let dataset = tiny_dataset(48);
     let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chaos-schedule");
     let _ = std::fs::remove_dir_all(&out);
     let run = |spec: &str, seed: u64, cfg: VcdConfig, engines: Vec<Box<dyn Vdbms>>, queries: &[QueryKind]| {
-        // Installing takes the injector lock first: no other test's
-        // recoveries land between the two snapshots.
-        let (_guard, inj) = InstallGuard::install(FaultInjector::from_spec(spec, seed).unwrap());
-        let before = fault::degradation_snapshot();
-        let vcd = Vcd::new(&dataset, cfg);
-        for mut engine in engines {
-            vcd.run_queries(engine.as_mut(), queries).unwrap();
-        }
-        let recovered = fault::degradation_snapshot().since(&before);
+        let faults = plan(spec, seed);
+        let inj = faults.clone().unwrap();
+        let vcd = Vcd::new(&dataset, VcdConfig { faults, ..cfg });
+        let recovered = engines
+            .into_iter()
+            .map(|mut engine| vcd.run_queries(engine.as_mut(), queries).unwrap().recovered())
+            .sum();
         let mismatches = fault::accounting_mismatches(&inj.injected(), &recovered);
         assert!(mismatches.is_empty(), "{spec}: {mismatches:?}");
         inj.injected()
@@ -506,27 +465,27 @@ fn chaos_schedule_accounts_for_every_injected_fault() {
 /// with it.
 #[test]
 fn chaos_runs_replay_at_every_batch_width() {
-    let dataset = clean_dataset(49);
+    let dataset = tiny_dataset(49);
     let queries = [QueryKind::Q1Select, QueryKind::Q2aGrayscale];
     let spec = "corrupt_bitstream=0.2,io_fail=write:0.5,panic_kernel=q2a:frame5";
     let run = |workers: usize| {
         let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("replay{workers}"));
         let _ = std::fs::remove_dir_all(&dir);
         let store = visual_road::storage::FlatStore::open(&dir).unwrap();
-        let (guard, inj) = InstallGuard::install(FaultInjector::from_spec(spec, 5).unwrap());
-        let before = fault::degradation_snapshot();
+        let faults = plan(spec, 5);
+        let inj = faults.clone().unwrap();
         let cfg = VcdConfig {
             validate: false,
             batch_size: Some(4),
             pipeline_workers: Some(1),
             batch_workers: Some(workers),
             write_store: Some(store.clone()),
+            faults,
             ..Default::default()
         };
         let report = Vcd::new(&dataset, cfg).run_queries(&mut ReferenceEngine::new(), &queries);
-        let counts = (inj.injected(), fault::degradation_snapshot().since(&before));
-        drop(guard);
         let report = report.unwrap();
+        let counts = (inj.injected(), report.recovered());
         let degradation: Vec<DegradationStats> = queries
             .iter()
             .map(|&q| match &report.query(q).unwrap().status {

@@ -612,6 +612,65 @@ fn overlapping_batches_report_their_own_stage_statistics() {
     }
 }
 
+/// Two batches of reference Q2(a) driven at once on two threads of one
+/// process, one under a fault plan and one with none, each count only
+/// their own recoveries: the faulted batch recovers exactly what it
+/// recovers alone, and the clean one reports no plan, no recovery and
+/// the bytes it writes alone.
+#[test]
+fn overlapping_faulted_batches_count_only_their_own_recoveries() {
+    use std::sync::Arc;
+    use visual_road::base::fault::{DegradationSnapshot, FaultInjector};
+    use visual_road::report::DegradationStats;
+    let dataset = tiny_dataset(5);
+    let corrupt = Arc::new(FaultInjector::from_spec("corrupt_bitstream=0.2", 3).unwrap());
+    // One batch: its degradation and the files it wrote.
+    let run = |name: &str, faults: Option<Arc<FaultInjector>>, barrier: Option<&std::sync::Barrier>| {
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("overlap-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = FlatStore::open(&dir).unwrap();
+        let cfg = VcdConfig {
+            batch_size: Some(4),
+            validate: false,
+            pipeline_workers: Some(1),
+            write_store: Some(store.clone()),
+            faults,
+            ..Default::default()
+        };
+        let vcd = Vcd::new(&dataset, cfg);
+        let mut engine = ReferenceEngine::new();
+        if let Some(barrier) = barrier {
+            barrier.wait();
+        }
+        let report = vcd.run_queries(&mut engine, &[QueryKind::Q2aGrayscale]).unwrap();
+        let visual_road::QueryStatus::Completed { degradation, .. } = report.queries[0].status else {
+            panic!("{report}");
+        };
+        let files: Vec<(String, Vec<u8>)> = store
+            .list()
+            .unwrap()
+            .into_iter()
+            .map(|f| (f.clone(), store.get(&f).unwrap().to_vec()))
+            .collect();
+        (degradation, files)
+    };
+    let (faulted_solo, _) = run("faulted-solo", Some(corrupt.clone()), None);
+    let (clean_solo, clean_solo_files) = run("clean-solo", None, None);
+    assert!(faulted_solo.recovered.skipped_samples > 0, "the plan damaged nothing: {faulted_solo:?}");
+    assert_eq!(clean_solo, DegradationStats::default());
+
+    let barrier = std::sync::Barrier::new(2);
+    let (faulted, (clean, clean_files)) = std::thread::scope(|scope| {
+        let faulted = scope.spawn(|| run("faulted", Some(corrupt.clone()), Some(&barrier)).0);
+        let clean = scope.spawn(|| run("clean", None, Some(&barrier)));
+        (faulted.join().unwrap(), clean.join().unwrap())
+    });
+    assert_eq!(faulted.recovered, faulted_solo.recovered, "the faulted batch beside a clean one");
+    assert!(!clean.faults_active, "{clean:?}");
+    assert_eq!(clean.recovered, DegradationSnapshot::default(), "the clean batch beside a faulted one");
+    assert!(clean_files == clean_solo_files, "the clean batch's answers changed beside a faulted one");
+}
+
 /// The reference engine, except that instances 2 and 5 of every batch
 /// fail; records the index of every instance it was handed.
 struct FailsTwoAndFive {
